@@ -11,11 +11,12 @@ driven by the parameters, not by resampling noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
+from ._util import typed
 from .errors import ConfigError
-from .simulate import NormalMeans, SimConfig, rho_lower_bound, simulate_gain
+from .simulate import NormalMeans, SimConfig, check_rho, rho_lower_bound, simulate_gain
 
 __all__ = [
     "StudyProfile",
@@ -53,15 +54,10 @@ class StudyProfile:
             value = getattr(self, attr)
             if value < 0 or not math.isfinite(value):
                 raise ConfigError(f"{attr} must be finite and >= 0, got {value}")
-        if int(self.m) != self.m or self.m < 2:
+        if not float(self.m).is_integer() or self.m < 2:
             raise ConfigError(f"m must be an integer >= 2, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        bound = rho_lower_bound(self.m)
-        if not bound <= self.rho <= 1.0:
-            raise ConfigError(
-                f"rho must lie in [-1/(m-1), 1] = [{bound}, 1] for m = {self.m}, "
-                f"got {self.rho}"
-            )
+        check_rho(self.rho, self.m)
         if not math.isfinite(self.mean):
             raise ConfigError(f"mean must be finite, got {self.mean}")
 
@@ -79,6 +75,8 @@ class StudyProfile:
 
     @staticmethod
     def from_config(doc: dict) -> "StudyProfile":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"profile must be a JSON object, got {doc!r}")
         required = {"name", "s", "sigma", "rho", "sigma_eps", "m"}
         missing = required - set(doc)
         if missing:
@@ -88,12 +86,12 @@ class StudyProfile:
             raise ConfigError(f"profile has unknown fields: {sorted(unknown)}")
         return StudyProfile(
             name=str(doc["name"]),
-            s=float(doc["s"]),
-            sigma=float(doc["sigma"]),
-            rho=float(doc["rho"]),
-            sigma_eps=float(doc["sigma_eps"]),
-            m=int(doc["m"]),
-            mean=float(doc.get("mean", 0.0)),
+            s=typed(float, doc["s"], "profile s"),
+            sigma=typed(float, doc["sigma"], "profile sigma"),
+            rho=typed(float, doc["rho"], "profile rho"),
+            sigma_eps=typed(float, doc["sigma_eps"], "profile sigma_eps"),
+            m=typed(int, doc["m"], "profile m"),
+            mean=typed(float, doc.get("mean", 0.0), "profile mean"),
             outcome_scale_note=str(doc.get("outcome_scale_note", "")),
         )
 
@@ -112,14 +110,6 @@ class SimSettings:
             raise ConfigError("n_individuals and n_replications must be >= 1")
         if self.n_jobs < 1:
             raise ConfigError(f"n_jobs must be >= 1, got {self.n_jobs}")
-
-    def to_config(self) -> dict:
-        return {
-            "n_individuals": self.n_individuals,
-            "n_replications": self.n_replications,
-            "seed": self.seed,
-            "n_jobs": self.n_jobs,
-        }
 
 
 def _sim_config(profile: StudyProfile, settings: SimSettings) -> SimConfig:
@@ -142,25 +132,11 @@ def predict_gain(profile: StudyProfile, settings: SimSettings = SimSettings()) -
 
 
 def _validated(profile: StudyProfile, parameter: str, value: float) -> StudyProfile:
-    """profile with one parameter replaced; bound violations name the bound."""
-    if parameter in ("s", "sigma", "sigma_eps"):
-        if value < 0 or not math.isfinite(value):
-            raise ConfigError(f"{parameter} grid value {value} violates the bound {parameter} >= 0")
-        return replace(profile, **{parameter: float(value)})
-    if parameter == "rho":
-        bound = rho_lower_bound(profile.m)
-        if not bound <= value <= 1.0:
-            raise ConfigError(
-                f"rho grid value {value} violates the bound -1/(m-1) <= rho <= 1 "
-                f"(= [{bound}, 1] for m = {profile.m})"
-            )
-        return replace(profile, rho=float(value))
-    if parameter == "m":
-        if int(value) != value or value < 2:
-            raise ConfigError(f"m grid value {value} violates the bound: integer m >= 2")
-        new = replace(profile, m=int(value))
-        return new
-    raise ConfigError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
+    """profile with one parameter replaced; StudyProfile's own checks name
+    the bound a value violates."""
+    if parameter not in _SWEEPABLE:
+        raise ConfigError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
+    return replace(profile, **{parameter: float(value)})
 
 
 @dataclass(frozen=True)
@@ -170,7 +146,6 @@ class SensitivityResult:
     grid: tuple[float, ...]
     gain_mean: tuple[float, ...]
     gain_se: tuple[float, ...]
-    common_random_numbers: bool = True
 
     def to_rows(self) -> list[dict]:
         return [
@@ -265,7 +240,7 @@ def elasticity_table(
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     base_gain, base_se = predict_gain(profile, settings)
-    rho_floor = rho_lower_bound(profile.m) + 1e-9
+    rho_floor = rho_lower_bound(profile.m)
     variants = [
         ("s_down", "s", profile.s * (1.0 - delta)),
         ("sigma_up", "sigma", profile.sigma * (1.0 + delta)),

@@ -12,19 +12,16 @@ where Phi/phi are the standard normal CDF/pdf. `v` is the scale of the
 individual-level difference between arms; when it is zero the two arms are
 identical up to a constant shift and the gain vanishes.
 
-The normal CDF is scipy.special.ndtr (erf/erfc based, accurate to ~1e-15),
-and phi is exp(-x^2/2)/sqrt(2*pi).
+The upper tail 1 - Phi(z) is erfc(z / sqrt(2)) / 2, which keeps full
+relative precision for large gaps, and phi is exp(-x^2/2)/sqrt(2*pi).
+Averaged over arm means drawn i.i.d. N(M, s^2) the gain has a closed form
+too (see expected_gain_over_means).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
-
-import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from .errors import DomainError
 
@@ -35,7 +32,6 @@ __all__ = [
     "dgain_dsigma",
     "dgain_drho",
     "expected_gain_over_means",
-    "MeanGainEstimate",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -51,6 +47,14 @@ def _check_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _check_moments(sigma: float, rho: float) -> None:
+    _check_finite(sigma=sigma, rho=rho)
+    if sigma < 0:
+        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
+
+
 @dataclass(frozen=True)
 class TwoArmParams:
     """Average responses of two arms plus the heterogeneity moments."""
@@ -61,11 +65,8 @@ class TwoArmParams:
     rho: float
 
     def __post_init__(self) -> None:
-        _check_finite(mu_a=self.mu_a, mu_b=self.mu_b, sigma=self.sigma, rho=self.rho)
-        if self.sigma < 0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise DomainError(f"rho must lie in [-1, 1], got {self.rho}")
+        _check_finite(mu_a=self.mu_a, mu_b=self.mu_b)
+        _check_moments(self.sigma, self.rho)
 
     @property
     def gap(self) -> float:
@@ -77,24 +78,8 @@ def effective_scale(sigma: float, rho: float) -> float:
 
     Zero exactly when sigma == 0 or rho == 1.
     """
-    _check_finite(sigma=sigma, rho=rho)
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
+    _check_moments(sigma, rho)
     return sigma * math.sqrt(2.0 * (1.0 - rho))
-
-
-def _gain_from_gap(gap, v: float):
-    """Rectified-normal mean, vectorized over the arm-mean gap (gap >= 0).
-
-    The upper tail 1 - Phi(z) is evaluated as ndtr(-z) to keep full relative
-    precision for large gaps.
-    """
-    if v == 0.0:
-        return np.zeros_like(np.asarray(gap, dtype=float))
-    z = np.asarray(gap, dtype=float) / v
-    return -gap * ndtr(-z) + v * np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def gain_two_arm(p: TwoArmParams) -> float:
@@ -103,7 +88,8 @@ def gain_two_arm(p: TwoArmParams) -> float:
     v = effective_scale(p.sigma, p.rho)
     if v == 0.0:
         return 0.0
-    return float(_gain_from_gap(p.gap, v))
+    z = p.gap / v
+    return -p.gap * 0.5 * math.erfc(z / math.sqrt(2.0)) + v * _phi(z)
 
 
 def dgain_dsigma(p: TwoArmParams) -> float:
@@ -130,53 +116,23 @@ def dgain_drho(p: TwoArmParams) -> float:
     return -p.sigma * _phi(p.gap / v) / t
 
 
-class MeanGainEstimate(NamedTuple):
-    value: float
-    se: float
-    backend: str
+def expected_gain_over_means(sigma: float, rho: float, s: float) -> float:
+    """Gain averaged over arm means drawn i.i.d. N(M, s^2), exactly:
 
+        (sqrt(s^2 + sigma^2 (1 - rho)) - s) / sqrt(pi)
 
-def expected_gain_over_means(
-    sigma: float,
-    rho: float,
-    s: float,
-    n_draws: int = 100_000,
-    seed: int = 0,
-    backend: Literal["quadrature", "mc"] = "quadrature",
-) -> MeanGainEstimate:
-    """Gain averaged over arm means drawn i.i.d. N(M, s^2).
-
-    The gap d = mu_b - mu_a is then N(0, 2 s^2), so the result does not
-    depend on M. The default backend integrates gain(|d|) against the
-    half-normal density of |d| (scale sqrt(2)*s) with adaptive quadrature
-    and reports the integrator's error bound as `se`; backend="mc" draws
-    |d| directly with the given seed and reports the Monte Carlo standard
-    error.
+    The gain is E[max(Y_a, Y_b)] - max(mu_a, mu_b), and E[max(A, B)] for a
+    jointly normal pair is the mean of A and B plus SD(A - B) / sqrt(2 pi).
+    Over the draws of the means, Y_a - Y_b has variance 2 s^2 + v^2 and
+    mu_a - mu_b has variance 2 s^2, so M cancels. The difference of square
+    roots is evaluated as c / (sqrt(s^2 + c) + s), c = sigma^2 (1 - rho),
+    which does not cancel when s is large against sigma.
     """
-    _check_finite(sigma=sigma, rho=rho, s=s)
+    _check_finite(s=s)
+    _check_moments(sigma, rho)
     if s < 0:
         raise DomainError(f"s must be >= 0, got {s}")
-    if n_draws < 1:
-        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
-    v = effective_scale(sigma, rho)
-    if v == 0.0:
-        return MeanGainEstimate(0.0, 0.0, backend)
-    if s == 0.0:
-        return MeanGainEstimate(float(_gain_from_gap(0.0, v)), 0.0, backend)
-
-    gap_scale = math.sqrt(2.0) * s
-    if backend == "quadrature":
-        density = 2.0 / (gap_scale * _SQRT_2PI)
-
-        def integrand(d: float) -> float:
-            return float(_gain_from_gap(d, v)) * density * math.exp(-0.5 * (d / gap_scale) ** 2)
-
-        value, err = integrate.quad(integrand, 0.0, np.inf)
-        return MeanGainEstimate(float(value), float(err), "quadrature")
-    if backend == "mc":
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        gaps = np.abs(rng.normal(0.0, gap_scale, size=int(n_draws)))
-        gains = _gain_from_gap(gaps, v)
-        se = float(gains.std(ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
-        return MeanGainEstimate(float(gains.mean()), se, "mc")
-    raise DomainError(f"unknown backend {backend!r}; expected 'quadrature' or 'mc'")
+    c = sigma * sigma * (1.0 - rho)
+    if c == 0.0:
+        return 0.0
+    return c / (math.sqrt(s * s + c) + s) / math.sqrt(math.pi)

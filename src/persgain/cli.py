@@ -15,11 +15,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from . import __version__
-from ._util import fmt_float, write_csv, write_json
+from ._util import fmt_float, typed, typed_list, write_csv, write_json
 from .analysis import (
     SimSettings,
     StudyProfile,
@@ -30,7 +32,7 @@ from .analysis import (
 )
 from .analytic import TwoArmParams, expected_gain_over_means, gain_two_arm
 from .dataset import SynthDGP, generate_synthetic, load_csv, split
-from .errors import ConfigError, PersgainError
+from .errors import ConfigError, InternalError, PersgainError
 from .estimation import estimate_moments
 from .policy import best_uniform, fit_ols_policy, gain_report
 from .simulate import SimConfig, dist_from_config, simulate_gain, sweep_arms
@@ -40,6 +42,19 @@ _OUT_ENV = "PERSGAIN_OUT"
 
 _REQUIRED = object()
 
+
+def _fields(cls, *skip: str) -> dict:
+    """A dataclass's fields as config fields: each default, or _REQUIRED."""
+    return {
+        f.name: _REQUIRED if f.default is MISSING else f.default
+        for f in fields(cls)
+        if f.name not in skip
+    }
+
+
+# every arm has the same mean unless the config says otherwise
+_DIST = {"dist": {"kind": "normal", "mean": 0.0, "s": 0.0}}
+
 _DEFAULTS = {
     "gain": {
         "mu_a": _REQUIRED,
@@ -47,32 +62,10 @@ _DEFAULTS = {
         "sigma": _REQUIRED,
         "rho": _REQUIRED,
         "s": None,
-        "backend": "quadrature",
-        "n_draws": 100_000,
         "seed": 0,
     },
-    "simulate": {
-        "m": _REQUIRED,
-        "sigma": _REQUIRED,
-        "rho": _REQUIRED,
-        "sigma_eps": 0.0,
-        "dist": {"kind": "normal", "mean": 0.0, "s": 0.0},
-        "n_individuals": 10_000,
-        "n_replications": 200,
-        "seed": 0,
-        "noise_mode": "per_cell",
-    },
-    "sweep": {
-        "m_values": _REQUIRED,
-        "sigma": _REQUIRED,
-        "rho": _REQUIRED,
-        "sigma_eps": 0.0,
-        "dist": {"kind": "normal", "mean": 0.0, "s": 0.0},
-        "n_individuals": 10_000,
-        "n_replications": 200,
-        "seed": 0,
-        "noise_mode": "per_cell",
-    },
+    "simulate": {**_fields(SimConfig), **_DIST},
+    "sweep": {"m_values": _REQUIRED, **_fields(SimConfig, "m"), **_DIST},
     "synth": {"dgp": _REQUIRED, "n": 1_000, "seed": 0},
     "estimate": {"data": _REQUIRED, "train_frac": 0.7, "quantiles": 10, "seed": 0},
     "evaluate": {
@@ -82,35 +75,20 @@ _DEFAULTS = {
         "n_boot": 1_000,
         "seed": 0,
     },
-    "predict": {
-        "profile": _REQUIRED,
-        "n_individuals": 10_000,
-        "n_replications": 500,
-        "seed": 0,
-    },
+    "predict": {"profile": _REQUIRED, **_fields(SimSettings, "n_jobs")},
     "sensitivity": {
         "profile": _REQUIRED,
         "parameter": _REQUIRED,
         "grid": _REQUIRED,
-        "n_individuals": 10_000,
-        "n_replications": 500,
-        "seed": 0,
+        **_fields(SimSettings, "n_jobs"),
     },
     "counterfactual": {
         "profile_a": _REQUIRED,
         "profile_b": _REQUIRED,
         "parameter": _REQUIRED,
-        "n_individuals": 10_000,
-        "n_replications": 500,
-        "seed": 0,
+        **_fields(SimSettings, "n_jobs"),
     },
-    "elasticity": {
-        "profile": _REQUIRED,
-        "delta": 0.01,
-        "n_individuals": 10_000,
-        "n_replications": 500,
-        "seed": 0,
-    },
+    "elasticity": {"profile": _REQUIRED, "delta": 0.01, **_fields(SimSettings, "n_jobs")},
 }
 
 
@@ -118,14 +96,18 @@ _DEFAULTS = {
 # config plumbing
 
 
-def _load_config_file(path: str, command: str) -> dict:
+def _read_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"{what} not found: {path}") from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _load_config_file(path: str, command: str) -> dict:
+    doc = _read_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     # a resolved_config.json from a previous run is accepted as-is
@@ -159,10 +141,8 @@ def _resolve(command: str, file_doc: dict, overrides: dict) -> dict:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = args.out or os.environ.get(_OUT_ENV) or "persgain_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the first file written there creates it."""
+    return Path(args.out or os.environ.get(_OUT_ENV) or "persgain_out")
 
 
 def _finish(command: str, config: dict, out: Path, outputs: list[str]) -> int:
@@ -185,8 +165,7 @@ def _load_profile(ref) -> StudyProfile:
         return StudyProfile.from_config(ref)
     path = Path(str(ref))
     if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            return StudyProfile.from_config(json.load(fh))
+        return StudyProfile.from_config(_read_json(path, "profile file"))
     if str(ref) in _BUNDLED_PROFILES:
         text = resources.files("persgain").joinpath(f"profiles/{ref}.json").read_text()
         return StudyProfile.from_config(json.loads(text))
@@ -198,22 +177,23 @@ def _load_profile(ref) -> StudyProfile:
 
 def _settings(config: dict, jobs: int) -> SimSettings:
     return SimSettings(
-        n_individuals=int(config["n_individuals"]),
-        n_replications=int(config["n_replications"]),
-        seed=int(config["seed"]),
+        n_individuals=_get(config, "n_individuals", int),
+        n_replications=_get(config, "n_replications", int),
+        seed=_get(config, "seed", int),
         n_jobs=jobs,
     )
 
 
-def _csv_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _get(config: dict, key: str, kind):
+    """config[key] as `kind`; a mistyped value is a ConfigError naming the key."""
+    return typed(kind, config[key], key)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in _csv_list(text)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _csv_list(value, name: str) -> list:
+    """A list field, given as a list or as comma-separated text."""
+    if isinstance(value, str):
+        return [part.strip() for part in value.split(",") if part.strip()]
+    return typed(list, value, name)
 
 
 # --------------------------------------------------------------------------
@@ -222,37 +202,28 @@ def _float_list(text: str) -> list[float]:
 
 def cmd_gain(config: dict, args: argparse.Namespace) -> int:
     params = TwoArmParams(
-        mu_a=float(config["mu_a"]),
-        mu_b=float(config["mu_b"]),
-        sigma=float(config["sigma"]),
-        rho=float(config["rho"]),
+        mu_a=_get(config, "mu_a", float),
+        mu_b=_get(config, "mu_b", float),
+        sigma=_get(config, "sigma", float),
+        rho=_get(config, "rho", float),
     )
     print(f"gain {fmt_float(gain_two_arm(params))}")
     if config["s"] is not None:
-        est = expected_gain_over_means(
-            params.sigma,
-            params.rho,
-            float(config["s"]),
-            n_draws=int(config["n_draws"]),
-            seed=int(config["seed"]),
-            backend=config["backend"],
-        )
-        print(f"expected_gain_over_means {fmt_float(est.value)}")
-        print(f"expected_gain_se {fmt_float(est.se)}")
-        print(f"backend {est.backend}")
+        value = expected_gain_over_means(params.sigma, params.rho, _get(config, "s", float))
+        print(f"expected_gain_over_means {fmt_float(value)}")
     return 0
 
 
 def _sim_config_from(config: dict, m: int | None = None) -> SimConfig:
     return SimConfig(
-        m=int(config["m"]) if m is None else m,
-        sigma=float(config["sigma"]),
-        rho=float(config["rho"]),
+        m=_get(config, "m", int) if m is None else m,
+        sigma=_get(config, "sigma", float),
+        rho=_get(config, "rho", float),
         dist=dist_from_config(config["dist"]),
-        sigma_eps=float(config["sigma_eps"]),
-        n_individuals=int(config["n_individuals"]),
-        n_replications=int(config["n_replications"]),
-        seed=int(config["seed"]),
+        sigma_eps=_get(config, "sigma_eps", float),
+        n_individuals=_get(config, "n_individuals", int),
+        n_replications=_get(config, "n_replications", int),
+        seed=_get(config, "seed", int),
         noise_mode=config["noise_mode"],
     )
 
@@ -269,7 +240,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
 
 def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    m_values = [int(v) for v in config["m_values"]]
+    m_values = typed_list(int, config["m_values"], "m_values")
     if not m_values:
         raise ConfigError("m_values must contain at least one arm count")
     base = _sim_config_from(config, m=m_values[0])
@@ -282,7 +253,8 @@ def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
 def cmd_synth(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
     dgp = SynthDGP.from_config(config["dgp"])
-    dataset, sealed = generate_synthetic(dgp, n=int(config["n"]), seed=int(config["seed"]))
+    n, seed = _get(config, "n", int), _get(config, "seed", int)
+    dataset, sealed = generate_synthetic(dgp, n=n, seed=seed)
     from .dataset import write_csv as write_dataset_csv
 
     write_dataset_csv(dataset, out / "data.csv")
@@ -297,30 +269,28 @@ def cmd_synth(config: dict, args: argparse.Namespace) -> int:
 
 def cmd_estimate(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    dataset = load_csv(config["data"])
-    sp = split(dataset, float(config["train_frac"]), seed=int(config["seed"]))
-    moments = estimate_moments(dataset, sp, n_quantiles=int(config["quantiles"]))
+    dataset = load_csv(str(config["data"]))
+    sp = split(dataset, _get(config, "train_frac", float), seed=_get(config, "seed", int))
+    moments = estimate_moments(dataset, sp, n_quantiles=_get(config, "quantiles", int))
     write_json(out / "moments.json", moments.to_dict())
     return _finish("estimate", config, out, ["moments.json"])
 
 
 def cmd_evaluate(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    dataset = load_csv(config["data"])
-    sp = split(dataset, float(config["train_frac"]), seed=int(config["seed"]))
+    dataset = load_csv(str(config["data"]))
+    seed = _get(config, "seed", int)
+    sp = split(dataset, _get(config, "train_frac", float), seed=seed)
     train = dataset.subset(sp.train_idx)
-    names = config["policies"]
-    if isinstance(names, str):
-        names = _csv_list(names)
     policies = []
-    for name in names:
+    for name in _csv_list(config["policies"], "policies"):
         if name == "uniform":
             policies.append(best_uniform(train))
         elif name == "ols":
             policies.append(fit_ols_policy(train))
         else:
             raise ConfigError(f"unknown policy {name!r}; choose from ['uniform', 'ols']")
-    rows = gain_report(policies, dataset, sp, n_boot=int(config["n_boot"]), seed=int(config["seed"]))
+    rows = gain_report(policies, dataset, sp, n_boot=_get(config, "n_boot", int), seed=seed)
     header = ["policy", "value", "se_boot", "abs_improvement", "rel_improvement", "diff_se_boot"]
     write_csv(out / "report.csv", header, [[row[k] for k in header] for row in rows])
     return _finish("evaluate", config, out, ["report.csv"])
@@ -340,9 +310,7 @@ def cmd_predict(config: dict, args: argparse.Namespace) -> int:
 def cmd_sensitivity(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
     profile = _load_profile(config["profile"])
-    grid = config["grid"]
-    if isinstance(grid, str):
-        grid = _float_list(grid)
+    grid = typed_list(float, _csv_list(config["grid"], "grid"), "grid")
     result = sensitivity_sweep(profile, config["parameter"], grid, _settings(config, args.jobs))
     header = ["parameter", "value", "gain_mean", "gain_se", "is_baseline"]
     write_csv(
@@ -367,7 +335,7 @@ def cmd_counterfactual(config: dict, args: argparse.Namespace) -> int:
 def cmd_elasticity(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
     profile = _load_profile(config["profile"])
-    rows = elasticity_table(profile, float(config["delta"]), _settings(config, args.jobs))
+    rows = elasticity_table(profile, _get(config, "delta", float), _settings(config, args.jobs))
     header = [
         "change",
         "parameter",
@@ -422,6 +390,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="worker threads; results are identical at any level",
             )
 
+    def field_flags(p: argparse.ArgumentParser, cls, *skip: str) -> None:
+        """One flag per dataclass field, typed like the field."""
+        hints = get_type_hints(cls)
+        for name in _fields(cls, *skip):
+            flag = "--" + name.replace("_", "-")
+            if get_origin(hints[name]) is Literal:
+                p.add_argument(flag, choices=get_args(hints[name]))
+            else:
+                p.add_argument(flag, type=hints[name])
+
     p = sub.add_parser("gain", help="closed-form two-arm gain")
     common(p, with_out=False)
     p.add_argument("--mu-a", type=float)
@@ -429,37 +407,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float)
     p.add_argument("--rho", type=float)
     p.add_argument("--s", type=float, help="also report the gain averaged over mean draws")
-    p.add_argument(
-        "--quadrature",
-        action="store_const",
-        const="quadrature",
-        dest="backend",
-        help="integrate the mean-averaged gain by quadrature (default)",
-    )
-    p.add_argument("--n-draws", type=int, help="draws for the mc backend")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="accepted and ignored: the closed form draws nothing")
 
     p = sub.add_parser("simulate", help="Monte Carlo multi-arm gain")
     common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--sigma-eps", type=float)
-    p.add_argument("--n-individuals", type=int)
-    p.add_argument("--n-replications", type=int)
-    p.add_argument("--noise-mode", choices=["per_cell", "per_individual"])
-    p.add_argument("--seed", type=int)
+    field_flags(p, SimConfig, "dist")
 
     p = sub.add_parser("sweep", help="gain versus number of arms")
     common(p)
-    p.add_argument("--m-values", type=lambda s: [int(float(v)) for v in _csv_list(s)])
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--sigma-eps", type=float)
-    p.add_argument("--n-individuals", type=int)
-    p.add_argument("--n-replications", type=int)
-    p.add_argument("--noise-mode", choices=["per_cell", "per_individual"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--m-values", type=lambda s: [int(float(v)) for v in _csv_list(s, "m_values")])
+    field_flags(p, SimConfig, "m", "dist")
 
     p = sub.add_parser("synth", help="generate a synthetic experiment")
     common(p)
@@ -481,35 +438,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=int)
     p.add_argument("--seed", type=int)
 
-    def profile_sim_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n-individuals", type=int)
-        p.add_argument("--n-replications", type=int)
-        p.add_argument("--seed", type=int)
-
     p = sub.add_parser("predict", help="predicted gain for a study profile")
     common(p)
     p.add_argument("--profile", help="profile JSON path or bundled name")
-    profile_sim_flags(p)
+    field_flags(p, SimSettings, "n_jobs")
 
     p = sub.add_parser("sensitivity", help="gain across a parameter grid")
     common(p)
     p.add_argument("--profile")
     p.add_argument("--parameter", choices=["s", "sigma", "rho", "sigma_eps", "m"])
     p.add_argument("--grid", help="comma-separated values")
-    profile_sim_flags(p)
+    field_flags(p, SimSettings, "n_jobs")
 
     p = sub.add_parser("counterfactual", help="swap one parameter between two profiles")
     common(p)
     p.add_argument("--profile-a")
     p.add_argument("--profile-b")
     p.add_argument("--parameter", choices=["sigma", "rho", "sigma_eps", "m"])
-    profile_sim_flags(p)
+    field_flags(p, SimSettings, "n_jobs")
 
     p = sub.add_parser("elasticity", help="gain under small single-parameter improvements")
     common(p)
     p.add_argument("--profile")
     p.add_argument("--delta", type=float)
-    profile_sim_flags(p)
+    field_flags(p, SimSettings, "n_jobs")
 
     return parser
 
@@ -526,10 +478,10 @@ def main(argv: list[str] | None = None) -> int:
         }
         config = _resolve(command, file_doc, overrides)
         return _HANDLERS[command](config, args)
-    except PersgainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except (PersgainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary

@@ -14,13 +14,15 @@ import csv
 import gzip
 import io
 import math
+import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, csv_cell, stream
+from ._util import atomic_write, csv_cell, stream, typed, typed_list
 from .errors import ConfigError, DomainError, ParseError
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "split",
     "load_csv",
     "write_csv",
-    "balance_report",
 ]
 
 _FIXED_COLUMNS = ("unit_id", "arm", "outcome", "propensity")
@@ -90,9 +91,13 @@ class CovariateSpec:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ConfigError("covariate spec must be an object with a 'kind' field")
         if doc["kind"] == "normal":
-            return CovariateSpec("normal", mean=float(doc.get("mean", 0.0)), sd=float(doc.get("sd", 1.0)))
+            return CovariateSpec(
+                "normal",
+                mean=typed(float, doc.get("mean", 0.0), "covariate mean"),
+                sd=typed(float, doc.get("sd", 1.0), "covariate sd"),
+            )
         if doc["kind"] == "bernoulli":
-            return CovariateSpec("bernoulli", q=float(doc.get("q", 0.5)))
+            return CovariateSpec("bernoulli", q=typed(float, doc.get("q", 0.5), "covariate q"))
         raise ConfigError(f"unknown covariate kind {doc['kind']!r}")
 
 
@@ -320,17 +325,20 @@ class SynthDGP:
 
     @staticmethod
     def from_config(doc: dict) -> "SynthDGP":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"dgp config must be a JSON object, got {doc!r}")
         required = {"intercepts", "beta", "covariates", "noise_sd"}
         missing = required - set(doc)
         if missing:
             raise ConfigError(f"dgp config missing fields: {sorted(missing)}")
+        covariates = typed(list, doc["covariates"], "dgp covariates")
         return SynthDGP(
-            intercepts=doc["intercepts"],
-            beta=np.asarray(doc["beta"], dtype=float),
-            covariates=tuple(CovariateSpec.from_config(c) for c in doc["covariates"]),
-            noise_sd=float(doc["noise_sd"]),
+            intercepts=typed_list(float, doc["intercepts"], "dgp intercepts"),
+            beta=typed(partial(np.asarray, dtype=float), doc["beta"], "dgp beta"),
+            covariates=tuple(CovariateSpec.from_config(c) for c in covariates),
+            noise_sd=typed(float, doc["noise_sd"], "dgp noise_sd"),
             outcome_kind=doc.get("outcome_kind", "gaussian"),
-            arm_names=tuple(doc.get("arm_names", ())),
+            arm_names=tuple(typed(list, doc.get("arm_names", ()), "dgp arm_names")),
         )
 
 
@@ -477,7 +485,10 @@ def write_csv(dataset: ExperimentDataset, path: str | Path) -> None:
     """Columns: unit_id, arm (name), outcome, propensity, then covariates.
     Floats use shortest round-trip formatting; .gz suffix gzips."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # minimal quoting leaves a bare "\r" unquoted, and a reader ends the row there
+    names = dataset.unit_ids + dataset.arm_names + dataset.covariate_names
+    quoting = csv.QUOTE_ALL if any("\r" in name for name in names) else csv.QUOTE_MINIMAL
+    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
     writer.writerow(list(_FIXED_COLUMNS) + list(dataset.covariate_names))
     for i in range(dataset.n):
         writer.writerow(
@@ -489,15 +500,11 @@ def write_csv(dataset: ExperimentDataset, path: str | Path) -> None:
             ]
             + [csv_cell(v) for v in dataset.x[i]]
         )
-    text = buf.getvalue()
-    path = Path(path)
-    if path.suffix == ".gz":
-        path.parent.mkdir(parents=True, exist_ok=True)
+    data = buf.getvalue().encode("utf-8")
+    if Path(path).suffix == ".gz":
         # mtime=0 keeps the archive byte-identical across reruns
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(text.encode("utf-8"))
-    else:
-        atomic_write_text(path, text)
+        data = gzip.compress(data, mtime=0)
+    atomic_write(path, data)
 
 
 def _parse_float(value: str, row: int, column: str) -> float:
@@ -523,24 +530,28 @@ def load_csv(
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file has no header row") from None
-        if tuple(header[:4]) != _FIXED_COLUMNS:
+    try:
+        with opener(path, "rt", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
+    except (csv.Error, gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"{path} is not a readable CSV file: {exc}") from None
+    if header is None:
+        raise ParseError("file has no header row")
+    if tuple(header[:4]) != _FIXED_COLUMNS:
+        raise ParseError(
+            f"header must start with {','.join(_FIXED_COLUMNS)}; got {','.join(header[:4])}"
+        )
+    cov_names = tuple(header[4:])
+    if schema is not None:
+        want = tuple(schema["covariate_names"])
+        if cov_names != want:
             raise ParseError(
-                f"header must start with {','.join(_FIXED_COLUMNS)}; got {','.join(header[:4])}"
+                f"covariate columns {list(cov_names)} do not match schema {list(want)}"
             )
-        cov_names = tuple(header[4:])
-        if schema is not None:
-            want = tuple(schema["covariate_names"])
-            if cov_names != want:
-                raise ParseError(
-                    f"covariate columns {list(cov_names)} do not match schema {list(want)}"
-                )
-        rows = list(reader)
     if not rows:
         raise ParseError("file has a header but no data rows")
     unit_ids, arm_labels, outcomes, propensities, x = [], [], [], [], []
@@ -582,29 +593,3 @@ def load_csv(
         covariate_kinds=kinds,
         randomized=randomized,
     )
-
-
-# --------------------------------------------------------------------------
-# randomization diagnostics
-
-
-def balance_report(dataset: ExperimentDataset) -> list[dict]:
-    """Per covariate: per-arm means and the largest pairwise |z| for the
-    difference in means (pooled-SD normal approximation). Values well under
-    4 are what a sound randomization looks like."""
-    rows = []
-    counts = dataset.arm_counts()
-    for j, name in enumerate(dataset.covariate_names):
-        col = dataset.x[:, j]
-        sd = float(col.std(ddof=1)) if dataset.n > 1 else 0.0
-        means = [float(col[dataset.arm == a].mean()) if counts[a] else math.nan
-                 for a in range(dataset.m)]
-        max_z = 0.0
-        for a in range(dataset.m):
-            for b in range(a + 1, dataset.m):
-                if counts[a] == 0 or counts[b] == 0 or sd == 0.0:
-                    continue
-                z = abs(means[a] - means[b]) / (sd * math.sqrt(1.0 / counts[a] + 1.0 / counts[b]))
-                max_z = max(max_z, z)
-        rows.append({"covariate": name, "arm_means": means, "max_abs_z": max_z})
-    return rows

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: validation problems (bad parameter
-values, malformed configs, unparseable data files) exit 2, anything else
-exits 1.
+values, malformed configs, unparseable data files) exit 2; InternalError
+and anything else exit 1.
 """
 
 

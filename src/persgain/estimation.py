@@ -23,6 +23,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "LinearTLearner",
+    "fit_per_arm",
     "fit_predictor",
     "estimate_s",
     "estimate_sigma_eps",
@@ -35,7 +36,14 @@ __all__ = [
 @dataclass(frozen=True)
 class LinearTLearner:
     """Per-arm linear regression of outcome on covariates, each arm fitted
-    only on its own assigned rows. coef[a] is (intercept, slopes...)."""
+    only on its own assigned rows. coef[a] is (intercept, slopes...).
+
+    It is both the predictor behind the moment estimates and the OLS
+    policy: assign() gives each unit the arm with the highest predicted
+    outcome, ties to the lowest arm index. Fitting each arm on its own rows
+    spans the same space as one regression on arm dummies and their
+    interactions with x, so the coefficients are those of that regression.
+    """
 
     coef: np.ndarray
     covariate_names: tuple[str, ...]
@@ -59,29 +67,52 @@ class LinearTLearner:
         design = np.column_stack([np.ones(len(x)), x])
         return design @ self.coef.T
 
+    def assign(self, dataset: ExperimentDataset) -> np.ndarray:
+        if dataset.m != len(self.arm_names):
+            raise DomainError(
+                f"policy covers {len(self.arm_names)} arms, dataset has {dataset.m}"
+            )
+        return np.argmax(self.predict(dataset.x), axis=1)
 
-def fit_predictor(dataset: ExperimentDataset, split: TrainTestSplit) -> LinearTLearner:
-    """Least-squares per-arm fit on the training rows. Rank deficiency is
-    tolerated (minimum-norm solution); an arm with no training rows is not."""
-    train = dataset.subset(split.train_idx)
+    def describe(self) -> str:
+        return "ols_interaction"
+
+
+def fit_per_arm(train: ExperimentDataset) -> LinearTLearner:
+    """Least-squares fit of each arm on its own rows. Rank deficiency is
+    tolerated (minimum-norm solution, with a warning); an arm with no rows
+    is not."""
     design = np.column_stack([np.ones(train.n), train.x])
-    coef = np.zeros((dataset.m, dataset.p + 1))
-    thin = []
-    for a in range(dataset.m):
+    coef = np.zeros((train.m, train.p + 1))
+    thin, deficient = [], []
+    for a in range(train.m):
         rows = train.arm == a
         count = int(rows.sum())
         if count == 0:
-            raise DomainError(f"arm {dataset.arm_names[a]!r} has no training rows")
-        if count < dataset.p + 2:
-            thin.append(dataset.arm_names[a])
-        coef[a], *_ = np.linalg.lstsq(design[rows], train.outcome[rows], rcond=None)
+            raise DomainError(f"arm {train.arm_names[a]!r} has no training rows")
+        if count < train.p + 2:
+            thin.append(train.arm_names[a])
+        coef[a], _, rank, _ = np.linalg.lstsq(design[rows], train.outcome[rows], rcond=None)
+        if rank < train.p + 1:
+            deficient.append(train.arm_names[a])
+    if deficient:
+        warnings.warn(
+            f"arms {deficient} have rank deficient designs (rank < p + 1 = {train.p + 1}); "
+            "using the minimum-norm fit",
+            stacklevel=2,
+        )
     if thin:
         warnings.warn(
-            f"arms {thin} have fewer than p + 2 = {dataset.p + 2} training rows; "
+            f"arms {thin} have fewer than p + 2 = {train.p + 2} training rows; "
             "fits are unstable",
             stacklevel=2,
         )
-    return LinearTLearner(coef, dataset.covariate_names, dataset.arm_names)
+    return LinearTLearner(coef, train.covariate_names, train.arm_names)
+
+
+def fit_predictor(dataset: ExperimentDataset, split: TrainTestSplit) -> LinearTLearner:
+    """fit_per_arm on the training rows."""
+    return fit_per_arm(dataset.subset(split.train_idx))
 
 
 def estimate_s(dataset: ExperimentDataset) -> float:

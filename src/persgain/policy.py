@@ -1,8 +1,11 @@
-"""Assignment policies and their evaluation: best uniform arm, an
-all-interactions OLS policy, tabular policies (including the oracle built
-from sealed potential outcomes), inverse-propensity-weighted value
-estimation on a holdout, and a bootstrap gain report against the
-best-uniform benchmark.
+"""Assignment policies and their evaluation: best uniform arm, the OLS
+policy (the per-arm linear model of `estimation`), inverse-propensity-
+weighted value estimation on a holdout, exact evaluation against the
+sealed potential outcomes of synthetic data, and a bootstrap gain report
+against the best-uniform benchmark.
+
+A policy is any object with assign(dataset) -> arm index per row and
+describe() -> report label.
 """
 
 from __future__ import annotations
@@ -16,14 +19,10 @@ import numpy as np
 from ._util import stream
 from .dataset import ExperimentDataset, SealedOutcomes, TrainTestSplit
 from .errors import ConfigError, DomainError
-from .estimation import per_arm_means
+from .estimation import LinearTLearner, fit_per_arm, per_arm_means
 
 __all__ = [
     "UniformPolicy",
-    "LinearInteractionPolicy",
-    "TabularPolicy",
-    "oracle_policy",
-    "policy_from_config",
     "best_uniform",
     "fit_ols_policy",
     "IpwEstimate",
@@ -43,9 +42,6 @@ class UniformPolicy:
         if self.arm < 0:
             raise DomainError(f"arm index must be >= 0, got {self.arm}")
 
-    def assign_x(self, x: np.ndarray) -> np.ndarray:
-        return np.full(len(np.atleast_2d(x)), self.arm, dtype=int)
-
     def assign(self, dataset: ExperimentDataset) -> np.ndarray:
         if self.arm >= dataset.m:
             raise DomainError(f"policy arm {self.arm} not present in a {dataset.m}-arm dataset")
@@ -53,96 +49,6 @@ class UniformPolicy:
 
     def describe(self) -> str:
         return f"uniform[{self.arm}]"
-
-    def to_config(self) -> dict:
-        return {"kind": "uniform", "arm": self.arm}
-
-
-@dataclass(frozen=True)
-class LinearInteractionPolicy:
-    """argmax over arms of a per-arm linear score. theta[a] is
-    (intercept, slopes...) for arm a; ties go to the lowest arm index."""
-
-    theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", np.atleast_2d(np.asarray(self.theta, dtype=float)))
-        if not np.all(np.isfinite(self.theta)):
-            raise DomainError("policy coefficients must be finite")
-        self.theta.setflags(write=False)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.theta.shape[1] - 1:
-            raise DomainError(
-                f"expected {self.theta.shape[1] - 1} covariates, got {x.shape[1]}"
-            )
-        return np.column_stack([np.ones(len(x)), x]) @ self.theta.T
-
-    def assign_x(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.scores(x), axis=1)
-
-    def assign(self, dataset: ExperimentDataset) -> np.ndarray:
-        if dataset.m != self.theta.shape[0]:
-            raise DomainError(
-                f"policy covers {self.theta.shape[0]} arms, dataset has {dataset.m}"
-            )
-        return self.assign_x(dataset.x)
-
-    def describe(self) -> str:
-        return "ols_interaction"
-
-    def to_config(self) -> dict:
-        return {"kind": "linear_interaction", "theta": self.theta.tolist()}
-
-
-@dataclass(frozen=True)
-class TabularPolicy:
-    """Explicit unit_id -> arm table; the form the oracle policy takes."""
-
-    assignment: dict
-    label: str = "tabular"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "assignment", {str(k): int(v) for k, v in self.assignment.items()}
-        )
-        if not self.assignment:
-            raise DomainError("tabular policy needs at least one unit")
-
-    def assign(self, dataset: ExperimentDataset) -> np.ndarray:
-        out = np.empty(dataset.n, dtype=int)
-        for i, uid in enumerate(dataset.unit_ids):
-            if uid not in self.assignment:
-                raise DomainError(f"tabular policy has no arm for unit {uid!r}")
-            out[i] = self.assignment[uid]
-        return out
-
-    def describe(self) -> str:
-        return self.label
-
-    def to_config(self) -> dict:
-        return {"kind": "tabular", "assignment": dict(self.assignment), "label": self.label}
-
-
-def oracle_policy(sealed: SealedOutcomes) -> TabularPolicy:
-    """Per-unit argmax of the sealed potential outcomes (ties to the lowest
-    arm). Only constructible on synthetic data, by design."""
-    picks = np.argmax(sealed.y, axis=1)
-    return TabularPolicy(dict(zip(sealed.unit_ids, picks.tolist())), label="oracle")
-
-
-def policy_from_config(doc: dict) -> UniformPolicy | LinearInteractionPolicy | TabularPolicy:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("policy config must be an object with a 'kind' field")
-    kind = doc["kind"]
-    if kind == "uniform":
-        return UniformPolicy(int(doc["arm"]))
-    if kind == "linear_interaction":
-        return LinearInteractionPolicy(np.asarray(doc["theta"], dtype=float))
-    if kind == "tabular":
-        return TabularPolicy(doc["assignment"], label=doc.get("label", "tabular"))
-    raise ConfigError(f"unknown policy kind {kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -155,37 +61,10 @@ def best_uniform(train: ExperimentDataset) -> UniformPolicy:
     return UniformPolicy(int(np.argmax(means)))
 
 
-def fit_ols_policy(train: ExperimentDataset) -> LinearInteractionPolicy:
-    """One regression on [1, X, arm dummies, dummy x X interactions] with
-    arm 0 as the reference, then argmax over per-arm predictions. The
-    reference choice cannot matter: the span of the design is the same for
-    every choice, so fitted predictions are identical."""
-    n, p, m = train.n, train.p, train.m
-    k = (p + 1) * m
-    if k > n:
-        raise DomainError(f"design has {k} columns but only {n} rows")
-    design = np.ones((n, k))
-    design[:, 1 : 1 + p] = train.x
-    for a in range(1, m):
-        dummy = (train.arm == a).astype(float)
-        design[:, p + a] = dummy
-        lo = 1 + p + (m - 1) + (a - 1) * p
-        design[:, lo : lo + p] = dummy[:, None] * train.x
-    beta, _, rank, _ = np.linalg.lstsq(design, train.outcome, rcond=None)
-    if rank < k:
-        warnings.warn(
-            f"interaction design is rank deficient ({rank} < {k}); "
-            "using the minimum-norm fit",
-            stacklevel=2,
-        )
-    theta = np.empty((m, p + 1))
-    theta[0, 0] = beta[0]
-    theta[0, 1:] = beta[1 : 1 + p]
-    for a in range(1, m):
-        theta[a, 0] = beta[0] + beta[p + a]
-        lo = 1 + p + (m - 1) + (a - 1) * p
-        theta[a, 1:] = beta[1 : 1 + p] + beta[lo : lo + p]
-    return LinearInteractionPolicy(theta)
+def fit_ols_policy(train: ExperimentDataset) -> LinearTLearner:
+    """The per-arm linear model fitted on the training rows, used as a
+    policy: each unit gets the arm with the highest predicted outcome."""
+    return fit_per_arm(train)
 
 
 # --------------------------------------------------------------------------
@@ -212,24 +91,22 @@ class IpwEstimate:
         }
 
 
-def _ipw_terms(policy, dataset: ExperimentDataset) -> np.ndarray:
-    picks = policy.assign(dataset)
-    matched = picks == dataset.arm
-    return np.where(matched, dataset.outcome / dataset.propensity, 0.0)
+def _ipw_terms(policy, dataset: ExperimentDataset) -> tuple[np.ndarray, int]:
+    """Per-row IPW terms (outcome / propensity where the policy's pick
+    matches the assigned arm, else 0) and the number of matched rows."""
+    matched = policy.assign(dataset) == dataset.arm
+    return np.where(matched, dataset.outcome / dataset.propensity, 0.0), int(matched.sum())
 
 
 def evaluate_ipw(policy, dataset: ExperimentDataset) -> IpwEstimate:
     """(1/n) sum of matched outcomes reweighted by 1/propensity. The SE is
     the sample SD of the per-row terms over sqrt(n)."""
-    picks = policy.assign(dataset)
-    matched = picks == dataset.arm
-    n_matched = int(matched.sum())
+    terms, n_matched = _ipw_terms(policy, dataset)
     if n_matched == 0:
         warnings.warn(
             "policy matches no holdout assignment; IPW value is 0 by convention",
             stacklevel=2,
         )
-    terms = np.where(matched, dataset.outcome / dataset.propensity, 0.0)
     se = float(terms.std(ddof=1) / math.sqrt(dataset.n)) if dataset.n > 1 else 0.0
     return IpwEstimate(
         value=float(terms.mean()),
@@ -275,7 +152,7 @@ def gain_report(
     bench = best_uniform(train)
     entries = [(f"best_uniform[{holdout.arm_names[bench.arm]}]", bench)]
     entries += [(policy.describe(), policy) for policy in policies]
-    terms = [_ipw_terms(policy, holdout) for _, policy in entries]
+    terms = [_ipw_terms(policy, holdout)[0] for _, policy in entries]
     # one shared index stream keeps the resamples paired across policies and
     # the chunking keeps peak memory flat on large holdouts
     boot_vals = np.empty((len(entries), n_boot))

@@ -28,7 +28,7 @@ from typing import Literal, Sequence, Union
 
 import numpy as np
 
-from ._util import stream
+from ._util import stream, typed, typed_list
 from .errors import ConfigError, DomainError, InternalError
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "AvgResponseDist",
     "dist_from_config",
     "rho_lower_bound",
+    "check_rho",
     "sample_mu",
     "sample_potential_outcomes",
     "SimConfig",
@@ -69,9 +70,6 @@ class FixedMeans:
             )
         return np.asarray(self.mu, dtype=float)
 
-    def to_config(self) -> dict:
-        return {"kind": "fixed", "mu": list(self.mu)}
-
 
 @dataclass(frozen=True)
 class NormalMeans:
@@ -88,9 +86,6 @@ class NormalMeans:
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.s * rng.standard_normal(m)
-
-    def to_config(self) -> dict:
-        return {"kind": "normal", "mean": self.mean, "s": self.s}
 
 
 @dataclass(frozen=True)
@@ -117,9 +112,6 @@ class SpikeSlabMeans:
         slab = self.mean + self.s * rng.standard_normal(m)
         return np.where(spike, self.mean, slab)
 
-    def to_config(self) -> dict:
-        return {"kind": "spike_slab", "pi_spike": self.pi_spike, "mean": self.mean, "s": self.s}
-
 
 AvgResponseDist = Union[FixedMeans, NormalMeans, SpikeSlabMeans]
 
@@ -127,25 +119,26 @@ _DIST_KINDS = {"fixed", "normal", "spike_slab"}
 
 
 def dist_from_config(doc: dict) -> AvgResponseDist:
-    """Build a distribution from its config form (see each class's to_config)."""
+    """Build a distribution from its config form: a "kind" (fixed, normal or
+    spike_slab) plus that kind's fields."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("dist config must be an object with a 'kind' field")
     kind = doc["kind"]
     extra = set(doc) - {"kind", "mu", "mean", "s", "pi_spike"}
     if extra:
         raise ConfigError(f"dist config has unknown fields: {sorted(extra)}")
+    mean = typed(float, doc.get("mean", 0.0), "dist mean")
+    s = typed(float, doc.get("s", 0.0), "dist s")
     if kind == "fixed":
         if "mu" not in doc:
             raise ConfigError("fixed dist requires a 'mu' list")
-        return FixedMeans(doc["mu"])
+        return FixedMeans(typed_list(float, doc["mu"], "dist mu"))
     if kind == "normal":
-        return NormalMeans(float(doc.get("mean", 0.0)), float(doc.get("s", 0.0)))
+        return NormalMeans(mean, s)
     if kind == "spike_slab":
         if "pi_spike" not in doc:
             raise ConfigError("spike_slab dist requires 'pi_spike'")
-        return SpikeSlabMeans(
-            float(doc["pi_spike"]), float(doc.get("mean", 0.0)), float(doc.get("s", 0.0))
-        )
+        return SpikeSlabMeans(typed(float, doc["pi_spike"], "dist pi_spike"), mean, s)
     raise ConfigError(f"unknown dist kind {kind!r}; expected one of {sorted(_DIST_KINDS)}")
 
 
@@ -160,19 +153,20 @@ def sample_mu(dist: AvgResponseDist, m: int, rng: np.random.Generator) -> np.nda
 
 
 def rho_lower_bound(m: int) -> float:
-    """Smallest rho for which the equicorrelation matrix stays PSD."""
-    return -1.0 / (m - 1)
+    """Smallest admissible rho for m arms: -1/(m-1), where the
+    equicorrelation matrix turns singular, plus a 1e-9 margin that keeps
+    its Cholesky factor well defined."""
+    return -1.0 / (m - 1) + 1e-9
 
 
-def _check_rho(rho: float, m: int) -> None:
+def check_rho(rho: float, m: int) -> None:
+    """The one rule for rho everywhere: rho_lower_bound(m) <= rho <= 1."""
     bound = rho_lower_bound(m)
-    if not math.isfinite(rho) or rho < bound + 1e-9:
+    if not bound <= rho <= 1.0:
         raise ConfigError(
-            f"rho = {rho} makes the equicorrelation matrix non-PSD for m = {m}; "
-            f"require rho >= -1/(m-1) = {bound} (plus 1e-9 margin)"
+            f"rho = {rho} is outside [-1/(m-1) + 1e-9, 1] = [{bound}, 1] for m = {m}; "
+            "below -1/(m-1) the equicorrelation matrix is not PSD"
         )
-    if rho > 1.0:
-        raise ConfigError(f"rho must be <= 1, got {rho}")
 
 
 def sample_potential_outcomes(
@@ -181,7 +175,6 @@ def sample_potential_outcomes(
     rho: float,
     n: int,
     rng: np.random.Generator,
-    method: Literal["auto", "one_factor", "cholesky"] = "auto",
 ) -> np.ndarray:
     """n x m matrix with rows i.i.d. N(mu, sigma^2 [(1-rho) I + rho J]).
 
@@ -197,25 +190,17 @@ def sample_potential_outcomes(
         raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    _check_rho(rho, m)
-    if method == "auto":
-        method = "one_factor" if rho >= 0 else "cholesky"
-    if method == "one_factor":
-        if rho < 0:
-            raise DomainError("one_factor construction requires rho >= 0")
+    check_rho(rho, m)
+    if rho >= 0:
         z = rng.standard_normal((n, 1))
         eps = rng.standard_normal((n, m))
         return mu + sigma * (math.sqrt(rho) * z + math.sqrt(1.0 - rho) * eps)
-    if method == "cholesky":
-        if rho >= 1.0:
-            raise DomainError("cholesky construction requires rho < 1")
-        # factor the correlation matrix, not sigma^2 * corr: stays PD when
-        # sigma = 0 and keeps the draws common across sigma grids
-        corr = (1.0 - rho) * np.eye(m) + rho * np.ones((m, m))
-        chol = np.linalg.cholesky(corr)
-        e = rng.standard_normal((n, m))
-        return mu + sigma * (e @ chol.T)
-    raise DomainError(f"unknown method {method!r}")
+    # factor the correlation matrix, not sigma^2 * corr: stays PD when
+    # sigma = 0 and keeps the draws common across sigma grids
+    corr = (1.0 - rho) * np.eye(m) + rho * np.ones((m, m))
+    chol = np.linalg.cholesky(corr)
+    e = rng.standard_normal((n, m))
+    return mu + sigma * (e @ chol.T)
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +228,7 @@ class SimConfig:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.sigma_eps < 0 or not math.isfinite(self.sigma_eps):
             raise ConfigError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps}")
-        _check_rho(self.rho, self.m)
+        check_rho(self.rho, self.m)
         if self.noise_mode not in ("per_cell", "per_individual"):
             raise ConfigError(
                 f"noise_mode must be 'per_cell' or 'per_individual', got {self.noise_mode!r}"
@@ -252,19 +237,6 @@ class SimConfig:
             raise ConfigError(
                 f"Fixed means have length {len(self.dist.mu)} but m = {self.m}"
             )
-
-    def to_config(self) -> dict:
-        return {
-            "m": self.m,
-            "sigma": self.sigma,
-            "rho": self.rho,
-            "dist": self.dist.to_config(),
-            "sigma_eps": self.sigma_eps,
-            "n_individuals": self.n_individuals,
-            "n_replications": self.n_replications,
-            "seed": self.seed,
-            "noise_mode": self.noise_mode,
-        }
 
 
 @dataclass(frozen=True)

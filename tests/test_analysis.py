@@ -37,6 +37,11 @@ class TestStudyProfile:
     def test_rejects_rho_outside_psd_range(self):
         with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
             StudyProfile("x", s=0.0, sigma=0.1, rho=-0.9, sigma_eps=0.0, m=5)
+        # the bound itself is rejected too, by the same rule the simulator applies
+        with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
+            StudyProfile("x", s=0.0, sigma=0.1, rho=-0.5, sigma_eps=0.0, m=3)
+        with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
+            StudyProfile("x", s=0.0, sigma=0.1, rho=1.2, sigma_eps=0.0, m=3)
 
     def test_rejects_unknown_and_missing_fields(self):
         doc = PG.to_config()
@@ -75,8 +80,8 @@ class TestPredictGain:
             gain, se = predict_gain(profile, settings)
             theta = effective_scale(sigma, rho) / math.sqrt(n)
             # rectified mean at scale theta == two-arm gain with v = theta
-            curse = expected_gain_over_means(theta, 0.5, s).value
-            exact = expected_gain_over_means(sigma, rho, s).value - curse
+            curse = expected_gain_over_means(theta, 0.5, s)
+            exact = expected_gain_over_means(sigma, rho, s) - curse
             assert gain == pytest.approx(exact, abs=3 * se), (sigma, rho, s)
 
     def test_no_heterogeneity_and_no_noise_gives_exactly_zero(self):

@@ -6,6 +6,7 @@ asserted at the byte level on the emitted files.
 """
 
 import filecmp
+import gzip
 import json
 import math
 import shutil
@@ -13,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from persgain.cli import main
 from persgain.dataset import load_csv, one_factor_dgp
+from persgain.errors import InternalError
 
 
 def run_cli(args):
@@ -49,14 +53,13 @@ def test_gain_with_s_reports_mean_averaged_value(capsys):
     assert (
         run_cli(
             ["gain", "--mu-a", 0, "--mu-b", 0, "--sigma", 0.267, "--rho", 0.8,
-             "--s", 0.007, "--quadrature"]
+             "--s", 0.007, "--seed", 3]
         )
         == 0
     )
     out = dict(line.split() for line in capsys.readouterr().out.splitlines())
-    expected = expected_gain_over_means(0.267, 0.8, 0.007, backend="quadrature")
-    assert float(out["expected_gain_over_means"]) == expected.value
-    assert out["backend"] == "quadrature"
+    assert list(out) == ["gain", "expected_gain_over_means"]
+    assert float(out["expected_gain_over_means"]) == expected_gain_over_means(0.267, 0.8, 0.007)
 
 
 def test_gain_validation_failure_exits_2_naming_field(capsys):
@@ -102,6 +105,78 @@ def test_malformed_json_config_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run_cli(["simulate", "--config", tmp_path / "nope.json", "--out", tmp_path / "o"]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_internal_error_exits_1(tmp_path, monkeypatch, capsys):
+    def broken(cfg, rep):
+        raise InternalError("non-finite replication values")
+
+    monkeypatch.setattr("persgain.simulate._replicate", broken)
+    assert run_cli(["simulate", "--m", 2, "--sigma", 1, "--rho", 0, "--out", tmp_path / "o"]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_rejected_command_creates_no_output_dir(tmp_path, capsys):
+    # rho = -1/(m-1) is the singular bound itself, outside the admissible range
+    out = tmp_path / "o6"
+    assert run_cli(["simulate", "--m", 3, "--sigma", 1, "--rho", -0.5, "--out", out]) == 2
+    assert "-1/(m-1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# valid configs whose numeric fields the property below replaces with values
+# of the wrong type; MISTYPED_FIELDS pairs each command with the key path of
+# every numeric field, nested ones included
+MISTYPED_BASES = {
+    "simulate": {"m": 3, "sigma": 1.0, "rho": 0.2, "sigma_eps": 0.1, "n_individuals": 50,
+                 "n_replications": 3, "seed": 0, "dist": {"kind": "normal", "mean": 0.0, "s": 1.0}},
+    "synth": {"n": 50, "seed": 0,
+              "dgp": {"intercepts": [0.0, 0.1], "beta": [[0.2], [0.3]], "noise_sd": 0.3,
+                      "covariates": [{"kind": "normal", "mean": 0.0, "sd": 1.0}]}},
+    "predict": {"n_individuals": 50, "n_replications": 3, "seed": 0,
+                "profile": {"name": "p", "s": 0.1, "sigma": 0.2, "rho": 0.3, "sigma_eps": 0.1,
+                            "m": 3, "mean": 0.0}},
+}
+MISTYPED_FIELDS = [
+    (command, path)
+    for command, base in MISTYPED_BASES.items()
+    for path in [(k,) for k, v in base.items() if not isinstance(v, dict)]
+    + [(k, j) for k, v in base.items() if isinstance(v, dict)
+       for j, w in v.items() if isinstance(w, (int, float))]
+]
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    field=st.sampled_from(MISTYPED_FIELDS),
+    value=st.one_of(
+        st.text().filter(_not_a_number),
+        st.none(),
+        st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    ),
+)
+@example(field=("simulate", ("m",)), value="abc")
+@example(field=("synth", ("dgp", "noise_sd")), value="x")
+def test_mistyped_config_value_exits_2_without_output(tmp_path_factory, field, value):
+    command, path = field
+    config = json.loads(json.dumps(MISTYPED_BASES[command]))
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    root = tmp_path_factory.mktemp("mistyped")
+    (root / "c.json").write_text(json.dumps(config))
+    assert run_cli([command, "--config", root / "c.json", "--out", root / "out"]) == 2
+    assert not (root / "out").exists()
 
 
 def test_output_dir_env_var_default(tmp_path, monkeypatch):
@@ -272,6 +347,35 @@ def test_evaluate_unknown_policy_exits_2(pipeline, tmp_path, capsys):
 def test_evaluate_missing_data_file_exits_2(tmp_path, capsys):
     rc = run_cli(["evaluate", "--data", tmp_path / "ghost.csv", "--out", tmp_path / "o"])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
+    cfg = tmp_path_factory.mktemp("small") / "synth.json"
+    cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 60, "seed": 2}))
+    assert run_cli(["synth", "--config", cfg, "--out", cfg.parent]) == 0
+    return (cfg.parent / "data.csv").read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 10**6), st.binary(max_size=3)), min_size=1, max_size=4),
+    cut=st.integers(0, 10**6),
+    gz=st.booleans(),
+)
+@example(edits=[(40, b"\xff")], cut=10**6, gz=False)
+def test_garbled_csv_never_exits_1(small_csv, tmp_path_factory, edits, cut, gz):
+    # a garbled file either still parses and runs, or is rejected as bad input
+    data = bytearray(gzip.compress(small_csv, mtime=0) if gz else small_csv)
+    for at, new in edits:
+        at %= len(data)
+        data[at : at + len(new)] = new
+    root = tmp_path_factory.mktemp("garbled")
+    path = root / ("data.csv.gz" if gz else "data.csv")
+    path.write_bytes(bytes(data[: max(1, cut % (len(data) + 1))]))
+    rc = run_cli(["estimate", "--data", path, "--quantiles", 2, "--out", root / "out"])
+    assert rc in (0, 2)
 
 
 # --------------------------------------------------------------------------

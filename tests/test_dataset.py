@@ -1,15 +1,17 @@
 import gzip
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persgain.dataset import (
     CovariateSpec,
     ExperimentDataset,
     SealedOutcomes,
     SynthDGP,
-    balance_report,
     generate_synthetic,
     load_csv,
     one_factor_dgp,
@@ -290,6 +292,65 @@ class TestCsvRoundTrip:
         back = load_csv(path, schema=ds.schema_doc())
         assert np.array_equal(back.outcome, ds.outcome)
 
+    def test_gzip_write_failing_midway_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(tiny_dataset(), tmp_path / "data.csv.gz")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gzip_rerun_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.csv.gz", tmp_path / "b.csv.gz"
+        write_csv(tiny_dataset(), a)
+        write_csv(tiny_dataset(), b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_load_rejects_bytes_that_are_not_utf8_or_gzip(self, tmp_path):
+        good = tmp_path / "good.csv"
+        write_csv(tiny_dataset(), good)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(good.read_bytes().replace(b"treat", b"tr\xffat", 1))
+        with pytest.raises(ParseError, match="bad.csv is not UTF-8"):
+            load_csv(bad)
+        fake = tmp_path / "fake.csv.gz"
+        fake.write_bytes(good.read_bytes())
+        with pytest.raises(ParseError, match="fake.csv.gz"):
+            load_csv(fake)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_preserves_every_column_bit_for_bit(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        m = data.draw(st.integers(2, 4), label="m")
+        p = data.draw(st.integers(0, 3), label="p")
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+
+        def column(size, elements):
+            return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+        names = st.lists(st.text(), min_size=m, max_size=m, unique=True)
+        ds = ExperimentDataset(
+            unit_ids=tuple(data.draw(st.lists(st.text(), min_size=n, max_size=n), label="ids")),
+            x=column(n * p, finite).reshape(n, p),
+            arm=column(n, st.integers(0, m - 1)),
+            outcome=column(n, finite),
+            propensity=column(n, st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+            arm_names=tuple(data.draw(names, label="arm names")),
+            covariate_names=tuple(f"c{j}" for j in range(p)),
+            covariate_kinds=("continuous",) * p,
+            randomized=False,
+        )
+        path = tmp_path_factory.mktemp("rt") / data.draw(st.sampled_from(["d.csv", "d.csv.gz"]))
+        write_csv(ds, path)
+        back = load_csv(path, schema=ds.schema_doc(), randomized=False)
+        assert back.unit_ids == ds.unit_ids
+        assert back.arm_names == ds.arm_names
+        assert np.array_equal(back.arm, ds.arm)
+        for name in ("x", "outcome", "propensity"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+
     def test_schema_free_load_infers_names_and_kinds(self, tmp_path):
         ds = tiny_dataset()
         path = tmp_path / "d.csv"
@@ -346,29 +407,3 @@ class TestCsvRoundTrip:
         header_only.write_text("unit_id,arm,outcome,propensity\n")
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(header_only)
-
-
-class TestBalance:
-    def test_randomized_data_is_balanced(self):
-        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=[0.0] * 3, noise_sd=0.2)
-        ds, _ = generate_synthetic(dgp, n=30_000, seed=6)
-        report = balance_report(ds)
-        assert len(report) == ds.p
-        assert all(row["max_abs_z"] < 4.0 for row in report)
-
-    def test_confounded_assignment_is_flagged(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((4_000, 1))
-        arm = (x[:, 0] > 0).astype(int)
-        ds = ExperimentDataset(
-            unit_ids=tuple(f"u{i}" for i in range(4_000)),
-            x=x,
-            arm=arm,
-            outcome=rng.standard_normal(4_000),
-            propensity=np.full(4_000, 0.5),
-            arm_names=("a", "b"),
-            covariate_names=("x0",),
-            covariate_kinds=("continuous",),
-        )
-        report = balance_report(ds)
-        assert report[0]["max_abs_z"] > 10.0

@@ -10,19 +10,16 @@ from persgain.dataset import (
     rerandomize_assignment,
     split,
 )
-from persgain.errors import ConfigError, DomainError
+from persgain.errors import DomainError
+from persgain.estimation import LinearTLearner
 from persgain.policy import (
     IpwEstimate,
-    LinearInteractionPolicy,
-    TabularPolicy,
     UniformPolicy,
     best_uniform,
     evaluate_ipw,
     evaluate_oracle,
     fit_ols_policy,
     gain_report,
-    oracle_policy,
-    policy_from_config,
 )
 
 # the two-arm linear scenario used in several places: outcomes cross at x=6
@@ -51,6 +48,17 @@ def manual_dataset(outcomes, arms, arm_names, x=None, propensity=None):
         covariate_names=tuple(f"c{j}" for j in range(np.atleast_2d(x).shape[1])),
         covariate_kinds=("continuous",) * np.atleast_2d(x).shape[1],
     )
+
+
+class RowMaxPolicy:
+    """Each unit's best arm read off the sealed potential outcomes (ties to
+    the lowest arm): the value no policy can beat."""
+
+    def __init__(self, sealed):
+        self.pick = dict(zip(sealed.unit_ids, np.argmax(sealed.y, axis=1)))
+
+    def assign(self, dataset):
+        return np.array([self.pick[uid] for uid in dataset.unit_ids])
 
 
 class TestBestUniform:
@@ -82,9 +90,10 @@ class TestOlsPolicy:
     def test_crossover_of_two_linear_arms(self):
         ds, _ = generate_synthetic(EXP1, n=4_000, seed=0)
         policy = fit_ols_policy(ds)
-        x = np.array([[4.0], [5.9], [6.1], [8.0]])
+        probe = manual_dataset([0.0] * 4, [0, 1, 0, 1], ("A", "B"), x=[[4.0], [5.9], [6.1], [8.0]])
         # 22 + 0.5x beats 34 - 1.5x exactly when x > 6
-        assert policy.assign_x(x).tolist() == [1, 1, 0, 0]
+        assert policy.assign(probe).tolist() == [1, 1, 0, 0]
+        assert policy.describe() == "ols_interaction"
 
     def test_noiseless_fit_reproduces_true_argmax_everywhere(self):
         ds, _ = generate_synthetic(EXP1, n=4_000, seed=1)
@@ -132,46 +141,40 @@ class TestOlsPolicy:
         )
         with pytest.warns(UserWarning, match="rank deficient"):
             policy = fit_ols_policy(ds)
-        assert np.all(np.isfinite(policy.theta))
+        assert np.all(np.isfinite(policy.coef))
 
-    def test_design_wider_than_data_is_an_error(self):
+    def test_arm_with_fewer_rows_than_coefficients_warns(self):
         ds = manual_dataset([1.0, 2.0, 3.0], [0, 1, 0], ("a", "b"))
-        with pytest.raises(DomainError, match="columns"):
-            fit_ols_policy(ds)
+        with pytest.warns(UserWarning, match=r"\['b'\] have rank deficient"):
+            policy = fit_ols_policy(ds)
+        assert np.all(np.isfinite(policy.coef))
+
+    def test_matches_one_regression_on_arm_interactions(self):
+        # the per-arm fit spans the same space as one regression on
+        # [1, x, arm dummies, dummy * x]: same coefficients
+        dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.1, 0.0, 0.2], noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=3_000, seed=16)
+        x1 = np.column_stack([np.ones(ds.n), ds.x])
+        dummies = [(ds.arm == a).astype(float)[:, None] for a in range(1, ds.m)]
+        design = np.hstack([x1] + [d * x1 for d in dummies])
+        beta, *_ = np.linalg.lstsq(design, ds.outcome, rcond=None)
+        k = ds.p + 1
+        shifts = [np.zeros(k)] + [beta[a * k : (a + 1) * k] for a in range(1, ds.m)]
+        theta = beta[:k] + np.vstack(shifts)
+        np.testing.assert_allclose(fit_ols_policy(ds).coef, theta, rtol=0, atol=1e-12)
 
 
 class TestPolicyObjects:
     def test_assignment_is_total_and_deterministic(self):
         rng = np.random.default_rng(7)
-        policy = LinearInteractionPolicy(rng.standard_normal((4, 3)))
+        arms = ("a", "b", "c", "d")
+        policy = LinearTLearner(rng.standard_normal((4, 3)), ("c0", "c1"), arms)
         x = rng.standard_normal((500, 2))
-        first = policy.assign_x(x)
-        assert np.array_equal(first, policy.assign_x(x))
+        ds = manual_dataset(np.zeros(500), np.arange(500) % 4, arms, x=x)
+        first = policy.assign(ds)
+        assert np.array_equal(first, policy.assign(ds))
         assert first.min() >= 0 and first.max() < 4
-        uni = UniformPolicy(2)
-        assert np.all(uni.assign_x(x) == 2)
-
-    def test_json_round_trip_preserves_assignments(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((100, 2))
-        lin = LinearInteractionPolicy(rng.standard_normal((3, 3)))
-        assert np.array_equal(
-            policy_from_config(lin.to_config()).assign_x(x), lin.assign_x(x)
-        )
-        uni = UniformPolicy(1)
-        assert policy_from_config(uni.to_config()).arm == 1
-        tab = TabularPolicy({"u1": 0, "u2": 2}, label="oracle")
-        back = policy_from_config(tab.to_config())
-        assert back.assignment == {"u1": 0, "u2": 2} and back.label == "oracle"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="kind"):
-            policy_from_config({"kind": "nearest_neighbor"})
-
-    def test_tabular_missing_unit_is_an_error(self):
-        ds = manual_dataset([1.0, 2.0], [0, 1], ("a", "b"))
-        with pytest.raises(DomainError, match="no arm for unit"):
-            TabularPolicy({"u0000": 0}).assign(ds)
+        assert np.all(UniformPolicy(2).assign(ds) == 2)
 
 
 class TestIpw:
@@ -232,7 +235,7 @@ class TestOracle:
     def test_oracle_policy_attains_row_max_mean(self):
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=[0.0] * 3, noise_sd=0.2)
         ds, sealed = generate_synthetic(dgp, n=1_000, seed=8)
-        got = evaluate_oracle(oracle_policy(sealed), ds, sealed)
+        got = evaluate_oracle(RowMaxPolicy(sealed), ds, sealed)
         assert got == pytest.approx(sealed.y.max(axis=1).mean(), abs=1e-15)
 
     def test_oracle_dominates_any_fitted_policy(self):
@@ -241,7 +244,7 @@ class TestOracle:
         sp = split(ds, 0.7, seed=0)
         fitted = fit_ols_policy(ds.subset(sp.train_idx))
         holdout = ds.subset(sp.test_idx)
-        assert evaluate_oracle(oracle_policy(sealed), holdout, sealed) >= evaluate_oracle(
+        assert evaluate_oracle(RowMaxPolicy(sealed), holdout, sealed) >= evaluate_oracle(
             fitted, holdout, sealed
         )
 

@@ -48,8 +48,15 @@ def test_spike_slab_variance() -> None:
 
 
 def test_dist_config_round_trip() -> None:
-    for dist in [FixedMeans([1.5, -2.0]), NormalMeans(3.0, 0.5), SpikeSlabMeans(0.9, 0.0, 7.0)]:
-        assert dist_from_config(dist.to_config()) == dist
+    docs = [
+        ({"kind": "fixed", "mu": [1.5, -2.0]}, FixedMeans([1.5, -2.0])),
+        ({"kind": "normal", "mean": 3.0, "s": 0.5}, NormalMeans(3.0, 0.5)),
+        ({"kind": "spike_slab", "pi_spike": 0.9, "s": 7.0}, SpikeSlabMeans(0.9, 0.0, 7.0)),
+    ]
+    for doc, dist in docs:
+        assert dist_from_config(doc) == dist
+    with pytest.raises(ConfigError, match="dist s"):
+        dist_from_config({"kind": "normal", "s": "x"})
     with pytest.raises(ConfigError):
         dist_from_config({"kind": "nope"})
     with pytest.raises(ConfigError):
@@ -94,15 +101,17 @@ def test_outcomes_covariance_oracle() -> None:
 
 
 def test_one_factor_and_cholesky_agree_in_moments() -> None:
+    # rho >= 0 takes the one-factor form, rho < 0 the Cholesky factor; the
+    # two must agree where the choice switches
     mu = np.array([1.0, -1.0, 0.5])
     n = 1_000_000
-    a = sample_potential_outcomes(mu, 2.0, 0.4, n, rng(11), method="one_factor")
-    b = sample_potential_outcomes(mu, 2.0, 0.4, n, rng(12), method="cholesky")
+    a = sample_potential_outcomes(mu, 2.0, 0.0, n, rng(11))
+    b = sample_potential_outcomes(mu, 2.0, -1e-12, n, rng(12))
     se_mean = 2.0 / math.sqrt(n)
     assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * math.sqrt(2) * se_mean)
     ca, cb = np.cov(a, rowvar=False), np.cov(b, rowvar=False)
     # var of sample covariance of bivariate normal ~ (s11*s22 + s12^2)/n
-    se_cov = math.sqrt((16.0 + (0.4 * 4.0) ** 2) / n)
+    se_cov = math.sqrt(16.0 / n)
     assert np.all(np.abs(ca - cb) < 4 * math.sqrt(2) * se_cov)
 
 
@@ -117,7 +126,7 @@ def test_negative_rho_uses_cholesky_and_respects_bound() -> None:
 
 
 def test_rho_above_one_rejected() -> None:
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
         sample_potential_outcomes(np.zeros(2), 1.0, 1.2, 10, rng())
 
 
