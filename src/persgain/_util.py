@@ -1,17 +1,19 @@
 """Small shared helpers: atomic file writes, round-trip number formatting,
-typed config values, deterministic stream derivation."""
+the CSV and strict JSON writers, typed config values, deterministic stream
+derivation."""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InternalError
 
 
 def fmt_float(x: float) -> str:
@@ -52,7 +54,16 @@ def atomic_write(path: str | Path, data: bytes) -> None:
 
 
 def write_json(path: str | Path, obj: object) -> None:
-    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    """Strict JSON: a NaN or infinity reaching an output is a broken invariant."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InternalError(f"{Path(path).name}: {exc}") from None
+    atomic_write(path, (text + "\n").encode("utf-8"))
+
+
+# a text cell holding one of these is quoted, its quotes doubled
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def csv_cell(value: object) -> str:
@@ -60,14 +71,22 @@ def csv_cell(value: object) -> str:
         return fmt_float(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    text = str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_bytes(header: Sequence[str], rows: Iterable[Sequence[object]]) -> bytes:
+    """UTF-8 CSV, one "\\n"-terminated line per row; floats round-trip."""
+    lines = [",".join(csv_cell(v) for v in header)]
+    for row in rows:
+        lines.append(",".join(csv_cell(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(csv_cell(v) for v in row))
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(path, csv_bytes(header, rows))
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -5,6 +5,8 @@ optional JSON config file (--config) merged with flag overrides (flags
 win), writes its artifacts atomically into --out, and drops a
 resolved_config.json beside them. That file embeds the full effective
 config, so passing it back as --config reproduces the run byte for byte.
+_COMMANDS declares every command once: its fields' types and defaults
+drive the flags, the config file's checks and resolved_config.json alike.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 """
@@ -16,12 +18,13 @@ import json
 import os
 import sys
 from dataclasses import MISSING, fields
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal, get_origin, get_type_hints
 
 from . import __version__
-from ._util import fmt_float, typed, typed_list, write_csv, write_json
+from ._util import fmt_float, typed, write_csv, write_json
 from .analysis import (
     SimSettings,
     StudyProfile,
@@ -44,51 +47,84 @@ _REQUIRED = object()
 
 
 def _fields(cls, *skip: str) -> dict:
-    """A dataclass's fields as config fields: each default, or _REQUIRED."""
+    """A dataclass's fields as config fields: (type, default or _REQUIRED)."""
+    hints = get_type_hints(cls)
     return {
-        f.name: _REQUIRED if f.default is MISSING else f.default
+        f.name: (
+            str if get_origin(hints[f.name]) is Literal else hints[f.name],
+            _REQUIRED if f.default is MISSING else f.default,
+        )
         for f in fields(cls)
         if f.name not in skip
     }
 
 
-# every arm has the same mean unless the config says otherwise
-_DIST = {"dist": {"kind": "normal", "mean": 0.0, "s": 0.0}}
+def _list_of(kind, value) -> list:
+    """A list field, given as a JSON list or as comma-separated text."""
+    if isinstance(value, str):
+        value = [part.strip() for part in value.split(",") if part.strip()]
+    return [kind(v) for v in value]
 
-_DEFAULTS = {
-    "gain": {
-        "mu_a": _REQUIRED,
-        "mu_b": _REQUIRED,
-        "sigma": _REQUIRED,
-        "rho": _REQUIRED,
-        "s": None,
-        "seed": 0,
-    },
-    "simulate": {**_fields(SimConfig), **_DIST},
-    "sweep": {"m_values": _REQUIRED, **_fields(SimConfig, "m"), **_DIST},
-    "synth": {"dgp": _REQUIRED, "n": 1_000, "seed": 0},
-    "estimate": {"data": _REQUIRED, "train_frac": 0.7, "quantiles": 10, "seed": 0},
-    "evaluate": {
-        "data": _REQUIRED,
-        "train_frac": 0.7,
-        "policies": ["uniform", "ols"],
-        "n_boot": 1_000,
-        "seed": 0,
-    },
-    "predict": {"profile": _REQUIRED, **_fields(SimSettings, "n_jobs")},
-    "sensitivity": {
-        "profile": _REQUIRED,
-        "parameter": _REQUIRED,
-        "grid": _REQUIRED,
-        **_fields(SimSettings, "n_jobs"),
-    },
-    "counterfactual": {
-        "profile_a": _REQUIRED,
-        "profile_b": _REQUIRED,
-        "parameter": _REQUIRED,
-        **_fields(SimSettings, "n_jobs"),
-    },
-    "elasticity": {"profile": _REQUIRED, "delta": 0.01, **_fields(SimSettings, "n_jobs")},
+
+def _profile_ref(value):
+    """A profile: a JSON file path, a bundled name, or the profile object itself."""
+    return value if isinstance(value, dict) else str(value)
+
+
+def _sim_fields(*skip: str) -> dict:
+    # every arm has the same mean unless the config says otherwise
+    dist = (None, {"kind": "normal", "mean": 0.0, "s": 0.0})
+    return {**_fields(SimConfig, "dist", *skip), "dist": dist}
+
+
+_SETTINGS = _fields(SimSettings, "n_jobs")
+_PROFILE = (_profile_ref, _REQUIRED, "profile JSON path or bundled name")
+
+# Each command's help and its fields, {field: (type, default[, flag help])}.
+# The flags, the defaults and the conversion of every value, from a flag or
+# from the config file, all come from here. A field of type None holds raw
+# JSON and has no flag.
+_COMMANDS = {
+    "gain": ("closed-form two-arm gain", {
+        **_fields(TwoArmParams),
+        "s": (float, None, "also report the gain averaged over mean draws"),
+        "seed": (int, 0, "accepted and ignored: the closed form draws nothing"),
+    }),
+    "simulate": ("Monte Carlo multi-arm gain", _sim_fields()),
+    "sweep": ("gain versus number of arms", {
+        "m_values": (partial(_list_of, int), _REQUIRED),
+        **_sim_fields("m"),
+    }),
+    "synth": ("generate a synthetic experiment", {
+        "dgp": (None, _REQUIRED), "n": (int, 1_000), "seed": (int, 0),
+    }),
+    "estimate": ("estimate moments from an experiment CSV", {
+        "data": (str, _REQUIRED), "train_frac": (float, 0.7), "quantiles": (int, 10),
+        "seed": (int, 0),
+    }),
+    "evaluate": ("fit policies and report IPW gains", {
+        "data": (str, _REQUIRED),
+        "train_frac": (float, 0.7),
+        "policies": (partial(_list_of, str), ["uniform", "ols"], "comma-separated: uniform,ols"),
+        "n_boot": (int, 1_000),
+        "seed": (int, 0),
+    }),
+    "predict": ("predicted gain for a study profile", {"profile": _PROFILE, **_SETTINGS}),
+    "sensitivity": ("gain across a parameter grid", {
+        "profile": _PROFILE,
+        "parameter": (str, _REQUIRED),
+        "grid": (partial(_list_of, float), _REQUIRED, "comma-separated values"),
+        **_SETTINGS,
+    }),
+    "counterfactual": ("swap one parameter between two profiles", {
+        "profile_a": (_profile_ref, _REQUIRED),
+        "profile_b": (_profile_ref, _REQUIRED),
+        "parameter": (str, _REQUIRED),
+        **_SETTINGS,
+    }),
+    "elasticity": ("gain under small single-parameter improvements", {
+        "profile": _PROFILE, "delta": (float, 0.01), **_SETTINGS,
+    }),
 }
 
 
@@ -102,6 +138,8 @@ def _read_json(path, what: str):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
 
@@ -122,27 +160,35 @@ def _load_config_file(path: str, command: str) -> dict:
 
 
 def _resolve(command: str, file_doc: dict, overrides: dict) -> dict:
-    defaults = _DEFAULTS[command]
-    unknown = set(file_doc) - set(defaults)
+    """Defaults, then the config file, then the flags; every value typed."""
+    table = _COMMANDS[command][1]
+    unknown = set(file_doc) - set(table)
     if unknown:
         raise ConfigError(
             f"unknown config field(s) for {command}: {sorted(unknown)}; "
-            f"known fields: {sorted(defaults)}"
+            f"known fields: {sorted(table)}"
         )
-    resolved = {
-        key: default for key, default in defaults.items() if default is not _REQUIRED
-    }
+    resolved = {key: spec[1] for key, spec in table.items() if spec[1] is not _REQUIRED}
     resolved.update(file_doc)
-    resolved.update({k: v for k, v in overrides.items() if v is not None})
-    missing = [key for key in defaults if key not in resolved]
+    resolved.update(overrides)
+    missing = [key for key in table if key not in resolved]
     if missing:
         raise ConfigError(f"missing required field(s) for {command}: {missing}")
+    for key, (kind, default, *_) in table.items():
+        # a field whose default is None may stay unset
+        if kind is not None and not (resolved[key] is None and default is None):
+            resolved[key] = typed(kind, resolved[key], key)
     return resolved
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
     """The output directory; the first file written there creates it."""
     return Path(args.out or os.environ.get(_OUT_ENV) or "persgain_out")
+
+
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """A CSV table whose columns are the rows' keys, in their order."""
+    write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
 
 
 def _finish(command: str, config: dict, out: Path, outputs: list[str]) -> int:
@@ -163,10 +209,10 @@ def _finish(command: str, config: dict, out: Path, outputs: list[str]) -> int:
 def _load_profile(ref) -> StudyProfile:
     if isinstance(ref, dict):
         return StudyProfile.from_config(ref)
-    path = Path(str(ref))
+    path = Path(ref)
     if path.exists():
         return StudyProfile.from_config(_read_json(path, "profile file"))
-    if str(ref) in _BUNDLED_PROFILES:
+    if ref in _BUNDLED_PROFILES:
         text = resources.files("persgain").joinpath(f"profiles/{ref}.json").read_text()
         return StudyProfile.from_config(json.loads(text))
     raise ConfigError(
@@ -176,24 +222,7 @@ def _load_profile(ref) -> StudyProfile:
 
 
 def _settings(config: dict, jobs: int) -> SimSettings:
-    return SimSettings(
-        n_individuals=_get(config, "n_individuals", int),
-        n_replications=_get(config, "n_replications", int),
-        seed=_get(config, "seed", int),
-        n_jobs=jobs,
-    )
-
-
-def _get(config: dict, key: str, kind):
-    """config[key] as `kind`; a mistyped value is a ConfigError naming the key."""
-    return typed(kind, config[key], key)
-
-
-def _csv_list(value, name: str) -> list:
-    """A list field, given as a list or as comma-separated text."""
-    if isinstance(value, str):
-        return [part.strip() for part in value.split(",") if part.strip()]
-    return typed(list, value, name)
+    return SimSettings(**{key: config[key] for key in _SETTINGS}, n_jobs=jobs)
 
 
 # --------------------------------------------------------------------------
@@ -201,37 +230,18 @@ def _csv_list(value, name: str) -> list:
 
 
 def cmd_gain(config: dict, args: argparse.Namespace) -> int:
-    params = TwoArmParams(
-        mu_a=_get(config, "mu_a", float),
-        mu_b=_get(config, "mu_b", float),
-        sigma=_get(config, "sigma", float),
-        rho=_get(config, "rho", float),
-    )
+    params = TwoArmParams(**{key: config[key] for key in _fields(TwoArmParams)})
     print(f"gain {fmt_float(gain_two_arm(params))}")
     if config["s"] is not None:
-        value = expected_gain_over_means(params.sigma, params.rho, _get(config, "s", float))
+        value = expected_gain_over_means(params.sigma, params.rho, config["s"])
         print(f"expected_gain_over_means {fmt_float(value)}")
     return 0
 
 
-def _sim_config_from(config: dict, m: int | None = None) -> SimConfig:
-    return SimConfig(
-        m=_get(config, "m", int) if m is None else m,
-        sigma=_get(config, "sigma", float),
-        rho=_get(config, "rho", float),
-        dist=dist_from_config(config["dist"]),
-        sigma_eps=_get(config, "sigma_eps", float),
-        n_individuals=_get(config, "n_individuals", int),
-        n_replications=_get(config, "n_replications", int),
-        seed=_get(config, "seed", int),
-        noise_mode=config["noise_mode"],
-    )
-
-
 def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    result = simulate_gain(_sim_config_from(config), n_jobs=args.jobs)
-    summary = result.to_dict()
+    cfg = SimConfig(**{**config, "dist": dist_from_config(config["dist"])})
+    summary = simulate_gain(cfg, n_jobs=args.jobs).to_dict()
     gains = summary.pop("per_replication_gains")
     write_json(out / "result.json", summary)
     write_csv(out / "replications.csv", ["replication", "gain"], list(enumerate(gains)))
@@ -240,21 +250,21 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
 
 def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    m_values = typed_list(int, config["m_values"], "m_values")
+    m_values = config["m_values"]
     if not m_values:
         raise ConfigError("m_values must contain at least one arm count")
-    base = _sim_config_from(config, m=m_values[0])
-    rows = sweep_arms(base, m_values, n_jobs=args.jobs)
-    header = ["m", "gain_mean", "gain_se", "v_personalized_mean", "v_uniform_mean"]
-    write_csv(out / "sweep.csv", header, [[row[k] for k in header] for row in rows])
+    base = {key: value for key, value in config.items() if key != "m_values"}
+    cfg = SimConfig(**{**base, "m": m_values[0], "dist": dist_from_config(config["dist"])})
+    _write_rows(out / "sweep.csv", sweep_arms(cfg, m_values, n_jobs=args.jobs))
     return _finish("sweep", config, out, ["sweep.csv"])
 
 
 def cmd_synth(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
     dgp = SynthDGP.from_config(config["dgp"])
-    n, seed = _get(config, "n", int), _get(config, "seed", int)
-    dataset, sealed = generate_synthetic(dgp, n=n, seed=seed)
+    dataset, sealed = generate_synthetic(dgp, n=config["n"], seed=config["seed"])
+    # imported here, not at module level, so the name is looked up at call
+    # time: perfbench/tracer.py times dataset.write_csv by replacing it there
     from .dataset import write_csv as write_dataset_csv
 
     write_dataset_csv(dataset, out / "data.csv")
@@ -269,30 +279,28 @@ def cmd_synth(config: dict, args: argparse.Namespace) -> int:
 
 def cmd_estimate(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    dataset = load_csv(str(config["data"]))
-    sp = split(dataset, _get(config, "train_frac", float), seed=_get(config, "seed", int))
-    moments = estimate_moments(dataset, sp, n_quantiles=_get(config, "quantiles", int))
+    dataset = load_csv(config["data"])
+    sp = split(dataset, config["train_frac"], seed=config["seed"])
+    moments = estimate_moments(dataset, sp, n_quantiles=config["quantiles"])
     write_json(out / "moments.json", moments.to_dict())
     return _finish("estimate", config, out, ["moments.json"])
 
 
 def cmd_evaluate(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    dataset = load_csv(str(config["data"]))
-    seed = _get(config, "seed", int)
-    sp = split(dataset, _get(config, "train_frac", float), seed=seed)
+    dataset = load_csv(config["data"])
+    sp = split(dataset, config["train_frac"], seed=config["seed"])
     train = dataset.subset(sp.train_idx)
     policies = []
-    for name in _csv_list(config["policies"], "policies"):
+    for name in config["policies"]:
         if name == "uniform":
             policies.append(best_uniform(train))
         elif name == "ols":
             policies.append(fit_ols_policy(train))
         else:
             raise ConfigError(f"unknown policy {name!r}; choose from ['uniform', 'ols']")
-    rows = gain_report(policies, dataset, sp, n_boot=_get(config, "n_boot", int), seed=seed)
-    header = ["policy", "value", "se_boot", "abs_improvement", "rel_improvement", "diff_se_boot"]
-    write_csv(out / "report.csv", header, [[row[k] for k in header] for row in rows])
+    rows = gain_report(policies, dataset, sp, n_boot=config["n_boot"], seed=config["seed"])
+    _write_rows(out / "report.csv", rows)
     return _finish("evaluate", config, out, ["report.csv"])
 
 
@@ -310,12 +318,9 @@ def cmd_predict(config: dict, args: argparse.Namespace) -> int:
 def cmd_sensitivity(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
     profile = _load_profile(config["profile"])
-    grid = typed_list(float, _csv_list(config["grid"], "grid"), "grid")
-    result = sensitivity_sweep(profile, config["parameter"], grid, _settings(config, args.jobs))
-    header = ["parameter", "value", "gain_mean", "gain_se", "is_baseline"]
-    write_csv(
-        out / "sensitivity.csv", header, [[row[k] for k in header] for row in result.to_rows()]
-    )
+    settings = _settings(config, args.jobs)
+    result = sensitivity_sweep(profile, config["parameter"], config["grid"], settings)
+    _write_rows(out / "sensitivity.csv", result.to_rows())
     return _finish("sensitivity", config, out, ["sensitivity.csv"])
 
 
@@ -327,41 +332,19 @@ def cmd_counterfactual(config: dict, args: argparse.Namespace) -> int:
         config["parameter"],
         _settings(config, args.jobs),
     )
-    header = ["study", "parameter", "value_used", "source", "gain_mean", "gain_se"]
-    write_csv(out / "counterfactual.csv", header, [[row[k] for k in header] for row in rows])
+    _write_rows(out / "counterfactual.csv", rows)
     return _finish("counterfactual", config, out, ["counterfactual.csv"])
 
 
 def cmd_elasticity(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
     profile = _load_profile(config["profile"])
-    rows = elasticity_table(profile, _get(config, "delta", float), _settings(config, args.jobs))
-    header = [
-        "change",
-        "parameter",
-        "old_value",
-        "new_value",
-        "gain_mean",
-        "gain_se",
-        "gain_delta",
-        "best",
-    ]
-    write_csv(out / "elasticity.csv", header, [[row[k] for k in header] for row in rows])
+    rows = elasticity_table(profile, config["delta"], _settings(config, args.jobs))
+    _write_rows(out / "elasticity.csv", rows)
     return _finish("elasticity", config, out, ["elasticity.csv"])
 
 
-_HANDLERS = {
-    "gain": cmd_gain,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "synth": cmd_synth,
-    "estimate": cmd_estimate,
-    "evaluate": cmd_evaluate,
-    "predict": cmd_predict,
-    "sensitivity": cmd_sensitivity,
-    "counterfactual": cmd_counterfactual,
-    "elasticity": cmd_elasticity,
-}
+_HANDLERS = {command: globals()[f"cmd_{command}"] for command in _COMMANDS}
 
 
 # --------------------------------------------------------------------------
@@ -375,10 +358,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"persgain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_out: bool = True) -> None:
+    for command, (help_text, table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        if with_out:
+        if command != "gain":  # gain prints its result; every other command writes files
             p.add_argument(
                 "--out",
                 help=f"output directory (default: ${_OUT_ENV} or ./persgain_out)",
@@ -389,80 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=os.cpu_count() or 1,
                 help="worker threads; results are identical at any level",
             )
-
-    def field_flags(p: argparse.ArgumentParser, cls, *skip: str) -> None:
-        """One flag per dataclass field, typed like the field."""
-        hints = get_type_hints(cls)
-        for name in _fields(cls, *skip):
-            flag = "--" + name.replace("_", "-")
-            if get_origin(hints[name]) is Literal:
-                p.add_argument(flag, choices=get_args(hints[name]))
-            else:
-                p.add_argument(flag, type=hints[name])
-
-    p = sub.add_parser("gain", help="closed-form two-arm gain")
-    common(p, with_out=False)
-    p.add_argument("--mu-a", type=float)
-    p.add_argument("--mu-b", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--s", type=float, help="also report the gain averaged over mean draws")
-    p.add_argument("--seed", type=int, help="accepted and ignored: the closed form draws nothing")
-
-    p = sub.add_parser("simulate", help="Monte Carlo multi-arm gain")
-    common(p)
-    field_flags(p, SimConfig, "dist")
-
-    p = sub.add_parser("sweep", help="gain versus number of arms")
-    common(p)
-    p.add_argument("--m-values", type=lambda s: [int(float(v)) for v in _csv_list(s, "m_values")])
-    field_flags(p, SimConfig, "m", "dist")
-
-    p = sub.add_parser("synth", help="generate a synthetic experiment")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("estimate", help="estimate moments from an experiment CSV")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--train-frac", type=float)
-    p.add_argument("--quantiles", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("evaluate", help="fit policies and report IPW gains")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--train-frac", type=float)
-    p.add_argument("--policies", help="comma-separated: uniform,ols")
-    p.add_argument("--n-boot", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("predict", help="predicted gain for a study profile")
-    common(p)
-    p.add_argument("--profile", help="profile JSON path or bundled name")
-    field_flags(p, SimSettings, "n_jobs")
-
-    p = sub.add_parser("sensitivity", help="gain across a parameter grid")
-    common(p)
-    p.add_argument("--profile")
-    p.add_argument("--parameter", choices=["s", "sigma", "rho", "sigma_eps", "m"])
-    p.add_argument("--grid", help="comma-separated values")
-    field_flags(p, SimSettings, "n_jobs")
-
-    p = sub.add_parser("counterfactual", help="swap one parameter between two profiles")
-    common(p)
-    p.add_argument("--profile-a")
-    p.add_argument("--profile-b")
-    p.add_argument("--parameter", choices=["sigma", "rho", "sigma_eps", "m"])
-    field_flags(p, SimSettings, "n_jobs")
-
-    p = sub.add_parser("elasticity", help="gain under small single-parameter improvements")
-    common(p)
-    p.add_argument("--profile")
-    p.add_argument("--delta", type=float)
-    field_flags(p, SimSettings, "n_jobs")
-
+        for name, (kind, _, *flag_help) in table.items():
+            if kind is not None:
+                p.add_argument("--" + name.replace("_", "-"), help=(flag_help or [None])[0])
     return parser
 
 
@@ -473,15 +385,15 @@ def main(argv: list[str] | None = None) -> int:
         file_doc = _load_config_file(args.config, command) if args.config else {}
         overrides = {
             key: getattr(args, key)
-            for key in _DEFAULTS[command]
-            if hasattr(args, key) and getattr(args, key) is not None
+            for key in _COMMANDS[command][1]
+            if getattr(args, key, None) is not None
         }
         config = _resolve(command, file_doc, overrides)
         return _HANDLERS[command](config, args)
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except (PersgainError, FileNotFoundError) as exc:
+    except PersgainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import gzip
-import io
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write, csv_cell, stream, typed, typed_list
+from ._util import atomic_write, csv_bytes, stream, typed, typed_list
 from .errors import ConfigError, DomainError, ParseError
 
 __all__ = [
@@ -484,23 +483,18 @@ def split(dataset: ExperimentDataset, train_fraction: float, seed: int) -> Train
 def write_csv(dataset: ExperimentDataset, path: str | Path) -> None:
     """Columns: unit_id, arm (name), outcome, propensity, then covariates.
     Floats use shortest round-trip formatting; .gz suffix gzips."""
-    buf = io.StringIO()
-    # minimal quoting leaves a bare "\r" unquoted, and a reader ends the row there
-    names = dataset.unit_ids + dataset.arm_names + dataset.covariate_names
-    quoting = csv.QUOTE_ALL if any("\r" in name for name in names) else csv.QUOTE_MINIMAL
-    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
-    writer.writerow(list(_FIXED_COLUMNS) + list(dataset.covariate_names))
-    for i in range(dataset.n):
-        writer.writerow(
-            [
-                dataset.unit_ids[i],
-                dataset.arm_names[dataset.arm[i]],
-                csv_cell(dataset.outcome[i]),
-                csv_cell(dataset.propensity[i]),
-            ]
-            + [csv_cell(v) for v in dataset.x[i]]
+    arm_names = dataset.arm_names
+    rows = (
+        [uid, arm_names[a], y, e, *x]
+        for uid, a, y, e, x in zip(
+            dataset.unit_ids,
+            dataset.arm.tolist(),
+            dataset.outcome.tolist(),
+            dataset.propensity.tolist(),
+            dataset.x.tolist(),
         )
-    data = buf.getvalue().encode("utf-8")
+    )
+    data = csv_bytes(_FIXED_COLUMNS + dataset.covariate_names, rows)
     if Path(path).suffix == ".gz":
         # mtime=0 keeps the archive byte-identical across reruns
         data = gzip.compress(data, mtime=0)
@@ -539,6 +533,8 @@ def load_csv(
         raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
     except (csv.Error, gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise ParseError(f"{path} is not a readable CSV file: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     if header is None:
         raise ParseError("file has no header row")
     if tuple(header[:4]) != _FIXED_COLUMNS:

@@ -246,6 +246,11 @@ class MomentEstimates:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho_hat_matrix", np.asarray(self.rho_hat_matrix, dtype=float))
         object.__setattr__(self, "per_arm_means", np.asarray(self.per_arm_means, dtype=float))
+        names = ("s_hat", "sigma_hat", "rho_hat_matrix", "rho_hat_mean", "sigma_eps_hat",
+                 "per_arm_means")
+        bad = [name for name in names if not np.all(np.isfinite(getattr(self, name)))]
+        if bad:
+            raise DomainError(f"estimates {bad} are not finite: the outcomes overflow float64")
         rho = self.rho_hat_matrix
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DomainError("rho_hat_matrix must be square")

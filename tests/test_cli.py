@@ -5,11 +5,15 @@ console script runs, minus interpreter startup. Determinism across runs is
 asserted at the byte level on the emitted files.
 """
 
+import csv
 import filecmp
 import gzip
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from persgain._util import write_json
 from persgain.cli import main
 from persgain.dataset import load_csv, one_factor_dgp
 from persgain.errors import InternalError
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -211,12 +218,54 @@ def test_simulate_outputs_and_resolved_config(tmp_path):
     assert sorted(resolved["outputs"]) == ["replications.csv", "result.json"]
 
 
-def test_rerun_from_resolved_config_is_byte_identical(tmp_path):
+# acceptance criterion 9's small arguments; SYNTH and DATA stand for the
+# synth config and the data CSV it generates
+RERUN_ARGS = {
+    "synth": ["--config", "SYNTH"],
+    "simulate": ["--m", 3, "--sigma", 1, "--rho", 0.2, "--sigma-eps", 0.3,
+                 "--n-individuals", 400, "--n-replications", 12],
+    "sweep": ["--m-values", "2,4", "--sigma", 2, "--rho", 0,
+              "--n-individuals", 300, "--n-replications", 8],
+    "estimate": ["--data", "DATA", "--quantiles", 5],
+    "evaluate": ["--data", "DATA", "--policies", "uniform,ols", "--n-boot", 50],
+    "predict": ["--profile", "walmart", "--n-individuals", 800, "--n-replications", 10],
+    "sensitivity": ["--profile", "walmart", "--parameter", "sigma", "--grid", "0.05,0.1",
+                    "--n-individuals", 800, "--n-replications", 10],
+    "counterfactual": ["--profile-a", "walmart", "--profile-b", "penn_geisinger",
+                       "--parameter", "rho", "--n-individuals", 800, "--n-replications", 10],
+    "elasticity": ["--profile", "penn_geisinger", "--n-individuals", 800,
+                   "--n-replications", 10],
+}
+
+
+@pytest.fixture(scope="module")
+def rerun_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("rerun")
+    dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
+    synth = root / "synth.json"
+    synth.write_text(json.dumps({"dgp": dgp.to_config(), "n": 2_000, "seed": 1}))
+    assert run_cli(["synth", "--config", synth, "--out", root / "data"]) == 0
+    return {"SYNTH": synth, "DATA": root / "data" / "data.csv"}
+
+
+@pytest.mark.parametrize("command", list(RERUN_ARGS))
+def test_rerun_from_resolved_config_is_byte_identical(rerun_inputs, tmp_path, command):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["simulate", *SIM_ARGS, "--out", a]) == 0
-    assert run_cli(["simulate", "--config", a / "resolved_config.json", "--out", b]) == 0
-    for name in ["result.json", "replications.csv", "resolved_config.json"]:
+    args = [rerun_inputs.get(arg, arg) for arg in RERUN_ARGS[command]]
+    assert run_cli([command, *args, "--out", a]) == 0
+    assert run_cli([command, "--config", a / "resolved_config.json", "--out", b]) == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    for name in names:
         assert read(a / name) == read(b / name), name
+
+
+def test_list_flags_are_stored_as_lists(tmp_path):
+    out = tmp_path / "s"
+    assert run_cli(["sensitivity", *RERUN_ARGS["sensitivity"], "--out", out]) == 0
+    config = json.loads((out / "resolved_config.json").read_text())["config"]
+    assert config["grid"] == [0.05, 0.1]
+    assert config["n_individuals"] == 800
 
 
 def test_jobs_do_not_change_bytes(tmp_path):
@@ -465,13 +514,84 @@ def test_floats_round_trip_through_outputs(tmp_path):
     # reproduces the in-memory doubles bit for bit
     out = tmp_path / "rt"
     assert run_cli(["simulate", *SIM_ARGS, "--out", out]) == 0
-    from persgain.cli import _sim_config_from, _DEFAULTS
-    from persgain.simulate import simulate_gain
+    from persgain.simulate import SimConfig, dist_from_config, simulate_gain
 
     resolved = json.loads((out / "resolved_config.json").read_text())["config"]
-    result = simulate_gain(_sim_config_from(resolved))
+    result = simulate_gain(SimConfig(**{**resolved, "dist": dist_from_config(resolved["dist"])}))
     doc = json.loads((out / "result.json").read_text())
     assert doc["gain_mean"] == result.gain_mean
     csv_rows = (out / "replications.csv").read_text().splitlines()[1:]
     parsed = [float(row.split(",")[1]) for row in csv_rows]
     assert parsed == list(result.per_replication_gains)
+
+
+# --------------------------------------------------------------------------
+# output formats and input errors
+
+
+def test_arm_names_with_commas_and_quotes_keep_every_row_width(tmp_path):
+    dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.9, 0.5, 0.5), noise_sd=0.3)
+    names = ["a,1", 'b"2', "c"]
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"dgp": {**dgp.to_config(), "arm_names": names},
+                               "n": 600, "seed": 1}))
+    data = tmp_path / "data"
+    assert run_cli(["synth", "--config", cfg, "--out", data]) == 0
+    assert run_cli(["evaluate", "--data", data / "data.csv", "--n-boot", 20,
+                    "--out", tmp_path / "ev"]) == 0
+    tables = {}
+    for path in (data / "data.csv", data / "sealed.csv", tmp_path / "ev" / "report.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables[path.name] = list(csv.reader(fh))
+        assert len({len(row) for row in tables[path.name]}) == 1, path.name
+    assert tables["sealed.csv"][0] == ["unit_id"] + [f"y_{name}" for name in names]
+    assert tables["report.csv"][1][0] == "best_uniform[a,1]"
+    assert load_csv(data / "data.csv").arm_names == tuple(sorted(names))
+
+
+@pytest.mark.parametrize("command,flag", [("estimate", "--data"), ("predict", "--profile")])
+def test_directory_given_as_input_exits_2_without_output(tmp_path, capsys, command, flag):
+    source = tmp_path / "a_directory"
+    source.mkdir()
+    out = tmp_path / "out"
+    assert run_cli([command, flag, source, "--out", out]) == 2
+    assert "a_directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_overflowing_outcome_exits_2_without_output(tmp_path, capsys):
+    # one outcome near the float64 limit: the finite data overflow the
+    # moment arithmetic, which must not reach moments.json as Infinity
+    rows = ["unit_id,arm,outcome,propensity,x"]
+    rows += [f"u{i:03d},{'ab'[i % 2]},{0.1 * (i % 7)},0.5,{i / 60}" for i in range(60)]
+    rows[1] = "u000,a,1e308,0.5,0.0"
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["estimate", "--data", data, "--quantiles", 2, "--out", out]) == 2
+    assert "s_hat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_json_rejects_non_finite_floats(tmp_path):
+    with pytest.raises(InternalError, match="x.json"):
+        write_json(tmp_path / "x.json", {"value": math.nan})
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_benchmark_tracer_still_finds_its_spans(tmp_path):
+    # perfbench/tracer.py times functions by replacing the names the CLI
+    # binds; a refactor that rebinds them silently drops the spans
+    dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 200, "seed": 1}))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    names = set()
+    for argv in (["synth", "--config", cfg, "--jobs", 1, "--out", tmp_path / "out"],
+                 ["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1.5, "--rho", 0.1]):
+        spans = tmp_path / f"{argv[0]}.json"
+        subprocess.run([sys.executable, REPO / "perfbench" / "tracer.py", spans, "--",
+                        *[str(a) for a in argv]], env=env, check=True, capture_output=True)
+        names |= {span["name"] for span in json.loads(spans.read_text())["spans"]}
+    assert {"cli.cmd_synth", "dataset.write_csv", "util.write_csv", "util.write_json",
+            "cli.cmd_gain"} <= names
