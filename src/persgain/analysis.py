@@ -5,7 +5,10 @@ improvements.
 
 Every operation here holds the base seed fixed across the compared
 configurations (common random numbers), so differences between cells are
-driven by the parameters, not by resampling noise.
+driven by the parameters, not by resampling noise. Each operation runs all
+of its cells in one `simulate_gains` call, so cells that share a draw
+layout share every replication's draws instead of redrawing them; each
+cell's numbers are bit-identical to predicting it alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 
 from ._util import typed
 from .errors import ConfigError
-from .simulate import NormalMeans, SimConfig, check_rho, rho_lower_bound, simulate_gain
+from .simulate import NormalMeans, SimConfig, check_rho, rho_lower_bound, simulate_gains
 
 __all__ = [
     "StudyProfile",
@@ -125,10 +128,19 @@ def _sim_config(profile: StudyProfile, settings: SimSettings) -> SimConfig:
     )
 
 
-def predict_gain(profile: StudyProfile, settings: SimSettings = SimSettings()) -> tuple[float, float]:
-    """Expected personalization gain for the study, with its MC standard error."""
-    result = simulate_gain(_sim_config(profile, settings), n_jobs=settings.n_jobs)
-    return result.gain_mean, result.gain_se
+def predict_gain(
+    profile: StudyProfile | Sequence[StudyProfile],
+    settings: SimSettings = SimSettings(),
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """Expected personalization gain for the study, with its MC standard
+    error. Given a sequence of profiles instead, one (gain, se) pair per
+    profile from one batched simulation, each pair bit-identical to the
+    single-profile call."""
+    single = isinstance(profile, StudyProfile)
+    profiles = [profile] if single else profile
+    results = simulate_gains([_sim_config(p, settings) for p in profiles], n_jobs=settings.n_jobs)
+    pairs = [(r.gain_mean, r.gain_se) for r in results]
+    return pairs[0] if single else pairs
 
 
 def _validated(profile: StudyProfile, parameter: str, value: float) -> StudyProfile:
@@ -175,18 +187,14 @@ def sensitivity_sweep(
     if len(grid) == 0:
         raise ConfigError("grid must contain at least one value")
     values = sorted(float(v) for v in grid)
-    means, ses = [], []
-    for value in values:
-        point = _validated(profile, parameter, value)
-        g, se = predict_gain(point, settings)
-        means.append(g)
-        ses.append(se)
+    points = [_validated(profile, parameter, value) for value in values]
+    means, ses = zip(*predict_gain(points, settings))
     return SensitivityResult(
         parameter=parameter,
         baseline_value=float(getattr(profile, parameter)),
         grid=tuple(values),
-        gain_mean=tuple(means),
-        gain_se=tuple(ses),
+        gain_mean=means,
+        gain_se=ses,
     )
 
 
@@ -202,23 +210,20 @@ def counterfactual_swap(
         raise ConfigError(
             f"swap parameter must be one of ('sigma', 'rho', 'sigma_eps', 'm'), got {parameter!r}"
         )
-    rows = []
-    for host, donor in ((profile_a, profile_a), (profile_a, profile_b),
-                        (profile_b, profile_b), (profile_b, profile_a)):
-        value = getattr(donor, parameter)
-        cell = _validated(host, parameter, value)
-        g, se = predict_gain(cell, settings)
-        rows.append(
-            {
-                "study": host.name,
-                "parameter": parameter,
-                "value_used": value,
-                "source": "own" if donor is host else donor.name,
-                "gain_mean": g,
-                "gain_se": se,
-            }
-        )
-    return rows
+    pairs = ((profile_a, profile_a), (profile_a, profile_b),
+             (profile_b, profile_b), (profile_b, profile_a))
+    cells = [_validated(host, parameter, getattr(donor, parameter)) for host, donor in pairs]
+    return [
+        {
+            "study": host.name,
+            "parameter": parameter,
+            "value_used": getattr(donor, parameter),
+            "source": "own" if donor is host else donor.name,
+            "gain_mean": g,
+            "gain_se": se,
+        }
+        for (host, donor), (g, se) in zip(pairs, predict_gain(cells, settings))
+    ]
 
 
 def elasticity_table(
@@ -239,7 +244,6 @@ def elasticity_table(
     """
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    base_gain, base_se = predict_gain(profile, settings)
     rho_floor = rho_lower_bound(profile.m)
     variants = [
         ("s_down", "s", profile.s * (1.0 - delta)),
@@ -247,6 +251,8 @@ def elasticity_table(
         ("rho_down", "rho", max(profile.rho - delta, rho_floor)),
         ("sigma_eps_down", "sigma_eps", profile.sigma_eps * (1.0 - delta)),
     ]
+    cells = [profile] + [_validated(profile, parameter, value) for _, parameter, value in variants]
+    (base_gain, base_se), *gains = predict_gain(cells, settings)
     rows = [
         {
             "change": "baseline",
@@ -258,9 +264,7 @@ def elasticity_table(
             "gain_delta": 0.0,
         }
     ]
-    for change, parameter, new_value in variants:
-        cell = _validated(profile, parameter, new_value)
-        g, se = predict_gain(cell, settings)
+    for (change, parameter, new_value), (g, se) in zip(variants, gains):
         rows.append(
             {
                 "change": change,

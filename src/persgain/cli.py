@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import MISSING, fields
 from functools import partial
 from importlib import resources
@@ -378,27 +379,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One `warning: <message>` line on stderr, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
-    try:
-        file_doc = _load_config_file(args.config, command) if args.config else {}
-        overrides = {
-            key: getattr(args, key)
-            for key in _COMMANDS[command][1]
-            if getattr(args, key, None) is not None
-        }
-        config = _resolve(command, file_doc, overrides)
-        return _HANDLERS[command](config, args)
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    except PersgainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - the CLI boundary
-        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            if getattr(args, "jobs", 1) < 1:
+                raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+            file_doc = _load_config_file(args.config, command) if args.config else {}
+            overrides = {
+                key: getattr(args, key)
+                for key in _COMMANDS[command][1]
+                if getattr(args, key, None) is not None
+            }
+            config = _resolve(command, file_doc, overrides)
+            return _HANDLERS[command](config, args)
+        except InternalError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 1
+        except PersgainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # noqa: BLE001 - the CLI boundary
+            print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -143,7 +143,9 @@ def gain_report(
 
     diff_se_boot is the SE of (policy - benchmark) under paired resampling,
     the right yardstick for "is the improvement real"; rel_improvement is
-    relative to the benchmark's point estimate.
+    relative to the benchmark's point estimate. n_matched counts the holdout
+    rows whose assigned arm is the policy's pick, the only rows its IPW
+    value rests on, and match_rate is their share of the holdout.
     """
     if n_boot < 2:
         raise ConfigError(f"n_boot must be >= 2, got {n_boot}")
@@ -152,7 +154,7 @@ def gain_report(
     bench = best_uniform(train)
     entries = [(f"best_uniform[{holdout.arm_names[bench.arm]}]", bench)]
     entries += [(policy.describe(), policy) for policy in policies]
-    terms = [_ipw_terms(policy, holdout)[0] for _, policy in entries]
+    terms, matched = zip(*(_ipw_terms(policy, holdout) for _, policy in entries))
     # one shared index stream keeps the resamples paired across policies and
     # the chunking keeps peak memory flat on large holdouts
     boot_vals = np.empty((len(entries), n_boot))
@@ -167,7 +169,7 @@ def gain_report(
         done += take
     bench_value = float(terms[0].mean())
     rows = []
-    for j, ((label, _), t) in enumerate(zip(entries, terms)):
+    for j, ((label, _), t, n_matched) in enumerate(zip(entries, terms, matched)):
         value = float(t.mean())
         rows.append(
             {
@@ -179,6 +181,8 @@ def gain_report(
                 if bench_value != 0.0
                 else math.nan,
                 "diff_se_boot": float((boot_vals[j] - boot_vals[0]).std(ddof=1)),
+                "n_matched": n_matched,
+                "match_rate": n_matched / holdout.n,
             }
         )
     return rows

@@ -17,6 +17,20 @@ underlying draws, so sweeps over those knobs are common-random-number
 coupled by construction. (The prediction-noise normals are drawn even when
 sigma_eps = 0 for exactly this reason; adding 0.0 * noise leaves Y bit-for-bit
 unchanged.)
+
+`simulate_gains` runs a whole grid of configs and draws each replication's
+normals once per draw layout, not once per config. Configs share a layout
+when they agree on seed, n_individuals, n_replications, m, noise_mode, the
+kind of mean distribution and the side of 0 that rho lies on (one-factor
+form for rho >= 0, Cholesky form below). Within a layout, replication r
+draws the outcome normals (z and eps, or e) and the prediction noise once;
+each config then draws its own mu again from a fresh stream(seed, r), which
+consumes the same number of draws whatever the distribution's parameters,
+and scales the shared normals with the same floating-point operations a
+config run alone performs. So every config's results are bit-identical to
+running it alone, and a grid of K configs costs one set of draws plus K
+cheap rescalings (Glasserman, Monte Carlo Methods in Financial Engineering,
+2003, section 4.2).
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "simulate_gain",
+    "simulate_gains",
     "sweep_arms",
 ]
 
@@ -175,12 +190,19 @@ def sample_potential_outcomes(
     rho: float,
     n: int,
     rng: np.random.Generator,
+    draws: list | None = None,
 ) -> np.ndarray:
     """n x m matrix with rows i.i.d. N(mu, sigma^2 [(1-rho) I + rho J]).
 
     For rho >= 0 the one-factor form Y_i = mu + sigma (sqrt(rho) z_i 1 +
     sqrt(1-rho) eps_i) costs O(nm); negative rho falls back to a Cholesky
     factor of the full covariance.
+
+    The matrix is written over the standard-normal draws behind it, unless
+    a list is passed as `draws`: the draws ([z, eps] in the one-factor
+    form, [e] in the Cholesky form) are then appended to it and kept, so
+    that `_outcomes` can turn them into the outcomes of further (mu, sigma,
+    rho) on the same side of 0.
     """
     mu = np.asarray(mu, dtype=float)
     m = mu.shape[0]
@@ -192,15 +214,38 @@ def sample_potential_outcomes(
         raise DomainError(f"n must be >= 1, got {n}")
     check_rho(rho, m)
     if rho >= 0:
-        z = rng.standard_normal((n, 1))
-        eps = rng.standard_normal((n, m))
-        return mu + sigma * (math.sqrt(rho) * z + math.sqrt(1.0 - rho) * eps)
-    # factor the correlation matrix, not sigma^2 * corr: stays PD when
-    # sigma = 0 and keeps the draws common across sigma grids
-    corr = (1.0 - rho) * np.eye(m) + rho * np.ones((m, m))
-    chol = np.linalg.cholesky(corr)
-    e = rng.standard_normal((n, m))
-    return mu + sigma * (e @ chol.T)
+        normals = [rng.standard_normal((n, 1)), rng.standard_normal((n, m))]
+    else:
+        normals = [rng.standard_normal((n, m))]
+    if draws is None:
+        return _outcomes(normals, mu, sigma, rho, out=normals[-1])
+    draws.extend(normals)
+    return _outcomes(normals, mu, sigma, rho)
+
+
+def _outcomes(
+    draws: list, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The outcome matrix of (mu, sigma, rho) from draws made by
+    `sample_potential_outcomes`, written into `out` (which may be one of
+    the draws) or into a new array. The in-place steps perform the
+    operations of mu + sigma * (sqrt(rho) z + sqrt(1-rho) eps), and of
+    mu + sigma * (e @ chol.T), with the operands of each addition or
+    multiplication swapped at most, so the result is the same bits."""
+    if rho >= 0:
+        z, eps = draws
+        out = np.multiply(eps, math.sqrt(1.0 - rho), out=out)
+        out += math.sqrt(rho) * z
+    else:
+        (e,) = draws
+        m = e.shape[1]
+        # factor the correlation matrix, not sigma^2 * corr: stays PD when
+        # sigma = 0 and keeps the draws common across sigma grids
+        corr = (1.0 - rho) * np.eye(m) + rho * np.ones((m, m))
+        out = np.matmul(e, np.linalg.cholesky(corr).T, out=out)
+    out *= sigma
+    out += mu
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -257,35 +302,88 @@ class SimResult:
         }
 
 
-def _replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
-    rng = stream(cfg.seed, rep)
-    n = cfg.n_individuals
-    mu = sample_mu(cfg.dist, cfg.m, rng)
-    y = sample_potential_outcomes(mu, cfg.sigma, cfg.rho, n, rng)
-    shape = (n, cfg.m) if cfg.noise_mode == "per_cell" else (n, 1)
-    yhat = y + cfg.sigma_eps * rng.standard_normal(shape)
+def _layout(cfg: SimConfig) -> tuple:
+    """What fixes the normals a replication draws: configs that agree on it
+    consume identical draws from every replication's stream."""
+    return (cfg.seed, cfg.n_individuals, cfg.n_replications, cfg.m, cfg.noise_mode,
+            type(cfg.dist), cfg.rho >= 0)
+
+
+def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
+    """(v_p, v_u): the mean true outcome of each row's predicted best arm,
+    and of the arm with the best mean prediction."""
     picks = np.argmax(yhat, axis=1)  # ties: lowest arm index
-    v_p = float(y[np.arange(n), picks].mean())
+    v_p = float(y[np.arange(y.shape[0]), picks].mean())
     v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
     if not (math.isfinite(v_p) and math.isfinite(v_u)):
         raise InternalError(f"non-finite replication values: v_p={v_p}, v_u={v_u}")
     return v_p, v_u
 
 
-def simulate_gain(cfg: SimConfig, n_jobs: int = 1) -> SimResult:
-    """Run cfg.n_replications independent replications and aggregate.
+def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
+    """Replication `rep` of cfg and of every config in `more`, which share
+    cfg's draw layout: (v_p, v_u) for each, in that order.
 
-    n_jobs > 1 runs replications on a thread pool; results are keyed by
-    replication index, so the output is identical for any n_jobs.
+    The outcome normals and the prediction noise are drawn once. Every
+    config but the last writes its Y and Yhat into two scratch arrays; the
+    last writes them over the draws themselves.
     """
-    reps = range(cfg.n_replications)
-    if n_jobs is None or n_jobs < 1:
-        n_jobs = 1
-    if n_jobs == 1 or cfg.n_replications == 1:
-        values = [_replicate(cfg, r) for r in reps]
+    n, m = cfg.n_individuals, cfg.m
+    rng = stream(cfg.seed, rep)
+    mu = sample_mu(cfg.dist, m, rng)
+    draws = [] if more else None
+    y = sample_potential_outcomes(mu, cfg.sigma, cfg.rho, n, rng, draws)
+    per_cell = cfg.noise_mode == "per_cell"
+    noise = rng.standard_normal((n, m) if per_cell else (n, 1))
+    scratch = np.empty((n, m)) if more or not per_cell else None
+    values = []
+    for k, point in enumerate((cfg, *more)):
+        last = k == len(more)
+        if k:
+            mu = sample_mu(point.dist, m, stream(cfg.seed, rep))
+            y = _outcomes(draws, mu, point.sigma, point.rho, out=draws[-1] if last else y)
+        # Yhat = Y + sigma_eps * noise, computed as noise * sigma_eps + Y
+        yhat = noise if last and per_cell else scratch
+        np.multiply(noise, point.sigma_eps, out=yhat)
+        yhat += y
+        values.append(_score(y, yhat))
+    return values
+
+
+def simulate_gains(cfgs: Sequence[SimConfig], n_jobs: int = 1) -> list[SimResult]:
+    """One SimResult per config, in order, each bit-identical to running
+    that config alone: configs that share a draw layout share each
+    replication's draws (see the module docstring).
+
+    n_jobs > 1 runs the (layout, replication) units on a thread pool;
+    results are keyed by unit, so the output is identical for any n_jobs.
+    """
+    if n_jobs < 1:
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
+    groups: dict[tuple, list[int]] = {}
+    for index, cfg in enumerate(cfgs):
+        groups.setdefault(_layout(cfg), []).append(index)
+    units = [(group, rep) for group in groups.values()
+             for rep in range(cfgs[group[0]].n_replications)]
+
+    def run(unit):
+        group, rep = unit
+        first, *rest = (cfgs[index] for index in group)
+        return _replicate(first, rep, *rest)
+
+    if n_jobs == 1 or len(units) == 1:
+        done = [run(unit) for unit in units]
     else:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            values = list(pool.map(lambda r: _replicate(cfg, r), reps))
+            done = list(pool.map(run, units))
+    values: list[list[tuple[float, float]]] = [[] for _ in cfgs]
+    for (group, _), unit_values in zip(units, done):
+        for index, pair in zip(group, unit_values):
+            values[index].append(pair)
+    return [_summarize(cfg, pairs) for cfg, pairs in zip(cfgs, values)]
+
+
+def _summarize(cfg: SimConfig, values: list[tuple[float, float]]) -> SimResult:
     v_p = np.array([v[0] for v in values])
     v_u = np.array([v[1] for v in values])
     gains = v_p - v_u
@@ -301,12 +399,19 @@ def simulate_gain(cfg: SimConfig, n_jobs: int = 1) -> SimResult:
     )
 
 
+def simulate_gain(cfg: SimConfig, n_jobs: int = 1) -> SimResult:
+    """Run cfg.n_replications independent replications and aggregate:
+    `simulate_gains` for one config."""
+    return simulate_gains([cfg], n_jobs)[0]
+
+
 def sweep_arms(cfg: SimConfig, m_values: Sequence[int], n_jobs: int = 1) -> list[dict]:
     """simulate_gain for each arm count in m_values, sharing cfg's base seed.
 
     Every grid point reuses the same replication streams (seed, spawn_key=(rep,)),
     so points differing only in parameters that leave array shapes unchanged are
-    common-random-number coupled.
+    common-random-number coupled. Each m is its own draw layout, so batching
+    the points in one `simulate_gains` call would share no draws.
     """
     if len(m_values) == 0:
         raise ConfigError("m_values must be non-empty")

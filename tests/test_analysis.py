@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,19 @@ class TestElasticity:
         rows = elasticity_table(profile, 0.01, FAST)
         by_change = {row["change"]: row for row in rows}
         assert by_change["s_down"]["gain_mean"] == by_change["baseline"]["gain_mean"]
+
+    def test_rows_equal_cells_predicted_alone(self):
+        # the cells share one draw layout, except rho_down, which crosses 0
+        profile = StudyProfile("low_rho", s=0.05, sigma=0.3, rho=0.005, sigma_eps=0.1, m=4)
+        settings = SimSettings(n_individuals=500, n_replications=20, seed=3)
+        rows = elasticity_table(profile, 0.01, settings)
+        assert rows[3]["new_value"] < 0
+        cells = [profile] + [replace(profile, **{row["parameter"]: row["new_value"]})
+                             for row in rows[1:]]
+        assert [(row["gain_mean"], row["gain_se"]) for row in rows] == [
+            predict_gain(cell, settings) for cell in cells
+        ]
+        assert predict_gain(cells, settings) == [predict_gain(cell, settings) for cell in cells]
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ConfigError, match="delta"):

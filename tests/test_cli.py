@@ -123,6 +123,15 @@ def test_internal_error_exits_1(tmp_path, monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "synth", "predict"])
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_exits_2_without_output(tmp_path, capsys, command, jobs):
+    out = tmp_path / "o"
+    assert run_cli([command, "--jobs", jobs, "--out", out]) == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rejected_command_creates_no_output_dir(tmp_path, capsys):
     # rho = -1/(m-1) is the singular bound itself, outside the admissible range
     out = tmp_path / "o6"
@@ -354,6 +363,23 @@ def test_estimate_rerun_is_byte_identical(pipeline, tmp_path):
     assert read(outs[0] / "moments.json") == read(outs[1] / "moments.json")
 
 
+def test_library_warnings_print_one_line_each(tmp_path):
+    dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"dgp": dgp.to_config(), "n": 400, "seed": 1}))
+    assert run_cli(["synth", "--config", synth, "--out", tmp_path / "d"]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "persgain.cli", "estimate", "--data", tmp_path / "d" / "data.csv",
+         "--out", tmp_path / "e"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: 20 (arm, quantile) cells hold fewer than 30 units")
+    assert ".py" not in proc.stderr and "UserWarning" not in proc.stderr
+
+
 def test_estimate_empty_holdout_arm_exits_2_naming_the_cell(tmp_path, capsys):
     # arm b holds a single unit; the split sends it to the training side,
     # so every holdout quantile bin for b is empty
@@ -375,10 +401,16 @@ def test_evaluate_report_benchmark_first_and_ols_wins(pipeline, tmp_path):
     assert run_cli(["evaluate", "--data", pipeline["out"] / "data.csv",
                     "--policies", "uniform,ols", "--n-boot", 200, "--out", out]) == 0
     lines = (out / "report.csv").read_text().splitlines()
-    assert lines[0] == "policy,value,se_boot,abs_improvement,rel_improvement,diff_se_boot"
+    assert lines[0] == ("policy,value,se_boot,abs_improvement,rel_improvement,diff_se_boot,"
+                        "n_matched,match_rate")
     first = lines[1].split(",")
     assert first[0].startswith("best_uniform[")
     assert float(first[3]) == 0.0
+    holdout = round(20_000 * 0.3)
+    for line in lines[1:]:
+        n_matched, match_rate = line.split(",")[6:]
+        assert 0 < int(n_matched) < holdout
+        assert float(match_rate) == int(n_matched) / holdout
     by_name = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     ols = by_name["ols_interaction"]
     # strong linear heterogeneity in the DGP: the fitted policy should clear

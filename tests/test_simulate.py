@@ -15,8 +15,10 @@ from persgain.simulate import (
     sample_mu,
     sample_potential_outcomes,
     simulate_gain,
+    simulate_gains,
     sweep_arms,
 )
+from persgain._util import stream
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -213,6 +215,146 @@ def test_sim_config_validation() -> None:
         SimConfig(m=2, sigma=1.0, rho=0.0, dist=FixedMeans([1.0, 2.0, 3.0]))
     with pytest.raises(ConfigError):
         SimConfig(m=2, sigma=1.0, rho=0.0, dist=NormalMeans(), noise_mode="shared")
+
+
+# --------------------------------------------------------------------------
+# simulate_gains: one set of draws per layout, the bits of a per-config run
+
+
+def reference_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
+    """One replication of one config, drawing everything itself: the
+    per-config kernel that simulate_gains replaced, kept as its reference."""
+    rng = stream(cfg.seed, rep)
+    n, m = cfg.n_individuals, cfg.m
+    mu = sample_mu(cfg.dist, m, rng)
+    if cfg.rho >= 0:
+        z = rng.standard_normal((n, 1))
+        eps = rng.standard_normal((n, m))
+        y = mu + cfg.sigma * (math.sqrt(cfg.rho) * z + math.sqrt(1.0 - cfg.rho) * eps)
+    else:
+        corr = (1.0 - cfg.rho) * np.eye(m) + cfg.rho * np.ones((m, m))
+        chol = np.linalg.cholesky(corr)
+        e = rng.standard_normal((n, m))
+        y = mu + cfg.sigma * (e @ chol.T)
+    shape = (n, m) if cfg.noise_mode == "per_cell" else (n, 1)
+    yhat = y + cfg.sigma_eps * rng.standard_normal(shape)
+    picks = np.argmax(yhat, axis=1)
+    v_p = float(y[np.arange(n), picks].mean())
+    v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
+    return v_p, v_u
+
+
+def reference_gains(cfg: SimConfig) -> tuple[float, ...]:
+    values = [reference_replicate(cfg, rep) for rep in range(cfg.n_replications)]
+    v_p = np.array([v[0] for v in values])
+    v_u = np.array([v[1] for v in values])
+    return tuple(float(g) for g in v_p - v_u)
+
+
+def layout_grid() -> list[SimConfig]:
+    """Configs covering every draw layout: rho on both sides of 0, fixed,
+    normal and spike-slab means, both noise modes and several m, with
+    several configs sharing each layout."""
+    base = dict(n_individuals=200, n_replications=6, seed=13)
+    cfgs = []
+    for rho in (-0.2, 0.0, 0.5, 1.0):
+        for mode in ("per_cell", "per_individual"):
+            for sigma, s, sigma_eps in ((1.0, 0.5, 0.0), (2.5, 0.0, 0.8)):
+                cfgs.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
+                                      sigma_eps=sigma_eps, noise_mode=mode, **base))
+    for rho in (-0.1, 0.3):
+        for pi in (0.2, 0.9):
+            cfgs.append(SimConfig(m=5, sigma=2.0, rho=rho, dist=SpikeSlabMeans(pi, 0.0, 3.0),
+                                  sigma_eps=0.4, **base))
+        for mu in ((1.0, 2.0, 0.5, 1.5, 1.2), (0.0, 0.1, 0.2, 0.3, 0.4)):
+            cfgs.append(SimConfig(m=5, sigma=0.7, rho=rho, dist=FixedMeans(mu), **base))
+    for m in (2, 3, 9, 30):
+        cfgs.append(SimConfig(m=m, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0),
+                              sigma_eps=0.3, **base))
+    return cfgs
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None:
+    cfgs = layout_grid()
+    results = simulate_gains(cfgs, n_jobs=n_jobs)
+    assert len(results) == len(cfgs)
+    for cfg, result in zip(cfgs, results):
+        assert result.per_replication_gains == reference_gains(cfg), cfg
+
+
+def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
+    cfgs = layout_grid()[::-3]
+    # a repeated config is scored twice, each time as if alone
+    cfgs.append(cfgs[0])
+    assert simulate_gains(cfgs) == [simulate_gain(cfg) for cfg in cfgs]
+    assert simulate_gains([]) == []
+
+
+def test_jobs_below_one_rejected() -> None:
+    cfg = SimConfig(m=2, sigma=1.0, rho=0.0, dist=NormalMeans(), n_replications=2)
+    for n_jobs in (0, -3):
+        with pytest.raises(ConfigError, match="n_jobs"):
+            simulate_gain(cfg, n_jobs=n_jobs)
+
+
+def expected_max_of_normals(m: int) -> float:
+    """E[max of m i.i.d. N(0, 1)] = integral of x m phi(x) Phi(x)^(m-1),
+    by the trapezoid rule on [-12, 12]."""
+    x = np.linspace(-12.0, 12.0, 24_001)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    f = x * m * pdf * cdf ** (m - 1)
+    return float(np.sum((f[1:] + f[:-1]) * np.diff(x)) / 2.0)
+
+
+def exact_gain(cfg: SimConfig) -> float:
+    """The simulator's estimand for normal means N(M, s^2): with
+    v^2 = sigma^2 (1 - rho), the personalized pick's expected edge minus
+    the in-sample winner's curse of the best column mean. Per-individual
+    noise never changes a pick, so it counts as sigma_eps = 0."""
+    s2 = cfg.dist.s ** 2
+    v2 = cfg.sigma ** 2 * (1.0 - cfg.rho)
+    e2 = cfg.sigma_eps ** 2 if cfg.noise_mode == "per_cell" else 0.0
+    n = cfg.n_individuals
+    personalized = (s2 + v2) / math.sqrt(s2 + v2 + e2)
+    uniform = (s2 + v2 / n) / math.sqrt(s2 + (v2 + e2) / n)
+    return expected_max_of_normals(cfg.m) * (personalized - uniform)
+
+
+def test_exact_m_arm_gain_is_an_oracle_for_the_simulator() -> None:
+    # ten designs sharing one draw layout and ten with layouts of their own
+    # (rho on both sides of 0, both noise modes); criterion 1's rule
+    rng = np.random.default_rng(29)
+    cfgs = []
+    for _ in range(10):
+        cfgs.append(SimConfig(
+            m=6, sigma=float(rng.uniform(0.2, 2.0)), rho=float(rng.uniform(0.0, 0.95)),
+            dist=NormalMeans(float(rng.uniform(-1, 1)), float(rng.uniform(0.0, 1.0))),
+            sigma_eps=float(rng.uniform(0.0, 1.5)), n_individuals=1_000, n_replications=400,
+            seed=31,
+        ))
+    for k in range(10):
+        m = int(rng.integers(3, 13))
+        cfgs.append(SimConfig(
+            m=m, sigma=float(rng.uniform(0.2, 2.0)),
+            rho=float(rng.uniform(-0.9 / (m - 1), 0.95)),
+            dist=NormalMeans(float(rng.uniform(-1, 1)), float(rng.uniform(0.0, 1.0))),
+            sigma_eps=float(rng.uniform(0.0, 1.5)), n_individuals=1_000, n_replications=400,
+            seed=40 + k, noise_mode=("per_cell", "per_individual")[k % 2],
+        ))
+    assert any(cfg.rho < 0 for cfg in cfgs)
+    hits = sum(
+        abs(result.gain_mean - exact_gain(cfg)) <= 3 * result.gain_se
+        for cfg, result in zip(cfgs, simulate_gains(cfgs, n_jobs=2))
+    )
+    assert hits >= 19, f"only {hits}/20 designs within 3 MC SEs of the exact gain"
+
+
+def test_expected_max_of_normals_known_values() -> None:
+    # E[max] of 2 and 3 standard normals: 1/sqrt(pi) and 3/(2 sqrt(pi))
+    assert expected_max_of_normals(2) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
+    assert expected_max_of_normals(3) == pytest.approx(1.5 / math.sqrt(math.pi), abs=1e-12)
 
 
 # --------------------------------------------------------------------------
