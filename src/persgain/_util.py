@@ -22,11 +22,11 @@ def fmt_float(x: float) -> str:
 
 
 def typed(kind, value, name: str):
-    """kind(value), reporting a value of the wrong type as a ConfigError
-    that names the field."""
+    """kind(value), reporting a value of the wrong type, or one kind cannot
+    hold (an infinite integer), as a ConfigError that names the field."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: invalid value {value!r} ({exc})") from None
 
 

@@ -19,13 +19,12 @@ from typing import Sequence
 
 from ._util import typed
 from .errors import ConfigError
-from .simulate import NormalMeans, SimConfig, check_rho, rho_lower_bound, simulate_gains
+from .simulate import NormalMeans, SimConfig, rho_lower_bound, simulate_gains
 
 __all__ = [
     "StudyProfile",
     "SimSettings",
     "predict_gain",
-    "SensitivityResult",
     "sensitivity_sweep",
     "counterfactual_swap",
     "elasticity_table",
@@ -40,7 +39,8 @@ class StudyProfile:
 
     Average responses are modeled as Normal(mean, s^2); `mean` is the
     study's grand mean outcome and only shifts both policy values equally,
-    so it never moves the gain.
+    so it never moves the gain. The parameters obey the simulator's rules,
+    which `SimConfig` holds.
     """
 
     name: str
@@ -53,16 +53,7 @@ class StudyProfile:
     outcome_scale_note: str = ""
 
     def __post_init__(self) -> None:
-        for attr in ("s", "sigma", "sigma_eps"):
-            value = getattr(self, attr)
-            if value < 0 or not math.isfinite(value):
-                raise ConfigError(f"{attr} must be finite and >= 0, got {value}")
-        if not float(self.m).is_integer() or self.m < 2:
-            raise ConfigError(f"m must be an integer >= 2, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
-        check_rho(self.rho, self.m)
-        if not math.isfinite(self.mean):
-            raise ConfigError(f"mean must be finite, got {self.mean}")
+        object.__setattr__(self, "m", _sim_config(self, SimSettings()).m)
 
     def to_config(self) -> dict:
         return {
@@ -101,18 +92,13 @@ class StudyProfile:
 
 @dataclass(frozen=True)
 class SimSettings:
-    """How hard to run the simulator for analysis queries."""
+    """How hard to run the simulator for analysis queries; `SimConfig` and
+    `simulate_gains` check the values."""
 
     n_individuals: int = 10_000
     n_replications: int = 500
     seed: int = 0
     n_jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_individuals < 1 or self.n_replications < 1:
-            raise ConfigError("n_individuals and n_replications must be >= 1")
-        if self.n_jobs < 1:
-            raise ConfigError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
 
 def _sim_config(profile: StudyProfile, settings: SimSettings) -> SimConfig:
@@ -144,32 +130,11 @@ def predict_gain(
 
 
 def _validated(profile: StudyProfile, parameter: str, value: float) -> StudyProfile:
-    """profile with one parameter replaced; StudyProfile's own checks name
-    the bound a value violates."""
+    """profile with one parameter replaced; the SimConfig that StudyProfile
+    builds names the bound a value violates."""
     if parameter not in _SWEEPABLE:
         raise ConfigError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
     return replace(profile, **{parameter: float(value)})
-
-
-@dataclass(frozen=True)
-class SensitivityResult:
-    parameter: str
-    baseline_value: float
-    grid: tuple[float, ...]
-    gain_mean: tuple[float, ...]
-    gain_se: tuple[float, ...]
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "parameter": self.parameter,
-                "value": v,
-                "gain_mean": g,
-                "gain_se": se,
-                "is_baseline": int(v == self.baseline_value),
-            }
-            for v, g, se in zip(self.grid, self.gain_mean, self.gain_se)
-        ]
 
 
 def sensitivity_sweep(
@@ -177,8 +142,10 @@ def sensitivity_sweep(
     parameter: str,
     grid: Sequence[float],
     settings: SimSettings = SimSettings(),
-) -> SensitivityResult:
-    """Gain at each grid value of one parameter, everything else at baseline.
+) -> list[dict]:
+    """Gain at each grid value of one parameter, everything else at
+    baseline: one row per value, in ascending order, with `is_baseline`
+    marking the profile's own value.
 
     All points share the settings seed, so per-replication draws are common
     across the grid and monotone parameter effects show up per-seed, not
@@ -188,14 +155,17 @@ def sensitivity_sweep(
         raise ConfigError("grid must contain at least one value")
     values = sorted(float(v) for v in grid)
     points = [_validated(profile, parameter, value) for value in values]
-    means, ses = zip(*predict_gain(points, settings))
-    return SensitivityResult(
-        parameter=parameter,
-        baseline_value=float(getattr(profile, parameter)),
-        grid=tuple(values),
-        gain_mean=means,
-        gain_se=ses,
-    )
+    baseline = float(getattr(profile, parameter))
+    return [
+        {
+            "parameter": parameter,
+            "value": value,
+            "gain_mean": g,
+            "gain_se": se,
+            "is_baseline": int(value == baseline),
+        }
+        for value, (g, se) in zip(values, predict_gain(points, settings))
+    ]
 
 
 def counterfactual_swap(

@@ -319,9 +319,9 @@ def cmd_predict(config: dict, args: argparse.Namespace) -> int:
 def cmd_sensitivity(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
     profile = _load_profile(config["profile"])
-    settings = _settings(config, args.jobs)
-    result = sensitivity_sweep(profile, config["parameter"], config["grid"], settings)
-    _write_rows(out / "sensitivity.csv", result.to_rows())
+    rows = sensitivity_sweep(profile, config["parameter"], config["grid"],
+                             _settings(config, args.jobs))
+    _write_rows(out / "sensitivity.csv", rows)
     return _finish("sensitivity", config, out, ["sensitivity.csv"])
 
 

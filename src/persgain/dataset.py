@@ -153,6 +153,9 @@ class ExperimentDataset:
                 raise DomainError(f"covariate {self.covariate_names[j]!r} is binary but has values outside {{0, 1}}")
         if len(self.arm_names) < 2:
             raise DomainError("need at least two arms")
+        if len(set(self.arm_names)) < len(self.arm_names):
+            repeated = next(a for i, a in enumerate(self.arm_names) if a in self.arm_names[:i])
+            raise DomainError(f"arm names must be distinct; {repeated!r} appears more than once")
         if self.arm.min() < 0 or self.arm.max() >= len(self.arm_names):
             raise DomainError("arm indices must lie in [0, number of arms)")
         if np.any(self.propensity <= 0.0) or np.any(self.propensity > 1.0):
@@ -399,7 +402,8 @@ def rerandomize_assignment(
     dataset: ExperimentDataset, sealed: SealedOutcomes, seed: int
 ) -> ExperimentDataset:
     """Fresh uniform arm assignment over the same units; observed outcomes are
-    re-read from the sealed matrix. Covariates and propensities unchanged."""
+    re-read from the sealed matrix. Covariates are unchanged; every
+    propensity becomes 1/m, the probability of the new assignment."""
     if dataset.unit_ids != sealed.unit_ids:
         raise DomainError("sealed matrix does not correspond to this dataset")
     rng = stream(seed)
@@ -409,7 +413,7 @@ def rerandomize_assignment(
         x=dataset.x,
         arm=arms,
         outcome=sealed.y[np.arange(dataset.n), arms],
-        propensity=dataset.propensity,
+        propensity=np.full(dataset.n, 1.0 / dataset.m),
         arm_names=dataset.arm_names,
         covariate_names=dataset.covariate_names,
         covariate_kinds=dataset.covariate_kinds,

@@ -82,14 +82,6 @@ class IpwEstimate:
         if not math.isfinite(self.value):
             raise DomainError("IPW value must be finite")
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "se": self.se,
-            "n_matched": self.n_matched,
-            "match_rate": self.match_rate,
-        }
-
 
 def _ipw_terms(policy, dataset: ExperimentDataset) -> tuple[np.ndarray, int]:
     """Per-row IPW terms (outcome / propensity where the policy's pick

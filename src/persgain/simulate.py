@@ -3,11 +3,18 @@
 Each replication draws per-arm average responses mu from a chosen
 distribution, then an n x m matrix of potential outcomes whose rows are
 i.i.d. N(mu, Sigma) with the equicorrelated covariance
-Sigma = sigma^2 [(1-rho) I + rho J]. The personalized policy picks each
-row's argmax; the uniform benchmark picks the single arm with the best
-column mean. With sigma_eps > 0 both selections are made on noisy
-predictions Yhat = Y + eps but are always scored on the true Y, so the
-gain can go negative when predictions are poor.
+Sigma = sigma^2 [(1-rho) I + rho J]. Whatever the sign of rho, the outcomes
+come from the same standard normals, a column z (n x 1) drawn before a
+matrix eps (n x m): row i is mu + sigma (sqrt(1-rho) eps_i + c_i 1), where
+the term c_i common to the row's arms is sqrt(rho) z_i for rho >= 0 and
+(sqrt(1+(m-1)rho) - sqrt(1-rho)) times the mean of eps_i for rho < 0.
+Either way the row's component along the all-ones vector has variance
+sigma^2 (1+(m-1)rho) and every orthogonal one sigma^2 (1-rho), the
+eigenvalues of Sigma, so both forms are exact. The personalized policy
+picks each row's argmax; the uniform benchmark picks the single arm with
+the best column mean. With sigma_eps > 0 both selections are made on noisy
+predictions Yhat = Y + sigma_eps * noise but are always scored on the true
+Y, so the gain can go negative when predictions are poor.
 
 Replication r of a run with seed k uses the generator derived from
 SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
@@ -20,11 +27,10 @@ unchanged.)
 
 `simulate_gains` runs a whole grid of configs and draws each replication's
 normals once per draw layout, not once per config. Configs share a layout
-when they agree on seed, n_individuals, n_replications, m, noise_mode, the
-kind of mean distribution and the side of 0 that rho lies on (one-factor
-form for rho >= 0, Cholesky form below). Within a layout, replication r
-draws the outcome normals (z and eps, or e) and the prediction noise once;
-each config then draws its own mu again from a fresh stream(seed, r), which
+when they agree on seed, n_individuals, n_replications, m, noise_mode and
+the kind of mean distribution. Within a layout, replication r draws the
+outcome normals (z and eps) and the prediction noise once; each config
+then draws its own mu again from a fresh stream(seed, r), which
 consumes the same number of draws whatever the distribution's parameters,
 and scales the shared normals with the same floating-point operations a
 config run alone performs. So every config's results are bit-identical to
@@ -53,7 +59,6 @@ __all__ = [
     "dist_from_config",
     "rho_lower_bound",
     "check_rho",
-    "sample_mu",
     "sample_potential_outcomes",
     "SimConfig",
     "SimResult",
@@ -157,12 +162,6 @@ def dist_from_config(doc: dict) -> AvgResponseDist:
     raise ConfigError(f"unknown dist kind {kind!r}; expected one of {sorted(_DIST_KINDS)}")
 
 
-def sample_mu(dist: AvgResponseDist, m: int, rng: np.random.Generator) -> np.ndarray:
-    if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
-    return dist.sample(m, rng)
-
-
 # --------------------------------------------------------------------------
 # potential outcomes
 
@@ -170,7 +169,7 @@ def sample_mu(dist: AvgResponseDist, m: int, rng: np.random.Generator) -> np.nda
 def rho_lower_bound(m: int) -> float:
     """Smallest admissible rho for m arms: -1/(m-1), where the
     equicorrelation matrix turns singular, plus a 1e-9 margin that keeps
-    its Cholesky factor well defined."""
+    1 + (m-1) rho, the variance of the arms' common term, above 0."""
     return -1.0 / (m - 1) + 1e-9
 
 
@@ -192,17 +191,13 @@ def sample_potential_outcomes(
     rng: np.random.Generator,
     draws: list | None = None,
 ) -> np.ndarray:
-    """n x m matrix with rows i.i.d. N(mu, sigma^2 [(1-rho) I + rho J]).
+    """n x m matrix with rows i.i.d. N(mu, sigma^2 [(1-rho) I + rho J]),
+    from a standard-normal column z (n x 1) and matrix eps (n x m) drawn in
+    that order for every rho; see `_outcomes`.
 
-    For rho >= 0 the one-factor form Y_i = mu + sigma (sqrt(rho) z_i 1 +
-    sqrt(1-rho) eps_i) costs O(nm); negative rho falls back to a Cholesky
-    factor of the full covariance.
-
-    The matrix is written over the standard-normal draws behind it, unless
-    a list is passed as `draws`: the draws ([z, eps] in the one-factor
-    form, [e] in the Cholesky form) are then appended to it and kept, so
-    that `_outcomes` can turn them into the outcomes of further (mu, sigma,
-    rho) on the same side of 0.
+    The matrix is written over eps, unless a list is passed as `draws`:
+    [z, eps] are then appended to it and kept, so that `_outcomes` can turn
+    them into the outcomes of further (mu, sigma, rho).
     """
     mu = np.asarray(mu, dtype=float)
     m = mu.shape[0]
@@ -213,10 +208,7 @@ def sample_potential_outcomes(
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     check_rho(rho, m)
-    if rho >= 0:
-        normals = [rng.standard_normal((n, 1)), rng.standard_normal((n, m))]
-    else:
-        normals = [rng.standard_normal((n, m))]
+    normals = [rng.standard_normal((n, 1)), rng.standard_normal((n, m))]
     if draws is None:
         return _outcomes(normals, mu, sigma, rho, out=normals[-1])
     draws.extend(normals)
@@ -226,23 +218,20 @@ def sample_potential_outcomes(
 def _outcomes(
     draws: list, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The outcome matrix of (mu, sigma, rho) from draws made by
-    `sample_potential_outcomes`, written into `out` (which may be one of
-    the draws) or into a new array. The in-place steps perform the
-    operations of mu + sigma * (sqrt(rho) z + sqrt(1-rho) eps), and of
-    mu + sigma * (e @ chol.T), with the operands of each addition or
-    multiplication swapped at most, so the result is the same bits."""
-    if rho >= 0:
-        z, eps = draws
-        out = np.multiply(eps, math.sqrt(1.0 - rho), out=out)
-        out += math.sqrt(rho) * z
-    else:
-        (e,) = draws
-        m = e.shape[1]
-        # factor the correlation matrix, not sigma^2 * corr: stays PD when
-        # sigma = 0 and keeps the draws common across sigma grids
-        corr = (1.0 - rho) * np.eye(m) + rho * np.ones((m, m))
-        out = np.matmul(e, np.linalg.cholesky(corr).T, out=out)
+    """The outcome matrix mu + sigma (sqrt(1-rho) eps + c 1) of (mu, sigma,
+    rho), with c the arms' common term of the module docstring, from the
+    draws [z, eps] made by `sample_potential_outcomes`, written into `out`
+    (which may be eps) or into a new array. The row mean of eps is taken
+    before eps is overwritten, and the in-place steps swap the operands of
+    an addition or multiplication at most, so the result is the same bits
+    as the expression."""
+    z, eps = draws
+    if rho < 0:
+        m = eps.shape[1]
+        scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
+        common = scale * eps.mean(axis=1, keepdims=True)
+    out = np.multiply(eps, math.sqrt(1.0 - rho), out=out)
+    out += math.sqrt(rho) * z if rho >= 0 else common
     out *= sigma
     out += mu
     return out
@@ -265,8 +254,9 @@ class SimConfig:
     noise_mode: Literal["per_cell", "per_individual"] = "per_cell"
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m < 2:
+        if not float(self.m).is_integer() or self.m < 2:
             raise ConfigError(f"m must be an integer >= 2, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
         if self.n_individuals < 1 or self.n_replications < 1:
             raise ConfigError("n_individuals and n_replications must be >= 1")
         if self.sigma < 0 or not math.isfinite(self.sigma):
@@ -306,7 +296,7 @@ def _layout(cfg: SimConfig) -> tuple:
     """What fixes the normals a replication draws: configs that agree on it
     consume identical draws from every replication's stream."""
     return (cfg.seed, cfg.n_individuals, cfg.n_replications, cfg.m, cfg.noise_mode,
-            type(cfg.dist), cfg.rho >= 0)
+            type(cfg.dist))
 
 
 def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
@@ -330,7 +320,7 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     """
     n, m = cfg.n_individuals, cfg.m
     rng = stream(cfg.seed, rep)
-    mu = sample_mu(cfg.dist, m, rng)
+    mu = cfg.dist.sample(m, rng)
     draws = [] if more else None
     y = sample_potential_outcomes(mu, cfg.sigma, cfg.rho, n, rng, draws)
     per_cell = cfg.noise_mode == "per_cell"
@@ -340,7 +330,7 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     for k, point in enumerate((cfg, *more)):
         last = k == len(more)
         if k:
-            mu = sample_mu(point.dist, m, stream(cfg.seed, rep))
+            mu = point.dist.sample(m, stream(cfg.seed, rep))
             y = _outcomes(draws, mu, point.sigma, point.rho, out=draws[-1] if last else y)
         # Yhat = Y + sigma_eps * noise, computed as noise * sigma_eps + Y
         yhat = noise if last and per_cell else scratch

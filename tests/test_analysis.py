@@ -98,44 +98,51 @@ class TestPredictGain:
 
 class TestSensitivity:
     def test_gain_rises_with_sigma(self):
-        res = sensitivity_sweep(PG, "sigma", [0.05, 0.1, 0.2, 0.4], FAST)
-        for i in range(len(res.grid) - 1):
-            slack = 3 * math.hypot(res.gain_se[i], res.gain_se[i + 1])
-            assert res.gain_mean[i + 1] >= res.gain_mean[i] - slack
+        rows = sensitivity_sweep(PG, "sigma", [0.05, 0.1, 0.2, 0.4], FAST)
+        for a, b in zip(rows, rows[1:]):
+            slack = 3 * math.hypot(a["gain_se"], b["gain_se"])
+            assert b["gain_mean"] >= a["gain_mean"] - slack
 
     def test_gain_falls_with_rho(self):
-        res = sensitivity_sweep(PG, "rho", [0.0, 0.3, 0.6, 0.9], FAST)
-        for i in range(len(res.grid) - 1):
-            slack = 3 * math.hypot(res.gain_se[i], res.gain_se[i + 1])
-            assert res.gain_mean[i + 1] <= res.gain_mean[i] + slack
+        rows = sensitivity_sweep(PG, "rho", [0.0, 0.3, 0.6, 0.9], FAST)
+        for a, b in zip(rows, rows[1:]):
+            slack = 3 * math.hypot(a["gain_se"], b["gain_se"])
+            assert b["gain_mean"] <= a["gain_mean"] + slack
 
     def test_gain_falls_with_prediction_error(self):
-        res = sensitivity_sweep(PG, "sigma_eps", [0.0, 0.1, 0.3, 0.6], FAST)
-        for i in range(len(res.grid) - 1):
-            slack = 3 * math.hypot(res.gain_se[i], res.gain_se[i + 1])
-            assert res.gain_mean[i + 1] <= res.gain_mean[i] + slack
+        rows = sensitivity_sweep(PG, "sigma_eps", [0.0, 0.1, 0.3, 0.6], FAST)
+        for a, b in zip(rows, rows[1:]):
+            slack = 3 * math.hypot(a["gain_se"], b["gain_se"])
+            assert b["gain_mean"] <= a["gain_mean"] + slack
 
     def test_sigma_and_rho_effects_are_monotone_for_every_seed(self):
         # with common random numbers and m=2 the per-draw gain curve is
-        # exactly monotone, mirroring the closed form; no averaging needed
+        # exactly monotone, mirroring the closed form; no averaging needed.
+        # Equal means make the gain sqrt(1 - rho) times one draw's, on both
+        # sides of rho = 0, since every rho shares the same draws
         two_arm = StudyProfile("two", s=0.0, sigma=1.0, rho=0.5, sigma_eps=0.0, m=2)
+        rho_grid = [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]
         for seed in range(5):
             one_rep = SimSettings(n_individuals=2_000, n_replications=1, seed=seed)
-            by_sigma = sensitivity_sweep(two_arm, "sigma", [0.5, 1.0, 2.0, 4.0], one_rep)
-            assert list(by_sigma.gain_mean) == sorted(by_sigma.gain_mean)
-            by_rho = sensitivity_sweep(two_arm, "rho", [0.0, 0.3, 0.6, 0.9], one_rep)
-            assert list(by_rho.gain_mean) == sorted(by_rho.gain_mean, reverse=True)
+            by_sigma = [row["gain_mean"] for row in
+                        sensitivity_sweep(two_arm, "sigma", [0.5, 1.0, 2.0, 4.0], one_rep)]
+            assert by_sigma == sorted(by_sigma)
+            by_rho = sensitivity_sweep(two_arm, "rho", rho_grid, one_rep)
+            gains = [row["gain_mean"] for row in by_rho]
+            assert gains == sorted(gains, reverse=True)
+            ratios = [row["gain_mean"] / math.sqrt(1.0 - row["value"]) for row in by_rho]
+            assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12, abs=0.0)
 
     def test_arm_count_is_sweepable(self):
-        res = sensitivity_sweep(PG, "m", [2, 5, 10], FAST)
-        assert res.grid == (2.0, 5.0, 10.0)
-        assert all(math.isfinite(g) for g in res.gain_mean)
+        rows = sensitivity_sweep(PG, "m", [2, 5, 10], FAST)
+        assert [row["value"] for row in rows] == [2.0, 5.0, 10.0]
+        assert all(math.isfinite(row["gain_mean"]) for row in rows)
 
     def test_unsorted_grid_is_sorted_and_baseline_marked(self):
-        res = sensitivity_sweep(PG, "rho", [0.9, 0.80, 0.0], FAST)
-        assert res.grid == (0.0, 0.80, 0.9)
-        rows = res.to_rows()
+        rows = sensitivity_sweep(PG, "rho", [0.9, 0.80, 0.0], FAST)
+        assert [r["value"] for r in rows] == [0.0, 0.80, 0.9]
         assert [r["is_baseline"] for r in rows] == [0, 1, 0]
+        assert {r["parameter"] for r in rows} == {"rho"}
 
     def test_invalid_grid_points_name_the_bound(self):
         with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
@@ -211,7 +218,7 @@ class TestElasticity:
         assert by_change["s_down"]["gain_mean"] == by_change["baseline"]["gain_mean"]
 
     def test_rows_equal_cells_predicted_alone(self):
-        # the cells share one draw layout, except rho_down, which crosses 0
+        # the cells share one draw layout, rho_down across 0 included
         profile = StudyProfile("low_rho", s=0.05, sigma=0.3, rho=0.005, sigma_eps=0.1, m=4)
         settings = SimSettings(n_individuals=500, n_replications=20, seed=3)
         rows = elasticity_table(profile, 0.01, settings)

@@ -178,9 +178,11 @@ def _not_a_number(text):
         st.none(),
         st.lists(st.integers(), max_size=2),
         st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
     ),
 )
 @example(field=("simulate", ("m",)), value="abc")
+@example(field=("simulate", ("m",)), value=math.inf)
 @example(field=("synth", ("dgp", "noise_sd")), value="x")
 def test_mistyped_config_value_exits_2_without_output(tmp_path_factory, field, value):
     command, path = field
@@ -579,6 +581,17 @@ def test_arm_names_with_commas_and_quotes_keep_every_row_width(tmp_path):
     assert tables["sealed.csv"][0] == ["unit_id"] + [f"y_{name}" for name in names]
     assert tables["report.csv"][1][0] == "best_uniform[a,1]"
     assert load_csv(data / "data.csv").arm_names == tuple(sorted(names))
+
+
+def test_synth_with_duplicate_arm_names_exits_2_without_output(tmp_path, capsys):
+    dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"dgp": {**dgp.to_config(), "arm_names": ["a", "a"]},
+                               "n": 100, "seed": 1}))
+    out = tmp_path / "out"
+    assert run_cli(["synth", "--config", cfg, "--out", out]) == 2
+    assert "'a' appears more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [("estimate", "--data"), ("predict", "--profile")])

@@ -78,6 +78,11 @@ class TestDatasetValidation:
         with pytest.raises(DomainError, match="arm indices"):
             tiny_dataset(arm=np.array([0, 1, 2, 1]))
 
+    def test_rejects_duplicate_arm_names(self):
+        with pytest.raises(DomainError, match="'treat' appears more than once"):
+            tiny_dataset(arm=np.array([0, 1, 2, 1]), propensity=np.full(4, 1 / 3),
+                         arm_names=("control", "treat", "treat"))
+
     def test_arrays_are_read_only(self):
         ds = tiny_dataset()
         with pytest.raises(ValueError):
@@ -193,6 +198,28 @@ class TestRerandomize:
         assert np.array_equal(re.x, ds.x)
         assert not np.array_equal(re.arm, ds.arm)
         assert np.array_equal(re.outcome, sealed.y[np.arange(ds.n), re.arm])
+
+    def test_propensities_become_uniform_on_any_design(self):
+        # the new arms are drawn uniformly, so every propensity is 1/m: on a
+        # 0.25/0.75 design, on one that claims no randomization, and (the
+        # same bits as before) on a uniform one
+        n = 40
+        arm = np.array([0] * 10 + [1] * 30)
+        unequal = dict(
+            unit_ids=tuple(f"u{i}" for i in range(n)),
+            x=np.column_stack([np.arange(n, dtype=float), np.arange(n) % 2]),
+            arm=arm,
+            outcome=np.arange(n, dtype=float),
+            propensity=np.where(arm == 0, 0.25, 0.75),
+        )
+        sealed = SealedOutcomes(np.arange(2 * n, dtype=float).reshape(n, 2), unequal["unit_ids"])
+        for ds in (tiny_dataset(**unequal),
+                   tiny_dataset(**unequal, randomized=False),
+                   tiny_dataset(**{**unequal, "propensity": np.full(n, 0.5)})):
+            for seed in range(5):
+                re = rerandomize_assignment(ds, sealed, seed=seed)
+                assert np.array_equal(re.propensity, np.full(n, 0.5))
+                assert re.randomized == ds.randomized
 
     def test_rejects_foreign_sealed_matrix(self):
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.4, intercepts=[0.0] * 3, noise_sd=0.2)

@@ -12,7 +12,6 @@ from persgain.simulate import (
     SpikeSlabMeans,
     dist_from_config,
     rho_lower_bound,
-    sample_mu,
     sample_potential_outcomes,
     simulate_gain,
     simulate_gains,
@@ -30,22 +29,22 @@ def rng(seed: int = 0) -> np.random.Generator:
 
 
 def test_fixed_means_identity() -> None:
-    np.testing.assert_array_equal(sample_mu(FixedMeans([20, 30]), 2, rng()), [20.0, 30.0])
+    np.testing.assert_array_equal(FixedMeans([20, 30]).sample(2, rng()), [20.0, 30.0])
 
 
 def test_fixed_means_wrong_length() -> None:
     with pytest.raises(ConfigError):
-        sample_mu(FixedMeans([1.0, 2.0]), 3, rng())
+        FixedMeans([1.0, 2.0]).sample(3, rng())
 
 
 def test_normal_means_degenerate() -> None:
-    np.testing.assert_array_equal(sample_mu(NormalMeans(0.0, 0.0), 5, rng()), np.zeros(5))
+    np.testing.assert_array_equal(NormalMeans(0.0, 0.0).sample(5, rng()), np.zeros(5))
 
 
 def test_spike_slab_variance() -> None:
     # pi = 0.9, s^2 = 50 -> mixture variance (1 - pi) s^2 = 5
     dist = SpikeSlabMeans(pi_spike=0.9, mean=0.0, s=math.sqrt(50.0))
-    draws = sample_mu(dist, 1000, rng(1))
+    draws = dist.sample(1000, rng(1))
     assert np.var(draws) == pytest.approx(5.0, rel=0.2)
 
 
@@ -102,22 +101,17 @@ def test_outcomes_covariance_oracle() -> None:
             assert cov[j, k] == pytest.approx(50.0, abs=0.5)
 
 
-def test_one_factor_and_cholesky_agree_in_moments() -> None:
-    # rho >= 0 takes the one-factor form, rho < 0 the Cholesky factor; the
-    # two must agree where the choice switches
+def test_outcomes_are_continuous_in_rho_across_zero() -> None:
+    # the common term switches from sqrt(rho) z to a multiple of the row
+    # mean of eps at rho = 0; both vanish there, so on the same draws the
+    # outcomes on either side of 0 must agree
     mu = np.array([1.0, -1.0, 0.5])
-    n = 1_000_000
-    a = sample_potential_outcomes(mu, 2.0, 0.0, n, rng(11))
-    b = sample_potential_outcomes(mu, 2.0, -1e-12, n, rng(12))
-    se_mean = 2.0 / math.sqrt(n)
-    assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * math.sqrt(2) * se_mean)
-    ca, cb = np.cov(a, rowvar=False), np.cov(b, rowvar=False)
-    # var of sample covariance of bivariate normal ~ (s11*s22 + s12^2)/n
-    se_cov = math.sqrt(16.0 / n)
-    assert np.all(np.abs(ca - cb) < 4 * math.sqrt(2) * se_cov)
+    a = sample_potential_outcomes(mu, 2.0, 0.0, 10_000, rng(11))
+    b = sample_potential_outcomes(mu, 2.0, -1e-12, 10_000, rng(11))
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
 
 
-def test_negative_rho_uses_cholesky_and_respects_bound() -> None:
+def test_negative_rho_covariance_and_bound() -> None:
     mu = np.zeros(4)
     y = sample_potential_outcomes(mu, 1.0, -0.2, 200_000, rng(5))
     cov = np.cov(y, rowvar=False)
@@ -125,6 +119,30 @@ def test_negative_rho_uses_cholesky_and_respects_bound() -> None:
     with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
         sample_potential_outcomes(mu, 1.0, -0.5, 10, rng())
     assert rho_lower_bound(4) == pytest.approx(-1.0 / 3.0)
+
+
+def test_outcomes_covariance_oracle_below_zero_rho() -> None:
+    # m = 30 near the bound -1/29: every entry of the sample covariance, and
+    # the variance of the row sum, sigma^2 m (1 + (m-1) rho), along the
+    # direction in which the bound makes the covariance singular
+    m, sigma, rho, n = 30, 10.0, -0.03, 200_000
+    y = sample_potential_outcomes(np.zeros(m), sigma, rho, n, rng(17))
+    target = sigma**2 * ((1.0 - rho) * np.eye(m) + rho * np.ones((m, m)))
+    # sd of a sample covariance entry: sqrt((s_jj s_kk + s_jk^2) / n)
+    se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
+    assert np.all(np.abs(np.cov(y, rowvar=False) - target) < 5 * se)
+    row_sum_var = sigma**2 * m * (1.0 + (m - 1) * rho)
+    assert y.sum(axis=1).var() == pytest.approx(row_sum_var, rel=5 * math.sqrt(2.0 / n))
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000])
+def test_rho_at_its_lower_bound_gives_finite_outcomes(m) -> None:
+    rho = rho_lower_bound(m)
+    y = sample_potential_outcomes(np.arange(m, dtype=float), 1.5, rho, 50, rng(m))
+    assert np.all(np.isfinite(y))
+    cfg = SimConfig(m=m, sigma=1.5, rho=rho, dist=NormalMeans(0.0, 1.0), sigma_eps=0.2,
+                    n_individuals=50, n_replications=3, seed=m)
+    assert all(math.isfinite(g) for g in simulate_gain(cfg).per_replication_gains)
 
 
 def test_rho_above_one_rejected() -> None:
@@ -207,6 +225,9 @@ def test_determinism_across_parallelism() -> None:
 def test_sim_config_validation() -> None:
     with pytest.raises(ConfigError):
         SimConfig(m=1, sigma=1.0, rho=0.0, dist=NormalMeans())
+    with pytest.raises(ConfigError, match="integer"):
+        SimConfig(m=2.5, sigma=1.0, rho=0.0, dist=NormalMeans())
+    assert type(SimConfig(m=3.0, sigma=1.0, rho=0.0, dist=NormalMeans()).m) is int
     with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
         SimConfig(m=5, sigma=1.0, rho=-0.5, dist=NormalMeans())
     with pytest.raises(ConfigError):
@@ -225,17 +246,16 @@ def reference_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
     """One replication of one config, drawing everything itself: the
     per-config kernel that simulate_gains replaced, kept as its reference."""
     rng = stream(cfg.seed, rep)
-    n, m = cfg.n_individuals, cfg.m
-    mu = sample_mu(cfg.dist, m, rng)
-    if cfg.rho >= 0:
-        z = rng.standard_normal((n, 1))
-        eps = rng.standard_normal((n, m))
-        y = mu + cfg.sigma * (math.sqrt(cfg.rho) * z + math.sqrt(1.0 - cfg.rho) * eps)
+    n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
+    mu = cfg.dist.sample(m, rng)
+    z = rng.standard_normal((n, 1))
+    eps = rng.standard_normal((n, m))
+    if rho >= 0:
+        common = math.sqrt(rho) * z
     else:
-        corr = (1.0 - cfg.rho) * np.eye(m) + cfg.rho * np.ones((m, m))
-        chol = np.linalg.cholesky(corr)
-        e = rng.standard_normal((n, m))
-        y = mu + cfg.sigma * (e @ chol.T)
+        scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
+        common = scale * eps.mean(axis=1, keepdims=True)
+    y = mu + cfg.sigma * (math.sqrt(1.0 - rho) * eps + common)
     shape = (n, m) if cfg.noise_mode == "per_cell" else (n, 1)
     yhat = y + cfg.sigma_eps * rng.standard_normal(shape)
     picks = np.argmax(yhat, axis=1)
@@ -252,9 +272,9 @@ def reference_gains(cfg: SimConfig) -> tuple[float, ...]:
 
 
 def layout_grid() -> list[SimConfig]:
-    """Configs covering every draw layout: rho on both sides of 0, fixed,
-    normal and spike-slab means, both noise modes and several m, with
-    several configs sharing each layout."""
+    """Configs covering every draw layout: fixed, normal and spike-slab
+    means, both noise modes and several m, with several configs sharing
+    each layout and rho on both sides of 0 within a layout."""
     base = dict(n_individuals=200, n_replications=6, seed=13)
     cfgs = []
     for rho in (-0.2, 0.0, 0.5, 1.0):
@@ -262,7 +282,8 @@ def layout_grid() -> list[SimConfig]:
             for sigma, s, sigma_eps in ((1.0, 0.5, 0.0), (2.5, 0.0, 0.8)):
                 cfgs.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
                                       sigma_eps=sigma_eps, noise_mode=mode, **base))
-    for rho in (-0.1, 0.3):
+    # rho < 0 last, so its outcomes are written over the shared draws
+    for rho in (0.3, -0.1):
         for pi in (0.2, 0.9):
             cfgs.append(SimConfig(m=5, sigma=2.0, rho=rho, dist=SpikeSlabMeans(pi, 0.0, 3.0),
                                   sigma_eps=0.4, **base))
