@@ -1,19 +1,38 @@
 """Small shared helpers: atomic file writes, round-trip number formatting,
-the CSV and strict JSON writers, typed config values, deterministic stream
-derivation."""
+the CSV and strict JSON writers, the one reader of JSON objects,
+deterministic stream derivation.
+
+Every JSON object the package reads (a command's config, a study profile,
+a synthetic DGP and its covariates, a distribution of arm means) goes
+through `read_fields` with a field table, {field: (rule, default)}, that
+`fields_of` derives from a dataclass's type hints. Each rule reads one
+value or raises a ConfigError naming the field: an int takes integral
+values in numpy's index range, never a bool; a float takes a number or
+numeric text, never a bool; a str or Literal takes text only; a
+tuple[X, ...] takes a JSON list or comma-separated text; a nested
+dataclass takes a JSON object read by its own table; an np.ndarray
+becomes a float array.
+"""
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import re
 import tempfile
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, InternalError
+from .errors import ConfigError, InternalError, PersgainError
+
+REQUIRED = MISSING  # the default of a field that has none
+
+_INDEX = np.iinfo(np.intp)
 
 
 def fmt_float(x: float) -> str:
@@ -21,18 +40,114 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def typed(kind, value, name: str):
-    """kind(value), reporting a value of the wrong type, or one kind cannot
-    hold (an infinite integer), as a ConfigError that names the field."""
+# --------------------------------------------------------------------------
+# reading JSON objects: a rule(value, name) returns the typed value or
+# raises TypeError or ValueError, which `typed` reports as a ConfigError
+
+
+def integer(value, name: str) -> int:
+    if isinstance(value, str):
+        value = int(value)
+    elif isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if not _INDEX.min <= value <= _INDEX.max:
+        raise ValueError(f"outside numpy's index range [{_INDEX.min}, {_INDEX.max}]")
+    return int(value)
+
+
+def real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected text, got {type(value).__name__}")
+    return value
+
+
+def list_of(rule):
+    """A list field, given as a JSON list or as comma-separated text."""
+
+    def read(value, name: str) -> tuple:
+        if isinstance(value, str):
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(typed(rule, item, name) for item in value)
+
+    return read
+
+
+def rule_of(hint):
+    """The rule that reads a value of type `hint`."""
+    if hint in (int, float, str):
+        return {int: integer, float: real, str: text}[hint]
+    if get_origin(hint) is Literal:
+        return text
+    if get_origin(hint) is tuple and get_args(hint)[1:] == (Ellipsis,):
+        return list_of(rule_of(get_args(hint)[0]))
+    if hint is np.ndarray:
+        return lambda value, name: np.asarray(value, dtype=float)
+    if is_dataclass(hint):
+        table = fields_of(hint)
+        return lambda value, name: hint(**read_fields(table, value, name))
+    raise TypeError(f"no rule reads type {hint!r}")
+
+
+def fields_of(cls, *skip: str) -> dict:
+    """A dataclass's fields as a field table: {name: (rule, default)}."""
+    hints = get_type_hints(cls)
+    return {f.name: (rule_of(hints[f.name]), f.default) for f in fields(cls) if f.name not in skip}
+
+
+def typed(rule, value, name: str):
+    """rule(value, name), reporting a value of the wrong type, or one the
+    type cannot hold, as a ConfigError that names the field."""
     try:
-        return kind(value)
+        return rule(value, name)
+    except PersgainError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: invalid value {value!r} ({exc})") from None
 
 
-def typed_list(kind, value, name: str) -> list:
-    """[kind(v) for v in value], with typed()'s errors."""
-    return [typed(kind, v, name) for v in typed(list, value, name)]
+def read_fields(table: dict, doc, what: str) -> dict:
+    """The JSON object `doc` as a typed value for every field of `table`,
+    {field: (rule, default[, flag help])}; a field left out takes its
+    default. A rule of None keeps the raw JSON value, and a None value
+    stays None where the default is None. Errors name `<what> <field>`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown field(s) for {what}: {unknown}; known fields: {sorted(table)}")
+    values = {key: spec[1] for key, spec in table.items() if spec[1] is not REQUIRED}
+    values.update(doc)
+    missing = [key for key in table if key not in values]
+    if missing:
+        raise ConfigError(f"missing required field(s) for {what}: {missing}")
+    for key, (rule, default, *_) in table.items():
+        if rule is not None and not (values[key] is None and default is None):
+            values[key] = typed(rule, values[key], f"{what} {key}")
+    return values
+
+
+def check_addressable(what: str, *shape: int) -> None:
+    """Reject a float64 array shape whose byte count exceeds numpy's index
+    range; an addressable size can still fail to allocate (MemoryError)."""
+    if math.prod(shape) * 8 > _INDEX.max:
+        raise ConfigError(
+            f"{what} of shape {' x '.join(map(str, shape))} is too large for numpy "
+            f"to address ({_INDEX.max} bytes at most)"
+        )
+
+
+# --------------------------------------------------------------------------
+# writing outputs
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:
@@ -96,4 +211,6 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     subset of keys can run in any order (or in parallel) and still produce
     identical results.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

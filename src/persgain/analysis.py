@@ -14,10 +14,10 @@ cell's numbers are bit-identical to predicting it alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
-from ._util import typed
+from ._util import fields_of, read_fields
 from .errors import ConfigError
 from .simulate import NormalMeans, SimConfig, rho_lower_bound, simulate_gains
 
@@ -56,38 +56,11 @@ class StudyProfile:
         object.__setattr__(self, "m", _sim_config(self, SimSettings()).m)
 
     def to_config(self) -> dict:
-        return {
-            "name": self.name,
-            "s": self.s,
-            "sigma": self.sigma,
-            "rho": self.rho,
-            "sigma_eps": self.sigma_eps,
-            "m": self.m,
-            "mean": self.mean,
-            "outcome_scale_note": self.outcome_scale_note,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_config(doc: dict) -> "StudyProfile":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"profile must be a JSON object, got {doc!r}")
-        required = {"name", "s", "sigma", "rho", "sigma_eps", "m"}
-        missing = required - set(doc)
-        if missing:
-            raise ConfigError(f"profile missing fields: {sorted(missing)}")
-        unknown = set(doc) - required - {"mean", "outcome_scale_note"}
-        if unknown:
-            raise ConfigError(f"profile has unknown fields: {sorted(unknown)}")
-        return StudyProfile(
-            name=str(doc["name"]),
-            s=typed(float, doc["s"], "profile s"),
-            sigma=typed(float, doc["sigma"], "profile sigma"),
-            rho=typed(float, doc["rho"], "profile rho"),
-            sigma_eps=typed(float, doc["sigma_eps"], "profile sigma_eps"),
-            m=typed(int, doc["m"], "profile m"),
-            mean=typed(float, doc.get("mean", 0.0), "profile mean"),
-            outcome_scale_note=str(doc.get("outcome_scale_note", "")),
-        )
+        return StudyProfile(**read_fields(fields_of(StudyProfile), doc, "profile"))
 
 
 @dataclass(frozen=True)

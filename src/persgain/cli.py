@@ -5,10 +5,13 @@ optional JSON config file (--config) merged with flag overrides (flags
 win), writes its artifacts atomically into --out, and drops a
 resolved_config.json beside them. That file embeds the full effective
 config, so passing it back as --config reproduces the run byte for byte.
-_COMMANDS declares every command once: its fields' types and defaults
-drive the flags, the config file's checks and resolved_config.json alike.
+_COMMANDS declares every command once: its fields' rules and defaults
+drive the flags, the reading of the config file and resolved_config.json
+alike. The config file, and the profiles, DGPs and distributions inside
+it, are all read by `_util.read_fields`.
 
-Exit codes: 0 success, 1 runtime failure, 2 validation failure.
+Exit codes: 0 success, 1 runtime failure, 2 validation failure (including
+a negative seed, and an integer or array size numpy cannot index).
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import MISSING, fields
-from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Literal, get_origin, get_type_hints
 
 from . import __version__
-from ._util import fmt_float, typed, write_csv, write_json
+from ._util import (
+    REQUIRED, fields_of, fmt_float, integer, list_of, read_fields, real, text, write_csv,
+    write_json,
+)
 from .analysis import (
     SimSettings,
     StudyProfile,
@@ -44,87 +47,64 @@ from .simulate import SimConfig, dist_from_config, simulate_gain, sweep_arms
 _BUNDLED_PROFILES = ("penn_geisinger", "walmart")
 _OUT_ENV = "PERSGAIN_OUT"
 
-_REQUIRED = object()
-
-
-def _fields(cls, *skip: str) -> dict:
-    """A dataclass's fields as config fields: (type, default or _REQUIRED)."""
-    hints = get_type_hints(cls)
-    return {
-        f.name: (
-            str if get_origin(hints[f.name]) is Literal else hints[f.name],
-            _REQUIRED if f.default is MISSING else f.default,
-        )
-        for f in fields(cls)
-        if f.name not in skip
-    }
-
-
-def _list_of(kind, value) -> list:
-    """A list field, given as a JSON list or as comma-separated text."""
-    if isinstance(value, str):
-        value = [part.strip() for part in value.split(",") if part.strip()]
-    return [kind(v) for v in value]
-
-
-def _profile_ref(value):
+def _profile_ref(value, name: str):
     """A profile: a JSON file path, a bundled name, or the profile object itself."""
-    return value if isinstance(value, dict) else str(value)
+    return value if isinstance(value, dict) else text(value, name)
 
 
 def _sim_fields(*skip: str) -> dict:
     # every arm has the same mean unless the config says otherwise
     dist = (None, {"kind": "normal", "mean": 0.0, "s": 0.0})
-    return {**_fields(SimConfig, "dist", *skip), "dist": dist}
+    return {**fields_of(SimConfig, "dist", *skip), "dist": dist}
 
 
-_SETTINGS = _fields(SimSettings, "n_jobs")
-_PROFILE = (_profile_ref, _REQUIRED, "profile JSON path or bundled name")
+_SETTINGS = fields_of(SimSettings, "n_jobs")
+_PROFILE = (_profile_ref, REQUIRED, "profile JSON path or bundled name")
 
-# Each command's help and its fields, {field: (type, default[, flag help])}.
-# The flags, the defaults and the conversion of every value, from a flag or
-# from the config file, all come from here. A field of type None holds raw
-# JSON and has no flag.
+# Each command's help and its field table, {field: (rule, default[, flag
+# help])}, as `_util.read_fields` reads it. The flags, the defaults and the
+# conversion of every value, from a flag or from the config file, all come
+# from here. A field whose rule is None holds raw JSON and has no flag.
 _COMMANDS = {
     "gain": ("closed-form two-arm gain", {
-        **_fields(TwoArmParams),
-        "s": (float, None, "also report the gain averaged over mean draws"),
-        "seed": (int, 0, "accepted and ignored: the closed form draws nothing"),
+        **fields_of(TwoArmParams),
+        "s": (real, None, "also report the gain averaged over mean draws"),
+        "seed": (integer, 0, "accepted and ignored: the closed form draws nothing"),
     }),
     "simulate": ("Monte Carlo multi-arm gain", _sim_fields()),
     "sweep": ("gain versus number of arms", {
-        "m_values": (partial(_list_of, int), _REQUIRED),
+        "m_values": (list_of(integer), REQUIRED),
         **_sim_fields("m"),
     }),
     "synth": ("generate a synthetic experiment", {
-        "dgp": (None, _REQUIRED), "n": (int, 1_000), "seed": (int, 0),
+        "dgp": (None, REQUIRED), "n": (integer, 1_000), "seed": (integer, 0),
     }),
     "estimate": ("estimate moments from an experiment CSV", {
-        "data": (str, _REQUIRED), "train_frac": (float, 0.7), "quantiles": (int, 10),
-        "seed": (int, 0),
+        "data": (text, REQUIRED), "train_frac": (real, 0.7), "quantiles": (integer, 10),
+        "seed": (integer, 0),
     }),
     "evaluate": ("fit policies and report IPW gains", {
-        "data": (str, _REQUIRED),
-        "train_frac": (float, 0.7),
-        "policies": (partial(_list_of, str), ["uniform", "ols"], "comma-separated: uniform,ols"),
-        "n_boot": (int, 1_000),
-        "seed": (int, 0),
+        "data": (text, REQUIRED),
+        "train_frac": (real, 0.7),
+        "policies": (list_of(text), ["uniform", "ols"], "comma-separated: uniform,ols"),
+        "n_boot": (integer, 1_000),
+        "seed": (integer, 0),
     }),
     "predict": ("predicted gain for a study profile", {"profile": _PROFILE, **_SETTINGS}),
     "sensitivity": ("gain across a parameter grid", {
         "profile": _PROFILE,
-        "parameter": (str, _REQUIRED),
-        "grid": (partial(_list_of, float), _REQUIRED, "comma-separated values"),
+        "parameter": (text, REQUIRED),
+        "grid": (list_of(real), REQUIRED, "comma-separated values"),
         **_SETTINGS,
     }),
     "counterfactual": ("swap one parameter between two profiles", {
-        "profile_a": (_profile_ref, _REQUIRED),
-        "profile_b": (_profile_ref, _REQUIRED),
-        "parameter": (str, _REQUIRED),
+        "profile_a": (_profile_ref, REQUIRED),
+        "profile_b": (_profile_ref, REQUIRED),
+        "parameter": (text, REQUIRED),
         **_SETTINGS,
     }),
     "elasticity": ("gain under small single-parameter improvements", {
-        "profile": _PROFILE, "delta": (float, 0.01), **_SETTINGS,
+        "profile": _PROFILE, "delta": (real, 0.01), **_SETTINGS,
     }),
 }
 
@@ -147,39 +127,22 @@ def _read_json(path, what: str):
 
 def _load_config_file(path: str, command: str) -> dict:
     doc = _read_json(path, "config file")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
     # a resolved_config.json from a previous run is accepted as-is
-    if "command" in doc and "config" in doc:
+    if isinstance(doc, dict) and "command" in doc and "config" in doc:
         if doc["command"] != command:
             raise ConfigError(
                 f"config file {path} was resolved for command {doc['command']!r}, "
                 f"not {command!r}"
             )
         doc = doc["config"]
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     return doc
 
 
 def _resolve(command: str, file_doc: dict, overrides: dict) -> dict:
     """Defaults, then the config file, then the flags; every value typed."""
-    table = _COMMANDS[command][1]
-    unknown = set(file_doc) - set(table)
-    if unknown:
-        raise ConfigError(
-            f"unknown config field(s) for {command}: {sorted(unknown)}; "
-            f"known fields: {sorted(table)}"
-        )
-    resolved = {key: spec[1] for key, spec in table.items() if spec[1] is not _REQUIRED}
-    resolved.update(file_doc)
-    resolved.update(overrides)
-    missing = [key for key in table if key not in resolved]
-    if missing:
-        raise ConfigError(f"missing required field(s) for {command}: {missing}")
-    for key, (kind, default, *_) in table.items():
-        # a field whose default is None may stay unset
-        if kind is not None and not (resolved[key] is None and default is None):
-            resolved[key] = typed(kind, resolved[key], key)
-    return resolved
+    return read_fields(_COMMANDS[command][1], {**file_doc, **overrides}, command)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -231,7 +194,7 @@ def _settings(config: dict, jobs: int) -> SimSettings:
 
 
 def cmd_gain(config: dict, args: argparse.Namespace) -> int:
-    params = TwoArmParams(**{key: config[key] for key in _fields(TwoArmParams)})
+    params = TwoArmParams(**{key: config[key] for key in fields_of(TwoArmParams)})
     print(f"gain {fmt_float(gain_two_arm(params))}")
     if config["s"] is not None:
         value = expected_gain_over_means(params.sigma, params.rho, config["s"])

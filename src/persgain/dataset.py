@@ -14,14 +14,13 @@ import csv
 import gzip
 import math
 import zlib
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write, csv_bytes, stream, typed, typed_list
+from ._util import atomic_write, check_addressable, csv_bytes, fields_of, read_fields, stream
 from .errors import ConfigError, DomainError, ParseError
 
 __all__ = [
@@ -80,25 +79,6 @@ class CovariateSpec:
             return self.mean + self.sd * rng.standard_normal(n)
         return (rng.uniform(size=n) < self.q).astype(float)
 
-    def to_config(self) -> dict:
-        if self.kind == "normal":
-            return {"kind": "normal", "mean": self.mean, "sd": self.sd}
-        return {"kind": "bernoulli", "q": self.q}
-
-    @staticmethod
-    def from_config(doc: dict) -> "CovariateSpec":
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ConfigError("covariate spec must be an object with a 'kind' field")
-        if doc["kind"] == "normal":
-            return CovariateSpec(
-                "normal",
-                mean=typed(float, doc.get("mean", 0.0), "covariate mean"),
-                sd=typed(float, doc.get("sd", 1.0), "covariate sd"),
-            )
-        if doc["kind"] == "bernoulli":
-            return CovariateSpec("bernoulli", q=typed(float, doc.get("q", 0.5), "covariate q"))
-        raise ConfigError(f"unknown covariate kind {doc['kind']!r}")
-
 
 # --------------------------------------------------------------------------
 # the dataset itself
@@ -108,9 +88,9 @@ class CovariateSpec:
 class ExperimentDataset:
     """Immutable container for one randomized experiment.
 
-    `randomized` marks designs where the propensity is a known function of
-    the arm alone; construction then checks that each arm's propensities
-    are constant and (when all arms appear) sum to one across arms.
+    The propensity is a known function of the arm alone: construction
+    checks that each arm's propensities are constant and (when all arms
+    appear) sum to one across arms.
     """
 
     unit_ids: tuple[str, ...]
@@ -121,7 +101,6 @@ class ExperimentDataset:
     arm_names: tuple[str, ...]
     covariate_names: tuple[str, ...]
     covariate_kinds: tuple[str, ...]
-    randomized: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_ids", tuple(str(u) for u in self.unit_ids))
@@ -162,20 +141,19 @@ class ExperimentDataset:
             raise DomainError("propensities must lie in (0, 1]")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.outcome))):
             raise DomainError("covariates and outcomes must be finite")
-        if self.randomized:
-            seen = []
-            for a in range(len(self.arm_names)):
-                e_a = self.propensity[self.arm == a]
-                if e_a.size == 0:
-                    continue
-                if e_a.max() - e_a.min() > 1e-12:
-                    raise DomainError(
-                        f"randomized design requires a single propensity per arm; "
-                        f"arm {self.arm_names[a]!r} varies"
-                    )
-                seen.append(e_a[0])
-            if len(seen) == len(self.arm_names) and abs(sum(seen) - 1.0) > 1e-9:
-                raise DomainError(f"per-arm propensities sum to {sum(seen)!r}, expected 1")
+        seen = []
+        for a in range(len(self.arm_names)):
+            e_a = self.propensity[self.arm == a]
+            if e_a.size == 0:
+                continue
+            if e_a.max() - e_a.min() > 1e-12:
+                raise DomainError(
+                    f"randomized design requires a single propensity per arm; "
+                    f"arm {self.arm_names[a]!r} varies"
+                )
+            seen.append(e_a[0])
+        if len(seen) == len(self.arm_names) and abs(sum(seen) - 1.0) > 1e-9:
+            raise DomainError(f"per-arm propensities sum to {sum(seen)!r}, expected 1")
         self.x.setflags(write=False)
         self.arm.setflags(write=False)
         self.outcome.setflags(write=False)
@@ -207,7 +185,6 @@ class ExperimentDataset:
             arm_names=self.arm_names,
             covariate_names=self.covariate_names,
             covariate_kinds=self.covariate_kinds,
-            randomized=self.randomized,
         )
 
     def schema_doc(self) -> dict:
@@ -316,32 +293,11 @@ class SynthDGP:
         return float(np.std(self.true_arm_means(), ddof=1))
 
     def to_config(self) -> dict:
-        return {
-            "intercepts": list(self.intercepts),
-            "beta": self.beta.tolist(),
-            "covariates": [c.to_config() for c in self.covariates],
-            "noise_sd": self.noise_sd,
-            "outcome_kind": self.outcome_kind,
-            "arm_names": list(self.arm_names),
-        }
+        return {**asdict(self), "beta": self.beta.tolist()}
 
     @staticmethod
     def from_config(doc: dict) -> "SynthDGP":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"dgp config must be a JSON object, got {doc!r}")
-        required = {"intercepts", "beta", "covariates", "noise_sd"}
-        missing = required - set(doc)
-        if missing:
-            raise ConfigError(f"dgp config missing fields: {sorted(missing)}")
-        covariates = typed(list, doc["covariates"], "dgp covariates")
-        return SynthDGP(
-            intercepts=typed_list(float, doc["intercepts"], "dgp intercepts"),
-            beta=typed(partial(np.asarray, dtype=float), doc["beta"], "dgp beta"),
-            covariates=tuple(CovariateSpec.from_config(c) for c in covariates),
-            noise_sd=typed(float, doc["noise_sd"], "dgp noise_sd"),
-            outcome_kind=doc.get("outcome_kind", "gaussian"),
-            arm_names=tuple(typed(list, doc.get("arm_names", ()), "dgp arm_names")),
-        )
+        return SynthDGP(**read_fields(fields_of(SynthDGP), doc, "dgp"))
 
 
 def one_factor_dgp(
@@ -376,6 +332,8 @@ def generate_synthetic(dgp: SynthDGP, n: int, seed: int) -> tuple[ExperimentData
     the observed outcome is literally one sealed entry) comes back separately."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    check_addressable("an n x m outcome matrix", n, dgp.m)
+    check_addressable("an n x p covariate matrix", n, dgp.p)
     rng = stream(seed)
     x = np.column_stack([c.draw(n, rng) for c in dgp.covariates])
     arms = rng.integers(0, dgp.m, size=n)
@@ -417,7 +375,6 @@ def rerandomize_assignment(
         arm_names=dataset.arm_names,
         covariate_names=dataset.covariate_names,
         covariate_kinds=dataset.covariate_kinds,
-        randomized=dataset.randomized,
     )
 
 
@@ -427,8 +384,6 @@ def rerandomize_assignment(
 
 @dataclass(frozen=True)
 class TrainTestSplit:
-    train_fraction: float
-    seed: int
     train_idx: np.ndarray
     test_idx: np.ndarray
 
@@ -477,7 +432,7 @@ def split(dataset: ExperimentDataset, train_fraction: float, seed: int) -> Train
     test_idx = np.flatnonzero(mask)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DomainError("split produced an empty side")
-    return TrainTestSplit(train_fraction, seed, train_idx, test_idx)
+    return TrainTestSplit(train_idx, test_idx)
 
 
 # --------------------------------------------------------------------------
@@ -515,17 +470,9 @@ def _parse_float(value: str, row: int, column: str) -> float:
     return out
 
 
-def load_csv(
-    path: str | Path,
-    schema: dict | None = None,
-    randomized: bool = True,
-) -> ExperimentDataset:
-    """Read a dataset written by write_csv.
-
-    `schema` (as produced by ExperimentDataset.schema_doc) fixes the arm-name
-    order and covariate kinds; without it, arm names are the sorted distinct
-    values and a covariate is binary iff all its values are 0/1.
-    """
+def load_csv(path: str | Path) -> ExperimentDataset:
+    """Read a dataset written by write_csv. Arm names are the sorted
+    distinct values, and a covariate is binary iff all its values are 0/1."""
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
     try:
@@ -546,12 +493,6 @@ def load_csv(
             f"header must start with {','.join(_FIXED_COLUMNS)}; got {','.join(header[:4])}"
         )
     cov_names = tuple(header[4:])
-    if schema is not None:
-        want = tuple(schema["covariate_names"])
-        if cov_names != want:
-            raise ParseError(
-                f"covariate columns {list(cov_names)} do not match schema {list(want)}"
-            )
     if not rows:
         raise ParseError("file has a header but no data rows")
     unit_ids, arm_labels, outcomes, propensities, x = [], [], [], [], []
@@ -566,30 +507,20 @@ def load_csv(
             raise ParseError(f"row {i}: propensity must be > 0, got {row[3]}")
         propensities.append(e)
         x.append([_parse_float(v, i, c) for v, c in zip(row[4:], cov_names)])
-    if schema is not None:
-        arm_names = tuple(schema["arm_names"])
-        kinds = tuple(schema["covariate_kinds"])
-    else:
-        arm_names = tuple(sorted(set(arm_labels)))
-        x_arr = np.asarray(x, dtype=float) if cov_names else np.empty((len(rows), 0))
-        kinds = tuple(
-            "binary" if cov_names and np.all(np.isin(x_arr[:, j], (0.0, 1.0))) else "continuous"
-            for j in range(len(cov_names))
-        )
+    arm_names = tuple(sorted(set(arm_labels)))
+    x_arr = np.asarray(x, dtype=float).reshape(len(rows), len(cov_names))
+    kinds = tuple(
+        "binary" if np.all(np.isin(x_arr[:, j], (0.0, 1.0))) else "continuous"
+        for j in range(len(cov_names))
+    )
     arm_index = {name: a for a, name in enumerate(arm_names)}
-    arm = []
-    for i, label in enumerate(arm_labels, start=1):
-        if label not in arm_index:
-            raise ParseError(f"row {i}: unknown arm {label!r}; known arms: {list(arm_names)}")
-        arm.append(arm_index[label])
     return ExperimentDataset(
         unit_ids=tuple(unit_ids),
-        x=np.asarray(x, dtype=float).reshape(len(rows), len(cov_names)),
-        arm=np.asarray(arm),
+        x=x_arr,
+        arm=np.asarray([arm_index[label] for label in arm_labels]),
         outcome=np.asarray(outcomes),
         propensity=np.asarray(propensities),
         arm_names=arm_names,
         covariate_names=cov_names,
         covariate_kinds=kinds,
-        randomized=randomized,
     )

@@ -174,6 +174,11 @@ def estimate_sigma_rho(
     if n_quantiles < 2:
         raise ConfigError(f"n_quantiles must be >= 2, got {n_quantiles}")
     holdout = dataset.subset(split.test_idx)
+    if n_quantiles > holdout.n:
+        raise ConfigError(
+            f"n_quantiles = {n_quantiles} exceeds the {holdout.n} holdout rows; "
+            "every bin needs units of every arm"
+        )
     scores = predictor.predict(holdout.x)
     uids = np.asarray(holdout.unit_ids)
     m = dataset.m

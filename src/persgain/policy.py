@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import stream
+from ._util import check_addressable, stream
 from .dataset import ExperimentDataset, SealedOutcomes, TrainTestSplit
 from .errors import ConfigError, DomainError
 from .estimation import LinearTLearner, fit_per_arm, per_arm_means
@@ -141,6 +141,7 @@ def gain_report(
     """
     if n_boot < 2:
         raise ConfigError(f"n_boot must be >= 2, got {n_boot}")
+    check_addressable("an n_boot x policies bootstrap table", n_boot, len(policies) + 1)
     train = dataset.subset(split.train_idx)
     holdout = dataset.subset(split.test_idx)
     bench = best_uniform(train)

@@ -48,7 +48,7 @@ from typing import Literal, Sequence, Union
 
 import numpy as np
 
-from ._util import stream, typed, typed_list
+from ._util import check_addressable, fields_of, integer, read_fields, stream, typed
 from .errors import ConfigError, DomainError, InternalError
 
 __all__ = [
@@ -135,31 +135,18 @@ class SpikeSlabMeans:
 
 AvgResponseDist = Union[FixedMeans, NormalMeans, SpikeSlabMeans]
 
-_DIST_KINDS = {"fixed", "normal", "spike_slab"}
+_DISTS = {"fixed": FixedMeans, "normal": NormalMeans, "spike_slab": SpikeSlabMeans}
 
 
 def dist_from_config(doc: dict) -> AvgResponseDist:
     """Build a distribution from its config form: a "kind" (fixed, normal or
     spike_slab) plus that kind's fields."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("dist config must be an object with a 'kind' field")
-    kind = doc["kind"]
-    extra = set(doc) - {"kind", "mu", "mean", "s", "pi_spike"}
-    if extra:
-        raise ConfigError(f"dist config has unknown fields: {sorted(extra)}")
-    mean = typed(float, doc.get("mean", 0.0), "dist mean")
-    s = typed(float, doc.get("s", 0.0), "dist s")
-    if kind == "fixed":
-        if "mu" not in doc:
-            raise ConfigError("fixed dist requires a 'mu' list")
-        return FixedMeans(typed_list(float, doc["mu"], "dist mu"))
-    if kind == "normal":
-        return NormalMeans(mean, s)
-    if kind == "spike_slab":
-        if "pi_spike" not in doc:
-            raise ConfigError("spike_slab dist requires 'pi_spike'")
-        return SpikeSlabMeans(typed(float, doc["pi_spike"], "dist pi_spike"), mean, s)
-    raise ConfigError(f"unknown dist kind {kind!r}; expected one of {sorted(_DIST_KINDS)}")
+    rest = dict(doc) if isinstance(doc, dict) else {}
+    kind = rest.pop("kind", None)
+    cls = _DISTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"dist must be an object with a kind in {sorted(_DISTS)}, got {doc!r}")
+    return cls(**read_fields(fields_of(cls), rest, "dist"))
 
 
 # --------------------------------------------------------------------------
@@ -254,11 +241,13 @@ class SimConfig:
     noise_mode: Literal["per_cell", "per_individual"] = "per_cell"
 
     def __post_init__(self) -> None:
-        if not float(self.m).is_integer() or self.m < 2:
+        for key in ("m", "n_individuals", "n_replications", "seed"):
+            object.__setattr__(self, key, typed(integer, getattr(self, key), key))
+        if self.m < 2:
             raise ConfigError(f"m must be an integer >= 2, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
         if self.n_individuals < 1 or self.n_replications < 1:
             raise ConfigError("n_individuals and n_replications must be >= 1")
+        check_addressable("an n_individuals x m outcome matrix", self.n_individuals, self.m)
         if self.sigma < 0 or not math.isfinite(self.sigma):
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.sigma_eps < 0 or not math.isfinite(self.sigma_eps):

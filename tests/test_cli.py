@@ -7,6 +7,7 @@ asserted at the byte level on the emitted files.
 
 import csv
 import filecmp
+import functools
 import gzip
 import json
 import math
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from persgain._util import write_json
@@ -142,7 +143,8 @@ def test_rejected_command_creates_no_output_dir(tmp_path, capsys):
 
 # valid configs whose numeric fields the property below replaces with values
 # of the wrong type; MISTYPED_FIELDS pairs each command with the key path of
-# every numeric field, nested ones included
+# every numeric field, nested ones included, and INTEGER_FIELDS holds those
+# whose value is an integer
 MISTYPED_BASES = {
     "simulate": {"m": 3, "sigma": 1.0, "rho": 0.2, "sigma_eps": 0.1, "n_individuals": 50,
                  "n_replications": 3, "seed": 0, "dist": {"kind": "normal", "mean": 0.0, "s": 1.0}},
@@ -160,6 +162,10 @@ MISTYPED_FIELDS = [
     + [(k, j) for k, v in base.items() if isinstance(v, dict)
        for j, w in v.items() if isinstance(w, (int, float))]
 ]
+INTEGER_FIELDS = {
+    (command, path) for command, path in MISTYPED_FIELDS
+    if type(functools.reduce(dict.get, path, MISTYPED_BASES[command])) is int
+}
 
 
 def _not_a_number(text):
@@ -178,14 +184,19 @@ def _not_a_number(text):
         st.none(),
         st.lists(st.integers(), max_size=2),
         st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.sampled_from([math.inf, -math.inf, math.nan, True]),
+        # wrong only for an integer field
+        st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
     ),
 )
 @example(field=("simulate", ("m",)), value="abc")
 @example(field=("simulate", ("m",)), value=math.inf)
 @example(field=("synth", ("dgp", "noise_sd")), value="x")
+@example(field=("predict", ("profile", "m")), value=5.9)
+@example(field=("simulate", ("n_replications",)), value=True)
 def test_mistyped_config_value_exits_2_without_output(tmp_path_factory, field, value):
     command, path = field
+    assume(field in INTEGER_FIELDS or not isinstance(value, float) or not math.isfinite(value))
     config = json.loads(json.dumps(MISTYPED_BASES[command]))
     target = config
     for key in path[:-1]:
@@ -195,6 +206,56 @@ def test_mistyped_config_value_exits_2_without_output(tmp_path_factory, field, v
     (root / "c.json").write_text(json.dumps(config))
     assert run_cli([command, "--config", root / "c.json", "--out", root / "out"]) == 2
     assert not (root / "out").exists()
+
+
+def _run_config(root, command, config):
+    (root / "c.json").write_text(json.dumps(config))
+    return run_cli([command, "--config", root / "c.json", "--out", root / "out"])
+
+
+SIMULATE, SYNTH, PREDICT = (MISTYPED_BASES[c] for c in ("simulate", "synth", "predict"))
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("simulate", {**SIMULATE, "sigmaa": 1.0}, "sigmaa"),
+    ("synth", {**SYNTH, "dgp": {**SYNTH["dgp"], "outcome_knd": "gaussian"}}, "outcome_knd"),
+    ("synth", {**SYNTH, "dgp": {**SYNTH["dgp"], "covariates": [{"kind": "normal", "sdd": 2.0}]}},
+     "sdd"),
+    ("simulate", {**SIMULATE, "dist": {"kind": "normal", "mean": 0.0, "ss": 1.0}}, "ss"),
+    ("simulate", {**SIMULATE, "dist": {"kind": "fixed", "mu": [0, 1, 2], "s": 5}}, "s"),
+    ("predict", {**PREDICT, "profile": {**PREDICT["profile"], "sigma_epsilon": 0.1}},
+     "sigma_epsilon"),
+], ids=["top", "dgp", "covariate", "dist", "fixed_dist", "profile"])
+def test_unknown_key_at_any_level_exits_2_naming_it(tmp_path, capsys, command, config, key):
+    assert _run_config(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert "unknown field(s)" in err and f"[{key!r}]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [("intercepts", "12"), ("arm_names", "ab")])
+def test_text_for_a_dgp_list_is_not_split_into_characters(tmp_path, key, value):
+    assert _run_config(tmp_path, "synth", {**SYNTH, "dgp": {**SYNTH["dgp"], key: value}}) == 2
+    assert not (tmp_path / "out").exists()
+
+
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("command,config", [
+    ("simulate", {**SIMULATE, "m": HUGE}),
+    ("simulate", {**SIMULATE, "n_individuals": HUGE}),
+    ("sweep", {**{k: v for k, v in SIMULATE.items() if k != "m"}, "m_values": [2, HUGE]}),
+    ("predict", {**PREDICT, "profile": {**PREDICT["profile"], "m": HUGE}}),
+    # within numpy's index range, but 8 * n * m bytes are not addressable
+    ("simulate", {**SIMULATE, "n_individuals": 2**62}),
+    ("synth", {**SYNTH, "n": 2**62}),
+], ids=["m", "n_individuals", "m_values", "profile_m", "n_individuals_x_m", "synth_n"])
+def test_oversized_integer_exits_2_without_output(tmp_path, capsys, command, config):
+    assert _run_config(tmp_path, command, config) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "index range" in err or "too large for numpy" in err
 
 
 def test_output_dir_env_var_default(tmp_path, monkeypatch):
@@ -269,6 +330,27 @@ def test_rerun_from_resolved_config_is_byte_identical(rerun_inputs, tmp_path, co
     assert names == sorted(path.name for path in b.iterdir())
     for name in names:
         assert read(a / name) == read(b / name), name
+
+
+@pytest.mark.parametrize("command", list(RERUN_ARGS))
+def test_negative_seed_exits_2_without_output(rerun_inputs, tmp_path, capsys, command):
+    args = [rerun_inputs.get(arg, arg) for arg in RERUN_ARGS[command]]
+    out = tmp_path / "o"
+    assert run_cli([command, *args, "--seed", -1, "--out", out]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,field", [("estimate", "--quantiles", "n_quantiles"),
+                                                ("evaluate", "--n-boot", "n_boot")])
+def test_oversized_data_command_size_exits_2_without_output(rerun_inputs, tmp_path, capsys,
+                                                            command, flag, field):
+    # within numpy's index range: more quantile bins than holdout rows, and
+    # a bootstrap table of 8 * n_boot * policies bytes numpy cannot address
+    out = tmp_path / "o"
+    assert run_cli([command, "--data", rerun_inputs["DATA"], flag, 2**62, "--out", out]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_list_flags_are_stored_as_lists(tmp_path):

@@ -110,13 +110,13 @@ class TestFitPredictor:
 
     def test_empty_training_arm_is_an_error(self):
         ds = manual_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 1], ("a", "b"))
-        sp = TrainTestSplit(0.75, 0, np.array([0, 1, 2]), np.array([3]))
+        sp = TrainTestSplit(np.array([0, 1, 2]), np.array([3]))
         with pytest.raises(DomainError, match="'b'.*no training rows"):
             fit_predictor(ds, sp)
 
     def test_thin_training_arm_warns(self):
         ds = manual_dataset(list(range(8)), [0, 0, 0, 0, 0, 1, 1, 1], ("a", "b"))
-        sp = TrainTestSplit(0.9, 0, np.array([0, 1, 2, 3, 5, 6]), np.array([4, 7]))
+        sp = TrainTestSplit(np.array([0, 1, 2, 3, 5, 6]), np.array([4, 7]))
         with pytest.warns(UserWarning, match="fewer than p"):
             fit_predictor(ds, sp)
 

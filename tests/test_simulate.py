@@ -238,6 +238,15 @@ def test_sim_config_validation() -> None:
         SimConfig(m=2, sigma=1.0, rho=0.0, dist=NormalMeans(), noise_mode="shared")
 
 
+def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
+    # 2**62 rows fit numpy's index range, but not as 8-byte cells times 3 arms
+    for bad in (50.9, True, 10**400, 2**62):
+        with pytest.raises(ConfigError, match="n_individuals"):
+            SimConfig(m=3, sigma=1.0, rho=0.0, dist=NormalMeans(), n_individuals=bad)
+    with pytest.raises(ConfigError, match="integer"):
+        SimConfig(m=True, sigma=1.0, rho=0.0, dist=NormalMeans())
+
+
 # --------------------------------------------------------------------------
 # simulate_gains: one set of draws per layout, the bits of a per-config run
 
