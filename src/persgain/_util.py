@@ -1,6 +1,6 @@
 """Small shared helpers: atomic file writes, round-trip number formatting,
-the CSV and strict JSON writers, the one reader of JSON objects,
-deterministic stream derivation.
+the column-wise CSV writer and the strict JSON writer, the one reader of
+JSON objects, deterministic stream derivation.
 
 Every JSON object the package reads (a command's config, a study profile,
 a synthetic DGP and its covariates, a distribution of arm means) goes
@@ -192,16 +192,27 @@ def csv_cell(value: object) -> str:
     return text
 
 
-def csv_bytes(header: Sequence[str], rows: Iterable[Sequence[object]]) -> bytes:
-    """UTF-8 CSV, one "\\n"-terminated line per row; floats round-trip."""
-    lines = [",".join(csv_cell(v) for v in header)]
-    for row in rows:
-        lines.append(",".join(csv_cell(v) for v in row))
+def _cells(column: Sequence[object]) -> Iterable[str]:
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        # tolist() gives Python floats, whose repr is fmt_float's
+        return map(repr, column.tolist())
+    if all(isinstance(v, str) for v in column) and not _NEEDS_QUOTES.search("".join(column)):
+        return column  # plain text: each value is its own cell
+    return map(csv_cell, column)
+
+
+def csv_bytes(header: Sequence[str], columns: Sequence[Sequence[object]]) -> bytes:
+    """UTF-8 CSV built column by column, one "\\n"-terminated line per row;
+    floats round-trip. A float array column and a text column needing no
+    quotes are formatted in one pass, any other column cell by cell by
+    csv_cell; columns of unequal length raise."""
+    lines = [",".join(map(csv_cell, header))]
+    lines += map(",".join, zip(*map(_cells, columns), strict=True))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    atomic_write(path, csv_bytes(header, rows))
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[object]]) -> None:
+    atomic_write(path, csv_bytes(header, columns))
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

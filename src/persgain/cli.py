@@ -152,7 +152,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _write_rows(path: Path, rows: list[dict]) -> None:
     """A CSV table whose columns are the rows' keys, in their order."""
-    write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
+    write_csv(path, list(rows[0]), [[row[key] for row in rows] for key in rows[0]])
 
 
 def _finish(command: str, config: dict, out: Path, outputs: list[str]) -> int:
@@ -208,7 +208,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     summary = simulate_gain(cfg, n_jobs=args.jobs).to_dict()
     gains = summary.pop("per_replication_gains")
     write_json(out / "result.json", summary)
-    write_csv(out / "replications.csv", ["replication", "gain"], list(enumerate(gains)))
+    write_csv(out / "replications.csv", ["replication", "gain"], [range(len(gains)), gains])
     return _finish("simulate", config, out, ["result.json", "replications.csv"])
 
 
@@ -235,7 +235,7 @@ def cmd_synth(config: dict, args: argparse.Namespace) -> int:
     write_csv(
         out / "sealed.csv",
         ["unit_id"] + [f"y_{name}" for name in dataset.arm_names],
-        [[uid] + list(row) for uid, row in zip(sealed.unit_ids, sealed.y)],
+        [sealed.unit_ids, *sealed.y.T],
     )
     write_json(out / "schema.json", dataset.schema_doc())
     return _finish("synth", config, out, ["data.csv", "sealed.csv", "schema.json"])

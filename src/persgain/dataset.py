@@ -6,13 +6,20 @@ arm, observed outcome, and the (known) assignment propensity. Synthetic
 data additionally yields a sealed n x m matrix of all potential outcomes,
 kept in a separate object so estimation and policy fitting can never touch
 it; only the oracle evaluator accepts it.
+
+CSV goes column by column both ways: write_csv formats each column in one
+pass, and load_csv parses a file with no quote and no carriage return with
+numpy's C reader, any other with a csv-module row loop that gives the same
+dataset or the error naming the row and column.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
+import io
 import math
+import warnings
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -153,7 +160,10 @@ class ExperimentDataset:
                 )
             seen.append(e_a[0])
         if len(seen) == len(self.arm_names) and abs(sum(seen) - 1.0) > 1e-9:
-            raise DomainError(f"per-arm propensities sum to {sum(seen)!r}, expected 1")
+            raise DomainError(
+                f"per-arm propensities sum to {float(sum(seen))!r}, expected 1 (a CSV names "
+                "only the arms it has rows for, so those arms must carry the whole design)"
+            )
         self.x.setflags(write=False)
         self.arm.setflags(write=False)
         self.outcome.setflags(write=False)
@@ -443,21 +453,92 @@ def write_csv(dataset: ExperimentDataset, path: str | Path) -> None:
     """Columns: unit_id, arm (name), outcome, propensity, then covariates.
     Floats use shortest round-trip formatting; .gz suffix gzips."""
     arm_names = dataset.arm_names
-    rows = (
-        [uid, arm_names[a], y, e, *x]
-        for uid, a, y, e, x in zip(
-            dataset.unit_ids,
-            dataset.arm.tolist(),
-            dataset.outcome.tolist(),
-            dataset.propensity.tolist(),
-            dataset.x.tolist(),
-        )
-    )
-    data = csv_bytes(_FIXED_COLUMNS + dataset.covariate_names, rows)
+    columns = [
+        dataset.unit_ids,
+        [arm_names[a] for a in dataset.arm.tolist()],
+        dataset.outcome,
+        dataset.propensity,
+        *dataset.x.T,
+    ]
+    data = csv_bytes(_FIXED_COLUMNS + dataset.covariate_names, columns)
     if Path(path).suffix == ".gz":
         # mtime=0 keeps the archive byte-identical across reruns
         data = gzip.compress(data, mtime=0)
     atomic_write(path, data)
+
+
+def load_csv(path: str | Path) -> ExperimentDataset:
+    """Read a dataset written by write_csv. Arm names are the sorted
+    distinct values, and a covariate is binary iff all its values are 0/1.
+
+    A file with no quote and no carriage return is parsed by numpy's C
+    reader; any other file, or one _load_columns turns down, goes through
+    the csv-module row loop, which gives the same dataset or the ParseError
+    naming the offending row and column.
+    """
+    path = Path(path)
+    text = _read_text(path)
+    dataset = _load_columns(text)
+    return _load_rows(text, path) if dataset is None else dataset
+
+
+def _read_text(path: Path) -> str:
+    """The whole file as text; a .gz file is decompressed."""
+    opener = gzip.open if path.suffix == ".gz" else open
+    try:
+        with opener(path, "rt", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"{path} is not a readable CSV file: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _load_columns(text: str) -> ExperimentDataset | None:
+    """The dataset parsed column-wise by numpy's C reader, or None when the
+    file needs the row loop.
+
+    Without quotes and carriage returns, csv.reader splits exactly at "," and
+    "\n", as the C reader does, and on every cell both accept, float() and
+    the C reader give the same bits. The C reader turns down cells float()
+    takes ("1_0", non-ASCII digits) and, given a structured dtype, any row
+    without the header's cell count. It skips blank lines, which csv.reader
+    rejects, so a row count short of the line count means the row loop; so
+    does a line longer than csv.field_size_limit(), as does a non-finite
+    value or a propensity <= 0, which the row loop reports by row.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    header = lines[0].split(",")
+    if len(lines) < 2 or tuple(header[:4]) != _FIXED_COLUMNS:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    row = np.dtype([("unit_id", object), ("arm", object), ("values", float, (len(header) - 2,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(
+                lines, dtype=row, delimiter=",", quotechar=None, comments=None, skiprows=1, ndmin=1
+            )
+    except ValueError:
+        return None
+    values = table["values"]
+    if len(table) != len(lines) - 1 or not np.isfinite(values).all():
+        return None
+    if np.any(values[:, 1] <= 0.0):
+        return None
+    return _dataset(
+        tuple(header[4:]),
+        table["unit_id"].tolist(),
+        table["arm"].tolist(),
+        values[:, 0].copy(),
+        values[:, 1].copy(),
+        values[:, 2:].copy(),
+    )
 
 
 def _parse_float(value: str, row: int, column: str) -> float:
@@ -470,22 +551,15 @@ def _parse_float(value: str, row: int, column: str) -> float:
     return out
 
 
-def load_csv(path: str | Path) -> ExperimentDataset:
-    """Read a dataset written by write_csv. Arm names are the sorted
-    distinct values, and a covariate is binary iff all its values are 0/1."""
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
+def _load_rows(text: str, path: Path) -> ExperimentDataset:
+    """The dataset parsed row by row by csv.reader, cell by cell by float();
+    the first bad row raises a ParseError naming it and its column."""
     try:
-        with opener(path, "rt", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
-    except (csv.Error, gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        rows = list(reader)
+    except csv.Error as exc:
         raise ParseError(f"{path} is not a readable CSV file: {exc}") from None
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     if header is None:
         raise ParseError("file has no header row")
     if tuple(header[:4]) != _FIXED_COLUMNS:
@@ -507,19 +581,38 @@ def load_csv(path: str | Path) -> ExperimentDataset:
             raise ParseError(f"row {i}: propensity must be > 0, got {row[3]}")
         propensities.append(e)
         x.append([_parse_float(v, i, c) for v, c in zip(row[4:], cov_names)])
+    return _dataset(
+        cov_names,
+        unit_ids,
+        arm_labels,
+        np.asarray(outcomes),
+        np.asarray(propensities),
+        np.asarray(x, dtype=float).reshape(len(rows), len(cov_names)),
+    )
+
+
+def _dataset(
+    cov_names: tuple[str, ...],
+    unit_ids: list[str],
+    arm_labels: list[str],
+    outcome: np.ndarray,
+    propensity: np.ndarray,
+    x: np.ndarray,
+) -> ExperimentDataset:
+    """Parsed columns as a dataset, arms and covariate kinds as load_csv
+    documents them."""
     arm_names = tuple(sorted(set(arm_labels)))
-    x_arr = np.asarray(x, dtype=float).reshape(len(rows), len(cov_names))
+    arm_index = {name: a for a, name in enumerate(arm_names)}
     kinds = tuple(
-        "binary" if np.all(np.isin(x_arr[:, j], (0.0, 1.0))) else "continuous"
+        "binary" if np.all(np.isin(x[:, j], (0.0, 1.0))) else "continuous"
         for j in range(len(cov_names))
     )
-    arm_index = {name: a for a, name in enumerate(arm_names)}
     return ExperimentDataset(
         unit_ids=tuple(unit_ids),
-        x=x_arr,
-        arm=np.asarray([arm_index[label] for label in arm_labels]),
-        outcome=np.asarray(outcomes),
-        propensity=np.asarray(propensities),
+        x=x,
+        arm=np.fromiter(map(arm_index.__getitem__, arm_labels), dtype=int, count=len(arm_labels)),
+        outcome=outcome,
+        propensity=propensity,
         arm_names=arm_names,
         covariate_names=cov_names,
         covariate_kinds=kinds,

@@ -148,6 +148,9 @@ def gain_report(
     entries = [(f"best_uniform[{holdout.arm_names[bench.arm]}]", bench)]
     entries += [(policy.describe(), policy) for policy in policies]
     terms, matched = zip(*(_ipw_terms(policy, holdout) for _, policy in entries))
+    # a policy whose IPW terms repeat an earlier row's (the benchmark listed
+    # again as a uniform policy, say) reuses that row's resampled means
+    first = [next(i for i, u in enumerate(terms) if np.array_equal(u, t)) for t in terms]
     # one shared index stream keeps the resamples paired across policies and
     # the chunking keeps peak memory flat on large holdouts
     boot_vals = np.empty((len(entries), n_boot))
@@ -158,8 +161,10 @@ def gain_report(
         take = min(chunk, n_boot - done)
         idx = rng.integers(0, holdout.n, size=(take, holdout.n))
         for j, t in enumerate(terms):
-            boot_vals[j, done : done + take] = t[idx].mean(axis=1)
+            if first[j] == j:
+                boot_vals[j, done : done + take] = t[idx].mean(axis=1)
         done += take
+    boot_vals = boot_vals[first]
     bench_value = float(terms[0].mean())
     rows = []
     for j, ((label, _), t, n_matched) in enumerate(zip(entries, terms, matched)):

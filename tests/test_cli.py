@@ -480,6 +480,20 @@ def test_estimate_empty_holdout_arm_exits_2_naming_the_cell(tmp_path, capsys):
     assert "arm 'b'" in err and "bin" in err
 
 
+def test_estimate_propensities_short_of_one_exit_2_with_a_plain_sum(tmp_path, capsys):
+    # two arms at 1/3 each: a third arm with no rows cannot be named by a CSV
+    rows = ["unit_id,arm,outcome,propensity,x"]
+    rows += [f"u{i:03d},{'ab'[i % 2]},{0.1 * (i % 7)},{1 / 3!r},{i / 40}" for i in range(40)]
+    data = tmp_path / "short.csv"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run_cli(["estimate", "--data", data, "--quantiles", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "per-arm propensities sum to 0.6666666666666666, expected 1" in err
+    assert "arms it has rows for" in err and "np.float64" not in err
+    assert not out.exists()
+
+
 def test_evaluate_report_benchmark_first_and_ols_wins(pipeline, tmp_path):
     out = tmp_path / "ev"
     assert run_cli(["evaluate", "--data", pipeline["out"] / "data.csv",

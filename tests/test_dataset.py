@@ -1,12 +1,15 @@
+import csv
 import gzip
 import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import persgain.dataset
+from persgain._util import csv_bytes, csv_cell
 from persgain.dataset import (
     CovariateSpec,
     ExperimentDataset,
@@ -19,7 +22,7 @@ from persgain.dataset import (
     split,
     write_csv,
 )
-from persgain.errors import ConfigError, DomainError, ParseError
+from persgain.errors import ConfigError, DomainError, ParseError, PersgainError
 
 
 def tiny_dataset(**overrides):
@@ -432,3 +435,150 @@ class TestCsvRoundTrip:
         header_only.write_text("unit_id,arm,outcome,propensity\n")
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(header_only)
+
+
+HEADER = "unit_id,arm,outcome,propensity\n"
+# cells the C reader and float() may disagree on, or either may reject
+NUMBER_CELLS = ["0.5", "1", "-0", "0", "1e500", "-1e500", "nan", "inf", "1e-320", "",
+                " 1.5", "1.5 ", "\u20031.5\u2003", "1_0", "\u0661\u0662", "0x10", "+.5",
+                "1.5.", "12345678901234567890123", "\x001", "1\x00"]
+TEXT_ALPHABET = st.sampled_from(["a", "b", " ", ",", '"', "\r", "\n", "\x00", "#", "\x85",
+                                 "\u2028", "\x1c", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text that mostly holds a loadable two-arm dataset; each kind of
+    edge (odd cells, quoting, blank lines, ragged rows, CRLF, no final
+    newline, a broken header) turns up in a fraction of the examples."""
+
+    def rarely(n=5):
+        return draw(st.integers(0, n - 1)) == 0
+
+    odd_text, odd_numbers = rarely(3), rarely(3)
+
+    def text_cell():
+        if odd_text and rarely(3):
+            return draw(st.text(TEXT_ALPHABET, max_size=4))
+        return draw(st.sampled_from(["a", "b", "u1", " b ", "#x", "b\x00", "a\x85"]))
+
+    def number_cell():
+        if odd_numbers and rarely(3):
+            return draw(st.sampled_from(NUMBER_CELLS))
+        return repr(draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.sampled_from([0.0, 1.0]))))
+
+    p = draw(st.integers(0, 2), label="p")
+    header = ["unit_id", "arm", "outcome", "propensity"] + [f"c{j}" for j in range(p)]
+    if rarely(10):
+        header[draw(st.integers(0, len(header) - 1))] = draw(st.text(TEXT_ALPHABET, max_size=3))
+    odd_design, ragged = rarely(3), rarely(8)
+    rows = []
+    for i in range(draw(st.integers(1, 6), label="rows")):
+        row = [text_cell(), text_cell() if odd_design and rarely(3) else "ab"[i % 2]]
+        row += [number_cell(), number_cell() if odd_design and rarely(3) else "0.5"]
+        row += [number_cell() for _ in range(p)]
+        if ragged and rarely(3):
+            extra = draw(st.integers(0, 2))
+            row = row[: draw(st.integers(0, len(row)))] + [number_cell() for _ in range(extra)]
+        rows.append(row)
+    quote = rarely(6)
+
+    def line(cells):
+        quoted = ('"' + c.replace('"', '""') + '"' if quote and rarely(2) else c for c in cells)
+        return ",".join(quoted)
+
+    lines = [line(header)] + [line(row) for row in rows]
+    if rarely(8):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ending = "\r\n" if rarely(8) else "\n"
+    return ending.join(lines) + ("" if rarely(8) else ending)
+
+
+def _outcome(load):
+    try:
+        return load()
+    except PersgainError as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnReader:
+    """load_csv parses plain files column-wise with numpy's C reader; the
+    csv-module row loop (_load_rows) is the reference it must match."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts())
+    @example(text=HEADER + "a,x,1_0,0.5\nb,y,2,0.5\n")  # float() takes 1_0, the C reader not
+    @example(text=HEADER + "a,x,1,0.5\r\nb,y,2,0.5\r\n")
+    @example(text=HEADER + "a,x,1,0.5\n\nb,y,2,0.5\n")  # the C reader skips a blank line
+    @example(text=HEADER + "a,x,1,0.5\nb,y,2,0.5")
+    @example(text=HEADER + "u" * (csv.field_size_limit() + 1) + ",x,1,0.5\nb,y,2,0.5\n")
+    def test_matches_the_row_loop_bit_for_bit(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("diff") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _outcome(lambda: load_csv(path))
+        rows = _outcome(lambda: persgain.dataset._load_rows(text, path))
+        if isinstance(rows, tuple):
+            assert fast == rows
+            return
+        assert isinstance(fast, ExperimentDataset), fast
+        assert fast.unit_ids == rows.unit_ids
+        assert fast.arm_names == rows.arm_names
+        assert fast.covariate_names == rows.covariate_names
+        assert fast.covariate_kinds == rows.covariate_kinds
+        for name in ("x", "arm", "outcome", "propensity"):
+            mine, reference = getattr(fast, name), getattr(rows, name)
+            assert mine.dtype == reference.dtype and mine.shape == reference.shape, name
+            assert mine.tobytes() == reference.tobytes(), name
+
+    def test_written_files_take_the_column_path(self, tmp_path, monkeypatch):
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=300, seed=5)
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+
+        def no_row_loop(*args, **kwargs):
+            raise AssertionError("the csv-module row loop ran")
+
+        monkeypatch.setattr(persgain.dataset.csv, "reader", no_row_loop)
+        back = load_csv(path)
+        assert back.unit_ids == ds.unit_ids
+        assert back.x.tobytes() == ds.x.tobytes()
+        # a quoted arm name needs the row loop
+        quoted = tiny_dataset(arm_names=("a,b", "treat"))
+        write_csv(quoted, tmp_path / "q.csv")
+        with pytest.raises(AssertionError, match="row loop ran"):
+            load_csv(tmp_path / "q.csv")
+        monkeypatch.undo()
+        assert load_csv(tmp_path / "q.csv").arm_names == ("a,b", "treat")
+
+
+def _reference_csv(header, columns):
+    rows = zip(*columns)
+    lines = [",".join(csv_cell(v) for v in header)]
+    lines += [",".join(csv_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvBytes:
+    def test_columns_format_as_the_per_cell_reference(self):
+        rng = np.random.default_rng(7)
+        floats = np.concatenate([rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20),
+                                 [0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1, 123456789.0, -1.5]])
+        n = floats.size
+        columns = [
+            floats,
+            range(n),
+            [np.float64(v) for v in floats[::-1]],
+            [(f'id,{i}"q\n', f"u{i}\r", f"u{i}")[i % 3] for i in range(n)],
+            rng.standard_normal(n).astype(np.float32),
+            np.arange(n),
+            tuple(f"u{i:03d} #" for i in range(n)),
+            ["plain"] * (n - 1) + [7],
+        ]
+        header = ["f", "i", "np", "text,quoted", "f32", "np_int", "text", "mixed"]
+        assert csv_bytes(header, columns) == _reference_csv(header, columns)
+
+    def test_unequal_columns_raise(self):
+        with pytest.raises(ValueError):
+            csv_bytes(["a", "b"], [np.zeros(3), [1, 2]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import persgain.policy
 from persgain.dataset import (
     CovariateSpec,
     ExperimentDataset,
@@ -300,3 +301,17 @@ class TestGainReport:
         a = gain_report([policy], ds, sp, seed=3)[1]["se_boot"]
         b = gain_report([policy], ds, sp, seed=4)[1]["se_boot"]
         assert a != b
+
+    def test_repeated_policy_reuses_resampled_means_bit_for_bit(self, monkeypatch):
+        # `evaluate --policies uniform,uniform,ols` repeats the benchmark
+        # twice; the report must equal one that resamples every row afresh
+        dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=3_000, seed=16)
+        sp = split(ds, 0.7, seed=0)
+        train = ds.subset(sp.train_idx)
+        policies = [best_uniform(train), best_uniform(train), fit_ols_policy(train)]
+        rows = gain_report(policies, ds, sp, n_boot=64, seed=5)
+        monkeypatch.setattr(persgain.policy.np, "array_equal", lambda a, b: a is b)
+        assert gain_report(policies, ds, sp, n_boot=64, seed=5) == rows
+        assert rows[1]["se_boot"] == rows[2]["se_boot"] == rows[0]["se_boot"]
+        assert rows[1]["diff_se_boot"] == 0.0
