@@ -145,13 +145,10 @@ def estimate_sigma_eps(
 def _quantile_bins(scores: np.ndarray, unit_ids: Sequence[str], n_quantiles: int) -> np.ndarray:
     """Equal-count bin index per unit, ranking by (score, unit_id) so ties
     (common with binary covariates) resolve the same way every run."""
-    n = len(scores)
     order = np.lexsort((np.asarray(unit_ids), scores))
-    bins = np.empty(n, dtype=int)
-    start = 0
-    for b, chunk in enumerate(np.array_split(np.arange(n), n_quantiles)):
-        bins[order[start : start + len(chunk)]] = b
-        start += len(chunk)
+    bins = np.empty(len(scores), dtype=int)
+    for b, rows in enumerate(np.array_split(order, n_quantiles)):
+        bins[rows] = b
     return bins
 
 

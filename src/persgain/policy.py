@@ -151,19 +151,15 @@ def gain_report(
     # a policy whose IPW terms repeat an earlier row's (the benchmark listed
     # again as a uniform policy, say) reuses that row's resampled means
     first = [next(i for i, u in enumerate(terms) if np.array_equal(u, t)) for t in terms]
-    # one shared index stream keeps the resamples paired across policies and
-    # the chunking keeps peak memory flat on large holdouts
+    distinct = [j for j in range(len(terms)) if first[j] == j]
+    # one index draw per resample, shared by every policy, keeps the
+    # resamples paired across policies
     boot_vals = np.empty((len(entries), n_boot))
     rng = stream(seed)
-    chunk = max(1, int(20_000_000 // holdout.n))
-    done = 0
-    while done < n_boot:
-        take = min(chunk, n_boot - done)
-        idx = rng.integers(0, holdout.n, size=(take, holdout.n))
-        for j, t in enumerate(terms):
-            if first[j] == j:
-                boot_vals[j, done : done + take] = t[idx].mean(axis=1)
-        done += take
+    for b in range(n_boot):
+        idx = rng.integers(0, holdout.n, size=holdout.n)
+        for j in distinct:
+            boot_vals[j, b] = terms[j][idx].mean()
     boot_vals = boot_vals[first]
     bench_value = float(terms[0].mean())
     rows = []

@@ -289,7 +289,7 @@ class TestSplit:
 
 
 class TestCsvRoundTrip:
-    def test_fuzz_round_trips_bit_exact(self):
+    def test_fuzz_round_trips_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2024)
         for trial in range(25):
             m = int(rng.integers(2, 5))
@@ -308,7 +308,7 @@ class TestCsvRoundTrip:
                 covariate_names=tuple(f"c{j}" for j in range(p)),
                 covariate_kinds=("continuous",) * p,
             )
-            path = f"/tmp/persgain_rt_{trial}.csv"
+            path = tmp_path / f"rt_{trial}.csv"
             write_csv(ds, path)
             back = load_csv(path)
             assert back.unit_ids == ds.unit_ids

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -315,3 +317,19 @@ class TestGainReport:
         assert gain_report(policies, ds, sp, n_boot=64, seed=5) == rows
         assert rows[1]["se_boot"] == rows[2]["se_boot"] == rows[0]["se_boot"]
         assert rows[1]["diff_se_boot"] == 0.0
+
+    def test_bootstrap_memory_does_not_grow_with_resample_count(self):
+        # one resample's index vector (6,000 rows, 48 KB) at a time; an
+        # n_boot x holdout index matrix would be 24 MB on its own
+        dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=20_000, seed=17)
+        sp = split(ds, 0.7, seed=0)
+        train = ds.subset(sp.train_idx)
+        policies = [best_uniform(train), fit_ols_policy(train)]
+        tracemalloc.start()
+        try:
+            gain_report(policies, ds, sp, n_boot=500, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
