@@ -8,10 +8,9 @@ through `read_fields` with a field table, {field: (rule, default)}, that
 `fields_of` derives from a dataclass's type hints. Each rule reads one
 value or raises a ConfigError naming the field: an int takes integral
 values in numpy's index range, never a bool; a float takes a number or
-numeric text, never a bool; a str or Literal takes text only; a
-tuple[X, ...] takes a JSON list or comma-separated text; a nested
-dataclass takes a JSON object read by its own table; an np.ndarray
-becomes a float array.
+numeric text, never a bool; a str takes text only; a tuple[X, ...] takes
+a JSON list or comma-separated text; a nested dataclass takes a JSON
+object read by its own table; an np.ndarray becomes a float array.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import re
 import tempfile
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Literal, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -86,8 +85,6 @@ def rule_of(hint):
     """The rule that reads a value of type `hint`."""
     if hint in (int, float, str):
         return {int: integer, float: real, str: text}[hint]
-    if get_origin(hint) is Literal:
-        return text
     if get_origin(hint) is tuple and get_args(hint)[1:] == (Ellipsis,):
         return list_of(rule_of(get_args(hint)[0]))
     if hint is np.ndarray:

@@ -21,7 +21,7 @@ import io
 import math
 import warnings
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +54,8 @@ _FIXED_COLUMNS = ("unit_id", "arm", "outcome", "propensity")
 @dataclass(frozen=True)
 class CovariateSpec:
     """Marginal distribution of one covariate column: normal(mean, sd) or
-    bernoulli(q). Columns are drawn independently."""
+    bernoulli(q). Columns are drawn independently. A field the kind does not
+    use must keep its default."""
 
     kind: str
     mean: float = 0.0
@@ -68,6 +69,10 @@ class CovariateSpec:
             raise ConfigError(f"normal covariate needs sd >= 0, got {self.sd}")
         if self.kind == "bernoulli" and not 0.0 <= self.q <= 1.0:
             raise ConfigError(f"bernoulli covariate needs q in [0, 1], got {self.q}")
+        for name in ("mean", "sd") if self.kind == "bernoulli" else ("q",):
+            value = getattr(self, name)
+            if value != getattr(CovariateSpec, name):
+                raise ConfigError(f"a {self.kind} covariate does not use {name}, got {name} = {value!r}")
 
     @property
     def variance(self) -> float:
@@ -76,10 +81,6 @@ class CovariateSpec:
     @property
     def expectation(self) -> float:
         return self.mean if self.kind == "normal" else self.q
-
-    @property
-    def schema_kind(self) -> str:
-        return "continuous" if self.kind == "normal" else "binary"
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "normal":
@@ -107,7 +108,6 @@ class ExperimentDataset:
     propensity: np.ndarray
     arm_names: tuple[str, ...]
     covariate_names: tuple[str, ...]
-    covariate_kinds: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_ids", tuple(str(u) for u in self.unit_ids))
@@ -117,7 +117,6 @@ class ExperimentDataset:
         object.__setattr__(self, "propensity", np.asarray(self.propensity, dtype=float))
         object.__setattr__(self, "arm_names", tuple(str(a) for a in self.arm_names))
         object.__setattr__(self, "covariate_names", tuple(str(c) for c in self.covariate_names))
-        object.__setattr__(self, "covariate_kinds", tuple(str(k) for k in self.covariate_kinds))
         n = len(self.unit_ids)
         if n == 0:
             raise DomainError("dataset must contain at least one row")
@@ -129,14 +128,6 @@ class ExperimentDataset:
         for arr, name in ((self.arm, "arm"), (self.outcome, "outcome"), (self.propensity, "propensity")):
             if arr.shape != (n,):
                 raise DomainError(f"{name} must have one entry per row")
-        if len(self.covariate_kinds) != len(self.covariate_names):
-            raise DomainError("covariate_kinds must match covariate_names in length")
-        for kind in self.covariate_kinds:
-            if kind not in ("continuous", "binary"):
-                raise DomainError(f"covariate kind must be continuous|binary, got {kind!r}")
-        for j, kind in enumerate(self.covariate_kinds):
-            if kind == "binary" and not np.all(np.isin(self.x[:, j], (0.0, 1.0))):
-                raise DomainError(f"covariate {self.covariate_names[j]!r} is binary but has values outside {{0, 1}}")
         if len(self.arm_names) < 2:
             raise DomainError("need at least two arms")
         if len(set(self.arm_names)) < len(self.arm_names):
@@ -181,20 +172,25 @@ class ExperimentDataset:
     def p(self) -> int:
         return len(self.covariate_names)
 
+    @property
+    def covariate_kinds(self) -> tuple[str, ...]:
+        """Each column's kind: binary iff every value is 0 or 1, else continuous."""
+        return tuple(
+            "binary" if np.all(np.isin(column, (0.0, 1.0))) else "continuous" for column in self.x.T
+        )
+
     def arm_counts(self) -> np.ndarray:
         return np.bincount(self.arm, minlength=self.m)
 
     def subset(self, indices: Sequence[int]) -> "ExperimentDataset":
         idx = np.asarray(indices, dtype=int)
-        return ExperimentDataset(
+        return replace(
+            self,
             unit_ids=tuple(self.unit_ids[i] for i in idx),
             x=self.x[idx],
             arm=self.arm[idx],
             outcome=self.outcome[idx],
             propensity=self.propensity[idx],
-            arm_names=self.arm_names,
-            covariate_names=self.covariate_names,
-            covariate_kinds=self.covariate_kinds,
         )
 
     def schema_doc(self) -> dict:
@@ -361,7 +357,6 @@ def generate_synthetic(dgp: SynthDGP, n: int, seed: int) -> tuple[ExperimentData
         propensity=np.full(n, 1.0 / dgp.m),
         arm_names=dgp.arm_names,
         covariate_names=tuple(f"x{j}" for j in range(dgp.p)),
-        covariate_kinds=tuple(c.schema_kind for c in dgp.covariates),
     )
     return dataset, SealedOutcomes(y_all, unit_ids)
 
@@ -376,15 +371,11 @@ def rerandomize_assignment(
         raise DomainError("sealed matrix does not correspond to this dataset")
     rng = stream(seed)
     arms = rng.integers(0, dataset.m, size=dataset.n)
-    return ExperimentDataset(
-        unit_ids=dataset.unit_ids,
-        x=dataset.x,
+    return replace(
+        dataset,
         arm=arms,
         outcome=sealed.y[np.arange(dataset.n), arms],
         propensity=np.full(dataset.n, 1.0 / dataset.m),
-        arm_names=dataset.arm_names,
-        covariate_names=dataset.covariate_names,
-        covariate_kinds=dataset.covariate_kinds,
     )
 
 
@@ -599,14 +590,9 @@ def _dataset(
     propensity: np.ndarray,
     x: np.ndarray,
 ) -> ExperimentDataset:
-    """Parsed columns as a dataset, arms and covariate kinds as load_csv
-    documents them."""
+    """Parsed columns as a dataset, arms as load_csv documents them."""
     arm_names = tuple(sorted(set(arm_labels)))
     arm_index = {name: a for a, name in enumerate(arm_names)}
-    kinds = tuple(
-        "binary" if np.all(np.isin(x[:, j], (0.0, 1.0))) else "continuous"
-        for j in range(len(cov_names))
-    )
     return ExperimentDataset(
         unit_ids=tuple(unit_ids),
         x=x,
@@ -615,5 +601,4 @@ def _dataset(
         propensity=propensity,
         arm_names=arm_names,
         covariate_names=cov_names,
-        covariate_kinds=kinds,
     )

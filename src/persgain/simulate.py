@@ -27,8 +27,8 @@ unchanged.)
 
 `simulate_gains` runs a whole grid of configs and draws each replication's
 normals once per draw layout, not once per config. Configs share a layout
-when they agree on seed, n_individuals, n_replications, m, noise_mode and
-the kind of mean distribution. Within a layout, replication r draws the
+when they agree on seed, n_individuals, n_replications, m and the kind
+of mean distribution. Within a layout, replication r draws the
 outcome normals (z and eps) and the prediction noise once; each config
 then draws its own mu again from a fresh stream(seed, r), which
 consumes the same number of draws whatever the distribution's parameters,
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -238,7 +238,10 @@ class SimConfig:
     n_individuals: int = 10_000
     n_replications: int = 200
     seed: int = 0
-    noise_mode: Literal["per_cell", "per_individual"] = "per_cell"
+    # Not a field: every replication draws per-cell noise. perfbench/tracer.py
+    # reads cfg.noise_mode to count the normals drawn; the constant goes when
+    # the benchmark reads spans from inside the package (ROADMAP item 1).
+    noise_mode = "per_cell"
 
     def __post_init__(self) -> None:
         for key in ("m", "n_individuals", "n_replications", "seed"):
@@ -253,10 +256,6 @@ class SimConfig:
         if self.sigma_eps < 0 or not math.isfinite(self.sigma_eps):
             raise ConfigError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps}")
         check_rho(self.rho, self.m)
-        if self.noise_mode not in ("per_cell", "per_individual"):
-            raise ConfigError(
-                f"noise_mode must be 'per_cell' or 'per_individual', got {self.noise_mode!r}"
-            )
         if isinstance(self.dist, FixedMeans) and len(self.dist.mu) != self.m:
             raise ConfigError(
                 f"Fixed means have length {len(self.dist.mu)} but m = {self.m}"
@@ -284,8 +283,7 @@ class SimResult:
 def _layout(cfg: SimConfig) -> tuple:
     """What fixes the normals a replication draws: configs that agree on it
     consume identical draws from every replication's stream."""
-    return (cfg.seed, cfg.n_individuals, cfg.n_replications, cfg.m, cfg.noise_mode,
-            type(cfg.dist))
+    return (cfg.seed, cfg.n_individuals, cfg.n_replications, cfg.m, type(cfg.dist))
 
 
 def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
@@ -312,9 +310,8 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     mu = cfg.dist.sample(m, rng)
     draws = [] if more else None
     y = sample_potential_outcomes(mu, cfg.sigma, cfg.rho, n, rng, draws)
-    per_cell = cfg.noise_mode == "per_cell"
-    noise = rng.standard_normal((n, m) if per_cell else (n, 1))
-    scratch = np.empty((n, m)) if more or not per_cell else None
+    noise = rng.standard_normal((n, m))
+    scratch = np.empty((n, m)) if more else None
     values = []
     for k, point in enumerate((cfg, *more)):
         last = k == len(more)
@@ -322,7 +319,7 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
             mu = point.dist.sample(m, stream(cfg.seed, rep))
             y = _outcomes(draws, mu, point.sigma, point.rho, out=draws[-1] if last else y)
         # Yhat = Y + sigma_eps * noise, computed as noise * sigma_eps + Y
-        yhat = noise if last and per_cell else scratch
+        yhat = noise if last else scratch
         np.multiply(noise, point.sigma_eps, out=yhat)
         yhat += y
         values.append(_score(y, yhat))

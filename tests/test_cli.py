@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from persgain._util import write_json
 from persgain.cli import main
-from persgain.dataset import load_csv, one_factor_dgp
+from persgain.dataset import SynthDGP, load_csv, one_factor_dgp
 from persgain.errors import InternalError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -225,11 +225,25 @@ SIMULATE, SYNTH, PREDICT = (MISTYPED_BASES[c] for c in ("simulate", "synth", "pr
     ("simulate", {**SIMULATE, "dist": {"kind": "fixed", "mu": [0, 1, 2], "s": 5}}, "s"),
     ("predict", {**PREDICT, "profile": {**PREDICT["profile"], "sigma_epsilon": 0.1}},
      "sigma_epsilon"),
-], ids=["top", "dgp", "covariate", "dist", "fixed_dist", "profile"])
+    # a resolved_config.json written while noise_mode was a field holds it
+    ("simulate", {**SIMULATE, "noise_mode": "per_cell"}, "noise_mode"),
+], ids=["top", "dgp", "covariate", "dist", "fixed_dist", "profile", "noise_mode"])
 def test_unknown_key_at_any_level_exits_2_naming_it(tmp_path, capsys, command, config, key):
     assert _run_config(tmp_path, command, config) == 2
     err = capsys.readouterr().err
     assert "unknown field(s)" in err and f"[{key!r}]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("covariate,key", [
+    ({"kind": "bernoulli", "q": 0.3, "sd": 5.0, "mean": 9.0}, "mean"),
+    ({"kind": "bernoulli", "q": 0.3, "sd": 5.0}, "sd"),
+    ({"kind": "normal", "q": 0.9}, "q"),
+], ids=["bernoulli_mean", "bernoulli_sd", "normal_q"])
+def test_covariate_field_unused_by_its_kind_exits_2_naming_it(tmp_path, capsys, covariate, key):
+    config = {**SYNTH, "dgp": {**SYNTH["dgp"], "covariates": [covariate]}}
+    assert _run_config(tmp_path, "synth", config) == 2
+    assert f"does not use {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -410,6 +424,21 @@ def test_synth_writes_loadable_dataset(pipeline):
     schema = json.loads((pipeline["out"] / "schema.json").read_text())
     assert schema["covariate_names"] == list(dataset.covariate_names)
     assert schema["arm_names"] == list(dataset.arm_names)
+
+
+def test_schema_kinds_match_load_csv(tmp_path):
+    # a degenerate normal covariate (sd 0, mean 1) holds only ones
+    covariates = [{"kind": "bernoulli", "q": 0.3}, {"kind": "normal", "sd": 2.0},
+                  {"kind": "normal", "mean": 1.0, "sd": 0.0}]
+    dgp = SynthDGP.from_config({"intercepts": [0.0, 0.1], "noise_sd": 0.3,
+                                "beta": [[0.2, 0.1, 0.3], [0.3, 0.0, 0.1]],
+                                "covariates": covariates})
+    # to_config spells out every default, which each kind accepts
+    assert _run_config(tmp_path, "synth", {"n": 200, "seed": 1, "dgp": dgp.to_config()}) == 0
+    schema = json.loads((tmp_path / "out" / "schema.json").read_text())
+    loaded = load_csv(tmp_path / "out" / "data.csv")
+    assert schema["covariate_kinds"] == ["binary", "continuous", "binary"]
+    assert tuple(schema["covariate_kinds"]) == loaded.covariate_kinds
 
 
 def test_synth_sealed_file_covers_every_unit_and_arm(pipeline):

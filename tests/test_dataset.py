@@ -34,7 +34,6 @@ def tiny_dataset(**overrides):
         propensity=np.full(4, 0.5),
         arm_names=("control", "treat"),
         covariate_names=("age", "flag"),
-        covariate_kinds=("continuous", "binary"),
     )
     base.update(overrides)
     return ExperimentDataset(**base)
@@ -66,10 +65,6 @@ class TestDatasetValidation:
         ds = tiny_dataset().subset([0, 2])
         assert ds.n == 2
         assert set(ds.arm.tolist()) == {0}
-
-    def test_rejects_binary_column_with_other_values(self):
-        with pytest.raises(DomainError, match="binary"):
-            tiny_dataset(x=np.array([[1.0, 0.0], [2.0, 2.0], [3.0, 0.0], [4.0, 1.0]]))
 
     def test_rejects_nonfinite_outcome(self):
         with pytest.raises(DomainError, match="finite"):
@@ -243,7 +238,6 @@ class TestSplit:
             arm=np.array([0, 1] * 5),
             outcome=np.arange(10, dtype=float),
             propensity=np.full(10, 0.5),
-            covariate_kinds=("binary", "binary"),
         )
         sp = split(ds, train_fraction=0.7, seed=0)
         assert sp.train_idx.size == 7 and sp.test_idx.size == 3
@@ -306,7 +300,6 @@ class TestCsvRoundTrip:
                 propensity=np.full(n, 1.0 / m),
                 arm_names=tuple(f"arm{a}" for a in range(m)),
                 covariate_names=tuple(f"c{j}" for j in range(p)),
-                covariate_kinds=("continuous",) * p,
             )
             path = tmp_path / f"rt_{trial}.csv"
             write_csv(ds, path)
@@ -377,7 +370,6 @@ class TestCsvRoundTrip:
             propensity=(weights / weights.sum())[arm],
             arm_names=tuple(data.draw(names, label="arm names")),
             covariate_names=tuple(f"c{j}" for j in range(p)),
-            covariate_kinds=("continuous",) * p,
         )
         path = tmp_path_factory.mktemp("rt") / data.draw(st.sampled_from(["d.csv", "d.csv.gz"]))
         write_csv(ds, path)

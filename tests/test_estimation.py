@@ -37,7 +37,6 @@ def manual_dataset(outcomes, arms, arm_names, x=None):
         propensity=np.full(n, 1.0 / len(arm_names)),
         arm_names=arm_names,
         covariate_names=tuple(f"c{j}" for j in range(np.atleast_2d(x).shape[1])),
-        covariate_kinds=("continuous",) * np.atleast_2d(x).shape[1],
     )
 
 
@@ -218,7 +217,6 @@ class TestSigmaRho:
             propensity=ds.propensity,
             arm_names=ds.arm_names,
             covariate_names=ds.covariate_names,
-            covariate_kinds=ds.covariate_kinds,
         )
         new_sigma, new_rho, _, new_diag = estimate_sigma_rho(shifted, sp, fit_predictor(shifted, sp))
         assert new_sigma == pytest.approx(base_sigma, abs=1e-9)
@@ -252,7 +250,6 @@ class TestSigmaRho:
             propensity=np.full(200, 0.5),
             arm_names=("lo", "hi"),
             covariate_names=("x0",),
-            covariate_kinds=("continuous",),
         )
         sp = split(ds, 0.5, seed=0)
         model = fit_predictor(ds, sp)

@@ -49,7 +49,6 @@ def manual_dataset(outcomes, arms, arm_names, x=None, propensity=None):
         propensity=propensity,
         arm_names=arm_names,
         covariate_names=tuple(f"c{j}" for j in range(np.atleast_2d(x).shape[1])),
-        covariate_kinds=("continuous",) * np.atleast_2d(x).shape[1],
     )
 
 
@@ -128,7 +127,6 @@ class TestOlsPolicy:
             propensity=ds.propensity,
             arm_names=("B", "A"),
             covariate_names=ds.covariate_names,
-            covariate_kinds=ds.covariate_kinds,
         )
         again = fit_ols_policy(relabeled).assign(relabeled)
         assert np.array_equal(perm[base], again)

@@ -203,16 +203,6 @@ def test_gain_decreasing_in_sigma_eps_with_crn() -> None:
     assert all(b < a for a, b in zip(gains, gains[1:]))
 
 
-def test_per_individual_noise_never_changes_selections() -> None:
-    # a scalar error shared by all arms shifts every prediction for an
-    # individual equally, so picks and column-mean argmax are unchanged
-    base = SimConfig(m=4, sigma=1.0, rho=0.1, dist=NormalMeans(0.0, 1.0),
-                     n_individuals=500, n_replications=50, seed=8)
-    noisy = SimConfig(m=4, sigma=1.0, rho=0.1, dist=NormalMeans(0.0, 1.0), sigma_eps=5.0,
-                      n_individuals=500, n_replications=50, seed=8, noise_mode="per_individual")
-    assert simulate_gain(noisy) == simulate_gain(base)
-
-
 def test_determinism_across_parallelism() -> None:
     cfg = SimConfig(m=3, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0), sigma_eps=0.5,
                     n_individuals=300, n_replications=40, seed=9)
@@ -234,8 +224,6 @@ def test_sim_config_validation() -> None:
         SimConfig(m=2, sigma=1.0, rho=0.0, dist=NormalMeans(), sigma_eps=-1.0)
     with pytest.raises(ConfigError):
         SimConfig(m=2, sigma=1.0, rho=0.0, dist=FixedMeans([1.0, 2.0, 3.0]))
-    with pytest.raises(ConfigError):
-        SimConfig(m=2, sigma=1.0, rho=0.0, dist=NormalMeans(), noise_mode="shared")
 
 
 def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
@@ -265,8 +253,7 @@ def reference_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
         common = scale * eps.mean(axis=1, keepdims=True)
     y = mu + cfg.sigma * (math.sqrt(1.0 - rho) * eps + common)
-    shape = (n, m) if cfg.noise_mode == "per_cell" else (n, 1)
-    yhat = y + cfg.sigma_eps * rng.standard_normal(shape)
+    yhat = y + cfg.sigma_eps * rng.standard_normal((n, m))
     picks = np.argmax(yhat, axis=1)
     v_p = float(y[np.arange(n), picks].mean())
     v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
@@ -282,15 +269,14 @@ def reference_gains(cfg: SimConfig) -> tuple[float, ...]:
 
 def layout_grid() -> list[SimConfig]:
     """Configs covering every draw layout: fixed, normal and spike-slab
-    means, both noise modes and several m, with several configs sharing
-    each layout and rho on both sides of 0 within a layout."""
+    means and several m, with several configs sharing each layout and rho
+    on both sides of 0 within a layout."""
     base = dict(n_individuals=200, n_replications=6, seed=13)
     cfgs = []
     for rho in (-0.2, 0.0, 0.5, 1.0):
-        for mode in ("per_cell", "per_individual"):
-            for sigma, s, sigma_eps in ((1.0, 0.5, 0.0), (2.5, 0.0, 0.8)):
-                cfgs.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
-                                      sigma_eps=sigma_eps, noise_mode=mode, **base))
+        for sigma, s, sigma_eps in ((1.0, 0.5, 0.0), (2.5, 0.0, 0.8)):
+            cfgs.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
+                                  sigma_eps=sigma_eps, **base))
     # rho < 0 last, so its outcomes are written over the shared draws
     for rho in (0.3, -0.1):
         for pi in (0.2, 0.9):
@@ -341,11 +327,10 @@ def expected_max_of_normals(m: int) -> float:
 def exact_gain(cfg: SimConfig) -> float:
     """The simulator's estimand for normal means N(M, s^2): with
     v^2 = sigma^2 (1 - rho), the personalized pick's expected edge minus
-    the in-sample winner's curse of the best column mean. Per-individual
-    noise never changes a pick, so it counts as sigma_eps = 0."""
+    the in-sample winner's curse of the best column mean."""
     s2 = cfg.dist.s ** 2
     v2 = cfg.sigma ** 2 * (1.0 - cfg.rho)
-    e2 = cfg.sigma_eps ** 2 if cfg.noise_mode == "per_cell" else 0.0
+    e2 = cfg.sigma_eps ** 2
     n = cfg.n_individuals
     personalized = (s2 + v2) / math.sqrt(s2 + v2 + e2)
     uniform = (s2 + v2 / n) / math.sqrt(s2 + (v2 + e2) / n)
@@ -354,7 +339,8 @@ def exact_gain(cfg: SimConfig) -> float:
 
 def test_exact_m_arm_gain_is_an_oracle_for_the_simulator() -> None:
     # ten designs sharing one draw layout and ten with layouts of their own
-    # (rho on both sides of 0, both noise modes); criterion 1's rule
+    # (rho on both sides of 0, every other one with sigma_eps = 0);
+    # criterion 1's rule
     rng = np.random.default_rng(29)
     cfgs = []
     for _ in range(10):
@@ -370,8 +356,8 @@ def test_exact_m_arm_gain_is_an_oracle_for_the_simulator() -> None:
             m=m, sigma=float(rng.uniform(0.2, 2.0)),
             rho=float(rng.uniform(-0.9 / (m - 1), 0.95)),
             dist=NormalMeans(float(rng.uniform(-1, 1)), float(rng.uniform(0.0, 1.0))),
-            sigma_eps=float(rng.uniform(0.0, 1.5)), n_individuals=1_000, n_replications=400,
-            seed=40 + k, noise_mode=("per_cell", "per_individual")[k % 2],
+            sigma_eps=(float(rng.uniform(0.0, 1.5)), 0.0)[k % 2], n_individuals=1_000,
+            n_replications=400, seed=40 + k,
         ))
     assert any(cfg.rho < 0 for cfg in cfgs)
     hits = sum(
