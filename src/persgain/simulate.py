@@ -21,16 +21,17 @@ SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
 so any parallelism degree yields bit-identical results, and two runs that
 differ only in (sigma, rho, sigma_eps, dist parameters) consume identical
 underlying draws, so sweeps over those knobs are common-random-number
-coupled by construction. (The prediction-noise normals are drawn even when
-sigma_eps = 0 for exactly this reason; adding 0.0 * noise leaves Y bit-for-bit
-unchanged.)
+coupled by construction. The prediction-noise normals are drawn only when
+some config in the draw layout has sigma_eps > 0. They are the last draw of
+the stream, so skipping them moves no other draw, and a sigma_eps = 0 config
+is scored on Y itself, which gives the bits Y + 0.0 * noise would.
 
 `simulate_gains` runs a whole grid of configs and draws each replication's
 normals once per draw layout, not once per config. Configs share a layout
 when they agree on seed, n_individuals, n_replications, m and the kind
 of mean distribution. Within a layout, replication r draws the
-outcome normals (z and eps) and the prediction noise once; each config
-then draws its own mu again from a fresh stream(seed, r), which
+outcome normals (z and eps) and, if needed, the prediction noise once;
+each config then draws its own mu again from a fresh stream(seed, r), which
 consumes the same number of draws whatever the distribution's parameters,
 and scales the shared normals with the same floating-point operations a
 config run alone performs. So every config's results are bit-identical to
@@ -301,27 +302,32 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     """Replication `rep` of cfg and of every config in `more`, which share
     cfg's draw layout: (v_p, v_u) for each, in that order.
 
-    The outcome normals and the prediction noise are drawn once. Every
-    config but the last writes its Y and Yhat into two scratch arrays; the
-    last writes them over the draws themselves.
+    The outcome normals are drawn once, and so is the prediction noise if
+    any of these configs has sigma_eps > 0. A config with sigma_eps = 0 is
+    scored on Y itself. Every config but the last writes its Y, and its
+    Yhat if it has one, into two scratch arrays; the last writes them over
+    the draws themselves.
     """
     n, m = cfg.n_individuals, cfg.m
     rng = stream(cfg.seed, rep)
     mu = cfg.dist.sample(m, rng)
     draws = [] if more else None
     y = sample_potential_outcomes(mu, cfg.sigma, cfg.rho, n, rng, draws)
-    noise = rng.standard_normal((n, m))
-    scratch = np.empty((n, m)) if more else None
+    noisy = any(point.sigma_eps for point in (cfg, *more))
+    noise = rng.standard_normal((n, m)) if noisy else None
+    scratch = np.empty((n, m)) if more and noisy else None
     values = []
     for k, point in enumerate((cfg, *more)):
         last = k == len(more)
         if k:
             mu = point.dist.sample(m, stream(cfg.seed, rep))
             y = _outcomes(draws, mu, point.sigma, point.rho, out=draws[-1] if last else y)
-        # Yhat = Y + sigma_eps * noise, computed as noise * sigma_eps + Y
-        yhat = noise if last else scratch
-        np.multiply(noise, point.sigma_eps, out=yhat)
-        yhat += y
+        yhat = y
+        if point.sigma_eps:
+            # Yhat = Y + sigma_eps * noise, computed as noise * sigma_eps + Y
+            yhat = noise if last else scratch
+            np.multiply(noise, point.sigma_eps, out=yhat)
+            yhat += y
         values.append(_score(y, yhat))
     return values
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from persgain import simulate
 from persgain.analytic import TwoArmParams, gain_two_arm
 from persgain.errors import ConfigError, DomainError
 from persgain.simulate import (
@@ -292,6 +293,10 @@ def layout_grid() -> list[SimConfig]:
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None:
+    # This also pins the sigma_eps = 0 fast path: layout_grid holds a layout
+    # where every config has sigma_eps = 0 (FixedMeans, m = 5), which skips
+    # the noise draw, and a mixed one (NormalMeans, m = 4), which draws it,
+    # while reference_replicate always draws the noise.
     cfgs = layout_grid()
     results = simulate_gains(cfgs, n_jobs=n_jobs)
     assert len(results) == len(cfgs)
@@ -305,6 +310,42 @@ def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
     cfgs.append(cfgs[0])
     assert simulate_gains(cfgs) == [simulate_gain(cfg) for cfg in cfgs]
     assert simulate_gains([]) == []
+
+
+class CountingGenerator:
+    """A generator that delegates to a real one and records the size of each
+    standard_normal call."""
+
+    def __init__(self, rng: np.random.Generator, sizes: list) -> None:
+        self._rng, self._sizes = rng, sizes
+
+    def standard_normal(self, size=None):
+        self._sizes.append(size)
+        return self._rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("sigma_eps, n_by_m_draws", [
+    ((0.0,), 1), ((0.0, 0.0), 1), ((0.5,), 2), ((0.0, 0.5), 2), ((0.5, 0.0), 2),
+])
+def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
+    monkeypatch, sigma_eps, n_by_m_draws
+) -> None:
+    """Each replication draws eps, n x m, and the n x m prediction noise only
+    if some config in the layout has sigma_eps > 0; the results keep the bits
+    of the reference, which always draws the noise."""
+    sizes: list = []
+    monkeypatch.setattr(simulate, "stream", lambda *key: CountingGenerator(stream(*key), sizes))
+    n, m, reps = 50, 3, 4
+    cfgs = [SimConfig(m=m, sigma=1.0 + k, rho=0.2 - 0.3 * k, dist=NormalMeans(0.0, 1.0),
+                      sigma_eps=e, n_individuals=n, n_replications=reps)
+            for k, e in enumerate(sigma_eps)]
+    results = simulate_gains(cfgs)
+    assert sizes.count((n, m)) == n_by_m_draws * reps
+    for cfg, result in zip(cfgs, results):
+        assert result.per_replication_gains == reference_gains(cfg), cfg
 
 
 def test_jobs_below_one_rejected() -> None:
