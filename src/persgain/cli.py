@@ -252,17 +252,14 @@ def cmd_estimate(config: dict, args: argparse.Namespace) -> int:
 
 def cmd_evaluate(config: dict, args: argparse.Namespace) -> int:
     out = _out_dir(args)
+    fits = {"uniform": best_uniform, "ols": fit_ols_policy}
+    for name in config["policies"]:
+        if name not in fits:
+            raise ConfigError(f"unknown policy {name!r}; choose from {list(fits)}")
     dataset = load_csv(config["data"])
     sp = split(dataset, config["train_frac"], seed=config["seed"])
     train = dataset.subset(sp.train_idx)
-    policies = []
-    for name in config["policies"]:
-        if name == "uniform":
-            policies.append(best_uniform(train))
-        elif name == "ols":
-            policies.append(fit_ols_policy(train))
-        else:
-            raise ConfigError(f"unknown policy {name!r}; choose from ['uniform', 'ols']")
+    policies = [fits[name](train) for name in config["policies"]]
     rows = gain_report(policies, dataset, sp, n_boot=config["n_boot"], seed=config["seed"])
     _write_rows(out / "report.csv", rows)
     return _finish("evaluate", config, out, ["report.csv"])

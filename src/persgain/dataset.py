@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _FIXED_COLUMNS = ("unit_id", "arm", "outcome", "propensity")
+# ExperimentDataset's per-row arrays, checked, frozen and subset alike; x (2-D) first
+_ROW_FIELDS = ("x", "unit_ids", "arm", "outcome", "propensity")
 
 
 # --------------------------------------------------------------------------
@@ -101,7 +103,7 @@ class ExperimentDataset:
     appear) sum to one across arms.
     """
 
-    unit_ids: tuple[str, ...]
+    unit_ids: np.ndarray
     x: np.ndarray
     arm: np.ndarray
     outcome: np.ndarray
@@ -110,7 +112,7 @@ class ExperimentDataset:
     covariate_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_ids", tuple(str(u) for u in self.unit_ids))
+        object.__setattr__(self, "unit_ids", _text_ids(self.unit_ids))
         object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=float)))
         object.__setattr__(self, "arm", np.asarray(self.arm, dtype=int))
         object.__setattr__(self, "outcome", np.asarray(self.outcome, dtype=float))
@@ -125,8 +127,8 @@ class ExperimentDataset:
                 f"covariate matrix shape {self.x.shape} does not match "
                 f"{n} rows x {len(self.covariate_names)} named columns"
             )
-        for arr, name in ((self.arm, "arm"), (self.outcome, "outcome"), (self.propensity, "propensity")):
-            if arr.shape != (n,):
+        for name in _ROW_FIELDS[1:]:
+            if getattr(self, name).shape != (n,):
                 raise DomainError(f"{name} must have one entry per row")
         if len(self.arm_names) < 2:
             raise DomainError("need at least two arms")
@@ -155,10 +157,8 @@ class ExperimentDataset:
                 f"per-arm propensities sum to {float(sum(seen))!r}, expected 1 (a CSV names "
                 "only the arms it has rows for, so those arms must carry the whole design)"
             )
-        self.x.setflags(write=False)
-        self.arm.setflags(write=False)
-        self.outcome.setflags(write=False)
-        self.propensity.setflags(write=False)
+        for name in _ROW_FIELDS:
+            getattr(self, name).setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -184,14 +184,7 @@ class ExperimentDataset:
 
     def subset(self, indices: Sequence[int]) -> "ExperimentDataset":
         idx = np.asarray(indices, dtype=int)
-        return replace(
-            self,
-            unit_ids=tuple(self.unit_ids[i] for i in idx),
-            x=self.x[idx],
-            arm=self.arm[idx],
-            outcome=self.outcome[idx],
-            propensity=self.propensity[idx],
-        )
+        return replace(self, **{name: getattr(self, name)[idx] for name in _ROW_FIELDS})
 
     def schema_doc(self) -> dict:
         return {
@@ -211,14 +204,24 @@ class SealedOutcomes:
     """
 
     y: np.ndarray
-    unit_ids: tuple[str, ...]
+    unit_ids: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "unit_ids", tuple(str(u) for u in self.unit_ids))
+        object.__setattr__(self, "unit_ids", _text_ids(self.unit_ids))
         if self.y.ndim != 2 or self.y.shape[0] != len(self.unit_ids):
             raise DomainError("sealed matrix must be n x m with one row per unit")
         self.y.setflags(write=False)
+        self.unit_ids.setflags(write=False)
+
+
+def _text_ids(unit_ids) -> np.ndarray:
+    """Unit ids as a 1-D object array of str: such an array is kept as it
+    is, any other input rebuilt with str() per id."""
+    if isinstance(unit_ids, np.ndarray) and unit_ids.dtype == object:
+        if set(map(type, unit_ids)) == {str}:  # a 2-D array yields rows
+            return unit_ids
+    return np.fromiter(map(str, unit_ids), dtype=object)
 
 
 # --------------------------------------------------------------------------
@@ -348,9 +351,8 @@ def generate_synthetic(dgp: SynthDGP, n: int, seed: int) -> tuple[ExperimentData
     if dgp.outcome_kind == "bernoulli-latent":
         prob = np.clip(y_all, 0.0, 1.0)
         y_all = (rng.uniform(size=(n, dgp.m)) < prob).astype(float)
-    unit_ids = tuple(f"u{i:07d}" for i in range(n))
     dataset = ExperimentDataset(
-        unit_ids=unit_ids,
+        unit_ids=np.array([f"u{i:07d}" for i in range(n)], dtype=object),
         x=x,
         arm=arms,
         outcome=y_all[np.arange(n), arms],
@@ -358,7 +360,7 @@ def generate_synthetic(dgp: SynthDGP, n: int, seed: int) -> tuple[ExperimentData
         arm_names=dgp.arm_names,
         covariate_names=tuple(f"x{j}" for j in range(dgp.p)),
     )
-    return dataset, SealedOutcomes(y_all, unit_ids)
+    return dataset, SealedOutcomes(y_all, dataset.unit_ids)
 
 
 def rerandomize_assignment(
@@ -367,7 +369,7 @@ def rerandomize_assignment(
     """Fresh uniform arm assignment over the same units; observed outcomes are
     re-read from the sealed matrix. Covariates are unchanged; every
     propensity becomes 1/m, the probability of the new assignment."""
-    if dataset.unit_ids != sealed.unit_ids:
+    if not np.array_equal(dataset.unit_ids, sealed.unit_ids):
         raise DomainError("sealed matrix does not correspond to this dataset")
     rng = stream(seed)
     arms = rng.integers(0, dataset.m, size=dataset.n)
@@ -443,10 +445,9 @@ def split(dataset: ExperimentDataset, train_fraction: float, seed: int) -> Train
 def write_csv(dataset: ExperimentDataset, path: str | Path) -> None:
     """Columns: unit_id, arm (name), outcome, propensity, then covariates.
     Floats use shortest round-trip formatting; .gz suffix gzips."""
-    arm_names = dataset.arm_names
     columns = [
         dataset.unit_ids,
-        [arm_names[a] for a in dataset.arm.tolist()],
+        np.array(dataset.arm_names, dtype=object)[dataset.arm],
         dataset.outcome,
         dataset.propensity,
         *dataset.x.T,
@@ -524,7 +525,7 @@ def _load_columns(text: str) -> ExperimentDataset | None:
         return None
     return _dataset(
         tuple(header[4:]),
-        table["unit_id"].tolist(),
+        table["unit_id"].copy(),
         table["arm"].tolist(),
         values[:, 0].copy(),
         values[:, 1].copy(),
@@ -584,7 +585,7 @@ def _load_rows(text: str, path: Path) -> ExperimentDataset:
 
 def _dataset(
     cov_names: tuple[str, ...],
-    unit_ids: list[str],
+    unit_ids: Sequence[str],
     arm_labels: list[str],
     outcome: np.ndarray,
     propensity: np.ndarray,
@@ -594,7 +595,7 @@ def _dataset(
     arm_names = tuple(sorted(set(arm_labels)))
     arm_index = {name: a for a, name in enumerate(arm_names)}
     return ExperimentDataset(
-        unit_ids=tuple(unit_ids),
+        unit_ids=unit_ids,
         x=x,
         arm=np.fromiter(map(arm_index.__getitem__, arm_labels), dtype=int, count=len(arm_labels)),
         outcome=outcome,

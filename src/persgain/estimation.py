@@ -121,11 +121,11 @@ def estimate_s(dataset: ExperimentDataset) -> float:
     return float(np.std(means, ddof=1))
 
 
-def per_arm_means(dataset: ExperimentDataset) -> np.ndarray:
+def per_arm_means(dataset: ExperimentDataset, rows: str = "rows") -> np.ndarray:
+    """Mean outcome per arm; an arm with none of its `rows` raises."""
     counts = dataset.arm_counts()
-    for a in range(dataset.m):
-        if counts[a] == 0:
-            raise DomainError(f"arm {dataset.arm_names[a]!r} has no rows")
+    if not counts.all():
+        raise DomainError(f"arm {dataset.arm_names[int(np.argmin(counts))]!r} has no {rows}")
     sums = np.bincount(dataset.arm, weights=dataset.outcome, minlength=dataset.m)
     return sums / counts
 
@@ -142,10 +142,11 @@ def estimate_sigma_eps(
     return float(np.std(residuals, ddof=1))
 
 
-def _quantile_bins(scores: np.ndarray, unit_ids: Sequence[str], n_quantiles: int) -> np.ndarray:
+def _quantile_bins(scores: np.ndarray, unit_ids: Sequence, n_quantiles: int) -> np.ndarray:
     """Equal-count bin index per unit, ranking by (score, unit_id) so ties
-    (common with binary covariates) resolve the same way every run."""
-    order = np.lexsort((np.asarray(unit_ids), scores))
+    (common with binary covariates) resolve the same way every run. Any key
+    that orders as the ids do, such as their ranks, may stand in for them."""
+    order = np.lexsort((unit_ids, scores))
     bins = np.empty(len(scores), dtype=int)
     for b, rows in enumerate(np.array_split(order, n_quantiles)):
         bins[rows] = b
@@ -177,14 +178,14 @@ def estimate_sigma_rho(
             "every bin needs units of every arm"
         )
     scores = predictor.predict(holdout.x)
-    uids = np.asarray(holdout.unit_ids)
+    id_ranks = np.argsort(np.argsort(holdout.unit_ids, kind="stable"))  # ranks sort faster
     m = dataset.m
     bin_means = np.zeros((m, n_quantiles))
     bin_counts = np.zeros((m, n_quantiles), dtype=int)
     unit_values = np.zeros((holdout.n, m))
     thin_cells = []
     for a in range(m):
-        bins = _quantile_bins(scores[:, a], uids, n_quantiles)
+        bins = _quantile_bins(scores[:, a], id_ranks, n_quantiles)
         assigned = holdout.arm == a
         for q in range(n_quantiles):
             cell = assigned & (bins == q)

@@ -57,7 +57,7 @@ class UniformPolicy:
 
 def best_uniform(train: ExperimentDataset) -> UniformPolicy:
     """Arm with the highest training mean outcome; ties -> lowest index."""
-    means = per_arm_means(train)
+    means = per_arm_means(train, "training rows")
     return UniformPolicy(int(np.argmax(means)))
 
 

@@ -398,11 +398,11 @@ def sweep_arms(cfg: SimConfig, m_values: Sequence[int], n_jobs: int = 1) -> list
     if len(m_values) == 0:
         raise ConfigError("m_values must be non-empty")
     rows = []
-    for m in m_values:
-        res = simulate_gain(replace(cfg, m=int(m)), n_jobs=n_jobs)
+    for point in [replace(cfg, m=int(m)) for m in m_values]:  # check every m before any runs
+        res = simulate_gain(point, n_jobs=n_jobs)
         rows.append(
             {
-                "m": int(m),
+                "m": point.m,
                 "gain_mean": res.gain_mean,
                 "gain_se": res.gain_se,
                 "v_personalized_mean": res.v_personalized_mean,

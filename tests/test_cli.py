@@ -399,6 +399,25 @@ def test_sweep_csv_has_one_row_per_arm_count(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["2", "5", "10"]
 
 
+def test_sweep_checks_every_arm_count_before_simulating_any(tmp_path, capsys, monkeypatch):
+    import persgain.simulate
+
+    calls = []
+    replicate = persgain.simulate._replicate
+    monkeypatch.setattr(persgain.simulate, "_replicate",
+                        lambda *args: calls.append(args) or replicate(*args))
+    args = ["sweep", "--sigma", 1, "--rho", -0.6, "--n-individuals", 50, "--n-replications", 5]
+    # rho = -0.6 is valid for m = 2 and below the bound -1/(m - 1) = -0.5 for m = 3
+    assert run_cli([*args, "--m-values", "2", "--out", tmp_path / "ok"]) == 0
+    assert len(calls) == 5
+    calls.clear()
+    out = tmp_path / "bad"
+    assert run_cli([*args, "--m-values", "2,3", "--out", out]) == 2
+    assert "rho" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # synth -> estimate -> evaluate pipeline
 
@@ -550,6 +569,34 @@ def test_evaluate_unknown_policy_exits_2(pipeline, tmp_path, capsys):
                   "--policies", "uniform,frisbee", "--out", tmp_path / "o"])
     assert rc == 2
     assert "frisbee" in capsys.readouterr().err
+
+
+def test_evaluate_unknown_policy_exits_2_before_reading_the_data(tmp_path, capsys, monkeypatch):
+    def load_csv(path):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr("persgain.cli.load_csv", load_csv)
+    out = tmp_path / "o"
+    rc = run_cli(["evaluate", "--data", tmp_path / "data.csv", "--policies", "ols,tree",
+                  "--out", out])
+    assert rc == 2
+    assert "unknown policy 'tree'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policies", ["uniform,ols", "ols,uniform"])
+def test_evaluate_arm_without_training_rows_exits_2_whichever_policy_is_first(
+    tmp_path, capsys, policies
+):
+    # three rows per arm; a 0.2 split trains on one row, of arm a
+    rows = ["unit_id,arm,outcome,propensity,x"]
+    rows += [f"u{i},{'ab'[i // 3]},{i},0.5,{i % 2}" for i in range(6)]
+    data = tmp_path / "six.csv"
+    data.write_text("\n".join(rows) + "\n")
+    rc = run_cli(["evaluate", "--data", data, "--train-frac", 0.2, "--policies", policies,
+                  "--n-boot", 10, "--out", tmp_path / "o"])
+    assert rc == 2
+    assert "arm 'b' has no training rows" in capsys.readouterr().err
 
 
 def test_evaluate_missing_data_file_exits_2(tmp_path, capsys):
@@ -750,8 +797,11 @@ def test_write_json_rejects_non_finite_floats(tmp_path):
 
 
 def test_benchmark_tracer_still_finds_its_spans(tmp_path):
-    # perfbench/tracer.py times functions by replacing the names the CLI
-    # binds; a refactor that rebinds them silently drops the spans
+    """perfbench/tracer.py times functions by replacing, by name, each one
+    the package binds, so renaming a traced function fails this test (the
+    tracer cannot install) and rebinding one drops its span. It only reads
+    perfbench/; ROADMAP item 1 moves the spans into the package and removes
+    it."""
     dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 200, "seed": 1}))
@@ -760,8 +810,9 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
     for argv in (["synth", "--config", cfg, "--jobs", 1, "--out", tmp_path / "out"],
                  ["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1.5, "--rho", 0.1]):
         spans = tmp_path / f"{argv[0]}.json"
-        subprocess.run([sys.executable, REPO / "perfbench" / "tracer.py", spans, "--",
-                        *[str(a) for a in argv]], env=env, check=True, capture_output=True)
+        proc = subprocess.run([sys.executable, REPO / "perfbench" / "tracer.py", spans, "--",
+                               *[str(a) for a in argv]], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
         names |= {span["name"] for span in json.loads(spans.read_text())["spans"]}
     assert {"cli.cmd_synth", "dataset.write_csv", "util.write_csv", "util.write_json",
-            "cli.cmd_gain"} <= names
+            "cli.cmd_gain", "analytic.gain_two_arm"} <= names

@@ -81,8 +81,40 @@ class TestDatasetValidation:
 
     def test_arrays_are_read_only(self):
         ds = tiny_dataset()
-        with pytest.raises(ValueError):
-            ds.outcome[0] = 99.0
+        for field in ("unit_ids", "x", "arm", "outcome", "propensity"):
+            column = getattr(ds, field)
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        sealed = SealedOutcomes(np.zeros((4, 2)), ("a", "b", "c", "d"))
+        for column in (sealed.y, sealed.unit_ids):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_unit_ids_are_a_str_array_and_a_non_str_id_is_stored_as_its_str(self):
+        ids = (7, "b", 2.5, np.str_("d"))
+        for given in (ids, list(ids), np.array(ids, dtype=object)):
+            ds = tiny_dataset(unit_ids=given)
+            assert isinstance(ds.unit_ids, np.ndarray) and ds.unit_ids.dtype == object
+            assert ds.unit_ids.shape == (4,)
+            assert ds.unit_ids.tolist() == ["7", "b", "2.5", "d"]
+            assert [type(u) for u in ds.unit_ids] == [str] * 4
+        sealed = SealedOutcomes(np.zeros((4, 2)), ids)
+        assert sealed.unit_ids.tolist() == ["7", "b", "2.5", "d"]
+
+    def test_a_str_id_array_is_kept_as_it_is(self):
+        ids = np.array(["a", "b", "c", "d\x00"], dtype=object)
+        ds = tiny_dataset(unit_ids=ids)
+        assert ds.unit_ids is ids and not ids.flags.writeable
+        # a subset's ids are already text and are not rebuilt
+        assert ds.subset([3, 0]).unit_ids.tolist() == ["d\x00", "a"]
+
+    def test_subset_keeps_ids_aligned_with_their_rows(self):
+        ds = tiny_dataset()
+        idx = [3, 1, 3, 0]
+        sub = ds.subset(idx)
+        assert sub.unit_ids.tolist() == ["d", "b", "d", "a"]
+        for field in ("x", "arm", "outcome", "propensity"):
+            assert np.array_equal(getattr(sub, field), getattr(ds, field)[idx])
 
 
 class TestSynthDGP:
@@ -122,7 +154,7 @@ class TestGenerateSynthetic:
     def test_observed_outcome_is_a_sealed_entry(self):
         dgp = one_factor_dgp(m=4, sigma=0.3, rho=0.5, intercepts=[0.0] * 4, noise_sd=0.2)
         ds, sealed = generate_synthetic(dgp, n=500, seed=11)
-        assert ds.unit_ids == sealed.unit_ids
+        assert ds.unit_ids.tolist() == sealed.unit_ids.tolist()
         picked = sealed.y[np.arange(ds.n), ds.arm]
         assert np.array_equal(ds.outcome, picked)
         assert np.all(ds.propensity == 0.25)
@@ -190,7 +222,7 @@ class TestRerandomize:
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.4, intercepts=[0.0] * 3, noise_sd=0.2)
         ds, sealed = generate_synthetic(dgp, n=2_000, seed=5)
         re = rerandomize_assignment(ds, sealed, seed=99)
-        assert re.unit_ids == ds.unit_ids
+        assert re.unit_ids.tolist() == ds.unit_ids.tolist()
         assert np.array_equal(re.x, ds.x)
         assert not np.array_equal(re.arm, ds.arm)
         assert np.array_equal(re.outcome, sealed.y[np.arange(ds.n), re.arm])
@@ -224,10 +256,14 @@ class TestRerandomize:
 
     def test_rejects_foreign_sealed_matrix(self):
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.4, intercepts=[0.0] * 3, noise_sd=0.2)
-        ds, _ = generate_synthetic(dgp, n=50, seed=5)
+        ds, sealed = generate_synthetic(dgp, n=50, seed=5)
         other = SealedOutcomes(np.zeros((50, 3)), tuple(f"z{i}" for i in range(50)))
         with pytest.raises(DomainError, match="sealed"):
             rerandomize_assignment(ds, other, seed=1)
+        # the same units in another order, and a subset of them, are foreign too
+        for foreign in (ds.subset(np.arange(50)[::-1]), ds.subset(np.arange(49))):
+            with pytest.raises(DomainError, match="sealed"):
+                rerandomize_assignment(foreign, sealed, seed=1)
 
 
 class TestSplit:
@@ -304,7 +340,7 @@ class TestCsvRoundTrip:
             path = tmp_path / f"rt_{trial}.csv"
             write_csv(ds, path)
             back = load_csv(path)
-            assert back.unit_ids == ds.unit_ids
+            assert back.unit_ids.tolist() == ds.unit_ids.tolist()
             assert np.array_equal(back.x, ds.x)
             assert np.array_equal(back.arm, ds.arm)
             assert np.array_equal(back.outcome, ds.outcome)
@@ -374,7 +410,7 @@ class TestCsvRoundTrip:
         path = tmp_path_factory.mktemp("rt") / data.draw(st.sampled_from(["d.csv", "d.csv.gz"]))
         write_csv(ds, path)
         back = load_csv(path)
-        assert back.unit_ids == ds.unit_ids
+        assert back.unit_ids.tolist() == ds.unit_ids.tolist()
         assert back.arm_names == tuple(sorted(ds.arm_names))
         assert [back.arm_names[a] for a in back.arm] == [ds.arm_names[a] for a in ds.arm]
         for name in ("x", "outcome", "propensity"):
@@ -514,7 +550,7 @@ class TestColumnReader:
             assert fast == rows
             return
         assert isinstance(fast, ExperimentDataset), fast
-        assert fast.unit_ids == rows.unit_ids
+        assert fast.unit_ids.tolist() == rows.unit_ids.tolist()
         assert fast.arm_names == rows.arm_names
         assert fast.covariate_names == rows.covariate_names
         assert fast.covariate_kinds == rows.covariate_kinds
@@ -534,7 +570,7 @@ class TestColumnReader:
 
         monkeypatch.setattr(persgain.dataset.csv, "reader", no_row_loop)
         back = load_csv(path)
-        assert back.unit_ids == ds.unit_ids
+        assert back.unit_ids.tolist() == ds.unit_ids.tolist()
         assert back.x.tobytes() == ds.x.tobytes()
         # a quoted arm name needs the row loop
         quoted = tiny_dataset(arm_names=("a,b", "treat"))

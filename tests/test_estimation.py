@@ -237,6 +237,11 @@ class TestSigmaRho:
         s1, r1, m1, _ = estimate_sigma_rho(ds, sp, model)
         s2, r2, m2, _ = estimate_sigma_rho(ds, sp, model)
         assert s1 == s2 and m1 == m2 and np.array_equal(r1, r2)
+        # ties break by unit id, not by row: shuffled holdout rows fill the same bins
+        shuffled = TrainTestSplit(sp.train_idx, np.random.default_rng(1).permutation(sp.test_idx))
+        s3, r3, m3, _ = estimate_sigma_rho(ds, shuffled, model)
+        assert s3 == pytest.approx(s1, rel=1e-12) and m3 == pytest.approx(m1, rel=1e-12)
+        assert np.allclose(r3, r1, rtol=1e-12, atol=0.0)
 
     def test_empty_cell_is_reported_with_arm_and_bin(self):
         rng = np.random.default_rng(0)

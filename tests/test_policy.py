@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,12 @@ class TestBestUniform:
     def test_picks_highest_training_mean(self):
         ds = manual_dataset([0.1, 0.9, 0.1, 0.9], [0, 1, 0, 1], ("a", "b"))
         assert best_uniform(ds).arm == 1
+
+    def test_arm_without_training_rows_is_named_as_fit_ols_policy_names_it(self):
+        train = manual_dataset([0.1, 0.9, 0.1, 0.9], [0, 1, 0, 1], ("a", "b")).subset([0, 2])
+        for fit in (best_uniform, fit_ols_policy):
+            with pytest.raises(DomainError, match="^arm 'b' has no training rows$"):
+                fit(train)
 
     def test_tie_goes_to_lowest_index(self):
         ds = manual_dataset([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1], ("a", "b"))
@@ -262,6 +269,11 @@ class TestOracle:
         foreign = manual_dataset([1.0, 2.0], [0, 1], ("arm_0", "arm_1"))
         with pytest.raises(DomainError, match="sealed"):
             evaluate_oracle(UniformPolicy(0), foreign, sealed)
+        # one unit the generator never drew is enough
+        ids = ds.unit_ids.copy()
+        ids[7] = "stranger"
+        with pytest.raises(DomainError, match="'stranger'"):
+            evaluate_oracle(UniformPolicy(0), dataclasses.replace(ds, unit_ids=ids), sealed)
 
 
 class TestGainReport:
