@@ -11,6 +11,8 @@ values in numpy's index range, never a bool; a float takes a number or
 numeric text, never a bool; a str takes text only; a tuple[X, ...] takes
 a JSON list or comma-separated text; a nested dataclass takes a JSON
 object read by its own table; an np.ndarray becomes a float array.
+
+The helpers that need numpy import it when they run, so `gain` never does.
 """
 
 from __future__ import annotations
@@ -20,18 +22,18 @@ import math
 import numbers
 import os
 import re
+import sys
 import tempfile
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .errors import ConfigError, InternalError, PersgainError
 
 REQUIRED = MISSING  # the default of a field that has none
 
-_INDEX = np.iinfo(np.intp)
+# numpy's index range: its intp is the C Py_ssize_t, which sys.maxsize bounds
+_INDEX_MIN, _INDEX_MAX = -sys.maxsize - 1, sys.maxsize
 
 
 def fmt_float(x: float) -> str:
@@ -51,8 +53,8 @@ def integer(value, name: str) -> int:
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"expected an integer, got {type(value).__name__}")
-    if not _INDEX.min <= value <= _INDEX.max:
-        raise ValueError(f"outside numpy's index range [{_INDEX.min}, {_INDEX.max}]")
+    if not _INDEX_MIN <= value <= _INDEX_MAX:
+        raise ValueError(f"outside numpy's index range [{_INDEX_MIN}, {_INDEX_MAX}]")
     return int(value)
 
 
@@ -87,7 +89,8 @@ def rule_of(hint):
         return {int: integer, float: real, str: text}[hint]
     if get_origin(hint) is tuple and get_args(hint)[1:] == (Ellipsis,):
         return list_of(rule_of(get_args(hint)[0]))
-    if hint is np.ndarray:
+    np = sys.modules.get("numpy")  # the hint np.ndarray implies numpy is loaded
+    if np is not None and hint is np.ndarray:
         return lambda value, name: np.asarray(value, dtype=float)
     if is_dataclass(hint):
         table = fields_of(hint)
@@ -136,10 +139,10 @@ def read_fields(table: dict, doc, what: str) -> dict:
 def check_addressable(what: str, *shape: int) -> None:
     """Reject a float64 array shape whose byte count exceeds numpy's index
     range; an addressable size can still fail to allocate (MemoryError)."""
-    if math.prod(shape) * 8 > _INDEX.max:
+    if math.prod(shape) * 8 > _INDEX_MAX:
         raise ConfigError(
             f"{what} of shape {' x '.join(map(str, shape))} is too large for numpy "
-            f"to address ({_INDEX.max} bytes at most)"
+            f"to address ({_INDEX_MAX} bytes at most)"
         )
 
 
@@ -179,6 +182,7 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def csv_cell(value: object) -> str:
+    import numpy as np
     if isinstance(value, (float, np.floating)):
         return fmt_float(float(value))
     if isinstance(value, (int, np.integer)):
@@ -190,6 +194,7 @@ def csv_cell(value: object) -> str:
 
 
 def _cells(column: Sequence[object]) -> Iterable[str]:
+    import numpy as np
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         # tolist() gives Python floats, whose repr is fmt_float's
         return map(repr, column.tolist())
@@ -212,6 +217,11 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequenc
     atomic_write(path, csv_bytes(header, columns))
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for (seed, key).
 
@@ -219,6 +229,6 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     subset of keys can run in any order (or in parallel) and still produce
     identical results.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    import numpy as np
+    check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

@@ -84,12 +84,17 @@ def effective_scale(sigma: float, rho: float) -> float:
 
 def gain_two_arm(p: TwoArmParams) -> float:
     """Expected per-individual gain of arm-level personalization over the
-    better uniform arm. Always >= 0; symmetric in arm labels; 0 when v = 0."""
-    v = effective_scale(p.sigma, p.rho)
-    if v == 0.0:
+    better uniform arm. Always >= 0; symmetric in arm labels; 0 when v = 0.
+    Runs on d / 2 and v / 2, doubling the result, so d or v past the largest
+    float still gives the gain; halving is exact outside the subnormal range.
+    """
+    _check_moments(p.sigma, p.rho)
+    half_v = p.sigma * math.sqrt(0.5 * (1.0 - p.rho))  # sqrt(2 (1 - rho)) / 2
+    if half_v == 0.0:
         return 0.0
-    z = p.gap / v
-    return -p.gap * 0.5 * math.erfc(z / math.sqrt(2.0)) + v * _phi(z)
+    half_d = abs(0.5 * p.mu_b - 0.5 * p.mu_a)
+    z = half_d / half_v
+    return 2.0 * (-half_d * 0.5 * math.erfc(z / math.sqrt(2.0)) + half_v * _phi(z))
 
 
 def dgain_dsigma(p: TwoArmParams) -> float:
@@ -125,14 +130,16 @@ def expected_gain_over_means(sigma: float, rho: float, s: float) -> float:
     jointly normal pair is the mean of A and B plus SD(A - B) / sqrt(2 pi).
     Over the draws of the means, Y_a - Y_b has variance 2 s^2 + v^2 and
     mu_a - mu_b has variance 2 s^2, so M cancels. The difference of square
-    roots is evaluated as c / (sqrt(s^2 + c) + s), c = sigma^2 (1 - rho),
-    which does not cancel when s is large against sigma.
+    roots is evaluated as t (t / (hypot(s, t) + s)), t = sigma sqrt(1 - rho),
+    on s / 4 and t / 4: it does not cancel when s dwarfs sigma, and it
+    overflows or underflows only where the result does.
     """
     _check_finite(s=s)
     _check_moments(sigma, rho)
     if s < 0:
         raise DomainError(f"s must be >= 0, got {s}")
-    c = sigma * sigma * (1.0 - rho)
-    if c == 0.0:
+    t4 = 0.25 * sigma * math.sqrt(1.0 - rho)  # t / 4
+    if t4 == 0.0:
         return 0.0
-    return c / (math.sqrt(s * s + c) + s) / math.sqrt(math.pi)
+    s4 = 0.25 * s
+    return t4 * (t4 / (math.hypot(s4, t4) + s4)) * (4.0 / math.sqrt(math.pi))

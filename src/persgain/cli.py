@@ -10,6 +10,9 @@ drive the flags, the reading of the config file and resolved_config.json
 alike. The config file, and the profiles, DGPs and distributions inside
 it, are all read by `_util.read_fields`.
 
+A run imports only what its command uses: a command's field table and
+flags are built when it is parsed, and each handler imports what it calls.
+
 Exit codes: 0 success, 1 runtime failure, 2 validation failure (including
 a negative seed, and an integer or array size numpy cannot index).
 """
@@ -17,32 +20,20 @@ a negative seed, and an integer or array size numpy cannot index).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import warnings
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
 from ._util import (
-    REQUIRED, fields_of, fmt_float, integer, list_of, read_fields, real, text, write_csv,
-    write_json,
-)
-from .analysis import (
-    SimSettings,
-    StudyProfile,
-    counterfactual_swap,
-    elasticity_table,
-    predict_gain,
-    sensitivity_sweep,
+    REQUIRED, check_seed, fields_of, fmt_float, integer, list_of, read_fields, real, text,
+    write_csv, write_json,
 )
 from .analytic import TwoArmParams, expected_gain_over_means, gain_two_arm
-from .dataset import SynthDGP, generate_synthetic, load_csv, split
 from .errors import ConfigError, InternalError, PersgainError
-from .estimation import estimate_moments
-from .policy import best_uniform, fit_ols_policy, gain_report
-from .simulate import SimConfig, dist_from_config, simulate_gain, sweep_arms
 
 _BUNDLED_PROFILES = ("penn_geisinger", "walmart")
 _OUT_ENV = "PERSGAIN_OUT"
@@ -53,60 +44,72 @@ def _profile_ref(value, name: str):
 
 
 def _sim_fields(*skip: str) -> dict:
+    from .simulate import SimConfig
     # every arm has the same mean unless the config says otherwise
     dist = (None, {"kind": "normal", "mean": 0.0, "s": 0.0})
     return {**fields_of(SimConfig, "dist", *skip), "dist": dist}
 
 
-_SETTINGS = fields_of(SimSettings, "n_jobs")
+def _settings_fields() -> dict:
+    from .analysis import SimSettings
+    return fields_of(SimSettings, "n_jobs")
+
+
 _PROFILE = (_profile_ref, REQUIRED, "profile JSON path or bundled name")
 
-# Each command's help and its field table, {field: (rule, default[, flag
-# help])}, as `_util.read_fields` reads it. The flags, the defaults and the
-# conversion of every value, from a flag or from the config file, all come
-# from here. A field whose rule is None holds raw JSON and has no flag.
+# Each command's help and the builder of its field table, {field: (rule,
+# default[, flag help])}, as `_util.read_fields` reads it. The flags, the
+# defaults and the conversion of every value, from a flag or from the
+# config file, all come from here. A field whose rule is None holds raw
+# JSON and has no flag. `_table` builds a command's table once, on first use.
 _COMMANDS = {
-    "gain": ("closed-form two-arm gain", {
+    "gain": ("closed-form two-arm gain", lambda: {
         **fields_of(TwoArmParams),
         "s": (real, None, "also report the gain averaged over mean draws"),
         "seed": (integer, 0, "accepted and ignored: the closed form draws nothing"),
     }),
-    "simulate": ("Monte Carlo multi-arm gain", _sim_fields()),
-    "sweep": ("gain versus number of arms", {
+    "simulate": ("Monte Carlo multi-arm gain", _sim_fields),
+    "sweep": ("gain versus number of arms", lambda: {
         "m_values": (list_of(integer), REQUIRED),
         **_sim_fields("m"),
     }),
-    "synth": ("generate a synthetic experiment", {
+    "synth": ("generate a synthetic experiment", lambda: {
         "dgp": (None, REQUIRED), "n": (integer, 1_000), "seed": (integer, 0),
     }),
-    "estimate": ("estimate moments from an experiment CSV", {
+    "estimate": ("estimate moments from an experiment CSV", lambda: {
         "data": (text, REQUIRED), "train_frac": (real, 0.7), "quantiles": (integer, 10),
         "seed": (integer, 0),
     }),
-    "evaluate": ("fit policies and report IPW gains", {
+    "evaluate": ("fit policies and report IPW gains", lambda: {
         "data": (text, REQUIRED),
         "train_frac": (real, 0.7),
         "policies": (list_of(text), ["uniform", "ols"], "comma-separated: uniform,ols"),
         "n_boot": (integer, 1_000),
         "seed": (integer, 0),
     }),
-    "predict": ("predicted gain for a study profile", {"profile": _PROFILE, **_SETTINGS}),
-    "sensitivity": ("gain across a parameter grid", {
+    "predict": ("predicted gain for a study profile",
+                lambda: {"profile": _PROFILE, **_settings_fields()}),
+    "sensitivity": ("gain across a parameter grid", lambda: {
         "profile": _PROFILE,
         "parameter": (text, REQUIRED),
         "grid": (list_of(real), REQUIRED, "comma-separated values"),
-        **_SETTINGS,
+        **_settings_fields(),
     }),
-    "counterfactual": ("swap one parameter between two profiles", {
+    "counterfactual": ("swap one parameter between two profiles", lambda: {
         "profile_a": (_profile_ref, REQUIRED),
         "profile_b": (_profile_ref, REQUIRED),
         "parameter": (text, REQUIRED),
-        **_SETTINGS,
+        **_settings_fields(),
     }),
-    "elasticity": ("gain under small single-parameter improvements", {
-        "profile": _PROFILE, "delta": (real, 0.01), **_SETTINGS,
+    "elasticity": ("gain under small single-parameter improvements", lambda: {
+        "profile": _PROFILE, "delta": (real, 0.01), **_settings_fields(),
     }),
 }
+
+
+@functools.cache
+def _table(command: str) -> dict:
+    return _COMMANDS[command][1]()
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +145,7 @@ def _load_config_file(path: str, command: str) -> dict:
 
 def _resolve(command: str, file_doc: dict, overrides: dict) -> dict:
     """Defaults, then the config file, then the flags; every value typed."""
-    return read_fields(_COMMANDS[command][1], {**file_doc, **overrides}, command)
+    return read_fields(_table(command), {**file_doc, **overrides}, command)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -170,7 +173,10 @@ def _finish(command: str, config: dict, out: Path, outputs: list[str]) -> int:
     return 0
 
 
-def _load_profile(ref) -> StudyProfile:
+def _load_profile(ref):
+    from importlib import resources
+
+    from .analysis import StudyProfile
     if isinstance(ref, dict):
         return StudyProfile.from_config(ref)
     path = Path(ref)
@@ -185,8 +191,9 @@ def _load_profile(ref) -> StudyProfile:
     )
 
 
-def _settings(config: dict, jobs: int) -> SimSettings:
-    return SimSettings(**{key: config[key] for key in _SETTINGS}, n_jobs=jobs)
+def _settings(config: dict, jobs: int):
+    from .analysis import SimSettings
+    return SimSettings(**{key: config[key] for key in _settings_fields()}, n_jobs=jobs)
 
 
 # --------------------------------------------------------------------------
@@ -195,14 +202,17 @@ def _settings(config: dict, jobs: int) -> SimSettings:
 
 def cmd_gain(config: dict, args: argparse.Namespace) -> int:
     params = TwoArmParams(**{key: config[key] for key in fields_of(TwoArmParams)})
-    print(f"gain {fmt_float(gain_two_arm(params))}")
+    check_seed(config["seed"])
+    lines = [f"gain {fmt_float(gain_two_arm(params))}"]
     if config["s"] is not None:
         value = expected_gain_over_means(params.sigma, params.rho, config["s"])
-        print(f"expected_gain_over_means {fmt_float(value)}")
+        lines.append(f"expected_gain_over_means {fmt_float(value)}")
+    print("\n".join(lines))  # nothing prints unless every value is valid
     return 0
 
 
 def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
+    from .simulate import SimConfig, dist_from_config, simulate_gain
     out = _out_dir(args)
     cfg = SimConfig(**{**config, "dist": dist_from_config(config["dist"])})
     summary = simulate_gain(cfg, n_jobs=args.jobs).to_dict()
@@ -213,6 +223,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
+    from .simulate import SimConfig, dist_from_config, sweep_arms
     out = _out_dir(args)
     m_values = config["m_values"]
     if not m_values:
@@ -224,13 +235,10 @@ def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_synth(config: dict, args: argparse.Namespace) -> int:
+    from .dataset import SynthDGP, generate_synthetic, write_csv as write_dataset_csv
     out = _out_dir(args)
     dgp = SynthDGP.from_config(config["dgp"])
     dataset, sealed = generate_synthetic(dgp, n=config["n"], seed=config["seed"])
-    # imported here, not at module level, so the name is looked up at call
-    # time: perfbench/tracer.py times dataset.write_csv by replacing it there
-    from .dataset import write_csv as write_dataset_csv
-
     write_dataset_csv(dataset, out / "data.csv")
     write_csv(
         out / "sealed.csv",
@@ -242,6 +250,8 @@ def cmd_synth(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(config: dict, args: argparse.Namespace) -> int:
+    from .dataset import load_csv, split
+    from .estimation import estimate_moments
     out = _out_dir(args)
     dataset = load_csv(config["data"])
     sp = split(dataset, config["train_frac"], seed=config["seed"])
@@ -251,6 +261,8 @@ def cmd_estimate(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(config: dict, args: argparse.Namespace) -> int:
+    from .dataset import load_csv, split
+    from .policy import best_uniform, fit_ols_policy, gain_report
     out = _out_dir(args)
     fits = {"uniform": best_uniform, "ols": fit_ols_policy}
     for name in config["policies"]:
@@ -266,6 +278,7 @@ def cmd_evaluate(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(config: dict, args: argparse.Namespace) -> int:
+    from .analysis import predict_gain
     out = _out_dir(args)
     profile = _load_profile(config["profile"])
     gain, se = predict_gain(profile, _settings(config, args.jobs))
@@ -277,6 +290,7 @@ def cmd_predict(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sensitivity(config: dict, args: argparse.Namespace) -> int:
+    from .analysis import sensitivity_sweep
     out = _out_dir(args)
     profile = _load_profile(config["profile"])
     rows = sensitivity_sweep(profile, config["parameter"], config["grid"],
@@ -286,6 +300,7 @@ def cmd_sensitivity(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_counterfactual(config: dict, args: argparse.Namespace) -> int:
+    from .analysis import counterfactual_swap
     out = _out_dir(args)
     rows = counterfactual_swap(
         _load_profile(config["profile_a"]),
@@ -298,6 +313,7 @@ def cmd_counterfactual(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_elasticity(config: dict, args: argparse.Namespace) -> int:
+    from .analysis import elasticity_table
     out = _out_dir(args)
     profile = _load_profile(config["profile"])
     rows = elasticity_table(profile, config["delta"], _settings(config, args.jobs))
@@ -312,30 +328,48 @@ _HANDLERS = {command: globals()[f"cmd_{command}"] for command in _COMMANDS}
 # argument parsing
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser. It adds the command's flags on its first parse,
+    so a run builds the field table of the command it runs and no other."""
+
+    def __init__(self, command: str, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.command = command
+        self._flags_added = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self._flags_added:
+            self._flags_added = True
+            self._add_flags()
+        return super().parse_known_args(args, namespace)
+
+    def _add_flags(self) -> None:
+        self.add_argument("--config", help="JSON config file; flags override its fields")
+        if self.command != "gain":  # gain prints its result; every other command writes files
+            self.add_argument(
+                "--out",
+                help=f"output directory (default: ${_OUT_ENV} or ./persgain_out)",
+            )
+            self.add_argument(
+                "--jobs",
+                type=int,
+                default=os.cpu_count() or 1,
+                help="worker threads; results are identical at any level",
+            )
+        for name, (kind, _, *flag_help) in _table(self.command).items():
+            if kind is not None:
+                self.add_argument("--" + name.replace("_", "-"), help=(flag_help or [None])[0])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="persgain",
         description="Quantify when heterogeneity across treatment arms is worth personalizing on.",
     )
     parser.add_argument("--version", action="version", version=f"persgain {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, table) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        if command != "gain":  # gain prints its result; every other command writes files
-            p.add_argument(
-                "--out",
-                help=f"output directory (default: ${_OUT_ENV} or ./persgain_out)",
-            )
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=os.cpu_count() or 1,
-                help="worker threads; results are identical at any level",
-            )
-        for name, (kind, _, *flag_help) in table.items():
-            if kind is not None:
-                p.add_argument("--" + name.replace("_", "-"), help=(flag_help or [None])[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(command, help=help_text, command=command)
     return parser
 
 
@@ -355,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
             file_doc = _load_config_file(args.config, command) if args.config else {}
             overrides = {
                 key: getattr(args, key)
-                for key in _COMMANDS[command][1]
+                for key in _table(command)
                 if getattr(args, key, None) is not None
             }
             config = _resolve(command, file_doc, overrides)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -178,6 +179,61 @@ def test_expected_gain_validation() -> None:
 
 
 def test_importing_the_cli_leaves_scipy_unloaded() -> None:
-    # numpy is the only dependency; nothing on the import path may pull in scipy
-    code = "import sys, persgain.cli; sys.exit('scipy' in sys.modules)"
+    # numpy is the only dependency, and only the commands that build arrays
+    # load it: importing the CLI loads neither numpy nor scipy
+    code = "import sys, persgain.cli; sys.exit('scipy' in sys.modules or 'numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _mean_gain_50_digits(sigma: float, rho: float, s: float) -> Decimal:
+    # the non-cancelling form c / (sqrt(s^2 + c) + s), c = sigma^2 (1 - rho),
+    # in 50 significant digits; Decimal's exponent range holds every square
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c = Decimal(sigma) ** 2 * (1 - Decimal(rho))
+        if c == 0:
+            return Decimal(0)
+        return c / ((Decimal(s) ** 2 + c).sqrt() + Decimal(s)) / PI_50.sqrt()
+
+
+LOG_GRID = [10.0 ** k for k in range(-150, 301, 10)] + [1e154]
+
+
+@pytest.mark.parametrize("rho", [-1.0, 0.0, 0.1, 0.9])
+def test_expected_gain_within_8_ulp_of_a_50_digit_reference(rho: float) -> None:
+    # s^2 + sigma^2 (1 - rho) leaves the float range at either end of the
+    # grid, e.g. (sigma, s) = (1e154, 1e154), (1e200, 1e200) and (1, 1e300)
+    for sigma in LOG_GRID:
+        for s in LOG_GRID + [0.0]:
+            want = _mean_gain_50_digits(sigma, rho, s)
+            got = expected_gain_over_means(sigma, rho, s)
+            assert abs(Decimal(got) - want) <= 8 * Decimal(math.ulp(float(want))), (sigma, s)
+
+
+def test_gain_two_arm_with_a_gap_past_the_largest_float_is_zero() -> None:
+    # d = 2e308 overflows; the gain is E[max(0, D - d)] for D ~ N(0, 1.8)
+    assert gain_two_arm(TwoArmParams(1e308, -1e308, 1.0, 0.1)) == 0.0
+
+
+def test_gain_two_arm_with_a_scale_past_the_largest_float_is_finite() -> None:
+    # v = 2e308 overflows; with d = 1 the gain is v / sqrt(2 pi) - 1 / 2,
+    # which is v / sqrt(2 pi) in double precision
+    got = gain_two_arm(TwoArmParams(1.0, 2.0, 1e308, -1.0))
+    assert got == pytest.approx(1e308 * (2.0 / SQRT_2PI), rel=1e-15)
+
+
+def test_gain_two_arm_keeps_the_unscaled_formulas_bits() -> None:
+    rng = np.random.default_rng(5)
+    draws = zip(rng.normal(0, 3, 500), rng.normal(0, 3, 500), rng.exponential(2, 500),
+                rng.uniform(-1, 1, 500))
+    for mu_a, mu_b, sigma, rho in draws:
+        p = TwoArmParams(float(mu_a), float(mu_b), float(sigma), float(rho))
+        d, v = p.gap, effective_scale(p.sigma, p.rho)
+        z = d / v
+        if z > 30:  # past this the terms reach the subnormal range, where halving rounds
+            continue
+        phi = math.exp(-0.5 * z * z) / SQRT_2PI
+        assert gain_two_arm(p) == -d * 0.5 * math.erfc(z / math.sqrt(2.0)) + v * phi

@@ -12,6 +12,7 @@ import gzip
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from persgain import _util, cli
 from persgain._util import write_json
 from persgain.cli import main
 from persgain.dataset import SynthDGP, load_csv, one_factor_dgp
@@ -73,6 +75,18 @@ def test_gain_with_s_reports_mean_averaged_value(capsys):
 def test_gain_validation_failure_exits_2_naming_field(capsys):
     assert run_cli(["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", -1, "--rho", 0]) == 2
     assert "sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--s", -1, "s must be >= 0, got -1.0"),
+    ("--seed", -1, "seed must be a non-negative integer, got -1"),
+], ids=["s", "seed"])
+def test_gain_rejected_input_exits_2_with_empty_stdout(capsys, flag, value, message):
+    assert run_cli(["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1, "--rho", 0.1,
+                    flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_gain_accepts_config_file(tmp_path, capsys):
@@ -270,6 +284,11 @@ def test_oversized_integer_exits_2_without_output(tmp_path, capsys, command, con
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert "index range" in err or "too large for numpy" in err
+
+
+def test_index_bounds_are_numpys():
+    info = np.iinfo(np.intp)
+    assert (_util._INDEX_MIN, _util._INDEX_MAX) == (info.min, info.max)
 
 
 def test_output_dir_env_var_default(tmp_path, monkeypatch):
@@ -575,7 +594,7 @@ def test_evaluate_unknown_policy_exits_2_before_reading_the_data(tmp_path, capsy
     def load_csv(path):
         raise AssertionError("the data was read")
 
-    monkeypatch.setattr("persgain.cli.load_csv", load_csv)
+    monkeypatch.setattr("persgain.dataset.load_csv", load_csv)
     out = tmp_path / "o"
     rc = run_cli(["evaluate", "--data", tmp_path / "data.csv", "--policies", "ols,tree",
                   "--out", out])
@@ -799,20 +818,86 @@ def test_write_json_rejects_non_finite_floats(tmp_path):
 def test_benchmark_tracer_still_finds_its_spans(tmp_path):
     """perfbench/tracer.py times functions by replacing, by name, each one
     the package binds, so renaming a traced function fails this test (the
-    tracer cannot install) and rebinding one drops its span. It only reads
-    perfbench/; ROADMAP item 1 moves the spans into the package and removes
-    it."""
+    tracer cannot install) and rebinding one drops its span. A handler that
+    imports at call time must read the wrapper from the home module. It only
+    reads perfbench/; ROADMAP item 1 moves the spans into the package and
+    removes it."""
     dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 200, "seed": 1}))
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     names = set()
     for argv in (["synth", "--config", cfg, "--jobs", 1, "--out", tmp_path / "out"],
-                 ["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1.5, "--rho", 0.1]):
+                 ["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1.5, "--rho", 0.1],
+                 ["simulate", "--m", 2, "--sigma", 1, "--rho", 0, "--n-individuals", 50,
+                  "--n-replications", 2, "--jobs", 1, "--out", tmp_path / "sim"]):
         spans = tmp_path / f"{argv[0]}.json"
         proc = subprocess.run([sys.executable, REPO / "perfbench" / "tracer.py", spans, "--",
                                *[str(a) for a in argv]], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         names |= {span["name"] for span in json.loads(spans.read_text())["spans"]}
     assert {"cli.cmd_synth", "dataset.write_csv", "util.write_csv", "util.write_json",
-            "cli.cmd_gain", "analytic.gain_two_arm"} <= names
+            "cli.cmd_gain", "analytic.gain_two_arm",
+            "cli.cmd_simulate", "simulate.simulate_gain", "simulate._replicate",
+            "simulate.sample_potential_outcomes"} <= names
+
+
+# --------------------------------------------------------------------------
+# imports: each command loads only the modules it runs
+
+# persgain's entry point in a fresh interpreter; the last line of stderr
+# names the persgain modules, and numpy or scipy, that the run loaded
+MODULE_PROBE = """
+import sys
+from persgain.cli import main
+try:
+    sys.exit(main(sys.argv[1:]))
+finally:
+    print(*sorted(name for name in sys.modules
+                  if name in ("numpy", "scipy") or name.startswith("persgain.")),
+          file=sys.stderr)
+"""
+
+
+def loaded_modules(argv, cwd):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, *map(str, argv)], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1.5, "--rho", 0.1, "--s", 0.5],
+    ["gain", "--help"],
+    ["--help"],
+    ["--version"],
+], ids=["gain", "gain_help", "help", "version"])
+def test_gain_help_and_version_start_without_numpy(tmp_path, argv):
+    assert loaded_modules(argv, tmp_path) == {
+        "persgain._util", "persgain.analytic", "persgain.cli", "persgain.errors",
+    }
+
+
+def test_each_command_loads_only_its_own_layer(rerun_inputs, tmp_path):
+    modules = loaded_modules(["elasticity", "--profile", "penn_geisinger",
+                              "--n-replications", 2, "--n-individuals", 50, "--jobs", 1,
+                              "--out", tmp_path / "elasticity"], tmp_path)
+    assert {"numpy", "persgain.analysis", "persgain.simulate"} <= modules
+    assert not modules & {"persgain.dataset", "persgain.estimation", "persgain.policy"}
+    modules = loaded_modules(["estimate", "--data", rerun_inputs["DATA"], "--jobs", 1,
+                              "--out", tmp_path / "estimate"], tmp_path)
+    assert {"numpy", "persgain.dataset", "persgain.estimation"} <= modules
+    assert not modules & {"persgain.simulate", "persgain.analysis"}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_help_lists_a_flag_for_every_field_with_a_rule(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    flags = [name for name, (rule, *_) in cli._table(command).items() if rule is not None]
+    assert flags
+    for name in flags:
+        assert re.search(rf"--{name.replace('_', '-')} {name.upper()}\b", help_text), name
