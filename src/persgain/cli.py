@@ -270,9 +270,8 @@ def cmd_evaluate(config: dict, args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown policy {name!r}; choose from {list(fits)}")
     dataset = load_csv(config["data"])
     sp = split(dataset, config["train_frac"], seed=config["seed"])
-    train = dataset.subset(sp.train_idx)
-    policies = [fits[name](train) for name in config["policies"]]
-    rows = gain_report(policies, dataset, sp, n_boot=config["n_boot"], seed=config["seed"])
+    rows = gain_report([fits[name] for name in config["policies"]], dataset, sp,
+                       n_boot=config["n_boot"], seed=config["seed"])
     _write_rows(out / "report.csv", rows)
     return _finish("evaluate", config, out, ["report.csv"])
 

@@ -132,9 +132,12 @@ class ExperimentDataset:
                 raise DomainError(f"{name} must have one entry per row")
         if len(self.arm_names) < 2:
             raise DomainError("need at least two arms")
-        if len(set(self.arm_names)) < len(self.arm_names):
-            repeated = next(a for i, a in enumerate(self.arm_names) if a in self.arm_names[:i])
-            raise DomainError(f"arm names must be distinct; {repeated!r} appears more than once")
+        # a covariate may not reuse a fixed CSV column's name either
+        for kind, names in (("arm", self.arm_names),
+                            ("column", _FIXED_COLUMNS + self.covariate_names)):
+            if len(set(names)) < len(names):
+                repeated = next(a for i, a in enumerate(names) if a in names[:i])
+                raise DomainError(f"{kind} names must be distinct; {repeated!r} appears more than once")
         if self.arm.min() < 0 or self.arm.max() >= len(self.arm_names):
             raise DomainError("arm indices must lie in [0, number of arms)")
         if np.any(self.propensity <= 0.0) or np.any(self.propensity > 1.0):
@@ -414,25 +417,16 @@ def split(dataset: ExperimentDataset, train_fraction: float, seed: int) -> Train
             f"train_fraction {train_fraction} leaves an empty side for n = {n}"
         )
     counts = dataset.arm_counts()
-    base = np.floor(train_fraction * counts).astype(int)
-    remainder = train_fraction * counts - base
-    extras = target - int(base.sum())
-    take = base.copy()
-    if extras > 0:
-        # lexsort: secondary key first; picks largest remainders, low arm on ties
-        order = np.lexsort((np.arange(dataset.m), -remainder))
-        for a in order[:extras]:
-            take[a] += 1
+    take = np.floor(train_fraction * counts).astype(int)
+    remainder = train_fraction * counts - take
+    extras = target - int(take.sum())
+    # lexsort: secondary key first; picks largest remainders, low arm on ties
+    take[np.lexsort((np.arange(dataset.m), -remainder))[:extras]] += 1
     rng = stream(seed)
-    train_parts = []
-    for a in range(dataset.m):
-        idx_a = np.flatnonzero(dataset.arm == a)
-        perm = rng.permutation(idx_a)
-        train_parts.append(perm[: take[a]])
+    train_parts = [rng.permutation(np.flatnonzero(dataset.arm == a))[: take[a]]
+                   for a in range(dataset.m)]
     train_idx = np.sort(np.concatenate(train_parts)).astype(int)
-    mask = np.ones(n, dtype=bool)
-    mask[train_idx] = False
-    test_idx = np.flatnonzero(mask)
+    test_idx = np.delete(np.arange(n), train_idx)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DomainError("split produced an empty side")
     return TrainTestSplit(train_idx, test_idx)

@@ -8,6 +8,9 @@ opposite directions: SD(predictions) inflates sigma by the predictor's own
 error, while correlating noisy per-unit predictions deflates rho. Averaging
 observed outcomes within predicted-score quantiles integrates the noise out
 before taking moments.
+
+estimate_moments owns the train/holdout split: fit_predictor builds the
+training side, estimate_moments the holdout and its scores, once each.
 """
 
 from __future__ import annotations
@@ -130,14 +133,11 @@ def per_arm_means(dataset: ExperimentDataset, rows: str = "rows") -> np.ndarray:
     return sums / counts
 
 
-def estimate_sigma_eps(
-    dataset: ExperimentDataset, split: TrainTestSplit, predictor: LinearTLearner
-) -> float:
-    """SD of holdout residuals y_i - yhat_i at each unit's assigned arm."""
-    holdout = dataset.subset(split.test_idx)
+def estimate_sigma_eps(holdout: ExperimentDataset, scores: np.ndarray) -> float:
+    """SD of holdout residuals y_i - yhat_i at each unit's assigned arm;
+    scores is the predictor's score matrix on the holdout."""
     if holdout.n < 2:
         raise DomainError("holdout must contain at least two rows")
-    scores = predictor.predict(holdout.x)
     residuals = holdout.outcome - scores[np.arange(holdout.n), holdout.arm]
     return float(np.std(residuals, ddof=1))
 
@@ -154,14 +154,12 @@ def _quantile_bins(scores: np.ndarray, unit_ids: Sequence, n_quantiles: int) -> 
 
 
 def estimate_sigma_rho(
-    dataset: ExperimentDataset,
-    split: TrainTestSplit,
-    predictor: LinearTLearner,
-    n_quantiles: int = 10,
+    holdout: ExperimentDataset, scores: np.ndarray, n_quantiles: int = 10
 ) -> tuple[float, np.ndarray, float, dict]:
-    """Stratified moment recovery on the holdout.
+    """Stratified moment recovery on the holdout, given the predictor's
+    score matrix on it.
 
-    Per arm a: score every holdout unit with arm a's predictor, cut into
+    Per arm a: take every holdout unit's arm-a score, cut into
     n_quantiles equal-count bins, and average the observed outcomes of the
     units actually assigned to a within each bin. The SD over bin means
     estimates sigma for that arm (reported sigma is the mean over arms).
@@ -171,15 +169,13 @@ def estimate_sigma_rho(
     """
     if n_quantiles < 2:
         raise ConfigError(f"n_quantiles must be >= 2, got {n_quantiles}")
-    holdout = dataset.subset(split.test_idx)
     if n_quantiles > holdout.n:
         raise ConfigError(
             f"n_quantiles = {n_quantiles} exceeds the {holdout.n} holdout rows; "
             "every bin needs units of every arm"
         )
-    scores = predictor.predict(holdout.x)
     id_ranks = np.argsort(np.argsort(holdout.unit_ids, kind="stable"))  # ranks sort faster
-    m = dataset.m
+    m = holdout.m
     bin_means = np.zeros((m, n_quantiles))
     bin_counts = np.zeros((m, n_quantiles), dtype=int)
     unit_values = np.zeros((holdout.n, m))
@@ -192,13 +188,13 @@ def estimate_sigma_rho(
             count = int(cell.sum())
             if count == 0:
                 raise DomainError(
-                    f"no units assigned to arm {dataset.arm_names[a]!r} fall in "
+                    f"no units assigned to arm {holdout.arm_names[a]!r} fall in "
                     f"quantile bin {q}; cannot form the bin mean"
                 )
             bin_counts[a, q] = count
             bin_means[a, q] = holdout.outcome[cell].mean()
             if count < 30:
-                thin_cells.append((dataset.arm_names[a], q, count))
+                thin_cells.append((holdout.arm_names[a], q, count))
         unit_values[:, a] = bin_means[a, bins]
     if thin_cells:
         warnings.warn(
@@ -214,8 +210,8 @@ def estimate_sigma_rho(
             va, vb = unit_values[:, a], unit_values[:, b]
             if va.std() == 0.0 or vb.std() == 0.0:
                 warnings.warn(
-                    f"bin means for arm pair ({dataset.arm_names[a]}, "
-                    f"{dataset.arm_names[b]}) are constant; reporting correlation 0",
+                    f"bin means for arm pair ({holdout.arm_names[a]}, "
+                    f"{holdout.arm_names[b]}) are constant; reporting correlation 0",
                     stacklevel=2,
                 )
                 r = 0.0
@@ -290,15 +286,15 @@ def estimate_moments(
     sigma, rho and sigma_eps are holdout quantities.
     """
     predictor = fit_predictor(dataset, split)
-    sigma_hat, rho_matrix, rho_mean, diagnostics = estimate_sigma_rho(
-        dataset, split, predictor, n_quantiles
-    )
+    holdout = dataset.subset(split.test_idx)
+    scores = predictor.predict(holdout.x)
+    sigma_hat, rho_matrix, rho_mean, diagnostics = estimate_sigma_rho(holdout, scores, n_quantiles)
     return MomentEstimates(
         s_hat=estimate_s(dataset),
         sigma_hat=sigma_hat,
         rho_hat_matrix=rho_matrix,
         rho_hat_mean=rho_mean,
-        sigma_eps_hat=estimate_sigma_eps(dataset, split, predictor),
+        sigma_eps_hat=estimate_sigma_eps(holdout, scores),
         per_arm_means=per_arm_means(dataset),
         quantile_diagnostics=diagnostics,
     )

@@ -5,7 +5,9 @@ sealed potential outcomes of synthetic data, and a bootstrap gain report
 against the best-uniform benchmark.
 
 A policy is any object with assign(dataset) -> arm index per row and
-describe() -> report label.
+describe() -> report label; a fit maps training rows to a policy. Fits and
+evaluators take the rows they work on: gain_report, which owns the
+train/holdout split, builds each side once.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def evaluate_oracle(policy, dataset: ExperimentDataset, sealed: SealedOutcomes) 
 
 
 def gain_report(
-    policies: list,
+    fits: list,
     dataset: ExperimentDataset,
     split: TrainTestSplit,
     n_boot: int = 1000,
@@ -132,6 +134,9 @@ def gain_report(
 ) -> list[dict]:
     """IPW values on the holdout with bootstrap SEs, benchmarked against the
     best uniform arm found on the training side (always the first row).
+
+    The benchmark and each fit are fitted on the training side; a fit listed
+    again, best_uniform included, is fitted once.
 
     diff_se_boot is the SE of (policy - benchmark) under paired resampling,
     the right yardstick for "is the improvement real"; rel_improvement is
@@ -141,20 +146,25 @@ def gain_report(
     """
     if n_boot < 2:
         raise ConfigError(f"n_boot must be >= 2, got {n_boot}")
-    check_addressable("an n_boot x policies bootstrap table", n_boot, len(policies) + 1)
+    check_addressable("an n_boot x policies bootstrap table", n_boot, len(fits) + 1)
     train = dataset.subset(split.train_idx)
+    fitted = {}
+    for fit in (best_uniform, *fits):
+        if fit not in fitted:
+            fitted[fit] = fit(train)
+    del train
     holdout = dataset.subset(split.test_idx)
-    bench = best_uniform(train)
-    entries = [(f"best_uniform[{holdout.arm_names[bench.arm]}]", bench)]
-    entries += [(policy.describe(), policy) for policy in policies]
-    terms, matched = zip(*(_ipw_terms(policy, holdout) for _, policy in entries))
+    policies = [fitted[fit] for fit in (best_uniform, *fits)]
+    labels = [f"best_uniform[{holdout.arm_names[policies[0].arm]}]"]
+    labels += [policy.describe() for policy in policies[1:]]
+    terms, matched = zip(*(_ipw_terms(policy, holdout) for policy in policies))
     # a policy whose IPW terms repeat an earlier row's (the benchmark listed
     # again as a uniform policy, say) reuses that row's resampled means
     first = [next(i for i, u in enumerate(terms) if np.array_equal(u, t)) for t in terms]
     distinct = [j for j in range(len(terms)) if first[j] == j]
     # one index draw per resample, shared by every policy, keeps the
     # resamples paired across policies
-    boot_vals = np.empty((len(entries), n_boot))
+    boot_vals = np.empty((len(policies), n_boot))
     rng = stream(seed)
     for b in range(n_boot):
         idx = rng.integers(0, holdout.n, size=holdout.n)
@@ -163,7 +173,7 @@ def gain_report(
     boot_vals = boot_vals[first]
     bench_value = float(terms[0].mean())
     rows = []
-    for j, ((label, _), t, n_matched) in enumerate(zip(entries, terms, matched)):
+    for j, (label, t, n_matched) in enumerate(zip(labels, terms, matched)):
         value = float(t.mean())
         rows.append(
             {

@@ -821,25 +821,40 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
     tracer cannot install) and rebinding one drops its span. A handler that
     imports at call time must read the wrapper from the home module. It only
     reads perfbench/; ROADMAP item 1 moves the spans into the package and
-    removes it."""
+    removes it. The tracer's counters read traced parameters by name, so a
+    renamed one fails here too. estimate and evaluate each build one
+    training side and one holdout."""
     dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
     cfg = tmp_path / "synth.json"
-    cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 200, "seed": 1}))
+    cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 2_000, "seed": 1}))
+    data = tmp_path / "out" / "data.csv"
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    names = set()
+    names, counts, subsets = set(), set(), {}
     for argv in (["synth", "--config", cfg, "--jobs", 1, "--out", tmp_path / "out"],
                  ["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1.5, "--rho", 0.1],
                  ["simulate", "--m", 2, "--sigma", 1, "--rho", 0, "--n-individuals", 50,
-                  "--n-replications", 2, "--jobs", 1, "--out", tmp_path / "sim"]):
+                  "--n-replications", 2, "--jobs", 1, "--out", tmp_path / "sim"],
+                 ["estimate", "--data", data, "--out", tmp_path / "est"],
+                 ["evaluate", "--data", data, "--n-boot", 20, "--out", tmp_path / "eval"]):
         spans = tmp_path / f"{argv[0]}.json"
         proc = subprocess.run([sys.executable, REPO / "perfbench" / "tracer.py", spans, "--",
                                *[str(a) for a in argv]], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        names |= {span["name"] for span in json.loads(spans.read_text())["spans"]}
+        recorded = json.loads(spans.read_text())["spans"]
+        names |= {span["name"] for span in recorded}
+        counts |= {(span["name"], key) for span in recorded for key in span["counts"]}
+        subsets[argv[0]] = sum(span["name"] == "dataset.subset" for span in recorded)
     assert {"cli.cmd_synth", "dataset.write_csv", "util.write_csv", "util.write_json",
             "cli.cmd_gain", "analytic.gain_two_arm",
             "cli.cmd_simulate", "simulate.simulate_gain", "simulate._replicate",
-            "simulate.sample_potential_outcomes"} <= names
+            "simulate.sample_potential_outcomes",
+            "cli.cmd_estimate", "cli.cmd_evaluate", "dataset.load_csv", "dataset.split",
+            "estimation.fit_predictor", "estimation.estimate_sigma_rho",
+            "estimation.estimate_sigma_eps", "policy.fit_ols_policy", "policy.gain_report",
+            "policy._ipw_terms"} <= names
+    assert {("policy.gain_report", "bootstrap_draws"), ("policy._ipw_terms", "matched"),
+            ("policy._ipw_terms", "rows")} <= counts
+    assert subsets["estimate"] == subsets["evaluate"] == 2
 
 
 # --------------------------------------------------------------------------

@@ -464,6 +464,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(header_only)
 
+    @pytest.mark.parametrize("covariates, repeated", [("x,x", "x"), ("arm", "arm")])
+    def test_load_rejects_repeated_column_names(self, tmp_path, covariates, repeated):
+        # a covariate may repeat another covariate or a fixed column; the
+        # quoted copy goes through the row loop, the plain one does not
+        cells = ",0.1" * len(covariates.split(","))
+        for name, quote in (("plain.csv", ""), ("quoted.csv", '"')):
+            path = tmp_path / name
+            rows = "".join(f"{quote}u{i}{quote},{'ab'[i % 2]},1.0,0.5{cells}\n" for i in range(4))
+            path.write_text(f"unit_id,arm,outcome,propensity,{covariates}\n{rows}")
+            with pytest.raises(DomainError, match=f"'{repeated}' appears more than once"):
+                load_csv(path)
+
 
 HEADER = "unit_id,arm,outcome,propensity\n"
 # cells the C reader and float() may disagree on, or either may reject

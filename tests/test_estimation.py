@@ -40,6 +40,13 @@ def manual_dataset(outcomes, arms, arm_names, x=None):
     )
 
 
+def holdout_scores(ds, sp, model=None):
+    """The holdout and the predictor's score matrix on it, as estimate_moments builds them."""
+    model = fit_predictor(ds, sp) if model is None else model
+    holdout = ds.subset(sp.test_idx)
+    return holdout, model.predict(holdout.x)
+
+
 class TestEstimateS:
     def test_equal_arm_means_give_zero(self):
         ds = manual_dataset([1.0, 1.0, 1.0, 1.0], [0, 1, 0, 1], ("a", "b"))
@@ -125,19 +132,19 @@ class TestSigmaEps:
         dgp = one_factor_dgp(m=2, sigma=0.4, rho=0.2, intercepts=[0.0, 0.0], noise_sd=0.0)
         ds, _ = generate_synthetic(dgp, n=3_000, seed=5)
         sp = split(ds, 0.7, seed=0)
-        assert estimate_sigma_eps(ds, sp, fit_predictor(ds, sp)) < 1e-10
+        assert estimate_sigma_eps(*holdout_scores(ds, sp)) < 1e-10
 
     def test_pure_noise_recovers_noise_sd(self):
         dgp = SynthDGP((0.0, 0.0), np.zeros((2, 1)), (CovariateSpec("normal"),), noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=60_000, seed=6)
         sp = split(ds, 0.7, seed=0)
-        assert estimate_sigma_eps(ds, sp, fit_predictor(ds, sp)) == pytest.approx(0.3, rel=0.05)
+        assert estimate_sigma_eps(*holdout_scores(ds, sp)) == pytest.approx(0.3, rel=0.05)
 
     def test_known_linear_dgp(self):
         dgp = one_factor_dgp(m=3, sigma=0.267, rho=0.8, intercepts=[0.3] * 3, noise_sd=0.25)
         ds, _ = generate_synthetic(dgp, n=60_000, seed=7)
         sp = split(ds, 0.7, seed=0)
-        assert estimate_sigma_eps(ds, sp, fit_predictor(ds, sp)) == pytest.approx(0.25, rel=0.05)
+        assert estimate_sigma_eps(*holdout_scores(ds, sp)) == pytest.approx(0.25, rel=0.05)
 
 
 class TestQuantileBins:
@@ -162,7 +169,7 @@ class TestSigmaRho:
 
     def test_recovers_strong_heterogeneity_scenario(self):
         ds, sp = self.pg_like()
-        sigma, rho, rho_mean, diag = estimate_sigma_rho(ds, sp, fit_predictor(ds, sp))
+        sigma, rho, rho_mean, diag = estimate_sigma_rho(*holdout_scores(ds, sp))
         assert 0.24 <= sigma <= 0.29
         assert 0.75 <= rho_mean <= 0.85
         assert np.allclose(rho, rho.T) and np.allclose(np.diag(rho), 1.0)
@@ -174,14 +181,14 @@ class TestSigmaRho:
         dgp = one_factor_dgp(m=4, sigma=0.25, rho=0.0, intercepts=[0.0] * 4, noise_sd=0.25)
         ds, _ = generate_synthetic(dgp, n=200_000, seed=9)
         sp = split(ds, 0.7, seed=0)
-        _, _, rho_mean, _ = estimate_sigma_rho(ds, sp, fit_predictor(ds, sp))
+        _, _, rho_mean, _ = estimate_sigma_rho(*holdout_scores(ds, sp))
         assert abs(rho_mean) < 0.05
 
     def test_no_heterogeneity_gives_tiny_sigma(self):
         dgp = SynthDGP((0.5, 0.5), np.zeros((2, 1)), (CovariateSpec("normal"),), noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=50_000, seed=10)
         sp = split(ds, 0.7, seed=0)
-        sigma, _, _, diag = estimate_sigma_rho(ds, sp, fit_predictor(ds, sp))
+        sigma, _, _, diag = estimate_sigma_rho(*holdout_scores(ds, sp))
         # bin means are arm means plus noise of scale tau / sqrt(bin count)
         bound = 3 * 0.3 / math.sqrt(np.min(diag["bin_counts"]))
         assert sigma < bound
@@ -200,7 +207,7 @@ class TestSigmaRho:
         model = fit_predictor(ds, sp)
         scores = model.predict(ds.subset(sp.test_idx).x)
         naive = float(scores.std(axis=0, ddof=1).mean())
-        sigma_hat, _, _, _ = estimate_sigma_rho(ds, sp, model)
+        sigma_hat, _, _, _ = estimate_sigma_rho(*holdout_scores(ds, sp, model))
         assert naive > sigma_hat
         assert abs(sigma_hat - sigma) < abs(naive - sigma)
 
@@ -208,7 +215,7 @@ class TestSigmaRho:
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=[0.0] * 3, noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=30_000, seed=12)
         sp = split(ds, 0.7, seed=0)
-        base_sigma, base_rho, _, base_diag = estimate_sigma_rho(ds, sp, fit_predictor(ds, sp))
+        base_sigma, base_rho, _, base_diag = estimate_sigma_rho(*holdout_scores(ds, sp))
         shifted = ExperimentDataset(
             unit_ids=ds.unit_ids,
             x=ds.x,
@@ -218,7 +225,7 @@ class TestSigmaRho:
             arm_names=ds.arm_names,
             covariate_names=ds.covariate_names,
         )
-        new_sigma, new_rho, _, new_diag = estimate_sigma_rho(shifted, sp, fit_predictor(shifted, sp))
+        new_sigma, new_rho, _, new_diag = estimate_sigma_rho(*holdout_scores(shifted, sp))
         assert new_sigma == pytest.approx(base_sigma, abs=1e-9)
         assert np.allclose(new_rho, base_rho, atol=1e-9)
         shift = np.array(new_diag["bin_means"][1]) - np.array(base_diag["bin_means"][1])
@@ -234,12 +241,12 @@ class TestSigmaRho:
         ds, _ = generate_synthetic(dgp, n=5_000, seed=13)
         sp = split(ds, 0.7, seed=0)
         model = fit_predictor(ds, sp)
-        s1, r1, m1, _ = estimate_sigma_rho(ds, sp, model)
-        s2, r2, m2, _ = estimate_sigma_rho(ds, sp, model)
+        s1, r1, m1, _ = estimate_sigma_rho(*holdout_scores(ds, sp, model))
+        s2, r2, m2, _ = estimate_sigma_rho(*holdout_scores(ds, sp, model))
         assert s1 == s2 and m1 == m2 and np.array_equal(r1, r2)
         # ties break by unit id, not by row: shuffled holdout rows fill the same bins
         shuffled = TrainTestSplit(sp.train_idx, np.random.default_rng(1).permutation(sp.test_idx))
-        s3, r3, m3, _ = estimate_sigma_rho(ds, shuffled, model)
+        s3, r3, m3, _ = estimate_sigma_rho(*holdout_scores(ds, shuffled, model))
         assert s3 == pytest.approx(s1, rel=1e-12) and m3 == pytest.approx(m1, rel=1e-12)
         assert np.allclose(r3, r1, rtol=1e-12, atol=0.0)
 
@@ -259,7 +266,7 @@ class TestSigmaRho:
         sp = split(ds, 0.5, seed=0)
         model = fit_predictor(ds, sp)
         with pytest.raises(DomainError, match=r"arm '(lo|hi)'.*bin \d+"):
-            estimate_sigma_rho(ds, sp, model)
+            estimate_sigma_rho(*holdout_scores(ds, sp, model))
 
     def test_small_cells_warn(self):
         ds, _ = generate_synthetic(
@@ -270,13 +277,13 @@ class TestSigmaRho:
         sp = split(ds, 0.7, seed=0)
         model = fit_predictor(ds, sp)
         with pytest.warns(UserWarning, match="fewer than 30"):
-            estimate_sigma_rho(ds, sp, model)
+            estimate_sigma_rho(*holdout_scores(ds, sp, model))
 
     def test_rejects_single_quantile(self):
         ds, sp = self.pg_like(n=2_000, seed=15)
         model = fit_predictor(ds, sp)
         with pytest.raises(ConfigError, match="n_quantiles"):
-            estimate_sigma_rho(ds, sp, model, n_quantiles=1)
+            estimate_sigma_rho(*holdout_scores(ds, sp, model), n_quantiles=1)
 
     def test_constant_outcomes_report_zero_correlation(self):
         ds = manual_dataset(
@@ -285,7 +292,7 @@ class TestSigmaRho:
         sp = split(ds, 0.5, seed=0)
         model = fit_predictor(ds, sp)
         with pytest.warns(UserWarning, match="constant"):
-            sigma, _, rho_mean, _ = estimate_sigma_rho(ds, sp, model)
+            sigma, _, rho_mean, _ = estimate_sigma_rho(*holdout_scores(ds, sp, model))
         assert sigma == 0.0 and rho_mean == 0.0
 
 

@@ -281,7 +281,7 @@ class TestGainReport:
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=8_000, seed=12)
         sp = split(ds, 0.7, seed=0)
-        rows = gain_report([fit_ols_policy(ds.subset(sp.train_idx))], ds, sp, seed=1)
+        rows = gain_report([fit_ols_policy], ds, sp, seed=1)
         assert rows[0]["policy"].startswith("best_uniform")
         assert rows[0]["abs_improvement"] == 0.0
         assert rows[0]["rel_improvement"] == 0.0
@@ -292,7 +292,7 @@ class TestGainReport:
         dgp = one_factor_dgp(m=3, sigma=1.0, rho=0.0, intercepts=[1.0, 1.0, 1.0], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=30_000, seed=13)
         sp = split(ds, 0.7, seed=0)
-        rows = gain_report([fit_ols_policy(ds.subset(sp.train_idx))], ds, sp, seed=1)
+        rows = gain_report([fit_ols_policy], ds, sp, seed=1)
         ols = rows[1]
         assert ols["abs_improvement"] > 2 * ols["diff_se_boot"]
 
@@ -300,7 +300,7 @@ class TestGainReport:
         dgp = SynthDGP((0.5, 0.5), np.zeros((2, 1)), (CovariateSpec("normal"),), noise_sd=0.5)
         ds, _ = generate_synthetic(dgp, n=20_000, seed=14)
         sp = split(ds, 0.7, seed=0)
-        rows = gain_report([fit_ols_policy(ds.subset(sp.train_idx))], ds, sp, seed=1)
+        rows = gain_report([fit_ols_policy], ds, sp, seed=1)
         ols = rows[1]
         assert abs(ols["abs_improvement"]) <= 2 * ols["diff_se_boot"]
 
@@ -308,10 +308,10 @@ class TestGainReport:
         dgp = one_factor_dgp(m=2, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=4_000, seed=15)
         sp = split(ds, 0.7, seed=0)
-        policy = fit_ols_policy(ds.subset(sp.train_idx))
-        assert gain_report([policy], ds, sp, seed=3) == gain_report([policy], ds, sp, seed=3)
-        a = gain_report([policy], ds, sp, seed=3)[1]["se_boot"]
-        b = gain_report([policy], ds, sp, seed=4)[1]["se_boot"]
+        fits = [fit_ols_policy]
+        assert gain_report(fits, ds, sp, seed=3) == gain_report(fits, ds, sp, seed=3)
+        a = gain_report(fits, ds, sp, seed=3)[1]["se_boot"]
+        b = gain_report(fits, ds, sp, seed=4)[1]["se_boot"]
         assert a != b
 
     def test_repeated_policy_reuses_resampled_means_bit_for_bit(self, monkeypatch):
@@ -320,13 +320,28 @@ class TestGainReport:
         dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=3_000, seed=16)
         sp = split(ds, 0.7, seed=0)
-        train = ds.subset(sp.train_idx)
-        policies = [best_uniform(train), best_uniform(train), fit_ols_policy(train)]
-        rows = gain_report(policies, ds, sp, n_boot=64, seed=5)
+        fits = [best_uniform, best_uniform, fit_ols_policy]
+        rows = gain_report(fits, ds, sp, n_boot=64, seed=5)
         monkeypatch.setattr(persgain.policy.np, "array_equal", lambda a, b: a is b)
-        assert gain_report(policies, ds, sp, n_boot=64, seed=5) == rows
+        assert gain_report(fits, ds, sp, n_boot=64, seed=5) == rows
         assert rows[1]["se_boot"] == rows[2]["se_boot"] == rows[0]["se_boot"]
         assert rows[1]["diff_se_boot"] == 0.0
+        # a fit listed again is fitted once: best_uniform (the benchmark's own
+        # fit) and the OLS fit, each counted and listed twice
+        calls = []
+
+        def counting(fit):
+            def counted(train):
+                calls.append(fit)
+                return fit(train)
+            return counted
+
+        counted_uniform, counted_ols = counting(best_uniform), counting(fit_ols_policy)
+        monkeypatch.setattr(persgain.policy, "best_uniform", counted_uniform)
+        fits = [counted_uniform, counted_ols, counted_uniform, counted_ols]
+        counted_rows = gain_report(fits, ds, sp, n_boot=64, seed=5)
+        assert calls == [best_uniform, fit_ols_policy]
+        assert counted_rows == [rows[0], rows[1], rows[3], rows[1], rows[3]]
 
     def test_bootstrap_memory_does_not_grow_with_resample_count(self):
         # one resample's index vector (6,000 rows, 48 KB) at a time; an
@@ -334,11 +349,9 @@ class TestGainReport:
         dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=20_000, seed=17)
         sp = split(ds, 0.7, seed=0)
-        train = ds.subset(sp.train_idx)
-        policies = [best_uniform(train), fit_ols_policy(train)]
         tracemalloc.start()
         try:
-            gain_report(policies, ds, sp, n_boot=500, seed=1)
+            gain_report([best_uniform, fit_ols_policy], ds, sp, n_boot=500, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
