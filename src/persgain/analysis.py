@@ -6,9 +6,12 @@ improvements.
 Every operation here holds the base seed fixed across the compared
 configurations (common random numbers), so differences between cells are
 driven by the parameters, not by resampling noise. Each operation runs all
-of its cells in one `simulate_gains` call, so cells that share a draw
-layout share every replication's draws instead of redrawing them; each
-cell's numbers are bit-identical to predicting it alone.
+of its cells in one `simulate_gain` call, so cells that share a draw
+layout share every replication's draws instead of redrawing them, drawn at
+the cells' largest m. A cell with that m is bit-identical to predicting it
+alone; a cell with fewer arms uses the first m of the drawn means and
+columns, which moves its numbers from a lone prediction within Monte Carlo
+error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 from ._util import fields_of, read_fields
 from .errors import ConfigError
-from .simulate import NormalMeans, SimConfig, rho_lower_bound, simulate_gains
+from .simulate import NormalMeans, SimConfig, rho_lower_bound, simulate_gain
 
 __all__ = [
     "StudyProfile",
@@ -66,7 +69,7 @@ class StudyProfile:
 @dataclass(frozen=True)
 class SimSettings:
     """How hard to run the simulator for analysis queries; `SimConfig` and
-    `simulate_gains` check the values."""
+    `simulate_gain` check the values."""
 
     n_individuals: int = 10_000
     n_replications: int = 500
@@ -93,11 +96,11 @@ def predict_gain(
 ) -> tuple[float, float] | list[tuple[float, float]]:
     """Expected personalization gain for the study, with its MC standard
     error. Given a sequence of profiles instead, one (gain, se) pair per
-    profile from one batched simulation, each pair bit-identical to the
-    single-profile call."""
+    profile from one batched simulation; a pair is bit-identical to the
+    single-profile call when no profile in the batch has more arms."""
     single = isinstance(profile, StudyProfile)
     profiles = [profile] if single else profile
-    results = simulate_gains([_sim_config(p, settings) for p in profiles], n_jobs=settings.n_jobs)
+    results = simulate_gain([_sim_config(p, settings) for p in profiles], n_jobs=settings.n_jobs)
     pairs = [(r.gain_mean, r.gain_se) for r in results]
     return pairs[0] if single else pairs
 

@@ -26,18 +26,24 @@ some config in the draw layout has sigma_eps > 0. They are the last draw of
 the stream, so skipping them moves no other draw, and a sigma_eps = 0 config
 is scored on Y itself, which gives the bits Y + 0.0 * noise would.
 
-`simulate_gains` runs a whole grid of configs and draws each replication's
-normals once per draw layout, not once per config. Configs share a layout
-when they agree on seed, n_individuals, n_replications, m and the kind
-of mean distribution. Within a layout, replication r draws the
-outcome normals (z and eps) and, if needed, the prediction noise once;
-each config then draws its own mu again from a fresh stream(seed, r), which
-consumes the same number of draws whatever the distribution's parameters,
-and scales the shared normals with the same floating-point operations a
-config run alone performs. So every config's results are bit-identical to
-running it alone, and a grid of K configs costs one set of draws plus K
-cheap rescalings (Glasserman, Monte Carlo Methods in Financial Engineering,
-2003, section 4.2).
+`simulate_gain` also runs a whole grid of configs and draws each
+replication's normals once per draw layout, not once per config. Configs
+share a layout when they agree on seed, n_individuals, n_replications and
+the kind of mean distribution, whatever their m; call the layout's largest
+m its width W. Within a layout, replication r draws, in this order from
+stream(seed, r), W means, z (n x 1), eps (n x W) and, if needed, the
+prediction noise (n x W), once. A config with m arms takes the first m
+means (or its own fixed vector) and the first m columns of eps and of the
+noise; a config whose distribution differs from the widest one's draws its
+W means again from a fresh stream(seed, r) and takes the first m. Each
+config scales the shared normals with the same floating-point operations a
+run of it alone at width W performs. So a config with its layout's largest
+m is bit-identical to running it alone, every config sees the same
+normals whatever its parameters, and a grid of K configs costs one set of
+draws plus K cheap rescalings (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003, section 4.2). A narrower config's results are those of
+the width-W draws truncated to its m, which differ from a lone run of it
+within Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "simulate_gain",
-    "simulate_gains",
     "sweep_arms",
 ]
 
@@ -178,14 +183,15 @@ def sample_potential_outcomes(
     n: int,
     rng: np.random.Generator,
     draws: list | None = None,
-) -> np.ndarray:
+) -> np.ndarray | None:
     """n x m matrix with rows i.i.d. N(mu, sigma^2 [(1-rho) I + rho J]),
     from a standard-normal column z (n x 1) and matrix eps (n x m) drawn in
-    that order for every rho; see `_outcomes`.
+    that order for every rho; see `_outcomes`. The matrix is written over
+    eps.
 
-    The matrix is written over eps, unless a list is passed as `draws`:
-    [z, eps] are then appended to it and kept, so that `_outcomes` can turn
-    them into the outcomes of further (mu, sigma, rho).
+    Given a list as `draws`, it only draws: [z, eps] are appended to the
+    list and None is returned, so that `_outcomes` can turn them, or their
+    first columns, into the outcomes of any (mu, sigma, rho).
     """
     mu = np.asarray(mu, dtype=float)
     m = mu.shape[0]
@@ -196,24 +202,23 @@ def sample_potential_outcomes(
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     check_rho(rho, m)
-    normals = [rng.standard_normal((n, 1)), rng.standard_normal((n, m))]
-    if draws is None:
-        return _outcomes(normals, mu, sigma, rho, out=normals[-1])
-    draws.extend(normals)
-    return _outcomes(normals, mu, sigma, rho)
+    z, eps = rng.standard_normal((n, 1)), rng.standard_normal((n, m))
+    if draws is not None:
+        draws.extend((z, eps))
+        return None
+    return _outcomes(z, eps, mu, sigma, rho, out=eps)
 
 
 def _outcomes(
-    draws: list, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray | None = None
+    z: np.ndarray, eps: np.ndarray, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray
 ) -> np.ndarray:
     """The outcome matrix mu + sigma (sqrt(1-rho) eps + c 1) of (mu, sigma,
     rho), with c the arms' common term of the module docstring, from the
-    draws [z, eps] made by `sample_potential_outcomes`, written into `out`
-    (which may be eps) or into a new array. The row mean of eps is taken
-    before eps is overwritten, and the in-place steps swap the operands of
-    an addition or multiplication at most, so the result is the same bits
-    as the expression."""
-    z, eps = draws
+    draws z and eps (n x len(mu), possibly a view of the first columns of a
+    wider draw), written into `out` (which may be eps). The row mean of eps
+    is taken before eps is overwritten, and the in-place steps swap the
+    operands of an addition or multiplication at most, so the result is the
+    same bits as the expression."""
     if rho < 0:
         m = eps.shape[1]
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
@@ -282,9 +287,10 @@ class SimResult:
 
 
 def _layout(cfg: SimConfig) -> tuple:
-    """What fixes the normals a replication draws: configs that agree on it
-    consume identical draws from every replication's stream."""
-    return (cfg.seed, cfg.n_individuals, cfg.n_replications, cfg.m, type(cfg.dist))
+    """What fixes the normals a replication draws, up to their width:
+    configs that agree on it share every replication's draws, made at the
+    largest m among them."""
+    return (cfg.seed, cfg.n_individuals, cfg.n_replications, type(cfg.dist))
 
 
 def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
@@ -300,58 +306,85 @@ def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
     """Replication `rep` of cfg and of every config in `more`, which share
-    cfg's draw layout: (v_p, v_u) for each, in that order.
+    cfg's draw layout and have at most cfg.m arms: (v_p, v_u) for each, in
+    that order.
 
-    The outcome normals are drawn once, and so is the prediction noise if
-    any of these configs has sigma_eps > 0. A config with sigma_eps = 0 is
-    scored on Y itself. Every config but the last writes its Y, and its
-    Yhat if it has one, into two scratch arrays; the last writes them over
-    the draws themselves.
+    The draws are made once, at width W = cfg.m: W means, z, eps (n x W)
+    and, if any of these configs has sigma_eps > 0, the prediction noise
+    (n x W). A config with m arms takes the first m means (or its own
+    fixed vector) and the first m columns of eps and of the noise; one with
+    sigma_eps = 0 is scored on Y itself. The configs in `more` write their Y, and their Yhat if they
+    have one, into two contiguous scratch arrays; cfg is scored last and
+    writes them over the draws themselves.
     """
-    n, m = cfg.n_individuals, cfg.m
+    n, width = cfg.n_individuals, cfg.m
     rng = stream(cfg.seed, rep)
-    mu = cfg.dist.sample(m, rng)
-    draws = [] if more else None
-    y = sample_potential_outcomes(mu, cfg.sigma, cfg.rho, n, rng, draws)
-    noisy = any(point.sigma_eps for point in (cfg, *more))
-    noise = rng.standard_normal((n, m)) if noisy else None
-    scratch = np.empty((n, m)) if more and noisy else None
+    mu = cfg.dist.sample(width, rng)
+    draws: list = []
+    sample_potential_outcomes(mu, cfg.sigma, cfg.rho, n, rng, draws)
+    z, eps = draws
+    noise = rng.standard_normal((n, width)) if any(p.sigma_eps for p in (cfg, *more)) else None
+
+    def value(
+        point: SimConfig, mu: np.ndarray, y: np.ndarray, yhat: np.ndarray | None
+    ) -> tuple[float, float]:
+        """(v_p, v_u) of point, its Y written into y and its Yhat, if it has
+        one, into yhat."""
+        m = point.m
+        y = _outcomes(z, eps[:, :m], mu, point.sigma, point.rho, out=y)
+        if not point.sigma_eps:
+            return _score(y, y)
+        # Yhat = Y + sigma_eps * noise, computed as noise * sigma_eps + Y
+        np.multiply(noise[:, :m], point.sigma_eps, out=yhat)
+        yhat += y
+        return _score(y, yhat)
+
+    # the configs in `more` write into the first n * m cells of these, so
+    # that their Y and Yhat are contiguous n x m arrays
+    size = n * max((point.m for point in more), default=0)
+    y_cells = np.empty(size)
+    yhat_cells = np.empty(size if any(point.sigma_eps for point in more) else 0)
     values = []
-    for k, point in enumerate((cfg, *more)):
-        last = k == len(more)
-        if k:
-            mu = point.dist.sample(m, stream(cfg.seed, rep))
-            y = _outcomes(draws, mu, point.sigma, point.rho, out=draws[-1] if last else y)
-        yhat = y
-        if point.sigma_eps:
-            # Yhat = Y + sigma_eps * noise, computed as noise * sigma_eps + Y
-            yhat = noise if last else scratch
-            np.multiply(noise, point.sigma_eps, out=yhat)
-            yhat += y
-        values.append(_score(y, yhat))
-    return values
+    for point in more:
+        if point.dist == cfg.dist:
+            point_mu = mu[: point.m]
+        elif isinstance(point.dist, FixedMeans):
+            point_mu = point.dist.sample(point.m, rng)  # draws nothing
+        else:
+            point_mu = point.dist.sample(width, stream(cfg.seed, rep))[: point.m]
+        shape, cells = (n, point.m), n * point.m
+        yhat = yhat_cells[:cells].reshape(shape) if point.sigma_eps else None
+        values.append(value(point, point_mu, y_cells[:cells].reshape(shape), yhat))
+    return [value(cfg, mu, eps, noise), *values]
 
 
-def simulate_gains(cfgs: Sequence[SimConfig], n_jobs: int = 1) -> list[SimResult]:
-    """One SimResult per config, in order, each bit-identical to running
-    that config alone: configs that share a draw layout share each
-    replication's draws (see the module docstring).
+def simulate_gain(
+    cfg: SimConfig | Sequence[SimConfig], n_jobs: int = 1
+) -> SimResult | list[SimResult]:
+    """Run cfg.n_replications independent replications and aggregate. Given
+    a sequence of configs instead, one SimResult per config, in order, from
+    one batch in which configs that share a draw layout share each
+    replication's draws (see the module docstring): a config with its
+    layout's largest m is bit-identical to running it alone.
 
     n_jobs > 1 runs the (layout, replication) units on a thread pool;
     results are keyed by unit, so the output is identical for any n_jobs.
     """
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
+    single = isinstance(cfg, SimConfig)
+    cfgs = [cfg] if single else list(cfg)
     groups: dict[tuple, list[int]] = {}
-    for index, cfg in enumerate(cfgs):
-        groups.setdefault(_layout(cfg), []).append(index)
-    units = [(group, rep) for group in groups.values()
-             for rep in range(cfgs[group[0]].n_replications)]
+    for index, point in enumerate(cfgs):
+        groups.setdefault(_layout(point), []).append(index)
+    # each layout's widest config first: it fixes the width of the draws
+    orders = [sorted(group, key=lambda index: -cfgs[index].m) for group in groups.values()]
+    units = [(order, rep) for order in orders for rep in range(cfgs[order[0]].n_replications)]
 
     def run(unit):
-        group, rep = unit
-        first, *rest = (cfgs[index] for index in group)
-        return _replicate(first, rep, *rest)
+        order, rep = unit
+        widest, *rest = (cfgs[index] for index in order)
+        return _replicate(widest, rep, *rest)
 
     if n_jobs == 1 or len(units) == 1:
         done = [run(unit) for unit in units]
@@ -359,10 +392,11 @@ def simulate_gains(cfgs: Sequence[SimConfig], n_jobs: int = 1) -> list[SimResult
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             done = list(pool.map(run, units))
     values: list[list[tuple[float, float]]] = [[] for _ in cfgs]
-    for (group, _), unit_values in zip(units, done):
-        for index, pair in zip(group, unit_values):
+    for (order, _), unit_values in zip(units, done):
+        for index, pair in zip(order, unit_values):
             values[index].append(pair)
-    return [_summarize(cfg, pairs) for cfg, pairs in zip(cfgs, values)]
+    results = [_summarize(point, pairs) for point, pairs in zip(cfgs, values)]
+    return results[0] if single else results
 
 
 def _summarize(cfg: SimConfig, values: list[tuple[float, float]]) -> SimResult:
@@ -381,32 +415,26 @@ def _summarize(cfg: SimConfig, values: list[tuple[float, float]]) -> SimResult:
     )
 
 
-def simulate_gain(cfg: SimConfig, n_jobs: int = 1) -> SimResult:
-    """Run cfg.n_replications independent replications and aggregate:
-    `simulate_gains` for one config."""
-    return simulate_gains([cfg], n_jobs)[0]
-
-
 def sweep_arms(cfg: SimConfig, m_values: Sequence[int], n_jobs: int = 1) -> list[dict]:
-    """simulate_gain for each arm count in m_values, sharing cfg's base seed.
+    """cfg at each arm count in m_values, one row per value, from one
+    `simulate_gain` batch.
 
-    Every grid point reuses the same replication streams (seed, spawn_key=(rep,)),
-    so points differing only in parameters that leave array shapes unchanged are
-    common-random-number coupled. Each m is its own draw layout, so batching
-    the points in one `simulate_gains` call would share no draws.
+    The points share cfg's draw layout, so each replication draws once, at
+    the largest m, and the point with m arms uses the first m means and the
+    first m columns of those draws: the rows are common-random-number
+    coupled across m, and the row for the largest m is bit-identical to
+    running that point alone.
     """
     if len(m_values) == 0:
         raise ConfigError("m_values must be non-empty")
-    rows = []
-    for point in [replace(cfg, m=int(m)) for m in m_values]:  # check every m before any runs
-        res = simulate_gain(point, n_jobs=n_jobs)
-        rows.append(
-            {
-                "m": point.m,
-                "gain_mean": res.gain_mean,
-                "gain_se": res.gain_se,
-                "v_personalized_mean": res.v_personalized_mean,
-                "v_uniform_mean": res.v_uniform_mean,
-            }
-        )
-    return rows
+    points = [replace(cfg, m=int(m)) for m in m_values]
+    return [
+        {
+            "m": point.m,
+            "gain_mean": res.gain_mean,
+            "gain_se": res.gain_se,
+            "v_personalized_mean": res.v_personalized_mean,
+            "v_uniform_mean": res.v_uniform_mean,
+        }
+        for point, res in zip(points, simulate_gain(points, n_jobs=n_jobs))
+    ]

@@ -823,19 +823,25 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
     reads perfbench/; ROADMAP item 1 moves the spans into the package and
     removes it. The tracer's counters read traced parameters by name, so a
     renamed one fails here too. estimate and evaluate each build one
-    training side and one holdout."""
+    training side and one holdout. sweep and elasticity each run one
+    simulate_gain batch, which every replication hangs under, on the pool
+    too, as the benchmark's smoke test requires."""
     dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 2_000, "seed": 1}))
     data = tmp_path / "out" / "data.csv"
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    names, counts, subsets = set(), set(), {}
+    names, counts, subsets, recorded_by = set(), set(), {}, {}
     for argv in (["synth", "--config", cfg, "--jobs", 1, "--out", tmp_path / "out"],
                  ["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1.5, "--rho", 0.1],
                  ["simulate", "--m", 2, "--sigma", 1, "--rho", 0, "--n-individuals", 50,
                   "--n-replications", 2, "--jobs", 1, "--out", tmp_path / "sim"],
                  ["estimate", "--data", data, "--out", tmp_path / "est"],
-                 ["evaluate", "--data", data, "--n-boot", 20, "--out", tmp_path / "eval"]):
+                 ["evaluate", "--data", data, "--n-boot", 20, "--out", tmp_path / "eval"],
+                 ["sweep", "--m-values", "2,5", "--sigma", 1, "--rho", 0, "--n-individuals", 50,
+                  "--n-replications", 4, "--jobs", 2, "--out", tmp_path / "sweep"],
+                 ["elasticity", "--profile", "penn_geisinger", "--n-individuals", 1_000,
+                  "--n-replications", 4, "--jobs", 1, "--out", tmp_path / "elasticity"]):
         spans = tmp_path / f"{argv[0]}.json"
         proc = subprocess.run([sys.executable, REPO / "perfbench" / "tracer.py", spans, "--",
                                *[str(a) for a in argv]], env=env, capture_output=True, text=True)
@@ -844,6 +850,7 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
         names |= {span["name"] for span in recorded}
         counts |= {(span["name"], key) for span in recorded for key in span["counts"]}
         subsets[argv[0]] = sum(span["name"] == "dataset.subset" for span in recorded)
+        recorded_by[argv[0]] = recorded
     assert {"cli.cmd_synth", "dataset.write_csv", "util.write_csv", "util.write_json",
             "cli.cmd_gain", "analytic.gain_two_arm",
             "cli.cmd_simulate", "simulate.simulate_gain", "simulate._replicate",
@@ -855,6 +862,15 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
     assert {("policy.gain_report", "bootstrap_draws"), ("policy._ipw_terms", "matched"),
             ("policy._ipw_terms", "rows")} <= counts
     assert subsets["estimate"] == subsets["evaluate"] == 2
+    for command in ("sweep", "elasticity"):
+        recorded = recorded_by[command]
+        batches = [i for i, span in enumerate(recorded) if span["name"] == "simulate.simulate_gain"]
+        assert len(batches) == 1, command
+        parents = {name: [recorded[span["parent"]]["name"] if span["parent"] >= 0 else None
+                          for span in recorded if span["name"] == name]
+                   for name in ("simulate._replicate", "simulate.sample_potential_outcomes")}
+        assert parents["simulate._replicate"] == ["simulate.simulate_gain"] * 4, command
+        assert set(parents["simulate.sample_potential_outcomes"]) == {"simulate._replicate"}
 
 
 # --------------------------------------------------------------------------

@@ -153,7 +153,8 @@ class TestOlsPolicy:
 
     def test_arm_with_fewer_rows_than_coefficients_warns(self):
         ds = manual_dataset([1.0, 2.0, 3.0], [0, 1, 0], ("a", "b"))
-        with pytest.warns(UserWarning, match=r"\['b'\] have rank deficient"):
+        with pytest.warns(UserWarning, match=r"\['b'\] have rank deficient"), \
+                pytest.warns(UserWarning, match=r"\['a', 'b'\] have fewer than p \+ 2 = 3"):
             policy = fit_ols_policy(ds)
         assert np.all(np.isfinite(policy.coef))
 

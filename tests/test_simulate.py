@@ -15,7 +15,6 @@ from persgain.simulate import (
     rho_lower_bound,
     sample_potential_outcomes,
     simulate_gain,
-    simulate_gains,
     sweep_arms,
 )
 from persgain._util import stream
@@ -237,32 +236,37 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 
 
 # --------------------------------------------------------------------------
-# simulate_gains: one set of draws per layout, the bits of a per-config run
+# batches: one set of draws per layout, at its widest m
 
 
-def reference_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
-    """One replication of one config, drawing everything itself: the
-    per-config kernel that simulate_gains replaced, kept as its reference."""
+def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
+    """One replication of one config, drawing everything itself at `width`
+    arms (cfg.m by default) and keeping the first cfg.m: the per-config
+    kernel that the batched simulate_gain replaced, kept as its reference."""
     rng = stream(cfg.seed, rep)
     n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
-    mu = cfg.dist.sample(m, rng)
+    width = m if width is None else width
+    if isinstance(cfg.dist, FixedMeans):
+        mu = cfg.dist.sample(m, rng)
+    else:
+        mu = cfg.dist.sample(width, rng)[:m]
     z = rng.standard_normal((n, 1))
-    eps = rng.standard_normal((n, m))
+    eps = rng.standard_normal((n, width))[:, :m]
     if rho >= 0:
         common = math.sqrt(rho) * z
     else:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
         common = scale * eps.mean(axis=1, keepdims=True)
     y = mu + cfg.sigma * (math.sqrt(1.0 - rho) * eps + common)
-    yhat = y + cfg.sigma_eps * rng.standard_normal((n, m))
+    yhat = y + cfg.sigma_eps * rng.standard_normal((n, width))[:, :m]
     picks = np.argmax(yhat, axis=1)
     v_p = float(y[np.arange(n), picks].mean())
     v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
     return v_p, v_u
 
 
-def reference_gains(cfg: SimConfig) -> tuple[float, ...]:
-    values = [reference_replicate(cfg, rep) for rep in range(cfg.n_replications)]
+def reference_gains(cfg: SimConfig, width: int | None = None) -> tuple[float, ...]:
+    values = [reference_replicate(cfg, rep, width) for rep in range(cfg.n_replications)]
     v_p = np.array([v[0] for v in values])
     v_u = np.array([v[1] for v in values])
     return tuple(float(g) for g in v_p - v_u)
@@ -278,7 +282,9 @@ def layout_grid() -> list[SimConfig]:
         for sigma, s, sigma_eps in ((1.0, 0.5, 0.0), (2.5, 0.0, 0.8)):
             cfgs.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
                                   sigma_eps=sigma_eps, **base))
-    # rho < 0 last, so its outcomes are written over the shared draws
+    # the first config of each m = 5 layout (rho = 0.3) is its widest and
+    # writes its outcomes over the shared draws; the rho < 0 ones take the
+    # row mean of eps from the draws and write into scratch
     for rho in (0.3, -0.1):
         for pi in (0.2, 0.9):
             cfgs.append(SimConfig(m=5, sigma=2.0, rho=rho, dist=SpikeSlabMeans(pi, 0.0, 3.0),
@@ -291,25 +297,48 @@ def layout_grid() -> list[SimConfig]:
     return cfgs
 
 
+def layout_widths(cfgs: list[SimConfig]) -> dict:
+    """The width of each draw layout: the largest m among its configs."""
+    widths: dict = {}
+    for cfg in cfgs:
+        key = simulate._layout(cfg)
+        widths[key] = max(widths.get(key, 0), cfg.m)
+    return widths
+
+
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None:
-    # This also pins the sigma_eps = 0 fast path: layout_grid holds a layout
-    # where every config has sigma_eps = 0 (FixedMeans, m = 5), which skips
-    # the noise draw, and a mixed one (NormalMeans, m = 4), which draws it,
-    # while reference_replicate always draws the noise.
+    # Every config is compared with the reference drawn at its layout's
+    # width. This also pins the sigma_eps = 0 fast path: layout_grid holds
+    # a layout where every config has sigma_eps = 0 (FixedMeans, m = 5),
+    # which skips the noise draw, and a mixed one (NormalMeans, m from 2 to
+    # 30), which draws it, while reference_replicate always draws the noise.
     cfgs = layout_grid()
-    results = simulate_gains(cfgs, n_jobs=n_jobs)
+    widths = layout_widths(cfgs)
+    results = simulate_gain(cfgs, n_jobs=n_jobs)
     assert len(results) == len(cfgs)
     for cfg, result in zip(cfgs, results):
-        assert result.per_replication_gains == reference_gains(cfg), cfg
+        width = widths[simulate._layout(cfg)]
+        assert result.per_replication_gains == reference_gains(cfg, width), cfg
 
 
 def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
     cfgs = layout_grid()[::-3]
     # a repeated config is scored twice, each time as if alone
     cfgs.append(cfgs[0])
-    assert simulate_gains(cfgs) == [simulate_gain(cfg) for cfg in cfgs]
-    assert simulate_gains([]) == []
+    widths = layout_widths(cfgs)
+    widest = [cfg.m == widths[simulate._layout(cfg)] for cfg in cfgs]
+    assert 3 <= sum(widest) < len(cfgs)
+    results = simulate_gain(cfgs)
+    for cfg, result, alone in zip(cfgs, results, widest):
+        if alone:
+            assert result == simulate_gain(cfg), cfg
+        else:
+            # a narrower config depends only on its layout's width
+            wide = next(c for c, w in zip(cfgs, widest) if w and simulate._layout(c)
+                        == simulate._layout(cfg))
+            assert result == simulate_gain([cfg, wide])[0], cfg
+    assert simulate_gain([]) == []
 
 
 class CountingGenerator:
@@ -342,7 +371,7 @@ def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
     cfgs = [SimConfig(m=m, sigma=1.0 + k, rho=0.2 - 0.3 * k, dist=NormalMeans(0.0, 1.0),
                       sigma_eps=e, n_individuals=n, n_replications=reps)
             for k, e in enumerate(sigma_eps)]
-    results = simulate_gains(cfgs)
+    results = simulate_gain(cfgs)
     assert sizes.count((n, m)) == n_by_m_draws * reps
     for cfg, result in zip(cfgs, results):
         assert result.per_replication_gains == reference_gains(cfg), cfg
@@ -380,8 +409,8 @@ def exact_gain(cfg: SimConfig) -> float:
 
 def test_exact_m_arm_gain_is_an_oracle_for_the_simulator() -> None:
     # ten designs sharing one draw layout and ten with layouts of their own
-    # (rho on both sides of 0, every other one with sigma_eps = 0);
-    # criterion 1's rule
+    # (rho on both sides of 0, every other one with sigma_eps = 0), then ten
+    # sharing a prefix layout; criterion 1's rule
     rng = np.random.default_rng(29)
     cfgs = []
     for _ in range(10):
@@ -400,12 +429,22 @@ def test_exact_m_arm_gain_is_an_oracle_for_the_simulator() -> None:
             sigma_eps=(float(rng.uniform(0.0, 1.5)), 0.0)[k % 2], n_individuals=1_000,
             n_replications=400, seed=40 + k,
         ))
-    assert any(cfg.rho < 0 for cfg in cfgs)
+    # ten designs with m from 2 to 12 sharing one layout, drawn at m = 12:
+    # each narrower one uses the first m means and columns of those draws
+    for k, m in enumerate((2, 3, 4, 5, 6, 7, 8, 9, 11, 12)):
+        rho = rng.uniform(-0.9 / (m - 1), 0.0) if k % 3 == 0 else rng.uniform(0.0, 0.95)
+        cfgs.append(SimConfig(
+            m=m, sigma=float(rng.uniform(0.2, 2.0)), rho=float(rho),
+            dist=NormalMeans(float(rng.uniform(-1, 1)), float(rng.uniform(0.0, 1.0))),
+            sigma_eps=(float(rng.uniform(0.0, 1.5)), 0.0)[k % 2], n_individuals=1_000,
+            n_replications=400, seed=53,
+        ))
+    assert any(cfg.rho < 0 for cfg in cfgs[20:]) and any(cfg.sigma_eps for cfg in cfgs[20:])
     hits = sum(
         abs(result.gain_mean - exact_gain(cfg)) <= 3 * result.gain_se
-        for cfg, result in zip(cfgs, simulate_gains(cfgs, n_jobs=2))
+        for cfg, result in zip(cfgs, simulate_gain(cfgs, n_jobs=2))
     )
-    assert hits >= 19, f"only {hits}/20 designs within 3 MC SEs of the exact gain"
+    assert hits >= 29, f"only {hits}/30 designs within 3 MC SEs of the exact gain"
 
 
 def test_expected_max_of_normals_known_values() -> None:
