@@ -34,8 +34,8 @@ m its width W. Within a layout, replication r draws, in this order from
 stream(seed, r), W means, z (n x 1), eps (n x W) and, if needed, the
 prediction noise (n x W), once. A config with m arms takes the first m
 means (or its own fixed vector) and the first m columns of eps and of the
-noise; a config whose distribution differs from the widest one's draws its
-W means again from a fresh stream(seed, r) and takes the first m. Each
+noise; each config other than the widest draws its W means again from a
+fresh stream(seed, r), as the widest one did, and takes the first m. Each
 config scales the shared normals with the same floating-point operations a
 run of it alone at width W performs. So a config with its layout's largest
 m is bit-identical to running it alone, every config sees the same
@@ -313,9 +313,9 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     and, if any of these configs has sigma_eps > 0, the prediction noise
     (n x W). A config with m arms takes the first m means (or its own
     fixed vector) and the first m columns of eps and of the noise; one with
-    sigma_eps = 0 is scored on Y itself. The configs in `more` write their Y, and their Yhat if they
-    have one, into two contiguous scratch arrays; cfg is scored last and
-    writes them over the draws themselves.
+    sigma_eps = 0 is scored on Y itself. The configs in `more` write their
+    Y, and their Yhat if they have one, into two contiguous scratch arrays;
+    cfg is scored last and writes them over the draws themselves.
     """
     n, width = cfg.n_individuals, cfg.m
     rng = stream(cfg.seed, rep)
@@ -346,9 +346,7 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     yhat_cells = np.empty(size if any(point.sigma_eps for point in more) else 0)
     values = []
     for point in more:
-        if point.dist == cfg.dist:
-            point_mu = mu[: point.m]
-        elif isinstance(point.dist, FixedMeans):
+        if isinstance(point.dist, FixedMeans):
             point_mu = point.dist.sample(point.m, rng)  # draws nothing
         else:
             point_mu = point.dist.sample(width, stream(cfg.seed, rep))[: point.m]

@@ -291,6 +291,8 @@ def layout_grid() -> list[SimConfig]:
                                   sigma_eps=0.4, **base))
         for mu in ((1.0, 2.0, 0.5, 1.5, 1.2), (0.0, 0.1, 0.2, 0.3, 0.4)):
             cfgs.append(SimConfig(m=5, sigma=0.7, rho=rho, dist=FixedMeans(mu), **base))
+        # a fixed vector narrower than its layout is not a prefix of the draw
+        cfgs.append(SimConfig(m=3, sigma=1.5, rho=rho, dist=FixedMeans((0.4, 1.1, 0.9)), **base))
     for m in (2, 3, 9, 30):
         cfgs.append(SimConfig(m=m, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0),
                               sigma_eps=0.3, **base))
