@@ -5,13 +5,15 @@ improvements.
 
 Every operation here holds the base seed fixed across the compared
 configurations (common random numbers), so differences between cells are
-driven by the parameters, not by resampling noise. Each operation runs all
-of its cells in one `simulate_gain` call, so cells that share a draw
-layout share every replication's draws instead of redrawing them, drawn at
-the cells' largest m. A cell with that m is bit-identical to predicting it
-alone; a cell with fewer arms uses the first m of the drawn means and
-columns, which moves its numbers from a lone prediction within Monte Carlo
-error.
+driven by the parameters, not by resampling noise. Each what-if only lists
+its cells, a dict of the row's own fields paired with the profile to
+predict; one helper, `_rows`, turns the cells into rows, appending each
+cell's gain_mean and gain_se from one `predict_gain` batch. That batch is
+one `simulate_gain` call, so cells that share a draw layout share every
+replication's draws instead of redrawing them, drawn at the cells' largest
+m. A cell with that m is bit-identical to predicting it alone; a cell with
+fewer arms uses the first m of the drawn means and columns, which moves its
+numbers from a lone prediction within Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def predict_gain(
     """Expected personalization gain for the study, with its MC standard
     error. Given a sequence of profiles instead, one (gain, se) pair per
     profile from one batched simulation; a pair is bit-identical to the
-    single-profile call when no profile in the batch has more arms."""
+    single-profile call when no profile in the batch has more arms. Every
+    what-if reaches the simulator through this batch, by way of `_rows`."""
     single = isinstance(profile, StudyProfile)
     profiles = [profile] if single else profile
     results = simulate_gain([_sim_config(p, settings) for p in profiles], n_jobs=settings.n_jobs)
@@ -111,6 +114,15 @@ def _validated(profile: StudyProfile, parameter: str, value: float) -> StudyProf
     if parameter not in _SWEEPABLE:
         raise ConfigError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
     return replace(profile, **{parameter: float(value)})
+
+
+def _rows(cells: Sequence[tuple[dict, StudyProfile]], settings: SimSettings) -> list[dict]:
+    """The one path from what-if cells to output rows: each cell's fields
+    followed by its profile's gain_mean and gain_se, all the profiles
+    predicted in one `predict_gain` batch."""
+    gains = predict_gain([profile for _, profile in cells], settings)
+    return [{**fields, "gain_mean": g, "gain_se": se}
+            for (fields, _), (g, se) in zip(cells, gains)]
 
 
 def sensitivity_sweep(
@@ -129,19 +141,11 @@ def sensitivity_sweep(
     """
     if len(grid) == 0:
         raise ConfigError("grid must contain at least one value")
-    values = sorted(float(v) for v in grid)
-    points = [_validated(profile, parameter, value) for value in values]
+    cells = [({"parameter": parameter, "value": value}, _validated(profile, parameter, value))
+             for value in sorted(float(v) for v in grid)]
     baseline = float(getattr(profile, parameter))
-    return [
-        {
-            "parameter": parameter,
-            "value": value,
-            "gain_mean": g,
-            "gain_se": se,
-            "is_baseline": int(value == baseline),
-        }
-        for value, (g, se) in zip(values, predict_gain(points, settings))
-    ]
+    return [{**row, "is_baseline": int(row["value"] == baseline)}
+            for row in _rows(cells, settings)]
 
 
 def counterfactual_swap(
@@ -158,18 +162,11 @@ def counterfactual_swap(
         )
     pairs = ((profile_a, profile_a), (profile_a, profile_b),
              (profile_b, profile_b), (profile_b, profile_a))
-    cells = [_validated(host, parameter, getattr(donor, parameter)) for host, donor in pairs]
-    return [
-        {
-            "study": host.name,
-            "parameter": parameter,
-            "value_used": getattr(donor, parameter),
-            "source": "own" if donor is host else donor.name,
-            "gain_mean": g,
-            "gain_se": se,
-        }
-        for (host, donor), (g, se) in zip(pairs, predict_gain(cells, settings))
-    ]
+    cells = [({"study": host.name, "parameter": parameter, "value_used": getattr(donor, parameter),
+               "source": "own" if donor is host else donor.name},
+              _validated(host, parameter, getattr(donor, parameter)))
+             for host, donor in pairs]
+    return _rows(cells, settings)
 
 
 def elasticity_table(
@@ -197,32 +194,14 @@ def elasticity_table(
         ("rho_down", "rho", max(profile.rho - delta, rho_floor)),
         ("sigma_eps_down", "sigma_eps", profile.sigma_eps * (1.0 - delta)),
     ]
-    cells = [profile] + [_validated(profile, parameter, value) for _, parameter, value in variants]
-    (base_gain, base_se), *gains = predict_gain(cells, settings)
-    rows = [
-        {
-            "change": "baseline",
-            "parameter": "",
-            "old_value": math.nan,
-            "new_value": math.nan,
-            "gain_mean": base_gain,
-            "gain_se": base_se,
-            "gain_delta": 0.0,
-        }
+    baseline = {"change": "baseline", "parameter": "", "old_value": math.nan,
+                "new_value": math.nan}
+    cells = [(baseline, profile)] + [
+        ({"change": change, "parameter": parameter, "old_value": getattr(profile, parameter),
+          "new_value": new_value}, _validated(profile, parameter, new_value))
+        for change, parameter, new_value in variants
     ]
-    for (change, parameter, new_value), (g, se) in zip(variants, gains):
-        rows.append(
-            {
-                "change": change,
-                "parameter": parameter,
-                "old_value": getattr(profile, parameter),
-                "new_value": new_value,
-                "gain_mean": g,
-                "gain_se": se,
-                "gain_delta": g - base_gain,
-            }
-        )
+    rows = _rows(cells, settings)
     best = max(rows[1:], key=lambda r: r["gain_mean"])["change"]
-    for row in rows:
-        row["best"] = best
-    return rows
+    return [{**row, "gain_delta": row["gain_mean"] - rows[0]["gain_mean"], "best": best}
+            for row in rows]

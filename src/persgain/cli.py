@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -215,7 +216,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     from .simulate import SimConfig, dist_from_config, simulate_gain
     out = _out_dir(args)
     cfg = SimConfig(**{**config, "dist": dist_from_config(config["dist"])})
-    summary = simulate_gain(cfg, n_jobs=args.jobs).to_dict()
+    summary = asdict(simulate_gain(cfg, n_jobs=args.jobs))
     gains = summary.pop("per_replication_gains")
     write_json(out / "result.json", summary)
     write_csv(out / "replications.csv", ["replication", "gain"], [range(len(gains)), gains])

@@ -16,7 +16,7 @@ training side, estimate_moments the holdout and its scores, once each.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -266,15 +266,8 @@ class MomentEstimates:
         self.per_arm_means.setflags(write=False)
 
     def to_dict(self) -> dict:
-        return {
-            "s_hat": self.s_hat,
-            "sigma_hat": self.sigma_hat,
-            "rho_hat_matrix": self.rho_hat_matrix.tolist(),
-            "rho_hat_mean": self.rho_hat_mean,
-            "sigma_eps_hat": self.sigma_eps_hat,
-            "per_arm_means": self.per_arm_means.tolist(),
-            "quantile_diagnostics": self.quantile_diagnostics,
-        }
+        return {**asdict(self), "rho_hat_matrix": self.rho_hat_matrix.tolist(),
+                "per_arm_means": self.per_arm_means.tolist()}
 
 
 def estimate_moments(

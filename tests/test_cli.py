@@ -311,7 +311,7 @@ def test_simulate_outputs_and_resolved_config(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["simulate", *SIM_ARGS, "--out", out]) == 0
     result = json.loads((out / "result.json").read_text())
-    assert set(result) == {"gain_mean", "gain_se", "v_personalized_mean", "v_uniform_mean"}
+    assert list(result) == ["gain_mean", "gain_se", "v_personalized_mean", "v_uniform_mean"]
     lines = (out / "replications.csv").read_text().splitlines()
     assert lines[0] == "replication,gain"
     assert len(lines) == 1 + 24
@@ -718,9 +718,10 @@ def test_elasticity_baseline_first(tmp_path):
     assert run_cli(["elasticity", "--profile", "penn_geisinger", "--delta", 0.01,
                     *FAST_PROFILE_ARGS, "--out", out]) == 0
     lines = (out / "elasticity.csv").read_text().splitlines()
-    assert lines[0].startswith("change,parameter,old_value,new_value,")
+    assert lines[0] == "change,parameter,old_value,new_value,gain_mean,gain_se,gain_delta,best"
     body = [line.split(",") for line in lines[1:]]
     assert body[0][0] == "baseline"
+    assert float(body[0][6]) == 0.0
     assert {row[0] for row in body[1:]} == {"s_down", "sigma_up", "rho_down", "sigma_eps_down"}
     assert len({row[-1] for row in body}) == 1  # one winner named on every row
 
@@ -825,7 +826,9 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
     renamed one fails here too. estimate and evaluate each build one
     training side and one holdout. sweep and elasticity each run one
     simulate_gain batch, which every replication hangs under, on the pool
-    too, as the benchmark's smoke test requires."""
+    too, as the benchmark's smoke test requires. Each profile what-if
+    reaches that batch through exactly one predict_gain call, whose count
+    the benchmark requires to be above zero on profile_elasticity."""
     dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 2_000, "seed": 1}))
@@ -841,7 +844,13 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
                  ["sweep", "--m-values", "2,5", "--sigma", 1, "--rho", 0, "--n-individuals", 50,
                   "--n-replications", 4, "--jobs", 2, "--out", tmp_path / "sweep"],
                  ["elasticity", "--profile", "penn_geisinger", "--n-individuals", 1_000,
-                  "--n-replications", 4, "--jobs", 1, "--out", tmp_path / "elasticity"]):
+                  "--n-replications", 4, "--jobs", 1, "--out", tmp_path / "elasticity"],
+                 ["sensitivity", "--profile", "penn_geisinger", "--parameter", "m",
+                  "--grid", "2,5", "--n-individuals", 1_000, "--n-replications", 4, "--jobs", 1,
+                  "--out", tmp_path / "sensitivity"],
+                 ["counterfactual", "--profile-a", "walmart", "--profile-b", "penn_geisinger",
+                  "--parameter", "sigma", "--n-individuals", 1_000, "--n-replications", 4,
+                  "--jobs", 1, "--out", tmp_path / "counterfactual"]):
         spans = tmp_path / f"{argv[0]}.json"
         proc = subprocess.run([sys.executable, REPO / "perfbench" / "tracer.py", spans, "--",
                                *[str(a) for a in argv]], env=env, capture_output=True, text=True)
@@ -871,6 +880,16 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
                    for name in ("simulate._replicate", "simulate.sample_potential_outcomes")}
         assert parents["simulate._replicate"] == ["simulate.simulate_gain"] * 4, command
         assert set(parents["simulate.sample_potential_outcomes"]) == {"simulate._replicate"}
+    for command, function in (("elasticity", "elasticity_table"),
+                              ("sensitivity", "sensitivity_sweep"),
+                              ("counterfactual", "counterfactual_swap")):
+        recorded = recorded_by[command]
+        chain = [f"cli.cmd_{command}", f"analysis.{function}", "analysis.predict_gain",
+                 "simulate.simulate_gain"]
+        for parent, child in zip(chain, chain[1:]):
+            spans = [span for span in recorded if span["name"] == child]
+            assert len(spans) == 1, (command, child)
+            assert recorded[spans[0]["parent"]]["name"] == parent, (command, child)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -307,11 +308,16 @@ class TestMoments:
         sp = split(ds, 0.7, seed=0)
         est = estimate_moments(ds, sp)
         doc = json.loads(json.dumps(est.to_dict()))
+        assert list(doc) == [f.name for f in fields(MomentEstimates)]
         assert doc["sigma_hat"] == est.sigma_hat
         assert doc["rho_hat_mean"] == est.rho_hat_mean
         assert len(doc["per_arm_means"]) == 3
         assert est.sigma_eps_hat == pytest.approx(0.25, rel=0.1)
         assert est.s_hat >= 0.0
+        # the document is a copy: editing it leaves the frozen estimate as it was
+        n_quantiles = est.quantile_diagnostics["n_quantiles"]
+        est.to_dict()["quantile_diagnostics"]["n_quantiles"] = -1
+        assert est.quantile_diagnostics["n_quantiles"] == n_quantiles
 
     def test_validation_rejects_malformed_matrix(self):
         bad = np.array([[1.0, 0.5], [0.4, 1.0]])
