@@ -8,12 +8,12 @@ configurations (common random numbers), so differences between cells are
 driven by the parameters, not by resampling noise. Each what-if only lists
 its cells, a dict of the row's own fields paired with the profile to
 predict; one helper, `_rows`, turns the cells into rows, appending each
-cell's gain_mean and gain_se from one `predict_gain` batch. That batch is
-one `simulate_gain` call, so cells that share a draw layout share every
-replication's draws instead of redrawing them, drawn at the cells' largest
-m. A cell with that m is bit-identical to predicting it alone; a cell with
-fewer arms uses the first m of the drawn means and columns, which moves its
-numbers from a lone prediction within Monte Carlo error.
+cell's gain_mean and gain_se from one `predict_gain` batch, which is one
+`simulate_gain` call and one draw layout (a mixed batch raises ConfigError):
+every cell is a NormalMeans config of one SimSettings, so the cells share
+every replication's draws, made at their largest m. A cell with that m is
+bit-identical to predicting it alone; one with fewer arms uses the first m
+drawn means and columns, within Monte Carlo error of a lone prediction.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -335,6 +336,8 @@ class _CommandParser(argparse.ArgumentParser):
     def __init__(self, command: str, **kwargs) -> None:
         super().__init__(**kwargs)
         self.command = command
+        # Python 3.13's rule: a value such as -0.04,0.3 is not a flag
+        self._negative_number_matcher = re.compile(r"-\.?\d")
         self._flags_added = False
 
     def parse_known_args(self, args=None, namespace=None):

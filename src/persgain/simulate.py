@@ -22,28 +22,28 @@ so any parallelism degree yields bit-identical results, and two runs that
 differ only in (sigma, rho, sigma_eps, dist parameters) consume identical
 underlying draws, so sweeps over those knobs are common-random-number
 coupled by construction. The prediction-noise normals are drawn only when
-some config in the draw layout has sigma_eps > 0. They are the last draw of
+some config in the batch has sigma_eps > 0. They are the last draw of
 the stream, so skipping them moves no other draw, and a sigma_eps = 0 config
 is scored on Y itself, which gives the bits Y + 0.0 * noise would.
 
-`simulate_gain` also runs a whole grid of configs and draws each
-replication's normals once per draw layout, not once per config. Configs
-share a layout when they agree on seed, n_individuals, n_replications and
-the kind of mean distribution, whatever their m; call the layout's largest
-m its width W. Within a layout, replication r draws, in this order from
+`simulate_gain` also runs a whole grid of configs as one batch, which is
+one draw layout: its configs agree on seed, n_individuals, n_replications
+and the kind of mean distribution, whatever their m, and a batch that
+mixes layouts raises ConfigError before anything is drawn. Call the
+batch's largest m its width W. Replication r draws, in this order from
 stream(seed, r), W means, z (n x 1), eps (n x W) and, if needed, the
-prediction noise (n x W), once. A config with m arms takes the first m
-means (or its own fixed vector) and the first m columns of eps and of the
-noise; each config other than the widest draws its W means again from a
-fresh stream(seed, r), as the widest one did, and takes the first m. Each
-config scales the shared normals with the same floating-point operations a
-run of it alone at width W performs. So a config with its layout's largest
-m is bit-identical to running it alone, every config sees the same
-normals whatever its parameters, and a grid of K configs costs one set of
-draws plus K cheap rescalings (Glasserman, Monte Carlo Methods in Financial
-Engineering, 2003, section 4.2). A narrower config's results are those of
-the width-W draws truncated to its m, which differ from a lone run of it
-within Monte Carlo error.
+prediction noise (n x W), once for all its configs. A config with m arms
+takes the first m columns of eps and of the noise, and the first m of W
+means it draws from a fresh stream(seed, r), as the widest config did (a
+fixed-means vector narrower than W raises ConfigError). Each config
+scales the shared normals with the same floating-point operations a run
+of it alone at width W performs. So the widest config is bit-identical to
+running it alone, every config sees the same normals whatever its
+parameters, and a grid of K configs costs one set of draws plus K cheap
+rescalings (Glasserman, Monte Carlo Methods in Financial Engineering,
+2003, section 4.2). A narrower config's results are those of the width-W
+draws truncated to its m, which differ from a lone run of it within Monte
+Carlo error.
 """
 
 from __future__ import annotations
@@ -278,10 +278,10 @@ class SimResult:
 
 
 def _layout(cfg: SimConfig) -> tuple:
-    """What fixes the normals a replication draws, up to their width:
-    configs that agree on it share every replication's draws, made at the
-    largest m among them."""
-    return (cfg.seed, cfg.n_individuals, cfg.n_replications, type(cfg.dist))
+    """What fixes the normals a replication draws, up to their width. A
+    `simulate_gain` batch is one layout, drawn at its largest m; a batch
+    whose configs differ on it raises ConfigError."""
+    return (cfg.seed, cfg.n_individuals, cfg.n_replications, type(cfg.dist).__name__)
 
 
 def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
@@ -296,17 +296,18 @@ def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
 
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
-    """Replication `rep` of cfg and of every config in `more`, which share
-    cfg's draw layout and have at most cfg.m arms: (v_p, v_u) for each, in
-    that order.
+    """Replication `rep` of one batch: cfg and every config in `more`,
+    which share cfg's draw layout and have at most cfg.m arms. (v_p, v_u)
+    for each, in that order.
 
     The draws are made once, at width W = cfg.m: W means, z, eps (n x W)
     and, if any of these configs has sigma_eps > 0, the prediction noise
-    (n x W). A config with m arms takes the first m means (or its own
-    fixed vector) and the first m columns of eps and of the noise; one with
-    sigma_eps = 0 is scored on Y itself. The configs in `more` write their
-    Y, and their Yhat if they have one, into two contiguous scratch arrays;
-    cfg is scored last and writes them over the draws themselves.
+    (n x W). A config with m arms takes the first m of its W means (a
+    fixed vector narrower than W raises ConfigError) and the first m
+    columns of eps and of the noise; one with sigma_eps = 0 is scored on Y
+    itself. The configs in `more` write their Y, and their Yhat if they
+    have one, into two contiguous scratch arrays; cfg is scored last and
+    writes them over the draws themselves.
     """
     n, width = cfg.n_individuals, cfg.m
     rng = stream(cfg.seed, rep)
@@ -331,21 +332,17 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
         return _score(y, yhat)
 
     # the configs in `more` write into the first n * m cells of these, so
-    # that their Y and Yhat are contiguous n x m arrays. They are allocated
-    # once per replication and shared by every narrower config: giving each
-    # config its own Y and Yhat gave the same bits, but on a 2-core box one
-    # elasticity run (five m = 20 configs) then took 402k minor page faults
-    # instead of 163k and 1.0 s of system time instead of 0.4-0.5 s, and the
-    # profile_elasticity benchmark 22% more wall time (3.50 s against 2.87 s)
+    # that their Y and Yhat are contiguous n x m arrays. One pair per
+    # replication, not per config: per-config arrays gave the same bits, but
+    # on a 2-core box an elasticity run (five m = 20 configs) then took 402k
+    # minor page faults, not 163k, 1.0 s of system time, not 0.4-0.5 s, and
+    # the profile_elasticity benchmark 22% more wall time (3.50 s, not 2.87 s)
     size = n * max((point.m for point in more), default=0)
     y_cells = np.empty(size)
     yhat_cells = np.empty(size if any(point.sigma_eps for point in more) else 0)
     values = []
     for point in more:
-        if isinstance(point.dist, FixedMeans):
-            point_mu = point.dist.sample(point.m, rng)  # draws nothing
-        else:
-            point_mu = point.dist.sample(width, stream(cfg.seed, rep))[: point.m]
+        point_mu = point.dist.sample(width, stream(cfg.seed, rep))[: point.m]
         shape, cells = (n, point.m), n * point.m
         yhat = yhat_cells[:cells].reshape(shape) if point.sigma_eps else None
         values.append(value(point, point_mu, y_cells[:cells].reshape(shape), yhat))
@@ -357,43 +354,42 @@ def simulate_gain(
 ) -> SimResult | list[SimResult]:
     """Run cfg.n_replications independent replications and aggregate. Given
     a sequence of configs instead, one SimResult per config, in order, from
-    one batch in which configs that share a draw layout share each
-    replication's draws (see the module docstring): a config with its
-    layout's largest m is bit-identical to running it alone.
+    one batch whose configs share each replication's draws (see the module
+    docstring): a config with the batch's largest m is bit-identical to
+    running it alone. The configs must share one draw layout (`_layout`);
+    a batch that mixes layouts raises ConfigError, naming the first config
+    that differs, before anything is drawn.
 
-    n_jobs > 1 runs the (layout, replication) units on a thread pool;
-    results are keyed by unit, so the output is identical for any n_jobs.
+    n_jobs > 1 runs the replications on a thread pool; results are keyed
+    by replication, so the output is identical for any n_jobs.
     """
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     single = isinstance(cfg, SimConfig)
     cfgs = [cfg] if single else list(cfg)
-    groups: dict[tuple, list[int]] = {}
+    if not cfgs:
+        return []
     for index, point in enumerate(cfgs):
-        groups.setdefault(_layout(point), []).append(index)
-    # each layout's widest config first: it fixes the width of the draws
-    orders = [sorted(group, key=lambda index: -cfgs[index].m) for group in groups.values()]
-    units = [(order, rep) for order in orders for rep in range(cfgs[order[0]].n_replications)]
-
-    def run(unit):
-        order, rep = unit
-        widest, *rest = (cfgs[index] for index in order)
-        return _replicate(widest, rep, *rest)
-
-    if n_jobs == 1 or len(units) == 1:
-        done = [run(unit) for unit in units]
+        if _layout(point) != _layout(cfgs[0]):
+            raise ConfigError(
+                f"config {index} has draw layout {_layout(point)}, config 0 {_layout(cfgs[0])}: "
+                "a batch takes one (seed, n_individuals, n_replications, kind of means)")
+    # the widest config first: it fixes the width of the draws
+    order = sorted(range(len(cfgs)), key=lambda index: -cfgs[index].m)
+    widest, *rest = (cfgs[index] for index in order)
+    reps = range(widest.n_replications)
+    if n_jobs == 1 or len(reps) == 1:
+        done = [_replicate(widest, rep, *rest) for rep in reps]
     else:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            done = list(pool.map(run, units))
-    values: list[list[tuple[float, float]]] = [[] for _ in cfgs]
-    for (order, _), unit_values in zip(units, done):
-        for index, pair in zip(order, unit_values):
-            values[index].append(pair)
-    results = [_summarize(point, pairs) for point, pairs in zip(cfgs, values)]
+            done = list(pool.map(lambda rep: _replicate(widest, rep, *rest), reps))
+    # done holds one row of pairs per replication; its columns follow order
+    pairs = dict(zip(order, zip(*done)))
+    results = [_summarize(point, pairs[index]) for index, point in enumerate(cfgs)]
     return results[0] if single else results
 
 
-def _summarize(cfg: SimConfig, values: list[tuple[float, float]]) -> SimResult:
+def _summarize(cfg: SimConfig, values: Sequence[tuple[float, float]]) -> SimResult:
     v_p = np.array([v[0] for v in values])
     v_u = np.array([v[1] for v in values])
     gains = v_p - v_u
@@ -413,11 +409,11 @@ def sweep_arms(cfg: SimConfig, m_values: Sequence[int], n_jobs: int = 1) -> list
     """cfg at each arm count in m_values, one row per value, from one
     `simulate_gain` batch.
 
-    The points share cfg's draw layout, so each replication draws once, at
-    the largest m, and the point with m arms uses the first m means and the
-    first m columns of those draws: the rows are common-random-number
-    coupled across m, and the row for the largest m is bit-identical to
-    running that point alone.
+    The points differ only in m, so they are one draw layout, as a batch
+    must be: each replication draws once, at the largest m, and the point
+    with m arms uses the first m means and the first m columns of those
+    draws. The rows are common-random-number coupled across m, and the row
+    for the largest m is bit-identical to running that point alone.
     """
     if len(m_values) == 0:
         raise ConfigError("m_values must be non-empty")

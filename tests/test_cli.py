@@ -701,6 +701,21 @@ def test_sensitivity_rows_sorted_with_baseline_flag(tmp_path):
     assert flags == ["0", "1", "0"]
 
 
+def test_list_flag_may_start_with_a_negative_number(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run_cli(["sensitivity", "--profile", "walmart", "--parameter", "rho",
+                    "--grid", "-0.04,0.3", *FAST_PROFILE_ARGS, "--out", out]) == 0
+    lines = (out / "sensitivity.csv").read_text().splitlines()
+    assert [float(line.split(",")[1]) for line in lines[1:]] == [-0.04, 0.3]
+    # a value that is not a number still reads as an unknown flag
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["sensitivity", "--profile", "walmart", "--parameter", "rho", "--grid", "-x",
+                 *FAST_PROFILE_ARGS, "--out", tmp_path / "x"])
+    assert exit_info.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_counterfactual_four_rows(tmp_path):
     out = tmp_path / "c"
     assert run_cli(["counterfactual", "--profile-a", "walmart",

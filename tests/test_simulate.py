@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 
 
 # --------------------------------------------------------------------------
-# batches: one set of draws per layout, at its widest m
+# batches: one draw layout each, drawn once at its widest m
 
 
 def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
@@ -272,75 +273,86 @@ def reference_gains(cfg: SimConfig, width: int | None = None) -> tuple[float, ..
     return tuple(float(g) for g in v_p - v_u)
 
 
-def layout_grid() -> list[SimConfig]:
-    """Configs covering every draw layout: fixed, normal and spike-slab
-    means and several m, with several configs sharing each layout and rho
-    on both sides of 0 within a layout."""
+def layout_grid() -> list[list[SimConfig]]:
+    """One batch per draw layout: normal, spike-slab and fixed means, with
+    several configs in each batch, several m in the normal one and rho on
+    both sides of 0 within a batch."""
     base = dict(n_individuals=200, n_replications=6, seed=13)
-    cfgs = []
+    normal = []
     for rho in (-0.2, 0.0, 0.5, 1.0):
         for sigma, s, sigma_eps in ((1.0, 0.5, 0.0), (2.5, 0.0, 0.8)):
-            cfgs.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
-                                  sigma_eps=sigma_eps, **base))
-    # the first config of each m = 5 layout (rho = 0.3) is its widest and
+            normal.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
+                                    sigma_eps=sigma_eps, **base))
+    for m in (2, 3, 9, 30):
+        normal.append(SimConfig(m=m, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0),
+                                sigma_eps=0.3, **base))
+    # the first config of each m = 5 batch (rho = 0.3) is its widest and
     # writes its outcomes over the shared draws; the rho < 0 ones take the
     # row mean of eps from the draws and write into scratch
+    spike_slab, fixed = [], []
     for rho in (0.3, -0.1):
         for pi in (0.2, 0.9):
-            cfgs.append(SimConfig(m=5, sigma=2.0, rho=rho, dist=SpikeSlabMeans(pi, 0.0, 3.0),
-                                  sigma_eps=0.4, **base))
+            spike_slab.append(SimConfig(m=5, sigma=2.0, rho=rho,
+                                        dist=SpikeSlabMeans(pi, 0.0, 3.0), sigma_eps=0.4, **base))
         for mu in ((1.0, 2.0, 0.5, 1.5, 1.2), (0.0, 0.1, 0.2, 0.3, 0.4)):
-            cfgs.append(SimConfig(m=5, sigma=0.7, rho=rho, dist=FixedMeans(mu), **base))
-        # a fixed vector narrower than its layout is not a prefix of the draw
-        cfgs.append(SimConfig(m=3, sigma=1.5, rho=rho, dist=FixedMeans((0.4, 1.1, 0.9)), **base))
-    for m in (2, 3, 9, 30):
-        cfgs.append(SimConfig(m=m, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0),
-                              sigma_eps=0.3, **base))
-    return cfgs
-
-
-def layout_widths(cfgs: list[SimConfig]) -> dict:
-    """The width of each draw layout: the largest m among its configs."""
-    widths: dict = {}
-    for cfg in cfgs:
-        key = simulate._layout(cfg)
-        widths[key] = max(widths.get(key, 0), cfg.m)
-    return widths
+            fixed.append(SimConfig(m=5, sigma=0.7, rho=rho, dist=FixedMeans(mu), **base))
+    return [normal, spike_slab, fixed]
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None:
-    # Every config is compared with the reference drawn at its layout's
-    # width. This also pins the sigma_eps = 0 fast path: layout_grid holds
-    # a layout where every config has sigma_eps = 0 (FixedMeans, m = 5),
-    # which skips the noise draw, and a mixed one (NormalMeans, m from 2 to
-    # 30), which draws it, while reference_replicate always draws the noise.
-    cfgs = layout_grid()
-    widths = layout_widths(cfgs)
-    results = simulate_gain(cfgs, n_jobs=n_jobs)
-    assert len(results) == len(cfgs)
-    for cfg, result in zip(cfgs, results):
-        width = widths[simulate._layout(cfg)]
-        assert result.per_replication_gains == reference_gains(cfg, width), cfg
+    # Every config is compared with the reference drawn at its batch's
+    # width. This also pins the sigma_eps = 0 fast path: the fixed-means
+    # batch has sigma_eps = 0 throughout, which skips the noise draw, and
+    # the normal one (m from 2 to 30) is mixed, which draws it, while
+    # reference_replicate always draws the noise.
+    for batch in layout_grid():
+        width = max(cfg.m for cfg in batch)
+        results = simulate_gain(batch, n_jobs=n_jobs)
+        assert len(results) == len(batch)
+        for cfg, result in zip(batch, results):
+            assert result.per_replication_gains == reference_gains(cfg, width), cfg
 
 
 def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
-    cfgs = layout_grid()[::-3]
-    # a repeated config is scored twice, each time as if alone
-    cfgs.append(cfgs[0])
-    widths = layout_widths(cfgs)
-    widest = [cfg.m == widths[simulate._layout(cfg)] for cfg in cfgs]
-    assert 3 <= sum(widest) < len(cfgs)
-    results = simulate_gain(cfgs)
-    for cfg, result, alone in zip(cfgs, results, widest):
-        if alone:
-            assert result == simulate_gain(cfg), cfg
-        else:
-            # a narrower config depends only on its layout's width
-            wide = next(c for c, w in zip(cfgs, widest) if w and simulate._layout(c)
-                        == simulate._layout(cfg))
-            assert result == simulate_gain([cfg, wide])[0], cfg
+    alone = narrower = 0
+    for batch in layout_grid():
+        # the widest config of the normal batch comes last; a repeated
+        # config is scored twice, each time as if alone
+        cfgs = [*batch[1::3], batch[1]]
+        width = max(cfg.m for cfg in cfgs)
+        wide = next(cfg for cfg in cfgs if cfg.m == width)
+        for cfg, result in zip(cfgs, simulate_gain(cfgs)):
+            if cfg.m == width:
+                alone += 1
+                assert result == simulate_gain(cfg), cfg
+            else:
+                # a narrower config depends only on its batch's width
+                narrower += 1
+                assert result == simulate_gain([cfg, wide])[0], cfg
+    assert alone >= 3 and narrower >= 3
     assert simulate_gain([]) == []
+
+
+def test_a_batch_of_several_layouts_fails_before_any_draw(monkeypatch) -> None:
+    keys: list = []
+    monkeypatch.setattr(simulate, "stream", lambda *key: keys.append(key) or stream(*key))
+    base = SimConfig(m=3, sigma=1.0, rho=0.2, dist=NormalMeans(0.0, 1.0),
+                     n_individuals=20, n_replications=2, seed=5)
+    others = (replace(base, seed=6), replace(base, n_individuals=21),
+              replace(base, dist=SpikeSlabMeans(0.5, 0.0, 1.0)))
+    for other in others:
+        for n_jobs in (1, 2):
+            with pytest.raises(ConfigError, match="config 2 has draw layout"):
+                simulate_gain([base, replace(base, m=4), other, replace(other, m=2)],
+                              n_jobs=n_jobs)
+    assert keys == []
+    # a fixed vector fits one m only, so a narrower one fails its length check
+    fixed = [SimConfig(m=m, sigma=1.0, rho=0.0, dist=FixedMeans([0.5] * m),
+                       n_individuals=20, n_replications=2) for m in (3, 2)]
+    for n_jobs in (1, 2):
+        with pytest.raises(ConfigError, match="length 2 but m = 3"):
+            simulate_gain(fixed, n_jobs=n_jobs)
 
 
 class CountingGenerator:
@@ -412,7 +424,8 @@ def exact_gain(cfg: SimConfig) -> float:
 def test_exact_m_arm_gain_is_an_oracle_for_the_simulator() -> None:
     # ten designs sharing one draw layout and ten with layouts of their own
     # (rho on both sides of 0, every other one with sigma_eps = 0), then ten
-    # sharing a prefix layout; criterion 1's rule
+    # sharing a prefix layout: twelve batches, one per layout; criterion 1's
+    # rule
     rng = np.random.default_rng(29)
     cfgs = []
     for _ in range(10):
@@ -442,9 +455,11 @@ def test_exact_m_arm_gain_is_an_oracle_for_the_simulator() -> None:
             n_replications=400, seed=53,
         ))
     assert any(cfg.rho < 0 for cfg in cfgs[20:]) and any(cfg.sigma_eps for cfg in cfgs[20:])
+    batches = [cfgs[:10], *([cfg] for cfg in cfgs[10:20]), cfgs[20:]]
+    results = [result for batch in batches for result in simulate_gain(batch, n_jobs=2)]
     hits = sum(
         abs(result.gain_mean - exact_gain(cfg)) <= 3 * result.gain_se
-        for cfg, result in zip(cfgs, simulate_gain(cfgs, n_jobs=2))
+        for cfg, result in zip(cfgs, results)
     )
     assert hits >= 29, f"only {hits}/30 designs within 3 MC SEs of the exact gain"
 
