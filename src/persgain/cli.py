@@ -2,9 +2,11 @@
 
 One executable, one subcommand per operation. Each command reads an
 optional JSON config file (--config) merged with flag overrides (flags
-win), writes its artifacts atomically into --out, and drops a
+win). Its handler computes every output and returns them, touching no
+path; `main` then writes them atomically into --out, in order, and drops a
 resolved_config.json beside them. That file embeds the full effective
 config, so passing it back as --config reproduces the run byte for byte.
+A command that fails while computing any output writes nothing.
 _COMMANDS declares every command once: its fields' rules and defaults
 drive the flags, the reading of the config file and resolved_config.json
 alike. The config file, and the profiles, DGPs and distributions inside
@@ -150,29 +152,16 @@ def _resolve(command: str, file_doc: dict, overrides: dict) -> dict:
     return read_fields(_table(command), {**file_doc, **overrides}, command)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """The output directory; the first file written there creates it."""
-    return Path(args.out or os.environ.get(_OUT_ENV) or "persgain_out")
-
-
-def _write_rows(path: Path, rows: list[dict]) -> None:
-    """A CSV table whose columns are the rows' keys, in their order."""
-    write_csv(path, list(rows[0]), [[row[key] for row in rows] for key in rows[0]])
-
-
-def _finish(command: str, config: dict, out: Path, outputs: list[str]) -> int:
-    write_json(
-        out / "resolved_config.json",
-        {
-            "command": command,
-            "artifact_version": __version__,
-            "config": config,
-            "outputs": sorted(outputs),
-        },
-    )
-    for name in sorted(outputs) + ["resolved_config.json"]:
-        print(f"wrote {out / name}")
-    return 0
+def _write(path: Path, content) -> None:
+    """One output: a dict as JSON, a list of row dicts as a CSV table whose
+    columns are the rows' keys in their order, or a function that writes
+    the file at path itself."""
+    if isinstance(content, dict):
+        write_json(path, content)
+    elif isinstance(content, list):
+        write_csv(path, list(content[0]), [[row[key] for row in content] for key in content[0]])
+    else:
+        content(path)
 
 
 def _load_profile(ref):
@@ -202,7 +191,7 @@ def _settings(config: dict, jobs: int):
 # commands
 
 
-def cmd_gain(config: dict, args: argparse.Namespace) -> int:
+def cmd_gain(config: dict, args: argparse.Namespace) -> None:
     params = TwoArmParams(**{key: config[key] for key in fields_of(TwoArmParams)})
     check_seed(config["seed"])
     lines = [f"gain {fmt_float(gain_two_arm(params))}"]
@@ -210,62 +199,53 @@ def cmd_gain(config: dict, args: argparse.Namespace) -> int:
         value = expected_gain_over_means(params.sigma, params.rho, config["s"])
         lines.append(f"expected_gain_over_means {fmt_float(value)}")
     print("\n".join(lines))  # nothing prints unless every value is valid
-    return 0
 
 
-def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
+def cmd_simulate(config: dict, args: argparse.Namespace) -> dict:
     from .simulate import SimConfig, dist_from_config, simulate_gain
-    out = _out_dir(args)
     cfg = SimConfig(**{**config, "dist": dist_from_config(config["dist"])})
     summary = asdict(simulate_gain(cfg, n_jobs=args.jobs))
     gains = summary.pop("per_replication_gains")
-    write_json(out / "result.json", summary)
-    write_csv(out / "replications.csv", ["replication", "gain"], [range(len(gains)), gains])
-    return _finish("simulate", config, out, ["result.json", "replications.csv"])
+    return {
+        "result.json": summary,
+        "replications.csv": [{"replication": i, "gain": gain} for i, gain in enumerate(gains)],
+    }
 
 
-def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
+def cmd_sweep(config: dict, args: argparse.Namespace) -> dict:
     from .simulate import SimConfig, dist_from_config, sweep_arms
-    out = _out_dir(args)
     m_values = config["m_values"]
     if not m_values:
         raise ConfigError("m_values must contain at least one arm count")
     base = {key: value for key, value in config.items() if key != "m_values"}
     cfg = SimConfig(**{**base, "m": m_values[0], "dist": dist_from_config(config["dist"])})
-    _write_rows(out / "sweep.csv", sweep_arms(cfg, m_values, n_jobs=args.jobs))
-    return _finish("sweep", config, out, ["sweep.csv"])
+    return {"sweep.csv": sweep_arms(cfg, m_values, n_jobs=args.jobs)}
 
 
-def cmd_synth(config: dict, args: argparse.Namespace) -> int:
+def cmd_synth(config: dict, args: argparse.Namespace) -> dict:
     from .dataset import SynthDGP, generate_synthetic, write_csv as write_dataset_csv
-    out = _out_dir(args)
     dgp = SynthDGP.from_config(config["dgp"])
     dataset, sealed = generate_synthetic(dgp, n=config["n"], seed=config["seed"])
-    write_dataset_csv(dataset, out / "data.csv")
-    write_csv(
-        out / "sealed.csv",
-        ["unit_id"] + [f"y_{name}" for name in dataset.arm_names],
-        [sealed.unit_ids, *sealed.y.T],
-    )
-    write_json(out / "schema.json", dataset.schema_doc())
-    return _finish("synth", config, out, ["data.csv", "sealed.csv", "schema.json"])
+    header = ["unit_id"] + [f"y_{name}" for name in dataset.arm_names]
+    return {
+        "data.csv": lambda path: write_dataset_csv(dataset, path),
+        "sealed.csv": lambda path: write_csv(path, header, [sealed.unit_ids, *sealed.y.T]),
+        "schema.json": dataset.schema_doc(),
+    }
 
 
-def cmd_estimate(config: dict, args: argparse.Namespace) -> int:
+def cmd_estimate(config: dict, args: argparse.Namespace) -> dict:
     from .dataset import load_csv, split
     from .estimation import estimate_moments
-    out = _out_dir(args)
     dataset = load_csv(config["data"])
     sp = split(dataset, config["train_frac"], seed=config["seed"])
     moments = estimate_moments(dataset, sp, n_quantiles=config["quantiles"])
-    write_json(out / "moments.json", moments.to_dict())
-    return _finish("estimate", config, out, ["moments.json"])
+    return {"moments.json": moments.to_dict()}
 
 
-def cmd_evaluate(config: dict, args: argparse.Namespace) -> int:
+def cmd_evaluate(config: dict, args: argparse.Namespace) -> dict:
     from .dataset import load_csv, split
     from .policy import best_uniform, fit_ols_policy, gain_report
-    out = _out_dir(args)
     fits = {"uniform": best_uniform, "ols": fit_ols_policy}
     for name in config["policies"]:
         if name not in fits:
@@ -274,52 +254,40 @@ def cmd_evaluate(config: dict, args: argparse.Namespace) -> int:
     sp = split(dataset, config["train_frac"], seed=config["seed"])
     rows = gain_report([fits[name] for name in config["policies"]], dataset, sp,
                        n_boot=config["n_boot"], seed=config["seed"])
-    _write_rows(out / "report.csv", rows)
-    return _finish("evaluate", config, out, ["report.csv"])
+    return {"report.csv": rows}
 
 
-def cmd_predict(config: dict, args: argparse.Namespace) -> int:
+def cmd_predict(config: dict, args: argparse.Namespace) -> dict:
     from .analysis import predict_gain
-    out = _out_dir(args)
     profile = _load_profile(config["profile"])
     gain, se = predict_gain(profile, _settings(config, args.jobs))
-    write_json(
-        out / "prediction.json",
-        {"profile": profile.to_config(), "gain_mean": gain, "gain_se": se},
-    )
-    return _finish("predict", config, out, ["prediction.json"])
+    return {"prediction.json": {"profile": profile.to_config(), "gain_mean": gain, "gain_se": se}}
 
 
-def cmd_sensitivity(config: dict, args: argparse.Namespace) -> int:
+def cmd_sensitivity(config: dict, args: argparse.Namespace) -> dict:
     from .analysis import sensitivity_sweep
-    out = _out_dir(args)
     profile = _load_profile(config["profile"])
     rows = sensitivity_sweep(profile, config["parameter"], config["grid"],
                              _settings(config, args.jobs))
-    _write_rows(out / "sensitivity.csv", rows)
-    return _finish("sensitivity", config, out, ["sensitivity.csv"])
+    return {"sensitivity.csv": rows}
 
 
-def cmd_counterfactual(config: dict, args: argparse.Namespace) -> int:
+def cmd_counterfactual(config: dict, args: argparse.Namespace) -> dict:
     from .analysis import counterfactual_swap
-    out = _out_dir(args)
     rows = counterfactual_swap(
         _load_profile(config["profile_a"]),
         _load_profile(config["profile_b"]),
         config["parameter"],
         _settings(config, args.jobs),
     )
-    _write_rows(out / "counterfactual.csv", rows)
-    return _finish("counterfactual", config, out, ["counterfactual.csv"])
+    return {"counterfactual.csv": rows}
 
 
-def cmd_elasticity(config: dict, args: argparse.Namespace) -> int:
+def cmd_elasticity(config: dict, args: argparse.Namespace) -> dict:
     from .analysis import elasticity_table
-    out = _out_dir(args)
     profile = _load_profile(config["profile"])
     rows = elasticity_table(profile, config["delta"], _settings(config, args.jobs))
-    _write_rows(out / "elasticity.csv", rows)
-    return _finish("elasticity", config, out, ["elasticity.csv"])
+    return {"elasticity.csv": rows}
 
 
 _HANDLERS = {command: globals()[f"cmd_{command}"] for command in _COMMANDS}
@@ -396,7 +364,20 @@ def main(argv: list[str] | None = None) -> int:
                 if getattr(args, key, None) is not None
             }
             config = _resolve(command, file_doc, overrides)
-            return _HANDLERS[command](config, args)
+            outputs = _HANDLERS[command](config, args)
+            if outputs is None:  # gain prints its result
+                return 0
+            out = Path(args.out or os.environ.get(_OUT_ENV) or "persgain_out")
+            names = sorted(outputs)
+            outputs["resolved_config.json"] = {
+                "command": command, "artifact_version": __version__,
+                "config": config, "outputs": names,
+            }
+            for name, content in outputs.items():
+                _write(out / name, content)
+            for name in names + ["resolved_config.json"]:
+                print(f"wrote {out / name}")
+            return 0
         except InternalError as exc:
             print(f"internal error: {exc}", file=sys.stderr)
             return 1

@@ -35,15 +35,15 @@ stream(seed, r), W means, z (n x 1), eps (n x W) and, if needed, the
 prediction noise (n x W), once for all its configs. A config with m arms
 takes the first m columns of eps and of the noise, and the first m of W
 means it draws from a fresh stream(seed, r), as the widest config did (a
-fixed-means vector narrower than W raises ConfigError). Each config
-scales the shared normals with the same floating-point operations a run
-of it alone at width W performs. So the widest config is bit-identical to
-running it alone, every config sees the same normals whatever its
-parameters, and a grid of K configs costs one set of draws plus K cheap
-rescalings (Glasserman, Monte Carlo Methods in Financial Engineering,
-2003, section 4.2). A narrower config's results are those of the width-W
-draws truncated to its m, which differ from a lone run of it within Monte
-Carlo error.
+fixed-means config narrower than W raises ConfigError, also before any
+draw). Each config scales the shared normals with the same floating-point
+operations a run of it alone at width W performs. So the widest config is
+bit-identical to running it alone, every config sees the same normals
+whatever its parameters, and a grid of K configs costs one set of draws
+plus K cheap rescalings (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003, section 4.2). A narrower config's results are those of
+the width-W draws truncated to its m, which differ from a lone run of it
+within Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ class SimConfig:
     seed: int = 0
     # Not a field: every replication draws per-cell noise. perfbench/tracer.py
     # reads cfg.noise_mode to count the normals drawn; the constant goes when
-    # the benchmark reads spans from inside the package (ROADMAP item 1).
+    # the benchmark reads spans from inside the package (ROADMAP item 3).
     noise_mode = "per_cell"
 
     def __post_init__(self) -> None:
@@ -303,7 +303,7 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     The draws are made once, at width W = cfg.m: W means, z, eps (n x W)
     and, if any of these configs has sigma_eps > 0, the prediction noise
     (n x W). A config with m arms takes the first m of its W means (a
-    fixed vector narrower than W raises ConfigError) and the first m
+    fixed-means config has m = W; `simulate_gain` checks it) and the first m
     columns of eps and of the noise; one with sigma_eps = 0 is scored on Y
     itself. The configs in `more` write their Y, and their Yhat if they
     have one, into two contiguous scratch arrays; cfg is scored last and
@@ -356,9 +356,10 @@ def simulate_gain(
     a sequence of configs instead, one SimResult per config, in order, from
     one batch whose configs share each replication's draws (see the module
     docstring): a config with the batch's largest m is bit-identical to
-    running it alone. The configs must share one draw layout (`_layout`);
-    a batch that mixes layouts raises ConfigError, naming the first config
-    that differs, before anything is drawn.
+    running it alone. The configs must share one draw layout (`_layout`),
+    and a fixed-means config must have the batch's largest m; a batch that
+    breaks either rule raises ConfigError, naming the first config that
+    does, before anything is drawn.
 
     n_jobs > 1 runs the replications on a thread pool; results are keyed
     by replication, so the output is identical for any n_jobs.
@@ -369,14 +370,18 @@ def simulate_gain(
     cfgs = [cfg] if single else list(cfg)
     if not cfgs:
         return []
+    # the widest config first: it fixes the width of the draws
+    order = sorted(range(len(cfgs)), key=lambda index: -cfgs[index].m)
+    widest, *rest = (cfgs[index] for index in order)
     for index, point in enumerate(cfgs):
         if _layout(point) != _layout(cfgs[0]):
             raise ConfigError(
                 f"config {index} has draw layout {_layout(point)}, config 0 {_layout(cfgs[0])}: "
                 "a batch takes one (seed, n_individuals, n_replications, kind of means)")
-    # the widest config first: it fixes the width of the draws
-    order = sorted(range(len(cfgs)), key=lambda index: -cfgs[index].m)
-    widest, *rest = (cfgs[index] for index in order)
+        if isinstance(point.dist, FixedMeans) and point.m != widest.m:
+            raise ConfigError(
+                f"config {index} has {point.m} fixed means, but its batch draws m = {widest.m} "
+                "arms: a fixed-means batch takes one m")
     reps = range(widest.n_replications)
     if n_jobs == 1 or len(reps) == 1:
         done = [_replicate(widest, rep, *rest) for rep in reps]

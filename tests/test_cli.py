@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from persgain import _util, cli
 from persgain._util import write_json
 from persgain.cli import main
-from persgain.dataset import SynthDGP, load_csv, one_factor_dgp
+from persgain.dataset import ExperimentDataset, SynthDGP, load_csv, one_factor_dgp
 from persgain.errors import InternalError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -361,6 +361,8 @@ def test_rerun_from_resolved_config_is_byte_identical(rerun_inputs, tmp_path, co
     assert run_cli([command, "--config", a / "resolved_config.json", "--out", b]) == 0
     names = sorted(path.name for path in a.iterdir())
     assert names == sorted(path.name for path in b.iterdir())
+    outputs = json.loads((a / "resolved_config.json").read_text())["outputs"]
+    assert names == sorted([*outputs, "resolved_config.json"])
     for name in names:
         assert read(a / name) == read(b / name), name
 
@@ -801,6 +803,22 @@ def test_synth_with_duplicate_arm_names_exits_2_without_output(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_synth_whose_last_output_fails_writes_nothing(tmp_path, capsys, monkeypatch):
+    # schema.json is computed last; data.csv and sealed.csv must not be
+    # written ahead of it
+    def broken(self):
+        raise InternalError("schema unavailable")
+
+    monkeypatch.setattr(ExperimentDataset, "schema_doc", broken)
+    dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 100, "seed": 1}))
+    out = tmp_path / "out"
+    assert run_cli(["synth", "--config", cfg, "--out", out]) == 1
+    assert "schema unavailable" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag", [("estimate", "--data"), ("predict", "--profile")])
 def test_directory_given_as_input_exits_2_without_output(tmp_path, capsys, command, flag):
     source = tmp_path / "a_directory"
@@ -836,7 +854,7 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
     the package binds, so renaming a traced function fails this test (the
     tracer cannot install) and rebinding one drops its span. A handler that
     imports at call time must read the wrapper from the home module. It only
-    reads perfbench/; ROADMAP item 1 moves the spans into the package and
+    reads perfbench/; ROADMAP item 3 moves the spans into the package and
     removes it. The tracer's counters read traced parameters by name, so a
     renamed one fails here too. estimate and evaluate each build one
     training side and one holdout. sweep and elasticity each run one

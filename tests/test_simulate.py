@@ -346,13 +346,14 @@ def test_a_batch_of_several_layouts_fails_before_any_draw(monkeypatch) -> None:
             with pytest.raises(ConfigError, match="config 2 has draw layout"):
                 simulate_gain([base, replace(base, m=4), other, replace(other, m=2)],
                               n_jobs=n_jobs)
-    assert keys == []
-    # a fixed vector fits one m only, so a narrower one fails its length check
+    # a fixed vector fits one m only, so a narrower one is refused up front
     fixed = [SimConfig(m=m, sigma=1.0, rho=0.0, dist=FixedMeans([0.5] * m),
                        n_individuals=20, n_replications=2) for m in (3, 2)]
     for n_jobs in (1, 2):
-        with pytest.raises(ConfigError, match="length 2 but m = 3"):
+        with pytest.raises(ConfigError, match="config 1 has 2 fixed means, but its batch "
+                                              "draws m = 3 arms"):
             simulate_gain(fixed, n_jobs=n_jobs)
+    assert keys == []
 
 
 class CountingGenerator:
