@@ -69,6 +69,8 @@ class CovariateSpec:
             raise ConfigError(f"covariate kind must be 'normal' or 'bernoulli', got {self.kind!r}")
         if self.kind == "normal" and (self.sd < 0 or not math.isfinite(self.sd)):
             raise ConfigError(f"normal covariate needs sd >= 0, got {self.sd}")
+        if self.kind == "normal" and not math.isfinite(self.mean):
+            raise ConfigError(f"normal covariate needs a finite mean, got {self.mean}")
         if self.kind == "bernoulli" and not 0.0 <= self.q <= 1.0:
             raise ConfigError(f"bernoulli covariate needs q in [0, 1], got {self.q}")
         for name in ("mean", "sd") if self.kind == "bernoulli" else ("q",):
@@ -257,6 +259,9 @@ class SynthDGP:
             )
         if len(self.covariates) == 0:
             raise ConfigError("need at least one covariate")
+        for name in ("intercepts", "beta"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must all be finite, got {np.ravel(getattr(self, name))}")
         if self.noise_sd < 0 or not math.isfinite(self.noise_sd):
             raise ConfigError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.outcome_kind not in ("gaussian", "bernoulli-latent"):

@@ -4,8 +4,8 @@ Each replication draws per-arm average responses mu from a chosen
 distribution, then an n x m matrix of potential outcomes whose rows are
 i.i.d. N(mu, Sigma) with the equicorrelated covariance
 Sigma = sigma^2 [(1-rho) I + rho J]. Whatever the sign of rho, the outcomes
-come from the same standard normals, a column z (n x 1) drawn before a
-matrix eps (n x m): row i is mu + sigma (sqrt(1-rho) eps_i + c_i 1), where
+come from the same standard normals, a column z (n x 1) and a matrix eps
+(n x m): row i is mu + sigma (sqrt(1-rho) eps_i + c_i 1), where
 the term c_i common to the row's arms is sqrt(rho) z_i for rho >= 0 and
 (sqrt(1+(m-1)rho) - sqrt(1-rho)) times the mean of eps_i for rho < 0.
 Either way the row's component along the all-ones vector has variance
@@ -21,29 +21,24 @@ SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
 so any parallelism degree yields bit-identical results, and two runs that
 differ only in (sigma, rho, sigma_eps, dist parameters) consume identical
 underlying draws, so sweeps over those knobs are common-random-number
-coupled by construction. The prediction-noise normals are drawn only when
-some config in the batch has sigma_eps > 0. They are the last draw of
-the stream, so skipping them moves no other draw, and a sigma_eps = 0 config
-is scored on Y itself, which gives the bits Y + 0.0 * noise would.
+coupled by construction. A sigma_eps = 0 config is scored on Y itself,
+which gives the bits Y + 0.0 * noise would.
 
 `simulate_gain` also runs a whole grid of configs as one batch, which is
 one draw layout: its configs agree on seed, n_individuals, n_replications
 and the kind of mean distribution, whatever their m, and a batch that
-mixes layouts raises ConfigError before anything is drawn. Call the
-batch's largest m its width W. Replication r draws, in this order from
-stream(seed, r), W means, z (n x 1), eps (n x W) and, if needed, the
-prediction noise (n x W), once for all its configs. A config with m arms
-takes the first m columns of eps and of the noise, and the first m of W
-means it draws from a fresh stream(seed, r), as the widest config did (a
-fixed-means config narrower than W raises ConfigError, also before any
-draw). Each config scales the shared normals with the same floating-point
-operations a run of it alone at width W performs. So the widest config is
-bit-identical to running it alone, every config sees the same normals
-whatever its parameters, and a grid of K configs costs one set of draws
-plus K cheap rescalings (Glasserman, Monte Carlo Methods in Financial
-Engineering, 2003, section 4.2). A narrower config's results are those of
-the width-W draws truncated to its m, which differ from a lone run of it
-within Monte Carlo error.
+mixes layouts raises ConfigError before anything is drawn. Each
+replication draws once for all its configs, at the batch's largest m, its
+width W, in `sample_potential_outcomes`, which states the draws' order; a
+config with m arms takes the first m of each. Each config scales the
+shared normals with the same floating-point operations a run of it alone
+at width W performs. So the widest config is bit-identical to running it
+alone, every config sees the same normals whatever its parameters, and a
+grid of K configs costs one set of draws plus K cheap rescalings
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2003, section
+4.2). A narrower config's results are those of the width-W draws
+truncated to its m, which differ from a lone run of it within Monte Carlo
+error.
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ __all__ = [
     "AvgResponseDist",
     "dist_from_config",
     "rho_lower_bound",
-    "check_rho",
     "sample_potential_outcomes",
     "SimConfig",
     "SimResult",
@@ -166,49 +160,6 @@ def rho_lower_bound(m: int) -> float:
     return -1.0 / (m - 1) + 1e-9
 
 
-def check_rho(rho: float, m: int) -> None:
-    """The one rule for rho everywhere: rho_lower_bound(m) <= rho <= 1."""
-    bound = rho_lower_bound(m)
-    if not bound <= rho <= 1.0:
-        raise ConfigError(
-            f"rho = {rho} is outside [-1/(m-1) + 1e-9, 1] = [{bound}, 1] for m = {m}; "
-            "below -1/(m-1) the equicorrelation matrix is not PSD"
-        )
-
-
-def sample_potential_outcomes(
-    mu: np.ndarray,
-    sigma: float,
-    rho: float,
-    n: int,
-    rng: np.random.Generator,
-    draws: list | None = None,
-) -> np.ndarray | None:
-    """n x m matrix with rows i.i.d. N(mu, sigma^2 [(1-rho) I + rho J]),
-    from a standard-normal column z (n x 1) and matrix eps (n x m) drawn in
-    that order for every rho; see `_outcomes`. The matrix is written over
-    eps.
-
-    Given a list as `draws`, it only draws: [z, eps] are appended to the
-    list and None is returned, so that `_outcomes` can turn them, or their
-    first columns, into the outcomes of any (mu, sigma, rho).
-    """
-    mu = np.asarray(mu, dtype=float)
-    m = mu.shape[0]
-    if mu.ndim != 1 or m < 2:
-        raise DomainError("mu must be a vector with at least two entries")
-    if sigma < 0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    check_rho(rho, m)
-    z, eps = rng.standard_normal((n, 1)), rng.standard_normal((n, m))
-    if draws is not None:
-        draws.extend((z, eps))
-        return None
-    return _outcomes(z, eps, mu, sigma, rho, out=eps)
-
-
 def _outcomes(
     z: np.ndarray, eps: np.ndarray, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray
 ) -> np.ndarray:
@@ -261,7 +212,11 @@ class SimConfig:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.sigma_eps < 0 or not math.isfinite(self.sigma_eps):
             raise ConfigError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps}")
-        check_rho(self.rho, self.m)
+        bound = rho_lower_bound(self.m)
+        if not bound <= self.rho <= 1.0:
+            raise ConfigError(
+                f"rho = {self.rho} is outside [-1/(m-1) + 1e-9, 1] = [{bound}, 1] for "
+                f"m = {self.m}; below -1/(m-1) the equicorrelation matrix is not PSD")
         if isinstance(self.dist, FixedMeans) and len(self.dist.mu) != self.m:
             raise ConfigError(
                 f"Fixed means have length {len(self.dist.mu)} but m = {self.m}"
@@ -295,27 +250,39 @@ def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
     return v_p, v_u
 
 
-def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
-    """Replication `rep` of one batch: cfg and every config in `more`,
-    which share cfg's draw layout and have at most cfg.m arms. (v_p, v_u)
-    for each, in that order.
-
-    The draws are made once, at width W = cfg.m: W means, z, eps (n x W)
-    and, if any of these configs has sigma_eps > 0, the prediction noise
-    (n x W). A config with m arms takes the first m of its W means (a
-    fixed-means config has m = W; `simulate_gain` checks it) and the first m
-    columns of eps and of the noise; one with sigma_eps = 0 is scored on Y
-    itself. The configs in `more` write their Y, and their Yhat if they
-    have one, into two contiguous scratch arrays; cfg is scored last and
-    writes them over the draws themselves.
+def sample_potential_outcomes(
+    cfg: SimConfig, rep: int, *more: SimConfig
+) -> tuple[np.ndarray | None, ...]:
+    """Every draw of replication `rep` of a batch: cfg, its widest config,
+    and the configs in `more`, which share cfg's draw layout. Returns
+    (mu, z, eps, noise, *more_mu), drawn in this order: from
+    stream(cfg.seed, rep), the W = cfg.m means mu, a standard-normal column
+    z (n x 1), a matrix eps (n x W) and, only if some config has
+    sigma_eps > 0, the prediction noise (n x W), else None; as the stream's
+    last draw, skipping it moves no other. Then, for each config in `more`,
+    the first m of W means drawn from a fresh stream(cfg.seed, rep), as mu
+    was (a fixed-means config has m = W; `simulate_gain` checks it).
     """
     n, width = cfg.n_individuals, cfg.m
     rng = stream(cfg.seed, rep)
     mu = cfg.dist.sample(width, rng)
-    draws: list = []
-    sample_potential_outcomes(mu, cfg.sigma, cfg.rho, n, rng, draws)
-    z, eps = draws
+    z, eps = rng.standard_normal((n, 1)), rng.standard_normal((n, width))
     noise = rng.standard_normal((n, width)) if any(p.sigma_eps for p in (cfg, *more)) else None
+    return (mu, z, eps, noise,
+            *(point.dist.sample(width, stream(cfg.seed, rep))[: point.m] for point in more))
+
+
+def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
+    """Replication `rep` of one batch, from one `sample_potential_outcomes`
+    call: (v_p, v_u) for cfg, its widest config, and each config in `more`,
+    in that order. A config with m arms takes the first m columns of eps
+    and of the noise; one with sigma_eps = 0 is scored on Y itself. The
+    configs in `more` write their Y, and their Yhat if they have one, into
+    two contiguous scratch arrays; cfg is scored last and writes them over
+    the draws themselves.
+    """
+    mu, z, eps, noise, *more_mu = sample_potential_outcomes(cfg, rep, *more)
+    n = cfg.n_individuals
 
     def value(
         point: SimConfig, mu: np.ndarray, y: np.ndarray, yhat: np.ndarray | None
@@ -341,8 +308,7 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     y_cells = np.empty(size)
     yhat_cells = np.empty(size if any(point.sigma_eps for point in more) else 0)
     values = []
-    for point in more:
-        point_mu = point.dist.sample(width, stream(cfg.seed, rep))[: point.m]
+    for point, point_mu in zip(more, more_mu):
         shape, cells = (n, point.m), n * point.m
         yhat = yhat_cells[:cells].reshape(shape) if point.sigma_eps else None
         values.append(value(point, point_mu, y_cells[:cells].reshape(shape), yhat))

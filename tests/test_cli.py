@@ -45,11 +45,14 @@ def read(path):
 
 
 def test_gain_prints_formula_value(capsys):
-    assert run_cli(["gain", "--mu-a", 30, "--mu-b", 30, "--sigma", 1, "--rho", 0]) == 0
-    line = capsys.readouterr().out.splitlines()[0]
-    key, value = line.split()
-    assert key == "gain"
-    assert float(value) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
+    # equal means: the gain is v phi(0) with v = sigma sqrt(2 (1 - rho)); the
+    # closed form takes rho down to -1, the two-arm bound
+    for rho, expected in ((0, 1.0 / math.sqrt(math.pi)), (-1, math.sqrt(2.0 / math.pi))):
+        assert run_cli(["gain", "--mu-a", 30, "--mu-b", 30, "--sigma", 1, "--rho", rho]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        key, value = line.split()
+        assert key == "gain"
+        assert float(value) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gain_perfect_correlation_is_zero(capsys):
@@ -148,11 +151,13 @@ def test_jobs_below_one_exits_2_without_output(tmp_path, capsys, command, jobs):
 
 
 def test_rejected_command_creates_no_output_dir(tmp_path, capsys):
-    # rho = -1/(m-1) is the singular bound itself, outside the admissible range
-    out = tmp_path / "o6"
-    assert run_cli(["simulate", "--m", 3, "--sigma", 1, "--rho", -0.5, "--out", out]) == 2
-    assert "-1/(m-1)" in capsys.readouterr().err
-    assert not out.exists()
+    # rho = -1/(m-1) is the singular bound itself, outside the simulator's
+    # range, even at m = 2, where `gain` takes it
+    for m, rho in ((3, -0.5), (2, -1)):
+        out = tmp_path / f"o{m}"
+        assert run_cli(["simulate", "--m", m, "--sigma", 1, "--rho", rho, "--out", out]) == 2
+        assert "-1/(m-1)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # valid configs whose numeric fields the property below replaces with values
@@ -264,6 +269,17 @@ def test_covariate_field_unused_by_its_kind_exits_2_naming_it(tmp_path, capsys, 
 @pytest.mark.parametrize("key,value", [("intercepts", "12"), ("arm_names", "ab")])
 def test_text_for_a_dgp_list_is_not_split_into_characters(tmp_path, key, value):
     assert _run_config(tmp_path, "synth", {**SYNTH, "dgp": {**SYNTH["dgp"], key: value}}) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dgp,message", [
+    ({"intercepts": [0.0, "nan"]}, "intercepts must all be finite"),
+    ({"beta": [[0.2], ["-inf"]]}, "beta must all be finite"),
+    ({"covariates": [{"kind": "normal", "mean": math.nan}]}, "needs a finite mean"),
+], ids=["intercepts", "beta", "covariate_mean"])
+def test_non_finite_dgp_value_exits_2_naming_its_field(tmp_path, capsys, dgp, message):
+    assert _run_config(tmp_path, "synth", {**SYNTH, "dgp": {**SYNTH["dgp"], **dgp}}) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -912,7 +928,8 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
                           for span in recorded if span["name"] == name]
                    for name in ("simulate._replicate", "simulate.sample_potential_outcomes")}
         assert parents["simulate._replicate"] == ["simulate.simulate_gain"] * 4, command
-        assert set(parents["simulate.sample_potential_outcomes"]) == {"simulate._replicate"}
+        # one draw step per replication
+        assert parents["simulate.sample_potential_outcomes"] == ["simulate._replicate"] * 4, command
     for command, function in (("elasticity", "elasticity_table"),
                               ("sensitivity", "sensitivity_sweep"),
                               ("counterfactual", "counterfactual_swap")):

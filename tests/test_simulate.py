@@ -13,6 +13,7 @@ from persgain.simulate import (
     SimConfig,
     SpikeSlabMeans,
     dist_from_config,
+    _outcomes,
     rho_lower_bound,
     sample_potential_outcomes,
     simulate_gain,
@@ -78,15 +79,26 @@ def test_dist_validation() -> None:
 # potential outcomes
 
 
+def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
+    """The n x m outcome matrix of (mu, sigma, rho): a fixed-means config's
+    z and eps, drawn by the draw step for replication 0 of `seed`, turned
+    into outcomes by `_outcomes`."""
+    mu = np.asarray(mu, dtype=float)
+    cfg = SimConfig(m=len(mu), sigma=sigma, rho=rho, dist=FixedMeans(mu),
+                    n_individuals=n, n_replications=1, seed=seed)
+    _, z, eps, _ = sample_potential_outcomes(cfg, 0)
+    return _outcomes(z, eps, mu, sigma, rho, out=eps)
+
+
 def test_outcomes_sigma_zero() -> None:
     mu = np.array([1.0, 2.0, 3.0])
-    y = sample_potential_outcomes(mu, 0.0, 0.3, 10, rng())
+    y = outcomes(mu, 0.0, 0.3, 10)
     np.testing.assert_array_equal(y, np.tile(mu, (10, 1)))
 
 
 def test_outcomes_rho_one_shifts_rows_uniformly() -> None:
     mu = np.array([1.0, 2.0, 3.0])
-    y = sample_potential_outcomes(mu, 2.0, 1.0, 50, rng(3))
+    y = outcomes(mu, 2.0, 1.0, 50, 3)
     offsets = y - mu
     assert np.allclose(offsets, offsets[:, :1])
     assert not np.allclose(offsets, 0.0)
@@ -94,7 +106,7 @@ def test_outcomes_rho_one_shifts_rows_uniformly() -> None:
 
 def test_outcomes_covariance_oracle() -> None:
     # sigma = 10, rho = 0.5: off-diagonal covariance 50, n = 1e6 pins it to +/- 0.5
-    y = sample_potential_outcomes(np.zeros(3), 10.0, 0.5, 1_000_000, rng(7))
+    y = outcomes(np.zeros(3), 10.0, 0.5, 1_000_000, 7)
     cov = np.cov(y, rowvar=False)
     for j in range(3):
         assert cov[j, j] == pytest.approx(100.0, abs=1.0)
@@ -107,18 +119,18 @@ def test_outcomes_are_continuous_in_rho_across_zero() -> None:
     # mean of eps at rho = 0; both vanish there, so on the same draws the
     # outcomes on either side of 0 must agree
     mu = np.array([1.0, -1.0, 0.5])
-    a = sample_potential_outcomes(mu, 2.0, 0.0, 10_000, rng(11))
-    b = sample_potential_outcomes(mu, 2.0, -1e-12, 10_000, rng(11))
+    a = outcomes(mu, 2.0, 0.0, 10_000, 11)
+    b = outcomes(mu, 2.0, -1e-12, 10_000, 11)
     np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
 
 
 def test_negative_rho_covariance_and_bound() -> None:
     mu = np.zeros(4)
-    y = sample_potential_outcomes(mu, 1.0, -0.2, 200_000, rng(5))
+    y = outcomes(mu, 1.0, -0.2, 200_000, 5)
     cov = np.cov(y, rowvar=False)
     assert cov[0, 1] == pytest.approx(-0.2, abs=0.02)
     with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
-        sample_potential_outcomes(mu, 1.0, -0.5, 10, rng())
+        SimConfig(m=4, sigma=1.0, rho=-0.5, dist=FixedMeans(mu), n_individuals=10)
     assert rho_lower_bound(4) == pytest.approx(-1.0 / 3.0)
 
 
@@ -127,7 +139,7 @@ def test_outcomes_covariance_oracle_below_zero_rho() -> None:
     # the variance of the row sum, sigma^2 m (1 + (m-1) rho), along the
     # direction in which the bound makes the covariance singular
     m, sigma, rho, n = 30, 10.0, -0.03, 200_000
-    y = sample_potential_outcomes(np.zeros(m), sigma, rho, n, rng(17))
+    y = outcomes(np.zeros(m), sigma, rho, n, 17)
     target = sigma**2 * ((1.0 - rho) * np.eye(m) + rho * np.ones((m, m)))
     # sd of a sample covariance entry: sqrt((s_jj s_kk + s_jk^2) / n)
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
@@ -139,7 +151,7 @@ def test_outcomes_covariance_oracle_below_zero_rho() -> None:
 @pytest.mark.parametrize("m", [2, 3, 1000])
 def test_rho_at_its_lower_bound_gives_finite_outcomes(m) -> None:
     rho = rho_lower_bound(m)
-    y = sample_potential_outcomes(np.arange(m, dtype=float), 1.5, rho, 50, rng(m))
+    y = outcomes(np.arange(m, dtype=float), 1.5, rho, 50, m)
     assert np.all(np.isfinite(y))
     cfg = SimConfig(m=m, sigma=1.5, rho=rho, dist=NormalMeans(0.0, 1.0), sigma_eps=0.2,
                     n_individuals=50, n_replications=3, seed=m)
@@ -148,7 +160,35 @@ def test_rho_at_its_lower_bound_gives_finite_outcomes(m) -> None:
 
 def test_rho_above_one_rejected() -> None:
     with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
-        sample_potential_outcomes(np.zeros(2), 1.0, 1.2, 10, rng())
+        SimConfig(m=2, sigma=1.0, rho=1.2, dist=FixedMeans(np.zeros(2)), n_individuals=10)
+
+
+@pytest.mark.parametrize("widest, narrower", [
+    (SimConfig(m=6, sigma=1.0, rho=0.3, dist=NormalMeans(0.2, 1.0), n_individuals=40, seed=8),
+     [SimConfig(m=3, sigma=2.0, rho=-0.2, dist=NormalMeans(0.0, 0.5), n_individuals=40, seed=8)]),
+    (SimConfig(m=5, sigma=1.0, rho=-0.1, dist=SpikeSlabMeans(0.5, 0.0, 2.0), n_individuals=40,
+               seed=9),
+     [SimConfig(m=m, sigma=0.5, rho=0.4, dist=SpikeSlabMeans(0.2, 1.0, 1.0), sigma_eps=e,
+                n_individuals=40, seed=9) for m, e in ((2, 0.0), (4, 0.7))]),
+], ids=["sigma_eps_zero", "mixed"])
+def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> None:
+    # from stream(seed, rep): the widest config's W means, z, eps and, only
+    # if some config has sigma_eps > 0, the noise; then each narrower
+    # config's first m of W means from a fresh stream
+    rep, n, width = 3, widest.n_individuals, widest.m
+    mu, z, eps, noise, *more_mu = sample_potential_outcomes(widest, rep, *narrower)
+    rng = stream(widest.seed, rep)
+    np.testing.assert_array_equal(mu, widest.dist.sample(width, rng), strict=True)
+    np.testing.assert_array_equal(z, rng.standard_normal((n, 1)), strict=True)
+    np.testing.assert_array_equal(eps, rng.standard_normal((n, width)), strict=True)
+    if any(cfg.sigma_eps for cfg in narrower):
+        np.testing.assert_array_equal(noise, rng.standard_normal((n, width)), strict=True)
+    else:
+        assert noise is None
+    assert len(more_mu) == len(narrower)
+    for cfg, cfg_mu in zip(narrower, more_mu):
+        expected = cfg.dist.sample(width, stream(widest.seed, rep))[: cfg.m]
+        np.testing.assert_array_equal(cfg_mu, expected, strict=True)
 
 
 # --------------------------------------------------------------------------
