@@ -108,14 +108,6 @@ def predict_gain(
     return pairs[0] if single else pairs
 
 
-def _validated(profile: StudyProfile, parameter: str, value: float) -> StudyProfile:
-    """profile with one parameter replaced; the SimConfig that StudyProfile
-    builds names the bound a value violates."""
-    if parameter not in _SWEEPABLE:
-        raise ConfigError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
-    return replace(profile, **{parameter: float(value)})
-
-
 def _rows(cells: Sequence[tuple[dict, StudyProfile]], settings: SimSettings) -> list[dict]:
     """The one path from what-if cells to output rows: each cell's fields
     followed by its profile's gain_mean and gain_se, all the profiles
@@ -141,7 +133,9 @@ def sensitivity_sweep(
     """
     if len(grid) == 0:
         raise ConfigError("grid must contain at least one value")
-    cells = [({"parameter": parameter, "value": value}, _validated(profile, parameter, value))
+    if parameter not in _SWEEPABLE:
+        raise ConfigError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
+    cells = [({"parameter": parameter, "value": value}, replace(profile, **{parameter: value}))
              for value in sorted(float(v) for v in grid)]
     baseline = float(getattr(profile, parameter))
     return [{**row, "is_baseline": int(row["value"] == baseline)}
@@ -164,7 +158,7 @@ def counterfactual_swap(
              (profile_b, profile_b), (profile_b, profile_a))
     cells = [({"study": host.name, "parameter": parameter, "value_used": getattr(donor, parameter),
                "source": "own" if donor is host else donor.name},
-              _validated(host, parameter, getattr(donor, parameter)))
+              replace(host, **{parameter: getattr(donor, parameter)}))
              for host, donor in pairs]
     return _rows(cells, settings)
 
@@ -198,7 +192,7 @@ def elasticity_table(
                 "new_value": math.nan}
     cells = [(baseline, profile)] + [
         ({"change": change, "parameter": parameter, "old_value": getattr(profile, parameter),
-          "new_value": new_value}, _validated(profile, parameter, new_value))
+          "new_value": new_value}, replace(profile, **{parameter: new_value}))
         for change, parameter, new_value in variants
     ]
     rows = _rows(cells, settings)

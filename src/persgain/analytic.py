@@ -88,7 +88,6 @@ def gain_two_arm(p: TwoArmParams) -> float:
     Runs on d / 2 and v / 2, doubling the result, so d or v past the largest
     float still gives the gain; halving is exact outside the subnormal range.
     """
-    _check_moments(p.sigma, p.rho)
     half_v = p.sigma * math.sqrt(0.5 * (1.0 - p.rho))  # sqrt(2 (1 - rho)) / 2
     if half_v == 0.0:
         return 0.0
@@ -102,10 +101,10 @@ def dgain_dsigma(p: TwoArmParams) -> float:
 
     Strictly positive; requires sigma > 0 and rho < 1.
     """
-    v = effective_scale(p.sigma, p.rho)
+    t = math.sqrt(2.0 * (1.0 - p.rho))
+    v = p.sigma * t
     if v == 0.0:
         raise DomainError("derivative undefined at v = 0 (sigma = 0 or rho = 1)")
-    t = math.sqrt(2.0 * (1.0 - p.rho))
     return t * _phi(p.gap / v)
 
 
@@ -114,10 +113,10 @@ def dgain_drho(p: TwoArmParams) -> float:
 
     Strictly negative; requires sigma > 0 and rho < 1.
     """
-    v = effective_scale(p.sigma, p.rho)
+    t = math.sqrt(2.0 * (1.0 - p.rho))
+    v = p.sigma * t
     if v == 0.0:
         raise DomainError("derivative undefined at v = 0 (sigma = 0 or rho = 1)")
-    t = math.sqrt(2.0 * (1.0 - p.rho))
     return -p.sigma * _phi(p.gap / v) / t
 
 

@@ -171,11 +171,11 @@ def _load_profile(ref):
     if isinstance(ref, dict):
         return StudyProfile.from_config(ref)
     path = Path(ref)
-    if path.exists():
-        return StudyProfile.from_config(_read_json(path, "profile file"))
-    if ref in _BUNDLED_PROFILES:
+    if ref in _BUNDLED_PROFILES and not path.is_file():  # only a file shadows a bundled name
         text = resources.files("persgain").joinpath(f"profiles/{ref}.json").read_text()
         return StudyProfile.from_config(json.loads(text))
+    if path.exists():
+        return StudyProfile.from_config(_read_json(path, "profile file"))
     raise ConfigError(
         f"profile {ref!r} is neither a file nor a bundled profile "
         f"(bundled: {list(_BUNDLED_PROFILES)})"

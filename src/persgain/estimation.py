@@ -77,7 +77,7 @@ class LinearTLearner:
             )
         return np.argmax(self.predict(dataset.x), axis=1)
 
-    def describe(self) -> str:
+    def describe(self, arm_names: tuple[str, ...]) -> str:
         return "ols_interaction"
 
 

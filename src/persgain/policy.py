@@ -5,9 +5,10 @@ sealed potential outcomes of synthetic data, and a bootstrap gain report
 against the best-uniform benchmark.
 
 A policy is any object with assign(dataset) -> arm index per row and
-describe() -> report label; a fit maps training rows to a policy. Fits and
-evaluators take the rows they work on: gain_report, which owns the
-train/holdout split, builds each side once.
+describe(arm_names) -> report label, naming arms as the dataset does; a fit
+maps training rows to a policy. Fits and evaluators take the rows they
+work on: gain_report, which owns the train/holdout split, builds each side
+once.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class UniformPolicy:
             raise DomainError(f"policy arm {self.arm} not present in a {dataset.m}-arm dataset")
         return np.full(dataset.n, self.arm, dtype=int)
 
-    def describe(self) -> str:
-        return f"uniform[{self.arm}]"
+    def describe(self, arm_names: tuple[str, ...]) -> str:
+        return f"uniform[{arm_names[self.arm]}]"
 
 
 # --------------------------------------------------------------------------
@@ -135,8 +136,10 @@ def gain_report(
     """IPW values on the holdout with bootstrap SEs, benchmarked against the
     best uniform arm found on the training side (always the first row).
 
-    The benchmark and each fit are fitted on the training side; a fit listed
-    again, best_uniform included, is fitted once.
+    Each distinct fit, best_uniform included, is fitted on the training
+    side, scored on the holdout and resampled once; a fit listed again
+    repeats its first row under its own label. The benchmark row's label is
+    "best_" plus its policy's own, so a listed best_uniform names the same arm.
 
     diff_se_boot is the SE of (policy - benchmark) under paired resampling,
     the right yardstick for "is the improvement real"; rel_improvement is
@@ -148,45 +151,32 @@ def gain_report(
         raise ConfigError(f"n_boot must be >= 2, got {n_boot}")
     check_addressable("an n_boot x policies bootstrap table", n_boot, len(fits) + 1)
     train = dataset.subset(split.train_idx)
-    fitted = {}
-    for fit in (best_uniform, *fits):
-        if fit not in fitted:
-            fitted[fit] = fit(train)
+    policies = {fit: fit(train) for fit in dict.fromkeys((best_uniform, *fits))}
     del train
     holdout = dataset.subset(split.test_idx)
-    policies = [fitted[fit] for fit in (best_uniform, *fits)]
-    labels = [f"best_uniform[{holdout.arm_names[policies[0].arm]}]"]
-    labels += [policy.describe() for policy in policies[1:]]
-    terms, matched = zip(*(_ipw_terms(policy, holdout) for policy in policies))
-    # a policy whose IPW terms repeat an earlier row's (the benchmark listed
-    # again as a uniform policy, say) reuses that row's resampled means
-    first = [next(i for i, u in enumerate(terms) if np.array_equal(u, t)) for t in terms]
-    distinct = [j for j in range(len(terms)) if first[j] == j]
+    scored = {fit: _ipw_terms(policy, holdout) for fit, policy in policies.items()}
     # one index draw per resample, shared by every policy, keeps the
     # resamples paired across policies
-    boot_vals = np.empty((len(policies), n_boot))
+    boot_vals = np.empty((len(scored), n_boot))
     rng = stream(seed)
     for b in range(n_boot):
         idx = rng.integers(0, holdout.n, size=holdout.n)
-        for j in distinct:
-            boot_vals[j, b] = terms[j][idx].mean()
-    boot_vals = boot_vals[first]
-    bench_value = float(terms[0].mean())
-    rows = []
-    for j, (label, t, n_matched) in enumerate(zip(labels, terms, matched)):
-        value = float(t.mean())
-        rows.append(
-            {
-                "policy": label,
-                "value": value,
-                "se_boot": float(boot_vals[j].std(ddof=1)),
-                "abs_improvement": value - bench_value,
-                "rel_improvement": (value - bench_value) / bench_value
-                if bench_value != 0.0
-                else math.nan,
-                "diff_se_boot": float((boot_vals[j] - boot_vals[0]).std(ddof=1)),
-                "n_matched": n_matched,
-                "match_rate": n_matched / holdout.n,
-            }
-        )
-    return rows
+        for j, (terms, _) in enumerate(scored.values()):
+            boot_vals[j, b] = terms[idx].mean()
+    bench_value = float(scored[best_uniform][0].mean())
+    evaluated = {}
+    for (fit, (terms, n_matched)), boot in zip(scored.items(), boot_vals):
+        value = float(terms.mean())
+        evaluated[fit] = {
+            "value": value,
+            "se_boot": float(boot.std(ddof=1)),
+            "abs_improvement": value - bench_value,
+            "rel_improvement": (value - bench_value) / bench_value
+            if bench_value != 0.0
+            else math.nan,
+            "diff_se_boot": float((boot - boot_vals[0]).std(ddof=1)),
+            "n_matched": n_matched,
+            "match_rate": n_matched / holdout.n,
+        }
+    return [{"policy": prefix + policies[fit].describe(holdout.arm_names), **evaluated[fit]}
+            for prefix, fit in [("best_", best_uniform), *(("", fit) for fit in fits)]]

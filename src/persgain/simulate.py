@@ -366,7 +366,9 @@ def _summarize(cfg: SimConfig, values: Sequence[tuple[float, float]]) -> SimResu
     gains = v_p - v_u
     if cfg.sigma_eps == 0.0 and np.any(gains < 0):
         raise InternalError("negative per-replication gain with sigma_eps = 0")
-    se = float(gains.std(ddof=1) / math.sqrt(len(gains))) if len(gains) > 1 else 0.0
+    k = math.frexp(float(np.abs(gains).max()))[1]  # gains / 2^k lie in (-1, 1): squares stay finite
+    se = (math.ldexp(float(np.ldexp(gains, -k).std(ddof=1) / math.sqrt(len(gains))), k)
+          if len(gains) > 1 else 0.0)
     return SimResult(
         gain_mean=float(v_p.mean() - v_u.mean()),
         gain_se=se,

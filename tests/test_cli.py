@@ -14,6 +14,7 @@ import math
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -337,6 +338,18 @@ def test_simulate_outputs_and_resolved_config(tmp_path):
     assert resolved["config"]["seed"] == 7
     assert "artifact_version" in resolved
     assert sorted(resolved["outputs"]) == ["replications.csv", "result.json"]
+
+
+def test_simulate_se_of_huge_finite_gains_is_finite(tmp_path):
+    # every per-replication gain is near 1e200; squaring one overflows
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--m", 3, "--sigma", 1e200, "--rho", 0.2, "--n-individuals", 200,
+                    "--n-replications", 4, "--out", out]) == 0
+    gain_se = json.loads((out / "result.json").read_text())["gain_se"]
+    rows = (out / "replications.csv").read_text().splitlines()[1:]
+    gains = [float(row.split(",")[1]) for row in rows]
+    assert math.isfinite(gain_se) and gain_se > 0
+    assert gain_se == pytest.approx(statistics.stdev(gains) / 2, rel=1e-12)
 
 
 # acceptance criterion 9's small arguments; SYNTH and DATA stand for the
@@ -701,6 +714,20 @@ def test_predict_profile_file_matches_bundled(tmp_path):
     assert read(a / "prediction.json") == read(b / "prediction.json")
 
 
+def test_directory_named_like_a_bundled_profile_does_not_shadow_it(tmp_path, monkeypatch):
+    # running `predict --profile walmart --out walmart` twice: the second run
+    # finds a walmart/ directory in its working directory
+    args = ["predict", "--profile", "walmart", "--n-individuals", 500, "--n-replications", 4,
+            "--jobs", 1, "--out"]
+    assert run_cli([*args, tmp_path / "elsewhere"]) == 0
+    work = tmp_path / "work"
+    (work / "walmart").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert run_cli([*args, "walmart"]) == 0
+    assert read(work / "walmart" / "prediction.json") == read(
+        tmp_path / "elsewhere" / "prediction.json")
+
+
 def test_predict_unknown_profile_exits_2(tmp_path, capsys):
     assert run_cli(["predict", "--profile", "atlantis", "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
@@ -806,6 +833,23 @@ def test_arm_names_with_commas_and_quotes_keep_every_row_width(tmp_path):
     assert tables["sealed.csv"][0] == ["unit_id"] + [f"y_{name}" for name in names]
     assert tables["report.csv"][1][0] == "best_uniform[a,1]"
     assert load_csv(data / "data.csv").arm_names == tuple(sorted(names))
+
+
+def test_listed_uniform_policy_names_the_benchmark_arm(tmp_path):
+    # load_csv sorts arm names, so arm_11 is arm index 3 of twelve
+    dgp = one_factor_dgp(m=12, sigma=0.3, rho=0.5, intercepts=[0.1 * a for a in range(12)],
+                         noise_sd=0.3)
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"dgp": dgp.to_config(), "n": 3_000, "seed": 1}))
+    assert run_cli(["synth", "--config", cfg, "--out", tmp_path / "data"]) == 0
+    out = tmp_path / "ev"
+    assert run_cli(["evaluate", "--data", tmp_path / "data" / "data.csv",
+                    "--policies", "uniform,ols,uniform", "--n-boot", 20, "--out", out]) == 0
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        bench, uniform, ols, again = list(csv.reader(fh))[1:]
+    assert [bench[0], uniform[0], ols[0], again[0]] == [
+        "best_uniform[arm_11]", "uniform[arm_11]", "ols_interaction", "uniform[arm_11]"]
+    assert bench[1:] == uniform[1:] == again[1:]
 
 
 def test_synth_with_duplicate_arm_names_exits_2_without_output(tmp_path, capsys):

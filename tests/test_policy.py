@@ -102,7 +102,7 @@ class TestOlsPolicy:
         probe = manual_dataset([0.0] * 4, [0, 1, 0, 1], ("A", "B"), x=[[4.0], [5.9], [6.1], [8.0]])
         # 22 + 0.5x beats 34 - 1.5x exactly when x > 6
         assert policy.assign(probe).tolist() == [1, 1, 0, 0]
-        assert policy.describe() == "ols_interaction"
+        assert policy.describe(ds.arm_names) == "ols_interaction"
 
     def test_noiseless_fit_reproduces_true_argmax_everywhere(self):
         ds, _ = generate_synthetic(EXP1, n=4_000, seed=1)
@@ -317,14 +317,13 @@ class TestGainReport:
 
     def test_repeated_policy_reuses_resampled_means_bit_for_bit(self, monkeypatch):
         # `evaluate --policies uniform,uniform,ols` repeats the benchmark
-        # twice; the report must equal one that resamples every row afresh
+        # twice; the rows it shares with `--policies ols` must be the same
         dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=3_000, seed=16)
         sp = split(ds, 0.7, seed=0)
         fits = [best_uniform, best_uniform, fit_ols_policy]
         rows = gain_report(fits, ds, sp, n_boot=64, seed=5)
-        monkeypatch.setattr(persgain.policy.np, "array_equal", lambda a, b: a is b)
-        assert gain_report(fits, ds, sp, n_boot=64, seed=5) == rows
+        assert gain_report([fit_ols_policy], ds, sp, n_boot=64, seed=5) == [rows[0], rows[3]]
         assert rows[1]["se_boot"] == rows[2]["se_boot"] == rows[0]["se_boot"]
         assert rows[1]["diff_se_boot"] == 0.0
         # a fit listed again is fitted once: best_uniform (the benchmark's own
@@ -343,6 +342,33 @@ class TestGainReport:
         counted_rows = gain_report(fits, ds, sp, n_boot=64, seed=5)
         assert calls == [best_uniform, fit_ols_policy]
         assert counted_rows == [rows[0], rows[1], rows[3], rows[1], rows[3]]
+
+    def test_each_distinct_fit_is_fitted_scored_and_resampled_once(self, monkeypatch):
+        dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=3_000, seed=18)
+        sp = split(ds, 0.7, seed=0)
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+
+        counted_uniform = counting("best_uniform", best_uniform)
+        monkeypatch.setattr(persgain.policy, "best_uniform", counted_uniform)
+        monkeypatch.setattr(persgain.policy, "_ipw_terms",
+                            counting("_ipw_terms", persgain.policy._ipw_terms))
+        fits = [counted_uniform, counting("fit_ols_policy", fit_ols_policy), counted_uniform]
+        bench, uniform, ols, again = gain_report(fits, ds, sp, n_boot=64, seed=5)
+        assert sorted(calls) == ["_ipw_terms", "_ipw_terms", "best_uniform", "fit_ols_policy"]
+        name = ds.arm_names[best_uniform(ds.subset(sp.train_idx)).arm]
+        assert [bench["policy"], uniform["policy"], again["policy"]] == [
+            f"best_uniform[{name}]", f"uniform[{name}]", f"uniform[{name}]"]
+        for row in (uniform, again):
+            assert {**row, "policy": bench["policy"]} == bench
+            assert row["diff_se_boot"] == 0.0
+        assert ols["policy"] == "ols_interaction" and ols["diff_se_boot"] > 0.0
 
     def test_bootstrap_memory_does_not_grow_with_resample_count(self):
         # one resample's index vector (6,000 rows, 48 KB) at a time; an
