@@ -14,12 +14,11 @@ cli         `persgain` command-line front end
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, DomainError, InternalError, ParseError, PersgainError
+from .errors import ConfigError, InternalError, ParseError, PersgainError
 
 __all__ = [
     "__version__",
     "PersgainError",
-    "DomainError",
     "ConfigError",
     "ParseError",
     "InternalError",

@@ -150,10 +150,8 @@ def counterfactual_swap(
 ) -> list[dict]:
     """Four cells: each study at its own value of the focal parameter, and
     with the other study's value substituted. Same seed everywhere."""
-    if parameter not in ("sigma", "rho", "sigma_eps", "m"):
-        raise ConfigError(
-            f"swap parameter must be one of ('sigma', 'rho', 'sigma_eps', 'm'), got {parameter!r}"
-        )
+    if parameter not in _SWEEPABLE:
+        raise ConfigError(f"swap parameter must be one of {_SWEEPABLE}, got {parameter!r}")
     pairs = ((profile_a, profile_a), (profile_a, profile_b),
              (profile_b, profile_b), (profile_b, profile_a))
     cells = [({"study": host.name, "parameter": parameter, "value_used": getattr(donor, parameter),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConfigError
 
 __all__ = [
     "TwoArmParams",
@@ -44,15 +44,15 @@ def _phi(x: float) -> float:
 def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def _check_moments(sigma: float, rho: float) -> None:
     _check_finite(sigma=sigma, rho=rho)
     if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+        raise ConfigError(f"sigma must be >= 0, got {sigma}")
     if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
+        raise ConfigError(f"rho must lie in [-1, 1], got {rho}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def dgain_dsigma(p: TwoArmParams) -> float:
     t = math.sqrt(2.0 * (1.0 - p.rho))
     v = p.sigma * t
     if v == 0.0:
-        raise DomainError("derivative undefined at v = 0 (sigma = 0 or rho = 1)")
+        raise ConfigError("derivative undefined at v = 0 (sigma = 0 or rho = 1)")
     return t * _phi(p.gap / v)
 
 
@@ -116,7 +116,7 @@ def dgain_drho(p: TwoArmParams) -> float:
     t = math.sqrt(2.0 * (1.0 - p.rho))
     v = p.sigma * t
     if v == 0.0:
-        raise DomainError("derivative undefined at v = 0 (sigma = 0 or rho = 1)")
+        raise ConfigError("derivative undefined at v = 0 (sigma = 0 or rho = 1)")
     return -p.sigma * _phi(p.gap / v) / t
 
 
@@ -136,7 +136,7 @@ def expected_gain_over_means(sigma: float, rho: float, s: float) -> float:
     _check_finite(s=s)
     _check_moments(sigma, rho)
     if s < 0:
-        raise DomainError(f"s must be >= 0, got {s}")
+        raise ConfigError(f"s must be >= 0, got {s}")
     t4 = 0.25 * sigma * math.sqrt(1.0 - rho)  # t / 4
     if t4 == 0.0:
         return 0.0

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import atomic_write, check_addressable, csv_bytes, fields_of, read_fields, stream
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, ParseError
 
 __all__ = [
     "CovariateSpec",
@@ -123,42 +123,42 @@ class ExperimentDataset:
         object.__setattr__(self, "covariate_names", tuple(str(c) for c in self.covariate_names))
         n = len(self.unit_ids)
         if n == 0:
-            raise DomainError("dataset must contain at least one row")
+            raise ConfigError("dataset must contain at least one row")
         if self.x.shape != (n, len(self.covariate_names)):
-            raise DomainError(
+            raise ConfigError(
                 f"covariate matrix shape {self.x.shape} does not match "
                 f"{n} rows x {len(self.covariate_names)} named columns"
             )
         for name in _ROW_FIELDS[1:]:
             if getattr(self, name).shape != (n,):
-                raise DomainError(f"{name} must have one entry per row")
+                raise ConfigError(f"{name} must have one entry per row")
         if len(self.arm_names) < 2:
-            raise DomainError("need at least two arms")
+            raise ConfigError("need at least two arms")
         # a covariate may not reuse a fixed CSV column's name either
         for kind, names in (("arm", self.arm_names),
                             ("column", _FIXED_COLUMNS + self.covariate_names)):
             if len(set(names)) < len(names):
                 repeated = next(a for i, a in enumerate(names) if a in names[:i])
-                raise DomainError(f"{kind} names must be distinct; {repeated!r} appears more than once")
+                raise ConfigError(f"{kind} names must be distinct; {repeated!r} appears more than once")
         if self.arm.min() < 0 or self.arm.max() >= len(self.arm_names):
-            raise DomainError("arm indices must lie in [0, number of arms)")
+            raise ConfigError("arm indices must lie in [0, number of arms)")
         if np.any(self.propensity <= 0.0) or np.any(self.propensity > 1.0):
-            raise DomainError("propensities must lie in (0, 1]")
+            raise ConfigError("propensities must lie in (0, 1]")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.outcome))):
-            raise DomainError("covariates and outcomes must be finite")
+            raise ConfigError("covariates and outcomes must be finite")
         seen = []
         for a in range(len(self.arm_names)):
             e_a = self.propensity[self.arm == a]
             if e_a.size == 0:
                 continue
             if e_a.max() - e_a.min() > 1e-12:
-                raise DomainError(
+                raise ConfigError(
                     f"randomized design requires a single propensity per arm; "
                     f"arm {self.arm_names[a]!r} varies"
                 )
             seen.append(e_a[0])
         if len(seen) == len(self.arm_names) and abs(sum(seen) - 1.0) > 1e-9:
-            raise DomainError(
+            raise ConfigError(
                 f"per-arm propensities sum to {float(sum(seen))!r}, expected 1 (a CSV names "
                 "only the arms it has rows for, so those arms must carry the whole design)"
             )
@@ -215,7 +215,7 @@ class SealedOutcomes:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "unit_ids", _text_ids(self.unit_ids))
         if self.y.ndim != 2 or self.y.shape[0] != len(self.unit_ids):
-            raise DomainError("sealed matrix must be n x m with one row per unit")
+            raise ConfigError("sealed matrix must be n x m with one row per unit")
         self.y.setflags(write=False)
         self.unit_ids.setflags(write=False)
 
@@ -378,7 +378,7 @@ def rerandomize_assignment(
     re-read from the sealed matrix. Covariates are unchanged; every
     propensity becomes 1/m, the probability of the new assignment."""
     if not np.array_equal(dataset.unit_ids, sealed.unit_ids):
-        raise DomainError("sealed matrix does not correspond to this dataset")
+        raise ConfigError("sealed matrix does not correspond to this dataset")
     rng = stream(seed)
     arms = rng.integers(0, dataset.m, size=dataset.n)
     return replace(
@@ -414,11 +414,11 @@ def split(dataset: ExperimentDataset, train_fraction: float, seed: int) -> Train
     arm within one unit of its proportional share.
     """
     if not 0.0 < train_fraction < 1.0:
-        raise DomainError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     n = dataset.n
     target = int(round(train_fraction * n))
     if target == 0 or target == n:
-        raise DomainError(
+        raise ConfigError(
             f"train_fraction {train_fraction} leaves an empty side for n = {n}"
         )
     counts = dataset.arm_counts()
@@ -433,7 +433,7 @@ def split(dataset: ExperimentDataset, train_fraction: float, seed: int) -> Train
     train_idx = np.sort(np.concatenate(train_parts)).astype(int)
     test_idx = np.delete(np.arange(n), train_idx)
     if train_idx.size == 0 or test_idx.size == 0:
-        raise DomainError("split produced an empty side")
+        raise ConfigError("split produced an empty side")
     return TrainTestSplit(train_idx, test_idx)
 
 
@@ -474,11 +474,11 @@ def load_csv(path: str | Path) -> ExperimentDataset:
 
 
 def _read_text(path: Path) -> str:
-    """The whole file as text; a .gz file is decompressed."""
+    """The whole file as text less a leading byte-order mark; a .gz file is decompressed."""
     opener = gzip.open if path.suffix == ".gz" else open
     try:
         with opener(path, "rt", encoding="utf-8", newline="") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:

@@ -1,8 +1,7 @@
-"""Exception taxonomy shared across the package.
-
-The CLI maps these onto exit codes: validation problems (bad parameter
-values, malformed configs, unparseable data files) exit 2; InternalError
-and anything else exit 1.
+"""Exception taxonomy shared across the package: one PersgainError subclass
+per kind of fault. ConfigError is an invalid value, ParseError a data file
+that cannot be parsed, InternalError a broken invariant. The CLI maps the
+first two onto exit 2; InternalError and anything else exit 1.
 """
 
 
@@ -10,12 +9,9 @@ class PersgainError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DomainError(PersgainError, ValueError):
-    """A parameter or data value is outside its admissible domain."""
-
-
 class ConfigError(PersgainError, ValueError):
-    """A configuration document is malformed or internally inconsistent."""
+    """A value is invalid: a flag, a config or profile field, a dataset
+    value, or a library argument outside its domain."""
 
 
 class ParseError(PersgainError, ValueError):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import ExperimentDataset, TrainTestSplit
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 __all__ = [
     "LinearTLearner",
@@ -55,16 +55,16 @@ class LinearTLearner:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coef", np.asarray(self.coef, dtype=float))
         if self.coef.shape != (len(self.arm_names), len(self.covariate_names) + 1):
-            raise DomainError("coef must be (arms) x (1 + covariates)")
+            raise ConfigError("coef must be (arms) x (1 + covariates)")
         if not np.all(np.isfinite(self.coef)):
-            raise DomainError("fitted coefficients must be finite")
+            raise ConfigError("fitted coefficients must be finite")
         self.coef.setflags(write=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Score matrix: column a holds the predicted outcome under arm a."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(self.covariate_names):
-            raise DomainError(
+            raise ConfigError(
                 f"expected {len(self.covariate_names)} covariates, got {x.shape[1]}"
             )
         design = np.column_stack([np.ones(len(x)), x])
@@ -72,7 +72,7 @@ class LinearTLearner:
 
     def assign(self, dataset: ExperimentDataset) -> np.ndarray:
         if dataset.m != len(self.arm_names):
-            raise DomainError(
+            raise ConfigError(
                 f"policy covers {len(self.arm_names)} arms, dataset has {dataset.m}"
             )
         return np.argmax(self.predict(dataset.x), axis=1)
@@ -92,7 +92,7 @@ def fit_per_arm(train: ExperimentDataset) -> LinearTLearner:
         rows = train.arm == a
         count = int(rows.sum())
         if count == 0:
-            raise DomainError(f"arm {train.arm_names[a]!r} has no training rows")
+            raise ConfigError(f"arm {train.arm_names[a]!r} has no training rows")
         if count < train.p + 2:
             thin.append(train.arm_names[a])
         coef[a], _, rank, _ = np.linalg.lstsq(design[rows], train.outcome[rows], rcond=None)
@@ -128,7 +128,7 @@ def per_arm_means(dataset: ExperimentDataset, rows: str = "rows") -> np.ndarray:
     """Mean outcome per arm; an arm with none of its `rows` raises."""
     counts = dataset.arm_counts()
     if not counts.all():
-        raise DomainError(f"arm {dataset.arm_names[int(np.argmin(counts))]!r} has no {rows}")
+        raise ConfigError(f"arm {dataset.arm_names[int(np.argmin(counts))]!r} has no {rows}")
     sums = np.bincount(dataset.arm, weights=dataset.outcome, minlength=dataset.m)
     return sums / counts
 
@@ -137,7 +137,7 @@ def estimate_sigma_eps(holdout: ExperimentDataset, scores: np.ndarray) -> float:
     """SD of holdout residuals y_i - yhat_i at each unit's assigned arm;
     scores is the predictor's score matrix on the holdout."""
     if holdout.n < 2:
-        raise DomainError("holdout must contain at least two rows")
+        raise ConfigError("holdout must contain at least two rows")
     residuals = holdout.outcome - scores[np.arange(holdout.n), holdout.arm]
     return float(np.std(residuals, ddof=1))
 
@@ -187,7 +187,7 @@ def estimate_sigma_rho(
             cell = assigned & (bins == q)
             count = int(cell.sum())
             if count == 0:
-                raise DomainError(
+                raise ConfigError(
                     f"no units assigned to arm {holdout.arm_names[a]!r} fall in "
                     f"quantile bin {q}; cannot form the bin mean"
                 )
@@ -249,19 +249,19 @@ class MomentEstimates:
                  "per_arm_means")
         bad = [name for name in names if not np.all(np.isfinite(getattr(self, name)))]
         if bad:
-            raise DomainError(f"estimates {bad} are not finite: the outcomes overflow float64")
+            raise ConfigError(f"estimates {bad} are not finite: the outcomes overflow float64")
         rho = self.rho_hat_matrix
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DomainError("rho_hat_matrix must be square")
+            raise ConfigError("rho_hat_matrix must be square")
         if not np.allclose(rho, rho.T, atol=1e-12):
-            raise DomainError("rho_hat_matrix must be symmetric")
+            raise ConfigError("rho_hat_matrix must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
-            raise DomainError("rho_hat_matrix must have unit diagonal")
+            raise ConfigError("rho_hat_matrix must have unit diagonal")
         if np.any(np.abs(rho) > 1.0 + 1e-12):
-            raise DomainError("correlations must lie in [-1, 1]")
+            raise ConfigError("correlations must lie in [-1, 1]")
         for name in ("s_hat", "sigma_hat", "sigma_eps_hat"):
             if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
         self.rho_hat_matrix.setflags(write=False)
         self.per_arm_means.setflags(write=False)
 

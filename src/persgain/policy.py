@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import check_addressable, stream
 from .dataset import ExperimentDataset, SealedOutcomes, TrainTestSplit
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .estimation import LinearTLearner, fit_per_arm, per_arm_means
 
 __all__ = [
@@ -43,11 +43,11 @@ class UniformPolicy:
 
     def __post_init__(self) -> None:
         if self.arm < 0:
-            raise DomainError(f"arm index must be >= 0, got {self.arm}")
+            raise ConfigError(f"arm index must be >= 0, got {self.arm}")
 
     def assign(self, dataset: ExperimentDataset) -> np.ndarray:
         if self.arm >= dataset.m:
-            raise DomainError(f"policy arm {self.arm} not present in a {dataset.m}-arm dataset")
+            raise ConfigError(f"policy arm {self.arm} not present in a {dataset.m}-arm dataset")
         return np.full(dataset.n, self.arm, dtype=int)
 
     def describe(self, arm_names: tuple[str, ...]) -> str:
@@ -83,7 +83,7 @@ class IpwEstimate:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
-            raise DomainError("IPW value must be finite")
+            raise ConfigError("IPW value must be finite")
 
 
 def _ipw_terms(policy, dataset: ExperimentDataset) -> tuple[np.ndarray, int]:
@@ -118,7 +118,7 @@ def evaluate_oracle(policy, dataset: ExperimentDataset, sealed: SealedOutcomes) 
     try:
         rows = np.array([row_of[uid] for uid in dataset.unit_ids])
     except KeyError as missing:
-        raise DomainError(
+        raise ConfigError(
             f"no sealed outcomes for unit {missing.args[0]!r}; oracle evaluation "
             "needs the synthetic generator's sealed matrix"
         ) from None
@@ -178,5 +178,9 @@ def gain_report(
             "n_matched": n_matched,
             "match_rate": n_matched / holdout.n,
         }
+    bad = sorted({key for row in evaluated.values() for key, v in row.items()
+                  if not math.isfinite(v) and (key != "rel_improvement" or bench_value != 0.0)})
+    if bad:
+        raise ConfigError(f"report values {bad} are not finite: the outcomes overflow float64")
     return [{"policy": prefix + policies[fit].describe(holdout.arm_names), **evaluated[fit]}
             for prefix, fit in [("best_", best_uniform), *(("", fit) for fit in fits)]]

@@ -51,7 +51,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._util import check_addressable, fields_of, integer, read_fields, stream, typed
-from .errors import ConfigError, DomainError, InternalError
+from .errors import ConfigError, InternalError
 
 __all__ = [
     "FixedMeans",
@@ -81,7 +81,7 @@ class FixedMeans:
     def __init__(self, mu: Sequence[float]) -> None:
         object.__setattr__(self, "mu", tuple(float(x) for x in mu))
         if not all(math.isfinite(x) for x in self.mu):
-            raise DomainError("Fixed means must all be finite")
+            raise ConfigError("Fixed means must all be finite")
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         if len(self.mu) != m:
@@ -100,9 +100,9 @@ class NormalMeans:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mean) and math.isfinite(self.s)):
-            raise DomainError("Normal means require finite (mean, s)")
+            raise ConfigError("Normal means require finite (mean, s)")
         if self.s < 0:
-            raise DomainError(f"s must be >= 0, got {self.s}")
+            raise ConfigError(f"s must be >= 0, got {self.s}")
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.s * rng.standard_normal(m)
@@ -119,11 +119,11 @@ class SpikeSlabMeans:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.pi_spike <= 1.0):
-            raise DomainError(f"pi_spike must lie in [0, 1], got {self.pi_spike}")
+            raise ConfigError(f"pi_spike must lie in [0, 1], got {self.pi_spike}")
         if not (math.isfinite(self.mean) and math.isfinite(self.s)):
-            raise DomainError("SpikeSlab means require finite (mean, s)")
+            raise ConfigError("SpikeSlab means require finite (mean, s)")
         if self.s < 0:
-            raise DomainError(f"s must be >= 0, got {self.s}")
+            raise ConfigError(f"s must be >= 0, got {self.s}")
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         # both arrays are always drawn so runs differing only in pi_spike
@@ -246,7 +246,8 @@ def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
     v_p = float(y[np.arange(y.shape[0]), picks].mean())
     v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
     if not (math.isfinite(v_p) and math.isfinite(v_u)):
-        raise InternalError(f"non-finite replication values: v_p={v_p}, v_u={v_u}")
+        raise ConfigError(f"non-finite replication values (v_p={v_p}, v_u={v_u}): "
+                          "the outcomes overflow float64")
     return v_p, v_u
 
 

@@ -185,7 +185,7 @@ class TestCounterfactual:
 
     def test_rejects_unswappable_parameter(self):
         with pytest.raises(ConfigError, match="swap parameter"):
-            counterfactual_swap(PG, WM, "s", FAST)
+            counterfactual_swap(PG, WM, "mean", FAST)
 
 
 class TestElasticity:

@@ -14,7 +14,7 @@ from persgain.analytic import (
     expected_gain_over_means,
     gain_two_arm,
 )
-from persgain.errors import DomainError
+from persgain.errors import ConfigError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -117,20 +117,20 @@ def test_derivatives_match_central_differences() -> None:
 
 
 def test_derivatives_reject_boundary() -> None:
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         dgain_dsigma(TwoArmParams(0.0, 1.0, 0.0, 0.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         dgain_drho(TwoArmParams(0.0, 1.0, 1.0, 1.0))
 
 
 def test_params_validation() -> None:
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         TwoArmParams(0.0, 1.0, -0.1, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         TwoArmParams(0.0, 1.0, 1.0, 1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         TwoArmParams(math.nan, 1.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         TwoArmParams(0.0, math.inf, 1.0, 0.0)
 
 
@@ -168,13 +168,13 @@ def test_expected_gain_decreasing_in_s() -> None:
 
 
 def test_expected_gain_validation() -> None:
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         expected_gain_over_means(1.0, 0.0, -1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         expected_gain_over_means(-1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         expected_gain_over_means(1.0, 1.5, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         expected_gain_over_means(1.0, 0.0, math.inf)
 
 

@@ -26,9 +26,11 @@ from hypothesis import strategies as st
 
 from persgain import _util, cli
 from persgain._util import write_json
+from persgain.analysis import StudyProfile
 from persgain.cli import main
 from persgain.dataset import ExperimentDataset, SynthDGP, load_csv, one_factor_dgp
-from persgain.errors import InternalError
+from persgain.errors import ConfigError, InternalError
+from persgain.simulate import dist_from_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -226,6 +228,56 @@ def test_mistyped_config_value_exits_2_without_output(tmp_path_factory, field, v
     (root / "c.json").write_text(json.dumps(config))
     assert run_cli([command, "--config", root / "c.json", "--out", root / "out"]) == 2
     assert not (root / "out").exists()
+
+
+DOCUMENTS = {
+    "profile": (StudyProfile.from_config, MISTYPED_BASES["predict"]["profile"]),
+    "normal": (dist_from_config, MISTYPED_BASES["simulate"]["dist"]),
+    "spike_slab": (dist_from_config, {"kind": "spike_slab", "pi_spike": 0.5, "mean": 0.0, "s": 1.0}),
+    "fixed": (dist_from_config, {"kind": "fixed", "mu": [0.0, 1.0]}),
+    "dgp": (SynthDGP.from_config, MISTYPED_BASES["synth"]["dgp"]),
+}
+DOCUMENT_VALUES = st.one_of(
+    st.floats(),
+    st.integers(-3, 2**70),
+    st.sampled_from([-1.0, 0.0, 1.0, 1e308, -1e308, True, None, "", "-1", "nan", "1e400", "x",
+                     "normal", "bernoulli", "fixed"]),
+    st.lists(st.floats(), max_size=3),
+    st.lists(st.lists(st.floats(), max_size=3), max_size=3),
+    st.lists(st.dictionaries(st.sampled_from(["kind", "mean", "sd", "q"]),
+                             st.sampled_from(["normal", "bernoulli", -1.0, 0.5, 2.0])), max_size=2),
+)
+
+
+@st.composite
+def documents(draw):
+    """A profile, mean-distribution or DGP document with one to three of
+    its fields (or, in a DGP, its first covariate's) replaced or dropped."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = json.loads(json.dumps(DOCUMENTS[name][1]))
+    target = doc["covariates"][0] if name == "dgp" and draw(st.booleans()) else doc
+    for key in draw(st.lists(st.sampled_from([*target, "extra"]), min_size=1, max_size=3,
+                             unique=True)):
+        if draw(st.integers(0, 7)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = draw(DOCUMENT_VALUES)
+    return name, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=documents())
+@example(case=("profile", {**MISTYPED_BASES["predict"]["profile"], "s": -1.0}))
+@example(case=("normal", {"kind": "normal", "mean": 0.0, "s": -1.0}))
+@example(case=("spike_slab", {"kind": "spike_slab", "pi_spike": math.nan}))
+@example(case=("dgp", {**MISTYPED_BASES["synth"]["dgp"], "beta": [[0.2]]}))
+def test_document_readers_fail_only_with_config_error(case):
+    # any other exception, from any module's check, escapes and fails
+    name, doc = case
+    try:
+        DOCUMENTS[name][0](doc)
+    except ConfigError:
+        pass
 
 
 def _run_config(root, command, config):
@@ -773,6 +825,18 @@ def test_counterfactual_four_rows(tmp_path):
     assert sources == ["own", "penn_geisinger", "own", "walmart"]
 
 
+def test_counterfactual_swaps_s(tmp_path):
+    # the bundled profiles share s, so each swapped row equals its own row
+    out = tmp_path / "c"
+    assert run_cli(["counterfactual", "--profile-a", "walmart",
+                    "--profile-b", "penn_geisinger", "--parameter", "s",
+                    *FAST_PROFILE_ARGS, "--out", out]) == 0
+    rows = [line.split(",") for line in (out / "counterfactual.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["s"] * 4
+    assert [row[3] for row in rows] == ["own", "penn_geisinger", "own", "walmart"]
+    assert rows[0][4:] == rows[1][4:] and rows[2][4:] == rows[3][4:]
+
+
 def test_elasticity_baseline_first(tmp_path):
     out = tmp_path / "e"
     assert run_cli(["elasticity", "--profile", "penn_geisinger", "--delta", 0.01,
@@ -900,6 +964,37 @@ def test_estimate_overflowing_outcome_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["estimate", "--data", data, "--quantiles", 2, "--out", out]) == 2
     assert "s_hat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_overflowing_outcome_exits_2_without_output(tmp_path, capsys):
+    # outcome / propensity overflows, which must not reach report.csv as inf
+    rows = ["unit_id,arm,outcome,propensity"]
+    rows += [f"u{i},{'ab'[i % 2]},{'-' if i % 3 else ''}1e308,0.5" for i in range(6)]
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["evaluate", "--data", data, "--train-frac", 0.5, "--n-boot", 5,
+                    "--out", out]) == 2
+    assert "overflow float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["sigma", "s", "mean"])
+def test_simulator_overflowing_outcomes_exit_2_without_output(tmp_path, capsys, field):
+    # every input is finite; only the outcomes built from them overflow
+    if field == "sigma":
+        args = ["simulate", "--m", 3, "--sigma", 1e308, "--rho", 0.2,
+                "--n-individuals", 10, "--n-replications", 2]
+    else:
+        profile = tmp_path / "huge.json"
+        profile.write_text(json.dumps({"name": "huge", "s": 1.0, "sigma": 1.0, "rho": 0.2,
+                                       "sigma_eps": 0.1, "m": 3, field: 1e308}))
+        args = ["predict", "--profile", profile, "--n-individuals", 10, "--n-replications", 2]
+    out = tmp_path / "out"
+    assert run_cli([*args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite replication values" in err and "overflow float64" in err
     assert not out.exists()
 
 

@@ -22,7 +22,7 @@ from persgain.dataset import (
     split,
     write_csv,
 )
-from persgain.errors import ConfigError, DomainError, ParseError, PersgainError
+from persgain.errors import ConfigError, ParseError
 
 
 def tiny_dataset(**overrides):
@@ -46,17 +46,17 @@ class TestDatasetValidation:
         assert list(ds.arm_counts()) == [2, 2]
 
     def test_rejects_propensity_outside_unit_interval(self):
-        with pytest.raises(DomainError, match=r"\(0, 1\]"):
+        with pytest.raises(ConfigError, match=r"\(0, 1\]"):
             tiny_dataset(propensity=np.array([0.5, 0.5, 0.0, 0.5]))
-        with pytest.raises(DomainError, match=r"\(0, 1\]"):
+        with pytest.raises(ConfigError, match=r"\(0, 1\]"):
             tiny_dataset(propensity=np.array([0.5, 0.5, 1.5, 0.5]))
 
     def test_randomized_design_needs_constant_arm_propensity(self):
-        with pytest.raises(DomainError, match="single propensity per arm"):
+        with pytest.raises(ConfigError, match="single propensity per arm"):
             tiny_dataset(propensity=np.array([0.5, 0.5, 0.4, 0.6]))
 
     def test_randomized_design_propensities_must_sum_to_one(self):
-        with pytest.raises(DomainError, match="sum to"):
+        with pytest.raises(ConfigError, match="sum to"):
             tiny_dataset(propensity=np.array([0.5, 0.4, 0.5, 0.4]))
 
     def test_sum_check_skipped_when_an_arm_is_unobserved(self):
@@ -67,15 +67,15 @@ class TestDatasetValidation:
         assert set(ds.arm.tolist()) == {0}
 
     def test_rejects_nonfinite_outcome(self):
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             tiny_dataset(outcome=np.array([1.0, math.inf, 3.0, 4.0]))
 
     def test_rejects_bad_arm_index(self):
-        with pytest.raises(DomainError, match="arm indices"):
+        with pytest.raises(ConfigError, match="arm indices"):
             tiny_dataset(arm=np.array([0, 1, 2, 1]))
 
     def test_rejects_duplicate_arm_names(self):
-        with pytest.raises(DomainError, match="'treat' appears more than once"):
+        with pytest.raises(ConfigError, match="'treat' appears more than once"):
             tiny_dataset(arm=np.array([0, 1, 2, 1]), propensity=np.full(4, 1 / 3),
                          arm_names=("control", "treat", "treat"))
 
@@ -258,11 +258,11 @@ class TestRerandomize:
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.4, intercepts=[0.0] * 3, noise_sd=0.2)
         ds, sealed = generate_synthetic(dgp, n=50, seed=5)
         other = SealedOutcomes(np.zeros((50, 3)), tuple(f"z{i}" for i in range(50)))
-        with pytest.raises(DomainError, match="sealed"):
+        with pytest.raises(ConfigError, match="sealed"):
             rerandomize_assignment(ds, other, seed=1)
         # the same units in another order, and a subset of them, are foreign too
         for foreign in (ds.subset(np.arange(50)[::-1]), ds.subset(np.arange(49))):
-            with pytest.raises(DomainError, match="sealed"):
+            with pytest.raises(ConfigError, match="sealed"):
                 rerandomize_assignment(foreign, sealed, seed=1)
 
 
@@ -307,14 +307,14 @@ class TestSplit:
 
     def test_rejects_degenerate_fractions(self):
         ds = tiny_dataset()
-        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+        with pytest.raises(ConfigError, match=r"\(0, 1\)"):
             split(ds, 0.0, seed=0)
-        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+        with pytest.raises(ConfigError, match=r"\(0, 1\)"):
             split(ds, 1.0, seed=0)
 
     def test_rejects_fraction_that_empties_a_side(self):
         ds = tiny_dataset()
-        with pytest.raises(DomainError, match="empty side"):
+        with pytest.raises(ConfigError, match="empty side"):
             split(ds, 0.05, seed=0)  # round(0.2) == 0
 
 
@@ -473,7 +473,7 @@ class TestCsvRoundTrip:
             path = tmp_path / name
             rows = "".join(f"{quote}u{i}{quote},{'ab'[i % 2]},1.0,0.5{cells}\n" for i in range(4))
             path.write_text(f"unit_id,arm,outcome,propensity,{covariates}\n{rows}")
-            with pytest.raises(DomainError, match=f"'{repeated}' appears more than once"):
+            with pytest.raises(ConfigError, match=f"'{repeated}' appears more than once"):
                 load_csv(path)
 
 
@@ -536,9 +536,11 @@ def csv_texts(draw):
 
 
 def _outcome(load):
+    """The loaded dataset, or the (class, message) of the input fault; any
+    other exception, InternalError included, fails the test."""
     try:
         return load()
-    except PersgainError as exc:
+    except (ParseError, ConfigError) as exc:
         return type(exc), str(exc)
 
 
@@ -591,6 +593,24 @@ class TestColumnReader:
             load_csv(tmp_path / "q.csv")
         monkeypatch.undo()
         assert load_csv(tmp_path / "q.csv").arm_names == ("a,b", "treat")
+
+    @pytest.mark.parametrize("name", ["d.csv", "d.csv.gz"])
+    def test_skips_a_leading_byte_order_mark(self, tmp_path, monkeypatch, name):
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=300, seed=5)
+        plain = tmp_path / "plain.csv"
+        write_csv(ds, plain)
+        marked = tmp_path / name
+        opener = gzip.open if name.endswith(".gz") else open
+        with opener(marked, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + plain.read_bytes())
+        monkeypatch.setattr(persgain.dataset, "_load_rows", None)  # the column path only
+        back, reference = load_csv(marked), load_csv(plain)
+        assert back.unit_ids.tolist() == reference.unit_ids.tolist()
+        assert back.arm_names == reference.arm_names
+        assert back.covariate_names == reference.covariate_names
+        for field in ("x", "arm", "outcome", "propensity"):
+            assert getattr(back, field).tobytes() == getattr(reference, field).tobytes(), field
 
 
 def _reference_csv(header, columns):

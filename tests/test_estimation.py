@@ -14,7 +14,7 @@ from persgain.dataset import (
     one_factor_dgp,
     split,
 )
-from persgain.errors import ConfigError, DomainError
+from persgain.errors import ConfigError
 from persgain.estimation import (
     MomentEstimates,
     _quantile_bins,
@@ -66,7 +66,7 @@ class TestEstimateS:
 
     def test_empty_arm_is_an_error(self):
         ds = manual_dataset([1.0, 2.0], [0, 1], ("a", "b", "c"))
-        with pytest.raises(DomainError, match="'c'"):
+        with pytest.raises(ConfigError, match="'c'"):
             estimate_s(ds)
 
 
@@ -118,7 +118,7 @@ class TestFitPredictor:
     def test_empty_training_arm_is_an_error(self):
         ds = manual_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 1], ("a", "b"))
         sp = TrainTestSplit(np.array([0, 1, 2]), np.array([3]))
-        with pytest.raises(DomainError, match="'b'.*no training rows"):
+        with pytest.raises(ConfigError, match="'b'.*no training rows"):
             fit_predictor(ds, sp)
 
     def test_thin_training_arm_warns(self):
@@ -266,7 +266,7 @@ class TestSigmaRho:
         )
         sp = split(ds, 0.5, seed=0)
         model = fit_predictor(ds, sp)
-        with pytest.raises(DomainError, match=r"arm '(lo|hi)'.*bin \d+"):
+        with pytest.raises(ConfigError, match=r"arm '(lo|hi)'.*bin \d+"):
             estimate_sigma_rho(*holdout_scores(ds, sp, model))
 
     def test_small_cells_warn(self):
@@ -321,5 +321,5 @@ class TestMoments:
 
     def test_validation_rejects_malformed_matrix(self):
         bad = np.array([[1.0, 0.5], [0.4, 1.0]])
-        with pytest.raises(DomainError, match="symmetric"):
+        with pytest.raises(ConfigError, match="symmetric"):
             MomentEstimates(0.1, 0.1, bad, 0.45, 0.1, np.array([0.0, 0.0]), {})

@@ -14,7 +14,7 @@ from persgain.dataset import (
     rerandomize_assignment,
     split,
 )
-from persgain.errors import DomainError
+from persgain.errors import ConfigError
 from persgain.estimation import LinearTLearner
 from persgain.policy import (
     IpwEstimate,
@@ -72,7 +72,7 @@ class TestBestUniform:
     def test_arm_without_training_rows_is_named_as_fit_ols_policy_names_it(self):
         train = manual_dataset([0.1, 0.9, 0.1, 0.9], [0, 1, 0, 1], ("a", "b")).subset([0, 2])
         for fit in (best_uniform, fit_ols_policy):
-            with pytest.raises(DomainError, match="^arm 'b' has no training rows$"):
+            with pytest.raises(ConfigError, match="^arm 'b' has no training rows$"):
                 fit(train)
 
     def test_tie_goes_to_lowest_index(self):
@@ -81,7 +81,7 @@ class TestBestUniform:
 
     def test_empty_arm_is_an_error(self):
         ds = manual_dataset([0.5, 0.5], [0, 0], ("a", "b"))
-        with pytest.raises(DomainError, match="'b'"):
+        with pytest.raises(ConfigError, match="'b'"):
             best_uniform(ds)
 
     def test_finds_true_best_arm_in_most_replications(self):
@@ -230,7 +230,7 @@ class TestIpw:
         assert np.mean(ses) == pytest.approx(np.std(values, ddof=1), rel=0.3)
 
     def test_estimate_must_be_finite(self):
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             IpwEstimate(float("nan"), 0.0, 1, 1.0)
 
 
@@ -268,12 +268,12 @@ class TestOracle:
         dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=[0.0, 0.0], noise_sd=0.2)
         ds, sealed = generate_synthetic(dgp, n=50, seed=11)
         foreign = manual_dataset([1.0, 2.0], [0, 1], ("arm_0", "arm_1"))
-        with pytest.raises(DomainError, match="sealed"):
+        with pytest.raises(ConfigError, match="sealed"):
             evaluate_oracle(UniformPolicy(0), foreign, sealed)
         # one unit the generator never drew is enough
         ids = ds.unit_ids.copy()
         ids[7] = "stranger"
-        with pytest.raises(DomainError, match="'stranger'"):
+        with pytest.raises(ConfigError, match="'stranger'"):
             evaluate_oracle(UniformPolicy(0), dataclasses.replace(ds, unit_ids=ids), sealed)
 
 
@@ -288,6 +288,20 @@ class TestGainReport:
         assert rows[0]["rel_improvement"] == 0.0
         assert rows[0]["diff_se_boot"] == 0.0
         assert len(rows) == 2
+
+    def test_only_a_zero_benchmark_leaves_a_non_finite_cell(self):
+        # rel_improvement is NaN by convention when the benchmark value is 0;
+        # any other non-finite cell is an overflow and raises
+        dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=[0.0, 0.1], noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=400, seed=12)
+        sp = split(ds, 0.5, seed=0)
+        zero = dataclasses.replace(ds, outcome=np.zeros(ds.n))
+        rows = gain_report([fit_ols_policy], zero, sp, n_boot=5)
+        assert [np.isnan(row["rel_improvement"]) for row in rows] == [True, True]
+        huge = dataclasses.replace(ds, outcome=np.where(ds.arm == 0, 1e308, -1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConfigError, match="overflow float64"):
+                gain_report([fit_ols_policy], huge, sp, n_boot=5)
 
     def test_strong_heterogeneity_yields_real_improvement(self):
         dgp = one_factor_dgp(m=3, sigma=1.0, rho=0.0, intercepts=[1.0, 1.0, 1.0], noise_sd=0.3)

@@ -6,7 +6,7 @@ import pytest
 
 from persgain import simulate
 from persgain.analytic import TwoArmParams, gain_two_arm
-from persgain.errors import ConfigError, DomainError
+from persgain.errors import ConfigError
 from persgain.simulate import (
     FixedMeans,
     NormalMeans,
@@ -67,11 +67,11 @@ def test_dist_config_round_trip() -> None:
 
 
 def test_dist_validation() -> None:
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         NormalMeans(0.0, -1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SpikeSlabMeans(1.2, 0.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         FixedMeans([1.0, math.inf])
 
 
