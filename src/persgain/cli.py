@@ -345,8 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """One `warning: <message>` line on stderr, without the source location."""
-    print(f"warning: {message}", file=sys.stderr)
+    """One `warning: <message>` line on stderr, without the source location,
+    in one write, so that lines warned from worker threads stay whole."""
+    sys.stderr.write(f"warning: {message}\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,13 +16,20 @@ the best column mean. With sigma_eps > 0 both selections are made on noisy
 predictions Yhat = Y + sigma_eps * noise but are always scored on the true
 Y, so the gain can go negative when predictions are poor.
 
+The kernel scores each config on Y' = mu + sigma sqrt(1-rho) eps, the
+outcomes without the common term, and adds C, the common term's mean over
+the rows, to v_p and to v_u. A row's common term is the same for all its
+arms, so it changes neither the row's pick nor which column mean is
+largest, and it adds C to both values. Y' costs two passes over the cells
+and C is O(n); `_outcomes`, the sum of the two, is the one statement of Y.
+
 Replication r of a run with seed k uses the generator derived from
 SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
 so any parallelism degree yields bit-identical results, and two runs that
 differ only in (sigma, rho, sigma_eps, dist parameters) consume identical
 underlying draws, so sweeps over those knobs are common-random-number
-coupled by construction. A sigma_eps = 0 config is scored on Y itself,
-which gives the bits Y + 0.0 * noise would.
+coupled by construction. A sigma_eps = 0 config picks on Y' itself,
+which gives the picks Y' + 0.0 * noise would.
 
 `simulate_gain` also runs a whole grid of configs as one batch, which is
 one draw layout: its configs agree on seed, n_individuals, n_replications
@@ -39,11 +46,17 @@ grid of K configs costs one set of draws plus K cheap rescalings
 4.2). A narrower config's results are those of the width-W draws
 truncated to its m, which differ from a lone run of it within Monte Carlo
 error.
+
+Each thread that runs replications holds one set of arrays for the whole
+batch, filled in place by every replication: z, eps and the noise at width
+W, and one scratch of n x m2 cells for the narrower configs, m2 the largest
+m among them. None outlives the `simulate_gain` call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence, Union
@@ -160,25 +173,39 @@ def rho_lower_bound(m: int) -> float:
     return -1.0 / (m - 1) + 1e-9
 
 
+def _spread(
+    eps: np.ndarray, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Y' = mu + sigma sqrt(1-rho) eps: the outcomes without each row's
+    common term, from eps (n x len(mu), possibly a view of the first columns
+    of a wider draw, or any array that broadcasts against mu), written into
+    `out` (which may be eps) in two passes. Elementwise, so Y' rebuilt at
+    some cells has the bits of those cells of the whole matrix."""
+    out = np.multiply(eps, sigma * math.sqrt(1.0 - rho), out=out)
+    out += mu
+    return out
+
+
+def _common(z: np.ndarray, eps: np.ndarray, sigma: float, rho: float) -> np.ndarray:
+    """sigma c (n x 1): each row's term common to its arms, c of the module
+    docstring, from z (n x 1) and eps (n x m). It is linear in (z, eps), so
+    given their column means (1 x 1 and 1 x m) it returns its mean over the
+    rows."""
+    if rho >= 0:
+        return sigma * (math.sqrt(rho) * z)
+    scale = math.sqrt(1.0 + (eps.shape[1] - 1) * rho) - math.sqrt(1.0 - rho)
+    return sigma * (scale * eps.mean(axis=1, keepdims=True))
+
+
 def _outcomes(
     z: np.ndarray, eps: np.ndarray, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray
 ) -> np.ndarray:
-    """The outcome matrix mu + sigma (sqrt(1-rho) eps + c 1) of (mu, sigma,
-    rho), with c the arms' common term of the module docstring, from the
-    draws z and eps (n x len(mu), possibly a view of the first columns of a
-    wider draw), written into `out` (which may be eps). The row mean of eps
-    is taken before eps is overwritten, and the in-place steps swap the
-    operands of an addition or multiplication at most, so the result is the
-    same bits as the expression."""
-    if rho < 0:
-        m = eps.shape[1]
-        scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
-        common = scale * eps.mean(axis=1, keepdims=True)
-    out = np.multiply(eps, math.sqrt(1.0 - rho), out=out)
-    out += math.sqrt(rho) * z if rho >= 0 else common
-    out *= sigma
-    out += mu
-    return out
+    """The outcome matrix Y = Y' + sigma c 1 of (mu, sigma, rho): the sum of
+    the two parts the kernel scores, `_spread` and `_common`, from the draws
+    z and eps, written into `out` (which may be eps; the common term is
+    taken before eps is overwritten)."""
+    common = _common(z, eps, sigma, rho)
+    return np.add(_spread(eps, mu, sigma, rho, out=out), common, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -239,12 +266,13 @@ def _layout(cfg: SimConfig) -> tuple:
     return (cfg.seed, cfg.n_individuals, cfg.n_replications, type(cfg.dist).__name__)
 
 
-def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
-    """(v_p, v_u): the mean true outcome of each row's predicted best arm,
-    and of the arm with the best mean prediction."""
-    picks = np.argmax(yhat, axis=1)  # ties: lowest arm index
-    v_p = float(y[np.arange(y.shape[0]), picks].mean())
-    v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
+def _score(picked: np.ndarray, column: np.ndarray, common: float) -> tuple[float, float]:
+    """(v_p, v_u): the mean of Y' at each row's pick and in the uniform
+    arm's column, both n-vectors taken the same way, each plus the common
+    term's mean. Rounding is monotone, so v_p >= v_u whenever picked >= column
+    cell by cell, as it is with sigma_eps = 0."""
+    v_p = float(picked.mean()) + common
+    v_u = float(column.mean()) + common
     if not (math.isfinite(v_p) and math.isfinite(v_u)):
         raise ConfigError(f"non-finite replication values (v_p={v_p}, v_u={v_u}): "
                           "the outcomes overflow float64")
@@ -252,7 +280,7 @@ def _score(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float]:
 
 
 def sample_potential_outcomes(
-    cfg: SimConfig, rep: int, *more: SimConfig
+    cfg: SimConfig, rep: int, *more: SimConfig, out: tuple | None = None
 ) -> tuple[np.ndarray | None, ...]:
     """Every draw of replication `rep` of a batch: cfg, its widest config,
     and the configs in `more`, which share cfg's draw layout. Returns
@@ -263,57 +291,117 @@ def sample_potential_outcomes(
     last draw, skipping it moves no other. Then, for each config in `more`,
     the first m of W means drawn from a fresh stream(cfg.seed, rep), as mu
     was (a fixed-means config has m = W; `simulate_gain` checks it).
+
+    `out`, if given, is a (z, eps, noise) triple of arrays of those shapes
+    to draw into, noise None exactly when it is not drawn; filling an array
+    gives the bits that drawing a new one of its shape would.
     """
-    n, width = cfg.n_individuals, cfg.m
+    width = cfg.m
+    out = out or _empty_draws(cfg, more)
     rng = stream(cfg.seed, rep)
     mu = cfg.dist.sample(width, rng)
-    z, eps = rng.standard_normal((n, 1)), rng.standard_normal((n, width))
-    noise = rng.standard_normal((n, width)) if any(p.sigma_eps for p in (cfg, *more)) else None
-    return (mu, z, eps, noise,
+    for draws in out:
+        if draws is not None:
+            rng.standard_normal(out=draws)
+    return (mu, *out,
             *(point.dist.sample(width, stream(cfg.seed, rep))[: point.m] for point in more))
+
+
+def _empty_draws(cfg: SimConfig, more: Sequence[SimConfig]) -> tuple:
+    """Uninitialized (z, eps, noise) arrays for `sample_potential_outcomes`
+    to draw a replication of that batch into."""
+    n, width = cfg.n_individuals, cfg.m
+    noisy = any(point.sigma_eps for point in (cfg, *more))
+    return np.empty((n, 1)), np.empty((n, width)), np.empty((n, width)) if noisy else None
+
+
+# the row-block size, in cells, in which a narrower config adds its
+# prediction noise: 128 KB of float64, which stays in a core's cache
+_BLOCK_CELLS = 1 << 14
+
+# each thread's arrays for the batch it is running (see _arrays), held by
+# the thread rather than passed, so that a replication stays one
+# _replicate(cfg, rep, *more) call
+_held = threading.local()
+
+
+def _arrays(cfg: SimConfig, more: Sequence[SimConfig]) -> tuple:
+    """This thread's arrays for a batch of widest config cfg and narrower
+    configs `more`: the draws (z, eps, noise) of `sample_potential_outcomes`,
+    a scratch of n x m2 cells, m2 the largest m in `more`, a row block of at
+    least _BLOCK_CELLS cells if some config in `more` has sigma_eps > 0, and
+    the row indices 0..n-1. Made on the thread's first replication of the
+    batch and reused by the rest; `simulate_gain` drops them when it ends."""
+    n = cfg.n_individuals
+    m2 = max((point.m for point in more), default=0)
+    noisy_more = any(point.sigma_eps for point in more)
+    key = (n, cfg.m, m2, bool(cfg.sigma_eps), noisy_more)
+    held = getattr(_held, "arrays", None)
+    if held is None or held[0] != key:
+        block = np.empty(max(_BLOCK_CELLS, m2) if noisy_more else 0)
+        held = _held.arrays = (key, _empty_draws(cfg, more), np.empty(n * m2), block,
+                               np.arange(n))
+    return held[1:]
 
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
     """Replication `rep` of one batch, from one `sample_potential_outcomes`
     call: (v_p, v_u) for cfg, its widest config, and each config in `more`,
-    in that order. A config with m arms takes the first m columns of eps
-    and of the noise; one with sigma_eps = 0 is scored on Y itself. The
-    configs in `more` write their Y, and their Yhat if they have one, into
-    two contiguous scratch arrays; cfg is scored last and writes them over
-    the draws themselves.
+    in that order.
+
+    Each config is scored on Y' = mu + sigma sqrt(1-rho) eps, not on Y: a
+    row's common term never changes which arm the row picks, nor which
+    column mean is largest, and adds its mean C over the rows to both v_p
+    and v_u, so C is added once to each. C comes from the mean of z, or for
+    rho < 0 from eps's column means. The uniform arm is the argmax of
+    mu + sigma sqrt(1-rho) eps_bar + sigma_eps noise_bar, with eps_bar and
+    noise_bar the draws' column means, taken once per replication at the
+    width W. A config with m arms takes the first m columns of each.
+
+    The draws go into this thread's arrays (`_arrays`): eps, the noise and
+    one n x m2 scratch, held for the whole batch. A config in `more` writes
+    its Y' into the scratch; with sigma_eps > 0 it then adds sigma_eps noise
+    there in row blocks, takes each row's pick from that Yhat', and rebuilds
+    Y' from eps at its picks and its uniform column only. cfg is scored last
+    and writes Y' over eps and Yhat' over the noise.
     """
-    mu, z, eps, noise, *more_mu = sample_potential_outcomes(cfg, rep, *more)
+    draws, scratch, block, rows = _arrays(cfg, more)
+    mu, z, eps, noise, *more_mu = sample_potential_outcomes(cfg, rep, *more, out=draws)
     n = cfg.n_individuals
+    z_bar, eps_bar = z.mean(axis=0, keepdims=True), eps.mean(axis=0, keepdims=True)
+    noise_bar = None if noise is None else noise.mean(axis=0, keepdims=True)
 
-    def value(
-        point: SimConfig, mu: np.ndarray, y: np.ndarray, yhat: np.ndarray | None
-    ) -> tuple[float, float]:
-        """(v_p, v_u) of point, its Y written into y and its Yhat, if it has
-        one, into yhat."""
-        m = point.m
-        y = _outcomes(z, eps[:, :m], mu, point.sigma, point.rho, out=y)
-        if not point.sigma_eps:
-            return _score(y, y)
-        # Yhat = Y + sigma_eps * noise, computed as noise * sigma_eps + Y
-        np.multiply(noise[:, :m], point.sigma_eps, out=yhat)
-        yhat += y
-        return _score(y, yhat)
+    def value(point: SimConfig, mu: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+        """(v_p, v_u) of point, its Y' written into y."""
+        m, sigma, rho, sigma_eps = point.m, point.sigma, point.rho, point.sigma_eps
+        common = _common(z_bar, eps_bar[:, :m], sigma, rho).item()
+        column_means = _spread(eps_bar[:, :m], mu, sigma, rho)
+        if sigma_eps:
+            column_means += sigma_eps * noise_bar[:, :m]
+        uniform = int(np.argmax(column_means))  # ties: lowest arm index
+        y = _spread(eps[:, :m], mu, sigma, rho, out=y)
+        if not sigma_eps:
+            picks = np.argmax(y, axis=1)  # ties: lowest arm index
+            return _score(y[rows, picks], y[rows, uniform], common)
+        if y is eps:
+            # cfg, scored last, writes Yhat' = Y' + sigma_eps * noise over
+            # the noise, computed as noise * sigma_eps + Y'
+            yhat = np.multiply(noise, sigma_eps, out=noise)
+            yhat += y
+            return _score(y[rows, np.argmax(yhat, axis=1)], y[rows, uniform], common)
+        step = block.size // m
+        for start in range(0, n, step):
+            cells = y[start:start + step]
+            cells += np.multiply(noise[start:start + step, :m], sigma_eps,
+                                 out=block[: cells.size].reshape(cells.shape))
+        picks = np.argmax(y, axis=1)
+        picked, column = eps[rows, picks], eps[rows, uniform]
+        return _score(_spread(picked, mu[picks], sigma, rho, out=picked),
+                      _spread(column, mu[uniform], sigma, rho, out=column), common)
 
-    # the configs in `more` write into the first n * m cells of these, so
-    # that their Y and Yhat are contiguous n x m arrays. One pair per
-    # replication, not per config: per-config arrays gave the same bits, but
-    # on a 2-core box an elasticity run (five m = 20 configs) then took 402k
-    # minor page faults, not 163k, 1.0 s of system time, not 0.4-0.5 s, and
-    # the profile_elasticity benchmark 22% more wall time (3.50 s, not 2.87 s)
-    size = n * max((point.m for point in more), default=0)
-    y_cells = np.empty(size)
-    yhat_cells = np.empty(size if any(point.sigma_eps for point in more) else 0)
-    values = []
-    for point, point_mu in zip(more, more_mu):
-        shape, cells = (n, point.m), n * point.m
-        yhat = yhat_cells[:cells].reshape(shape) if point.sigma_eps else None
-        values.append(value(point, point_mu, y_cells[:cells].reshape(shape), yhat))
-    return [value(cfg, mu, eps, noise), *values]
+    values = [value(point, point_mu, scratch[: n * point.m].reshape(n, point.m))
+              for point, point_mu in zip(more, more_mu)]
+    return [value(cfg, mu, eps), *values]
 
 
 def simulate_gain(
@@ -350,11 +438,15 @@ def simulate_gain(
                 f"config {index} has {point.m} fixed means, but its batch draws m = {widest.m} "
                 "arms: a fixed-means batch takes one m")
     reps = range(widest.n_replications)
-    if n_jobs == 1 or len(reps) == 1:
-        done = [_replicate(widest, rep, *rest) for rep in reps]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            done = list(pool.map(lambda rep: _replicate(widest, rep, *rest), reps))
+    try:
+        if n_jobs == 1 or len(reps) == 1:
+            done = [_replicate(widest, rep, *rest) for rep in reps]
+        else:
+            # each pool thread's arrays go with the thread when the pool ends
+            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+                done = list(pool.map(lambda rep: _replicate(widest, rep, *rest), reps))
+    finally:
+        _held.arrays = None
     # done holds one row of pairs per replication; its columns follow order
     pairs = dict(zip(order, zip(*done)))
     results = [_summarize(point, pairs[index]) for index, point in enumerate(cfgs)]

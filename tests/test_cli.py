@@ -9,6 +9,7 @@ import csv
 import filecmp
 import functools
 import gzip
+import io
 import json
 import math
 import os
@@ -17,6 +18,9 @@ import shutil
 import statistics
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -612,6 +616,39 @@ def test_library_warnings_print_one_line_each(tmp_path):
     assert len(lines) == 1
     assert lines[0].startswith("warning: 20 (arm, quantile) cells hold fewer than 30 units")
     assert ".py" not in proc.stderr and "UserWarning" not in proc.stderr
+
+
+def test_warnings_from_worker_threads_print_whole_lines(monkeypatch):
+    # a stream that lets other threads run at every write: a line written in
+    # two calls, text then newline, is then split by other threads' lines
+    class Yielding(io.StringIO):
+        def write(self, text):
+            time.sleep(0)
+            return super().write(text)
+
+    def warn_from_threads(config, args):
+        start = threading.Barrier(8)
+
+        def warn(k):
+            start.wait(timeout=30)
+            for j in range(20):
+                warnings.warn(f"thread {k} message {j}", RuntimeWarning)
+
+        threads = [threading.Thread(target=warn, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    stderr = Yielding()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setitem(cli._HANDLERS, "gain", warn_from_threads)
+    assert run_cli(["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1, "--rho", 0]) == 0
+    lines = stderr.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert sorted(lines) == sorted(f"warning: thread {k} message {j}"
+                                   for k in range(8) for j in range(20))
 
 
 def test_estimate_empty_holdout_arm_exits_2_naming_the_cell(tmp_path, capsys):

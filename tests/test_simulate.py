@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -280,26 +281,59 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 # batches: one draw layout each, drawn once at its widest m
 
 
+def reference_draws(cfg: SimConfig, rep: int, width: int | None = None) -> tuple:
+    """One replication's draws for one config at `width` arms (cfg.m by
+    default), the noise always: (mu, z, eps, noise), with cfg.m means and
+    eps and the noise whole at `width`."""
+    rng = stream(cfg.seed, rep)
+    n, m = cfg.n_individuals, cfg.m
+    width = m if width is None else width
+    mu = cfg.dist.sample(m if isinstance(cfg.dist, FixedMeans) else width, rng)[:m]
+    z = rng.standard_normal((n, 1))
+    eps = rng.standard_normal((n, width))
+    return mu, z, eps, rng.standard_normal((n, width))
+
+
 def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
     """One replication of one config, drawing everything itself at `width`
-    arms (cfg.m by default) and keeping the first cfg.m: the per-config
-    kernel that the batched simulate_gain replaced, kept as its reference."""
-    rng = stream(cfg.seed, rep)
-    n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
-    width = m if width is None else width
-    if isinstance(cfg.dist, FixedMeans):
-        mu = cfg.dist.sample(m, rng)
+    arms and keeping the first cfg.m: the per-config kernel that the batched
+    simulate_gain replaced, scored as the batched kernel scores it. That is
+    on Y' = mu + sigma sqrt(1-rho) eps, the outcomes without each row's
+    common term, with C, that term's mean over the rows, added to v_p and
+    v_u alike, and the uniform arm taken from the draws' column means at
+    `width`."""
+    mu, z, eps, noise = reference_draws(cfg, rep, width)
+    n, m, sigma, rho = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho
+    eps_bar, noise_bar = eps.mean(axis=0)[:m], noise.mean(axis=0)[:m]
+    if rho >= 0:
+        common = sigma * (math.sqrt(rho) * z.mean())
     else:
-        mu = cfg.dist.sample(width, rng)[:m]
-    z = rng.standard_normal((n, 1))
-    eps = rng.standard_normal((n, width))[:, :m]
+        scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
+        common = sigma * (scale * eps_bar.mean())
+    slope = sigma * math.sqrt(1.0 - rho)
+    y = mu + slope * eps[:, :m]
+    picks = np.argmax(y + cfg.sigma_eps * noise[:, :m], axis=1)
+    uniform = int(np.argmax(mu + slope * eps_bar + cfg.sigma_eps * noise_bar))
+    v_p = float(y[np.arange(n), picks].mean()) + common
+    v_u = float(y[:, uniform].mean()) + common
+    return v_p, v_u
+
+
+def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
+    """The same replication scored on the whole outcome matrix Y, common
+    term and all, with the uniform arm taken from Yhat's column means: the
+    formula the kernel used before it dropped the common term. v_p and v_u
+    agree with reference_replicate up to rounding."""
+    mu, z, eps, noise = reference_draws(cfg, rep, width)
+    n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
+    eps = eps[:, :m]
     if rho >= 0:
         common = math.sqrt(rho) * z
     else:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
         common = scale * eps.mean(axis=1, keepdims=True)
     y = mu + cfg.sigma * (math.sqrt(1.0 - rho) * eps + common)
-    yhat = y + cfg.sigma_eps * rng.standard_normal((n, width))[:, :m]
+    yhat = y + cfg.sigma_eps * noise[:, :m]
     picks = np.argmax(yhat, axis=1)
     v_p = float(y[np.arange(n), picks].mean())
     v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
@@ -316,7 +350,9 @@ def reference_gains(cfg: SimConfig, width: int | None = None) -> tuple[float, ..
 def layout_grid() -> list[list[SimConfig]]:
     """One batch per draw layout: normal, spike-slab and fixed means, with
     several configs in each batch, several m in the normal one and rho on
-    both sides of 0 within a batch."""
+    both sides of 0 within a batch. The last batch has more rows than
+    numpy's reduction buffer (8192 cells), with narrower configs that add
+    prediction noise on both sides of rho = 0."""
     base = dict(n_individuals=200, n_replications=6, seed=13)
     normal = []
     for rho in (-0.2, 0.0, 0.5, 1.0):
@@ -327,8 +363,8 @@ def layout_grid() -> list[list[SimConfig]]:
         normal.append(SimConfig(m=m, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0),
                                 sigma_eps=0.3, **base))
     # the first config of each m = 5 batch (rho = 0.3) is its widest and
-    # writes its outcomes over the shared draws; the rho < 0 ones take the
-    # row mean of eps from the draws and write into scratch
+    # writes its outcomes over the shared draws; the others write into the
+    # scratch
     spike_slab, fixed = [], []
     for rho in (0.3, -0.1):
         for pi in (0.2, 0.9):
@@ -336,11 +372,32 @@ def layout_grid() -> list[list[SimConfig]]:
                                         dist=SpikeSlabMeans(pi, 0.0, 3.0), sigma_eps=0.4, **base))
         for mu in ((1.0, 2.0, 0.5, 1.5, 1.2), (0.0, 0.1, 0.2, 0.3, 0.4)):
             fixed.append(SimConfig(m=5, sigma=0.7, rho=rho, dist=FixedMeans(mu), **base))
-    return [normal, spike_slab, fixed]
+    tall = dict(n_individuals=9_000, n_replications=3, seed=14, dist=NormalMeans(0.1, 0.05))
+    tall_batch = [SimConfig(m=m, sigma=1.0, rho=rho, sigma_eps=sigma_eps, **tall)
+                  for m, rho, sigma_eps in ((6, 0.3, 0.5), (4, -0.25, 0.6), (5, 0.6, 0.4),
+                                            (3, -0.3, 0.0), (5, 0.0, 0.0))]
+    return [normal, spike_slab, fixed, tall_batch]
+
+
+def kernel_values(monkeypatch, batch: list[SimConfig], n_jobs: int) -> tuple[list, list]:
+    """simulate_gain's results for a batch, and the (v_p, v_u) of each of its
+    configs in each replication, as `_replicate` returned them."""
+    replicate, seen = simulate._replicate, {}
+
+    def record(cfg, rep, *more):
+        values = replicate(cfg, rep, *more)
+        for point, value in zip((cfg, *more), values):
+            seen[id(point), rep] = value
+        return values
+
+    monkeypatch.setattr(simulate, "_replicate", record)
+    results = simulate_gain(batch, n_jobs=n_jobs)
+    monkeypatch.undo()
+    return results, [[seen[id(cfg), rep] for rep in range(cfg.n_replications)] for cfg in batch]
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
-def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None:
+def test_batched_kernel_matches_per_config_reference_bit_for_bit(monkeypatch, n_jobs) -> None:
     # Every config is compared with the reference drawn at its batch's
     # width. This also pins the sigma_eps = 0 fast path: the fixed-means
     # batch has sigma_eps = 0 throughout, which skips the noise draw, and
@@ -348,10 +405,23 @@ def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None
     # reference_replicate always draws the noise.
     for batch in layout_grid():
         width = max(cfg.m for cfg in batch)
-        results = simulate_gain(batch, n_jobs=n_jobs)
+        results, values = kernel_values(monkeypatch, batch, n_jobs)
         assert len(results) == len(batch)
-        for cfg, result in zip(batch, results):
+        for cfg, result, per_rep in zip(batch, results, values):
             assert result.per_replication_gains == reference_gains(cfg, width), cfg
+            assert per_rep == [reference_replicate(cfg, rep, width)
+                               for rep in range(cfg.n_replications)], cfg
+
+
+def test_scoring_without_the_common_term_changes_values_by_rounding_only(monkeypatch) -> None:
+    # v_p and v_u of every replication against the whole-Y formula
+    for batch in layout_grid():
+        width = max(cfg.m for cfg in batch)
+        _, values = kernel_values(monkeypatch, batch, 1)
+        for cfg, per_rep in zip(batch, values):
+            for rep, kernel in enumerate(per_rep):
+                for got, want in zip(kernel, full_replicate(cfg, rep, width)):
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cfg, rep)
 
 
 def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
@@ -398,14 +468,14 @@ def test_a_batch_of_several_layouts_fails_before_any_draw(monkeypatch) -> None:
 
 class CountingGenerator:
     """A generator that delegates to a real one and records the size of each
-    standard_normal call."""
+    standard_normal call, or the shape of the array it fills."""
 
     def __init__(self, rng: np.random.Generator, sizes: list) -> None:
         self._rng, self._sizes = rng, sizes
 
-    def standard_normal(self, size=None):
-        self._sizes.append(size)
-        return self._rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        self._sizes.append(size if out is None else out.shape)
+        return self._rng.standard_normal(size, out=out)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -430,6 +500,45 @@ def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
     assert sizes.count((n, m)) == n_by_m_draws * reps
     for cfg, result in zip(cfgs, results):
         assert result.per_replication_gains == reference_gains(cfg), cfg
+
+
+def traced_memory(batch: list[SimConfig], n_jobs: int) -> tuple[int, int]:
+    """How far traced memory (numpy's buffers included) rose at its peak
+    during simulate_gain(batch, n_jobs), and where it ended, both against
+    its value before the call."""
+    # a batch one row taller first, so that first-call caches stay out of
+    # the trace but arrays it kept would not fit the measured call
+    simulate_gain([replace(cfg, n_individuals=cfg.n_individuals + 1) for cfg in batch],
+                  n_jobs=n_jobs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        simulate_gain(batch, n_jobs=n_jobs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, current - start
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_a_narrower_noisy_config_needs_no_second_scratch_array(n_jobs) -> None:
+    # the widest config draws the noise either way; adding noise to the
+    # m = 90 config costs row blocks, not an n x 90 array for its Yhat
+    n = 2_000
+
+    def batch(sigma_eps: float) -> list[SimConfig]:
+        base = dict(sigma=1.0, rho=0.3, dist=NormalMeans(0.0, 0.5), n_individuals=n,
+                    n_replications=4, seed=3)
+        return [SimConfig(m=2, **base), SimConfig(m=90, sigma_eps=sigma_eps, **base),
+                SimConfig(m=100, sigma_eps=0.5, **base)]
+
+    quiet_peak, quiet_end = traced_memory(batch(0.0), n_jobs)
+    noisy_peak, noisy_end = traced_memory(batch(0.5), n_jobs)
+    assert noisy_peak - quiet_peak <= n * 90 * 8 / 4
+    # every array goes when the call returns; what stays is the
+    # interpreter's own bookkeeping, far less than z, the smallest array
+    # (n x 1, 16 kB)
+    assert quiet_end < 8_192 and noisy_end < 8_192
 
 
 def test_jobs_below_one_rejected() -> None:
