@@ -135,8 +135,8 @@ def sensitivity_sweep(
         raise ConfigError("grid must contain at least one value")
     if parameter not in _SWEEPABLE:
         raise ConfigError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
-    cells = [({"parameter": parameter, "value": value}, replace(profile, **{parameter: value}))
-             for value in sorted(float(v) for v in grid)]
+    cells = [({"parameter": parameter, "value": getattr(cell, parameter)}, cell)
+             for cell in (replace(profile, **{parameter: v}) for v in sorted(map(float, grid)))]
     baseline = float(getattr(profile, parameter))
     return [{**row, "is_baseline": int(row["value"] == baseline)}
             for row in _rows(cells, settings)]

@@ -202,13 +202,17 @@ def estimate_sigma_rho(
             f"(first few: {thin_cells[:5]}); bin means are noisy",
             stacklevel=2,
         )
-    per_arm_sigma = bin_means.std(axis=1, ddof=1)
+    # an arm is constant when its bin means agree up to rounding: means of
+    # k copies of c lie within k * eps * |c| of each other
+    rounding = bin_counts.max(axis=1) * np.finfo(float).eps * np.abs(bin_means).max(axis=1)
+    constant = np.ptp(bin_means, axis=1) <= rounding
+    per_arm_sigma = np.where(constant, 0.0, bin_means.std(axis=1, ddof=1))
     sigma_hat = float(per_arm_sigma.mean())
     rho = np.eye(m)
     for a in range(m):
         for b in range(a + 1, m):
             va, vb = unit_values[:, a], unit_values[:, b]
-            if va.std() == 0.0 or vb.std() == 0.0:
+            if constant[a] or constant[b]:
                 warnings.warn(
                     f"bin means for arm pair ({holdout.arm_names[a]}, "
                     f"{holdout.arm_names[b]}) are constant; reporting correlation 0",

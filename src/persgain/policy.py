@@ -1,8 +1,8 @@
 """Assignment policies and their evaluation: best uniform arm, the OLS
 policy (the per-arm linear model of `estimation`), inverse-propensity-
 weighted value estimation on a holdout, exact evaluation against the
-sealed potential outcomes of synthetic data, and a bootstrap gain report
-against the best-uniform benchmark.
+sealed potential outcomes of synthetic data, and a gain report with exact
+bootstrap SEs against the best-uniform benchmark.
 
 A policy is any object with assign(dataset) -> arm index per row and
 describe(arm_names) -> report label, naming arms as the dataset does; a fit
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_addressable, stream
 from .dataset import ExperimentDataset, SealedOutcomes, TrainTestSplit
 from .errors import ConfigError
 from .estimation import LinearTLearner, fit_per_arm, per_arm_means
@@ -131,50 +130,45 @@ def gain_report(
     dataset: ExperimentDataset,
     split: TrainTestSplit,
     n_boot: int = 1000,
-    seed: int = 0,
 ) -> list[dict]:
     """IPW values on the holdout with bootstrap SEs, benchmarked against the
     best uniform arm found on the training side (always the first row).
 
     Each distinct fit, best_uniform included, is fitted on the training
-    side, scored on the holdout and resampled once; a fit listed again
-    repeats its first row under its own label. The benchmark row's label is
-    "best_" plus its policy's own, so a listed best_uniform names the same arm.
+    side and scored on the holdout once; a fit listed again repeats its
+    first row under its own label. The benchmark row's label is "best_"
+    plus its policy's own, so a listed best_uniform names the same arm.
 
-    diff_se_boot is the SE of (policy - benchmark) under paired resampling,
-    the right yardstick for "is the improvement real"; rel_improvement is
-    relative to the benchmark's point estimate. n_matched counts the holdout
-    rows whose assigned arm is the policy's pick, the only rows its IPW
-    value rests on, and match_rate is their share of the holdout.
+    The SEs are the ideal bootstrap's, exactly: the plug-in SD (ddof 0) of
+    the per-row IPW terms over sqrt(n) (Efron & Tibshirani 1993, ch. 5-6).
+    diff_se_boot takes the terms of (policy - benchmark), as paired
+    resampling does: the yardstick for "is the improvement real".
+    rel_improvement is relative to the benchmark's point estimate. n_matched
+    counts the holdout rows whose assigned arm is the policy's pick, the
+    only rows its IPW value rests on; match_rate is their holdout share.
     """
+    # n_boot is checked but unused: `evaluate --n-boot` and perfbench/tracer.py's
+    # report counter still pass it, until ROADMAP item 3 removes both
     if n_boot < 2:
         raise ConfigError(f"n_boot must be >= 2, got {n_boot}")
-    check_addressable("an n_boot x policies bootstrap table", n_boot, len(fits) + 1)
     train = dataset.subset(split.train_idx)
     policies = {fit: fit(train) for fit in dict.fromkeys((best_uniform, *fits))}
     del train
     holdout = dataset.subset(split.test_idx)
     scored = {fit: _ipw_terms(policy, holdout) for fit, policy in policies.items()}
-    # one index draw per resample, shared by every policy, keeps the
-    # resamples paired across policies
-    boot_vals = np.empty((len(scored), n_boot))
-    rng = stream(seed)
-    for b in range(n_boot):
-        idx = rng.integers(0, holdout.n, size=holdout.n)
-        for j, (terms, _) in enumerate(scored.values()):
-            boot_vals[j, b] = terms[idx].mean()
-    bench_value = float(scored[best_uniform][0].mean())
+    bench_terms = scored[best_uniform][0]
+    bench_value = float(bench_terms.mean())
     evaluated = {}
-    for (fit, (terms, n_matched)), boot in zip(scored.items(), boot_vals):
+    for fit, (terms, n_matched) in scored.items():
         value = float(terms.mean())
         evaluated[fit] = {
             "value": value,
-            "se_boot": float(boot.std(ddof=1)),
+            "se_boot": float(terms.std() / math.sqrt(holdout.n)),
             "abs_improvement": value - bench_value,
             "rel_improvement": (value - bench_value) / bench_value
             if bench_value != 0.0
             else math.nan,
-            "diff_se_boot": float((boot - boot_vals[0]).std(ddof=1)),
+            "diff_se_boot": float((terms - bench_terms).std() / math.sqrt(holdout.n)),
             "n_matched": n_matched,
             "match_rate": n_matched / holdout.n,
         }

@@ -461,12 +461,10 @@ def test_negative_seed_exits_2_without_output(rerun_inputs, tmp_path, capsys, co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,flag,field", [("estimate", "--quantiles", "n_quantiles"),
-                                                ("evaluate", "--n-boot", "n_boot")])
+@pytest.mark.parametrize("command,flag,field", [("estimate", "--quantiles", "n_quantiles")])
 def test_oversized_data_command_size_exits_2_without_output(rerun_inputs, tmp_path, capsys,
                                                             command, flag, field):
-    # within numpy's index range: more quantile bins than holdout rows, and
-    # a bootstrap table of 8 * n_boot * policies bytes numpy cannot address
+    # within numpy's index range: more quantile bins than holdout rows
     out = tmp_path / "o"
     assert run_cli([command, "--data", rerun_inputs["DATA"], flag, 2**62, "--out", out]) == 2
     assert field in capsys.readouterr().err
@@ -703,6 +701,18 @@ def test_evaluate_report_benchmark_first_and_ols_wins(pipeline, tmp_path):
     assert float(ols[3]) > 3 * float(ols[5])
 
 
+def test_evaluate_report_is_byte_identical_at_any_n_boot(pipeline, tmp_path, capsys):
+    # the SEs are exact: --n-boot is checked but moves no byte
+    data = pipeline["out"] / "data.csv"
+    for n_boot in (2, 1000):
+        assert run_cli(["evaluate", "--data", data, "--n-boot", n_boot,
+                        "--out", tmp_path / str(n_boot)]) == 0
+    assert read(tmp_path / "2" / "report.csv") == read(tmp_path / "1000" / "report.csv")
+    assert run_cli(["evaluate", "--data", data, "--n-boot", 1, "--out", tmp_path / "1"]) == 2
+    assert "n_boot must be >= 2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "1").exists()
+
+
 def test_evaluate_unknown_policy_exits_2(pipeline, tmp_path, capsys):
     rc = run_cli(["evaluate", "--data", pipeline["out"] / "data.csv",
                   "--policies", "uniform,frisbee", "--out", tmp_path / "o"])
@@ -833,6 +843,14 @@ def test_sensitivity_rows_sorted_with_baseline_flag(tmp_path):
     assert values == sorted(values) == [0.3, 0.61, 0.9]
     flags = [line.split(",")[4] for line in lines[1:]]
     assert flags == ["0", "1", "0"]
+
+
+def test_arm_count_sweep_writes_integer_values(tmp_path):
+    out = tmp_path / "s"
+    assert run_cli(["sensitivity", "--profile", "walmart", "--parameter", "m",
+                    "--grid", "2,23", *FAST_PROFILE_ARGS, "--out", out]) == 0
+    lines = (out / "sensitivity.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["2", "23"]
 
 
 def test_list_flag_may_start_with_a_negative_number(tmp_path, capsys):

@@ -287,16 +287,20 @@ class TestSigmaRho:
             estimate_sigma_rho(*holdout_scores(ds, sp, model), n_quantiles=1)
 
     def test_constant_outcomes_report_zero_correlation(self):
-        ds = manual_dataset(
-            [1.0] * 200, [0, 1] * 100, ("a", "b"), x=np.linspace(0, 1, 200).reshape(200, 1)
-        )
-        sp = split(ds, 0.5, seed=0)
-        model = fit_predictor(ds, sp)
-        # 100 holdout rows over the quantile bins also leave every cell thin
-        with pytest.warns(UserWarning, match="constant"), \
-                pytest.warns(UserWarning, match="fewer than 30 units"):
-            sigma, _, rho_mean, _ = estimate_sigma_rho(*holdout_scores(ds, sp, model))
-        assert sigma == 0.0 and rho_mean == 0.0
+        # 1.0 sums exactly; the bin means of 0.1, 0.3 and 0.7 differ by
+        # rounding, which must not pass for a spread
+        for outcome in (1.0, 0.1, 0.3, 0.7):
+            ds = manual_dataset(
+                [outcome] * 200, [0, 1] * 100, ("a", "b"), x=np.linspace(0, 1, 200).reshape(200, 1)
+            )
+            sp = split(ds, 0.5, seed=0)
+            model = fit_predictor(ds, sp)
+            # 100 holdout rows over the quantile bins also leave every cell thin
+            with pytest.warns(UserWarning, match="constant"), \
+                    pytest.warns(UserWarning, match="fewer than 30 units"):
+                sigma, _, rho_mean, diag = estimate_sigma_rho(*holdout_scores(ds, sp, model))
+            assert sigma == 0.0 and rho_mean == 0.0, outcome
+            assert diag["per_arm_sigma"] == [0.0, 0.0], outcome
 
 
 class TestMoments:

@@ -282,7 +282,7 @@ class TestGainReport:
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=8_000, seed=12)
         sp = split(ds, 0.7, seed=0)
-        rows = gain_report([fit_ols_policy], ds, sp, seed=1)
+        rows = gain_report([fit_ols_policy], ds, sp)
         assert rows[0]["policy"].startswith("best_uniform")
         assert rows[0]["abs_improvement"] == 0.0
         assert rows[0]["rel_improvement"] == 0.0
@@ -307,7 +307,7 @@ class TestGainReport:
         dgp = one_factor_dgp(m=3, sigma=1.0, rho=0.0, intercepts=[1.0, 1.0, 1.0], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=30_000, seed=13)
         sp = split(ds, 0.7, seed=0)
-        rows = gain_report([fit_ols_policy], ds, sp, seed=1)
+        rows = gain_report([fit_ols_policy], ds, sp)
         ols = rows[1]
         assert ols["abs_improvement"] > 2 * ols["diff_se_boot"]
 
@@ -315,7 +315,7 @@ class TestGainReport:
         dgp = SynthDGP((0.5, 0.5), np.zeros((2, 1)), (CovariateSpec("normal"),), noise_sd=0.5)
         ds, _ = generate_synthetic(dgp, n=20_000, seed=14)
         sp = split(ds, 0.7, seed=0)
-        rows = gain_report([fit_ols_policy], ds, sp, seed=1)
+        rows = gain_report([fit_ols_policy], ds, sp)
         ols = rows[1]
         assert abs(ols["abs_improvement"]) <= 2 * ols["diff_se_boot"]
 
@@ -324,10 +324,7 @@ class TestGainReport:
         ds, _ = generate_synthetic(dgp, n=4_000, seed=15)
         sp = split(ds, 0.7, seed=0)
         fits = [fit_ols_policy]
-        assert gain_report(fits, ds, sp, seed=3) == gain_report(fits, ds, sp, seed=3)
-        a = gain_report(fits, ds, sp, seed=3)[1]["se_boot"]
-        b = gain_report(fits, ds, sp, seed=4)[1]["se_boot"]
-        assert a != b
+        assert gain_report(fits, ds, sp) == gain_report(fits, ds, sp)
 
     def test_repeated_policy_reuses_resampled_means_bit_for_bit(self, monkeypatch):
         # `evaluate --policies uniform,uniform,ols` repeats the benchmark
@@ -336,8 +333,8 @@ class TestGainReport:
         ds, _ = generate_synthetic(dgp, n=3_000, seed=16)
         sp = split(ds, 0.7, seed=0)
         fits = [best_uniform, best_uniform, fit_ols_policy]
-        rows = gain_report(fits, ds, sp, n_boot=64, seed=5)
-        assert gain_report([fit_ols_policy], ds, sp, n_boot=64, seed=5) == [rows[0], rows[3]]
+        rows = gain_report(fits, ds, sp, n_boot=64)
+        assert gain_report([fit_ols_policy], ds, sp, n_boot=64) == [rows[0], rows[3]]
         assert rows[1]["se_boot"] == rows[2]["se_boot"] == rows[0]["se_boot"]
         assert rows[1]["diff_se_boot"] == 0.0
         # a fit listed again is fitted once: best_uniform (the benchmark's own
@@ -353,7 +350,7 @@ class TestGainReport:
         counted_uniform, counted_ols = counting(best_uniform), counting(fit_ols_policy)
         monkeypatch.setattr(persgain.policy, "best_uniform", counted_uniform)
         fits = [counted_uniform, counted_ols, counted_uniform, counted_ols]
-        counted_rows = gain_report(fits, ds, sp, n_boot=64, seed=5)
+        counted_rows = gain_report(fits, ds, sp, n_boot=64)
         assert calls == [best_uniform, fit_ols_policy]
         assert counted_rows == [rows[0], rows[1], rows[3], rows[1], rows[3]]
 
@@ -374,7 +371,7 @@ class TestGainReport:
         monkeypatch.setattr(persgain.policy, "_ipw_terms",
                             counting("_ipw_terms", persgain.policy._ipw_terms))
         fits = [counted_uniform, counting("fit_ols_policy", fit_ols_policy), counted_uniform]
-        bench, uniform, ols, again = gain_report(fits, ds, sp, n_boot=64, seed=5)
+        bench, uniform, ols, again = gain_report(fits, ds, sp, n_boot=64)
         assert sorted(calls) == ["_ipw_terms", "_ipw_terms", "best_uniform", "fit_ols_policy"]
         name = ds.arm_names[best_uniform(ds.subset(sp.train_idx)).arm]
         assert [bench["policy"], uniform["policy"], again["policy"]] == [
@@ -384,15 +381,55 @@ class TestGainReport:
             assert row["diff_se_boot"] == 0.0
         assert ols["policy"] == "ols_interaction" and ols["diff_se_boot"] > 0.0
 
+    def test_ses_are_the_plug_in_sd_of_the_ipw_terms_over_root_n(self):
+        dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=3_000, seed=19)
+        sp = split(ds, 0.7, seed=0)
+        bench, ols = gain_report([fit_ols_policy], ds, sp)
+        train, holdout = ds.subset(sp.train_idx), ds.subset(sp.test_idx)
+        bench_terms, _ = persgain.policy._ipw_terms(best_uniform(train), holdout)
+        ols_terms, _ = persgain.policy._ipw_terms(fit_ols_policy(train), holdout)
+
+        def plug_in_se(t):
+            return float(np.sqrt(np.mean((t - t.mean()) ** 2)) / np.sqrt(holdout.n))
+
+        assert bench["se_boot"] == plug_in_se(bench_terms)
+        assert ols["se_boot"] == plug_in_se(ols_terms)
+        assert ols["diff_se_boot"] == plug_in_se(ols_terms - bench_terms) > 0.0
+
+    def test_ses_match_a_brute_force_paired_bootstrap(self):
+        # the resampling loop the closed form replaced: one index draw per
+        # resample, shared by both policies. The SD of B resampled means
+        # has relative Monte Carlo SE 1/sqrt(2B), 0.5% at B = 20,000
+        dgp = one_factor_dgp(m=2, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1], noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=1_000, seed=20)
+        sp = split(ds, 0.7, seed=0)
+        bench, ols = gain_report([fit_ols_policy], ds, sp)
+        train, holdout = ds.subset(sp.train_idx), ds.subset(sp.test_idx)
+        terms = [persgain.policy._ipw_terms(fit(train), holdout)[0]
+                 for fit in (best_uniform, fit_ols_policy)]
+        n_boot = 20_000
+        boot_vals = np.empty((2, n_boot))
+        rng = np.random.default_rng(7)
+        for b in range(n_boot):
+            idx = rng.integers(0, holdout.n, size=holdout.n)
+            for j, t in enumerate(terms):
+                boot_vals[j, b] = t[idx].mean()
+        tolerance = 3 / np.sqrt(2 * n_boot)
+        assert bench["se_boot"] == pytest.approx(boot_vals[0].std(ddof=1), rel=tolerance)
+        assert ols["se_boot"] == pytest.approx(boot_vals[1].std(ddof=1), rel=tolerance)
+        assert ols["diff_se_boot"] == pytest.approx((boot_vals[1] - boot_vals[0]).std(ddof=1),
+                                                    rel=tolerance)
+
     def test_bootstrap_memory_does_not_grow_with_resample_count(self):
-        # one resample's index vector (6,000 rows, 48 KB) at a time; an
+        # the SEs are exact, so nothing is held per resample; an
         # n_boot x holdout index matrix would be 24 MB on its own
         dgp = one_factor_dgp(m=3, sigma=0.4, rho=0.3, intercepts=[0.0, 0.1, 0.2], noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=20_000, seed=17)
         sp = split(ds, 0.7, seed=0)
         tracemalloc.start()
         try:
-            gain_report([best_uniform, fit_ols_policy], ds, sp, n_boot=500, seed=1)
+            gain_report([best_uniform, fit_ols_policy], ds, sp, n_boot=500)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
