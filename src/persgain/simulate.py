@@ -20,16 +20,27 @@ The kernel scores each config on Y' = mu + sigma sqrt(1-rho) eps, the
 outcomes without the common term, and adds C, the common term's mean over
 the rows, to v_p and to v_u. A row's common term is the same for all its
 arms, so it changes neither the row's pick nor which column mean is
-largest, and it adds C to both values. Y' costs two passes over the cells
-and C is O(n); `_outcomes`, the sum of the two, is the one statement of Y.
+largest, and it adds C to both values. `_outcomes`, the sum of the two,
+is the one statement of Y.
+
+No replication draws the noise. Cell by cell, Y' and its prediction
+Yhat' = Y' + sigma_eps * noise are a normal pair, independent across cells
+given mu, and both policies pick on Yhat' alone. So the kernel draws
+Yhat' = mu + c eps with c = hypot(v, sigma_eps), v = sigma sqrt(1-rho),
+picks on it, and scores each pick by E[Y' | Yhat'] = mu + k (Yhat' - mu),
+k = (v/c)^2, and C by its conditional mean. That is conditional Monte
+Carlo (Ross, Simulation, "Variance Reduction Techniques"; Asmussen &
+Glynn, Stochastic Simulation, 2007, ch. V): the estimand is unchanged, the
+estimator stays unbiased, and its variance is no larger (Rao-Blackwell).
+With sigma_eps = 0, c = v and k = 1, so Yhat' is Y' and the values are
+means of Y' itself.
 
 Replication r of a run with seed k uses the generator derived from
 SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
 so any parallelism degree yields bit-identical results, and two runs that
 differ only in (sigma, rho, sigma_eps, dist parameters) consume identical
 underlying draws, so sweeps over those knobs are common-random-number
-coupled by construction. A sigma_eps = 0 config picks on Y' itself,
-which gives the picks Y' + 0.0 * noise would.
+coupled by construction.
 
 `simulate_gain` also runs a whole grid of configs as one batch, which is
 one draw layout: its configs agree on seed, n_individuals, n_replications
@@ -48,9 +59,9 @@ truncated to its m, which differ from a lone run of it within Monte Carlo
 error.
 
 Each thread that runs replications holds one set of arrays for the whole
-batch, filled in place by every replication: z, eps and the noise at width
-W, and one scratch of n x m2 cells for the narrower configs, m2 the largest
-m among them. None outlives the `simulate_gain` call.
+batch, filled in place by every replication: z and eps at width W, and
+one scratch of n x m2 cells for the narrower configs, m2 the largest m
+among them. None outlives the `simulate_gain` call.
 """
 
 from __future__ import annotations
@@ -174,14 +185,14 @@ def rho_lower_bound(m: int) -> float:
 
 
 def _spread(
-    eps: np.ndarray, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray | None = None
+    eps: np.ndarray, mu: np.ndarray, scale: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Y' = mu + sigma sqrt(1-rho) eps: the outcomes without each row's
-    common term, from eps (n x len(mu), possibly a view of the first columns
-    of a wider draw, or any array that broadcasts against mu), written into
-    `out` (which may be eps) in two passes. Elementwise, so Y' rebuilt at
-    some cells has the bits of those cells of the whole matrix."""
-    out = np.multiply(eps, sigma * math.sqrt(1.0 - rho), out=out)
+    """mu + scale eps, from eps (n x len(mu), possibly a view of the first
+    columns of a wider draw, or any array that broadcasts against mu),
+    written into `out` (which may be eps) in two passes: Y' at scale
+    sigma sqrt(1-rho), the prediction Yhat' at scale hypot of that and
+    sigma_eps."""
+    out = np.multiply(eps, scale, out=out)
     out += mu
     return out
 
@@ -205,7 +216,7 @@ def _outcomes(
     z and eps, written into `out` (which may be eps; the common term is
     taken before eps is overwritten)."""
     common = _common(z, eps, sigma, rho)
-    return np.add(_spread(eps, mu, sigma, rho, out=out), common, out=out)
+    return np.add(_spread(eps, mu, sigma * math.sqrt(1.0 - rho), out=out), common, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -222,9 +233,11 @@ class SimConfig:
     n_individuals: int = 10_000
     n_replications: int = 200
     seed: int = 0
-    # Not a field: every replication draws per-cell noise. perfbench/tracer.py
-    # reads cfg.noise_mode to count the normals drawn; the constant goes when
-    # the benchmark reads spans from inside the package (ROADMAP item 3).
+    # Not a field, and no replication draws noise: sigma_eps > 0 is scored by
+    # conditioning on the predictions (see _replicate). perfbench/tracer.py
+    # reads cfg.noise_mode to count the normals drawn, and still counts n x m
+    # noise normals; the constant goes when the benchmark reads spans from
+    # inside the package (ROADMAP item 3).
     noise_mode = "per_cell"
 
     def __post_init__(self) -> None:
@@ -266,13 +279,9 @@ def _layout(cfg: SimConfig) -> tuple:
     return (cfg.seed, cfg.n_individuals, cfg.n_replications, type(cfg.dist).__name__)
 
 
-def _score(picked: np.ndarray, column: np.ndarray, common: float) -> tuple[float, float]:
-    """(v_p, v_u): the mean of Y' at each row's pick and in the uniform
-    arm's column, both n-vectors taken the same way, each plus the common
-    term's mean. Rounding is monotone, so v_p >= v_u whenever picked >= column
-    cell by cell, as it is with sigma_eps = 0."""
-    v_p = float(picked.mean()) + common
-    v_u = float(column.mean()) + common
+def _score(v_p: float, v_u: float, common: float) -> tuple[float, float]:
+    """(v_p, v_u), each plus the common term's mean, checked finite."""
+    v_p, v_u = v_p + common, v_u + common
     if not (math.isfinite(v_p) and math.isfinite(v_u)):
         raise ConfigError(f"non-finite replication values (v_p={v_p}, v_u={v_u}): "
                           "the outcomes overflow float64")
@@ -281,43 +290,35 @@ def _score(picked: np.ndarray, column: np.ndarray, common: float) -> tuple[float
 
 def sample_potential_outcomes(
     cfg: SimConfig, rep: int, *more: SimConfig, out: tuple | None = None
-) -> tuple[np.ndarray | None, ...]:
+) -> tuple[np.ndarray, ...]:
     """Every draw of replication `rep` of a batch: cfg, its widest config,
     and the configs in `more`, which share cfg's draw layout. Returns
-    (mu, z, eps, noise, *more_mu), drawn in this order: from
-    stream(cfg.seed, rep), the W = cfg.m means mu, a standard-normal column
-    z (n x 1), a matrix eps (n x W) and, only if some config has
-    sigma_eps > 0, the prediction noise (n x W), else None; as the stream's
-    last draw, skipping it moves no other. Then, for each config in `more`,
-    the first m of W means drawn from a fresh stream(cfg.seed, rep), as mu
-    was (a fixed-means config has m = W; `simulate_gain` checks it).
+    (mu, z, eps, *more_mu), drawn in this order: from stream(cfg.seed, rep),
+    the W = cfg.m means mu, a standard-normal column z (n x 1) and a matrix
+    eps (n x W). Then, for each config in `more`, the first m of W means
+    drawn from a fresh stream(cfg.seed, rep), as mu was (a fixed-means
+    config has m = W; `simulate_gain` checks it). No config draws prediction
+    noise, whatever its sigma_eps: the kernel builds each prediction from eps
+    (see `_replicate`).
 
-    `out`, if given, is a (z, eps, noise) triple of arrays of those shapes
-    to draw into, noise None exactly when it is not drawn; filling an array
-    gives the bits that drawing a new one of its shape would.
+    `out`, if given, is a (z, eps) pair of arrays of those shapes to draw
+    into; filling an array gives the bits that drawing a new one of its
+    shape would.
     """
-    width = cfg.m
-    out = out or _empty_draws(cfg, more)
+    z, eps = out or _empty_draws(cfg)
     rng = stream(cfg.seed, rep)
-    mu = cfg.dist.sample(width, rng)
-    for draws in out:
-        if draws is not None:
-            rng.standard_normal(out=draws)
-    return (mu, *out,
-            *(point.dist.sample(width, stream(cfg.seed, rep))[: point.m] for point in more))
+    mu = cfg.dist.sample(cfg.m, rng)
+    rng.standard_normal(out=z)
+    rng.standard_normal(out=eps)
+    return (mu, z, eps,
+            *(point.dist.sample(cfg.m, stream(cfg.seed, rep))[: point.m] for point in more))
 
 
-def _empty_draws(cfg: SimConfig, more: Sequence[SimConfig]) -> tuple:
-    """Uninitialized (z, eps, noise) arrays for `sample_potential_outcomes`
-    to draw a replication of that batch into."""
-    n, width = cfg.n_individuals, cfg.m
-    noisy = any(point.sigma_eps for point in (cfg, *more))
-    return np.empty((n, 1)), np.empty((n, width)), np.empty((n, width)) if noisy else None
+def _empty_draws(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialized (z, eps) arrays for `sample_potential_outcomes` to draw
+    a replication of cfg's batch into."""
+    return np.empty((cfg.n_individuals, 1)), np.empty((cfg.n_individuals, cfg.m))
 
-
-# the row-block size, in cells, in which a narrower config adds its
-# prediction noise: 128 KB of float64, which stays in a core's cache
-_BLOCK_CELLS = 1 << 14
 
 # each thread's arrays for the batch it is running (see _arrays), held by
 # the thread rather than passed, so that a replication stays one
@@ -327,20 +328,15 @@ _held = threading.local()
 
 def _arrays(cfg: SimConfig, more: Sequence[SimConfig]) -> tuple:
     """This thread's arrays for a batch of widest config cfg and narrower
-    configs `more`: the draws (z, eps, noise) of `sample_potential_outcomes`,
-    a scratch of n x m2 cells, m2 the largest m in `more`, a row block of at
-    least _BLOCK_CELLS cells if some config in `more` has sigma_eps > 0, and
-    the row indices 0..n-1. Made on the thread's first replication of the
-    batch and reused by the rest; `simulate_gain` drops them when it ends."""
+    configs `more`: the draws (z, eps) of `sample_potential_outcomes`, a
+    scratch of n x m2 cells, m2 the largest m in `more`, and the row indices
+    0..n-1. Made on the thread's first replication of the batch and reused
+    by the rest; `simulate_gain` drops them when it ends."""
     n = cfg.n_individuals
     m2 = max((point.m for point in more), default=0)
-    noisy_more = any(point.sigma_eps for point in more)
-    key = (n, cfg.m, m2, bool(cfg.sigma_eps), noisy_more)
     held = getattr(_held, "arrays", None)
-    if held is None or held[0] != key:
-        block = np.empty(max(_BLOCK_CELLS, m2) if noisy_more else 0)
-        held = _held.arrays = (key, _empty_draws(cfg, more), np.empty(n * m2), block,
-                               np.arange(n))
+    if held is None or held[0] != (n, cfg.m, m2):
+        held = _held.arrays = ((n, cfg.m, m2), _empty_draws(cfg), np.empty(n * m2), np.arange(n))
     return held[1:]
 
 
@@ -349,55 +345,41 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     call: (v_p, v_u) for cfg, its widest config, and each config in `more`,
     in that order.
 
-    Each config is scored on Y' = mu + sigma sqrt(1-rho) eps, not on Y: a
-    row's common term never changes which arm the row picks, nor which
-    column mean is largest, and adds its mean C over the rows to both v_p
-    and v_u, so C is added once to each. C comes from the mean of z, or for
-    rho < 0 from eps's column means. The uniform arm is the argmax of
-    mu + sigma sqrt(1-rho) eps_bar + sigma_eps noise_bar, with eps_bar and
-    noise_bar the draws' column means, taken once per replication at the
-    width W. A config with m arms takes the first m columns of each.
+    Each config, as the module docstring says, writes Yhat' = mu + c eps,
+    picks each row's argmax and the uniform arm U, the argmax of
+    mu + c eps_bar, and scores both picks by E[Y' | Yhat']. eps_bar, the
+    column means of eps, is taken once per replication at the width W; a
+    config with m arms takes the first m columns of eps. C comes from the
+    mean of z, or for rho < 0 from (v/c) eps_bar.
 
-    The draws go into this thread's arrays (`_arrays`): eps, the noise and
-    one n x m2 scratch, held for the whole batch. A config in `more` writes
-    its Y' into the scratch; with sigma_eps > 0 it then adds sigma_eps noise
-    there in row blocks, takes each row's pick from that Yhat', and rebuilds
-    Y' from eps at its picks and its uniform column only. cfg is scored last
-    and writes Y' over eps and Yhat' over the noise.
+    The draws go into this thread's arrays (`_arrays`): z, eps and one
+    n x m2 scratch, held for the whole batch. A config in `more` writes its
+    Yhat' into the scratch; cfg is scored last and writes its Yhat' over
+    eps.
     """
-    draws, scratch, block, rows = _arrays(cfg, more)
-    mu, z, eps, noise, *more_mu = sample_potential_outcomes(cfg, rep, *more, out=draws)
+    draws, scratch, rows = _arrays(cfg, more)
+    mu, z, eps, *more_mu = sample_potential_outcomes(cfg, rep, *more, out=draws)
     n = cfg.n_individuals
     z_bar, eps_bar = z.mean(axis=0, keepdims=True), eps.mean(axis=0, keepdims=True)
-    noise_bar = None if noise is None else noise.mean(axis=0, keepdims=True)
 
     def value(point: SimConfig, mu: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        """(v_p, v_u) of point, its Y' written into y."""
+        """(v_p, v_u) of point, its Yhat' written into y."""
         m, sigma, rho, sigma_eps = point.m, point.sigma, point.rho, point.sigma_eps
-        common = _common(z_bar, eps_bar[:, :m], sigma, rho).item()
-        column_means = _spread(eps_bar[:, :m], mu, sigma, rho)
+        v = sigma * math.sqrt(1.0 - rho)
+        c = math.hypot(v, sigma_eps) if sigma_eps else v
+        shrink = v / c if sigma_eps else 1.0  # E[the true outcome's eps | eps] = shrink eps
+        common = _common(z_bar, shrink * eps_bar[:, :m], sigma, rho).item()
+        uniform = int(np.argmax(_spread(eps_bar[:, :m], mu, c)))  # ties: lowest arm index
+        y = _spread(eps[:, :m], mu, c, out=y)
+        picks = np.argmax(y, axis=1)  # ties: lowest arm index
+        # both n-vectors taken the same way: rounding is monotone, so with
+        # sigma_eps = 0, where each pick is at least the uniform cell,
+        # v_p >= v_u
+        v_p, v_u = float(y[rows, picks].mean()), float(y[rows, uniform].mean())
         if sigma_eps:
-            column_means += sigma_eps * noise_bar[:, :m]
-        uniform = int(np.argmax(column_means))  # ties: lowest arm index
-        y = _spread(eps[:, :m], mu, sigma, rho, out=y)
-        if not sigma_eps:
-            picks = np.argmax(y, axis=1)  # ties: lowest arm index
-            return _score(y[rows, picks], y[rows, uniform], common)
-        if y is eps:
-            # cfg, scored last, writes Yhat' = Y' + sigma_eps * noise over
-            # the noise, computed as noise * sigma_eps + Y'
-            yhat = np.multiply(noise, sigma_eps, out=noise)
-            yhat += y
-            return _score(y[rows, np.argmax(yhat, axis=1)], y[rows, uniform], common)
-        step = block.size // m
-        for start in range(0, n, step):
-            cells = y[start:start + step]
-            cells += np.multiply(noise[start:start + step, :m], sigma_eps,
-                                 out=block[: cells.size].reshape(cells.shape))
-        picks = np.argmax(y, axis=1)
-        picked, column = eps[rows, picks], eps[rows, uniform]
-        return _score(_spread(picked, mu[picks], sigma, rho, out=picked),
-                      _spread(column, mu[uniform], sigma, rho, out=column), common)
+            k, mu_p, mu_u = shrink * shrink, float(mu[picks].mean()), float(mu[uniform])
+            v_p, v_u = mu_p + k * (v_p - mu_p), mu_u + k * (v_u - mu_u)
+        return _score(v_p, v_u, common)
 
     values = [value(point, point_mu, scratch[: n * point.m].reshape(n, point.m))
               for point, point_mu in zip(more, more_mu)]

@@ -408,6 +408,17 @@ def test_simulate_se_of_huge_finite_gains_is_finite(tmp_path):
     assert gain_se == pytest.approx(statistics.stdev(gains) / 2, rel=1e-12)
 
 
+def test_simulate_huge_finite_outcomes_with_prediction_noise_stay_finite(tmp_path):
+    # sigma_eps is negligible next to v = 1e200 sqrt(0.8): the shrinkage
+    # (v/c)^2 must come out 1, where v^2 / (v^2 + sigma_eps^2) is inf / inf
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--m", 3, "--sigma", 1e200, "--rho", 0.2, "--sigma-eps", 0.5,
+                    "--n-individuals", 200, "--n-replications", 4, "--out", out]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert math.isfinite(result["gain_mean"]) and result["gain_mean"] > 0
+    assert math.isfinite(result["gain_se"]) and result["gain_se"] > 0
+
+
 # acceptance criterion 9's small arguments; SYNTH and DATA stand for the
 # synth config and the data CSV it generates
 RERUN_ARGS = {

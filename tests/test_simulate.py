@@ -87,7 +87,7 @@ def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     cfg = SimConfig(m=len(mu), sigma=sigma, rho=rho, dist=FixedMeans(mu),
                     n_individuals=n, n_replications=1, seed=seed)
-    _, z, eps, _ = sample_potential_outcomes(cfg, 0)
+    _, z, eps = sample_potential_outcomes(cfg, 0)
     return _outcomes(z, eps, mu, sigma, rho, out=eps)
 
 
@@ -173,23 +173,25 @@ def test_rho_above_one_rejected() -> None:
                 n_individuals=40, seed=9) for m, e in ((2, 0.0), (4, 0.7))]),
 ], ids=["sigma_eps_zero", "mixed"])
 def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> None:
-    # from stream(seed, rep): the widest config's W means, z, eps and, only
-    # if some config has sigma_eps > 0, the noise; then each narrower
-    # config's first m of W means from a fresh stream
+    # from stream(seed, rep): the widest config's W means, z and eps, and no
+    # prediction noise, whatever sigma_eps; then each narrower config's
+    # first m of W means from a fresh stream
     rep, n, width = 3, widest.n_individuals, widest.m
-    mu, z, eps, noise, *more_mu = sample_potential_outcomes(widest, rep, *narrower)
+    mu, z, eps, *more_mu = sample_potential_outcomes(widest, rep, *narrower)
     rng = stream(widest.seed, rep)
     np.testing.assert_array_equal(mu, widest.dist.sample(width, rng), strict=True)
     np.testing.assert_array_equal(z, rng.standard_normal((n, 1)), strict=True)
     np.testing.assert_array_equal(eps, rng.standard_normal((n, width)), strict=True)
-    if any(cfg.sigma_eps for cfg in narrower):
-        np.testing.assert_array_equal(noise, rng.standard_normal((n, width)), strict=True)
-    else:
-        assert noise is None
     assert len(more_mu) == len(narrower)
     for cfg, cfg_mu in zip(narrower, more_mu):
         expected = cfg.dist.sample(width, stream(widest.seed, rep))[: cfg.m]
         np.testing.assert_array_equal(cfg_mu, expected, strict=True)
+    # a batch with sigma_eps > 0 draws exactly what it draws with sigma_eps = 0
+    quiet = sample_potential_outcomes(replace(widest, sigma_eps=0.0), rep,
+                                      *(replace(cfg, sigma_eps=0.0) for cfg in narrower))
+    assert len(quiet) == 3 + len(narrower)
+    for drawn, drawn_quiet in zip((mu, z, eps, *more_mu), quiet):
+        np.testing.assert_array_equal(drawn, drawn_quiet, strict=True)
 
 
 # --------------------------------------------------------------------------
@@ -229,10 +231,16 @@ def test_gain_zero_when_arms_identical() -> None:
 
 
 def test_huge_prediction_noise_kills_gain() -> None:
+    # equal means and picks on predictions that are almost all noise: the
+    # exact gain is (v^2/c) E[max of 4 N(0,1)] (1 - 1/sqrt(n)), with
+    # v = sigma sqrt(1-rho) and c = hypot(v, sigma_eps), about 1.0e-6
     cfg = SimConfig(m=4, sigma=1.0, rho=0.0, dist=FixedMeans([3.0] * 4), sigma_eps=1e6,
                     n_individuals=2000, n_replications=200, seed=4)
     res = simulate_gain(cfg)
-    assert abs(res.gain_mean) < 3 * res.gain_se
+    exact = (expected_max_of_normals(4) * (1.0 - 1.0 / math.sqrt(cfg.n_individuals))
+             / math.hypot(1.0, cfg.sigma_eps))
+    assert res.gain_mean < 1e-5
+    assert abs(res.gain_mean - exact) <= 3 * res.gain_se
 
 
 def test_gain_decreasing_in_sigma_eps_with_crn() -> None:
@@ -283,59 +291,90 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 
 def reference_draws(cfg: SimConfig, rep: int, width: int | None = None) -> tuple:
     """One replication's draws for one config at `width` arms (cfg.m by
-    default), the noise always: (mu, z, eps, noise), with cfg.m means and
-    eps and the noise whole at `width`."""
+    default): (mu, z, eps), with cfg.m means and eps whole at `width`."""
     rng = stream(cfg.seed, rep)
     n, m = cfg.n_individuals, cfg.m
     width = m if width is None else width
     mu = cfg.dist.sample(m if isinstance(cfg.dist, FixedMeans) else width, rng)[:m]
-    z = rng.standard_normal((n, 1))
-    eps = rng.standard_normal((n, width))
-    return mu, z, eps, rng.standard_normal((n, width))
+    return mu, rng.standard_normal((n, 1)), rng.standard_normal((n, width))
 
 
 def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
     """One replication of one config, drawing everything itself at `width`
     arms and keeping the first cfg.m: the per-config kernel that the batched
     simulate_gain replaced, scored as the batched kernel scores it. That is
-    on Y' = mu + sigma sqrt(1-rho) eps, the outcomes without each row's
-    common term, with C, that term's mean over the rows, added to v_p and
-    v_u alike, and the uniform arm taken from the draws' column means at
-    `width`."""
-    mu, z, eps, noise = reference_draws(cfg, rep, width)
-    n, m, sigma, rho = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho
-    eps_bar, noise_bar = eps.mean(axis=0)[:m], noise.mean(axis=0)[:m]
+    on the predictions Yhat' = mu + c eps, c = hypot(v, sigma_eps) and
+    v = sigma sqrt(1-rho), each pick valued at E[Y' | Yhat'] =
+    mu + (v/c)^2 (Yhat' - mu), with C, the common term's conditional mean
+    over the rows, added to v_p and v_u alike, and the uniform arm taken from
+    the draws' column means at `width`. With sigma_eps = 0, Yhat' is Y'."""
+    mu, z, eps = reference_draws(cfg, rep, width)
+    n, m, sigma, rho, sigma_eps = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho, cfg.sigma_eps
+    v = sigma * math.sqrt(1.0 - rho)
+    c = math.hypot(v, sigma_eps) if sigma_eps else v
+    shrink = v / c if sigma_eps else 1.0
+    eps_bar = eps.mean(axis=0)[:m]
     if rho >= 0:
         common = sigma * (math.sqrt(rho) * z.mean())
     else:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
-        common = sigma * (scale * eps_bar.mean())
-    slope = sigma * math.sqrt(1.0 - rho)
-    y = mu + slope * eps[:, :m]
-    picks = np.argmax(y + cfg.sigma_eps * noise[:, :m], axis=1)
-    uniform = int(np.argmax(mu + slope * eps_bar + cfg.sigma_eps * noise_bar))
-    v_p = float(y[np.arange(n), picks].mean()) + common
-    v_u = float(y[:, uniform].mean()) + common
-    return v_p, v_u
+        common = sigma * (scale * (shrink * eps_bar).mean())
+    y = mu + c * eps[:, :m]
+    picks = np.argmax(y, axis=1)
+    uniform = int(np.argmax(mu + c * eps_bar))
+    v_p = float(y[np.arange(n), picks].mean())
+    v_u = float(y[:, uniform].mean())
+    if sigma_eps:
+        k, mu_p, mu_u = shrink * shrink, float(mu[picks].mean()), float(mu[uniform])
+        v_p, v_u = mu_p + k * (v_p - mu_p), mu_u + k * (v_u - mu_u)
+    return v_p + common, v_u + common
 
 
 def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
-    """The same replication scored on the whole outcome matrix Y, common
-    term and all, with the uniform arm taken from Yhat's column means: the
-    formula the kernel used before it dropped the common term. v_p and v_u
-    agree with reference_replicate up to rounding."""
-    mu, z, eps, noise = reference_draws(cfg, rep, width)
-    n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
+    """The same replication scored on E[Y | Yhat], the whole outcome matrix's
+    conditional mean given the predictions, common term and all, with the
+    uniform arm taken from Yhat's column means: the whole-matrix statement
+    of what the kernel computes. Given eps, the true outcomes' standardized
+    spread has mean shrink eps, shrink = sqrt(v^2 / (v^2 + sigma_eps^2)).
+    v_p and v_u agree with reference_replicate up to rounding."""
+    mu, z, eps = reference_draws(cfg, rep, width)
+    n, m, sigma, rho = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho
     eps = eps[:, :m]
+    v2 = sigma ** 2 * (1.0 - rho)
+    total = v2 + cfg.sigma_eps ** 2
+    shrink = math.sqrt(v2 / total) if total else 1.0
+    if rho >= 0:
+        common = math.sqrt(rho) * z
+    else:
+        scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
+        common = scale * shrink * eps.mean(axis=1, keepdims=True)
+    y = mu + sigma * (math.sqrt(1.0 - rho) * shrink * eps + common)
+    yhat = mu + math.sqrt(total) * eps + sigma * common if cfg.sigma_eps else y
+    picks = np.argmax(yhat, axis=1)
+    v_p = float(y[np.arange(n), picks].mean())
+    v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
+    return v_p, v_u
+
+
+def noisy_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
+    """One replication of the full-noise estimator: after mu, z and eps it
+    draws the prediction noise (n x m), picks on Yhat = Y + sigma_eps noise
+    and scores the picks on Y itself. It shares no code with the kernel, so
+    it is an independent reference for the estimand."""
+    rng = stream(cfg.seed, rep)
+    n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
+    mu = cfg.dist.sample(m, rng)
+    z = rng.standard_normal((n, 1))
+    eps = rng.standard_normal((n, m))
+    noise = rng.standard_normal((n, m))
     if rho >= 0:
         common = math.sqrt(rho) * z
     else:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
         common = scale * eps.mean(axis=1, keepdims=True)
     y = mu + cfg.sigma * (math.sqrt(1.0 - rho) * eps + common)
-    yhat = y + cfg.sigma_eps * noise[:, :m]
-    picks = np.argmax(yhat, axis=1)
-    v_p = float(y[np.arange(n), picks].mean())
+    yhat = y + cfg.sigma_eps * noise
+    v_p = float(y[np.arange(n), np.argmax(yhat, axis=1)].mean())
     v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
     return v_p, v_u
 
@@ -351,8 +390,8 @@ def layout_grid() -> list[list[SimConfig]]:
     """One batch per draw layout: normal, spike-slab and fixed means, with
     several configs in each batch, several m in the normal one and rho on
     both sides of 0 within a batch. The last batch has more rows than
-    numpy's reduction buffer (8192 cells), with narrower configs that add
-    prediction noise on both sides of rho = 0."""
+    numpy's reduction buffer (8192 cells), with narrower configs that have
+    sigma_eps > 0 on both sides of rho = 0."""
     base = dict(n_individuals=200, n_replications=6, seed=13)
     normal = []
     for rho in (-0.2, 0.0, 0.5, 1.0):
@@ -399,10 +438,8 @@ def kernel_values(monkeypatch, batch: list[SimConfig], n_jobs: int) -> tuple[lis
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_batched_kernel_matches_per_config_reference_bit_for_bit(monkeypatch, n_jobs) -> None:
     # Every config is compared with the reference drawn at its batch's
-    # width. This also pins the sigma_eps = 0 fast path: the fixed-means
-    # batch has sigma_eps = 0 throughout, which skips the noise draw, and
-    # the normal one (m from 2 to 30) is mixed, which draws it, while
-    # reference_replicate always draws the noise.
+    # width: the fixed-means batch has sigma_eps = 0 throughout, and the
+    # others mix sigma_eps = 0 and sigma_eps > 0 configs, widest and narrower.
     for batch in layout_grid():
         width = max(cfg.m for cfg in batch)
         results, values = kernel_values(monkeypatch, batch, n_jobs)
@@ -422,6 +459,44 @@ def test_scoring_without_the_common_term_changes_values_by_rounding_only(monkeyp
             for rep, kernel in enumerate(per_rep):
                 for got, want in zip(kernel, full_replicate(cfg, rep, width)):
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cfg, rep)
+
+
+def unbiasedness_batches() -> list[list[SimConfig]]:
+    """Designs with sigma_eps > 0 for the conditional estimator against the
+    noise-drawing reference: rho < 0, fixed means, spike-slab means, and a
+    batch whose narrower config has sigma_eps > 0."""
+    base = dict(n_individuals=100, n_replications=2_000, seed=61)
+    return [
+        [SimConfig(m=4, sigma=1.0, rho=-0.25, dist=NormalMeans(0.2, 0.3), sigma_eps=1.0, **base)],
+        [SimConfig(m=3, sigma=1.5, rho=0.3, dist=FixedMeans([0.2, 0.0, -0.1]), sigma_eps=1.5,
+                   **base)],
+        [SimConfig(m=5, sigma=2.0, rho=-0.1, dist=SpikeSlabMeans(0.5, 0.0, 1.0), sigma_eps=2.0,
+                   **base)],
+        [SimConfig(m=6, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 0.5), sigma_eps=1.0, **base),
+         SimConfig(m=3, sigma=1.0, rho=-0.3, dist=NormalMeans(0.0, 0.5), sigma_eps=1.2, **base)],
+    ]
+
+
+def test_conditional_estimator_is_unbiased_with_no_larger_variance(monkeypatch) -> None:
+    # the reference runs on its own seed, so the two estimates are
+    # independent; a narrower config's reference runs it alone at its m,
+    # which has the distribution of its batch's first m columns
+    checked = 0
+    for batch in unbiasedness_batches():
+        results, values = kernel_values(monkeypatch, batch, 2)
+        for cfg, result, per_rep in zip(batch, results, values):
+            reference = [noisy_replicate(replace(cfg, seed=cfg.seed + 1), rep)
+                         for rep in range(cfg.n_replications)]
+            got, want = np.array(per_rep).T, np.array(reference).T
+            got_gains, want_gains = got[0] - got[1], want[0] - want[1]
+            assert result.gain_mean == pytest.approx(got_gains.mean(), rel=1e-12, abs=1e-15)
+            for name, a, b in (("gain", got_gains, want_gains), ("v_p", got[0], want[0]),
+                               ("v_u", got[1], want[1])):
+                se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / len(a))
+                assert abs(a.mean() - b.mean()) <= 4 * se, (name, cfg)
+            assert got_gains.var(ddof=1) <= want_gains.var(ddof=1), cfg
+            checked += 1
+    assert checked == 5
 
 
 def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
@@ -482,14 +557,14 @@ class CountingGenerator:
 
 
 @pytest.mark.parametrize("sigma_eps, n_by_m_draws", [
-    ((0.0,), 1), ((0.0, 0.0), 1), ((0.5,), 2), ((0.0, 0.5), 2), ((0.5, 0.0), 2),
+    ((0.0,), 1), ((0.0, 0.0), 1), ((0.5,), 1), ((0.0, 0.5), 1), ((0.5, 0.0), 1),
 ])
 def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
     monkeypatch, sigma_eps, n_by_m_draws
 ) -> None:
-    """Each replication draws eps, n x m, and the n x m prediction noise only
-    if some config in the layout has sigma_eps > 0; the results keep the bits
-    of the reference, which always draws the noise."""
+    """No config needs the noise drawn: each replication draws eps, n x m,
+    and no other n x m array, whatever sigma_eps; the results keep the bits
+    of the reference."""
     sizes: list = []
     monkeypatch.setattr(simulate, "stream", lambda *key: CountingGenerator(stream(*key), sizes))
     n, m, reps = 50, 3, 4
@@ -498,6 +573,8 @@ def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
             for k, e in enumerate(sigma_eps)]
     results = simulate_gain(cfgs)
     assert sizes.count((n, m)) == n_by_m_draws * reps
+    # per replication: the means, z and eps, then each other config's means
+    assert sizes == [m, (n, 1), (n, m), *[m] * (len(cfgs) - 1)] * reps
     for cfg, result in zip(cfgs, results):
         assert result.per_replication_gains == reference_gains(cfg), cfg
 
@@ -522,8 +599,8 @@ def traced_memory(batch: list[SimConfig], n_jobs: int) -> tuple[int, int]:
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_a_narrower_noisy_config_needs_no_second_scratch_array(n_jobs) -> None:
-    # the widest config draws the noise either way; adding noise to the
-    # m = 90 config costs row blocks, not an n x 90 array for its Yhat
+    # no config draws the noise, and sigma_eps > 0 on the m = 90 config
+    # costs no n x 90 array for its Yhat beside its Y' scratch
     n = 2_000
 
     def batch(sigma_eps: float) -> list[SimConfig]:
