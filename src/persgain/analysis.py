@@ -13,7 +13,7 @@ cell's gain_mean and gain_se from one `predict_gain` batch, which is one
 every cell is a NormalMeans config of one SimSettings, so the cells share
 every replication's draws, made at their largest m. A cell with that m is
 bit-identical to predicting it alone; one with fewer arms uses the first m
-drawn means and columns, within Monte Carlo error of a lone prediction.
+drawn means and arm rows, within Monte Carlo error of a lone prediction.
 """
 
 from __future__ import annotations

@@ -1,27 +1,27 @@
 """Monte Carlo gain from personalizing over m treatment arms.
 
 Each replication draws per-arm average responses mu from a chosen
-distribution, then an n x m matrix of potential outcomes whose rows are
-i.i.d. N(mu, Sigma) with the equicorrelated covariance
-Sigma = sigma^2 [(1-rho) I + rho J]. Whatever the sign of rho, the outcomes
-come from the same standard normals, a column z (n x 1) and a matrix eps
-(n x m): row i is mu + sigma (sqrt(1-rho) eps_i + c_i 1), where
-the term c_i common to the row's arms is sqrt(rho) z_i for rho >= 0 and
-(sqrt(1+(m-1)rho) - sqrt(1-rho)) times the mean of eps_i for rho < 0.
-Either way the row's component along the all-ones vector has variance
-sigma^2 (1+(m-1)rho) and every orthogonal one sigma^2 (1-rho), the
-eigenvalues of Sigma, so both forms are exact. The personalized policy
-picks each row's argmax; the uniform benchmark picks the single arm with
-the best column mean. With sigma_eps > 0 both selections are made on noisy
-predictions Yhat = Y + sigma_eps * noise but are always scored on the true
-Y, so the gain can go negative when predictions are poor.
+distribution, then an m x n matrix of potential outcomes, one row per arm,
+whose columns (one per individual) are i.i.d. N(mu, Sigma) with the
+equicorrelated covariance Sigma = sigma^2 [(1-rho) I + rho J]. Whatever
+the sign of rho, the outcomes come from the same standard normals, a row
+z (1 x n) and a matrix eps (m x n): column i is mu + sigma (sqrt(1-rho)
+eps_i + c_i 1), where the term c_i common to individual i's arms is
+sqrt(rho) z_i for rho >= 0 and (sqrt(1+(m-1)rho) - sqrt(1-rho)) times the
+mean of eps_i for rho < 0. Either way the column's component along the
+all-ones vector has variance sigma^2 (1+(m-1)rho) and every orthogonal
+one sigma^2 (1-rho), the eigenvalues of Sigma, so both forms are exact.
+The personalized policy gives each individual the arm of their column's
+max; the uniform benchmark picks the single arm with the best row mean.
+With sigma_eps > 0 both selections are made on noisy predictions
+Yhat = Y + sigma_eps * noise but are always scored on the true Y, so the
+gain can go negative when predictions are poor.
 
 The kernel scores each config on Y' = mu + sigma sqrt(1-rho) eps, the
 outcomes without the common term, and adds C, the common term's mean over
-the rows, to v_p and to v_u. A row's common term is the same for all its
-arms, so it changes neither the row's pick nor which column mean is
-largest, and it adds C to both values. `_outcomes`, the sum of the two,
-is the one statement of Y.
+the individuals, to v_p and to v_u: a term common to all of an
+individual's arms changes neither pick, so it adds C to both values.
+`_outcomes`, the sum of the two, is the one statement of Y.
 
 No replication draws the noise. Cell by cell, Y' and its prediction
 Yhat' = Y' + sigma_eps * noise are a normal pair, independent across cells
@@ -48,19 +48,19 @@ and the kind of mean distribution, whatever their m, and a batch that
 mixes layouts raises ConfigError before anything is drawn. Each
 replication draws once for all its configs, at the batch's largest m, its
 width W, in `sample_potential_outcomes`, which states the draws' order; a
-config with m arms takes the first m of each. Each config scales the
-shared normals with the same floating-point operations a run of it alone
-at width W performs. So the widest config is bit-identical to running it
-alone, every config sees the same normals whatever its parameters, and a
-grid of K configs costs one set of draws plus K cheap rescalings
-(Glasserman, Monte Carlo Methods in Financial Engineering, 2003, section
-4.2). A narrower config's results are those of the width-W draws
-truncated to its m, which differ from a lone run of it within Monte Carlo
-error.
+config with m arms takes the first m means and arm rows. Each config
+scales the shared normals with the same floating-point operations a run
+of it alone at width W performs. So the widest config is bit-identical to
+running it alone, every config sees the same normals whatever its
+parameters, and a grid of K configs costs one set of draws plus K cheap
+rescalings (Glasserman, Monte Carlo Methods in Financial Engineering,
+2003, section 4.2). A narrower config's results are those of the width-W
+draws truncated to its m, which differ from a lone run of it within Monte
+Carlo error.
 
 Each thread that runs replications holds one set of arrays for the whole
 batch, filled in place by every replication: z and eps at width W, and
-one scratch of n x m2 cells for the narrower configs, m2 the largest m
+one scratch of m2 x n cells for the narrower configs, m2 the largest m
 among them. None outlives the `simulate_gain` call.
 """
 
@@ -187,36 +187,34 @@ def rho_lower_bound(m: int) -> float:
 def _spread(
     eps: np.ndarray, mu: np.ndarray, scale: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """mu + scale eps, from eps (n x len(mu), possibly a view of the first
-    columns of a wider draw, or any array that broadcasts against mu),
-    written into `out` (which may be eps) in two passes: Y' at scale
-    sigma sqrt(1-rho), the prediction Yhat' at scale hypot of that and
-    sigma_eps."""
+    """mu + scale eps, from m arm rows of eps and mu as a column, or m means
+    of eps and mu, into `out` (which may be eps) in two passes: Y' at
+    scale sigma sqrt(1-rho), Yhat' at hypot of that and sigma_eps."""
     out = np.multiply(eps, scale, out=out)
     out += mu
     return out
 
 
 def _common(z: np.ndarray, eps: np.ndarray, sigma: float, rho: float) -> np.ndarray:
-    """sigma c (n x 1): each row's term common to its arms, c of the module
-    docstring, from z (n x 1) and eps (n x m). It is linear in (z, eps), so
-    given their column means (1 x 1 and 1 x m) it returns its mean over the
-    rows."""
+    """sigma c: each individual's term common to their arms, c of the
+    module docstring, from z (1 x n) and eps (m x n). It is linear in
+    (z, eps), so given their means over the individuals (a number and m
+    values) it returns its mean over them."""
     if rho >= 0:
         return sigma * (math.sqrt(rho) * z)
-    scale = math.sqrt(1.0 + (eps.shape[1] - 1) * rho) - math.sqrt(1.0 - rho)
-    return sigma * (scale * eps.mean(axis=1, keepdims=True))
+    scale = math.sqrt(1.0 + (len(eps) - 1) * rho) - math.sqrt(1.0 - rho)
+    return sigma * (scale * eps.mean(axis=0))
 
 
 def _outcomes(
     z: np.ndarray, eps: np.ndarray, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray
 ) -> np.ndarray:
-    """The outcome matrix Y = Y' + sigma c 1 of (mu, sigma, rho): the sum of
+    """The m x n outcomes Y = Y' + sigma c 1 of (mu, sigma, rho): the sum of
     the two parts the kernel scores, `_spread` and `_common`, from the draws
     z and eps, written into `out` (which may be eps; the common term is
     taken before eps is overwritten)."""
     common = _common(z, eps, sigma, rho)
-    return np.add(_spread(eps, mu, sigma * math.sqrt(1.0 - rho), out=out), common, out=out)
+    return np.add(_spread(eps, mu[:, None], sigma * math.sqrt(1.0 - rho), out=out), common, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -294,12 +292,12 @@ def sample_potential_outcomes(
     """Every draw of replication `rep` of a batch: cfg, its widest config,
     and the configs in `more`, which share cfg's draw layout. Returns
     (mu, z, eps, *more_mu), drawn in this order: from stream(cfg.seed, rep),
-    the W = cfg.m means mu, a standard-normal column z (n x 1) and a matrix
-    eps (n x W). Then, for each config in `more`, the first m of W means
-    drawn from a fresh stream(cfg.seed, rep), as mu was (a fixed-means
-    config has m = W; `simulate_gain` checks it). No config draws prediction
-    noise, whatever its sigma_eps: the kernel builds each prediction from eps
-    (see `_replicate`).
+    the W = cfg.m means mu, a standard-normal row z (1 x n) and a matrix
+    eps (W x n), one row per arm. Then, for each config in `more`, the first
+    m of W means drawn from a fresh stream(cfg.seed, rep), as mu was (a
+    fixed-means config has m = W; `simulate_gain` checks it). No config
+    draws prediction noise, whatever its sigma_eps: the kernel builds each
+    prediction from eps (see `_replicate`).
 
     `out`, if given, is a (z, eps) pair of arrays of those shapes to draw
     into; filling an array gives the bits that drawing a new one of its
@@ -317,7 +315,7 @@ def sample_potential_outcomes(
 def _empty_draws(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Uninitialized (z, eps) arrays for `sample_potential_outcomes` to draw
     a replication of cfg's batch into."""
-    return np.empty((cfg.n_individuals, 1)), np.empty((cfg.n_individuals, cfg.m))
+    return np.empty((1, cfg.n_individuals)), np.empty((cfg.m, cfg.n_individuals))
 
 
 # each thread's arrays for the batch it is running (see _arrays), held by
@@ -328,39 +326,36 @@ _held = threading.local()
 
 def _arrays(cfg: SimConfig, more: Sequence[SimConfig]) -> tuple:
     """This thread's arrays for a batch of widest config cfg and narrower
-    configs `more`: the draws (z, eps) of `sample_potential_outcomes`, a
-    scratch of n x m2 cells, m2 the largest m in `more`, and the row indices
-    0..n-1. Made on the thread's first replication of the batch and reused
-    by the rest; `simulate_gain` drops them when it ends."""
+    configs `more`: the draws (z, eps) of `sample_potential_outcomes` and a
+    scratch of m2 x n cells, m2 the largest m in `more`. Made on the
+    thread's first replication of the batch and reused by the rest;
+    `simulate_gain` drops them when it ends."""
     n = cfg.n_individuals
     m2 = max((point.m for point in more), default=0)
     held = getattr(_held, "arrays", None)
     if held is None or held[0] != (n, cfg.m, m2):
-        held = _held.arrays = ((n, cfg.m, m2), _empty_draws(cfg), np.empty(n * m2), np.arange(n))
+        held = _held.arrays = ((n, cfg.m, m2), _empty_draws(cfg), np.empty(m2 * n))
     return held[1:]
 
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
-    """Replication `rep` of one batch, from one `sample_potential_outcomes`
-    call: (v_p, v_u) for cfg, its widest config, and each config in `more`,
-    in that order.
+    """(v_p, v_u) in replication `rep` for cfg, its batch's widest config,
+    then each config in `more`, from one `sample_potential_outcomes` call.
 
-    Each config, as the module docstring says, writes Yhat' = mu + c eps,
-    picks each row's argmax and the uniform arm U, the argmax of
-    mu + c eps_bar, and scores both picks by E[Y' | Yhat']. eps_bar, the
-    column means of eps, is taken once per replication at the width W; a
-    config with m arms takes the first m columns of eps. C comes from the
-    mean of z, or for rho < 0 from (v/c) eps_bar.
+    Each config, as the module docstring says, writes Yhat' = mu + c eps
+    from the first m arm rows of eps, gives each individual the arm of
+    their column's max, picks the uniform arm U, the argmax of
+    mu + c eps_bar (eps_bar the arm rows' means, taken once at the width W),
+    and scores both picks by E[Y' | Yhat']. C comes from the mean of z, or
+    for rho < 0 from (v/c) eps_bar.
 
-    The draws go into this thread's arrays (`_arrays`): z, eps and one
-    n x m2 scratch, held for the whole batch. A config in `more` writes its
-    Yhat' into the scratch; cfg is scored last and writes its Yhat' over
-    eps.
+    A config in `more` writes its Yhat' into this thread's scratch
+    (`_arrays`); cfg is scored last and writes its Yhat' over eps.
     """
-    draws, scratch, rows = _arrays(cfg, more)
+    draws, scratch = _arrays(cfg, more)
     mu, z, eps, *more_mu = sample_potential_outcomes(cfg, rep, *more, out=draws)
     n = cfg.n_individuals
-    z_bar, eps_bar = z.mean(axis=0, keepdims=True), eps.mean(axis=0, keepdims=True)
+    z_bar, eps_bar = z.mean(), eps.mean(axis=1)
 
     def value(point: SimConfig, mu: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         """(v_p, v_u) of point, its Yhat' written into y."""
@@ -368,20 +363,25 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
         v = sigma * math.sqrt(1.0 - rho)
         c = math.hypot(v, sigma_eps) if sigma_eps else v
         shrink = v / c if sigma_eps else 1.0  # E[the true outcome's eps | eps] = shrink eps
-        common = _common(z_bar, shrink * eps_bar[:, :m], sigma, rho).item()
-        uniform = int(np.argmax(_spread(eps_bar[:, :m], mu, c)))  # ties: lowest arm index
-        y = _spread(eps[:, :m], mu, c, out=y)
-        picks = np.argmax(y, axis=1)  # ties: lowest arm index
-        # both n-vectors taken the same way: rounding is monotone, so with
-        # sigma_eps = 0, where each pick is at least the uniform cell,
-        # v_p >= v_u
-        v_p, v_u = float(y[rows, picks].mean()), float(y[rows, uniform].mean())
+        common = float(_common(z_bar, shrink * eps_bar[:m], sigma, rho))
+        uniform = int(np.argmax(_spread(eps_bar[:m], mu, c)))  # ties: lowest arm index
+        y = _spread(eps[:m], mu[:, None], c, out=y)
+        best = y.max(axis=0)
+        # best >= y[uniform] cell by cell and both n-vectors are summed by one
+        # pairwise tree: rounding is monotone, so with sigma_eps = 0, v_p >= v_u
+        v_p, v_u = float(best.mean()), float(y[uniform].mean())
         if sigma_eps:
-            k, mu_p, mu_u = shrink * shrink, float(mu[picks].mean()), float(mu[uniform])
+            # hits[j]: the individuals whose best arm is j; a max two arms
+            # share goes to the first, as argmax of y, now the equality, gives.
+            # mu_p sums hits * mu: a BLAS dot raised peak RSS by about 0.1 MB
+            hits = np.equal(y, best, out=y).sum(axis=1)
+            if hits.sum() != n:
+                hits = np.bincount(np.argmax(y, axis=0), minlength=m)
+            k, mu_p, mu_u = shrink * shrink, float((hits * mu).sum()) / n, float(mu[uniform])
             v_p, v_u = mu_p + k * (v_p - mu_p), mu_u + k * (v_u - mu_u)
         return _score(v_p, v_u, common)
 
-    values = [value(point, point_mu, scratch[: n * point.m].reshape(n, point.m))
+    values = [value(point, point_mu, scratch[: point.m * n].reshape(point.m, n))
               for point, point_mu in zip(more, more_mu)]
     return [value(cfg, mu, eps), *values]
 
@@ -459,7 +459,7 @@ def sweep_arms(cfg: SimConfig, m_values: Sequence[int], n_jobs: int = 1) -> list
 
     The points differ only in m, so they are one draw layout, as a batch
     must be: each replication draws once, at the largest m, and the point
-    with m arms uses the first m means and the first m columns of those
+    with m arms uses the first m means and the first m arm rows of those
     draws. The rows are common-random-number coupled across m, and the row
     for the largest m is bit-identical to running that point alone.
     """

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persgain import simulate
 from persgain.analytic import TwoArmParams, gain_two_arm
@@ -81,34 +83,37 @@ def test_dist_validation() -> None:
 
 
 def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
-    """The n x m outcome matrix of (mu, sigma, rho): a fixed-means config's
-    z and eps, drawn by the draw step for replication 0 of `seed`, turned
-    into outcomes by `_outcomes`."""
+    """The m x n outcome matrix of (mu, sigma, rho), one row per arm: a
+    fixed-means config's z and eps, drawn by the draw step for replication
+    0 of `seed`, turned into outcomes by `_outcomes`."""
     mu = np.asarray(mu, dtype=float)
     cfg = SimConfig(m=len(mu), sigma=sigma, rho=rho, dist=FixedMeans(mu),
                     n_individuals=n, n_replications=1, seed=seed)
     _, z, eps = sample_potential_outcomes(cfg, 0)
+    assert z.shape == (1, n) and eps.shape == (len(mu), n)
     return _outcomes(z, eps, mu, sigma, rho, out=eps)
 
 
 def test_outcomes_sigma_zero() -> None:
     mu = np.array([1.0, 2.0, 3.0])
     y = outcomes(mu, 0.0, 0.3, 10)
-    np.testing.assert_array_equal(y, np.tile(mu, (10, 1)))
+    np.testing.assert_array_equal(y, np.tile(mu[:, None], (1, 10)), strict=True)
 
 
 def test_outcomes_rho_one_shifts_rows_uniformly() -> None:
+    # each individual's arms move together: every arm row's offset from its
+    # mean equals the first arm's
     mu = np.array([1.0, 2.0, 3.0])
     y = outcomes(mu, 2.0, 1.0, 50, 3)
-    offsets = y - mu
-    assert np.allclose(offsets, offsets[:, :1])
+    offsets = y - mu[:, None]
+    assert np.allclose(offsets, offsets[:1])
     assert not np.allclose(offsets, 0.0)
 
 
 def test_outcomes_covariance_oracle() -> None:
     # sigma = 10, rho = 0.5: off-diagonal covariance 50, n = 1e6 pins it to +/- 0.5
     y = outcomes(np.zeros(3), 10.0, 0.5, 1_000_000, 7)
-    cov = np.cov(y, rowvar=False)
+    cov = np.cov(y)  # rows are arms
     for j in range(3):
         assert cov[j, j] == pytest.approx(100.0, abs=1.0)
         for k in range(j + 1, 3):
@@ -116,8 +121,8 @@ def test_outcomes_covariance_oracle() -> None:
 
 
 def test_outcomes_are_continuous_in_rho_across_zero() -> None:
-    # the common term switches from sqrt(rho) z to a multiple of the row
-    # mean of eps at rho = 0; both vanish there, so on the same draws the
+    # the common term switches from sqrt(rho) z to a multiple of each
+    # individual's mean of eps at rho = 0; both vanish there, so on the same draws the
     # outcomes on either side of 0 must agree
     mu = np.array([1.0, -1.0, 0.5])
     a = outcomes(mu, 2.0, 0.0, 10_000, 11)
@@ -128,7 +133,7 @@ def test_outcomes_are_continuous_in_rho_across_zero() -> None:
 def test_negative_rho_covariance_and_bound() -> None:
     mu = np.zeros(4)
     y = outcomes(mu, 1.0, -0.2, 200_000, 5)
-    cov = np.cov(y, rowvar=False)
+    cov = np.cov(y)
     assert cov[0, 1] == pytest.approx(-0.2, abs=0.02)
     with pytest.raises(ConfigError, match=r"-1/\(m-1\)"):
         SimConfig(m=4, sigma=1.0, rho=-0.5, dist=FixedMeans(mu), n_individuals=10)
@@ -137,16 +142,16 @@ def test_negative_rho_covariance_and_bound() -> None:
 
 def test_outcomes_covariance_oracle_below_zero_rho() -> None:
     # m = 30 near the bound -1/29: every entry of the sample covariance, and
-    # the variance of the row sum, sigma^2 m (1 + (m-1) rho), along the
-    # direction in which the bound makes the covariance singular
+    # the variance of an individual's sum over arms, sigma^2 m (1 + (m-1) rho),
+    # along the direction in which the bound makes the covariance singular
     m, sigma, rho, n = 30, 10.0, -0.03, 200_000
     y = outcomes(np.zeros(m), sigma, rho, n, 17)
     target = sigma**2 * ((1.0 - rho) * np.eye(m) + rho * np.ones((m, m)))
     # sd of a sample covariance entry: sqrt((s_jj s_kk + s_jk^2) / n)
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
-    assert np.all(np.abs(np.cov(y, rowvar=False) - target) < 5 * se)
-    row_sum_var = sigma**2 * m * (1.0 + (m - 1) * rho)
-    assert y.sum(axis=1).var() == pytest.approx(row_sum_var, rel=5 * math.sqrt(2.0 / n))
+    assert np.all(np.abs(np.cov(y) - target) < 5 * se)
+    arm_sum_var = sigma**2 * m * (1.0 + (m - 1) * rho)
+    assert y.sum(axis=0).var() == pytest.approx(arm_sum_var, rel=5 * math.sqrt(2.0 / n))
 
 
 @pytest.mark.parametrize("m", [2, 3, 1000])
@@ -173,15 +178,17 @@ def test_rho_above_one_rejected() -> None:
                 n_individuals=40, seed=9) for m, e in ((2, 0.0), (4, 0.7))]),
 ], ids=["sigma_eps_zero", "mixed"])
 def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> None:
-    # from stream(seed, rep): the widest config's W means, z and eps, and no
+    # from stream(seed, rep): the widest config's W means, z as a row of n
+    # and eps arm-major (W x n, each arm's n normals contiguous), and no
     # prediction noise, whatever sigma_eps; then each narrower config's
     # first m of W means from a fresh stream
     rep, n, width = 3, widest.n_individuals, widest.m
     mu, z, eps, *more_mu = sample_potential_outcomes(widest, rep, *narrower)
     rng = stream(widest.seed, rep)
     np.testing.assert_array_equal(mu, widest.dist.sample(width, rng), strict=True)
-    np.testing.assert_array_equal(z, rng.standard_normal((n, 1)), strict=True)
-    np.testing.assert_array_equal(eps, rng.standard_normal((n, width)), strict=True)
+    np.testing.assert_array_equal(z, rng.standard_normal((1, n)), strict=True)
+    np.testing.assert_array_equal(eps, rng.standard_normal((width, n)), strict=True)
+    assert eps.flags.c_contiguous
     assert len(more_mu) == len(narrower)
     for cfg, cfg_mu in zip(narrower, more_mu):
         expected = cfg.dist.sample(width, stream(widest.seed, rep))[: cfg.m]
@@ -291,12 +298,13 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 
 def reference_draws(cfg: SimConfig, rep: int, width: int | None = None) -> tuple:
     """One replication's draws for one config at `width` arms (cfg.m by
-    default): (mu, z, eps), with cfg.m means and eps whole at `width`."""
+    default): (mu, z, eps), with cfg.m means, z a row of n and eps whole at
+    `width`, one row of n per arm."""
     rng = stream(cfg.seed, rep)
     n, m = cfg.n_individuals, cfg.m
     width = m if width is None else width
     mu = cfg.dist.sample(m if isinstance(cfg.dist, FixedMeans) else width, rng)[:m]
-    return mu, rng.standard_normal((n, 1)), rng.standard_normal((n, width))
+    return mu, rng.standard_normal((1, n)), rng.standard_normal((width, n))
 
 
 def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
@@ -306,26 +314,30 @@ def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> t
     on the predictions Yhat' = mu + c eps, c = hypot(v, sigma_eps) and
     v = sigma sqrt(1-rho), each pick valued at E[Y' | Yhat'] =
     mu + (v/c)^2 (Yhat' - mu), with C, the common term's conditional mean
-    over the rows, added to v_p and v_u alike, and the uniform arm taken from
-    the draws' column means at `width`. With sigma_eps = 0, Yhat' is Y'."""
+    over the individuals, added to v_p and v_u alike, and the uniform arm
+    taken from the arm rows' means at `width`. With sigma_eps = 0, Yhat' is
+    Y'. Each individual's pick is the argmax over their column, ties to the
+    lowest arm index, gathered cell by cell; the mean of the picks' means
+    is a count of picks per arm dotted with mu, as the kernel takes it."""
     mu, z, eps = reference_draws(cfg, rep, width)
     n, m, sigma, rho, sigma_eps = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho, cfg.sigma_eps
     v = sigma * math.sqrt(1.0 - rho)
     c = math.hypot(v, sigma_eps) if sigma_eps else v
     shrink = v / c if sigma_eps else 1.0
-    eps_bar = eps.mean(axis=0)[:m]
+    eps_bar = eps.mean(axis=1)[:m]
     if rho >= 0:
         common = sigma * (math.sqrt(rho) * z.mean())
     else:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
         common = sigma * (scale * (shrink * eps_bar).mean())
-    y = mu + c * eps[:, :m]
-    picks = np.argmax(y, axis=1)
+    y = mu[:, None] + c * eps[:m]
+    picks = np.argmax(y, axis=0)
     uniform = int(np.argmax(mu + c * eps_bar))
-    v_p = float(y[np.arange(n), picks].mean())
-    v_u = float(y[:, uniform].mean())
+    v_p = float(y[picks, np.arange(n)].mean())
+    v_u = float(y[uniform].mean())
     if sigma_eps:
-        k, mu_p, mu_u = shrink * shrink, float(mu[picks].mean()), float(mu[uniform])
+        counts = np.bincount(picks, minlength=m)
+        k, mu_p, mu_u = shrink * shrink, float((counts * mu).sum()) / n, float(mu[uniform])
         v_p, v_u = mu_p + k * (v_p - mu_p), mu_u + k * (v_u - mu_u)
     return v_p + common, v_u + common
 
@@ -333,13 +345,14 @@ def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> t
 def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
     """The same replication scored on E[Y | Yhat], the whole outcome matrix's
     conditional mean given the predictions, common term and all, with the
-    uniform arm taken from Yhat's column means: the whole-matrix statement
-    of what the kernel computes. Given eps, the true outcomes' standardized
-    spread has mean shrink eps, shrink = sqrt(v^2 / (v^2 + sigma_eps^2)).
-    v_p and v_u agree with reference_replicate up to rounding."""
+    uniform arm taken from Yhat's arm means: the whole-matrix statement of
+    what the kernel computes, arm-major like the draws. Given eps, the true
+    outcomes' standardized spread has mean shrink eps,
+    shrink = sqrt(v^2 / (v^2 + sigma_eps^2)). v_p and v_u agree with
+    reference_replicate up to rounding."""
     mu, z, eps = reference_draws(cfg, rep, width)
     n, m, sigma, rho = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho
-    eps = eps[:, :m]
+    eps, mu = eps[:m], mu[:, None]
     v2 = sigma ** 2 * (1.0 - rho)
     total = v2 + cfg.sigma_eps ** 2
     shrink = math.sqrt(v2 / total) if total else 1.0
@@ -347,12 +360,12 @@ def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[
         common = math.sqrt(rho) * z
     else:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
-        common = scale * shrink * eps.mean(axis=1, keepdims=True)
+        common = scale * shrink * eps.mean(axis=0, keepdims=True)
     y = mu + sigma * (math.sqrt(1.0 - rho) * shrink * eps + common)
     yhat = mu + math.sqrt(total) * eps + sigma * common if cfg.sigma_eps else y
-    picks = np.argmax(yhat, axis=1)
-    v_p = float(y[np.arange(n), picks].mean())
-    v_u = float(y[:, int(np.argmax(yhat.mean(axis=0)))].mean())
+    picks = np.argmax(yhat, axis=0)
+    v_p = float(y[picks, np.arange(n)].mean())
+    v_u = float(y[int(np.argmax(yhat.mean(axis=1)))].mean())
     return v_p, v_u
 
 
@@ -418,7 +431,7 @@ def layout_grid() -> list[list[SimConfig]]:
     return [normal, spike_slab, fixed, tall_batch]
 
 
-def kernel_values(monkeypatch, batch: list[SimConfig], n_jobs: int) -> tuple[list, list]:
+def kernel_values(batch: list[SimConfig], n_jobs: int) -> tuple[list, list]:
     """simulate_gain's results for a batch, and the (v_p, v_u) of each of its
     configs in each replication, as `_replicate` returned them."""
     replicate, seen = simulate._replicate, {}
@@ -429,20 +442,20 @@ def kernel_values(monkeypatch, batch: list[SimConfig], n_jobs: int) -> tuple[lis
             seen[id(point), rep] = value
         return values
 
-    monkeypatch.setattr(simulate, "_replicate", record)
-    results = simulate_gain(batch, n_jobs=n_jobs)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_replicate", record)
+        results = simulate_gain(batch, n_jobs=n_jobs)
     return results, [[seen[id(cfg), rep] for rep in range(cfg.n_replications)] for cfg in batch]
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
-def test_batched_kernel_matches_per_config_reference_bit_for_bit(monkeypatch, n_jobs) -> None:
+def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None:
     # Every config is compared with the reference drawn at its batch's
     # width: the fixed-means batch has sigma_eps = 0 throughout, and the
     # others mix sigma_eps = 0 and sigma_eps > 0 configs, widest and narrower.
     for batch in layout_grid():
         width = max(cfg.m for cfg in batch)
-        results, values = kernel_values(monkeypatch, batch, n_jobs)
+        results, values = kernel_values(batch, n_jobs)
         assert len(results) == len(batch)
         for cfg, result, per_rep in zip(batch, results, values):
             assert result.per_replication_gains == reference_gains(cfg, width), cfg
@@ -450,15 +463,107 @@ def test_batched_kernel_matches_per_config_reference_bit_for_bit(monkeypatch, n_
                                for rep in range(cfg.n_replications)], cfg
 
 
-def test_scoring_without_the_common_term_changes_values_by_rounding_only(monkeypatch) -> None:
+def test_scoring_without_the_common_term_changes_values_by_rounding_only() -> None:
     # v_p and v_u of every replication against the whole-Y formula
     for batch in layout_grid():
         width = max(cfg.m for cfg in batch)
-        _, values = kernel_values(monkeypatch, batch, 1)
+        _, values = kernel_values(batch, 1)
         for cfg, per_rep in zip(batch, values):
             for rep, kernel in enumerate(per_rep):
                 for got, want in zip(kernel, full_replicate(cfg, rep, width)):
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cfg, rep)
+
+
+@st.composite
+def batches(draw) -> list[SimConfig]:
+    """One draw layout: a widest config and up to two more, of one kind of
+    mean distribution, each with its own sigma, rho anywhere in its range
+    and sigma_eps 0 or not. Narrower configs are normal or spike-slab;
+    fixed-means batches take one m."""
+    kind = draw(st.sampled_from(["fixed", "normal", "spike_slab"]))
+    width = draw(st.integers(2, 7))
+    layout = dict(n_individuals=draw(st.integers(1, 60)), n_replications=draw(st.integers(1, 3)),
+                  seed=draw(st.integers(0, 2**16)))
+    scale = st.floats(0.0, 3.0)
+    ms = [width] + draw(st.lists(st.just(width) if kind == "fixed" else st.integers(2, width),
+                                 max_size=2))
+    batch = []
+    for m in ms:
+        if kind == "fixed":
+            dist = FixedMeans(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+        elif kind == "normal":
+            dist = NormalMeans(draw(st.floats(-2.0, 2.0)), draw(scale))
+        else:
+            dist = SpikeSlabMeans(draw(st.floats(0.0, 1.0)), draw(st.floats(-2.0, 2.0)), draw(scale))
+        batch.append(SimConfig(
+            m=m, sigma=draw(scale), rho=draw(st.floats(rho_lower_bound(m), 1.0)), dist=dist,
+            sigma_eps=draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0))), **layout))
+    return batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches(), n_jobs=st.sampled_from([1, 2]))
+def test_max_reduction_kernel_matches_the_argmax_reference(batch, n_jobs) -> None:
+    # every replication's (v_p, v_u) against the argmax-based reference,
+    # drawn at the batch's width
+    width = batch[0].m
+    results, values = kernel_values(batch, n_jobs)
+    for cfg, result, per_rep in zip(batch, results, values):
+        for rep, kernel in enumerate(per_rep):
+            for got, want in zip(kernel, reference_replicate(cfg, rep, width)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cfg, rep)
+        if cfg.sigma_eps == 0.0:
+            assert min(result.per_replication_gains) >= 0.0
+
+
+def test_every_individual_tied_goes_to_the_lowest_arm() -> None:
+    # 1e20 + c eps rounds to 1e20 in every cell: arms 0 and 1 tie for every
+    # individual, and each individual counts once, for arm 0
+    cfg = SimConfig(m=3, sigma=1.0, rho=0.0, dist=FixedMeans([1e20, 1e20, 0.0]), sigma_eps=1.0,
+                    n_individuals=100, n_replications=3, seed=5)
+    result, values = kernel_values([cfg], 1)
+    assert values[0] == [reference_replicate(cfg, rep) for rep in range(3)]
+    assert all(v_p == v_u for v_p, v_u in values[0])
+    assert result[0].per_replication_gains == (0.0, 0.0, 0.0)
+
+
+def test_a_tie_between_arms_with_different_means_goes_to_the_lowest() -> None:
+    # means one ulp apart and predictions within a few ulps of them: some
+    # individuals' two predictions round to one value. With n = 1 the tied
+    # individual scores mu_J + k (best - mu_J), k = (v/c)^2 near 1/2, and
+    # the two arms' means give different values
+    ulp = 2.0 ** -52
+    cfg = SimConfig(m=2, sigma=ulp, rho=0.0, dist=FixedMeans([1.0, 1.0 + ulp]), sigma_eps=ulp,
+                    n_individuals=1, n_replications=200, seed=1)
+    c = math.hypot(cfg.sigma, cfg.sigma_eps)
+    k = (cfg.sigma / c) * (cfg.sigma / c)
+    _, values = kernel_values([cfg], 1)
+    telling = 0
+    for rep, kernel in enumerate(values[0]):
+        assert kernel == reference_replicate(cfg, rep), rep
+        mu, _, eps = reference_draws(cfg, rep)
+        yhat = mu + c * eps[:, 0]
+        if yhat[0] == yhat[1]:
+            first, second = mu + k * (yhat[0] - mu)  # v_p if arm 0, or arm 1, took the tie
+            assert kernel[0] == first, rep
+            telling += first != second
+    assert telling >= 10
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sigma_eps", [0.0, 1e308])
+def test_overflowing_outcomes_raise_config_error_from_score(monkeypatch, sigma_eps) -> None:
+    # c eps overflows to inf in some cells; the replication's values are
+    # checked where they are scored
+    score, scored = simulate._score, []
+    monkeypatch.setattr(simulate, "_score", lambda *args: scored.append(args) or score(*args))
+    batch = [SimConfig(m=m, sigma=1e308, rho=0.0, dist=NormalMeans(0.0, 1.0), sigma_eps=sigma_eps,
+                       n_individuals=100, n_replications=2, seed=7) for m in (4, 3)]
+    for cfgs in (batch, batch[1:]):
+        scored.clear()
+        with pytest.raises(ConfigError, match="the outcomes overflow float64"):
+            simulate_gain(cfgs)
+        assert not all(math.isfinite(v) for v in scored[-1][:2])
 
 
 def unbiasedness_batches() -> list[list[SimConfig]]:
@@ -477,13 +582,13 @@ def unbiasedness_batches() -> list[list[SimConfig]]:
     ]
 
 
-def test_conditional_estimator_is_unbiased_with_no_larger_variance(monkeypatch) -> None:
+def test_conditional_estimator_is_unbiased_with_no_larger_variance() -> None:
     # the reference runs on its own seed, so the two estimates are
     # independent; a narrower config's reference runs it alone at its m,
     # which has the distribution of its batch's first m columns
     checked = 0
     for batch in unbiasedness_batches():
-        results, values = kernel_values(monkeypatch, batch, 2)
+        results, values = kernel_values(batch, 2)
         for cfg, result, per_rep in zip(batch, results, values):
             reference = [noisy_replicate(replace(cfg, seed=cfg.seed + 1), rep)
                          for rep in range(cfg.n_replications)]
@@ -562,8 +667,8 @@ class CountingGenerator:
 def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
     monkeypatch, sigma_eps, n_by_m_draws
 ) -> None:
-    """No config needs the noise drawn: each replication draws eps, n x m,
-    and no other n x m array, whatever sigma_eps; the results keep the bits
+    """No config needs the noise drawn: each replication draws eps, m x n,
+    and no other m x n array, whatever sigma_eps; the results keep the bits
     of the reference."""
     sizes: list = []
     monkeypatch.setattr(simulate, "stream", lambda *key: CountingGenerator(stream(*key), sizes))
@@ -572,9 +677,10 @@ def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
                       sigma_eps=e, n_individuals=n, n_replications=reps)
             for k, e in enumerate(sigma_eps)]
     results = simulate_gain(cfgs)
-    assert sizes.count((n, m)) == n_by_m_draws * reps
-    # per replication: the means, z and eps, then each other config's means
-    assert sizes == [m, (n, 1), (n, m), *[m] * (len(cfgs) - 1)] * reps
+    assert sizes.count((m, n)) == n_by_m_draws * reps
+    # per replication: the means, z (a row of n) and eps (one row per arm),
+    # then each other config's means
+    assert sizes == [m, (1, n), (m, n), *[m] * (len(cfgs) - 1)] * reps
     for cfg, result in zip(cfgs, results):
         assert result.per_replication_gains == reference_gains(cfg), cfg
 
