@@ -1,6 +1,7 @@
 """Small shared helpers: atomic file writes, round-trip number formatting,
-the column-wise CSV writer and the strict JSON writer, the one reader of
-JSON objects, deterministic stream derivation.
+the CSV writer (column-wise, in blocks of BLOCK_ROWS rows) and the strict
+JSON writer, the one reader of JSON objects, deterministic stream
+derivation.
 
 Every JSON object the package reads (a command's config, a study profile,
 a synthetic DGP and its covariates, a distribution of arm means) goes
@@ -26,7 +27,7 @@ import sys
 import tempfile
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, InternalError, PersgainError
 
@@ -150,15 +151,16 @@ def check_addressable(what: str, *shape: int) -> None:
 # writing outputs
 
 
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Write `data` to `path` via a temp file + rename so readers never see
-    a partial file."""
+def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the byte chunks, in order, to `path` via a temp file + rename
+    so readers never see a partial file; a failure before the rename,
+    raised by the chunks' iterator too, removes the temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -174,8 +176,12 @@ def write_json(path: str | Path, obj: object) -> None:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise InternalError(f"{Path(path).name}: {exc}") from None
-    atomic_write(path, (text + "\n").encode("utf-8"))
+    atomic_write(path, [(text + "\n").encode("utf-8")])
 
+
+# rows per block of CSV text, both in csv_bytes and in dataset.load_csv: a
+# CSV is never held whole in memory, as text or as lines
+BLOCK_ROWS = 4096
 
 # a text cell holding one of these is quoted, its quotes doubled
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -203,14 +209,26 @@ def _cells(column: Sequence[object]) -> Iterable[str]:
     return map(csv_cell, column)
 
 
-def csv_bytes(header: Sequence[str], columns: Sequence[Sequence[object]]) -> bytes:
-    """UTF-8 CSV built column by column, one "\\n"-terminated line per row;
-    floats round-trip. A float array column and a text column needing no
-    quotes are formatted in one pass, any other column cell by cell by
-    csv_cell; columns of unequal length raise."""
-    lines = [",".join(map(csv_cell, header))]
-    lines += map(",".join, zip(*map(_cells, columns), strict=True))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def csv_bytes(header: Sequence[str], columns: Sequence[Sequence[object]]) -> Iterator[bytes]:
+    """UTF-8 CSV as encoded blocks: the header line, then BLOCK_ROWS rows at
+    a time, each line "\\n"-terminated; floats round-trip. Each column is
+    sliced per block; a float array slice and a text slice needing no quotes
+    are formatted in one pass, any other slice cell by cell by csv_cell.
+    Columns of unequal length raise here, before any block is made."""
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns must have equal lengths, got {lengths}")
+    return _csv_blocks(header, columns, lengths[0] if lengths else 0)
+
+
+def _csv_blocks(
+    header: Sequence[str], columns: Sequence[Sequence[object]], n: int
+) -> Iterator[bytes]:
+    yield (",".join(map(csv_cell, header)) + "\n").encode("utf-8")
+    for start in range(0, n, BLOCK_ROWS):
+        block = (column[start : start + BLOCK_ROWS] for column in columns)
+        lines = map(",".join, zip(*map(_cells, block)))
+        yield ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[object]]) -> None:

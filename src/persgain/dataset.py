@@ -7,10 +7,15 @@ data additionally yields a sealed n x m matrix of all potential outcomes,
 kept in a separate object so estimation and policy fitting can never touch
 it; only the oracle evaluator accepts it.
 
-CSV goes column by column both ways: write_csv formats each column in one
-pass, and load_csv parses a file with no quote and no carriage return with
-numpy's C reader, any other with a csv-module row loop that gives the same
-dataset or the error naming the row and column.
+CSV goes column by column both ways, a block of _util.BLOCK_ROWS rows at a
+time, so neither direction holds a file's text whole: write_csv formats each
+column's slice of a block in one pass and writes (or gzips) the block before
+making the next, and load_csv parses a file with no quote and no carriage
+return with numpy's C reader, block by block into columns whose room grows
+by a quarter when full. Any other file is read whole and goes through a csv-module row loop that
+gives the same dataset or the error naming the row and column. Writing holds
+less than the file's size at once, and loading less than 2.5 times it, the
+parsed dataset included.
 """
 
 from __future__ import annotations
@@ -18,15 +23,19 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import itertools
 import math
+import struct
 import warnings
 import zlib
+from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _util
 from ._util import atomic_write, check_addressable, csv_bytes, fields_of, read_fields, stream
 from .errors import ConfigError, ParseError
 
@@ -443,7 +452,8 @@ def split(dataset: ExperimentDataset, train_fraction: float, seed: int) -> Train
 
 def write_csv(dataset: ExperimentDataset, path: str | Path) -> None:
     """Columns: unit_id, arm (name), outcome, propensity, then covariates.
-    Floats use shortest round-trip formatting; .gz suffix gzips."""
+    Floats use shortest round-trip formatting; .gz suffix gzips. The text
+    is made and written a block of rows at a time."""
     columns = [
         dataset.unit_ids,
         np.array(dataset.arm_names, dtype=object)[dataset.arm],
@@ -451,11 +461,25 @@ def write_csv(dataset: ExperimentDataset, path: str | Path) -> None:
         dataset.propensity,
         *dataset.x.T,
     ]
-    data = csv_bytes(_FIXED_COLUMNS + dataset.covariate_names, columns)
-    if Path(path).suffix == ".gz":
-        # mtime=0 keeps the archive byte-identical across reruns
-        data = gzip.compress(data, mtime=0)
-    atomic_write(path, data)
+    chunks = csv_bytes(_FIXED_COLUMNS + dataset.covariate_names, columns)
+    atomic_write(path, _gzipped(chunks) if Path(path).suffix == ".gz" else chunks)
+
+
+def _gzipped(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """One gzip member of the chunks' concatenation: the header that
+    gzip.compress(data, mtime=0) writes on this Python (its OS byte is
+    zlib's on 3.11 and 3.12, 255 before and after), the chunks through one
+    raw deflate stream at level 9, then the CRC-32 and length. The file is
+    that function's bytes, so reruns are byte-identical."""
+    yield gzip.compress(b"", mtime=0)[:10]
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS)
+    crc = size = 0
+    for chunk in chunks:
+        crc, size = zlib.crc32(chunk, crc), size + len(chunk)
+        yield deflate.compress(chunk)
+        del chunk  # not held while the next block is made
+    yield deflate.flush()
+    yield struct.pack("<II", crc, size & 0xFFFFFFFF)
 
 
 def load_csv(path: str | Path) -> ExperimentDataset:
@@ -463,21 +487,26 @@ def load_csv(path: str | Path) -> ExperimentDataset:
     distinct values, and a covariate is binary iff all its values are 0/1.
 
     A file with no quote and no carriage return is parsed by numpy's C
-    reader; any other file, or one _load_columns turns down, goes through
-    the csv-module row loop, which gives the same dataset or the ParseError
-    naming the offending row and column.
+    reader, a block of rows at a time; any other file, or one _load_columns
+    turns down, is read whole and goes through the csv-module row loop,
+    which gives the same dataset or the ParseError naming the offending row
+    and column.
     """
     path = Path(path)
-    text = _read_text(path)
-    dataset = _load_columns(text)
-    return _load_rows(text, path) if dataset is None else dataset
+    dataset = _load_columns(path)
+    return _load_rows(_read_text(path), path) if dataset is None else dataset
+
+
+def _open_text(path: Path) -> io.TextIOWrapper:
+    """The file as UTF-8 text with "\\n" line ends kept; a .gz file is decompressed."""
+    opener = gzip.open if path.suffix == ".gz" else open
+    return opener(path, "rt", encoding="utf-8", newline="\n")
 
 
 def _read_text(path: Path) -> str:
-    """The whole file as text less a leading byte-order mark; a .gz file is decompressed."""
-    opener = gzip.open if path.suffix == ".gz" else open
+    """The whole file as text less a leading byte-order mark."""
     try:
-        with opener(path, "rt", encoding="utf-8", newline="") as fh:
+        with _open_text(path) as fh:
             return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
@@ -487,49 +516,96 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_columns(text: str) -> ExperimentDataset | None:
-    """The dataset parsed column-wise by numpy's C reader, or None when the
-    file needs the row loop.
+def _load_columns(path: Path) -> ExperimentDataset | None:
+    """The dataset parsed column-wise by numpy's C reader, a block of
+    BLOCK_ROWS lines at a time, or None when the file needs the row loop or
+    cannot be read (_read_text then reports why, with the byte offset in
+    the whole file).
 
     Without quotes and carriage returns, csv.reader splits exactly at "," and
-    "\n", as the C reader does, and on every cell both accept, float() and
+    "\\n", as the C reader does, and on every cell both accept, float() and
     the C reader give the same bits. The C reader turns down cells float()
     takes ("1_0", non-ASCII digits) and, given a structured dtype, any row
     without the header's cell count. It skips blank lines, which csv.reader
-    rejects, so a row count short of the line count means the row loop; so
-    does a line longer than csv.field_size_limit(), as does a non-finite
-    value or a propensity <= 0, which the row loop reports by row.
+    rejects, so a block's row count short of its line count means the row
+    loop; so does a line longer than csv.field_size_limit(), as does a
+    non-finite value or a propensity <= 0, which the row loop reports by row.
+
+    Each block's columns are written into arrays whose room grows by a
+    quarter when full, as numpy's own reader grows its result, and is cut to
+    the row count at the end: appending costs linear time in all, whatever
+    the allocator's realloc does, and no block is kept past its copy into
+    the columns. Arm labels become integer codes in order of first sight,
+    mapped to the sorted names at the end.
     """
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.removesuffix("\n").split("\n")
-    header = lines[0].split(",")
-    if len(lines) < 2 or tuple(header[:4]) != _FIXED_COLUMNS:
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    row = np.dtype([("unit_id", object), ("arm", object), ("values", float, (len(header) - 2,))])
     try:
-        with warnings.catch_warnings():
+        with _open_text(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            fields = _parse_blocks(fh)
+    except (UnicodeDecodeError, EOFError, zlib.error, OSError):
+        return None
+    return None if fields is None else ExperimentDataset(**fields)
+
+
+def _parse_blocks(fh: io.TextIOWrapper) -> dict | None:
+    """ExperimentDataset's fields, or None at the first block the row loop must read."""
+    limit = csv.field_size_limit()
+    first = fh.readline().removeprefix("\ufeff").removesuffix("\n")
+    header = first.split(",")
+    if '"' in first or "\r" in first or len(first) > limit or tuple(header[:4]) != _FIXED_COLUMNS:
+        return None
+    p = len(header) - 4
+    row = np.dtype([("unit_id", object), ("arm", object), ("values", float, (p + 2,))])
+    unit_ids, codes = np.empty(0, dtype=object), np.empty(0, dtype=int)
+    outcome, propensity, x = np.empty(0), np.empty(0), np.empty((0, p))
+    columns = (unit_ids, codes, outcome, propensity, x)
+    arm_codes = defaultdict()
+    arm_codes.default_factory = arm_codes.__len__  # a new label takes the next code
+    n = 0
+    while block := "".join(itertools.islice(fh, _util.BLOCK_ROWS)):
+        if '"' in block or "\r" in block:
+            return None
+        lines = block.removesuffix("\n").split("\n")
+        if max(map(len, lines)) > limit:
+            return None
+        try:
             table = np.loadtxt(
-                lines, dtype=row, delimiter=",", quotechar=None, comments=None, skiprows=1, ndmin=1
+                lines, dtype=row, delimiter=",", quotechar=None, comments=None, ndmin=1
             )
-    except ValueError:
+        except ValueError:
+            return None
+        values = table["values"]
+        if len(table) != len(lines) or not np.isfinite(values).all() or np.any(values[:, 1] <= 0.0):
+            return None
+        if n + len(table) > len(codes):
+            _resize(columns, max(n + len(table), len(codes) * 5 // 4))
+        rows = slice(n, n + len(table))
+        unit_ids[rows] = table["unit_id"]
+        codes[rows] = np.fromiter(map(arm_codes.__getitem__, table["arm"]), dtype=int, count=len(table))
+        outcome[rows], propensity[rows], x[rows] = values[:, 0], values[:, 1], values[:, 2:]
+        n += len(table)
+    if not n:
         return None
-    values = table["values"]
-    if len(table) != len(lines) - 1 or not np.isfinite(values).all():
-        return None
-    if np.any(values[:, 1] <= 0.0):
-        return None
-    return _dataset(
-        tuple(header[4:]),
-        table["unit_id"].copy(),
-        table["arm"].tolist(),
-        values[:, 0].copy(),
-        values[:, 1].copy(),
-        values[:, 2:].copy(),
+    _resize(columns, n)
+    arm_names = tuple(sorted(arm_codes))
+    arm_of_code = np.empty(len(arm_names), dtype=int)
+    arm_of_code[[arm_codes[name] for name in arm_names]] = np.arange(len(arm_names))
+    return dict(
+        unit_ids=unit_ids,
+        x=x,
+        arm=arm_of_code[codes],
+        outcome=outcome,
+        propensity=propensity,
+        arm_names=arm_names,
+        covariate_names=tuple(header[4:]),
     )
+
+
+def _resize(columns: Sequence[np.ndarray], rows: int) -> None:
+    """Give each column, which owns its buffer and has no views, `rows` rows
+    in place; its buffer is reallocated."""
+    for column in columns:
+        column.resize((rows,) + column.shape[1:], refcheck=False)
 
 
 def _parse_float(value: str, row: int, column: str) -> float:
@@ -572,33 +648,14 @@ def _load_rows(text: str, path: Path) -> ExperimentDataset:
             raise ParseError(f"row {i}: propensity must be > 0, got {row[3]}")
         propensities.append(e)
         x.append([_parse_float(v, i, c) for v, c in zip(row[4:], cov_names)])
-    return _dataset(
-        cov_names,
-        unit_ids,
-        arm_labels,
-        np.asarray(outcomes),
-        np.asarray(propensities),
-        np.asarray(x, dtype=float).reshape(len(rows), len(cov_names)),
-    )
-
-
-def _dataset(
-    cov_names: tuple[str, ...],
-    unit_ids: Sequence[str],
-    arm_labels: list[str],
-    outcome: np.ndarray,
-    propensity: np.ndarray,
-    x: np.ndarray,
-) -> ExperimentDataset:
-    """Parsed columns as a dataset, arms as load_csv documents them."""
     arm_names = tuple(sorted(set(arm_labels)))
     arm_index = {name: a for a, name in enumerate(arm_names)}
     return ExperimentDataset(
         unit_ids=unit_ids,
-        x=x,
+        x=np.asarray(x, dtype=float).reshape(len(rows), len(cov_names)),
         arm=np.fromiter(map(arm_index.__getitem__, arm_labels), dtype=int, count=len(arm_labels)),
-        outcome=outcome,
-        propensity=propensity,
+        outcome=np.asarray(outcomes),
+        propensity=np.asarray(propensities),
         arm_names=arm_names,
         covariate_names=cov_names,
     )

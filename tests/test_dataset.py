@@ -1,7 +1,9 @@
 import csv
 import gzip
+import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,6 +480,7 @@ class TestCsvRoundTrip:
 
 
 HEADER = "unit_id,arm,outcome,propensity\n"
+FOUR_ROWS = "a,x,1,0.5\nb,y,2,0.5\na,x,3,0.5\nb,y,4,0.5\n"
 # cells the C reader and float() may disagree on, or either may reject
 NUMBER_CELLS = ["0.5", "1", "-0", "0", "1e500", "-1e500", "nan", "inf", "1e-320", "",
                 " 1.5", "1.5 ", "\u20031.5\u2003", "1_0", "\u0661\u0662", "0x10", "+.5",
@@ -548,17 +551,38 @@ class TestColumnReader:
     """load_csv parses plain files column-wise with numpy's C reader; the
     csv-module row loop (_load_rows) is the reference it must match."""
 
+    # block_rows None keeps the module's block size; with 2 or 3 the later
+    # rows of a drawn text, and the fault in each later-block example, lie
+    # past the first block
     @settings(max_examples=400, deadline=None)
-    @given(text=csv_texts())
-    @example(text=HEADER + "a,x,1_0,0.5\nb,y,2,0.5\n")  # float() takes 1_0, the C reader not
-    @example(text=HEADER + "a,x,1,0.5\r\nb,y,2,0.5\r\n")
-    @example(text=HEADER + "a,x,1,0.5\n\nb,y,2,0.5\n")  # the C reader skips a blank line
-    @example(text=HEADER + "a,x,1,0.5\nb,y,2,0.5")
-    @example(text=HEADER + "u" * (csv.field_size_limit() + 1) + ",x,1,0.5\nb,y,2,0.5\n")
-    def test_matches_the_row_loop_bit_for_bit(self, tmp_path_factory, text):
+    @given(text=csv_texts(), block_rows=st.sampled_from([None, 2, 3]))
+    # float() takes 1_0, the C reader not
+    @example(text=HEADER + "a,x,1_0,0.5\nb,y,2,0.5\n", block_rows=None)
+    @example(text=HEADER + "a,x,1,0.5\r\nb,y,2,0.5\r\n", block_rows=None)
+    # the C reader skips a blank line
+    @example(text=HEADER + "a,x,1,0.5\n\nb,y,2,0.5\n", block_rows=None)
+    @example(text=HEADER + "a,x,1,0.5\nb,y,2,0.5", block_rows=None)
+    @example(text=HEADER + "u" * (csv.field_size_limit() + 1) + ",x,1,0.5\nb,y,2,0.5\n", block_rows=None)
+    @example(text=HEADER + FOUR_ROWS + "\nc,y,2,0.5\n", block_rows=2)
+    @example(text=HEADER + FOUR_ROWS + "\n", block_rows=3)
+    @example(text=HEADER + FOUR_ROWS + '"c",y,2,0.5\n', block_rows=2)
+    @example(text=HEADER + FOUR_ROWS + '"c,y",y,2,0.5\n', block_rows=3)
+    @example(text=HEADER + FOUR_ROWS + "c,y,2,0.5\r\n", block_rows=2)
+    @example(text=HEADER + FOUR_ROWS + "u" * (csv.field_size_limit() + 1) + ",y,2,0.5\n", block_rows=2)
+    @example(text=HEADER + FOUR_ROWS + "c,y,inf,0.5\n", block_rows=2)
+    @example(text=HEADER + FOUR_ROWS + "c,y,nan,0.5\n", block_rows=3)
+    @example(text=HEADER + FOUR_ROWS + "c,y,2,0\n", block_rows=2)
+    @example(text=HEADER + FOUR_ROWS + "c,y,2,-0.5\n", block_rows=3)
+    @example(text=HEADER + FOUR_ROWS + "c,y,2,0.5,9\n", block_rows=2)
+    @example(text=HEADER + FOUR_ROWS + "c,y,1_0,0.5\n", block_rows=3)
+    @example(text=HEADER + FOUR_ROWS + "c,z,2,0.5\nd,w,2,0.5\n", block_rows=2)  # arms first seen late
+    def test_matches_the_row_loop_bit_for_bit(self, tmp_path_factory, text, block_rows):
         path = tmp_path_factory.mktemp("diff") / "d.csv"
         path.write_bytes(text.encode("utf-8"))
-        fast = _outcome(lambda: load_csv(path))
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(persgain._util, "BLOCK_ROWS", block_rows)
+            fast = _outcome(lambda: load_csv(path))
         rows = _outcome(lambda: persgain.dataset._load_rows(text, path))
         if isinstance(rows, tuple):
             assert fast == rows
@@ -572,8 +596,14 @@ class TestColumnReader:
             mine, reference = getattr(fast, name), getattr(rows, name)
             assert mine.dtype == reference.dtype and mine.shape == reference.shape, name
             assert mine.tobytes() == reference.tobytes(), name
+        # each row's arm names its own label, checked without the readers'
+        # label-to-index mapping
+        labels = [row[1] for row in list(csv.reader(io.StringIO(text, newline="")))[1:]]
+        assert [fast.arm_names[a] for a in fast.arm] == labels
 
     def test_written_files_take_the_column_path(self, tmp_path, monkeypatch):
+        # 300 rows in blocks of 7: 42 full blocks, then 6 rows
+        monkeypatch.setattr(persgain._util, "BLOCK_ROWS", 7)
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
         ds, _ = generate_synthetic(dgp, n=300, seed=5)
         path = tmp_path / "d.csv"
@@ -585,7 +615,9 @@ class TestColumnReader:
         monkeypatch.setattr(persgain.dataset.csv, "reader", no_row_loop)
         back = load_csv(path)
         assert back.unit_ids.tolist() == ds.unit_ids.tolist()
-        assert back.x.tobytes() == ds.x.tobytes()
+        assert back.arm_names == ds.arm_names and back.arm.tobytes() == ds.arm.tobytes()
+        for name in ("x", "outcome", "propensity"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
         # a quoted arm name needs the row loop
         quoted = tiny_dataset(arm_names=("a,b", "treat"))
         write_csv(quoted, tmp_path / "q.csv")
@@ -593,6 +625,26 @@ class TestColumnReader:
             load_csv(tmp_path / "q.csv")
         monkeypatch.undo()
         assert load_csv(tmp_path / "q.csv").arm_names == ("a,b", "treat")
+
+    def test_columns_grow_by_a_quarter_at_least(self, tmp_path, monkeypatch):
+        # 600 rows in blocks of 2: a resize per block would make 300
+        monkeypatch.setattr(persgain._util, "BLOCK_ROWS", 2)
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=600, seed=5)
+        write_csv(ds, tmp_path / "d.csv")
+        sizes = []
+        resize = persgain.dataset._resize
+
+        def recorded(columns, rows):
+            sizes.append(rows)
+            resize(columns, rows)
+
+        monkeypatch.setattr(persgain.dataset, "_resize", recorded)
+        back = load_csv(tmp_path / "d.csv")
+        assert sizes[-1] == 600 and len(sizes) < 40, sizes
+        assert all(later >= earlier + earlier // 4 for earlier, later in zip(sizes[:-2], sizes[1:-1])), sizes
+        assert back.arm.tobytes() == ds.arm.tobytes()
+        assert back.x.tobytes() == ds.x.tobytes() and back.x.flags.c_contiguous
 
     @pytest.mark.parametrize("name", ["d.csv", "d.csv.gz"])
     def test_skips_a_leading_byte_order_mark(self, tmp_path, monkeypatch, name):
@@ -621,7 +673,7 @@ def _reference_csv(header, columns):
 
 
 class TestCsvBytes:
-    def test_columns_format_as_the_per_cell_reference(self):
+    def test_columns_format_as_the_per_cell_reference(self, monkeypatch):
         rng = np.random.default_rng(7)
         floats = np.concatenate([rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20),
                                  [0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1, 123456789.0, -1.5]])
@@ -637,8 +689,147 @@ class TestCsvBytes:
             ["plain"] * (n - 1) + [7],
         ]
         header = ["f", "i", "np", "text,quoted", "f32", "np_int", "text", "mixed"]
-        assert csv_bytes(header, columns) == _reference_csv(header, columns)
+        for block_rows in (persgain._util.BLOCK_ROWS, 2, 3):
+            monkeypatch.setattr(persgain._util, "BLOCK_ROWS", block_rows)
+            chunks = list(csv_bytes(header, columns))
+            assert b"".join(chunks) == _reference_csv(header, columns)
+            # the header, then one chunk per block of rows
+            assert len(chunks) == 1 + math.ceil(n / block_rows)
 
-    def test_unequal_columns_raise(self):
-        with pytest.raises(ValueError):
-            csv_bytes(["a", "b"], [np.zeros(3), [1, 2]])
+    def test_header_only_and_no_columns(self):
+        assert b"".join(csv_bytes(["a", "b"], [[], []])) == b"a,b\n"
+        assert b"".join(csv_bytes([], [])) == b"\n"
+
+    def test_unequal_columns_raise(self, tmp_path):
+        # before any byte is written: no temp file, the old file kept
+        with pytest.raises(ValueError, match="equal lengths"):
+            csv_bytes(["a", "b"], [np.zeros(3), [1, 2]])  # at the call, not at iteration
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match="equal lengths"):
+            persgain._util.write_csv(path, ["a", "b"], [np.zeros(3), [1, 2]])
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("name", ["t.csv", "t.csv.gz"])
+    def test_a_write_failing_partway_leaves_no_file(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(persgain._util, "BLOCK_ROWS", 2)
+        started = []
+
+        class Unprintable:
+            def __str__(self):
+                started.extend(tmp_path.glob(name + ".*.tmp"))  # the temp file is being written
+                raise RuntimeError("cannot format")
+
+        # the fourth row's id, in the second block, cannot be formatted
+        ds = tiny_dataset()
+        object.__setattr__(ds, "unit_ids", np.array(["a", "b", "c", Unprintable()], dtype=object))
+        with pytest.raises(RuntimeError, match="cannot format"):
+            write_csv(ds, tmp_path / name)
+        assert started and list(tmp_path.iterdir()) == []
+        started.clear()
+        with pytest.raises(RuntimeError, match="cannot format"):
+            persgain._util.write_csv(tmp_path / name, ["id"], [["a", "b", "c", Unprintable()]])
+        assert started and list(tmp_path.iterdir()) == []
+
+    def test_gzip_stream_is_one_shot_gzip_compress(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(persgain._util, "BLOCK_ROWS", 64)
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=1000, seed=5)
+        write_csv(ds, tmp_path / "d.csv")
+        write_csv(ds, tmp_path / "d.csv.gz")
+        plain = (tmp_path / "d.csv").read_bytes()
+        assert (tmp_path / "d.csv.gz").read_bytes() == gzip.compress(plain, mtime=0)
+        write_csv(tiny_dataset(), tmp_path / "t.csv")
+        write_csv(tiny_dataset(), tmp_path / "t.csv.gz")
+        tiny = (tmp_path / "t.csv").read_bytes()
+        assert (tmp_path / "t.csv.gz").read_bytes() == gzip.compress(tiny, mtime=0)
+
+    @pytest.mark.parametrize("os_byte", [3, 255])
+    def test_gzip_header_follows_this_pythons_gzip_compress(self, tmp_path, monkeypatch, os_byte):
+        # gzip.compress(data, mtime=0) writes zlib's OS byte (3 on Unix) on
+        # Python 3.11 and 3.12, and 255 on 3.10 and from 3.13
+        one_shot = gzip.compress
+
+        def compress(data, *args, **kwargs):
+            out = bytearray(one_shot(data, *args, **kwargs))
+            out[9] = os_byte
+            return bytes(out)
+
+        monkeypatch.setattr(gzip, "compress", compress)
+        write_csv(tiny_dataset(), tmp_path / "t.csv")
+        write_csv(tiny_dataset(), tmp_path / "t.csv.gz")
+        written = (tmp_path / "t.csv.gz").read_bytes()
+        assert written[9] == os_byte
+        assert written == compress((tmp_path / "t.csv").read_bytes(), mtime=0)
+
+
+def _traced_peak(action) -> int:
+    """The most bytes traced by tracemalloc at once while action() runs,
+    above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = action()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+class TestCsvMemory:
+    """CSV goes through memory a block of rows at a time: writing holds less
+    than the file's size at once, reading less than 2.5 times it, the
+    parsed dataset included. Whole-file text held 3.42 and 4.19 times."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=50_000, seed=11)
+        return ds
+
+    @pytest.mark.parametrize("name", ["d.csv", "d.csv.gz"])
+    def test_peaks_stay_below_a_multiple_of_the_text_size(self, tmp_path, design, name):
+        plain = tmp_path / "plain.csv"
+        write_csv(design, plain)
+        size = plain.stat().st_size
+        path = tmp_path / name
+        write_peak = _traced_peak(lambda: write_csv(design, path))
+        load_peak = _traced_peak(lambda: load_csv(path))
+        assert write_peak < 1.0 * size, (write_peak, size)
+        assert load_peak < 2.5 * size, (load_peak, size)
+        back = load_csv(path)
+        assert back.unit_ids.tolist() == design.unit_ids.tolist()
+        assert back.arm.tobytes() == design.arm.tobytes()
+        for field in ("x", "outcome", "propensity"):
+            assert getattr(back, field).tobytes() == getattr(design, field).tobytes(), field
+
+
+class TestCsvErrorsPastTheFirstBlock:
+    """A fault the block reader meets late is reported as a whole-file read
+    reports it: by its offset in the file, or as an unreadable file."""
+
+    def test_a_bad_byte_is_reported_at_its_offset_in_the_file(self, tmp_path):
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=3000, seed=5)
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        data = bytearray(path.read_bytes())
+        assert len(data) > 2 * 150_001
+        data[150_001] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=r"d\.csv is not UTF-8 text: byte 150001 cannot be decoded"):
+            load_csv(path)
+
+    def test_a_gzip_file_cut_after_its_first_block_is_unreadable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(persgain._util, "BLOCK_ROWS", 100)
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
+        ds, _ = generate_synthetic(dgp, n=3000, seed=5)
+        path = tmp_path / "d.csv.gz"
+        write_csv(ds, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with gzip.open(path, "rt") as fh:  # the first blocks still decompress
+            assert len([fh.readline() for _ in range(301)][-1]) > 0
+        with pytest.raises(ParseError, match=r"d\.csv\.gz is not a readable CSV file"):
+            load_csv(path)
