@@ -84,8 +84,8 @@ class LinearTLearner:
 def fit_per_arm(train: ExperimentDataset) -> LinearTLearner:
     """Least-squares fit of each arm on its own rows. Rank deficiency is
     tolerated (minimum-norm solution, with a warning); an arm with no rows
-    is not."""
-    design = np.column_stack([np.ones(train.n), train.x])
+    is not. Each arm's design is built from its own rows only, so no
+    design of every training row is ever held."""
     coef = np.zeros((train.m, train.p + 1))
     thin, deficient = [], []
     for a in range(train.m):
@@ -95,7 +95,8 @@ def fit_per_arm(train: ExperimentDataset) -> LinearTLearner:
             raise ConfigError(f"arm {train.arm_names[a]!r} has no training rows")
         if count < train.p + 2:
             thin.append(train.arm_names[a])
-        coef[a], _, rank, _ = np.linalg.lstsq(design[rows], train.outcome[rows], rcond=None)
+        design = np.column_stack([np.ones(count), train.x[rows]])
+        coef[a], _, rank, _ = np.linalg.lstsq(design, train.outcome[rows], rcond=None)
         if rank < train.p + 1:
             deficient.append(train.arm_names[a])
     if deficient:

@@ -1,18 +1,19 @@
 """Monte Carlo gain from personalizing over m treatment arms.
 
 Each replication draws per-arm average responses mu from a chosen
-distribution, then an m x n matrix of potential outcomes, one row per arm,
-whose columns (one per individual) are i.i.d. N(mu, Sigma) with the
-equicorrelated covariance Sigma = sigma^2 [(1-rho) I + rho J]. Whatever
-the sign of rho, the outcomes come from the same standard normals, a row
-z (1 x n) and a matrix eps (m x n): column i is mu + sigma (sqrt(1-rho)
-eps_i + c_i 1), where the term c_i common to individual i's arms is
-sqrt(rho) z_i for rho >= 0 and (sqrt(1+(m-1)rho) - sqrt(1-rho)) times the
-mean of eps_i for rho < 0. Either way the column's component along the
-all-ones vector has variance sigma^2 (1+(m-1)rho) and every orthogonal
-one sigma^2 (1-rho), the eigenvalues of Sigma, so both forms are exact.
-The personalized policy gives each individual the arm of their column's
-max; the uniform benchmark picks the single arm with the best row mean.
+distribution, then potential outcomes for n individuals: one column per
+individual, i.i.d. N(mu, Sigma) over the m arms, with the equicorrelated
+covariance Sigma = sigma^2 [(1-rho) I + rho J]. Whatever the sign of rho,
+the outcomes come from the same standard normals, z_i and a column eps_i
+of m per individual: column i is mu + sigma (sqrt(1-rho) eps_i + c_i 1),
+where the term c_i common to individual i's arms is sqrt(rho) z_i for
+rho >= 0 and (sqrt(1+(m-1)rho) - sqrt(1-rho)) times the mean of eps_i for
+rho < 0. Either way the column's component along the all-ones vector has
+variance sigma^2 (1+(m-1)rho) and every orthogonal one sigma^2 (1-rho),
+the eigenvalues of Sigma, so both forms are exact. `_outcomes` states
+these outcomes; the kernel never builds them. The personalized policy
+gives each individual the arm of their column's max; the uniform
+benchmark picks the single arm with the best mean over the individuals.
 With sigma_eps > 0 both selections are made on noisy predictions
 Yhat = Y + sigma_eps * noise but are always scored on the true Y, so the
 gain can go negative when predictions are poor.
@@ -20,8 +21,10 @@ gain can go negative when predictions are poor.
 The kernel scores each config on Y' = mu + sigma sqrt(1-rho) eps, the
 outcomes without the common term, and adds C, the common term's mean over
 the individuals, to v_p and to v_u: a term common to all of an
-individual's arms changes neither pick, so it adds C to both values.
-`_outcomes`, the sum of the two, is the one statement of Y.
+individual's arms changes neither pick, so it adds C to both values. For
+rho >= 0, C is sigma sqrt(rho) z_bar, and z_bar, the mean of n
+independent standard normals, is N(0, 1/n): a replication draws one
+standard normal zeta and takes z_bar = zeta / sqrt(n), never z itself.
 
 No replication draws the noise. Cell by cell, Y' and its prediction
 Yhat' = Y' + sigma_eps * noise are a normal pair, independent across cells
@@ -47,10 +50,12 @@ one draw layout: its configs agree on seed, n_individuals, n_replications
 and the kind of mean distribution, whatever their m, and a batch that
 mixes layouts raises ConfigError before anything is drawn. Each
 replication draws once for all its configs, at the batch's largest m, its
-width W, in `sample_potential_outcomes`, which states the draws' order; a
-config with m arms takes the first m means and arm rows. Each config
-scales the shared normals with the same floating-point operations a run
-of it alone at width W performs. So the widest config is bit-identical to
+width W, in `sample_potential_outcomes`, which states the draws' order:
+the variates of W means, then zeta, then eps in blocks of individuals. A
+config with m arms maps the same variates to its own means and keeps the
+first m, and takes the first m arm rows of each block. Each config scales
+the shared normals with the same floating-point operations a run of it
+alone at width W performs. So the widest config is bit-identical to
 running it alone, every config sees the same normals whatever its
 parameters, and a grid of K configs costs one set of draws plus K cheap
 rescalings (Glasserman, Monte Carlo Methods in Financial Engineering,
@@ -58,10 +63,19 @@ rescalings (Glasserman, Monte Carlo Methods in Financial Engineering,
 draws truncated to its m, which differ from a lone run of it within Monte
 Carlo error.
 
-Each thread that runs replications holds one set of arrays for the whole
-batch, filled in place by every replication: z and eps at width W, and
-one scratch of m2 x n cells for the narrower configs, m2 the largest m
-among them. None outlives the `simulate_gain` call.
+A replication draws and scores its individuals in blocks of
+B = max(1, BLOCK_CELLS // W), the last block shorter: each block's eps is
+W x b, arm-major, one row of b normals per arm. Each config adds up, block
+by block, the sum of its individuals' best predictions, each arm's sum of
+predictions and, with sigma_eps > 0, each arm's count of individuals whose
+best arm it is; its values come from those sums once the last block is
+scored. So each thread that runs replications holds one set of arrays for
+the whole batch, whatever n is, filled in place by every block: a W x B
+block of eps, and one scratch of m2 x B cells for the narrower configs, m2
+the largest m among them: under 2 BLOCK_CELLS cells, 2 MB, while
+W <= BLOCK_CELLS. None outlives the `simulate_gain` call. The block size
+is part of the draw layout: changing BLOCK_CELLS changes which normal
+lands in which cell, as any change of W does.
 """
 
 from __future__ import annotations
@@ -96,8 +110,18 @@ __all__ = [
 # distributions of per-arm average responses
 
 
+class _Means:
+    """A distribution of m average responses in two steps: `variates`
+    draws the random numbers behind them from a generator, and `means`
+    maps those to the m means. A batch draws the variates once at its
+    widest m, and each config maps them to its own means."""
+
+    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        return self.means(self.variates(m, rng))
+
+
 @dataclass(frozen=True)
-class FixedMeans:
+class FixedMeans(_Means):
     """Deterministic vector of average responses, one entry per arm."""
 
     mu: tuple[float, ...]
@@ -107,16 +131,18 @@ class FixedMeans:
         if not all(math.isfinite(x) for x in self.mu):
             raise ConfigError("Fixed means must all be finite")
 
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
+    def variates(self, m: int, rng: np.random.Generator) -> None:
         if len(self.mu) != m:
             raise ConfigError(
                 f"Fixed means have length {len(self.mu)} but m = {m} arms were requested"
             )
+
+    def means(self, variates: None) -> np.ndarray:
         return np.asarray(self.mu, dtype=float)
 
 
 @dataclass(frozen=True)
-class NormalMeans:
+class NormalMeans(_Means):
     """Average responses drawn i.i.d. N(mean, s^2)."""
 
     mean: float = 0.0
@@ -128,12 +154,15 @@ class NormalMeans:
         if self.s < 0:
             raise ConfigError(f"s must be >= 0, got {self.s}")
 
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return self.mean + self.s * rng.standard_normal(m)
+    def variates(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(m)
+
+    def means(self, variates: np.ndarray) -> np.ndarray:
+        return self.mean + self.s * variates
 
 
 @dataclass(frozen=True)
-class SpikeSlabMeans:
+class SpikeSlabMeans(_Means):
     """Each arm's average response is `mean` with probability pi_spike,
     else a fresh N(mean, s^2) draw. Resulting variance: (1 - pi_spike) * s^2."""
 
@@ -149,12 +178,14 @@ class SpikeSlabMeans:
         if self.s < 0:
             raise ConfigError(f"s must be >= 0, got {self.s}")
 
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
+    def variates(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         # both arrays are always drawn so runs differing only in pi_spike
         # share the underlying randomness
-        spike = rng.uniform(size=m) < self.pi_spike
-        slab = self.mean + self.s * rng.standard_normal(m)
-        return np.where(spike, self.mean, slab)
+        return rng.uniform(size=m), rng.standard_normal(m)
+
+    def means(self, variates: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        uniform, normal = variates
+        return np.where(uniform < self.pi_spike, self.mean, self.mean + self.s * normal)
 
 
 AvgResponseDist = Union[FixedMeans, NormalMeans, SpikeSlabMeans]
@@ -187,9 +218,9 @@ def rho_lower_bound(m: int) -> float:
 def _spread(
     eps: np.ndarray, mu: np.ndarray, scale: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """mu + scale eps, from m arm rows of eps and mu as a column, or m means
-    of eps and mu, into `out` (which may be eps) in two passes: Y' at
-    scale sigma sqrt(1-rho), Yhat' at hypot of that and sigma_eps."""
+    """mu + scale eps, from m arm rows of eps and mu as a column, into
+    `out` (which may be eps) in two passes: Y' at scale
+    sigma sqrt(1-rho), Yhat' at hypot of that and sigma_eps."""
     out = np.multiply(eps, scale, out=out)
     out += mu
     return out
@@ -198,8 +229,8 @@ def _spread(
 def _common(z: np.ndarray, eps: np.ndarray, sigma: float, rho: float) -> np.ndarray:
     """sigma c: each individual's term common to their arms, c of the
     module docstring, from z (1 x n) and eps (m x n). It is linear in
-    (z, eps), so given their means over the individuals (a number and m
-    values) it returns its mean over them."""
+    (z, eps), so given their means over the individuals (z_bar and m
+    values) it returns its mean over them, C, as the kernel takes it."""
     if rho >= 0:
         return sigma * (math.sqrt(rho) * z)
     scale = math.sqrt(1.0 + (len(eps) - 1) * rho) - math.sqrt(1.0 - rho)
@@ -210,9 +241,11 @@ def _outcomes(
     z: np.ndarray, eps: np.ndarray, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray
 ) -> np.ndarray:
     """The m x n outcomes Y = Y' + sigma c 1 of (mu, sigma, rho): the sum of
-    the two parts the kernel scores, `_spread` and `_common`, from the draws
-    z and eps, written into `out` (which may be eps; the common term is
-    taken before eps is overwritten)."""
+    the two parts the kernel scores, `_spread` and `_common`, from
+    standard normals z (1 x n) and eps (m x n), written into `out` (which
+    may be eps; the common term is taken before eps is overwritten). The
+    kernel scores Y' block by block and adds the mean of the common term,
+    so it never draws z, only z_bar, and never builds Y."""
     common = _common(z, eps, sigma, rho)
     return np.add(_spread(eps, mu[:, None], sigma * math.sqrt(1.0 - rho), out=out), common, out=out)
 
@@ -234,8 +267,9 @@ class SimConfig:
     # Not a field, and no replication draws noise: sigma_eps > 0 is scored by
     # conditioning on the predictions (see _replicate). perfbench/tracer.py
     # reads cfg.noise_mode to count the normals drawn, and still counts n x m
-    # noise normals; the constant goes when the benchmark reads spans from
-    # inside the package (ROADMAP item 3).
+    # noise normals and n normals for z, of which a replication draws one;
+    # the constant goes when the benchmark reads spans from inside the
+    # package (ROADMAP item 3).
     noise_mode = "per_cell"
 
     def __post_init__(self) -> None:
@@ -245,6 +279,7 @@ class SimConfig:
             raise ConfigError(f"m must be an integer >= 2, got {self.m}")
         if self.n_individuals < 1 or self.n_replications < 1:
             raise ConfigError("n_individuals and n_replications must be >= 1")
+        # the kernel builds no such matrix, but its size stays a checked bound
         check_addressable("an n_individuals x m outcome matrix", self.n_individuals, self.m)
         if self.sigma < 0 or not math.isfinite(self.sigma):
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
@@ -286,36 +321,46 @@ def _score(v_p: float, v_u: float, common: float) -> tuple[float, float]:
     return v_p, v_u
 
 
+# the cells of one block of draws: each thread holds one W x B block of eps
+# and one m2 x B scratch, B = BLOCK_CELLS // W individuals, whatever n is
+BLOCK_CELLS = 2 ** 17
+
+
+def _block_size(width: int) -> int:
+    """B, the individuals in each block of draws at width W; a
+    replication's last block may hold fewer."""
+    return max(1, BLOCK_CELLS // width)
+
+
 def sample_potential_outcomes(
-    cfg: SimConfig, rep: int, *more: SimConfig, out: tuple | None = None
-) -> tuple[np.ndarray, ...]:
-    """Every draw of replication `rep` of a batch: cfg, its widest config,
-    and the configs in `more`, which share cfg's draw layout. Returns
-    (mu, z, eps, *more_mu), drawn in this order: from stream(cfg.seed, rep),
-    the W = cfg.m means mu, a standard-normal row z (1 x n) and a matrix
-    eps (W x n), one row per arm. Then, for each config in `more`, the first
-    m of W means drawn from a fresh stream(cfg.seed, rep), as mu was (a
-    fixed-means config has m = W; `simulate_gain` checks it). No config
-    draws prediction noise, whatever its sigma_eps: the kernel builds each
-    prediction from eps (see `_replicate`).
+    cfg: SimConfig, rng: np.random.Generator, *more: SimConfig, out: np.ndarray,
+    first: bool = True,
+) -> tuple:
+    """The next draws of a replication of a batch from rng, the
+    replication's stream(cfg.seed, rep). cfg is the batch's widest config,
+    of W = cfg.m arms, and `more` holds the others, which share its draw
+    layout.
 
-    `out`, if given, is a (z, eps) pair of arrays of those shapes to draw
-    into; filling an array gives the bits that drawing a new one of its
-    shape would.
+    Each call draws one block of eps into `out`, a W x b array, arm-major:
+    one row of b standard normals per arm, for the block's b individuals.
+    Filling `out` gives the bits that drawing a new array of its shape
+    would. A replication's first call (first=True) draws, before its block,
+    what the whole replication shares: the variates of the W means, then
+    one standard normal zeta, which is sqrt(n) z_bar, z_bar the mean of the
+    n individuals' z. It returns (eps, zeta, mu, *more_mu): cfg's W means,
+    then for each config in `more` the first m of the W means it maps the
+    same variates to (a fixed-means config has m = W; `simulate_gain`
+    checks it). A later call returns (eps,).
+
+    No config draws prediction noise, whatever its sigma_eps: the kernel
+    builds each prediction from eps (see `_replicate`).
     """
-    z, eps = out or _empty_draws(cfg)
-    rng = stream(cfg.seed, rep)
-    mu = cfg.dist.sample(cfg.m, rng)
-    rng.standard_normal(out=z)
-    rng.standard_normal(out=eps)
-    return (mu, z, eps,
-            *(point.dist.sample(cfg.m, stream(cfg.seed, rep))[: point.m] for point in more))
-
-
-def _empty_draws(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialized (z, eps) arrays for `sample_potential_outcomes` to draw
-    a replication of cfg's batch into."""
-    return np.empty((1, cfg.n_individuals)), np.empty((cfg.m, cfg.n_individuals))
+    if not first:
+        return (rng.standard_normal(out=out),)
+    variates = cfg.dist.variates(cfg.m, rng)
+    zeta = rng.standard_normal()
+    return (rng.standard_normal(out=out), zeta, cfg.dist.means(variates),
+            *(point.dist.means(variates)[: point.m] for point in more))
 
 
 # each thread's arrays for the batch it is running (see _arrays), held by
@@ -324,66 +369,104 @@ def _empty_draws(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 _held = threading.local()
 
 
-def _arrays(cfg: SimConfig, more: Sequence[SimConfig]) -> tuple:
-    """This thread's arrays for a batch of widest config cfg and narrower
-    configs `more`: the draws (z, eps) of `sample_potential_outcomes` and a
-    scratch of m2 x n cells, m2 the largest m in `more`. Made on the
-    thread's first replication of the batch and reused by the rest;
-    `simulate_gain` drops them when it ends."""
-    n = cfg.n_individuals
+def _arrays(cfg: SimConfig, more: Sequence[SimConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's flat arrays for a batch of widest config cfg and
+    narrower configs `more`: W x b cells for a block of draws and m2 x b
+    for the narrower configs' scratch, b = min(n, B) and m2 the largest m
+    in `more`. Made on the thread's first replication of the batch and
+    reused by the rest; `simulate_gain` drops them when it ends."""
+    size = min(cfg.n_individuals, _block_size(cfg.m))
     m2 = max((point.m for point in more), default=0)
     held = getattr(_held, "arrays", None)
-    if held is None or held[0] != (n, cfg.m, m2):
-        held = _held.arrays = ((n, cfg.m, m2), _empty_draws(cfg), np.empty(m2 * n))
+    if held is None or held[0] != (cfg.m, m2, size):
+        held = _held.arrays = ((cfg.m, m2, size), np.empty(cfg.m * size), np.empty(m2 * size))
     return held[1:]
+
+
+def _scales(cfg: SimConfig) -> tuple[float, float]:
+    """(c, shrink) of cfg: Yhat' = mu + c eps, c = hypot(v, sigma_eps),
+    v = sigma sqrt(1-rho), and E[the true outcome's eps | eps] = shrink eps,
+    shrink = v / c."""
+    v = cfg.sigma * math.sqrt(1.0 - cfg.rho)
+    if not cfg.sigma_eps:
+        return v, 1.0
+    c = math.hypot(v, cfg.sigma_eps)
+    return c, v / c
 
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
     """(v_p, v_u) in replication `rep` for cfg, its batch's widest config,
-    then each config in `more`, from one `sample_potential_outcomes` call.
+    then each config in `more`, from one `sample_potential_outcomes` call
+    per block of individuals.
 
-    Each config, as the module docstring says, writes Yhat' = mu + c eps
-    from the first m arm rows of eps, gives each individual the arm of
-    their column's max, picks the uniform arm U, the argmax of
-    mu + c eps_bar (eps_bar the arm rows' means, taken once at the width W),
-    and scores both picks by E[Y' | Yhat']. C comes from the mean of z, or
-    for rho < 0 from (v/c) eps_bar.
+    For each block each config, as the module docstring says, writes
+    Yhat' = mu + c eps from the first m arm rows of the block's eps and
+    adds to its running sums: of each individual's best prediction (the
+    max over their column), of each arm's predictions and, with
+    sigma_eps > 0, of each arm's hits (the individuals whose best arm it
+    is). After the last block the uniform arm U is the arm with the largest
+    sum, and both picks are scored by E[Y' | Yhat']. C comes from zeta, or
+    for rho < 0 from (v/c) eps_bar, the arm rows' means of eps, summed
+    block by block at the width W when some config has rho < 0.
 
     A config in `more` writes its Yhat' into this thread's scratch
-    (`_arrays`); cfg is scored last and writes its Yhat' over eps.
+    (`_arrays`); cfg is scored last and writes its Yhat' over the block.
+    Configs are told apart by position, since a batch may hold one config
+    twice.
     """
-    draws, scratch = _arrays(cfg, more)
-    mu, z, eps, *more_mu = sample_potential_outcomes(cfg, rep, *more, out=draws)
-    n = cfg.n_individuals
-    z_bar, eps_bar = z.mean(), eps.mean(axis=1)
+    buffer, scratch = _arrays(cfg, more)
+    n, width = cfg.n_individuals, cfg.m
+    points = (*more, cfg)
+    scales = [_scales(point) for point in points]
+    best_sums = [0.0] * len(points)
+    arm_sums = [np.zeros(point.m) for point in points]
+    hits = [np.zeros(point.m) for point in points]
+    eps_sums, negative = np.zeros(width), any(point.rho < 0 for point in points)
+    rng = stream(cfg.seed, rep)
+    size = _block_size(width)
+    for start in range(0, n, size):
+        b = min(size, n - start)
+        eps, *head = sample_potential_outcomes(
+            cfg, rng, *more, out=buffer[: width * b].reshape(width, b), first=not start)
+        if head:
+            zeta, mu, *more_mu = head
+            means = (*more_mu, mu)
+        if negative:
+            eps_sums += eps.sum(axis=1)
+        for k, point in enumerate(points):
+            m = point.m
+            y = eps if k == len(more) else scratch[: m * b].reshape(m, b)
+            y = _spread(eps[:m], means[k][:, None], scales[k][0], out=y)
+            # best >= y[j] cell by cell, and best and each row of y are
+            # summed by one pairwise tree: rounding is monotone, so with
+            # sigma_eps = 0 the best sum is at least every arm's, v_p >= v_u
+            arm_sums[k] += y.sum(axis=1)
+            best = y.max(axis=0)
+            best_sums[k] += float(best.sum())
+            if point.sigma_eps:
+                # a max two arms share goes to the first, as argmax of y,
+                # now the equality, gives
+                block_hits = np.equal(y, best, out=y).sum(axis=1)
+                if block_hits.sum() != b:
+                    block_hits = np.bincount(np.argmax(y, axis=0), minlength=m)
+                hits[k] += block_hits
 
-    def value(point: SimConfig, mu: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        """(v_p, v_u) of point, its Yhat' written into y."""
-        m, sigma, rho, sigma_eps = point.m, point.sigma, point.rho, point.sigma_eps
-        v = sigma * math.sqrt(1.0 - rho)
-        c = math.hypot(v, sigma_eps) if sigma_eps else v
-        shrink = v / c if sigma_eps else 1.0  # E[the true outcome's eps | eps] = shrink eps
-        common = float(_common(z_bar, shrink * eps_bar[:m], sigma, rho))
-        uniform = int(np.argmax(_spread(eps_bar[:m], mu, c)))  # ties: lowest arm index
-        y = _spread(eps[:m], mu[:, None], c, out=y)
-        best = y.max(axis=0)
-        # best >= y[uniform] cell by cell and both n-vectors are summed by one
-        # pairwise tree: rounding is monotone, so with sigma_eps = 0, v_p >= v_u
-        v_p, v_u = float(best.mean()), float(y[uniform].mean())
-        if sigma_eps:
-            # hits[j]: the individuals whose best arm is j; a max two arms
-            # share goes to the first, as argmax of y, now the equality, gives.
+    z_bar, eps_bar = zeta / math.sqrt(n), eps_sums / n
+
+    def value(k: int) -> tuple[float, float]:
+        """(v_p, v_u) of the k-th of points."""
+        point, mu, shrink = points[k], means[k], scales[k][1]
+        common = float(_common(z_bar, shrink * eps_bar[: point.m], point.sigma, point.rho))
+        uniform = int(np.argmax(arm_sums[k]))  # ties: lowest arm index
+        v_p, v_u = best_sums[k] / n, float(arm_sums[k][uniform]) / n
+        if point.sigma_eps:
             # mu_p sums hits * mu: a BLAS dot raised peak RSS by about 0.1 MB
-            hits = np.equal(y, best, out=y).sum(axis=1)
-            if hits.sum() != n:
-                hits = np.bincount(np.argmax(y, axis=0), minlength=m)
-            k, mu_p, mu_u = shrink * shrink, float((hits * mu).sum()) / n, float(mu[uniform])
-            v_p, v_u = mu_p + k * (v_p - mu_p), mu_u + k * (v_u - mu_u)
+            q, mu_p, mu_u = shrink * shrink, float((hits[k] * mu).sum()) / n, float(mu[uniform])
+            v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
         return _score(v_p, v_u, common)
 
-    values = [value(point, point_mu, scratch[: point.m * n].reshape(point.m, n))
-              for point, point_mu in zip(more, more_mu)]
-    return [value(cfg, mu, eps), *values]
+    *values, widest = (value(k) for k in range(len(points)))
+    return [widest, *values]
 
 
 def simulate_gain(

@@ -83,15 +83,23 @@ def test_dist_validation() -> None:
 
 
 def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
-    """The m x n outcome matrix of (mu, sigma, rho), one row per arm: a
-    fixed-means config's z and eps, drawn by the draw step for replication
-    0 of `seed`, turned into outcomes by `_outcomes`."""
-    mu = np.asarray(mu, dtype=float)
-    cfg = SimConfig(m=len(mu), sigma=sigma, rho=rho, dist=FixedMeans(mu),
+    """The m x n outcome matrix of (mu, sigma, rho), one row per arm, turned
+    into outcomes by `_outcomes`: eps is a fixed-means config's, drawn block
+    by block by the draw step for replication 0 of `seed` and joined; z,
+    each individual's common normal, which the simulator never draws (it
+    draws only their mean), is a row of n normals from a generator of its
+    own."""
+    mu, m = np.asarray(mu, dtype=float), len(mu)
+    cfg = SimConfig(m=m, sigma=sigma, rho=rho, dist=FixedMeans(mu),
                     n_individuals=n, n_replications=1, seed=seed)
-    _, z, eps = sample_potential_outcomes(cfg, 0)
-    assert z.shape == (1, n) and eps.shape == (len(mu), n)
-    return _outcomes(z, eps, mu, sigma, rho, out=eps)
+    rng, size = stream(seed, 0), simulate._block_size(m)
+    blocks = [sample_potential_outcomes(cfg, rng, out=np.empty((m, min(size, n - start))),
+                                        first=not start)[0]
+              for start in range(0, n, size)]
+    eps = np.concatenate(blocks, axis=1)
+    assert eps.shape == (m, n) and len(blocks) == -(-n // size)
+    return _outcomes(np.random.default_rng(seed).standard_normal((1, n)), eps, mu, sigma, rho,
+                     out=eps)
 
 
 def test_outcomes_sigma_zero() -> None:
@@ -178,27 +186,40 @@ def test_rho_above_one_rejected() -> None:
                 n_individuals=40, seed=9) for m, e in ((2, 0.0), (4, 0.7))]),
 ], ids=["sigma_eps_zero", "mixed"])
 def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> None:
-    # from stream(seed, rep): the widest config's W means, z as a row of n
-    # and eps arm-major (W x n, each arm's n normals contiguous), and no
-    # prediction noise, whatever sigma_eps; then each narrower config's
-    # first m of W means from a fresh stream
-    rep, n, width = 3, widest.n_individuals, widest.m
-    mu, z, eps, *more_mu = sample_potential_outcomes(widest, rep, *narrower)
+    # from stream(seed, rep): the widest config's W means, one normal zeta
+    # (sqrt(n) times the mean of z), then eps block by block, each block
+    # arm-major (W x b, each arm's b normals contiguous), and no prediction
+    # noise, whatever sigma_eps; each narrower config's means are the first
+    # m of the W means it maps the same variates to
+    rep, width, sizes = 3, widest.m, (17, 17, 6)
+    assert sum(sizes) == widest.n_individuals
+
+    def draw(batch: list[SimConfig]) -> tuple:
+        rng = stream(widest.seed, rep)
+        eps, *head = sample_potential_outcomes(batch[0], rng, *batch[1:],
+                                                out=np.empty((width, sizes[0])))
+        later = [sample_potential_outcomes(batch[0], rng, out=np.empty((width, b)), first=False)
+                 for b in sizes[1:]]
+        assert all(len(drawn) == 1 for drawn in later)
+        return head, [eps, *(drawn[0] for drawn in later)]
+
+    head, blocks = draw([widest, *narrower])
+    zeta, mu, *more_mu = head
     rng = stream(widest.seed, rep)
     np.testing.assert_array_equal(mu, widest.dist.sample(width, rng), strict=True)
-    np.testing.assert_array_equal(z, rng.standard_normal((1, n)), strict=True)
-    np.testing.assert_array_equal(eps, rng.standard_normal((width, n)), strict=True)
-    assert eps.flags.c_contiguous
+    assert type(zeta) is float and zeta == rng.standard_normal()
+    for block, b in zip(blocks, sizes):
+        np.testing.assert_array_equal(block, rng.standard_normal((width, b)), strict=True)
+        assert block.flags.c_contiguous
     assert len(more_mu) == len(narrower)
     for cfg, cfg_mu in zip(narrower, more_mu):
         expected = cfg.dist.sample(width, stream(widest.seed, rep))[: cfg.m]
         np.testing.assert_array_equal(cfg_mu, expected, strict=True)
     # a batch with sigma_eps > 0 draws exactly what it draws with sigma_eps = 0
-    quiet = sample_potential_outcomes(replace(widest, sigma_eps=0.0), rep,
-                                      *(replace(cfg, sigma_eps=0.0) for cfg in narrower))
-    assert len(quiet) == 3 + len(narrower)
-    for drawn, drawn_quiet in zip((mu, z, eps, *more_mu), quiet):
-        np.testing.assert_array_equal(drawn, drawn_quiet, strict=True)
+    quiet_head, quiet_blocks = draw([replace(cfg, sigma_eps=0.0) for cfg in (widest, *narrower)])
+    assert len(quiet_head) == len(head) == 2 + len(narrower)
+    for a, b in zip((*head, *blocks), (*quiet_head, *quiet_blocks)):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 # --------------------------------------------------------------------------
@@ -298,13 +319,17 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 
 def reference_draws(cfg: SimConfig, rep: int, width: int | None = None) -> tuple:
     """One replication's draws for one config at `width` arms (cfg.m by
-    default): (mu, z, eps), with cfg.m means, z a row of n and eps whole at
-    `width`, one row of n per arm."""
+    default): (mu, zeta, blocks), with cfg.m means, zeta = sqrt(n) z_bar,
+    and eps whole at `width` in blocks of BLOCK_CELLS // width individuals
+    (at least one; the last block may be shorter), one row per arm each."""
     rng = stream(cfg.seed, rep)
     n, m = cfg.n_individuals, cfg.m
     width = m if width is None else width
     mu = cfg.dist.sample(m if isinstance(cfg.dist, FixedMeans) else width, rng)[:m]
-    return mu, rng.standard_normal((1, n)), rng.standard_normal((width, n))
+    zeta = rng.standard_normal()
+    size = max(1, simulate.BLOCK_CELLS // width)
+    return mu, zeta, [rng.standard_normal((width, min(size, n - start)))
+                      for start in range(0, n, size)]
 
 
 def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
@@ -314,29 +339,34 @@ def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> t
     on the predictions Yhat' = mu + c eps, c = hypot(v, sigma_eps) and
     v = sigma sqrt(1-rho), each pick valued at E[Y' | Yhat'] =
     mu + (v/c)^2 (Yhat' - mu), with C, the common term's conditional mean
-    over the individuals, added to v_p and v_u alike, and the uniform arm
-    taken from the arm rows' means at `width`. With sigma_eps = 0, Yhat' is
-    Y'. Each individual's pick is the argmax over their column, ties to the
-    lowest arm index, gathered cell by cell; the mean of the picks' means
-    is a count of picks per arm dotted with mu, as the kernel takes it."""
-    mu, z, eps = reference_draws(cfg, rep, width)
+    over the individuals, added to v_p and v_u alike. With sigma_eps = 0,
+    Yhat' is Y'. Each individual's pick is the argmax over their column,
+    ties to the lowest arm index, gathered cell by cell; the mean of the
+    picks' means is a count of picks per arm dotted with mu, as the kernel
+    takes it. Sums over the individuals run block by block: of the picks'
+    values, of each arm row (the uniform arm's sum is the largest) and,
+    for C at rho < 0, of each arm row of eps at `width`."""
+    mu, zeta, blocks = reference_draws(cfg, rep, width)
     n, m, sigma, rho, sigma_eps = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho, cfg.sigma_eps
     v = sigma * math.sqrt(1.0 - rho)
     c = math.hypot(v, sigma_eps) if sigma_eps else v
     shrink = v / c if sigma_eps else 1.0
-    eps_bar = eps.mean(axis=1)[:m]
+    picked, arm_sums, eps_sums, counts = 0.0, np.zeros(m), np.zeros(len(blocks[0])), np.zeros(m)
+    for eps in blocks:
+        eps_sums += [row.sum() for row in eps]
+        y = mu[:, None] + c * eps[:m]
+        picks = np.argmax(y, axis=0)
+        picked += float(y[picks, np.arange(len(picks))].sum())
+        arm_sums += [row.sum() for row in y]
+        counts += np.bincount(picks, minlength=m)
     if rho >= 0:
-        common = sigma * (math.sqrt(rho) * z.mean())
+        common = sigma * (math.sqrt(rho) * (zeta / math.sqrt(n)))
     else:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
-        common = sigma * (scale * (shrink * eps_bar).mean())
-    y = mu[:, None] + c * eps[:m]
-    picks = np.argmax(y, axis=0)
-    uniform = int(np.argmax(mu + c * eps_bar))
-    v_p = float(y[picks, np.arange(n)].mean())
-    v_u = float(y[uniform].mean())
+        common = sigma * (scale * (shrink * (eps_sums / n)[:m]).mean())
+    uniform = int(np.argmax(arm_sums))
+    v_p, v_u = picked / n, float(arm_sums[uniform]) / n
     if sigma_eps:
-        counts = np.bincount(picks, minlength=m)
         k, mu_p, mu_u = shrink * shrink, float((counts * mu).sum()) / n, float(mu[uniform])
         v_p, v_u = mu_p + k * (v_p - mu_p), mu_u + k * (v_u - mu_u)
     return v_p + common, v_u + common
@@ -346,18 +376,19 @@ def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[
     """The same replication scored on E[Y | Yhat], the whole outcome matrix's
     conditional mean given the predictions, common term and all, with the
     uniform arm taken from Yhat's arm means: the whole-matrix statement of
-    what the kernel computes, arm-major like the draws. Given eps, the true
-    outcomes' standardized spread has mean shrink eps,
-    shrink = sqrt(v^2 / (v^2 + sigma_eps^2)). v_p and v_u agree with
-    reference_replicate up to rounding."""
-    mu, z, eps = reference_draws(cfg, rep, width)
+    what the kernel computes, arm-major like the draws, its blocks joined.
+    Given eps, the true outcomes' standardized spread has mean shrink eps,
+    shrink = sqrt(v^2 / (v^2 + sigma_eps^2)). For rho >= 0 the common term
+    enters v_p and v_u only through the mean of z, so z is z_bar in every
+    cell. v_p and v_u agree with reference_replicate up to rounding."""
+    mu, zeta, blocks = reference_draws(cfg, rep, width)
     n, m, sigma, rho = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho
-    eps, mu = eps[:m], mu[:, None]
+    eps, mu = np.concatenate(blocks, axis=1)[:m], mu[:, None]
     v2 = sigma ** 2 * (1.0 - rho)
     total = v2 + cfg.sigma_eps ** 2
     shrink = math.sqrt(v2 / total) if total else 1.0
     if rho >= 0:
-        common = math.sqrt(rho) * z
+        common = np.full((1, n), math.sqrt(rho) * zeta / math.sqrt(n))
     else:
         scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
         common = scale * shrink * eps.mean(axis=0, keepdims=True)
@@ -463,6 +494,57 @@ def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None
                                for rep in range(cfg.n_replications)], cfg
 
 
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_a_batch_over_several_blocks_matches_the_reference_bit_for_bit(n_jobs) -> None:
+    # W = 100 and n = 3 B + 17: three whole blocks and a short one, with
+    # rho on both sides of 0 and sigma_eps = 0 and > 0, widest and narrower
+    width = 100
+    n = 3 * (simulate.BLOCK_CELLS // width) + 17
+    base = dict(dist=NormalMeans(0.1, 0.5), n_individuals=n, n_replications=3, seed=21)
+    batch = [SimConfig(m=m, sigma=sigma, rho=rho, sigma_eps=sigma_eps, **base)
+             for m, sigma, rho, sigma_eps in ((7, 1.0, -0.1, 0.3), (width, 2.0, 0.4, 0.5),
+                                              (50, 1.5, -0.01, 0.0), (2, 0.5, 0.9, 0.0))]
+    results, values = kernel_values(batch, n_jobs)
+    for cfg, result, per_rep in zip(batch, results, values):
+        assert result.per_replication_gains == reference_gains(cfg, width), cfg
+        assert per_rep == [reference_replicate(cfg, rep, width)
+                           for rep in range(cfg.n_replications)], cfg
+    assert results[1] == simulate_gain(batch[1], n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("cells", [1, 50])
+def test_small_blocks_match_the_reference_bit_for_bit(cells) -> None:
+    # blocks of one individual (cells = 1) and of one to 25 individuals
+    # (cells = 50): every block boundary of the first three layout batches
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "BLOCK_CELLS", cells)
+        for batch in layout_grid()[:3]:
+            batch = [replace(cfg, n_replications=2) for cfg in batch]
+            width = max(cfg.m for cfg in batch)
+            results, values = kernel_values(batch, 2)
+            for cfg, result, per_rep in zip(batch, results, values):
+                assert result.per_replication_gains == reference_gains(cfg, width), cfg
+                assert per_rep == [reference_replicate(cfg, rep, width)
+                                   for rep in range(cfg.n_replications)], cfg
+
+
+def test_one_arm_best_for_everyone_gives_exactly_zero_gain_over_several_blocks() -> None:
+    # sigma_eps = 0 and arm 0 far above the rest: each individual's best arm
+    # is the uniform arm, so v_p and v_u are one sum, taken over three
+    # whole blocks and a short one; a rounding gap between them would be a
+    # negative gain, which raises InternalError
+    m = 100
+    n = 3 * (simulate.BLOCK_CELLS // m) + 5
+    base = dict(dist=FixedMeans([50.0] + [0.0] * (m - 1)), n_individuals=n, n_replications=3,
+                seed=8)
+    batch = [SimConfig(m=m, sigma=1.0, rho=0.5, **base),
+             SimConfig(m=m, sigma=2.0, rho=-0.005, **base)]
+    for n_jobs in (1, 2):
+        for result in simulate_gain(batch, n_jobs=n_jobs):
+            assert result.per_replication_gains == (0.0, 0.0, 0.0)
+            assert result.gain_mean == 0.0 and result.gain_se == 0.0
+
+
 def test_scoring_without_the_common_term_changes_values_by_rounding_only() -> None:
     # v_p and v_u of every replication against the whole-Y formula
     for batch in layout_grid():
@@ -541,8 +623,8 @@ def test_a_tie_between_arms_with_different_means_goes_to_the_lowest() -> None:
     telling = 0
     for rep, kernel in enumerate(values[0]):
         assert kernel == reference_replicate(cfg, rep), rep
-        mu, _, eps = reference_draws(cfg, rep)
-        yhat = mu + c * eps[:, 0]
+        mu, _, blocks = reference_draws(cfg, rep)
+        yhat = mu + c * blocks[0][:, 0]
         if yhat[0] == yhat[1]:
             first, second = mu + k * (yhat[0] - mu)  # v_p if arm 0, or arm 1, took the tie
             assert kernel[0] == first, rep
@@ -667,9 +749,9 @@ class CountingGenerator:
 def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
     monkeypatch, sigma_eps, n_by_m_draws
 ) -> None:
-    """No config needs the noise drawn: each replication draws eps, m x n,
-    and no other m x n array, whatever sigma_eps; the results keep the bits
-    of the reference."""
+    """No config needs the noise drawn: each replication draws eps, m x n
+    (one block), and no other m x n array, whatever sigma_eps; the results
+    keep the bits of the reference."""
     sizes: list = []
     monkeypatch.setattr(simulate, "stream", lambda *key: CountingGenerator(stream(*key), sizes))
     n, m, reps = 50, 3, 4
@@ -678,9 +760,9 @@ def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
             for k, e in enumerate(sigma_eps)]
     results = simulate_gain(cfgs)
     assert sizes.count((m, n)) == n_by_m_draws * reps
-    # per replication: the means, z (a row of n) and eps (one row per arm),
-    # then each other config's means
-    assert sizes == [m, (1, n), (m, n), *[m] * (len(cfgs) - 1)] * reps
+    # per replication: the means, zeta (one normal) and eps (one row per
+    # arm); every config's means come from the one draw of them
+    assert sizes == [m, None, (m, n)] * reps
     for cfg, result in zip(cfgs, results):
         assert result.per_replication_gains == reference_gains(cfg), cfg
 
@@ -719,9 +801,21 @@ def test_a_narrower_noisy_config_needs_no_second_scratch_array(n_jobs) -> None:
     noisy_peak, noisy_end = traced_memory(batch(0.5), n_jobs)
     assert noisy_peak - quiet_peak <= n * 90 * 8 / 4
     # every array goes when the call returns; what stays is the
-    # interpreter's own bookkeeping, far less than z, the smallest array
-    # (n x 1, 16 kB)
+    # interpreter's own bookkeeping, far less than a block's row of
+    # individuals' best predictions (1,310 cells, 10 kB)
     assert quiet_end < 8_192 and noisy_end < 8_192
+
+
+def test_a_large_batch_holds_one_block_of_draws_whatever_n() -> None:
+    # n = 200,000 at m up to 100 would be a 160 MB draw matrix; each thread
+    # holds a 100 x 1,310 block of eps and a 50 x 1,310 scratch, 1.6 MB
+    base = dict(sigma=1.0, rho=0.3, dist=NormalMeans(0.0, 0.5), n_individuals=200_000,
+                n_replications=2, seed=3)
+    batch = [SimConfig(m=2, **base), SimConfig(m=50, sigma_eps=0.5, **base),
+             SimConfig(m=100, **base)]
+    peak, end = traced_memory(batch, 1)
+    assert peak < 4_000_000
+    assert end < 8_192
 
 
 def test_jobs_below_one_rejected() -> None:
