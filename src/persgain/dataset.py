@@ -8,14 +8,14 @@ kept in a separate object so estimation and policy fitting can never touch
 it; only the oracle evaluator accepts it.
 
 CSV goes column by column both ways, a block of _util.BLOCK_ROWS rows at a
-time, so neither direction holds a file's text whole: write_csv formats each
-column's slice of a block in one pass and writes (or gzips) the block before
-making the next, and load_csv parses a file with no quote and no carriage
-return with numpy's C reader, block by block into columns whose room grows
-by a quarter when full. Any other file is read whole and goes through a csv-module row loop that
-gives the same dataset or the error naming the row and column. Writing holds
-less than the file's size at once, and loading less than 2.5 times it, the
-parsed dataset included.
+time: write_csv formats each column's slice of a block in one pass and
+writes (or gzips) the block before making the next, holding less than the
+file's size at once, and load_csv parses a file with no quote and no
+carriage return with numpy's C reader, block by block into columns whose
+room grows by a quarter when full, holding less than 2.5 times the file's
+size at once, the parsed dataset included. Any other file is read whole and
+goes through a csv-module row loop that gives the same dataset or the error
+naming the row and column.
 """
 
 from __future__ import annotations
@@ -619,40 +619,40 @@ def _parse_float(value: str, row: int, column: str) -> float:
 
 
 def _load_rows(text: str, path: Path) -> ExperimentDataset:
-    """The dataset parsed row by row by csv.reader, cell by cell by float();
-    the first bad row raises a ParseError naming it and its column."""
+    """The dataset parsed row by row as csv.reader yields each row, cell by
+    cell by float(); the first fault in file order raises a ParseError
+    naming its row and column."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    unit_ids, arm_labels, outcomes, propensities, x = [], [], [], [], []
     try:
-        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
-        rows = list(reader)
+        if header is None:
+            raise ParseError("file has no header row")
+        if tuple(header[:4]) != _FIXED_COLUMNS:
+            raise ParseError(
+                f"header must start with {','.join(_FIXED_COLUMNS)}; got {','.join(header[:4])}"
+            )
+        cov_names = tuple(header[4:])
+        for i, row in enumerate(reader, start=1):
+            if len(row) != 4 + len(cov_names):
+                raise ParseError(f"row {i}: expected {4 + len(cov_names)} cells, got {len(row)}")
+            unit_ids.append(row[0])
+            arm_labels.append(row[1])
+            outcomes.append(_parse_float(row[2], i, "outcome"))
+            e = _parse_float(row[3], i, "propensity")
+            if e <= 0.0:
+                raise ParseError(f"row {i}: propensity must be > 0, got {row[3]}")
+            propensities.append(e)
+            x.extend([_parse_float(v, i, c) for v, c in zip(row[4:], cov_names)])
     except csv.Error as exc:
         raise ParseError(f"{path} is not a readable CSV file: {exc}") from None
-    if header is None:
-        raise ParseError("file has no header row")
-    if tuple(header[:4]) != _FIXED_COLUMNS:
-        raise ParseError(
-            f"header must start with {','.join(_FIXED_COLUMNS)}; got {','.join(header[:4])}"
-        )
-    cov_names = tuple(header[4:])
-    if not rows:
+    if not unit_ids:
         raise ParseError("file has a header but no data rows")
-    unit_ids, arm_labels, outcomes, propensities, x = [], [], [], [], []
-    for i, row in enumerate(rows, start=1):
-        if len(row) != 4 + len(cov_names):
-            raise ParseError(f"row {i}: expected {4 + len(cov_names)} cells, got {len(row)}")
-        unit_ids.append(row[0])
-        arm_labels.append(row[1])
-        outcomes.append(_parse_float(row[2], i, "outcome"))
-        e = _parse_float(row[3], i, "propensity")
-        if e <= 0.0:
-            raise ParseError(f"row {i}: propensity must be > 0, got {row[3]}")
-        propensities.append(e)
-        x.append([_parse_float(v, i, c) for v, c in zip(row[4:], cov_names)])
     arm_names = tuple(sorted(set(arm_labels)))
     arm_index = {name: a for a, name in enumerate(arm_names)}
     return ExperimentDataset(
         unit_ids=unit_ids,
-        x=np.asarray(x, dtype=float).reshape(len(rows), len(cov_names)),
+        x=np.asarray(x, dtype=float).reshape(len(unit_ids), len(cov_names)),
         arm=np.fromiter(map(arm_index.__getitem__, arm_labels), dtype=int, count=len(arm_labels)),
         outcome=np.asarray(outcomes),
         propensity=np.asarray(propensities),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -143,27 +142,18 @@ def estimate_sigma_eps(holdout: ExperimentDataset, scores: np.ndarray) -> float:
     return float(np.std(residuals, ddof=1))
 
 
-def _quantile_bins(scores: np.ndarray, unit_ids: Sequence, n_quantiles: int) -> np.ndarray:
-    """Equal-count bin index per unit, ranking by (score, unit_id) so ties
-    (common with binary covariates) resolve the same way every run. Any key
-    that orders as the ids do, such as their ranks, may stand in for them."""
-    order = np.lexsort((unit_ids, scores))
-    bins = np.empty(len(scores), dtype=int)
-    for b, rows in enumerate(np.array_split(order, n_quantiles)):
-        bins[rows] = b
-    return bins
-
-
 def estimate_sigma_rho(
     holdout: ExperimentDataset, scores: np.ndarray, n_quantiles: int = 10
 ) -> tuple[float, np.ndarray, float, dict]:
     """Stratified moment recovery on the holdout, given the predictor's
     score matrix on it.
 
-    Per arm a: take every holdout unit's arm-a score, cut into
-    n_quantiles equal-count bins, and average the observed outcomes of the
-    units actually assigned to a within each bin. The SD over bin means
-    estimates sigma for that arm (reported sigma is the mean over arms).
+    Per arm a: rank every holdout unit by (arm-a score, unit id), so ties
+    (common with binary covariates) resolve the same way every run, cut
+    the ranking into n_quantiles equal-count bins, and average the observed
+    outcomes of the units actually assigned to a within each bin, in row
+    order. The SD over bin means estimates sigma for that arm (reported
+    sigma is the mean over arms).
     For rho, each unit carries, per arm, the bin mean of its predicted bin;
     rho for a pair of arms is the Pearson correlation of those carried
     values over units, and the headline rho averages all pairs.
@@ -180,23 +170,20 @@ def estimate_sigma_rho(
     bin_means = np.zeros((m, n_quantiles))
     bin_counts = np.zeros((m, n_quantiles), dtype=int)
     unit_values = np.zeros((holdout.n, m))
-    thin_cells = []
     for a in range(m):
-        bins = _quantile_bins(scores[:, a], id_ranks, n_quantiles)
         assigned = holdout.arm == a
-        for q in range(n_quantiles):
-            cell = assigned & (bins == q)
-            count = int(cell.sum())
-            if count == 0:
+        order = np.lexsort((id_ranks, scores[:, a]))
+        for q, rows in enumerate(np.array_split(order, n_quantiles)):
+            cell = np.sort(rows[assigned[rows]])  # row order: the sum's order
+            if not len(cell):
                 raise ConfigError(
                     f"no units assigned to arm {holdout.arm_names[a]!r} fall in "
                     f"quantile bin {q}; cannot form the bin mean"
                 )
-            bin_counts[a, q] = count
-            bin_means[a, q] = holdout.outcome[cell].mean()
-            if count < 30:
-                thin_cells.append((holdout.arm_names[a], q, count))
-        unit_values[:, a] = bin_means[a, bins]
+            bin_counts[a, q] = len(cell)
+            unit_values[rows, a] = bin_means[a, q] = holdout.outcome[cell].mean()
+    thin_cells = [(holdout.arm_names[a], int(q), int(bin_counts[a, q]))
+                  for a, q in zip(*np.nonzero(bin_counts < 30))]
     if thin_cells:
         warnings.warn(
             f"{len(thin_cells)} (arm, quantile) cells hold fewer than 30 units "
@@ -212,17 +199,15 @@ def estimate_sigma_rho(
     rho = np.eye(m)
     for a in range(m):
         for b in range(a + 1, m):
-            va, vb = unit_values[:, a], unit_values[:, b]
             if constant[a] or constant[b]:
                 warnings.warn(
                     f"bin means for arm pair ({holdout.arm_names[a]}, "
                     f"{holdout.arm_names[b]}) are constant; reporting correlation 0",
                     stacklevel=2,
                 )
-                r = 0.0
-            else:
-                r = float(np.clip(np.corrcoef(va, vb)[0, 1], -1.0, 1.0))
-            rho[a, b] = rho[b, a] = r
+                continue
+            r = np.corrcoef(unit_values[:, a], unit_values[:, b])[0, 1]
+            rho[a, b] = rho[b, a] = float(np.clip(r, -1.0, 1.0))
     iu = np.triu_indices(m, k=1)
     rho_mean = float(rho[iu].mean())
     diagnostics = {

@@ -466,6 +466,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(header_only)
 
+    def test_load_reports_the_first_fault_in_file_order(self, tmp_path):
+        # row 1's value fails before row 2's oversized cell stops csv.reader
+        path = tmp_path / "d.csv"
+        path.write_text('unit_id,arm,outcome,propensity\n"a",x,oops,0.5\n'
+                        + "u" * (csv.field_size_limit() + 1) + ",y,2,0.5\n")
+        with pytest.raises(ParseError, match="row 1: column 'outcome' has non-numeric value 'oops'"):
+            load_csv(path)
+
     @pytest.mark.parametrize("covariates, repeated", [("x,x", "x"), ("arm", "arm")])
     def test_load_rejects_repeated_column_names(self, tmp_path, covariates, repeated):
         # a covariate may repeat another covariate or a fixed column; the
@@ -799,6 +807,27 @@ class TestCsvMemory:
         assert write_peak < 1.0 * size, (write_peak, size)
         assert load_peak < 2.5 * size, (load_peak, size)
         back = load_csv(path)
+        assert back.unit_ids.tolist() == design.unit_ids.tolist()
+        assert back.arm.tobytes() == design.arm.tobytes()
+        for field in ("x", "outcome", "propensity"):
+            assert getattr(back, field).tobytes() == getattr(design, field).tobytes(), field
+
+    @pytest.mark.parametrize("form", ["quoted", "crlf"])
+    def test_the_row_loop_holds_below_nine_times_the_file_size(self, tmp_path, design, form):
+        # a quoted arm name or CRLF line ends send the file through the row
+        # loop, which holds the whole text but not every row's cells
+        path = tmp_path / "d.csv"
+        if form == "quoted":
+            design = ExperimentDataset(**{**design.__dict__, "arm_names": ("a,0", "a,1", "a,2")})
+            write_csv(design, path)
+        else:
+            write_csv(design, path)
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        size = path.stat().st_size
+        load_peak = _traced_peak(lambda: load_csv(path))
+        assert load_peak < 9.0 * size, (load_peak, size)
+        back = load_csv(path)
+        assert back.arm_names == design.arm_names
         assert back.unit_ids.tolist() == design.unit_ids.tolist()
         assert back.arm.tobytes() == design.arm.tobytes()
         for field in ("x", "outcome", "propensity"):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +18,6 @@ from persgain.dataset import (
 from persgain.errors import ConfigError
 from persgain.estimation import (
     MomentEstimates,
-    _quantile_bins,
     estimate_moments,
     estimate_s,
     estimate_sigma_eps,
@@ -148,16 +148,78 @@ class TestSigmaEps:
         assert estimate_sigma_eps(*holdout_scores(ds, sp)) == pytest.approx(0.25, rel=0.05)
 
 
+def mask_sigma_rho(holdout, scores, n_quantiles):
+    """The stratified estimator as first written: an n-length bin index per
+    arm, then one boolean mask per (arm, bin). Returns what estimate_sigma_rho
+    returns, with the texts of the warnings it raises instead of raising them."""
+    id_ranks = np.argsort(np.argsort(holdout.unit_ids, kind="stable"))
+    m, names = holdout.m, holdout.arm_names
+    bin_means = np.zeros((m, n_quantiles))
+    bin_counts = np.zeros((m, n_quantiles), dtype=int)
+    unit_values = np.zeros((holdout.n, m))
+    thin_cells, texts = [], []
+    for a in range(m):
+        bins = np.empty(holdout.n, dtype=int)
+        for b, rows in enumerate(np.array_split(np.lexsort((id_ranks, scores[:, a])), n_quantiles)):
+            bins[rows] = b
+        for q in range(n_quantiles):
+            cell = (holdout.arm == a) & (bins == q)
+            bin_counts[a, q] = int(cell.sum())
+            bin_means[a, q] = holdout.outcome[cell].mean()
+            if bin_counts[a, q] < 30:
+                thin_cells.append((names[a], q, int(bin_counts[a, q])))
+        unit_values[:, a] = bin_means[a, bins]
+    if thin_cells:
+        texts.append(f"{len(thin_cells)} (arm, quantile) cells hold fewer than 30 units "
+                     f"(first few: {thin_cells[:5]}); bin means are noisy")
+    rounding = bin_counts.max(axis=1) * np.finfo(float).eps * np.abs(bin_means).max(axis=1)
+    constant = np.ptp(bin_means, axis=1) <= rounding
+    per_arm_sigma = np.where(constant, 0.0, bin_means.std(axis=1, ddof=1))
+    rho = np.eye(m)
+    for a in range(m):
+        for b in range(a + 1, m):
+            if constant[a] or constant[b]:
+                texts.append(f"bin means for arm pair ({names[a]}, {names[b]}) are constant; "
+                             "reporting correlation 0")
+                r = 0.0
+            else:
+                r = float(np.clip(np.corrcoef(unit_values[:, a], unit_values[:, b])[0, 1], -1, 1))
+            rho[a, b] = rho[b, a] = r
+    diagnostics = {"per_arm_sigma": per_arm_sigma.tolist(), "bin_counts": bin_counts.tolist(),
+                   "bin_means": bin_means.tolist()}
+    rho_mean = float(rho[np.triu_indices(m, k=1)].mean())
+    return float(per_arm_sigma.mean()), rho, rho_mean, diagnostics, texts
+
+
 class TestQuantileBins:
+    """The bins, seen through estimate_sigma_rho's diagnostics."""
+
     def test_ties_break_by_unit_id(self):
-        bins = _quantile_bins(np.array([1.0, 1.0, 0.0, 0.0]), ["b", "a", "d", "c"], 2)
-        # ranking is (0,'c'), (0,'d'), (1,'a'), (1,'b')
-        assert bins.tolist() == [1, 1, 0, 0]
+        ds = ExperimentDataset(
+            unit_ids=("h", "c", "a", "f", "b", "g", "e", "d"),
+            x=np.zeros((8, 1)),
+            arm=np.array([0, 1, 0, 1, 1, 0, 1, 0]),
+            outcome=np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+            propensity=np.full(8, 0.5),
+            arm_names=("a0", "a1"),
+            covariate_names=("c0",),
+        )
+        # arm 0's scores all tie, so ids a-d (rows 2, 4, 1, 7) fill bin 0;
+        # arm 1 ranks the zeros a, b, d, e, f, g (rows 2, 4, 7, 6, 3, 5), then c, h
+        scores = np.column_stack([np.zeros(8), [1.0, 1.0, 0, 0, 0, 0, 0, 0]])
+        with pytest.warns(UserWarning, match="fewer than 30"):
+            _, _, _, diag = estimate_sigma_rho(ds, scores, n_quantiles=2)
+        assert diag["bin_counts"] == [[2, 2], [2, 2]]
+        # arm 0: rows 2, 7 and rows 0, 5; arm 1: rows 4, 6 and rows 3, 1
+        assert diag["bin_means"] == [[66.0, 16.5], [40.0, 5.0]]
 
     def test_bin_sizes_differ_by_at_most_one(self):
-        bins = _quantile_bins(np.arange(11.0), [f"u{i}" for i in range(11)], 3)
-        sizes = np.bincount(bins)
-        assert sorted(sizes.tolist()) == [3, 4, 4]
+        ds = manual_dataset(np.arange(11.0), [0, 1] * 5 + [0], ("a", "b"))
+        # both arms rank the units alike, so a bin's size is its count over both arms
+        scores = np.column_stack([np.arange(11.0), np.arange(11.0)])
+        with pytest.warns(UserWarning, match="fewer than 30"):
+            _, _, _, diag = estimate_sigma_rho(ds, scores, n_quantiles=3)
+        assert np.sum(diag["bin_counts"], axis=0).tolist() == [4, 4, 3]
 
 
 class TestSigmaRho:
@@ -250,6 +312,43 @@ class TestSigmaRho:
         s3, r3, m3, _ = estimate_sigma_rho(*holdout_scores(ds, shuffled, model))
         assert s3 == pytest.approx(s1, rel=1e-12) and m3 == pytest.approx(m1, rel=1e-12)
         assert np.allclose(r3, r1, rtol=1e-12, atol=0.0)
+
+    def test_matches_the_mask_based_estimator(self):
+        # bernoulli covariates leave four distinct scores per arm, so ids
+        # place most units; arm c's outcomes are constant and every cell is thin
+        dgp = SynthDGP(
+            (0.0, 0.1, 0.2),
+            np.array([[0.3, 0.1], [0.1, 0.3], [0.2, 0.2]]),
+            (CovariateSpec("bernoulli", q=0.4), CovariateSpec("bernoulli", q=0.3)),
+            noise_sd=0.3,
+            arm_names=("a", "b", "c"),
+        )
+        ds, _ = generate_synthetic(dgp, n=1_500, seed=4)
+        ds = ExperimentDataset(
+            unit_ids=ds.unit_ids,
+            x=ds.x,
+            arm=ds.arm,
+            outcome=np.where(ds.arm == 2, 0.7, ds.outcome),
+            propensity=ds.propensity,
+            arm_names=ds.arm_names,
+            covariate_names=ds.covariate_names,
+        )
+        sp = split(ds, 0.7, seed=0)
+        # shuffled holdout rows, so row order is not id order
+        sp = TrainTestSplit(sp.train_idx, np.random.default_rng(1).permutation(sp.test_idx))
+        holdout, scores = holdout_scores(ds, sp)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sigma, rho, rho_mean, diag = estimate_sigma_rho(holdout, scores, n_quantiles=7)
+        ref_sigma, ref_rho, ref_rho_mean, ref_diag, ref_texts = mask_sigma_rho(holdout, scores, 7)
+        assert [str(w.message) for w in caught] == ref_texts
+        assert len(ref_texts) == 3  # the thin cells, then pairs (a, c) and (b, c)
+        assert diag["bin_counts"] == ref_diag["bin_counts"]
+        for key in ("bin_means", "per_arm_sigma"):
+            np.testing.assert_allclose(diag[key], ref_diag[key], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose([sigma, rho_mean], [ref_sigma, ref_rho_mean], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rho, ref_rho, rtol=1e-12, atol=0.0)
+        assert diag["per_arm_sigma"][2] == 0.0 and rho[0, 1] != 0.0
 
     def test_empty_cell_is_reported_with_arm_and_bin(self):
         rng = np.random.default_rng(0)
