@@ -204,7 +204,11 @@ def _cells(column: Sequence[object]) -> Iterable[str]:
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         # tolist() gives Python floats, whose repr is fmt_float's
         return map(repr, column.tolist())
-    if all(isinstance(v, str) for v in column) and not _NEEDS_QUOTES.search("".join(column)):
+    try:
+        joined = "".join(column)  # a TypeError unless every value is text
+    except TypeError:
+        return map(csv_cell, column)
+    if not _NEEDS_QUOTES.search(joined):
         return column  # plain text: each value is its own cell
     return map(csv_cell, column)
 

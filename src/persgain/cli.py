@@ -325,7 +325,9 @@ class _CommandParser(argparse.ArgumentParser):
                 "--jobs",
                 type=int,
                 default=os.cpu_count() or 1,
-                help="worker threads; results are identical at any level",
+                help="worker threads; results are identical at any level (BLAS runs "
+                     "one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or "
+                     "MKL_NUM_THREADS says otherwise)",
             )
         for name, (kind, _, *flag_help) in _table(self.command).items():
             if kind is not None:
@@ -350,7 +352,17 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     sys.stderr.write(f"warning: {message}\n")
 
 
+# the thread-count variables of OpenBLAS (numpy's wheels), OpenMP and MKL
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    # One BLAS thread unless the caller sets a count: every BLAS call here is
+    # small (per-arm lstsq, one matmul), so a BLAS pool only adds threads
+    # that --jobs never granted. The library reads these when numpy is first
+    # imported, which parsing `elasticity` already does, so this comes first.
+    for name in _BLAS_THREADS:
+        os.environ.setdefault(name, "1")
     args = _build_parser().parse_args(argv)
     command = args.command
     with warnings.catch_warnings():

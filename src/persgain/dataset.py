@@ -25,6 +25,7 @@ import gzip
 import io
 import itertools
 import math
+import re
 import struct
 import warnings
 import zlib
@@ -618,11 +619,18 @@ def _parse_float(value: str, row: int, column: str) -> float:
     return out
 
 
+# one line of text as a file opened with newline="" reads it: ending at
+# "\r\n", "\r" or "\n", which it keeps, or at the end of the text
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+
+
 def _load_rows(text: str, path: Path) -> ExperimentDataset:
     """The dataset parsed row by row as csv.reader yields each row, cell by
     cell by float(); the first fault in file order raises a ParseError
-    naming its row and column."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    naming its row and column. The reader takes the text's lines one by one,
+    split as io.StringIO(text, newline="") splits them, with no copy of the
+    text beside it."""
+    reader = csv.reader(line.group() for line in _LINE.finditer(text))
     unit_ids, arm_labels, outcomes, propensities, x = [], [], [], [], []
     try:
         header = next(reader, None)

@@ -68,14 +68,23 @@ B = max(1, BLOCK_CELLS // W), the last block shorter: each block's eps is
 W x b, arm-major, one row of b normals per arm. Each config adds up, block
 by block, the sum of its individuals' best predictions, each arm's sum of
 predictions and, with sigma_eps > 0, each arm's count of individuals whose
-best arm it is; its values come from those sums once the last block is
-scored. So each thread that runs replications holds one set of arrays for
-the whole batch, whatever n is, filled in place by every block: a W x B
-block of eps, and one scratch of m2 x B cells for the narrower configs, m2
-the largest m among them: under 2 BLOCK_CELLS cells, 2 MB, while
-W <= BLOCK_CELLS. None outlives the `simulate_gain` call. The block size
-is part of the draw layout: changing BLOCK_CELLS changes which normal
-lands in which cell, as any change of W does.
+best arm it is, counted on a boolean mark of the cells that hold their
+column's max; its values come from those sums once the last block is
+scored. The configs that differ from the widest in m alone (a `sweep_arms`
+grid, a sensitivity over m) share the widest's predictions: theirs are its
+first m rows, their arm sums the first m of its, and their bests the
+widest's running max over its rows, taken in row ranges by increasing m,
+so that each of them costs no pass over its rows but its own hit count.
+A max is exact and each row is summed alone, so every such config keeps
+the bits of scoring it on rows of its own. So each thread that runs
+replications holds one set of arrays for the whole batch, whatever n is,
+filled in place by every block: a W x B block of eps, one scratch of
+m2 x B cells for the narrower configs, m2 the largest m among them, and
+m3 x B booleans for the hits, m3 the largest m with sigma_eps > 0: under
+2 BLOCK_CELLS cells and BLOCK_CELLS bytes, 2.1 MB, while W <= BLOCK_CELLS.
+None outlives the `simulate_gain` call. The block size is part of the
+draw layout: changing BLOCK_CELLS changes which normal lands in which
+cell, as any change of W does.
 """
 
 from __future__ import annotations
@@ -321,8 +330,9 @@ def _score(v_p: float, v_u: float, common: float) -> tuple[float, float]:
     return v_p, v_u
 
 
-# the cells of one block of draws: each thread holds one W x B block of eps
-# and one m2 x B scratch, B = BLOCK_CELLS // W individuals, whatever n is
+# the cells of one block of draws: each thread holds one W x B block of eps,
+# one m2 x B scratch and m3 x B booleans, B = BLOCK_CELLS // W individuals,
+# whatever n is
 BLOCK_CELLS = 2 ** 17
 
 
@@ -369,17 +379,23 @@ def sample_potential_outcomes(
 _held = threading.local()
 
 
-def _arrays(cfg: SimConfig, more: Sequence[SimConfig]) -> tuple[np.ndarray, np.ndarray]:
+def _arrays(
+    cfg: SimConfig, more: Sequence[SimConfig]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """This thread's flat arrays for a batch of widest config cfg and
-    narrower configs `more`: W x b cells for a block of draws and m2 x b
-    for the narrower configs' scratch, b = min(n, B) and m2 the largest m
-    in `more`. Made on the thread's first replication of the batch and
-    reused by the rest; `simulate_gain` drops them when it ends."""
+    narrower configs `more`: W x b cells for a block of draws, m2 x b for
+    the narrower configs' scratch and m3 x b booleans that mark each
+    sigma_eps > 0 config's hits, b = min(n, B), m2 the largest m in `more`
+    and m3 the largest m with sigma_eps > 0. Made on the thread's first
+    replication of the batch and reused by the rest; `simulate_gain` drops
+    them when it ends."""
     size = min(cfg.n_individuals, _block_size(cfg.m))
     m2 = max((point.m for point in more), default=0)
+    m3 = max((point.m for point in (cfg, *more) if point.sigma_eps), default=0)
     held = getattr(_held, "arrays", None)
-    if held is None or held[0] != (cfg.m, m2, size):
-        held = _held.arrays = ((cfg.m, m2, size), np.empty(cfg.m * size), np.empty(m2 * size))
+    if held is None or held[0] != (cfg.m, m2, m3, size):
+        held = _held.arrays = ((cfg.m, m2, m3, size), np.empty(cfg.m * size),
+                               np.empty(m2 * size), np.empty(m3 * size, dtype=bool))
     return held[1:]
 
 
@@ -394,6 +410,16 @@ def _scales(cfg: SimConfig) -> tuple[float, float]:
     return c, v / c
 
 
+def _nested(cfg: SimConfig, more: Sequence[SimConfig]) -> list[int]:
+    """The positions in `more` of the configs that differ from cfg, the
+    widest, in m alone, by increasing m: their predictions are the first m
+    rows of cfg's."""
+    key = (cfg.sigma, cfg.rho, cfg.sigma_eps, cfg.dist)
+    alike = (k for k, point in enumerate(more)
+             if (point.sigma, point.rho, point.sigma_eps, point.dist) == key)
+    return sorted(alike, key=lambda k: more[k].m)
+
+
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
     """(v_p, v_u) in replication `rep` for cfg, its batch's widest config,
     then each config in `more`, from one `sample_potential_outcomes` call
@@ -404,26 +430,52 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     adds to its running sums: of each individual's best prediction (the
     max over their column), of each arm's predictions and, with
     sigma_eps > 0, of each arm's hits (the individuals whose best arm it
-    is). After the last block the uniform arm U is the arm with the largest
-    sum, and both picks are scored by E[Y' | Yhat']. C comes from zeta, or
-    for rho < 0 from (v/c) eps_bar, the arm rows' means of eps, summed
-    block by block at the width W when some config has rho < 0.
+    is), counted row by row on a boolean mark of the cells that hold their
+    column's max. After the last block the uniform arm U is the arm with
+    the largest sum, and both picks are scored by E[Y' | Yhat']. C comes
+    from zeta, or for rho < 0 from (v/c) eps_bar, the arm rows' means of
+    eps, summed block by block at the width W when some config has
+    rho < 0.
 
     A config in `more` writes its Yhat' into this thread's scratch
-    (`_arrays`); cfg is scored last and writes its Yhat' over the block.
-    Configs are told apart by position, since a batch may hold one config
-    twice.
+    (`_arrays`); cfg is scored last and writes its Yhat' over the block. A
+    config that differs from cfg in m alone (`_nested`) writes none: its
+    Yhat' is cfg's first m rows, its arm sums theirs, and its best is
+    cfg's best over those rows, a fold, by increasing m, of the maxima of
+    row ranges. A max is exact and each row is summed alone, so its sums
+    have the bits that scoring it on rows of its own gives. Configs are
+    told apart by position, since a batch may hold one config twice.
     """
-    buffer, scratch = _arrays(cfg, more)
+    buffer, scratch, marks = _arrays(cfg, more)
     n, width = cfg.n_individuals, cfg.m
     points = (*more, cfg)
     scales = [_scales(point) for point in points]
+    nested = _nested(cfg, more)
+    alone = [k for k in range(len(more)) if k not in nested]
     best_sums = [0.0] * len(points)
     arm_sums = [np.zeros(point.m) for point in points]
     hits = [np.zeros(point.m) for point in points]
     eps_sums, negative = np.zeros(width), any(point.rho < 0 for point in points)
     rng = stream(cfg.seed, rep)
     size = _block_size(width)
+
+    def tally(k: int, y: np.ndarray, best: np.ndarray, row_sums: np.ndarray) -> None:
+        """Add a block's sums to the k-th of points: y its Yhat', best their
+        max over each column and row_sums their sum over each arm row."""
+        # best >= y[j] cell by cell, and best and each row of y are summed by
+        # one pairwise tree: rounding is monotone, so with sigma_eps = 0 the
+        # best sum is at least every arm's, v_p >= v_u
+        best_sums[k] += float(best.sum())
+        arm_sums[k] += row_sums
+        if not points[k].sigma_eps:
+            return
+        marked = np.equal(y, best, out=marks[: y.size].reshape(y.shape))
+        block_hits = [np.count_nonzero(row) for row in marked]
+        if sum(block_hits) != len(best):
+            # a max two arms share goes to the first, as argmax gives
+            block_hits = np.bincount(np.argmax(y, axis=0), minlength=len(y))
+        hits[k] += block_hits
+
     for start in range(0, n, size):
         b = min(size, n - start)
         eps, *head = sample_potential_outcomes(
@@ -433,23 +485,24 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
             means = (*more_mu, mu)
         if negative:
             eps_sums += eps.sum(axis=1)
-        for k, point in enumerate(points):
-            m = point.m
-            y = eps if k == len(more) else scratch[: m * b].reshape(m, b)
-            y = _spread(eps[:m], means[k][:, None], scales[k][0], out=y)
-            # best >= y[j] cell by cell, and best and each row of y are
-            # summed by one pairwise tree: rounding is monotone, so with
-            # sigma_eps = 0 the best sum is at least every arm's, v_p >= v_u
-            arm_sums[k] += y.sum(axis=1)
-            best = y.max(axis=0)
-            best_sums[k] += float(best.sum())
-            if point.sigma_eps:
-                # a max two arms share goes to the first, as argmax of y,
-                # now the equality, gives
-                block_hits = np.equal(y, best, out=y).sum(axis=1)
-                if block_hits.sum() != b:
-                    block_hits = np.bincount(np.argmax(y, axis=0), minlength=m)
-                hits[k] += block_hits
+        for k in alone:
+            m = points[k].m
+            y = _spread(eps[:m], means[k][:, None], scales[k][0],
+                        out=scratch[: m * b].reshape(m, b))
+            tally(k, y, y.max(axis=0), y.sum(axis=1))
+        y = _spread(eps, mu[:, None], scales[-1][0], out=eps)
+        row_sums = y.sum(axis=1)
+        # cfg's best over its first m rows for each config nested in it, by
+        # increasing m, then over all its rows: each folds the max of the
+        # rows past the last m into the last best
+        best, done = None, 0
+        for k in (*nested, len(more)):
+            m = points[k].m
+            if m > done:
+                top = y[done:m].max(axis=0)
+                best = top if best is None else np.maximum(best, top, out=best)
+                done = m
+            tally(k, y[:m], best, row_sums[:m])
 
     z_bar, eps_bar = zeta / math.sqrt(n), eps_sums / n
 

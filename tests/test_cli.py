@@ -1196,6 +1196,67 @@ def test_each_command_loads_only_its_own_layer(rerun_inputs, tmp_path):
     assert not modules & {"persgain.simulate", "persgain.analysis"}
 
 
+# --------------------------------------------------------------------------
+# threads: a run starts no BLAS thread that --jobs did not grant
+
+# the entry point in a fresh interpreter; the last line of stderr counts the
+# process's threads after the command ends
+THREAD_PROBE = """
+import os, sys
+from persgain.cli import main
+try:
+    sys.exit(main(sys.argv[1:]))
+finally:
+    print(len(os.listdir("/proc/self/task")), file=sys.stderr)
+"""
+
+
+def cli_env(**blas) -> dict:
+    """The environment of a fresh persgain process: this one's, with no BLAS
+    thread count but those given."""
+    env = {key: value for key, value in os.environ.items() if key not in cli._BLAS_THREADS}
+    return {**env, **blas, "PYTHONPATH": str(REPO / "src")}
+
+
+def test_main_sets_one_blas_thread_unless_the_caller_sets_a_count(monkeypatch, capsys):
+    for name in cli._BLAS_THREADS:
+        monkeypatch.setenv(name, "0")  # so that the test's end restores each as it was
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert run_cli(["gain", "--mu-a", 1, "--mu-b", 2, "--sigma", 1.5, "--rho", 0.1]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["MKL_NUM_THREADS"] == "1"
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_a_jobs_one_array_command_runs_on_one_thread(rerun_inputs, tmp_path):
+    for argv in (["estimate", "--data", rerun_inputs["DATA"]],
+                 ["elasticity", "--profile", "penn_geisinger", "--n-individuals", 200,
+                  "--n-replications", 2]):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE, *map(str, argv), "--jobs", "1",
+             "--out", str(tmp_path / argv[0])],
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "1", argv[0]
+
+
+def test_the_blas_thread_count_changes_no_output(rerun_inputs, tmp_path):
+    # a BLAS thread count the caller sets wins, and gives the same bytes
+    for argv, output in ((["estimate"], "moments.json"),
+                         (["evaluate", "--n-boot", "20"], "report.csv")):
+        written = []
+        for env in (cli_env(), cli_env(OPENBLAS_NUM_THREADS="2")):
+            out = tmp_path / f"{argv[0]}{len(written)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "persgain.cli", *argv, "--data", str(rerun_inputs["DATA"]),
+                 "--jobs", "1", "--out", str(out)],
+                cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append(read(out / output))
+        assert written[0] == written[1], argv[0]
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_command_help_lists_a_flag_for_every_field_with_a_rule(capsys, command):
     with pytest.raises(SystemExit) as exc:

@@ -706,6 +706,93 @@ def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
     assert simulate_gain([]) == []
 
 
+def unshared_replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
+    """`_replicate` as it was before configs shared rows: every config,
+    whatever it shares with cfg, writes its own Yhat' for each block into an
+    array of its own, takes its own max and arm sums, and counts its hits on
+    the float equality written over its Yhat'."""
+    n, width = cfg.n_individuals, cfg.m
+    points = (*more, cfg)
+    best_sums = [0.0] * len(points)
+    arm_sums = [np.zeros(point.m) for point in points]
+    hits = [np.zeros(point.m) for point in points]
+    eps_sums = np.zeros(width)
+    rng, size = stream(cfg.seed, rep), simulate._block_size(width)
+    for start in range(0, n, size):
+        b = min(size, n - start)
+        eps, *head = sample_potential_outcomes(cfg, rng, *more, out=np.empty((width, b)),
+                                               first=not start)
+        if head:
+            zeta, mu, *more_mu = head
+            means = (*more_mu, mu)
+        eps_sums += eps.sum(axis=1)
+        for k, point in enumerate(points):
+            c = simulate._scales(point)[0]
+            y = simulate._spread(eps[: point.m], means[k][:, None], c,
+                                 out=np.empty((point.m, b)))
+            arm_sums[k] += y.sum(axis=1)
+            best = y.max(axis=0)
+            best_sums[k] += float(best.sum())
+            if point.sigma_eps:
+                block_hits = np.equal(y, best, out=y).sum(axis=1)
+                if block_hits.sum() != b:
+                    block_hits = np.bincount(np.argmax(y, axis=0), minlength=point.m)
+                hits[k] += block_hits
+    z_bar, eps_bar = zeta / math.sqrt(n), eps_sums / n
+    values = []
+    for k, point in enumerate(points):
+        mu, shrink = means[k], simulate._scales(point)[1]
+        common = float(simulate._common(z_bar, shrink * eps_bar[: point.m], point.sigma,
+                                        point.rho))
+        uniform = int(np.argmax(arm_sums[k]))
+        v_p, v_u = best_sums[k] / n, float(arm_sums[k][uniform]) / n
+        if point.sigma_eps:
+            q, mu_p, mu_u = shrink * shrink, float((hits[k] * mu).sum()) / n, float(mu[uniform])
+            v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
+        values.append(simulate._score(v_p, v_u, common))
+    *values, widest = values
+    return [widest, *values]
+
+
+def nested_batches() -> list[list[SimConfig]]:
+    """Batches whose configs, but one, differ from the widest in m alone:
+    normal and spike-slab means, rho on both sides of 0, sigma_eps = 0 and
+    > 0, two configs with one m, a second widest, and over three blocks."""
+    width = 40
+    n = 2 * (simulate.BLOCK_CELLS // width) + 11
+    batches = []
+    for dist in (NormalMeans(0.1, 0.5), SpikeSlabMeans(0.7, 0.0, 2.0)):
+        for rho in (-0.02, 0.6):
+            for sigma_eps in (0.0, 0.4):
+                base = dict(sigma=1.3, rho=rho, dist=dist, sigma_eps=sigma_eps, n_individuals=n,
+                            n_replications=2, seed=19)
+                batches.append([SimConfig(m=m, **base) for m in (5, width, 2, 17, 5, width)]
+                               + [SimConfig(m=17, **{**base, "sigma": 0.9})])
+    return batches
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_configs_nested_in_the_widest_share_its_rows_bit_for_bit(monkeypatch, n_jobs) -> None:
+    # each config gets the bits of scoring it on rows of its own, and only
+    # the config that differs from the widest in more than m spreads rows
+    # of its own beside the widest's
+    spread, spreads = simulate._spread, []
+    monkeypatch.setattr(simulate, "_spread", lambda *args, **kw: spreads.append(1)
+                        or spread(*args, **kw))
+    for batch in nested_batches():
+        order = sorted(range(len(batch)), key=lambda index: -batch[index].m)
+        widest, *rest = (batch[index] for index in order)
+        assert len(simulate._nested(widest, rest)) == len(batch) - 2
+        spreads.clear()
+        results, values = kernel_values(batch, n_jobs)
+        blocks = -(-widest.n_individuals // simulate._block_size(widest.m))
+        assert blocks == 3 and len(spreads) == 2 * blocks * widest.n_replications
+        for rep in range(widest.n_replications):
+            want = unshared_replicate(widest, rep, *rest)
+            assert [values[index][rep] for index in order] == want, (widest, rep)
+        assert results[1] == simulate_gain(batch[1], n_jobs=n_jobs)
+
+
 def test_a_batch_of_several_layouts_fails_before_any_draw(monkeypatch) -> None:
     keys: list = []
     monkeypatch.setattr(simulate, "stream", lambda *key: keys.append(key) or stream(*key))
