@@ -65,26 +65,27 @@ Carlo error.
 
 A replication draws and scores its individuals in blocks of
 B = max(1, BLOCK_CELLS // W), the last block shorter: each block's eps is
-W x b, arm-major, one row of b normals per arm. Each config adds up, block
-by block, the sum of its individuals' best predictions, each arm's sum of
-predictions and, with sigma_eps > 0, each arm's count of individuals whose
-best arm it is, counted on a boolean mark of the cells that hold their
-column's max; its values come from those sums once the last block is
-scored. The configs that differ from the widest in m alone (a `sweep_arms`
-grid, a sensitivity over m) share the widest's predictions: theirs are its
-first m rows, their arm sums the first m of its, and their bests the
-widest's running max over its rows, taken in row ranges by increasing m,
-so that each of them costs no pass over its rows but its own hit count.
-A max is exact and each row is summed alone, so every such config keeps
-the bits of scoring it on rows of its own. So each thread that runs
-replications holds one set of arrays for the whole batch, whatever n is,
-filled in place by every block: a W x B block of eps, one scratch of
-m2 x B cells for the narrower configs, m2 the largest m among them, and
-m3 x B booleans for the hits, m3 the largest m with sigma_eps > 0: under
-2 BLOCK_CELLS cells and BLOCK_CELLS bytes, 2.1 MB, while W <= BLOCK_CELLS.
-None outlives the `simulate_gain` call. The block size is part of the
-draw layout: changing BLOCK_CELLS changes which normal lands in which
-cell, as any change of W does.
+W x b, arm-major, one row of b normals per arm. Each config adds up,
+block by block, the sum of its individuals' best predictions, each arm's
+sum of predictions and, with sigma_eps > 0, each arm's count of
+individuals whose best arm it is, counted on a boolean mark of the cells
+that hold their column's max; its values come from those sums once the
+last block is scored. Configs that differ in m alone, a group (a
+`sweep_arms` grid, a sensitivity over m, each study of a counterfactual
+over m), share predictions: the group writes them once, at its largest m,
+and a member's are their first m rows, its arm sums the first m of theirs
+and its best their running max, taken in row ranges by increasing m, so a
+member costs no pass over its rows but its own hit count. A max is exact
+and each row is summed alone, so every config keeps the bits of scoring
+it on rows of its own. So each thread that runs replications holds one
+set of arrays for the whole batch, whatever n is, filled in place by
+every block: a W x B block of eps, which the widest config's group
+overwrites, one scratch of m2 x B cells for the other groups, m2 the
+largest m among them, and m3 x B booleans for the hits, m3 the largest m
+with sigma_eps > 0: under 2 BLOCK_CELLS cells and BLOCK_CELLS bytes,
+2.1 MB, while W <= BLOCK_CELLS. None outlives the `simulate_gain` call.
+The block size is part of the draw layout: changing BLOCK_CELLS changes
+which normal lands in which cell, as any change of W does.
 """
 
 from __future__ import annotations
@@ -379,19 +380,18 @@ def sample_potential_outcomes(
 _held = threading.local()
 
 
-def _arrays(
-    cfg: SimConfig, more: Sequence[SimConfig]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's flat arrays for a batch of widest config cfg and
-    narrower configs `more`: W x b cells for a block of draws, m2 x b for
-    the narrower configs' scratch and m3 x b booleans that mark each
-    sigma_eps > 0 config's hits, b = min(n, B), m2 the largest m in `more`
-    and m3 the largest m with sigma_eps > 0. Made on the thread's first
-    replication of the batch and reused by the rest; `simulate_gain` drops
-    them when it ends."""
+def _arrays(points: Sequence[SimConfig], groups: list[list[int]]) -> tuple[np.ndarray, ...]:
+    """This thread's flat arrays for a batch of configs `points`, the
+    widest last, in `groups` (`_groups`): W x b cells for a block of draws,
+    m2 x b for the scratch of the groups but the widest's and m3 x b
+    booleans that mark each sigma_eps > 0 config's hits, b = min(n, B), m2
+    the largest m of those groups and m3 the largest m with sigma_eps > 0.
+    Made on the thread's first replication of the batch and reused by the
+    rest; `simulate_gain` drops them when it ends."""
+    cfg = points[-1]
     size = min(cfg.n_individuals, _block_size(cfg.m))
-    m2 = max((point.m for point in more), default=0)
-    m3 = max((point.m for point in (cfg, *more) if point.sigma_eps), default=0)
+    m2 = max((points[group[-1]].m for group in groups[:-1]), default=0)
+    m3 = max((point.m for point in points if point.sigma_eps), default=0)
     held = getattr(_held, "arrays", None)
     if held is None or held[0] != (cfg.m, m2, m3, size):
         held = _held.arrays = ((cfg.m, m2, m3, size), np.empty(cfg.m * size),
@@ -410,14 +410,14 @@ def _scales(cfg: SimConfig) -> tuple[float, float]:
     return c, v / c
 
 
-def _nested(cfg: SimConfig, more: Sequence[SimConfig]) -> list[int]:
-    """The positions in `more` of the configs that differ from cfg, the
-    widest, in m alone, by increasing m: their predictions are the first m
-    rows of cfg's."""
-    key = (cfg.sigma, cfg.rho, cfg.sigma_eps, cfg.dist)
-    alike = (k for k, point in enumerate(more)
-             if (point.sigma, point.rho, point.sigma_eps, point.dist) == key)
-    return sorted(alike, key=lambda k: more[k].m)
+def _groups(points: Sequence[SimConfig]) -> list[list[int]]:
+    """The positions of points by group, the configs that differ in m
+    alone, each group by increasing m: a member's predictions are the first
+    m rows of its group's widest. The group of the last point comes last."""
+    groups: dict[tuple, list[int]] = {}
+    for k, point in sorted(enumerate(points), key=lambda item: item[1].m):
+        groups.setdefault((point.sigma, point.rho, point.sigma_eps, point.dist), []).append(k)
+    return sorted(groups.values(), key=max)
 
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
@@ -437,21 +437,21 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     eps, summed block by block at the width W when some config has
     rho < 0.
 
-    A config in `more` writes its Yhat' into this thread's scratch
-    (`_arrays`); cfg is scored last and writes its Yhat' over the block. A
-    config that differs from cfg in m alone (`_nested`) writes none: its
-    Yhat' is cfg's first m rows, its arm sums theirs, and its best is
-    cfg's best over those rows, a fold, by increasing m, of the maxima of
-    row ranges. A max is exact and each row is summed alone, so its sums
+    The configs are scored by group (`_groups`), the configs that differ
+    in m alone. Each group writes one Yhat' at its largest m, into this
+    thread's scratch (`_arrays`), or over the block for cfg's group, which
+    is scored last, and sums each of its rows once. A member's Yhat' is
+    its group's first m rows, its arm sums theirs, and its best the max
+    over those rows, a fold, by increasing m, of the maxima of row ranges.
+    A max is exact and each row is summed alone, so every config's sums
     have the bits that scoring it on rows of its own gives. Configs are
     told apart by position, since a batch may hold one config twice.
     """
-    buffer, scratch, marks = _arrays(cfg, more)
     n, width = cfg.n_individuals, cfg.m
     points = (*more, cfg)
+    groups = _groups(points)
+    buffer, scratch, marks = _arrays(points, groups)
     scales = [_scales(point) for point in points]
-    nested = _nested(cfg, more)
-    alone = [k for k in range(len(more)) if k not in nested]
     best_sums = [0.0] * len(points)
     arm_sums = [np.zeros(point.m) for point in points]
     hits = [np.zeros(point.m) for point in points]
@@ -485,24 +485,22 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
             means = (*more_mu, mu)
         if negative:
             eps_sums += eps.sum(axis=1)
-        for k in alone:
-            m = points[k].m
-            y = _spread(eps[:m], means[k][:, None], scales[k][0],
-                        out=scratch[: m * b].reshape(m, b))
-            tally(k, y, y.max(axis=0), y.sum(axis=1))
-        y = _spread(eps, mu[:, None], scales[-1][0], out=eps)
-        row_sums = y.sum(axis=1)
-        # cfg's best over its first m rows for each config nested in it, by
-        # increasing m, then over all its rows: each folds the max of the
-        # rows past the last m into the last best
-        best, done = None, 0
-        for k in (*nested, len(more)):
-            m = points[k].m
-            if m > done:
-                top = y[done:m].max(axis=0)
-                best = top if best is None else np.maximum(best, top, out=best)
-                done = m
-            tally(k, y[:m], best, row_sums[:m])
+        for group in groups:
+            # the group's Yhat' at its largest m, then each member's best
+            # over its first m rows, by increasing m: each folds the max of
+            # the rows past the last m into the last best
+            lead, m = group[-1], points[group[-1]].m
+            out = eps if group is groups[-1] else scratch[: m * b].reshape(m, b)
+            y = _spread(eps[:m], means[lead][:, None], scales[lead][0], out=out)
+            row_sums = y.sum(axis=1)
+            best, done = None, 0
+            for k in group:
+                m = points[k].m
+                if m > done:
+                    top = y[done:m].max(axis=0)
+                    best = top if best is None else np.maximum(best, top, out=best)
+                    done = m
+                tally(k, y[:m], best, row_sums[:m])
 
     z_bar, eps_bar = zeta / math.sqrt(n), eps_sums / n
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persgain import simulate
+from persgain.analysis import SimSettings, StudyProfile, elasticity_table
 from persgain.analytic import TwoArmParams, gain_two_arm
 from persgain.errors import ConfigError
 from persgain.simulate import (
@@ -771,18 +772,16 @@ def nested_batches() -> list[list[SimConfig]]:
     return batches
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_configs_nested_in_the_widest_share_its_rows_bit_for_bit(monkeypatch, n_jobs) -> None:
-    # each config gets the bits of scoring it on rows of its own, and only
-    # the config that differs from the widest in more than m spreads rows
-    # of its own beside the widest's
+def check_two_groups_share_rows(monkeypatch, batches: list[list[SimConfig]], n_jobs: int) -> None:
+    """Each batch, of two groups over three blocks, spreads two sets of rows
+    per block; each config gets the bits of scoring it on rows of its own,
+    and the widest those of running it alone."""
     spread, spreads = simulate._spread, []
     monkeypatch.setattr(simulate, "_spread", lambda *args, **kw: spreads.append(1)
                         or spread(*args, **kw))
-    for batch in nested_batches():
+    for batch in batches:
         order = sorted(range(len(batch)), key=lambda index: -batch[index].m)
         widest, *rest = (batch[index] for index in order)
-        assert len(simulate._nested(widest, rest)) == len(batch) - 2
         spreads.clear()
         results, values = kernel_values(batch, n_jobs)
         blocks = -(-widest.n_individuals // simulate._block_size(widest.m))
@@ -790,7 +789,64 @@ def test_configs_nested_in_the_widest_share_its_rows_bit_for_bit(monkeypatch, n_
         for rep in range(widest.n_replications):
             want = unshared_replicate(widest, rep, *rest)
             assert [values[index][rep] for index in order] == want, (widest, rep)
-        assert results[1] == simulate_gain(batch[1], n_jobs=n_jobs)
+        assert results[order[0]] == simulate_gain(widest, n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_configs_nested_in_the_widest_share_its_rows_bit_for_bit(monkeypatch, n_jobs) -> None:
+    # only the config that differs from the widest in more than m spreads
+    # rows of its own beside the widest's
+    batches = nested_batches()
+    for batch in batches:
+        assert sorted(map(len, simulate._groups(batch))) == [1, len(batch) - 1]
+    check_two_groups_share_rows(monkeypatch, batches, n_jobs)
+
+
+def counterfactual_batches() -> list[list[SimConfig]]:
+    """Batches shaped like a counterfactual over m: two studies that differ
+    in sigma, each at 23 and 20 arms (walmart's and penn_geisinger's), with
+    rho on both sides of 0 and sigma_eps = 0 and > 0, over three blocks."""
+    n = 2 * (simulate.BLOCK_CELLS // 23) + 7
+    batches = []
+    for rho in (-0.03, 0.6):
+        for sigma_eps in (0.0, 0.3):
+            base = dict(rho=rho, dist=NormalMeans(0.0, 0.05), sigma_eps=sigma_eps,
+                        n_individuals=n, n_replications=2, seed=23)
+            batches.append([SimConfig(m=m, sigma=sigma, **base)
+                            for sigma, m in ((0.078, 23), (0.078, 20), (0.267, 20), (0.267, 23))])
+    return batches
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_each_study_of_a_counterfactual_over_m_spreads_its_rows_once(monkeypatch, n_jobs) -> None:
+    # each study is one group of two: the widest's, and one whose rows go
+    # to the scratch though its largest m is the batch's
+    batches = counterfactual_batches()
+    for batch in batches:
+        assert sorted(map(len, simulate._groups(batch))) == [2, 2]
+    check_two_groups_share_rows(monkeypatch, batches, n_jobs)
+
+
+def test_only_the_groups_besides_the_widest_s_take_scratch(monkeypatch) -> None:
+    # a sweep's configs differ from its widest in m alone, so it needs no
+    # scratch; elasticity's five configs are five groups of m = 20, and the
+    # four besides the widest's take one 20 x B scratch
+    arrays, sizes = simulate._arrays, []
+
+    def spy(*args):
+        held = arrays(*args)
+        sizes.append(held[1].size)
+        return held
+
+    monkeypatch.setattr(simulate, "_arrays", spy)
+    cfg = SimConfig(m=2, sigma=10.0, rho=0.9, dist=SpikeSlabMeans(0.9, 0.0, 22.0),
+                    n_individuals=10_000, n_replications=2, seed=3)
+    sweep_arms(cfg, [2, 5, 10, 25, 50, 100])
+    assert sizes == [0, 0]
+    sizes.clear()
+    profile = StudyProfile(name="pg", s=0.007, sigma=0.267, rho=0.8, sigma_eps=0.2, m=20)
+    elasticity_table(profile, settings=SimSettings(n_individuals=10_000, n_replications=2))
+    assert sizes == [20 * simulate._block_size(20)] * 2
 
 
 def test_a_batch_of_several_layouts_fails_before_any_draw(monkeypatch) -> None:
