@@ -201,9 +201,12 @@ def csv_cell(value: object) -> str:
 
 def _cells(column: Sequence[object]) -> Iterable[str]:
     import numpy as np
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        # tolist() gives Python floats, whose repr is fmt_float's
-        return map(repr, column.tolist())
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fT":
+        # tolist() gives Python floats, whose repr is fmt_float's, or makes a
+        # StringDType array's str objects once for the passes below
+        is_float, column = column.dtype.kind == "f", column.tolist()
+        if is_float:
+            return map(repr, column)
     try:
         joined = "".join(column)  # a TypeError unless every value is text
     except TypeError:

@@ -27,7 +27,6 @@ from .errors import ConfigError
 
 __all__ = [
     "TwoArmParams",
-    "effective_scale",
     "gain_two_arm",
     "dgain_dsigma",
     "dgain_drho",
@@ -71,15 +70,6 @@ class TwoArmParams:
     @property
     def gap(self) -> float:
         return abs(self.mu_b - self.mu_a)
-
-
-def effective_scale(sigma: float, rho: float) -> float:
-    """Scale v = sigma * sqrt(2 * (1 - rho)) of the between-arm difference.
-
-    Zero exactly when sigma == 0 or rho == 1.
-    """
-    _check_moments(sigma, rho)
-    return sigma * math.sqrt(2.0 * (1.0 - rho))
 
 
 def gain_two_arm(p: TwoArmParams) -> float:

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from . import _util
 from ._util import atomic_write, check_addressable, csv_bytes, fields_of, read_fields, stream
@@ -231,12 +232,22 @@ class SealedOutcomes:
 
 
 def _text_ids(unit_ids) -> np.ndarray:
-    """Unit ids as a 1-D object array of str: such an array is kept as it
-    is, any other input rebuilt with str() per id."""
-    if isinstance(unit_ids, np.ndarray) and unit_ids.dtype == object:
-        if set(map(type, unit_ids)) == {str}:  # a 2-D array yields rows
-            return unit_ids
-    return np.fromiter(map(str, unit_ids), dtype=object)
+    """Unit ids as a 1-D StringDType array, which holds an id of up to 15
+    UTF-8 bytes inline and sorts as Python sorts str: such an array is kept
+    as it is, any other input rebuilt with str() per id. An id UTF-8 cannot
+    encode raises a ConfigError naming its row, counted from 0."""
+    if isinstance(unit_ids, np.ndarray) and unit_ids.ndim == 1 and unit_ids.dtype == StringDType():
+        return unit_ids
+    ids = list(map(str, unit_ids))
+    try:
+        return np.array(ids, dtype=StringDType())
+    except UnicodeEncodeError:
+        row = next(i for i, uid in enumerate(ids) if _SURROGATE.search(uid))
+        raise ConfigError(f"unit id {ids[row]!r} in row {row} cannot be encoded as UTF-8") from None
+
+
+# the only code points UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 # --------------------------------------------------------------------------
@@ -364,13 +375,23 @@ def generate_synthetic(dgp: SynthDGP, n: int, seed: int) -> tuple[ExperimentData
     rng = stream(seed)
     x = np.column_stack([c.draw(n, rng) for c in dgp.covariates])
     arms = rng.integers(0, dgp.m, size=n)
-    h = np.asarray(dgp.intercepts) + x @ dgp.beta.T
-    y_all = h + dgp.noise_sd * rng.standard_normal((n, dgp.m))
+    # y = (intercepts + x beta') + noise, summed into the noise array
+    y_all = rng.standard_normal((n, dgp.m))
+    y_all *= dgp.noise_sd
+    h = x @ dgp.beta.T
+    h += dgp.intercepts
+    y_all += h
+    del h
     if dgp.outcome_kind == "bernoulli-latent":
-        prob = np.clip(y_all, 0.0, 1.0)
-        y_all = (rng.uniform(size=(n, dgp.m)) < prob).astype(float)
+        np.clip(y_all, 0.0, 1.0, out=y_all)
+        y_all = (rng.uniform(size=(n, dgp.m)) < y_all).astype(float)
+    unit_ids = np.empty(n, dtype=StringDType())
+    for start in range(0, n, _util.BLOCK_ROWS):
+        unit_ids[start : start + _util.BLOCK_ROWS] = [
+            f"u{i:07d}" for i in range(start, min(start + _util.BLOCK_ROWS, n))
+        ]
     dataset = ExperimentDataset(
-        unit_ids=np.array([f"u{i:07d}" for i in range(n)], dtype=object),
+        unit_ids=unit_ids,
         x=x,
         arm=arms,
         outcome=y_all[np.arange(n), arms],
@@ -557,7 +578,7 @@ def _parse_blocks(fh: io.TextIOWrapper) -> dict | None:
         return None
     p = len(header) - 4
     row = np.dtype([("unit_id", object), ("arm", object), ("values", float, (p + 2,))])
-    unit_ids, codes = np.empty(0, dtype=object), np.empty(0, dtype=int)
+    unit_ids, codes = np.empty(0, dtype=StringDType()), np.empty(0, dtype=int)
     outcome, propensity, x = np.empty(0), np.empty(0), np.empty((0, p))
     columns = (unit_ids, codes, outcome, propensity, x)
     arm_codes = defaultdict()

@@ -9,8 +9,9 @@ error, while correlating noisy per-unit predictions deflates rho. Averaging
 observed outcomes within predicted-score quantiles integrates the noise out
 before taking moments.
 
-estimate_moments owns the train/holdout split: fit_predictor builds the
-training side, estimate_moments the holdout and its scores, once each.
+estimate_moments owns the train/holdout split: fit_predictor fits on the
+training rows where they lie, with no copy of them, and estimate_moments
+builds the holdout and its scores once.
 """
 
 from __future__ import annotations
@@ -80,42 +81,42 @@ class LinearTLearner:
         return "ols_interaction"
 
 
-def fit_per_arm(train: ExperimentDataset) -> LinearTLearner:
-    """Least-squares fit of each arm on its own rows. Rank deficiency is
-    tolerated (minimum-norm solution, with a warning); an arm with no rows
-    is not. Each arm's design is built from its own rows only, so no
-    design of every training row is ever held."""
-    coef = np.zeros((train.m, train.p + 1))
+def fit_per_arm(dataset: ExperimentDataset, rows: np.ndarray | None = None) -> LinearTLearner:
+    """Least-squares fit of each arm on its own rows among `rows` (every
+    row when None). Rank deficiency is tolerated (minimum-norm solution,
+    with a warning); an arm with no rows is not. Each arm's design is
+    gathered from its own rows, in the order `rows` lists them, so no copy
+    of the training rows and no design of all of them is ever held."""
+    coef = np.zeros((dataset.m, dataset.p + 1))
     thin, deficient = [], []
-    for a in range(train.m):
-        rows = train.arm == a
-        count = int(rows.sum())
-        if count == 0:
-            raise ConfigError(f"arm {train.arm_names[a]!r} has no training rows")
-        if count < train.p + 2:
-            thin.append(train.arm_names[a])
-        design = np.column_stack([np.ones(count), train.x[rows]])
-        coef[a], _, rank, _ = np.linalg.lstsq(design, train.outcome[rows], rcond=None)
-        if rank < train.p + 1:
-            deficient.append(train.arm_names[a])
+    for a in range(dataset.m):
+        own = np.flatnonzero(dataset.arm == a) if rows is None else rows[dataset.arm[rows] == a]
+        if len(own) == 0:
+            raise ConfigError(f"arm {dataset.arm_names[a]!r} has no training rows")
+        if len(own) < dataset.p + 2:
+            thin.append(dataset.arm_names[a])
+        design = np.column_stack([np.ones(len(own)), dataset.x[own]])
+        coef[a], _, rank, _ = np.linalg.lstsq(design, dataset.outcome[own], rcond=None)
+        if rank < dataset.p + 1:
+            deficient.append(dataset.arm_names[a])
     if deficient:
         warnings.warn(
-            f"arms {deficient} have rank deficient designs (rank < p + 1 = {train.p + 1}); "
+            f"arms {deficient} have rank deficient designs (rank < p + 1 = {dataset.p + 1}); "
             "using the minimum-norm fit",
             stacklevel=2,
         )
     if thin:
         warnings.warn(
-            f"arms {thin} have fewer than p + 2 = {train.p + 2} training rows; "
+            f"arms {thin} have fewer than p + 2 = {dataset.p + 2} training rows; "
             "fits are unstable",
             stacklevel=2,
         )
-    return LinearTLearner(coef, train.covariate_names, train.arm_names)
+    return LinearTLearner(coef, dataset.covariate_names, dataset.arm_names)
 
 
 def fit_predictor(dataset: ExperimentDataset, split: TrainTestSplit) -> LinearTLearner:
     """fit_per_arm on the training rows."""
-    return fit_per_arm(dataset.subset(split.train_idx))
+    return fit_per_arm(dataset, split.train_idx)
 
 
 def estimate_s(dataset: ExperimentDataset) -> float:
@@ -124,12 +125,17 @@ def estimate_s(dataset: ExperimentDataset) -> float:
     return float(np.std(means, ddof=1))
 
 
-def per_arm_means(dataset: ExperimentDataset, rows: str = "rows") -> np.ndarray:
-    """Mean outcome per arm; an arm with none of its `rows` raises."""
-    counts = dataset.arm_counts()
+def per_arm_means(
+    dataset: ExperimentDataset, rows: np.ndarray | None = None, what: str = "rows"
+) -> np.ndarray:
+    """Mean outcome per arm over `rows` (every row when None); an arm with
+    none of them raises, calling them `what`."""
+    arms, outcome = (dataset.arm, dataset.outcome) if rows is None else (
+        dataset.arm[rows], dataset.outcome[rows])
+    counts = np.bincount(arms, minlength=dataset.m)
     if not counts.all():
-        raise ConfigError(f"arm {dataset.arm_names[int(np.argmin(counts))]!r} has no {rows}")
-    sums = np.bincount(dataset.arm, weights=dataset.outcome, minlength=dataset.m)
+        raise ConfigError(f"arm {dataset.arm_names[int(np.argmin(counts))]!r} has no {what}")
+    sums = np.bincount(arms, weights=outcome, minlength=dataset.m)
     return sums / counts
 
 

@@ -6,9 +6,10 @@ bootstrap SEs against the best-uniform benchmark.
 
 A policy is any object with assign(dataset) -> arm index per row and
 describe(arm_names) -> report label, naming arms as the dataset does; a fit
-maps training rows to a policy. Fits and evaluators take the rows they
-work on: gain_report, which owns the train/holdout split, builds each side
-once.
+maps a dataset and its training rows (every row when None) to a policy,
+reading those rows where they lie. gain_report, which owns the
+train/holdout split, hands each fit the training indices and builds the
+holdout once.
 """
 
 from __future__ import annotations
@@ -57,16 +58,18 @@ class UniformPolicy:
 # fitting
 
 
-def best_uniform(train: ExperimentDataset) -> UniformPolicy:
-    """Arm with the highest training mean outcome; ties -> lowest index."""
-    means = per_arm_means(train, "training rows")
+def best_uniform(dataset: ExperimentDataset, rows: np.ndarray | None = None) -> UniformPolicy:
+    """Arm with the highest mean outcome over the training rows (every row
+    when None); ties -> lowest index."""
+    means = per_arm_means(dataset, rows, "training rows")
     return UniformPolicy(int(np.argmax(means)))
 
 
-def fit_ols_policy(train: ExperimentDataset) -> LinearTLearner:
-    """The per-arm linear model fitted on the training rows, used as a
-    policy: each unit gets the arm with the highest predicted outcome."""
-    return fit_per_arm(train)
+def fit_ols_policy(dataset: ExperimentDataset, rows: np.ndarray | None = None) -> LinearTLearner:
+    """The per-arm linear model fitted on the training rows (every row when
+    None), used as a policy: each unit gets the arm with the highest
+    predicted outcome."""
+    return fit_per_arm(dataset, rows)
 
 
 # --------------------------------------------------------------------------
@@ -134,8 +137,9 @@ def gain_report(
     """IPW values on the holdout with bootstrap SEs, benchmarked against the
     best uniform arm found on the training side (always the first row).
 
-    Each distinct fit, best_uniform included, is fitted on the training
-    side and scored on the holdout once; a fit listed again repeats its
+    Each distinct fit, best_uniform included, is called once as
+    fit(dataset, split.train_idx), reading the training rows in place, and
+    scored on the holdout copy once; a fit listed again repeats its
     first row under its own label. The benchmark row's label is "best_"
     plus its policy's own, so a listed best_uniform names the same arm.
 
@@ -151,9 +155,7 @@ def gain_report(
     # report counter still pass it, until ROADMAP item 3 removes both
     if n_boot < 2:
         raise ConfigError(f"n_boot must be >= 2, got {n_boot}")
-    train = dataset.subset(split.train_idx)
-    policies = {fit: fit(train) for fit in dict.fromkeys((best_uniform, *fits))}
-    del train
+    policies = {fit: fit(dataset, split.train_idx) for fit in dict.fromkeys((best_uniform, *fits))}
     holdout = dataset.subset(split.test_idx)
     scored = {fit: _ipw_terms(policy, holdout) for fit, policy in policies.items()}
     bench_terms = scored[best_uniform][0]

@@ -10,8 +10,9 @@ where the term c_i common to individual i's arms is sqrt(rho) z_i for
 rho >= 0 and (sqrt(1+(m-1)rho) - sqrt(1-rho)) times the mean of eps_i for
 rho < 0. Either way the column's component along the all-ones vector has
 variance sigma^2 (1+(m-1)rho) and every orthogonal one sigma^2 (1-rho),
-the eigenvalues of Sigma, so both forms are exact. `_outcomes` states
-these outcomes; the kernel never builds them. The personalized policy
+the eigenvalues of Sigma, so both forms are exact. The kernel never
+builds these outcomes; `outcomes` in tests/test_simulate.py states them
+from the two parts the kernel scores. The personalized policy
 gives each individual the arm of their column's max; the uniform
 benchmark picks the single arm with the best mean over the individuals.
 With sigma_eps > 0 both selections are made on noisy predictions
@@ -245,19 +246,6 @@ def _common(z: np.ndarray, eps: np.ndarray, sigma: float, rho: float) -> np.ndar
         return sigma * (math.sqrt(rho) * z)
     scale = math.sqrt(1.0 + (len(eps) - 1) * rho) - math.sqrt(1.0 - rho)
     return sigma * (scale * eps.mean(axis=0))
-
-
-def _outcomes(
-    z: np.ndarray, eps: np.ndarray, mu: np.ndarray, sigma: float, rho: float, out: np.ndarray
-) -> np.ndarray:
-    """The m x n outcomes Y = Y' + sigma c 1 of (mu, sigma, rho): the sum of
-    the two parts the kernel scores, `_spread` and `_common`, from
-    standard normals z (1 x n) and eps (m x n), written into `out` (which
-    may be eps; the common term is taken before eps is overwritten). The
-    kernel scores Y' block by block and adds the mean of the common term,
-    so it never draws z, only z_bar, and never builds Y."""
-    common = _common(z, eps, sigma, rho)
-    return np.add(_spread(eps, mu[:, None], sigma * math.sqrt(1.0 - rho), out=out), common, out=out)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from persgain.analysis import (
 )
 from persgain.analytic import (
     TwoArmParams,
-    effective_scale,
     expected_gain_over_means,
     gain_two_arm,
 )
@@ -24,6 +23,14 @@ PG = StudyProfile("pg_like", s=0.007, sigma=0.267, rho=0.80, sigma_eps=0.2, m=20
 WM = StudyProfile("walmart_like", s=0.007, sigma=0.078, rho=0.61, sigma_eps=0.2, m=23, mean=0.3)
 
 FAST = SimSettings(n_individuals=4_000, n_replications=200, seed=0)
+
+
+def effective_scale(sigma: float, rho: float) -> float:
+    """Scale v = sigma * sqrt(2 * (1 - rho)) of the between-arm difference.
+
+    Zero exactly when sigma == 0 or rho == 1.
+    """
+    return sigma * math.sqrt(2.0 * (1.0 - rho))
 
 
 class TestStudyProfile:

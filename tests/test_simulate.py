@@ -17,7 +17,6 @@ from persgain.simulate import (
     SimConfig,
     SpikeSlabMeans,
     dist_from_config,
-    _outcomes,
     rho_lower_bound,
     sample_potential_outcomes,
     simulate_gain,
@@ -84,12 +83,13 @@ def test_dist_validation() -> None:
 
 
 def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
-    """The m x n outcome matrix of (mu, sigma, rho), one row per arm, turned
-    into outcomes by `_outcomes`: eps is a fixed-means config's, drawn block
-    by block by the draw step for replication 0 of `seed` and joined; z,
-    each individual's common normal, which the simulator never draws (it
-    draws only their mean), is a row of n normals from a generator of its
-    own."""
+    """The m x n outcome matrix Y = Y' + sigma c 1 of (mu, sigma, rho), one
+    row per arm: the sum of the two parts the kernel scores, `_spread` and
+    `_common`, which the kernel itself never builds. eps is a fixed-means
+    config's, drawn block by block by the draw step for replication 0 of
+    `seed` and joined; z, each individual's common normal, which the
+    simulator never draws (it draws only their mean), is a row of n normals
+    from a generator of its own."""
     mu, m = np.asarray(mu, dtype=float), len(mu)
     cfg = SimConfig(m=m, sigma=sigma, rho=rho, dist=FixedMeans(mu),
                     n_individuals=n, n_replications=1, seed=seed)
@@ -99,8 +99,10 @@ def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
               for start in range(0, n, size)]
     eps = np.concatenate(blocks, axis=1)
     assert eps.shape == (m, n) and len(blocks) == -(-n // size)
-    return _outcomes(np.random.default_rng(seed).standard_normal((1, n)), eps, mu, sigma, rho,
-                     out=eps)
+    z = np.random.default_rng(seed).standard_normal((1, n))
+    common = simulate._common(z, eps, sigma, rho)  # taken before eps is overwritten
+    spread = simulate._spread(eps, mu[:, None], sigma * math.sqrt(1.0 - rho), out=eps)
+    return np.add(spread, common, out=eps)
 
 
 def test_outcomes_sigma_zero() -> None:
