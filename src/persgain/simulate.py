@@ -3,41 +3,32 @@
 Each replication draws per-arm average responses mu from a chosen
 distribution, then potential outcomes for n individuals: one column per
 individual, i.i.d. N(mu, Sigma) over the m arms, with the equicorrelated
-covariance Sigma = sigma^2 [(1-rho) I + rho J]. Whatever the sign of rho,
-the outcomes come from the same standard normals, z_i and a column eps_i
-of m per individual: column i is mu + sigma (sqrt(1-rho) eps_i + c_i 1),
-where the term c_i common to individual i's arms is sqrt(rho) z_i for
-rho >= 0 and (sqrt(1+(m-1)rho) - sqrt(1-rho)) times the mean of eps_i for
-rho < 0. Either way the column's component along the all-ones vector has
-variance sigma^2 (1+(m-1)rho) and every orthogonal one sigma^2 (1-rho),
-the eigenvalues of Sigma, so both forms are exact. The kernel never
-builds these outcomes; `outcomes` in tests/test_simulate.py states them
-from the two parts the kernel scores. The personalized policy
+covariance Sigma = sigma^2 [(1-rho) I + rho J]. The personalized policy
 gives each individual the arm of their column's max; the uniform
 benchmark picks the single arm with the best mean over the individuals.
 With sigma_eps > 0 both selections are made on noisy predictions
 Yhat = Y + sigma_eps * noise but are always scored on the true Y, so the
 gain can go negative when predictions are poor.
 
-The kernel scores each config on Y' = mu + sigma sqrt(1-rho) eps, the
-outcomes without the common term, and adds C, the common term's mean over
-the individuals, to v_p and to v_u: a term common to all of an
-individual's arms changes neither pick, so it adds C to both values. For
-rho >= 0, C is sigma sqrt(rho) z_bar, and z_bar, the mean of n
-independent standard normals, is N(0, 1/n): a replication draws one
-standard normal zeta and takes z_bar = zeta / sqrt(n), never z itself.
+Column i is Y'_i + sigma c_i 1, with Y'_i = mu + v eps_i, v = sigma
+sqrt(1-rho), eps_i m standard normals and c_i a term of mean 0 common to
+individual i's arms (`outcomes` in tests/test_simulate.py states it for
+either sign of rho). The kernel scores Y' alone: each individual gets
+exactly one arm, so the common term moves no pick and adds C, its mean
+over the individuals, to v_p and to v_u alike, and by linearity E[C] = 0
+leaves both unbiased. Each gain is the same random variable with the
+term or without it, and rho reaches the kernel only through v.
 
 No replication draws the noise. Cell by cell, Y' and its prediction
 Yhat' = Y' + sigma_eps * noise are a normal pair, independent across cells
 given mu, and both policies pick on Yhat' alone. So the kernel draws
-Yhat' = mu + c eps with c = hypot(v, sigma_eps), v = sigma sqrt(1-rho),
-picks on it, and scores each pick by E[Y' | Yhat'] = mu + k (Yhat' - mu),
-k = (v/c)^2, and C by its conditional mean. That is conditional Monte
-Carlo (Ross, Simulation, "Variance Reduction Techniques"; Asmussen &
-Glynn, Stochastic Simulation, 2007, ch. V): the estimand is unchanged, the
-estimator stays unbiased, and its variance is no larger (Rao-Blackwell).
-With sigma_eps = 0, c = v and k = 1, so Yhat' is Y' and the values are
-means of Y' itself.
+Yhat' = mu + c eps with c = hypot(v, sigma_eps), picks on it, and scores
+each pick by E[Y' | Yhat'] = mu + k (Yhat' - mu), k = (v/c)^2. That is
+conditional Monte Carlo (Ross, Simulation, "Variance Reduction
+Techniques"; Asmussen & Glynn, Stochastic Simulation, 2007, ch. V): the
+estimand is unchanged, the estimator stays unbiased, and its variance is
+no larger (Rao-Blackwell). With sigma_eps = 0, c = v and k = 1, so Yhat'
+is Y' and the values are means of Y' itself.
 
 Replication r of a run with seed k uses the generator derived from
 SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
@@ -52,7 +43,7 @@ and the kind of mean distribution, whatever their m, and a batch that
 mixes layouts raises ConfigError before anything is drawn. Each
 replication draws once for all its configs, at the batch's largest m, its
 width W, in `sample_potential_outcomes`, which states the draws' order:
-the variates of W means, then zeta, then eps in blocks of individuals. A
+the variates of W means, then eps in blocks of individuals. A
 config with m arms maps the same variates to its own means and keeps the
 first m, and takes the first m arm rows of each block. Each config scales
 the shared normals with the same floating-point operations a run of it
@@ -221,8 +212,9 @@ def dist_from_config(doc: dict) -> AvgResponseDist:
 
 def rho_lower_bound(m: int) -> float:
     """Smallest admissible rho for m arms: -1/(m-1), where the
-    equicorrelation matrix turns singular, plus a 1e-9 margin that keeps
-    1 + (m-1) rho, the variance of the arms' common term, above 0."""
+    equicorrelation matrix turns singular, plus a 1e-9 margin. The kernel
+    scales its draws by sqrt(1-rho) alone and needs no margin; it keeps the
+    singular bound itself out of the admissible range."""
     return -1.0 / (m - 1) + 1e-9
 
 
@@ -235,17 +227,6 @@ def _spread(
     out = np.multiply(eps, scale, out=out)
     out += mu
     return out
-
-
-def _common(z: np.ndarray, eps: np.ndarray, sigma: float, rho: float) -> np.ndarray:
-    """sigma c: each individual's term common to their arms, c of the
-    module docstring, from z (1 x n) and eps (m x n). It is linear in
-    (z, eps), so given their means over the individuals (z_bar and m
-    values) it returns its mean over them, C, as the kernel takes it."""
-    if rho >= 0:
-        return sigma * (math.sqrt(rho) * z)
-    scale = math.sqrt(1.0 + (len(eps) - 1) * rho) - math.sqrt(1.0 - rho)
-    return sigma * (scale * eps.mean(axis=0))
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +246,7 @@ class SimConfig:
     # Not a field, and no replication draws noise: sigma_eps > 0 is scored by
     # conditioning on the predictions (see _replicate). perfbench/tracer.py
     # reads cfg.noise_mode to count the normals drawn, and still counts n x m
-    # noise normals and n normals for z, of which a replication draws one;
+    # noise normals and n normals for z, none of which a replication draws;
     # the constant goes when the benchmark reads spans from inside the
     # package (ROADMAP item 3).
     noise_mode = "per_cell"
@@ -310,9 +291,8 @@ def _layout(cfg: SimConfig) -> tuple:
     return (cfg.seed, cfg.n_individuals, cfg.n_replications, type(cfg.dist).__name__)
 
 
-def _score(v_p: float, v_u: float, common: float) -> tuple[float, float]:
-    """(v_p, v_u), each plus the common term's mean, checked finite."""
-    v_p, v_u = v_p + common, v_u + common
+def _score(v_p: float, v_u: float) -> tuple[float, float]:
+    """(v_p, v_u), checked finite."""
     if not (math.isfinite(v_p) and math.isfinite(v_u)):
         raise ConfigError(f"non-finite replication values (v_p={v_p}, v_u={v_u}): "
                           "the outcomes overflow float64")
@@ -344,21 +324,21 @@ def sample_potential_outcomes(
     one row of b standard normals per arm, for the block's b individuals.
     Filling `out` gives the bits that drawing a new array of its shape
     would. A replication's first call (first=True) draws, before its block,
-    what the whole replication shares: the variates of the W means, then
-    one standard normal zeta, which is sqrt(n) z_bar, z_bar the mean of the
-    n individuals' z. It returns (eps, zeta, mu, *more_mu): cfg's W means,
-    then for each config in `more` the first m of the W means it maps the
-    same variates to (a fixed-means config has m = W; `simulate_gain`
-    checks it). A later call returns (eps,).
+    what the whole replication shares: the variates of the W means. It
+    returns (eps, mu, *more_mu): cfg's W means, then for each config in
+    `more` the first m of the W means it maps the same variates to (a
+    fixed-means config has m = W; `simulate_gain` checks it). A later call
+    returns (eps,).
 
     No config draws prediction noise, whatever its sigma_eps: the kernel
-    builds each prediction from eps (see `_replicate`).
+    builds each prediction from eps (see `_replicate`). Nor does any draw
+    the arms' common term: it adds the same mean-0 amount to both policy
+    values (module docstring).
     """
     if not first:
         return (rng.standard_normal(out=out),)
     variates = cfg.dist.variates(cfg.m, rng)
-    zeta = rng.standard_normal()
-    return (rng.standard_normal(out=out), zeta, cfg.dist.means(variates),
+    return (rng.standard_normal(out=out), cfg.dist.means(variates),
             *(point.dist.means(variates)[: point.m] for point in more))
 
 
@@ -420,10 +400,9 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     sigma_eps > 0, of each arm's hits (the individuals whose best arm it
     is), counted row by row on a boolean mark of the cells that hold their
     column's max. After the last block the uniform arm U is the arm with
-    the largest sum, and both picks are scored by E[Y' | Yhat']. C comes
-    from zeta, or for rho < 0 from (v/c) eps_bar, the arm rows' means of
-    eps, summed block by block at the width W when some config has
-    rho < 0.
+    the largest sum, and both picks are scored by E[Y' | Yhat']. No value
+    takes the arms' common term: each individual gets one arm, so it
+    would add the same mean-0 C to v_p and v_u.
 
     The configs are scored by group (`_groups`), the configs that differ
     in m alone. Each group writes one Yhat' at its largest m, into this
@@ -443,7 +422,6 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     best_sums = [0.0] * len(points)
     arm_sums = [np.zeros(point.m) for point in points]
     hits = [np.zeros(point.m) for point in points]
-    eps_sums, negative = np.zeros(width), any(point.rho < 0 for point in points)
     rng = stream(cfg.seed, rep)
     size = _block_size(width)
 
@@ -469,10 +447,8 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
         eps, *head = sample_potential_outcomes(
             cfg, rng, *more, out=buffer[: width * b].reshape(width, b), first=not start)
         if head:
-            zeta, mu, *more_mu = head
+            mu, *more_mu = head
             means = (*more_mu, mu)
-        if negative:
-            eps_sums += eps.sum(axis=1)
         for group in groups:
             # the group's Yhat' at its largest m, then each member's best
             # over its first m rows, by increasing m: each folds the max of
@@ -490,19 +466,16 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
                     done = m
                 tally(k, y[:m], best, row_sums[:m])
 
-    z_bar, eps_bar = zeta / math.sqrt(n), eps_sums / n
-
     def value(k: int) -> tuple[float, float]:
         """(v_p, v_u) of the k-th of points."""
-        point, mu, shrink = points[k], means[k], scales[k][1]
-        common = float(_common(z_bar, shrink * eps_bar[: point.m], point.sigma, point.rho))
+        mu, shrink = means[k], scales[k][1]
         uniform = int(np.argmax(arm_sums[k]))  # ties: lowest arm index
         v_p, v_u = best_sums[k] / n, float(arm_sums[k][uniform]) / n
-        if point.sigma_eps:
+        if points[k].sigma_eps:
             # mu_p sums hits * mu: a BLAS dot raised peak RSS by about 0.1 MB
             q, mu_p, mu_u = shrink * shrink, float((hits[k] * mu).sum()) / n, float(mu[uniform])
             v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
-        return _score(v_p, v_u, common)
+        return _score(v_p, v_u)
 
     *values, widest = (value(k) for k in range(len(points)))
     return [widest, *values]

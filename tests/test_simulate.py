@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -82,14 +83,28 @@ def test_dist_validation() -> None:
 # potential outcomes
 
 
+def common_term(z: np.ndarray, eps: np.ndarray, sigma: float, rho: float) -> np.ndarray:
+    """sigma c: each individual's term common to their arms, from z (1 x n)
+    and eps (m x n), sqrt(rho) z for rho >= 0 and
+    (sqrt(1+(m-1)rho) - sqrt(1-rho)) times the mean of eps over the arms
+    for rho < 0. Either way the column mu + sigma (sqrt(1-rho) eps + c 1)
+    has variance sigma^2 (1+(m-1)rho) along the all-ones vector and
+    sigma^2 (1-rho) along every orthogonal one, the eigenvalues of the
+    equicorrelated covariance, so both forms are exact."""
+    if rho >= 0:
+        return sigma * (math.sqrt(rho) * z)
+    scale = math.sqrt(1.0 + (len(eps) - 1) * rho) - math.sqrt(1.0 - rho)
+    return sigma * (scale * eps.mean(axis=0))
+
+
 def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
     """The m x n outcome matrix Y = Y' + sigma c 1 of (mu, sigma, rho), one
-    row per arm: the sum of the two parts the kernel scores, `_spread` and
-    `_common`, which the kernel itself never builds. eps is a fixed-means
-    config's, drawn block by block by the draw step for replication 0 of
-    `seed` and joined; z, each individual's common normal, which the
-    simulator never draws (it draws only their mean), is a row of n normals
-    from a generator of its own."""
+    row per arm: Y', which the kernel scores (`_spread`), plus the common
+    term (`common_term`), which the kernel leaves out since it adds the
+    same mean-0 amount to both policy values. eps is a fixed-means config's,
+    drawn block by block by the draw step for replication 0 of `seed` and
+    joined; z, each individual's common normal, which the simulator never
+    draws, is a row of n normals from a generator of its own."""
     mu, m = np.asarray(mu, dtype=float), len(mu)
     cfg = SimConfig(m=m, sigma=sigma, rho=rho, dist=FixedMeans(mu),
                     n_individuals=n, n_replications=1, seed=seed)
@@ -100,7 +115,7 @@ def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
     eps = np.concatenate(blocks, axis=1)
     assert eps.shape == (m, n) and len(blocks) == -(-n // size)
     z = np.random.default_rng(seed).standard_normal((1, n))
-    common = simulate._common(z, eps, sigma, rho)  # taken before eps is overwritten
+    common = common_term(z, eps, sigma, rho)  # taken before eps is overwritten
     spread = simulate._spread(eps, mu[:, None], sigma * math.sqrt(1.0 - rho), out=eps)
     return np.add(spread, common, out=eps)
 
@@ -189,8 +204,8 @@ def test_rho_above_one_rejected() -> None:
                 n_individuals=40, seed=9) for m, e in ((2, 0.0), (4, 0.7))]),
 ], ids=["sigma_eps_zero", "mixed"])
 def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> None:
-    # from stream(seed, rep): the widest config's W means, one normal zeta
-    # (sqrt(n) times the mean of z), then eps block by block, each block
+    # from stream(seed, rep): the widest config's W means, then eps block
+    # by block, each block
     # arm-major (W x b, each arm's b normals contiguous), and no prediction
     # noise, whatever sigma_eps; each narrower config's means are the first
     # m of the W means it maps the same variates to
@@ -207,10 +222,9 @@ def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> No
         return head, [eps, *(drawn[0] for drawn in later)]
 
     head, blocks = draw([widest, *narrower])
-    zeta, mu, *more_mu = head
+    mu, *more_mu = head
     rng = stream(widest.seed, rep)
     np.testing.assert_array_equal(mu, widest.dist.sample(width, rng), strict=True)
-    assert type(zeta) is float and zeta == rng.standard_normal()
     for block, b in zip(blocks, sizes):
         np.testing.assert_array_equal(block, rng.standard_normal((width, b)), strict=True)
         assert block.flags.c_contiguous
@@ -220,7 +234,7 @@ def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> No
         np.testing.assert_array_equal(cfg_mu, expected, strict=True)
     # a batch with sigma_eps > 0 draws exactly what it draws with sigma_eps = 0
     quiet_head, quiet_blocks = draw([replace(cfg, sigma_eps=0.0) for cfg in (widest, *narrower)])
-    assert len(quiet_head) == len(head) == 2 + len(narrower)
+    assert len(quiet_head) == len(head) == 1 + len(narrower)
     for a, b in zip((*head, *blocks), (*quiet_head, *quiet_blocks)):
         np.testing.assert_array_equal(a, b, strict=True)
 
@@ -322,17 +336,16 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 
 def reference_draws(cfg: SimConfig, rep: int, width: int | None = None) -> tuple:
     """One replication's draws for one config at `width` arms (cfg.m by
-    default): (mu, zeta, blocks), with cfg.m means, zeta = sqrt(n) z_bar,
-    and eps whole at `width` in blocks of BLOCK_CELLS // width individuals
-    (at least one; the last block may be shorter), one row per arm each."""
+    default): (mu, blocks), with cfg.m means and eps whole at `width` in
+    blocks of BLOCK_CELLS // width individuals (at least one; the last
+    block may be shorter), one row per arm each."""
     rng = stream(cfg.seed, rep)
     n, m = cfg.n_individuals, cfg.m
     width = m if width is None else width
     mu = cfg.dist.sample(m if isinstance(cfg.dist, FixedMeans) else width, rng)[:m]
-    zeta = rng.standard_normal()
     size = max(1, simulate.BLOCK_CELLS // width)
-    return mu, zeta, [rng.standard_normal((width, min(size, n - start)))
-                      for start in range(0, n, size)]
+    return mu, [rng.standard_normal((width, min(size, n - start)))
+                for start in range(0, n, size)]
 
 
 def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
@@ -341,62 +354,48 @@ def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> t
     simulate_gain replaced, scored as the batched kernel scores it. That is
     on the predictions Yhat' = mu + c eps, c = hypot(v, sigma_eps) and
     v = sigma sqrt(1-rho), each pick valued at E[Y' | Yhat'] =
-    mu + (v/c)^2 (Yhat' - mu), with C, the common term's conditional mean
-    over the individuals, added to v_p and v_u alike. With sigma_eps = 0,
+    mu + (v/c)^2 (Yhat' - mu), with no common term. With sigma_eps = 0,
     Yhat' is Y'. Each individual's pick is the argmax over their column,
     ties to the lowest arm index, gathered cell by cell; the mean of the
     picks' means is a count of picks per arm dotted with mu, as the kernel
     takes it. Sums over the individuals run block by block: of the picks'
-    values, of each arm row (the uniform arm's sum is the largest) and,
-    for C at rho < 0, of each arm row of eps at `width`."""
-    mu, zeta, blocks = reference_draws(cfg, rep, width)
-    n, m, sigma, rho, sigma_eps = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho, cfg.sigma_eps
-    v = sigma * math.sqrt(1.0 - rho)
+    values and of each arm row (the uniform arm's sum is the largest)."""
+    mu, blocks = reference_draws(cfg, rep, width)
+    n, m, sigma_eps = cfg.n_individuals, cfg.m, cfg.sigma_eps
+    v = cfg.sigma * math.sqrt(1.0 - cfg.rho)
     c = math.hypot(v, sigma_eps) if sigma_eps else v
     shrink = v / c if sigma_eps else 1.0
-    picked, arm_sums, eps_sums, counts = 0.0, np.zeros(m), np.zeros(len(blocks[0])), np.zeros(m)
+    picked, arm_sums, counts = 0.0, np.zeros(m), np.zeros(m)
     for eps in blocks:
-        eps_sums += [row.sum() for row in eps]
         y = mu[:, None] + c * eps[:m]
         picks = np.argmax(y, axis=0)
         picked += float(y[picks, np.arange(len(picks))].sum())
         arm_sums += [row.sum() for row in y]
         counts += np.bincount(picks, minlength=m)
-    if rho >= 0:
-        common = sigma * (math.sqrt(rho) * (zeta / math.sqrt(n)))
-    else:
-        scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
-        common = sigma * (scale * (shrink * (eps_sums / n)[:m]).mean())
     uniform = int(np.argmax(arm_sums))
     v_p, v_u = picked / n, float(arm_sums[uniform]) / n
     if sigma_eps:
         k, mu_p, mu_u = shrink * shrink, float((counts * mu).sum()) / n, float(mu[uniform])
         v_p, v_u = mu_p + k * (v_p - mu_p), mu_u + k * (v_u - mu_u)
-    return v_p + common, v_u + common
+    return v_p, v_u
 
 
 def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
-    """The same replication scored on E[Y | Yhat], the whole outcome matrix's
-    conditional mean given the predictions, common term and all, with the
-    uniform arm taken from Yhat's arm means: the whole-matrix statement of
-    what the kernel computes, arm-major like the draws, its blocks joined.
-    Given eps, the true outcomes' standardized spread has mean shrink eps,
-    shrink = sqrt(v^2 / (v^2 + sigma_eps^2)). For rho >= 0 the common term
-    enters v_p and v_u only through the mean of z, so z is z_bar in every
-    cell. v_p and v_u agree with reference_replicate up to rounding."""
-    mu, zeta, blocks = reference_draws(cfg, rep, width)
+    """The same replication scored on E[Y' | Yhat'], the whole matrix's
+    conditional mean given the predictions, with the uniform arm taken from
+    the predictions' arm means: the whole-matrix statement of what the kernel
+    computes, arm-major like the draws, its blocks joined. Given eps, the
+    true outcomes' standardized spread has mean shrink eps,
+    shrink = sqrt(v^2 / (v^2 + sigma_eps^2)). v_p and v_u agree with
+    reference_replicate up to rounding."""
+    mu, blocks = reference_draws(cfg, rep, width)
     n, m, sigma, rho = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho
     eps, mu = np.concatenate(blocks, axis=1)[:m], mu[:, None]
     v2 = sigma ** 2 * (1.0 - rho)
     total = v2 + cfg.sigma_eps ** 2
     shrink = math.sqrt(v2 / total) if total else 1.0
-    if rho >= 0:
-        common = np.full((1, n), math.sqrt(rho) * zeta / math.sqrt(n))
-    else:
-        scale = math.sqrt(1.0 + (m - 1) * rho) - math.sqrt(1.0 - rho)
-        common = scale * shrink * eps.mean(axis=0, keepdims=True)
-    y = mu + sigma * (math.sqrt(1.0 - rho) * shrink * eps + common)
-    yhat = mu + math.sqrt(total) * eps + sigma * common if cfg.sigma_eps else y
+    y = mu + sigma * (math.sqrt(1.0 - rho) * shrink * eps)
+    yhat = mu + math.sqrt(total) * eps if cfg.sigma_eps else y
     picks = np.argmax(yhat, axis=0)
     v_p = float(y[picks, np.arange(n)].mean())
     v_u = float(y[int(np.argmax(yhat.mean(axis=1)))].mean())
@@ -406,8 +405,9 @@ def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[
 def noisy_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
     """One replication of the full-noise estimator: after mu, z and eps it
     draws the prediction noise (n x m), picks on Yhat = Y + sigma_eps noise
-    and scores the picks on Y itself. It shares no code with the kernel, so
-    it is an independent reference for the estimand."""
+    and scores the picks on Y itself, the arms' common term included. It
+    shares no code with the kernel, so it is an independent reference for
+    the estimand."""
     rng = stream(cfg.seed, rep)
     n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
     mu = cfg.dist.sample(m, rng)
@@ -548,8 +548,8 @@ def test_one_arm_best_for_everyone_gives_exactly_zero_gain_over_several_blocks()
             assert result.gain_mean == 0.0 and result.gain_se == 0.0
 
 
-def test_scoring_without_the_common_term_changes_values_by_rounding_only() -> None:
-    # v_p and v_u of every replication against the whole-Y formula
+def test_kernel_values_match_the_whole_matrix_formula_up_to_rounding() -> None:
+    # v_p and v_u of every replication against the whole-matrix formula
     for batch in layout_grid():
         width = max(cfg.m for cfg in batch)
         _, values = kernel_values(batch, 1)
@@ -626,7 +626,7 @@ def test_a_tie_between_arms_with_different_means_goes_to_the_lowest() -> None:
     telling = 0
     for rep, kernel in enumerate(values[0]):
         assert kernel == reference_replicate(cfg, rep), rep
-        mu, _, blocks = reference_draws(cfg, rep)
+        mu, blocks = reference_draws(cfg, rep)
         yhat = mu + c * blocks[0][:, 0]
         if yhat[0] == yhat[1]:
             first, second = mu + k * (yhat[0] - mu)  # v_p if arm 0, or arm 1, took the tie
@@ -667,12 +667,26 @@ def unbiasedness_batches() -> list[list[SimConfig]]:
     ]
 
 
+def quiet_unbiasedness_batches() -> list[list[SimConfig]]:
+    """Designs with sigma_eps = 0 for the kernel, which leaves out the arms'
+    common term, against the reference, which keeps it: normal means at
+    rho < 0, and a spike-slab batch that mixes rho."""
+    base = dict(n_individuals=100, n_replications=2_000, seed=61)
+    return [
+        [SimConfig(m=4, sigma=1.0, rho=-0.25, dist=NormalMeans(0.2, 0.3), **base)],
+        [SimConfig(m=5, sigma=2.0, rho=0.5, dist=SpikeSlabMeans(0.5, 0.0, 1.0), **base),
+         SimConfig(m=3, sigma=1.5, rho=-0.3, dist=SpikeSlabMeans(0.5, 0.0, 1.0), **base)],
+    ]
+
+
 def test_conditional_estimator_is_unbiased_with_no_larger_variance() -> None:
     # the reference runs on its own seed, so the two estimates are
     # independent; a narrower config's reference runs it alone at its m,
-    # which has the distribution of its batch's first m columns
-    checked = 0
-    for batch in unbiasedness_batches():
+    # which has the distribution of its batch's first m columns. With
+    # sigma_eps = 0 both estimators have one gain distribution, so those
+    # designs check the means only
+    checked = quiet = 0
+    for batch in unbiasedness_batches() + quiet_unbiasedness_batches():
         results, values = kernel_values(batch, 2)
         for cfg, result, per_rep in zip(batch, results, values):
             reference = [noisy_replicate(replace(cfg, seed=cfg.seed + 1), rep)
@@ -684,9 +698,13 @@ def test_conditional_estimator_is_unbiased_with_no_larger_variance() -> None:
                                ("v_u", got[1], want[1])):
                 se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / len(a))
                 assert abs(a.mean() - b.mean()) <= 4 * se, (name, cfg)
+            if not cfg.sigma_eps:
+                quiet += 1
+                continue
             assert got_gains.var(ddof=1) <= want_gains.var(ddof=1), cfg
             checked += 1
     assert checked == 5
+    assert quiet == 3
 
 
 def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
@@ -719,16 +737,14 @@ def unshared_replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple
     best_sums = [0.0] * len(points)
     arm_sums = [np.zeros(point.m) for point in points]
     hits = [np.zeros(point.m) for point in points]
-    eps_sums = np.zeros(width)
     rng, size = stream(cfg.seed, rep), simulate._block_size(width)
     for start in range(0, n, size):
         b = min(size, n - start)
         eps, *head = sample_potential_outcomes(cfg, rng, *more, out=np.empty((width, b)),
                                                first=not start)
         if head:
-            zeta, mu, *more_mu = head
+            mu, *more_mu = head
             means = (*more_mu, mu)
-        eps_sums += eps.sum(axis=1)
         for k, point in enumerate(points):
             c = simulate._scales(point)[0]
             y = simulate._spread(eps[: point.m], means[k][:, None], c,
@@ -741,18 +757,15 @@ def unshared_replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple
                 if block_hits.sum() != b:
                     block_hits = np.bincount(np.argmax(y, axis=0), minlength=point.m)
                 hits[k] += block_hits
-    z_bar, eps_bar = zeta / math.sqrt(n), eps_sums / n
     values = []
     for k, point in enumerate(points):
         mu, shrink = means[k], simulate._scales(point)[1]
-        common = float(simulate._common(z_bar, shrink * eps_bar[: point.m], point.sigma,
-                                        point.rho))
         uniform = int(np.argmax(arm_sums[k]))
         v_p, v_u = best_sums[k] / n, float(arm_sums[k][uniform]) / n
         if point.sigma_eps:
             q, mu_p, mu_u = shrink * shrink, float((hits[k] * mu).sum()) / n, float(mu[uniform])
             v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
-        values.append(simulate._score(v_p, v_u, common))
+        values.append(simulate._score(v_p, v_u))
     *values, widest = values
     return [widest, *values]
 
@@ -905,9 +918,9 @@ def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
             for k, e in enumerate(sigma_eps)]
     results = simulate_gain(cfgs)
     assert sizes.count((m, n)) == n_by_m_draws * reps
-    # per replication: the means, zeta (one normal) and eps (one row per
-    # arm); every config's means come from the one draw of them
-    assert sizes == [m, None, (m, n)] * reps
+    # per replication: the means and eps (one row per arm); every config's
+    # means come from the one draw of them
+    assert sizes == [m, (m, n)] * reps
     for cfg, result in zip(cfgs, results):
         assert result.per_replication_gains == reference_gains(cfg), cfg
 
@@ -1036,10 +1049,56 @@ def test_exact_m_arm_gain_is_an_oracle_for_the_simulator() -> None:
     assert hits >= 29, f"only {hits}/30 designs within 3 MC SEs of the exact gain"
 
 
+def expected_max_of_shifted_normals(mu: Sequence[float], scale: float) -> float:
+    """E[max_j (mu_j + scale e_j)], e_j i.i.d. N(0, 1): lo plus the integral
+    over [lo, hi] of P(max > x) = 1 - prod_j Phi((x - mu_j) / scale), by
+    the trapezoid rule, lo and hi 12 scales beyond the means."""
+    lo, hi = min(mu) - 12.0 * scale, max(mu) + 12.0 * scale
+    x = np.linspace(lo, hi, 20_001)
+    cdf = np.ones_like(x)
+    for mean in mu:
+        cdf *= [0.5 * math.erfc((mean - v) / (scale * math.sqrt(2.0))) for v in x]
+    tail = 1.0 - cdf
+    return lo + float(np.sum((tail[1:] + tail[:-1]) * np.diff(x)) / 2.0)
+
+
+@pytest.mark.parametrize("mu, sigma, rho", [
+    ((0.2, 0.0, -0.1), 1.5, 0.3),
+    ((0.5, 0.3, 0.0, -0.2), 1.0, -0.2),
+    ((0.1, 0.0, 0.0, -0.1, 0.05), 0.8, rho_lower_bound(5)),
+], ids=["rho_positive", "rho_negative", "rho_at_bound"])
+def test_values_match_their_exact_expectations_without_prediction_noise(mu, sigma, rho) -> None:
+    # sigma_eps = 0, fixed means and v = sigma sqrt(1-rho): E[v_p] is
+    # E[max_j (mu_j + v e_j)], an individual's best arm, and E[v_u] is
+    # E[max_j (mu_j + (v/sqrt(n)) e_j)], since v_u is the best arm's column
+    # mean; the common term the kernel leaves out would add 0 to each
+    n, reps = 100, 2_000
+    cfg = SimConfig(m=len(mu), sigma=sigma, rho=rho, dist=FixedMeans(mu), n_individuals=n,
+                    n_replications=reps, seed=61)
+    results, values = kernel_values([cfg], 2)
+    v_p, v_u = np.array(values[0]).T
+    v = sigma * math.sqrt(1.0 - rho)
+    for got, per_rep, scale in ((results[0].v_personalized_mean, v_p, v),
+                                (results[0].v_uniform_mean, v_u, v / math.sqrt(n))):
+        exact = expected_max_of_shifted_normals(mu, scale)
+        se = per_rep.std(ddof=1) / math.sqrt(reps)
+        assert abs(got - exact) <= 4 * se, (got, exact, se)
+
+
 def test_expected_max_of_normals_known_values() -> None:
     # E[max] of 2 and 3 standard normals: 1/sqrt(pi) and 3/(2 sqrt(pi))
     assert expected_max_of_normals(2) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
     assert expected_max_of_normals(3) == pytest.approx(1.5 / math.sqrt(math.pi), abs=1e-12)
+    assert expected_max_of_shifted_normals((0.0,) * 3, 1.0) == pytest.approx(
+        1.5 / math.sqrt(math.pi), abs=1e-12)
+    # two arms: E[max] = a Phi(d/t) + b Phi(-d/t) + t phi(d/t), d = a - b,
+    # t = scale sqrt(2)
+    a, b, scale = 0.3, -0.2, 0.7
+    t = scale * math.sqrt(2.0)
+    cdf = 0.5 * math.erfc(-(a - b) / (t * math.sqrt(2.0)))
+    pdf = math.exp(-0.5 * ((a - b) / t) ** 2) / math.sqrt(2.0 * math.pi)
+    assert expected_max_of_shifted_normals((a, b), scale) == pytest.approx(
+        a * cdf + b * (1.0 - cdf) + t * pdf, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
