@@ -381,6 +381,10 @@ def main(argv: list[str] | None = None) -> int:
             if outputs is None:  # gain prints its result
                 return 0
             out = Path(args.out or os.environ.get(_OUT_ENV) or "persgain_out")
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError):
+                raise ConfigError(f"output directory {out} is a file or lies under one") from None
             names = sorted(outputs)
             outputs["resolved_config.json"] = {
                 "command": command, "artifact_version": __version__,

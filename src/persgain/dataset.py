@@ -10,19 +10,19 @@ it; only the oracle evaluator accepts it.
 CSV goes column by column both ways, a block of _util.BLOCK_ROWS rows at a
 time: write_csv formats each column's slice of a block in one pass and
 writes (or gzips) the block before making the next, holding less than the
-file's size at once, and load_csv parses a file with no quote and no
-carriage return with numpy's C reader, block by block into columns whose
-room grows by a quarter when full, holding less than 2.5 times the file's
-size at once, the parsed dataset included. Any other file is read whole and
-goes through a csv-module row loop that gives the same dataset or the error
-naming the row and column.
+file's size at once, and load_csv reads a file once, front to back, into
+columns whose room grows by a quarter when full, holding less than 2.5
+times the file's size at once, the parsed dataset included. numpy's C
+reader parses each block with no quote and no carriage return; from the
+first block it turns down, a csv-module row loop parses the rest of the
+file, giving the same dataset or the error naming the row and column.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
-import io
 import itertools
 import math
 import re
@@ -508,124 +508,125 @@ def load_csv(path: str | Path) -> ExperimentDataset:
     """Read a dataset written by write_csv. Arm names are the sorted
     distinct values, and a covariate is binary iff all its values are 0/1.
 
-    A file with no quote and no carriage return is parsed by numpy's C
-    reader, a block of rows at a time; any other file, or one _load_columns
-    turns down, is read whole and goes through the csv-module row loop,
-    which gives the same dataset or the ParseError naming the offending row
-    and column.
+    The file is read once, front to back, a block of lines at a time, by
+    numpy's C reader until it turns a block down and from that block's first
+    line by the csv-module row loop. The first fault in file order raises a
+    ParseError naming its row and column, or a non-UTF-8 byte's offset.
     """
     path = Path(path)
-    dataset = _load_columns(path)
-    return _load_rows(_read_text(path), path) if dataset is None else dataset
+    with contextlib.closing(_blocks(path)) as blocks, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        lines = next(blocks, [])
+        first = "".join(lines).removesuffix("\n")
+        header = first.split(",")
+        if (not lines or '"' in first or "\r" in first or len(first) > csv.field_size_limit()
+                or tuple(header[:4]) != _FIXED_COLUMNS):
+            return _load_rows(itertools.chain(lines, itertools.chain.from_iterable(blocks)), path)
+        return _dataset(_tables(blocks, tuple(header[4:]), path), tuple(header[4:]))
 
 
-def _open_text(path: Path) -> io.TextIOWrapper:
-    """The file as UTF-8 text with "\\n" line ends kept; a .gz file is decompressed."""
+def _blocks(path: Path) -> Iterator[list[str]]:
+    """The file's lines, each keeping its "\\r\\n", "\\r" or "\\n": the header
+    line alone, then BLOCK_ROWS at a time, less a leading byte-order mark. A
+    byte that is not UTF-8 reads as a lone surrogate, and its line raises a
+    ParseError once the lines before it are yielded. A .gz file is
+    decompressed; a stream that breaks raises one as its block is read."""
+    offset, count = 0, 1  # offset: the bytes read so far
     opener = gzip.open if path.suffix == ".gz" else open
-    return opener(path, "rt", encoding="utf-8", newline="\n")
-
-
-def _read_text(path: Path) -> str:
-    """The whole file as text less a leading byte-order mark."""
     try:
-        with _open_text(path) as fh:
-            return fh.read().removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
+        with opener(path, "rt", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            while lines := list(itertools.islice(fh, count)):
+                if all(map(str.isascii, lines)):
+                    offset += sum(map(len, lines))
+                else:
+                    for k, line in enumerate(lines):
+                        if bad := _SURROGATE.search(line):
+                            if k:
+                                yield lines[:k]
+                            at = offset + len(line[: bad.start()].encode())
+                            raise ParseError(
+                                f"{path} is not UTF-8 text: byte {at} cannot be decoded")
+                        offset += len(line.encode())
+                if count == 1:
+                    lines[0] = lines[0].removeprefix("\ufeff")
+                yield lines
+                count = _util.BLOCK_ROWS
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise ParseError(f"{path} is not a readable CSV file: {exc}") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_columns(path: Path) -> ExperimentDataset | None:
-    """The dataset parsed column-wise by numpy's C reader, a block of
-    BLOCK_ROWS lines at a time, or None when the file needs the row loop or
-    cannot be read (_read_text then reports why, with the byte offset in
-    the whole file).
+def _tables(blocks: Iterator[list[str]], cov_names: tuple[str, ...], path: Path) -> Iterator:
+    """Each block's unit ids, arm labels and values (outcome, propensity,
+    covariates), by numpy's C reader until it turns one down, then by the row loop."""
+    row = np.dtype([("unit_id", object), ("arm", object), ("values", float, (len(cov_names) + 2,))])
+    n = 0
+    for lines in blocks:
+        table = _read_block(lines, row)
+        if table is None:
+            rest = itertools.chain(lines, itertools.chain.from_iterable(blocks))
+            yield from _row_tables(_csv_rows(rest, path), cov_names, n + 1)
+            return
+        n += len(table)
+        yield table["unit_id"], table["arm"], table["values"]
 
-    Without quotes and carriage returns, csv.reader splits exactly at "," and
-    "\\n", as the C reader does, and on every cell both accept, float() and
-    the C reader give the same bits. The C reader turns down cells float()
-    takes ("1_0", non-ASCII digits) and, given a structured dtype, any row
-    without the header's cell count. It skips blank lines, which csv.reader
-    rejects, so a block's row count short of its line count means the row
+
+def _read_block(lines: list[str], row: np.dtype) -> np.ndarray | None:
+    """The block's rows as numpy's C reader parses them, or None where the
+    row loop must read the block. Without quotes and carriage returns,
+    csv.reader splits exactly at "," and "\\n", as the C reader does, and on
+    every cell both accept, float() and the C reader give the same bits. The
+    C reader turns down cells float() takes ("1_0", non-ASCII digits) and
+    rows without the header's cell count. It skips blank lines, which
+    csv.reader rejects, so a row count short of the line count means the row
     loop; so does a line longer than csv.field_size_limit(), as does a
-    non-finite value or a propensity <= 0, which the row loop reports by row.
-
-    Each block's columns are written into arrays whose room grows by a
-    quarter when full, as numpy's own reader grows its result, and is cut to
-    the row count at the end: appending costs linear time in all, whatever
-    the allocator's realloc does, and no block is kept past its copy into
-    the columns. Arm labels become integer codes in order of first sight,
-    mapped to the sorted names at the end.
-    """
+    non-finite value or a propensity <= 0, which the row loop reports by row."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
     try:
-        with _open_text(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            fields = _parse_blocks(fh)
-    except (UnicodeDecodeError, EOFError, zlib.error, OSError):
+        table = np.loadtxt(lines, dtype=row, delimiter=",", quotechar=None, comments=None, ndmin=1)
+    except ValueError:
         return None
-    return None if fields is None else ExperimentDataset(**fields)
+    values = table["values"]
+    if len(table) != len(lines) or not np.isfinite(values).all() or np.any(values[:, 1] <= 0.0):
+        return None
+    return table
 
 
-def _parse_blocks(fh: io.TextIOWrapper) -> dict | None:
-    """ExperimentDataset's fields, or None at the first block the row loop must read."""
-    limit = csv.field_size_limit()
-    first = fh.readline().removeprefix("\ufeff").removesuffix("\n")
-    header = first.split(",")
-    if '"' in first or "\r" in first or len(first) > limit or tuple(header[:4]) != _FIXED_COLUMNS:
-        return None
-    p = len(header) - 4
-    row = np.dtype([("unit_id", object), ("arm", object), ("values", float, (p + 2,))])
-    unit_ids, codes = np.empty(0, dtype=StringDType()), np.empty(0, dtype=int)
-    outcome, propensity, x = np.empty(0), np.empty(0), np.empty((0, p))
-    columns = (unit_ids, codes, outcome, propensity, x)
+def _dataset(tables: Iterable, cov_names: tuple[str, ...]) -> ExperimentDataset:
+    """The dataset of the tables' rows, written into columns whose room grows
+    by a quarter when full, as numpy's own reader grows its result, so that
+    appending costs linear time in all. Arm labels become integer codes in
+    order of first sight, mapped to the sorted names at the end."""
+    ids, codes, outcome, propensity, x = columns = (
+        np.empty(0, dtype=StringDType()), np.empty(0, dtype=int), np.empty(0), np.empty(0),
+        np.empty((0, len(cov_names))))
     arm_codes = defaultdict()
     arm_codes.default_factory = arm_codes.__len__  # a new label takes the next code
     n = 0
-    while block := "".join(itertools.islice(fh, _util.BLOCK_ROWS)):
-        if '"' in block or "\r" in block:
-            return None
-        lines = block.removesuffix("\n").split("\n")
-        if max(map(len, lines)) > limit:
-            return None
-        try:
-            table = np.loadtxt(
-                lines, dtype=row, delimiter=",", quotechar=None, comments=None, ndmin=1
-            )
-        except ValueError:
-            return None
-        values = table["values"]
-        if len(table) != len(lines) or not np.isfinite(values).all() or np.any(values[:, 1] <= 0.0):
-            return None
-        if n + len(table) > len(codes):
-            _resize(columns, max(n + len(table), len(codes) * 5 // 4))
-        rows = slice(n, n + len(table))
-        unit_ids[rows] = table["unit_id"]
-        codes[rows] = np.fromiter(map(arm_codes.__getitem__, table["arm"]), dtype=int, count=len(table))
+    for unit_ids, arms, values in tables:
+        k = len(unit_ids)
+        if n + k > len(codes):
+            _resize(columns, max(n + k, len(codes) * 5 // 4))
+        rows = slice(n, n + k)
+        ids[rows] = unit_ids
+        codes[rows] = np.fromiter(map(arm_codes.__getitem__, arms), dtype=int, count=k)
         outcome[rows], propensity[rows], x[rows] = values[:, 0], values[:, 1], values[:, 2:]
-        n += len(table)
+        n += k
     if not n:
-        return None
+        raise ParseError("file has a header but no data rows")
     _resize(columns, n)
     arm_names = tuple(sorted(arm_codes))
     arm_of_code = np.empty(len(arm_names), dtype=int)
     arm_of_code[[arm_codes[name] for name in arm_names]] = np.arange(len(arm_names))
-    return dict(
-        unit_ids=unit_ids,
-        x=x,
-        arm=arm_of_code[codes],
-        outcome=outcome,
-        propensity=propensity,
-        arm_names=arm_names,
-        covariate_names=tuple(header[4:]),
-    )
+    return ExperimentDataset(unit_ids=ids, x=x, arm=arm_of_code[codes], outcome=outcome,
+                             propensity=propensity, arm_names=arm_names, covariate_names=cov_names)
 
 
 def _resize(columns: Sequence[np.ndarray], rows: int) -> None:
-    """Give each column, which owns its buffer and has no views, `rows` rows
-    in place; its buffer is reallocated."""
+    """Give each column, which owns its buffer and has no views, `rows` rows in place."""
     for column in columns:
         column.resize((rows,) + column.shape[1:], refcheck=False)
 
@@ -640,51 +641,44 @@ def _parse_float(value: str, row: int, column: str) -> float:
     return out
 
 
-# one line of text as a file opened with newline="" reads it: ending at
-# "\r\n", "\r" or "\n", which it keeps, or at the end of the text
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+def _load_rows(lines: Iterable[str], path: Path) -> ExperimentDataset:
+    """The dataset parsed by the row loop from the header line on."""
+    rows = _csv_rows(lines, path)
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("file has no header row")
+    if tuple(header[:4]) != _FIXED_COLUMNS:
+        raise ParseError(
+            f"header must start with {','.join(_FIXED_COLUMNS)}; got {','.join(header[:4])}"
+        )
+    return _dataset(_row_tables(rows, tuple(header[4:]), 1), tuple(header[4:]))
 
 
-def _load_rows(text: str, path: Path) -> ExperimentDataset:
-    """The dataset parsed row by row as csv.reader yields each row, cell by
-    cell by float(); the first fault in file order raises a ParseError
-    naming its row and column. The reader takes the text's lines one by one,
-    split as io.StringIO(text, newline="") splits them, with no copy of the
-    text beside it."""
-    reader = csv.reader(line.group() for line in _LINE.finditer(text))
-    unit_ids, arm_labels, outcomes, propensities, x = [], [], [], [], []
+def _csv_rows(lines: Iterable[str], path: Path) -> Iterator[list[str]]:
+    """The rows csv.reader yields from the lines; one it cannot split raises a ParseError."""
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("file has no header row")
-        if tuple(header[:4]) != _FIXED_COLUMNS:
-            raise ParseError(
-                f"header must start with {','.join(_FIXED_COLUMNS)}; got {','.join(header[:4])}"
-            )
-        cov_names = tuple(header[4:])
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 4 + len(cov_names):
-                raise ParseError(f"row {i}: expected {4 + len(cov_names)} cells, got {len(row)}")
-            unit_ids.append(row[0])
-            arm_labels.append(row[1])
-            outcomes.append(_parse_float(row[2], i, "outcome"))
-            e = _parse_float(row[3], i, "propensity")
-            if e <= 0.0:
-                raise ParseError(f"row {i}: propensity must be > 0, got {row[3]}")
-            propensities.append(e)
-            x.extend([_parse_float(v, i, c) for v, c in zip(row[4:], cov_names)])
+        yield from csv.reader(lines)
     except csv.Error as exc:
         raise ParseError(f"{path} is not a readable CSV file: {exc}") from None
-    if not unit_ids:
-        raise ParseError("file has a header but no data rows")
-    arm_names = tuple(sorted(set(arm_labels)))
-    arm_index = {name: a for a, name in enumerate(arm_names)}
-    return ExperimentDataset(
-        unit_ids=unit_ids,
-        x=np.asarray(x, dtype=float).reshape(len(unit_ids), len(cov_names)),
-        arm=np.fromiter(map(arm_index.__getitem__, arm_labels), dtype=int, count=len(arm_labels)),
-        outcome=np.asarray(outcomes),
-        propensity=np.asarray(propensities),
-        arm_names=arm_names,
-        covariate_names=cov_names,
-    )
+
+
+def _row_tables(rows: Iterable[list[str]], cov_names: tuple[str, ...], first: int) -> Iterator:
+    """The rows' unit ids, arm labels and float() values, BLOCK_ROWS rows at a time; the
+    first fault raises a ParseError naming its row, counted from `first`, and column."""
+    width = 4 + len(cov_names)
+    unit_ids, arm_labels, values = [], [], []
+    for i, row in enumerate(rows, start=first):
+        if len(row) != width:
+            raise ParseError(f"row {i}: expected {width} cells, got {len(row)}")
+        unit_ids.append(row[0])
+        arm_labels.append(row[1])
+        values.append(_parse_float(row[2], i, "outcome"))
+        e = _parse_float(row[3], i, "propensity")
+        if e <= 0.0:
+            raise ParseError(f"row {i}: propensity must be > 0, got {row[3]}")
+        values.append(e)
+        values.extend([_parse_float(v, i, c) for v, c in zip(row[4:], cov_names)])
+        if len(unit_ids) == _util.BLOCK_ROWS:
+            yield unit_ids, arm_labels, np.reshape(values, (-1, width - 2))
+            unit_ids, arm_labels, values = [], [], []
+    yield unit_ids, arm_labels, np.reshape(values, (-1, width - 2))

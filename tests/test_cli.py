@@ -167,6 +167,26 @@ def test_rejected_command_creates_no_output_dir(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("under", [False, True])
+def test_an_output_path_at_or_under_a_file_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                                      capsys, via, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    args = ["simulate", "--m", 2, "--sigma", 1, "--rho", 0, "--n-individuals", 50,
+            "--n-replications", 2]
+    if via == "flag":
+        args += ["--out", out]
+    else:
+        monkeypatch.setenv("PERSGAIN_OUT", str(out))
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output directory {out} is a file or lies under one\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept\n"
+
+
 # valid configs whose numeric fields the property below replaces with values
 # of the wrong type; MISTYPED_FIELDS pairs each command with the key path of
 # every numeric field, nested ones included, and INTEGER_FIELDS holds those
