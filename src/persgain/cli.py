@@ -377,14 +377,19 @@ def main(argv: list[str] | None = None) -> int:
                 if getattr(args, key, None) is not None
             }
             config = _resolve(command, file_doc, overrides)
+            out = Path(getattr(args, "out", None) or os.environ.get(_OUT_ENV) or "persgain_out")
+            refused = ConfigError(f"output directory {out} is a file or lies under one")
+            # refused before any output is computed, made once every one is
+            nearest = next(path for path in (out, *out.parents) if path.exists())
+            if hasattr(args, "out") and not nearest.is_dir():
+                raise refused
             outputs = _HANDLERS[command](config, args)
             if outputs is None:  # gain prints its result
                 return 0
-            out = Path(args.out or os.environ.get(_OUT_ENV) or "persgain_out")
             try:
                 out.mkdir(parents=True, exist_ok=True)
             except (FileExistsError, NotADirectoryError):
-                raise ConfigError(f"output directory {out} is a file or lies under one") from None
+                raise refused from None
             names = sorted(outputs)
             outputs["resolved_config.json"] = {
                 "command": command, "artifact_version": __version__,

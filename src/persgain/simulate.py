@@ -69,13 +69,14 @@ and a member's are their first m rows, its arm sums the first m of theirs
 and its best their running max, taken in row ranges by increasing m, so a
 member costs no pass over its rows but its own hit count. A max is exact
 and each row is summed alone, so every config keeps the bits of scoring
-it on rows of its own. So each thread that runs replications holds one
-set of arrays for the whole batch, whatever n is, filled in place by
-every block: a W x B block of eps, which the widest config's group
-overwrites, one scratch of m2 x B cells for the other groups, m2 the
-largest m among them, and m3 x B booleans for the hits, m3 the largest m
-with sigma_eps > 0: under 2 BLOCK_CELLS cells and BLOCK_CELLS bytes,
-2.1 MB, while W <= BLOCK_CELLS. None outlives the `simulate_gain` call.
+it on rows of its own. So each replication makes one set of arrays,
+whatever n is, filled in place by every block: a W x B block of eps,
+which the widest config's group overwrites, one scratch of m2 x B cells
+for the other groups, m2 the largest m among them, and m3 x B booleans
+for the hits, m3 the largest m with sigma_eps > 0: under 2 BLOCK_CELLS
+cells and BLOCK_CELLS bytes, 2.1 MB, while W <= BLOCK_CELLS. None
+outlives the replication, so a replication depends on nothing that ran
+before it, on its thread or any other.
 The block size is part of the draw layout: changing BLOCK_CELLS changes
 which normal lands in which cell, as any change of W does.
 """
@@ -83,7 +84,6 @@ which normal lands in which cell, as any change of W does.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence, Union
@@ -299,9 +299,9 @@ def _score(v_p: float, v_u: float) -> tuple[float, float]:
     return v_p, v_u
 
 
-# the cells of one block of draws: each thread holds one W x B block of eps,
-# one m2 x B scratch and m3 x B booleans, B = BLOCK_CELLS // W individuals,
-# whatever n is
+# the cells of one block of draws: each replication makes one W x B block of
+# eps, one m2 x B scratch and m3 x B booleans, B = BLOCK_CELLS // W
+# individuals, whatever n is
 BLOCK_CELLS = 2 ** 17
 
 
@@ -342,29 +342,23 @@ def sample_potential_outcomes(
             *(point.dist.means(variates)[: point.m] for point in more))
 
 
-# each thread's arrays for the batch it is running (see _arrays), held by
-# the thread rather than passed, so that a replication stays one
-# _replicate(cfg, rep, *more) call
-_held = threading.local()
-
-
 def _arrays(points: Sequence[SimConfig], groups: list[list[int]]) -> tuple[np.ndarray, ...]:
-    """This thread's flat arrays for a batch of configs `points`, the
-    widest last, in `groups` (`_groups`): W x b cells for a block of draws,
+    """One replication's flat arrays for a batch of configs `points`, the
+    widest first, in `groups` (`_groups`): W x b cells for a block of draws,
     m2 x b for the scratch of the groups but the widest's and m3 x b
     booleans that mark each sigma_eps > 0 config's hits, b = min(n, B), m2
     the largest m of those groups and m3 the largest m with sigma_eps > 0.
-    Made on the thread's first replication of the batch and reused by the
-    rest; `simulate_gain` drops them when it ends."""
-    cfg = points[-1]
+    Each call makes new ones, which every block of the replication reuses."""
+    cfg = points[0]
     size = min(cfg.n_individuals, _block_size(cfg.m))
     m2 = max((points[group[-1]].m for group in groups[:-1]), default=0)
     m3 = max((point.m for point in points if point.sigma_eps), default=0)
-    held = getattr(_held, "arrays", None)
-    if held is None or held[0] != (cfg.m, m2, m3, size):
-        held = _held.arrays = ((cfg.m, m2, m3, size), np.empty(cfg.m * size),
-                               np.empty(m2 * size), np.empty(m3 * size, dtype=bool))
-    return held[1:]
+    # the block and the scratch are one allocation, which glibc's malloc keeps
+    # for the next replication once it is freed; as two arrays of about 1 MB
+    # each (m = 20) they pass its trim threshold, go back to the kernel and
+    # fault in again page by page every replication: 16% of elasticity's CPU
+    cells = np.empty((cfg.m + m2) * size)
+    return cells[: cfg.m * size], cells[cfg.m * size:], np.empty(m3 * size, dtype=bool)
 
 
 def _scales(cfg: SimConfig) -> tuple[float, float]:
@@ -381,11 +375,12 @@ def _scales(cfg: SimConfig) -> tuple[float, float]:
 def _groups(points: Sequence[SimConfig]) -> list[list[int]]:
     """The positions of points by group, the configs that differ in m
     alone, each group by increasing m: a member's predictions are the first
-    m rows of its group's widest. The group of the last point comes last."""
+    m rows of its group's widest. The group of the first point, the
+    widest, comes last."""
     groups: dict[tuple, list[int]] = {}
     for k, point in sorted(enumerate(points), key=lambda item: item[1].m):
         groups.setdefault((point.sigma, point.rho, point.sigma_eps, point.dist), []).append(k)
-    return sorted(groups.values(), key=max)
+    return sorted(groups.values(), key=lambda group: 0 in group)
 
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
@@ -405,17 +400,17 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
     would add the same mean-0 C to v_p and v_u.
 
     The configs are scored by group (`_groups`), the configs that differ
-    in m alone. Each group writes one Yhat' at its largest m, into this
-    thread's scratch (`_arrays`), or over the block for cfg's group, which
-    is scored last, and sums each of its rows once. A member's Yhat' is
-    its group's first m rows, its arm sums theirs, and its best the max
+    in m alone. Each group writes one Yhat' at its largest m, into the
+    replication's scratch (`_arrays`), or over the block for cfg's group,
+    which is scored last, and sums each of its rows once. A member's Yhat'
+    is its group's first m rows, its arm sums theirs, and its best the max
     over those rows, a fold, by increasing m, of the maxima of row ranges.
     A max is exact and each row is summed alone, so every config's sums
     have the bits that scoring it on rows of its own gives. Configs are
     told apart by position, since a batch may hold one config twice.
     """
     n, width = cfg.n_individuals, cfg.m
-    points = (*more, cfg)
+    points = (cfg, *more)
     groups = _groups(points)
     buffer, scratch, marks = _arrays(points, groups)
     scales = [_scales(point) for point in points]
@@ -447,8 +442,7 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
         eps, *head = sample_potential_outcomes(
             cfg, rng, *more, out=buffer[: width * b].reshape(width, b), first=not start)
         if head:
-            mu, *more_mu = head
-            means = (*more_mu, mu)
+            means = head
         for group in groups:
             # the group's Yhat' at its largest m, then each member's best
             # over its first m rows, by increasing m: each folds the max of
@@ -477,8 +471,7 @@ def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, 
             v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
         return _score(v_p, v_u)
 
-    *values, widest = (value(k) for k in range(len(points)))
-    return [widest, *values]
+    return [value(k) for k in range(len(points))]
 
 
 def simulate_gain(
@@ -515,15 +508,11 @@ def simulate_gain(
                 f"config {index} has {point.m} fixed means, but its batch draws m = {widest.m} "
                 "arms: a fixed-means batch takes one m")
     reps = range(widest.n_replications)
-    try:
-        if n_jobs == 1 or len(reps) == 1:
-            done = [_replicate(widest, rep, *rest) for rep in reps]
-        else:
-            # each pool thread's arrays go with the thread when the pool ends
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                done = list(pool.map(lambda rep: _replicate(widest, rep, *rest), reps))
-    finally:
-        _held.arrays = None
+    if n_jobs == 1 or len(reps) == 1:
+        done = [_replicate(widest, rep, *rest) for rep in reps]
+    else:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            done = list(pool.map(lambda rep: _replicate(widest, rep, *rest), reps))
     # done holds one row of pairs per replication; its columns follow order
     pairs = dict(zip(order, zip(*done)))
     results = [_summarize(point, pairs[index]) for index, point in enumerate(cfgs)]

@@ -171,6 +171,11 @@ def test_rejected_command_creates_no_output_dir(tmp_path, capsys):
 @pytest.mark.parametrize("under", [False, True])
 def test_an_output_path_at_or_under_a_file_exits_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                       capsys, via, under):
+    # refused before the command computes anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_gain ran though --out is refused")
+
+    monkeypatch.setattr("persgain.simulate.simulate_gain", refuse)
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     out = afile / "sub" if under else afile

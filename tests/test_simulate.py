@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Sequence
 
@@ -862,6 +864,32 @@ def test_only_the_groups_besides_the_widest_s_take_scratch(monkeypatch) -> None:
     profile = StudyProfile(name="pg", s=0.007, sigma=0.267, rho=0.8, sigma_eps=0.2, m=20)
     elasticity_table(profile, settings=SimSettings(n_individuals=10_000, n_replications=2))
     assert sizes == [20 * simulate._block_size(20)] * 2
+
+
+def test_simulate_gain_keeps_no_state_between_calls() -> None:
+    # two threads run batches of widths 40, 23 and 7 at once, several times
+    # each, one of them on a pool of its own: every result has the bits of
+    # the same batch run serially
+    batches = {
+        "wide": nested_batches()[5],
+        "counterfactual": counterfactual_batches()[1],
+        "narrow": [SimConfig(m=7, sigma=0.8, rho=-0.1, dist=NormalMeans(0.0, 0.3), sigma_eps=0.2,
+                             n_individuals=3 * simulate._block_size(7) + 1, n_replications=3,
+                             seed=5)],
+    }
+    want = {name: simulate_gain(batch) for name, batch in batches.items()}
+    calls = [[("wide", 2), ("narrow", 1)] * 3, [("counterfactual", 1), ("narrow", 1)] * 3]
+    start = threading.Barrier(len(calls), timeout=60)
+
+    def run(thread_calls: list) -> list:
+        start.wait()
+        return [simulate_gain(batches[name], n_jobs=n_jobs) for name, n_jobs in thread_calls]
+
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        done = list(pool.map(run, calls))
+    for thread_calls, thread_done in zip(calls, done):
+        for (name, _), results in zip(thread_calls, thread_done):
+            assert results == want[name], name
 
 
 def test_a_batch_of_several_layouts_fails_before_any_draw(monkeypatch) -> None:
