@@ -9,11 +9,14 @@ driven by the parameters, not by resampling noise. Each what-if only lists
 its cells, a dict of the row's own fields paired with the profile to
 predict; one helper, `_rows`, turns the cells into rows, appending each
 cell's gain_mean and gain_se from one `predict_gain` batch, which is one
-`simulate_gain` call and one draw layout (a mixed batch raises ConfigError):
-every cell is a NormalMeans config of one SimSettings, so the cells share
-every replication's draws, made at their largest m. A cell with that m is
-bit-identical to predicting it alone; one with fewer arms uses the first m
-drawn means and arm rows, within Monte Carlo error of a lone prediction.
+`simulate_gain` call and one draw layout (a mixed batch raises ConfigError).
+Every cell is a NormalMeans config of one SimSettings, so each replication
+draws the arm means once, at the cells' largest m, and scores every cell by
+its exact expected gain given those means (`simulate`'s means-only path):
+the Monte Carlo error is over the means alone, and a profile with s = 0 is
+predicted exactly, with SE 0. A cell with the largest m is bit-identical to
+predicting it alone; one with fewer arms uses the first m drawn means,
+within Monte Carlo error of a lone prediction.
 """
 
 from __future__ import annotations

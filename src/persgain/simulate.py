@@ -1,84 +1,62 @@
 """Monte Carlo gain from personalizing over m treatment arms.
 
 Each replication draws per-arm average responses mu from a chosen
-distribution, then potential outcomes for n individuals: one column per
-individual, i.i.d. N(mu, Sigma) over the m arms, with the equicorrelated
-covariance Sigma = sigma^2 [(1-rho) I + rho J]. The personalized policy
-gives each individual the arm of their column's max; the uniform
-benchmark picks the single arm with the best mean over the individuals.
-With sigma_eps > 0 both selections are made on noisy predictions
-Yhat = Y + sigma_eps * noise but are always scored on the true Y, so the
+distribution; n individuals then have i.i.d. N(mu, Sigma) outcomes over the
+m arms, with the equicorrelated covariance Sigma = sigma^2 [(1-rho) I +
+rho J]. The personalized policy gives each individual the arm of their best
+prediction; the uniform benchmark gives everyone the arm with the best mean
+prediction over the individuals. With sigma_eps > 0 the predictions are
+Yhat = Y + sigma_eps * noise, but every pick is scored on the true Y, so the
 gain can go negative when predictions are poor.
 
-Column i is Y'_i + sigma c_i 1, with Y'_i = mu + v eps_i, v = sigma
-sqrt(1-rho), eps_i m standard normals and c_i a term of mean 0 common to
-individual i's arms (`outcomes` in tests/test_simulate.py states it for
-either sign of rho). The kernel scores Y' alone: each individual gets
-exactly one arm, so the common term moves no pick and adds C, its mean
-over the individuals, to v_p and to v_u alike, and by linearity E[C] = 0
-leaves both unbiased. Each gain is the same random variable with the
-term or without it, and rho reaches the kernel only through v.
+Individual i's outcomes are Y'_i + sigma c_i 1, with Y'_i = mu + v eps_i,
+v = sigma sqrt(1-rho), eps_i m standard normals and c_i a term of mean 0
+common to the individual's arms (`outcomes` in tests/test_simulate.py
+states it for either sign of rho). No replication draws that term: each
+individual gets exactly one arm, so it moves no pick and adds the same
+mean-0 amount to v_p and to v_u; rho reaches the gain only through v. Nor
+does any replication draw the noise. Cell by cell, Y' and its prediction
+Yhat' are a normal pair given mu, and both policies pick on Yhat' alone, so
+Yhat' = mu + c eps with c = hypot(v, sigma_eps), and each pick is scored by
+E[Y' | Yhat'] = mu + k (Yhat' - mu), k = (v/c)^2. That is conditional Monte
+Carlo (Asmussen & Glynn, Stochastic Simulation, 2007, ch. V): the estimand
+is unchanged, the estimator stays unbiased, and its variance is no larger.
 
-No replication draws the noise. Cell by cell, Y' and its prediction
-Yhat' = Y' + sigma_eps * noise are a normal pair, independent across cells
-given mu, and both policies pick on Yhat' alone. So the kernel draws
-Yhat' = mu + c eps with c = hypot(v, sigma_eps), picks on it, and scores
-each pick by E[Y' | Yhat'] = mu + k (Yhat' - mu), k = (v/c)^2. That is
-conditional Monte Carlo (Ross, Simulation, "Variance Reduction
-Techniques"; Asmussen & Glynn, Stochastic Simulation, 2007, ch. V): the
-estimand is unchanged, the estimator stays unbiased, and its variance is
-no larger (Rao-Blackwell). With sigma_eps = 0, c = v and k = 1, so Yhat'
-is Y' and the values are means of Y' itself.
+The means are conditioned on too, unless they are fixed. Given mu, a policy
+that picks the max of H_j = mu_j + t e_j, e_j i.i.d. N(0, 1), is worth
+V(mu, t, k) = (1-k) E[mu_J] + k E[max_j H_j], J = argmax H; the personalized
+policy has t = c, and the uniform one, which picks on column means, t =
+c / sqrt(n). So a replication of NormalMeans or SpikeSlabMeans draws its
+means alone and scores them by E[v_p | mu] = V(mu, c, k) and E[v_u | mu] =
+V(mu, c / sqrt(n), k), one-dimensional integrals that `_value` takes on one
+fixed grid; per_replication_gains are E[gain | mu]. With s = 0 nothing
+random is left, and the gain is exact, with SE 0.
 
-Replication r of a run with seed k uses the generator derived from
+FixedMeans configs keep the individual-level kernel (`_individuals`), since
+with nothing to draw it would be exact at finite n. A replication draws eps
+for its n individuals in blocks of B = max(1, BLOCK_CELLS // m), each m x b
+and arm-major, and adds up, block by block, each individual's best
+prediction, each arm's sum of predictions and, with sigma_eps > 0, each
+arm's count of individuals whose best arm it is; its values come from those
+sums. It holds one block of draws whatever n is, and nothing once it ends.
+The block size is part of the draw layout.
+
+Replication r of a run with seed k uses stream(k, r), the generator of
 SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
 so any parallelism degree yields bit-identical results, and two runs that
 differ only in (sigma, rho, sigma_eps, dist parameters) consume identical
-underlying draws, so sweeps over those knobs are common-random-number
-coupled by construction.
+draws: sweeps over those knobs are common-random-number coupled.
 
-`simulate_gain` also runs a whole grid of configs as one batch, which is
-one draw layout: its configs agree on seed, n_individuals, n_replications
-and the kind of mean distribution, whatever their m, and a batch that
-mixes layouts raises ConfigError before anything is drawn. Each
-replication draws once for all its configs, at the batch's largest m, its
-width W, in `sample_potential_outcomes`, which states the draws' order:
-the variates of W means, then eps in blocks of individuals. A
-config with m arms maps the same variates to its own means and keeps the
-first m, and takes the first m arm rows of each block. Each config scales
-the shared normals with the same floating-point operations a run of it
-alone at width W performs. So the widest config is bit-identical to
-running it alone, every config sees the same normals whatever its
-parameters, and a grid of K configs costs one set of draws plus K cheap
-rescalings (Glasserman, Monte Carlo Methods in Financial Engineering,
-2003, section 4.2). A narrower config's results are those of the width-W
-draws truncated to its m, which differ from a lone run of it within Monte
-Carlo error.
-
-A replication draws and scores its individuals in blocks of
-B = max(1, BLOCK_CELLS // W), the last block shorter: each block's eps is
-W x b, arm-major, one row of b normals per arm. Each config adds up,
-block by block, the sum of its individuals' best predictions, each arm's
-sum of predictions and, with sigma_eps > 0, each arm's count of
-individuals whose best arm it is, counted on a boolean mark of the cells
-that hold their column's max; its values come from those sums once the
-last block is scored. Configs that differ in m alone, a group (a
-`sweep_arms` grid, a sensitivity over m, each study of a counterfactual
-over m), share predictions: the group writes them once, at its largest m,
-and a member's are their first m rows, its arm sums the first m of theirs
-and its best their running max, taken in row ranges by increasing m, so a
-member costs no pass over its rows but its own hit count. A max is exact
-and each row is summed alone, so every config keeps the bits of scoring
-it on rows of its own. So each replication makes one set of arrays,
-whatever n is, filled in place by every block: a W x B block of eps,
-which the widest config's group overwrites, one scratch of m2 x B cells
-for the other groups, m2 the largest m among them, and m3 x B booleans
-for the hits, m3 the largest m with sigma_eps > 0: under 2 BLOCK_CELLS
-cells and BLOCK_CELLS bytes, 2.1 MB, while W <= BLOCK_CELLS. None
-outlives the replication, so a replication depends on nothing that ran
-before it, on its thread or any other.
-The block size is part of the draw layout: changing BLOCK_CELLS changes
-which normal lands in which cell, as any change of W does.
+`simulate_gain` also runs a batch of configs of one draw layout: one seed,
+n_individuals, n_replications and kind of mean distribution, and a batch
+that mixes layouts raises ConfigError before anything is drawn. A random-
+means replication draws the variates of W means once, W the batch's largest
+m, and a config with m arms maps them to its own means and keeps the first
+m (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, section
+4.2). So a config with the batch's largest m is bit-identical to running it
+alone, and a narrower one differs from a lone run within Monte Carlo error.
+A fixed-means batch takes one m and scores each config on its own, on the
+same streams.
 """
 
 from __future__ import annotations
@@ -243,12 +221,11 @@ class SimConfig:
     n_individuals: int = 10_000
     n_replications: int = 200
     seed: int = 0
-    # Not a field, and no replication draws noise: sigma_eps > 0 is scored by
-    # conditioning on the predictions (see _replicate). perfbench/tracer.py
-    # reads cfg.noise_mode to count the normals drawn, and still counts n x m
-    # noise normals and n normals for z, none of which a replication draws;
-    # the constant goes when the benchmark reads spans from inside the
-    # package (ROADMAP item 3).
+    # Not a field, and no replication draws noise. perfbench/tracer.py reads
+    # cfg.noise_mode to count the normals drawn, and still counts n x m
+    # noise normals, n normals for z and, with random means, n x m for eps,
+    # none of which a replication draws; the constant goes when the
+    # benchmark reads spans from inside the package (ROADMAP item 3).
     noise_mode = "per_cell"
 
     def __post_init__(self) -> None:
@@ -285,7 +262,7 @@ class SimResult:
 
 
 def _layout(cfg: SimConfig) -> tuple:
-    """What fixes the normals a replication draws, up to their width. A
+    """What fixes the draws of a replication, up to their width. A
     `simulate_gain` batch is one layout, drawn at its largest m; a batch
     whose configs differ on it raises ConfigError."""
     return (cfg.seed, cfg.n_individuals, cfg.n_replications, type(cfg.dist).__name__)
@@ -299,9 +276,8 @@ def _score(v_p: float, v_u: float) -> tuple[float, float]:
     return v_p, v_u
 
 
-# the cells of one block of draws: each replication makes one W x B block of
-# eps, one m2 x B scratch and m3 x B booleans, B = BLOCK_CELLS // W
-# individuals, whatever n is
+# the cells of one block of draws of the individual-level kernel: B =
+# BLOCK_CELLS // m individuals, whatever n is
 BLOCK_CELLS = 2 ** 17
 
 
@@ -312,53 +288,29 @@ def _block_size(width: int) -> int:
 
 
 def sample_potential_outcomes(
-    cfg: SimConfig, rng: np.random.Generator, *more: SimConfig, out: np.ndarray,
-    first: bool = True,
-) -> tuple:
+    cfg: SimConfig, rng: np.random.Generator, *more: SimConfig, out: np.ndarray | None = None,
+) -> tuple | np.ndarray:
     """The next draws of a replication of a batch from rng, the
     replication's stream(cfg.seed, rep). cfg is the batch's widest config,
     of W = cfg.m arms, and `more` holds the others, which share its draw
     layout.
 
-    Each call draws one block of eps into `out`, a W x b array, arm-major:
-    one row of b standard normals per arm, for the block's b individuals.
-    Filling `out` gives the bits that drawing a new array of its shape
-    would. A replication's first call (first=True) draws, before its block,
-    what the whole replication shares: the variates of the W means. It
-    returns (eps, mu, *more_mu): cfg's W means, then for each config in
-    `more` the first m of the W means it maps the same variates to (a
-    fixed-means config has m = W; `simulate_gain` checks it). A later call
-    returns (eps,).
+    A replication's first call, without `out`, draws the variates of the
+    W means and returns each config's means, (mu, *more_mu): a config in
+    `more` maps the same variates to its own W means and keeps the first m.
+    That is all a random-means replication draws. A fixed-means one then
+    draws, call by call, each block of eps into `out`, a W x b array,
+    arm-major: one row of b standard normals per arm, for the block's b
+    individuals, with the bits that drawing a new array of its shape would
+    give. It returns `out`.
 
-    No config draws prediction noise, whatever its sigma_eps: the kernel
-    builds each prediction from eps (see `_replicate`). Nor does any draw
-    the arms' common term: it adds the same mean-0 amount to both policy
-    values (module docstring).
+    No config draws prediction noise, whatever its sigma_eps, nor the arms'
+    common term (module docstring).
     """
-    if not first:
-        return (rng.standard_normal(out=out),)
+    if out is not None:
+        return rng.standard_normal(out=out)
     variates = cfg.dist.variates(cfg.m, rng)
-    return (rng.standard_normal(out=out), cfg.dist.means(variates),
-            *(point.dist.means(variates)[: point.m] for point in more))
-
-
-def _arrays(points: Sequence[SimConfig], groups: list[list[int]]) -> tuple[np.ndarray, ...]:
-    """One replication's flat arrays for a batch of configs `points`, the
-    widest first, in `groups` (`_groups`): W x b cells for a block of draws,
-    m2 x b for the scratch of the groups but the widest's and m3 x b
-    booleans that mark each sigma_eps > 0 config's hits, b = min(n, B), m2
-    the largest m of those groups and m3 the largest m with sigma_eps > 0.
-    Each call makes new ones, which every block of the replication reuses."""
-    cfg = points[0]
-    size = min(cfg.n_individuals, _block_size(cfg.m))
-    m2 = max((points[group[-1]].m for group in groups[:-1]), default=0)
-    m3 = max((point.m for point in points if point.sigma_eps), default=0)
-    # the block and the scratch are one allocation, which glibc's malloc keeps
-    # for the next replication once it is freed; as two arrays of about 1 MB
-    # each (m = 20) they pass its trim threshold, go back to the kernel and
-    # fault in again page by page every replication: 16% of elasticity's CPU
-    cells = np.empty((cfg.m + m2) * size)
-    return cells[: cfg.m * size], cells[cfg.m * size:], np.empty(m3 * size, dtype=bool)
+    return (cfg.dist.means(variates), *(point.dist.means(variates)[: point.m] for point in more))
 
 
 def _scales(cfg: SimConfig) -> tuple[float, float]:
@@ -372,106 +324,144 @@ def _scales(cfg: SimConfig) -> tuple[float, float]:
     return c, v / c
 
 
-def _groups(points: Sequence[SimConfig]) -> list[list[int]]:
-    """The positions of points by group, the configs that differ in m
-    alone, each group by increasing m: a member's predictions are the first
-    m rows of its group's widest. The group of the first point, the
-    widest, comes last."""
-    groups: dict[tuple, list[int]] = {}
-    for k, point in sorted(enumerate(points), key=lambda item: item[1].m):
-        groups.setdefault((point.sigma, point.rho, point.sigma_eps, point.dist), []).append(k)
-    return sorted(groups.values(), key=lambda group: 0 in group)
+def _individuals(cfg: SimConfig, rep: int) -> tuple[float, float]:
+    """(v_p, v_u) of a fixed-means cfg in replication `rep`, from its n
+    individuals' predictions Yhat' = mu + c eps, drawn and scored block by
+    block (module docstring). The uniform arm U is the arm with the largest
+    sum of predictions, and both picks are scored by E[Y' | Yhat']."""
+    n, m = cfg.n_individuals, cfg.m
+    rng = stream(cfg.seed, rep)
+    (mu,) = sample_potential_outcomes(cfg, rng)
+    c, shrink = _scales(cfg)
+    size = min(n, _block_size(m))
+    cells, marks = np.empty(m * size), np.empty(m * size if cfg.sigma_eps else 0, dtype=bool)
+    best_sum, arm_sums, hits = 0.0, np.zeros(m), np.zeros(m)
+    for start in range(0, n, size):
+        b = min(size, n - start)
+        eps = sample_potential_outcomes(cfg, rng, out=cells[: m * b].reshape(m, b))
+        y = _spread(eps, mu[:, None], c, out=eps)
+        best = y.max(axis=0)
+        # best >= y[j] cell by cell, and best and each row of y are summed by
+        # one pairwise tree: rounding is monotone, so with sigma_eps = 0 the
+        # best sum is at least every arm's, v_p >= v_u
+        best_sum += float(best.sum())
+        arm_sums += y.sum(axis=1)
+        if cfg.sigma_eps:
+            # the hits: each arm's count of the cells that hold their
+            # column's max; a max two arms share goes to the first, as
+            # argmax gives
+            marked = np.equal(y, best, out=marks[: y.size].reshape(y.shape))
+            block_hits = [np.count_nonzero(row) for row in marked]
+            if sum(block_hits) != b:
+                block_hits = np.bincount(np.argmax(y, axis=0), minlength=m)
+            hits += block_hits
+    uniform = int(np.argmax(arm_sums))  # ties: lowest arm index
+    v_p, v_u = best_sum / n, float(arm_sums[uniform]) / n
+    if cfg.sigma_eps:
+        # mu_p sums hits * mu: a BLAS dot raised peak RSS by about 0.1 MB
+        q, mu_p, mu_u = shrink * shrink, float((hits * mu).sum()) / n, float(mu[uniform])
+        v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
+    return _score(v_p, v_u)
+
+
+# Hart's double-precision rational approximation of the normal tail, as given
+# by West, "Better approximations to cumulative normal functions", Wilmott
+# Magazine, 2005
+_HART_P = (0.0352624965998911, 0.700383064443688, 6.37396220353165, 33.912866078383,
+           112.079291497871, 221.213596169931, 220.206867912376)
+_HART_Q = (0.0883883476483184, 1.75566716318264, 16.064177579207, 86.7807322029461,
+           296.564248779674, 637.333633378831, 793.826512519948, 440.413735824752)
+
+
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x), taken on the smaller tail: Phi(-|x|) is exp(-x^2/2) P/Q below
+    |x| = 5 sqrt(2) and a continued fraction above, and Phi(x) = 1 - Phi(-x)
+    for x > 0. Its error is below 1e-8 times the smaller tail,
+    min(Phi, 1 - Phi), plus the rounding of 1 - tail; Phi(0) is 1/2
+    exactly, and it does not decrease (tests/test_simulate.py checks both
+    against math.erfc on [-40, 40])."""
+    a = np.abs(x)
+    p = q = 0.0
+    for coef in _HART_P:
+        p = p * a + coef
+    for coef in _HART_Q:
+        q = q * a + coef
+    frac = a + 0.65
+    for k in (4.0, 3.0, 2.0, 1.0):
+        frac = a + k / frac
+    tail = np.exp(-0.5 * a * a) * np.where(a < 7.07106781186547, p / q, 1.0 / (2.506628274631 * frac))
+    return np.where(x < 0, tail, 1.0 - tail)
+
+
+# `_value` integrates over u = (x - max mu) / t on this one grid: below it
+# Phi(u) < 7e-16, and above it each other arm's 1 - Phi(u + d) is smaller.
+# An arm _REACH or more below the best, in units of t, has Phi(u + d) = 1.0
+# on the whole grid and a pick probability below 1e-30: both integrals leave
+# it out
+_U = np.linspace(-8.0, 8.0, 129)
+_STEP = 0.125
+_REACH = 17.0
+_CDF_U, _PDF_U = _norm_cdf(_U), np.exp(-0.5 * _U * _U)
+
+
+def _race(mu: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For H_j = mu_j + t e_j, t > 0, and the best arm (the first max of
+    mu): the lags d_j = (max mu - mu_j) / t of the other arms within reach,
+    Phi(u + d_j) on the grid, one row per arm, and their product
+    P(u) = P(every other arm's e_j - d_j < u)."""
+    best = int(np.argmax(mu))
+    lags = (mu[best] - mu) / t
+    lags = lags[(lags < _REACH) & (np.arange(len(mu)) != best)]
+    cdf = _norm_cdf(_U + lags[:, None])
+    return lags, cdf, cdf.prod(axis=0)
+
+
+def _pick_probabilities(lags: np.ndarray, cdf: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Each arm's probability of holding the max of H, from `_race`: the
+    best arm's first, then those of the arms of `lags`. Arm j's is the
+    integral of phi(u + d_j) prod_{l != j} Phi(u + d_l) du; they are
+    normalized to sum to 1."""
+    inner = _CDF_U * below
+    weights = np.append((_PDF_U * below).sum(),
+                        (np.exp(-0.5 * (_U + lags[:, None]) ** 2) / cdf * inner).sum(axis=1))
+    return weights / weights.sum()
+
+
+def _value(mu: np.ndarray, t: float, k: float) -> float:
+    """V(mu, t, k) = (1-k) E[mu_J] + k E[max_j H_j], the value given the
+    means of a policy that picks the max of H_j = mu_j + t e_j (module
+    docstring). E[max H] = max mu + t times the integral of
+    Phi(u) (1 - P(u)) du: the integrand is >= 0 and grows with t cell by
+    cell, so with k = 1 (sigma_eps = 0) V never falls as t grows, and the
+    gain V(mu, c, 1) - V(mu, c / sqrt(n), 1) is >= 0 after rounding too."""
+    top = float(mu.max())
+    if not t:
+        return top
+    lags, cdf, below = _race(mu, t)
+    peak = top + t * (float((_CDF_U * (1.0 - below)).sum()) * _STEP)
+    if k == 1.0:
+        return peak
+    probs = _pick_probabilities(lags, cdf, below)
+    return (1.0 - k) * (top - t * float((probs[1:] * lags).sum())) + k * peak
 
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
     """(v_p, v_u) in replication `rep` for cfg, its batch's widest config,
-    then each config in `more`, from one `sample_potential_outcomes` call
-    per block of individuals.
-
-    For each block each config, as the module docstring says, writes
-    Yhat' = mu + c eps from the first m arm rows of the block's eps and
-    adds to its running sums: of each individual's best prediction (the
-    max over their column), of each arm's predictions and, with
-    sigma_eps > 0, of each arm's hits (the individuals whose best arm it
-    is), counted row by row on a boolean mark of the cells that hold their
-    column's max. After the last block the uniform arm U is the arm with
-    the largest sum, and both picks are scored by E[Y' | Yhat']. No value
-    takes the arms' common term: each individual gets one arm, so it
-    would add the same mean-0 C to v_p and v_u.
-
-    The configs are scored by group (`_groups`), the configs that differ
-    in m alone. Each group writes one Yhat' at its largest m, into the
-    replication's scratch (`_arrays`), or over the block for cfg's group,
-    which is scored last, and sums each of its rows once. A member's Yhat'
-    is its group's first m rows, its arm sums theirs, and its best the max
-    over those rows, a fold, by increasing m, of the maxima of row ranges.
-    A max is exact and each row is summed alone, so every config's sums
-    have the bits that scoring it on rows of its own gives. Configs are
-    told apart by position, since a batch may hold one config twice.
-    """
-    n, width = cfg.n_individuals, cfg.m
+    then each config in `more`. With random means, one
+    `sample_potential_outcomes` call draws the replication's means, and each
+    config's values are V(mu, c, k) and V(mu, c / sqrt(n), k) at its own
+    means (module docstring). With fixed means each config runs the
+    individual-level kernel alone, on the same stream."""
     points = (cfg, *more)
-    groups = _groups(points)
-    buffer, scratch, marks = _arrays(points, groups)
-    scales = [_scales(point) for point in points]
-    best_sums = [0.0] * len(points)
-    arm_sums = [np.zeros(point.m) for point in points]
-    hits = [np.zeros(point.m) for point in points]
-    rng = stream(cfg.seed, rep)
-    size = _block_size(width)
-
-    def tally(k: int, y: np.ndarray, best: np.ndarray, row_sums: np.ndarray) -> None:
-        """Add a block's sums to the k-th of points: y its Yhat', best their
-        max over each column and row_sums their sum over each arm row."""
-        # best >= y[j] cell by cell, and best and each row of y are summed by
-        # one pairwise tree: rounding is monotone, so with sigma_eps = 0 the
-        # best sum is at least every arm's, v_p >= v_u
-        best_sums[k] += float(best.sum())
-        arm_sums[k] += row_sums
-        if not points[k].sigma_eps:
-            return
-        marked = np.equal(y, best, out=marks[: y.size].reshape(y.shape))
-        block_hits = [np.count_nonzero(row) for row in marked]
-        if sum(block_hits) != len(best):
-            # a max two arms share goes to the first, as argmax gives
-            block_hits = np.bincount(np.argmax(y, axis=0), minlength=len(y))
-        hits[k] += block_hits
-
-    for start in range(0, n, size):
-        b = min(size, n - start)
-        eps, *head = sample_potential_outcomes(
-            cfg, rng, *more, out=buffer[: width * b].reshape(width, b), first=not start)
-        if head:
-            means = head
-        for group in groups:
-            # the group's Yhat' at its largest m, then each member's best
-            # over its first m rows, by increasing m: each folds the max of
-            # the rows past the last m into the last best
-            lead, m = group[-1], points[group[-1]].m
-            out = eps if group is groups[-1] else scratch[: m * b].reshape(m, b)
-            y = _spread(eps[:m], means[lead][:, None], scales[lead][0], out=out)
-            row_sums = y.sum(axis=1)
-            best, done = None, 0
-            for k in group:
-                m = points[k].m
-                if m > done:
-                    top = y[done:m].max(axis=0)
-                    best = top if best is None else np.maximum(best, top, out=best)
-                    done = m
-                tally(k, y[:m], best, row_sums[:m])
-
-    def value(k: int) -> tuple[float, float]:
-        """(v_p, v_u) of the k-th of points."""
-        mu, shrink = means[k], scales[k][1]
-        uniform = int(np.argmax(arm_sums[k]))  # ties: lowest arm index
-        v_p, v_u = best_sums[k] / n, float(arm_sums[k][uniform]) / n
-        if points[k].sigma_eps:
-            # mu_p sums hits * mu: a BLAS dot raised peak RSS by about 0.1 MB
-            q, mu_p, mu_u = shrink * shrink, float((hits[k] * mu).sum()) / n, float(mu[uniform])
-            v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
-        return _score(v_p, v_u)
-
-    return [value(k) for k in range(len(points))]
+    if isinstance(cfg.dist, FixedMeans):
+        return [_individuals(point, rep) for point in points]
+    means = sample_potential_outcomes(cfg, stream(cfg.seed, rep), *more)
+    values = []
+    for point, mu in zip(points, means):
+        c, shrink = _scales(point)
+        k = shrink * shrink
+        values.append(_score(_value(mu, c, k), _value(mu, c / math.sqrt(point.n_individuals), k)))
+    return values
 
 
 def simulate_gain(
@@ -486,8 +476,12 @@ def simulate_gain(
     breaks either rule raises ConfigError, naming the first config that
     does, before anything is drawn.
 
-    n_jobs > 1 runs the replications on a thread pool; results are keyed
-    by replication, so the output is identical for any n_jobs.
+    n_jobs > 1 runs a fixed-means batch's replications on a thread pool;
+    results are keyed by replication, so the output is identical for any
+    n_jobs. A random-means replication is a few dozen numpy calls on arrays
+    of a few thousand cells, which threads only contend for (on a 2-core
+    box, criterion 7's batches took 2.4 times as long on two threads as on
+    one), so those run in order on the calling thread.
     """
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -508,7 +502,7 @@ def simulate_gain(
                 f"config {index} has {point.m} fixed means, but its batch draws m = {widest.m} "
                 "arms: a fixed-means batch takes one m")
     reps = range(widest.n_replications)
-    if n_jobs == 1 or len(reps) == 1:
+    if n_jobs == 1 or len(reps) == 1 or not isinstance(widest.dist, FixedMeans):
         done = [_replicate(widest, rep, *rest) for rep in reps]
     else:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -526,8 +520,10 @@ def _summarize(cfg: SimConfig, values: Sequence[tuple[float, float]]) -> SimResu
     if cfg.sigma_eps == 0.0 and np.any(gains < 0):
         raise InternalError("negative per-replication gain with sigma_eps = 0")
     k = math.frexp(float(np.abs(gains).max()))[1]  # gains / 2^k lie in (-1, 1): squares stay finite
+    # one gain, or one value repeated (equal random means), has SE 0 exactly,
+    # where the two-pass std can leave the mean's rounding
     se = (math.ldexp(float(np.ldexp(gains, -k).std(ddof=1) / math.sqrt(len(gains))), k)
-          if len(gains) > 1 else 0.0)
+          if gains.min() < gains.max() else 0.0)
     return SimResult(
         gain_mean=float(v_p.mean() - v_u.mean()),
         gain_se=se,
@@ -542,10 +538,10 @@ def sweep_arms(cfg: SimConfig, m_values: Sequence[int], n_jobs: int = 1) -> list
     `simulate_gain` batch.
 
     The points differ only in m, so they are one draw layout, as a batch
-    must be: each replication draws once, at the largest m, and the point
-    with m arms uses the first m means and the first m arm rows of those
-    draws. The rows are common-random-number coupled across m, and the row
-    for the largest m is bit-identical to running that point alone.
+    must be: with random means each replication draws its means once, at
+    the largest m, and the point with m arms uses the first m. The rows are
+    common-random-number coupled across m, and the row for the largest m is
+    bit-identical to running that point alone. Fixed means fit one m only.
     """
     if len(m_values) == 0:
         raise ConfigError("m_values must be non-empty")

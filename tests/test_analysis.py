@@ -74,7 +74,8 @@ class TestPredictGain:
         gain, se = predict_gain(profile, SimSettings(n_individuals=n, n_replications=300, seed=1))
         theta = effective_scale(1.3, 0.25) / math.sqrt(n)
         exact = gain_two_arm(TwoArmParams(0.7, 0.7, 1.3, 0.25)) - theta / math.sqrt(2 * math.pi)
-        assert gain == pytest.approx(exact, abs=3 * se)
+        # s = 0 leaves nothing random: each replication scores the exact gain
+        assert se == 0.0 and gain == pytest.approx(exact, rel=1e-9)
 
     def test_twenty_random_two_arm_profiles_match_quadrature(self):
         rng = np.random.default_rng(5)

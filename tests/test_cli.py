@@ -421,11 +421,19 @@ def test_simulate_outputs_and_resolved_config(tmp_path):
     assert sorted(resolved["outputs"]) == ["replications.csv", "result.json"]
 
 
+def fixed_means_config(path, m: int, mean: float = 0.0):
+    """A simulate config file with m fixed means, all equal to `mean`: the
+    individual-level kernel, whose gains vary over replications."""
+    path.write_text(json.dumps({"dist": {"kind": "fixed", "mu": [mean] * m}}))
+    return path
+
+
 def test_simulate_se_of_huge_finite_gains_is_finite(tmp_path):
     # every per-replication gain is near 1e200; squaring one overflows
     out = tmp_path / "run"
-    assert run_cli(["simulate", "--m", 3, "--sigma", 1e200, "--rho", 0.2, "--n-individuals", 200,
-                    "--n-replications", 4, "--out", out]) == 0
+    cfg = fixed_means_config(tmp_path / "fixed.json", 3)
+    assert run_cli(["simulate", "--config", cfg, "--m", 3, "--sigma", 1e200, "--rho", 0.2,
+                    "--n-individuals", 200, "--n-replications", 4, "--out", out]) == 0
     gain_se = json.loads((out / "result.json").read_text())["gain_se"]
     rows = (out / "replications.csv").read_text().splitlines()[1:]
     gains = [float(row.split(",")[1]) for row in rows]
@@ -436,12 +444,18 @@ def test_simulate_se_of_huge_finite_gains_is_finite(tmp_path):
 def test_simulate_huge_finite_outcomes_with_prediction_noise_stay_finite(tmp_path):
     # sigma_eps is negligible next to v = 1e200 sqrt(0.8): the shrinkage
     # (v/c)^2 must come out 1, where v^2 / (v^2 + sigma_eps^2) is inf / inf
-    out = tmp_path / "run"
-    assert run_cli(["simulate", "--m", 3, "--sigma", 1e200, "--rho", 0.2, "--sigma-eps", 0.5,
-                    "--n-individuals", 200, "--n-replications", 4, "--out", out]) == 0
-    result = json.loads((out / "result.json").read_text())
-    assert math.isfinite(result["gain_mean"]) and result["gain_mean"] > 0
-    assert math.isfinite(result["gain_se"]) and result["gain_se"] > 0
+    cfg = fixed_means_config(tmp_path / "fixed.json", 3)
+    for dist, out in ((["--config", cfg], tmp_path / "fixed"), ([], tmp_path / "normal")):
+        assert run_cli(["simulate", *dist, "--m", 3, "--sigma", 1e200, "--rho", 0.2,
+                        "--sigma-eps", 0.5, "--n-individuals", 200, "--n-replications", 4,
+                        "--out", out]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert math.isfinite(result["gain_mean"]) and result["gain_mean"] > 0
+        assert math.isfinite(result["gain_se"]) and result["gain_se"] >= 0
+    # fixed means vary over replications; equal random means, the default,
+    # leave nothing random
+    assert json.loads((tmp_path / "fixed" / "result.json").read_text())["gain_se"] > 0
+    assert json.loads((tmp_path / "normal" / "result.json").read_text())["gain_se"] == 0
 
 
 # acceptance criterion 9's small arguments; SYNTH and DATA stand for the
@@ -1073,15 +1087,21 @@ def test_evaluate_overflowing_outcome_exits_2_without_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["sigma", "s", "mean"])
 def test_simulator_overflowing_outcomes_exit_2_without_output(tmp_path, capsys, field):
-    # every input is finite; only the outcomes built from them overflow
+    # every input is finite; only the values built from them overflow: v
+    # E[max of 100 normals] given equal means, means drawn with s = 1e308,
+    # or the individual-level kernel's sums of outcomes near 1e308
     if field == "sigma":
-        args = ["simulate", "--m", 3, "--sigma", 1e308, "--rho", 0.2,
+        args = ["simulate", "--m", 100, "--sigma", 1e308, "--rho", 0.2,
                 "--n-individuals", 10, "--n-replications", 2]
-    else:
+    elif field == "s":
         profile = tmp_path / "huge.json"
-        profile.write_text(json.dumps({"name": "huge", "s": 1.0, "sigma": 1.0, "rho": 0.2,
-                                       "sigma_eps": 0.1, "m": 3, field: 1e308}))
+        profile.write_text(json.dumps({"name": "huge", "s": 1e308, "sigma": 1.0, "rho": 0.2,
+                                       "sigma_eps": 0.1, "m": 100}))
         args = ["predict", "--profile", profile, "--n-individuals", 10, "--n-replications", 2]
+    else:
+        cfg = fixed_means_config(tmp_path / "fixed.json", 3, mean=1e308)
+        args = ["simulate", "--config", cfg, "--m", 3, "--sigma", 1.0, "--rho", 0.2,
+                "--n-individuals", 10, "--n-replications", 2]
     out = tmp_path / "out"
     assert run_cli([*args, "--out", out]) == 2
     err = capsys.readouterr().err

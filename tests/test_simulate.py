@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Sequence
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persgain import simulate
-from persgain.analysis import SimSettings, StudyProfile, elasticity_table
 from persgain.analytic import TwoArmParams, gain_two_arm
 from persgain.errors import ConfigError
 from persgain.simulate import (
@@ -111,8 +111,8 @@ def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
     cfg = SimConfig(m=m, sigma=sigma, rho=rho, dist=FixedMeans(mu),
                     n_individuals=n, n_replications=1, seed=seed)
     rng, size = stream(seed, 0), simulate._block_size(m)
-    blocks = [sample_potential_outcomes(cfg, rng, out=np.empty((m, min(size, n - start))),
-                                        first=not start)[0]
+    sample_potential_outcomes(cfg, rng)  # the fixed means, which draw nothing
+    blocks = [sample_potential_outcomes(cfg, rng, out=np.empty((m, min(size, n - start))))
               for start in range(0, n, size)]
     eps = np.concatenate(blocks, axis=1)
     assert eps.shape == (m, n) and len(blocks) == -(-n // size)
@@ -206,39 +206,41 @@ def test_rho_above_one_rejected() -> None:
                 n_individuals=40, seed=9) for m, e in ((2, 0.0), (4, 0.7))]),
 ], ids=["sigma_eps_zero", "mixed"])
 def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> None:
-    # from stream(seed, rep): the widest config's W means, then eps block
-    # by block, each block
-    # arm-major (W x b, each arm's b normals contiguous), and no prediction
-    # noise, whatever sigma_eps; each narrower config's means are the first
-    # m of the W means it maps the same variates to
+    # a random-means replication draws from stream(seed, rep) the widest
+    # config's W means and nothing else, whatever sigma_eps: no eps and no
+    # prediction noise; each narrower config's means are the first m of the
+    # W means it maps the same variates to
     rep, width, sizes = 3, widest.m, (17, 17, 6)
     assert sum(sizes) == widest.n_individuals
 
     def draw(batch: list[SimConfig]) -> tuple:
         rng = stream(widest.seed, rep)
-        eps, *head = sample_potential_outcomes(batch[0], rng, *batch[1:],
-                                                out=np.empty((width, sizes[0])))
-        later = [sample_potential_outcomes(batch[0], rng, out=np.empty((width, b)), first=False)
-                 for b in sizes[1:]]
-        assert all(len(drawn) == 1 for drawn in later)
-        return head, [eps, *(drawn[0] for drawn in later)]
+        return sample_potential_outcomes(batch[0], rng, *batch[1:]), rng.bit_generator.state
 
-    head, blocks = draw([widest, *narrower])
-    mu, *more_mu = head
+    (mu, *more_mu), state = draw([widest, *narrower])
     rng = stream(widest.seed, rep)
     np.testing.assert_array_equal(mu, widest.dist.sample(width, rng), strict=True)
-    for block, b in zip(blocks, sizes):
-        np.testing.assert_array_equal(block, rng.standard_normal((width, b)), strict=True)
-        assert block.flags.c_contiguous
+    assert state == rng.bit_generator.state
     assert len(more_mu) == len(narrower)
     for cfg, cfg_mu in zip(narrower, more_mu):
         expected = cfg.dist.sample(width, stream(widest.seed, rep))[: cfg.m]
         np.testing.assert_array_equal(cfg_mu, expected, strict=True)
     # a batch with sigma_eps > 0 draws exactly what it draws with sigma_eps = 0
-    quiet_head, quiet_blocks = draw([replace(cfg, sigma_eps=0.0) for cfg in (widest, *narrower)])
-    assert len(quiet_head) == len(head) == 1 + len(narrower)
-    for a, b in zip((*head, *blocks), (*quiet_head, *quiet_blocks)):
+    quiet, quiet_state = draw([replace(cfg, sigma_eps=0.0) for cfg in (widest, *narrower)])
+    assert quiet_state == state and len(quiet) == 1 + len(narrower)
+    for a, b in zip((mu, *more_mu), quiet):
         np.testing.assert_array_equal(a, b, strict=True)
+    # fixed means draw nothing for the means, then eps block by block, each
+    # block arm-major (W x b, each arm's b normals contiguous), and no noise
+    fixed = replace(widest, dist=FixedMeans(mu))
+    rng = stream(widest.seed, rep)
+    (fixed_mu,) = sample_potential_outcomes(fixed, rng)
+    np.testing.assert_array_equal(fixed_mu, mu, strict=True)
+    blocks = [sample_potential_outcomes(fixed, rng, out=np.empty((width, b))) for b in sizes]
+    rng = stream(widest.seed, rep)
+    for block, b in zip(blocks, sizes):
+        np.testing.assert_array_equal(block, rng.standard_normal((width, b)), strict=True)
+        assert block.flags.c_contiguous
 
 
 # --------------------------------------------------------------------------
@@ -333,43 +335,39 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 
 
 # --------------------------------------------------------------------------
-# batches: one draw layout each, drawn once at its widest m
+# the individual-level kernel: fixed means, one m per batch
 
 
-def reference_draws(cfg: SimConfig, rep: int, width: int | None = None) -> tuple:
-    """One replication's draws for one config at `width` arms (cfg.m by
-    default): (mu, blocks), with cfg.m means and eps whole at `width` in
-    blocks of BLOCK_CELLS // width individuals (at least one; the last
+def reference_draws(cfg: SimConfig, rep: int) -> tuple:
+    """One replication's draws for one fixed-means config: (mu, blocks),
+    eps in blocks of BLOCK_CELLS // m individuals (at least one; the last
     block may be shorter), one row per arm each."""
     rng = stream(cfg.seed, rep)
     n, m = cfg.n_individuals, cfg.m
-    width = m if width is None else width
-    mu = cfg.dist.sample(m if isinstance(cfg.dist, FixedMeans) else width, rng)[:m]
-    size = max(1, simulate.BLOCK_CELLS // width)
-    return mu, [rng.standard_normal((width, min(size, n - start)))
-                for start in range(0, n, size)]
+    mu = cfg.dist.sample(m, rng)
+    size = max(1, simulate.BLOCK_CELLS // m)
+    return mu, [rng.standard_normal((m, min(size, n - start))) for start in range(0, n, size)]
 
 
-def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
-    """One replication of one config, drawing everything itself at `width`
-    arms and keeping the first cfg.m: the per-config kernel that the batched
-    simulate_gain replaced, scored as the batched kernel scores it. That is
-    on the predictions Yhat' = mu + c eps, c = hypot(v, sigma_eps) and
-    v = sigma sqrt(1-rho), each pick valued at E[Y' | Yhat'] =
-    mu + (v/c)^2 (Yhat' - mu), with no common term. With sigma_eps = 0,
-    Yhat' is Y'. Each individual's pick is the argmax over their column,
-    ties to the lowest arm index, gathered cell by cell; the mean of the
-    picks' means is a count of picks per arm dotted with mu, as the kernel
-    takes it. Sums over the individuals run block by block: of the picks'
-    values and of each arm row (the uniform arm's sum is the largest)."""
-    mu, blocks = reference_draws(cfg, rep, width)
+def reference_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
+    """One replication of one fixed-means config, drawing everything
+    itself, scored as the kernel scores it. That is on the predictions
+    Yhat' = mu + c eps, c = hypot(v, sigma_eps) and v = sigma sqrt(1-rho),
+    each pick valued at E[Y' | Yhat'] = mu + (v/c)^2 (Yhat' - mu), with no
+    common term. With sigma_eps = 0, Yhat' is Y'. Each individual's pick is
+    the argmax over their column, ties to the lowest arm index, gathered
+    cell by cell; the mean of the picks' means is a count of picks per arm
+    dotted with mu, as the kernel takes it. Sums over the individuals run
+    block by block: of the picks' values and of each arm row (the uniform
+    arm's sum is the largest)."""
+    mu, blocks = reference_draws(cfg, rep)
     n, m, sigma_eps = cfg.n_individuals, cfg.m, cfg.sigma_eps
     v = cfg.sigma * math.sqrt(1.0 - cfg.rho)
     c = math.hypot(v, sigma_eps) if sigma_eps else v
     shrink = v / c if sigma_eps else 1.0
     picked, arm_sums, counts = 0.0, np.zeros(m), np.zeros(m)
     for eps in blocks:
-        y = mu[:, None] + c * eps[:m]
+        y = mu[:, None] + c * eps
         picks = np.argmax(y, axis=0)
         picked += float(y[picks, np.arange(len(picks))].sum())
         arm_sums += [row.sum() for row in y]
@@ -382,7 +380,7 @@ def reference_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> t
     return v_p, v_u
 
 
-def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[float, float]:
+def full_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
     """The same replication scored on E[Y' | Yhat'], the whole matrix's
     conditional mean given the predictions, with the uniform arm taken from
     the predictions' arm means: the whole-matrix statement of what the kernel
@@ -390,9 +388,9 @@ def full_replicate(cfg: SimConfig, rep: int, width: int | None = None) -> tuple[
     true outcomes' standardized spread has mean shrink eps,
     shrink = sqrt(v^2 / (v^2 + sigma_eps^2)). v_p and v_u agree with
     reference_replicate up to rounding."""
-    mu, blocks = reference_draws(cfg, rep, width)
-    n, m, sigma, rho = cfg.n_individuals, cfg.m, cfg.sigma, cfg.rho
-    eps, mu = np.concatenate(blocks, axis=1)[:m], mu[:, None]
+    mu, blocks = reference_draws(cfg, rep)
+    n, sigma, rho = cfg.n_individuals, cfg.sigma, cfg.rho
+    eps, mu = np.concatenate(blocks, axis=1), mu[:, None]
     v2 = sigma ** 2 * (1.0 - rho)
     total = v2 + cfg.sigma_eps ** 2
     shrink = math.sqrt(v2 / total) if total else 1.0
@@ -408,8 +406,8 @@ def noisy_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
     """One replication of the full-noise estimator: after mu, z and eps it
     draws the prediction noise (n x m), picks on Yhat = Y + sigma_eps noise
     and scores the picks on Y itself, the arms' common term included. It
-    shares no code with the kernel, so it is an independent reference for
-    the estimand."""
+    shares no code with the simulator, so it is an independent reference
+    for the estimand."""
     rng = stream(cfg.seed, rep)
     n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
     mu = cfg.dist.sample(m, rng)
@@ -428,43 +426,38 @@ def noisy_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
     return v_p, v_u
 
 
-def reference_gains(cfg: SimConfig, width: int | None = None) -> tuple[float, ...]:
-    values = [reference_replicate(cfg, rep, width) for rep in range(cfg.n_replications)]
+def reference_gains(cfg: SimConfig) -> tuple[float, ...]:
+    values = [reference_replicate(cfg, rep) for rep in range(cfg.n_replications)]
     v_p = np.array([v[0] for v in values])
     v_u = np.array([v[1] for v in values])
     return tuple(float(g) for g in v_p - v_u)
 
 
 def layout_grid() -> list[list[SimConfig]]:
-    """One batch per draw layout: normal, spike-slab and fixed means, with
-    several configs in each batch, several m in the normal one and rho on
-    both sides of 0 within a batch. The last batch has more rows than
-    numpy's reduction buffer (8192 cells), with narrower configs that have
-    sigma_eps > 0 on both sides of rho = 0."""
+    """Fixed-means batches, the ones the individual-level kernel runs, each
+    of one m: several configs in each, with rho on both sides of 0, equal
+    and unequal means and sigma_eps = 0 and > 0 within a batch. The last
+    batch has more rows than numpy's reduction buffer (8192 cells)."""
     base = dict(n_individuals=200, n_replications=6, seed=13)
-    normal = []
+    four = []
     for rho in (-0.2, 0.0, 0.5, 1.0):
-        for sigma, s, sigma_eps in ((1.0, 0.5, 0.0), (2.5, 0.0, 0.8)):
-            normal.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
-                                    sigma_eps=sigma_eps, **base))
-    for m in (2, 3, 9, 30):
-        normal.append(SimConfig(m=m, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0),
-                                sigma_eps=0.3, **base))
-    # the first config of each m = 5 batch (rho = 0.3) is its widest and
-    # writes its outcomes over the shared draws; the others write into the
-    # scratch
-    spike_slab, fixed = [], []
+        for sigma, mu, sigma_eps in ((1.0, (0.3, 0.8, -0.2, 0.3), 0.0), (2.5, (0.3,) * 4, 0.8)):
+            four.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=FixedMeans(mu),
+                                  sigma_eps=sigma_eps, **base))
+    five = []
     for rho in (0.3, -0.1):
-        for pi in (0.2, 0.9):
-            spike_slab.append(SimConfig(m=5, sigma=2.0, rho=rho,
-                                        dist=SpikeSlabMeans(pi, 0.0, 3.0), sigma_eps=0.4, **base))
+        five.append(SimConfig(m=5, sigma=2.0, rho=rho, dist=FixedMeans((0.0, 0.0, 3.1, 0.0, -2.4)),
+                              sigma_eps=0.4, **base))
         for mu in ((1.0, 2.0, 0.5, 1.5, 1.2), (0.0, 0.1, 0.2, 0.3, 0.4)):
-            fixed.append(SimConfig(m=5, sigma=0.7, rho=rho, dist=FixedMeans(mu), **base))
-    tall = dict(n_individuals=9_000, n_replications=3, seed=14, dist=NormalMeans(0.1, 0.05))
-    tall_batch = [SimConfig(m=m, sigma=1.0, rho=rho, sigma_eps=sigma_eps, **tall)
-                  for m, rho, sigma_eps in ((6, 0.3, 0.5), (4, -0.25, 0.6), (5, 0.6, 0.4),
-                                            (3, -0.3, 0.0), (5, 0.0, 0.0))]
-    return [normal, spike_slab, fixed, tall_batch]
+            five.append(SimConfig(m=5, sigma=0.7, rho=rho, dist=FixedMeans(mu), **base))
+    thirty = [SimConfig(m=30, sigma=1.0, rho=0.4, dist=FixedMeans(np.linspace(-1.0, 1.0, 30)),
+                        sigma_eps=sigma_eps, **base) for sigma_eps in (0.0, 0.3)]
+    tall = dict(n_individuals=9_000, n_replications=3, seed=14,
+                dist=FixedMeans((0.1, 0.12, 0.05, 0.1, 0.08, 0.11)))
+    tall_batch = [SimConfig(m=6, sigma=1.0, rho=rho, sigma_eps=sigma_eps, **tall)
+                  for rho, sigma_eps in ((0.3, 0.5), (-0.15, 0.6), (0.6, 0.4), (-0.19, 0.0),
+                                         (0.0, 0.0))]
+    return [four, five, thirty, tall_batch]
 
 
 def kernel_values(batch: list[SimConfig], n_jobs: int) -> tuple[list, list]:
@@ -486,34 +479,31 @@ def kernel_values(batch: list[SimConfig], n_jobs: int) -> tuple[list, list]:
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None:
-    # Every config is compared with the reference drawn at its batch's
-    # width: the fixed-means batch has sigma_eps = 0 throughout, and the
-    # others mix sigma_eps = 0 and sigma_eps > 0 configs, widest and narrower.
+    # every config of every fixed-means batch against the reference
     for batch in layout_grid():
-        width = max(cfg.m for cfg in batch)
         results, values = kernel_values(batch, n_jobs)
         assert len(results) == len(batch)
         for cfg, result, per_rep in zip(batch, results, values):
-            assert result.per_replication_gains == reference_gains(cfg, width), cfg
-            assert per_rep == [reference_replicate(cfg, rep, width)
+            assert result.per_replication_gains == reference_gains(cfg), cfg
+            assert per_rep == [reference_replicate(cfg, rep)
                                for rep in range(cfg.n_replications)], cfg
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_a_batch_over_several_blocks_matches_the_reference_bit_for_bit(n_jobs) -> None:
-    # W = 100 and n = 3 B + 17: three whole blocks and a short one, with
-    # rho on both sides of 0 and sigma_eps = 0 and > 0, widest and narrower
+    # m = 100 and n = 3 B + 17: three whole blocks and a short one, with
+    # rho on both sides of 0 and sigma_eps = 0 and > 0
     width = 100
     n = 3 * (simulate.BLOCK_CELLS // width) + 17
-    base = dict(dist=NormalMeans(0.1, 0.5), n_individuals=n, n_replications=3, seed=21)
-    batch = [SimConfig(m=m, sigma=sigma, rho=rho, sigma_eps=sigma_eps, **base)
-             for m, sigma, rho, sigma_eps in ((7, 1.0, -0.1, 0.3), (width, 2.0, 0.4, 0.5),
-                                              (50, 1.5, -0.01, 0.0), (2, 0.5, 0.9, 0.0))]
+    base = dict(dist=FixedMeans(np.linspace(0.0, 0.5, width)), n_individuals=n, n_replications=3,
+                seed=21)
+    batch = [SimConfig(m=width, sigma=sigma, rho=rho, sigma_eps=sigma_eps, **base)
+             for sigma, rho, sigma_eps in ((1.0, -0.01, 0.3), (2.0, 0.4, 0.5), (1.5, -0.01, 0.0),
+                                           (0.5, 0.9, 0.0))]
     results, values = kernel_values(batch, n_jobs)
     for cfg, result, per_rep in zip(batch, results, values):
-        assert result.per_replication_gains == reference_gains(cfg, width), cfg
-        assert per_rep == [reference_replicate(cfg, rep, width)
-                           for rep in range(cfg.n_replications)], cfg
+        assert result.per_replication_gains == reference_gains(cfg), cfg
+        assert per_rep == [reference_replicate(cfg, rep) for rep in range(cfg.n_replications)], cfg
     assert results[1] == simulate_gain(batch[1], n_jobs=n_jobs)
 
 
@@ -525,11 +515,10 @@ def test_small_blocks_match_the_reference_bit_for_bit(cells) -> None:
         patch.setattr(simulate, "BLOCK_CELLS", cells)
         for batch in layout_grid()[:3]:
             batch = [replace(cfg, n_replications=2) for cfg in batch]
-            width = max(cfg.m for cfg in batch)
             results, values = kernel_values(batch, 2)
             for cfg, result, per_rep in zip(batch, results, values):
-                assert result.per_replication_gains == reference_gains(cfg, width), cfg
-                assert per_rep == [reference_replicate(cfg, rep, width)
+                assert result.per_replication_gains == reference_gains(cfg), cfg
+                assert per_rep == [reference_replicate(cfg, rep)
                                    for rep in range(cfg.n_replications)], cfg
 
 
@@ -553,51 +542,35 @@ def test_one_arm_best_for_everyone_gives_exactly_zero_gain_over_several_blocks()
 def test_kernel_values_match_the_whole_matrix_formula_up_to_rounding() -> None:
     # v_p and v_u of every replication against the whole-matrix formula
     for batch in layout_grid():
-        width = max(cfg.m for cfg in batch)
         _, values = kernel_values(batch, 1)
         for cfg, per_rep in zip(batch, values):
             for rep, kernel in enumerate(per_rep):
-                for got, want in zip(kernel, full_replicate(cfg, rep, width)):
+                for got, want in zip(kernel, full_replicate(cfg, rep)):
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cfg, rep)
 
 
 @st.composite
 def batches(draw) -> list[SimConfig]:
-    """One draw layout: a widest config and up to two more, of one kind of
-    mean distribution, each with its own sigma, rho anywhere in its range
-    and sigma_eps 0 or not. Narrower configs are normal or spike-slab;
-    fixed-means batches take one m."""
-    kind = draw(st.sampled_from(["fixed", "normal", "spike_slab"]))
-    width = draw(st.integers(2, 7))
+    """A fixed-means batch: one m and up to three configs, each with its
+    own means, sigma, rho anywhere in its range and sigma_eps 0 or not."""
+    m = draw(st.integers(2, 7))
     layout = dict(n_individuals=draw(st.integers(1, 60)), n_replications=draw(st.integers(1, 3)),
                   seed=draw(st.integers(0, 2**16)))
     scale = st.floats(0.0, 3.0)
-    ms = [width] + draw(st.lists(st.just(width) if kind == "fixed" else st.integers(2, width),
-                                 max_size=2))
-    batch = []
-    for m in ms:
-        if kind == "fixed":
-            dist = FixedMeans(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
-        elif kind == "normal":
-            dist = NormalMeans(draw(st.floats(-2.0, 2.0)), draw(scale))
-        else:
-            dist = SpikeSlabMeans(draw(st.floats(0.0, 1.0)), draw(st.floats(-2.0, 2.0)), draw(scale))
-        batch.append(SimConfig(
-            m=m, sigma=draw(scale), rho=draw(st.floats(rho_lower_bound(m), 1.0)), dist=dist,
-            sigma_eps=draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0))), **layout))
-    return batch
+    return [SimConfig(m=m, sigma=draw(scale), rho=draw(st.floats(rho_lower_bound(m), 1.0)),
+                      dist=FixedMeans(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))),
+                      sigma_eps=draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0))), **layout)
+            for _ in range(draw(st.integers(1, 3)))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(batch=batches(), n_jobs=st.sampled_from([1, 2]))
 def test_max_reduction_kernel_matches_the_argmax_reference(batch, n_jobs) -> None:
-    # every replication's (v_p, v_u) against the argmax-based reference,
-    # drawn at the batch's width
-    width = batch[0].m
+    # every replication's (v_p, v_u) against the argmax-based reference
     results, values = kernel_values(batch, n_jobs)
     for cfg, result, per_rep in zip(batch, results, values):
         for rep, kernel in enumerate(per_rep):
-            for got, want in zip(kernel, reference_replicate(cfg, rep, width)):
+            for got, want in zip(kernel, reference_replicate(cfg, rep)):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cfg, rep)
         if cfg.sigma_eps == 0.0:
             assert min(result.per_replication_gains) >= 0.0
@@ -640,12 +613,13 @@ def test_a_tie_between_arms_with_different_means_goes_to_the_lowest() -> None:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("sigma_eps", [0.0, 1e308])
 def test_overflowing_outcomes_raise_config_error_from_score(monkeypatch, sigma_eps) -> None:
-    # c eps overflows to inf in some cells; the replication's values are
-    # checked where they are scored
+    # c eps overflows to inf in some cells of the individual-level kernel;
+    # the replication's values are checked where they are scored
     score, scored = simulate._score, []
     monkeypatch.setattr(simulate, "_score", lambda *args: scored.append(args) or score(*args))
-    batch = [SimConfig(m=m, sigma=1e308, rho=0.0, dist=NormalMeans(0.0, 1.0), sigma_eps=sigma_eps,
-                       n_individuals=100, n_replications=2, seed=7) for m in (4, 3)]
+    batch = [SimConfig(m=3, sigma=1e308, rho=rho, dist=FixedMeans([0.0, 1.0, -1.0]),
+                       sigma_eps=sigma_eps, n_individuals=100, n_replications=2, seed=7)
+             for rho in (0.0, 0.5)]
     for cfgs in (batch, batch[1:]):
         scored.clear()
         with pytest.raises(ConfigError, match="the outcomes overflow float64"):
@@ -654,7 +628,7 @@ def test_overflowing_outcomes_raise_config_error_from_score(monkeypatch, sigma_e
 
 
 def unbiasedness_batches() -> list[list[SimConfig]]:
-    """Designs with sigma_eps > 0 for the conditional estimator against the
+    """Designs with sigma_eps > 0 for the conditional estimators against the
     noise-drawing reference: rho < 0, fixed means, spike-slab means, and a
     batch whose narrower config has sigma_eps > 0."""
     base = dict(n_individuals=100, n_replications=2_000, seed=61)
@@ -670,9 +644,9 @@ def unbiasedness_batches() -> list[list[SimConfig]]:
 
 
 def quiet_unbiasedness_batches() -> list[list[SimConfig]]:
-    """Designs with sigma_eps = 0 for the kernel, which leaves out the arms'
-    common term, against the reference, which keeps it: normal means at
-    rho < 0, and a spike-slab batch that mixes rho."""
+    """Designs with sigma_eps = 0 for the simulator, which leaves out the
+    arms' common term, against the reference, which keeps it: normal means
+    at rho < 0, and a spike-slab batch that mixes rho."""
     base = dict(n_individuals=100, n_replications=2_000, seed=61)
     return [
         [SimConfig(m=4, sigma=1.0, rho=-0.25, dist=NormalMeans(0.2, 0.3), **base)],
@@ -685,8 +659,9 @@ def test_conditional_estimator_is_unbiased_with_no_larger_variance() -> None:
     # the reference runs on its own seed, so the two estimates are
     # independent; a narrower config's reference runs it alone at its m,
     # which has the distribution of its batch's first m columns. With
-    # sigma_eps = 0 both estimators have one gain distribution, so those
-    # designs check the means only
+    # sigma_eps = 0 and fixed means both estimators have one gain
+    # distribution; conditioning on random means shrinks the variance too,
+    # but those designs check the means only
     checked = quiet = 0
     for batch in unbiasedness_batches() + quiet_unbiasedness_batches():
         results, values = kernel_values(batch, 2)
@@ -709,9 +684,110 @@ def test_conditional_estimator_is_unbiased_with_no_larger_variance() -> None:
     assert quiet == 3
 
 
+# --------------------------------------------------------------------------
+# random means: each replication scored by its values given the means
+
+
+def means_grid() -> list[list[SimConfig]]:
+    """One batch per kind of random means: normal means with several
+    configs, several m and rho on both sides of 0 within the batch, and
+    spike-slab means; then a normal batch of configs that differ in m, rho
+    and sigma_eps, with sigma_eps > 0 on both sides of rho = 0."""
+    base = dict(n_individuals=200, n_replications=6, seed=13)
+    normal = []
+    for rho in (-0.2, 0.0, 0.5, 1.0):
+        for sigma, s, sigma_eps in ((1.0, 0.5, 0.0), (2.5, 0.0, 0.8)):
+            normal.append(SimConfig(m=4, sigma=sigma, rho=rho, dist=NormalMeans(0.3, s),
+                                    sigma_eps=sigma_eps, **base))
+    for m in (2, 3, 9, 30):
+        normal.append(SimConfig(m=m, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0),
+                                sigma_eps=0.3, **base))
+    spike_slab = []
+    for rho in (0.3, -0.1):
+        for pi in (0.2, 0.9):
+            spike_slab.append(SimConfig(m=5, sigma=2.0, rho=rho,
+                                        dist=SpikeSlabMeans(pi, 0.0, 3.0), sigma_eps=0.4, **base))
+    mixed = dict(n_individuals=9_000, n_replications=3, seed=14, dist=NormalMeans(0.1, 0.05))
+    mixed_batch = [SimConfig(m=m, sigma=1.0, rho=rho, sigma_eps=sigma_eps, **mixed)
+                   for m, rho, sigma_eps in ((6, 0.3, 0.5), (4, -0.25, 0.6), (5, 0.6, 0.4),
+                                             (3, -0.3, 0.0), (5, 0.0, 0.0))]
+    return [normal, spike_slab, mixed_batch]
+
+
+def means_values(cfg: SimConfig, rep: int, width: int) -> tuple[float, float]:
+    """(v_p, v_u) of a random-means config in replication `rep` of a batch
+    drawn at `width` arms, drawing its means itself: V(mu, c, k) and
+    V(mu, c / sqrt(n), k) at the first m of the W means."""
+    mu = cfg.dist.sample(width, stream(cfg.seed, rep))[: cfg.m]
+    c, shrink = simulate._scales(cfg)
+    k = shrink * shrink
+    return (simulate._value(mu, c, k),
+            simulate._value(mu, c / math.sqrt(cfg.n_individuals), k))
+
+
+def nested_batches() -> list[list[SimConfig]]:
+    """Batches whose configs, but one, differ from the widest in m alone:
+    normal and spike-slab means, rho on both sides of 0, sigma_eps = 0 and
+    > 0, two configs with one m and a second widest."""
+    width = 40
+    batches = []
+    for dist in (NormalMeans(0.1, 0.5), SpikeSlabMeans(0.7, 0.0, 2.0)):
+        for rho in (-0.02, 0.6):
+            for sigma_eps in (0.0, 0.4):
+                base = dict(sigma=1.3, rho=rho, dist=dist, sigma_eps=sigma_eps, n_individuals=500,
+                            n_replications=3, seed=19)
+                batches.append([SimConfig(m=m, **base) for m in (5, width, 2, 17, 5, width)]
+                               + [SimConfig(m=17, **{**base, "sigma": 0.9})])
+    return batches
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_configs_nested_in_the_widest_share_its_rows_bit_for_bit(n_jobs) -> None:
+    # a config of a random-means batch is scored on the first m of the W
+    # means its replication draws, with the bits of scoring those means on
+    # their own, and the widest has the bits of running it alone
+    for batch in nested_batches() + means_grid():
+        width = max(cfg.m for cfg in batch)
+        results, values = kernel_values(batch, n_jobs)
+        for cfg, per_rep in zip(batch, values):
+            assert per_rep == [means_values(cfg, rep, width)
+                               for rep in range(cfg.n_replications)], cfg
+        widest = next(index for index, cfg in enumerate(batch) if cfg.m == width)
+        assert results[widest] == simulate_gain(batch[widest], n_jobs=n_jobs)
+
+
+def counterfactual_batches() -> list[list[SimConfig]]:
+    """Batches shaped like a counterfactual over m: two studies that differ
+    in sigma, each at 23 and 20 arms (walmart's and penn_geisinger's), with
+    rho on both sides of 0 and sigma_eps = 0 and > 0."""
+    batches = []
+    for rho in (-0.03, 0.6):
+        for sigma_eps in (0.0, 0.3):
+            base = dict(rho=rho, dist=NormalMeans(0.0, 0.05), sigma_eps=sigma_eps,
+                        n_individuals=10_000, n_replications=4, seed=23)
+            batches.append([SimConfig(m=m, sigma=sigma, **base)
+                            for sigma, m in ((0.078, 23), (0.078, 20), (0.267, 20), (0.267, 23))])
+    return batches
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_each_study_of_a_counterfactual_over_m_spreads_its_rows_once(monkeypatch, n_jobs) -> None:
+    # each replication draws the means of all four cells once, at 23 arms,
+    # and scores each cell once, on its own first m of them
+    draw, draws = simulate.sample_potential_outcomes, []
+    monkeypatch.setattr(simulate, "sample_potential_outcomes",
+                        lambda *args, **kw: draws.append(args[0].m) or draw(*args, **kw))
+    for batch in counterfactual_batches():
+        draws.clear()
+        _, values = kernel_values(batch, n_jobs)
+        assert draws == [23] * batch[0].n_replications
+        for cfg, per_rep in zip(batch, values):
+            assert per_rep == [means_values(cfg, rep, 23) for rep in range(cfg.n_replications)]
+
+
 def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
     alone = narrower = 0
-    for batch in layout_grid():
+    for batch in means_grid() + layout_grid():
         # the widest config of the normal batch comes last; a repeated
         # config is scored twice, each time as if alone
         cfgs = [*batch[1::3], batch[1]]
@@ -725,157 +801,21 @@ def test_batched_kernel_equals_one_config_runs_and_keeps_order() -> None:
                 # a narrower config depends only on its batch's width
                 narrower += 1
                 assert result == simulate_gain([cfg, wide])[0], cfg
-    assert alone >= 3 and narrower >= 3
+    assert alone >= 6 and narrower >= 3
     assert simulate_gain([]) == []
-
-
-def unshared_replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
-    """`_replicate` as it was before configs shared rows: every config,
-    whatever it shares with cfg, writes its own Yhat' for each block into an
-    array of its own, takes its own max and arm sums, and counts its hits on
-    the float equality written over its Yhat'."""
-    n, width = cfg.n_individuals, cfg.m
-    points = (*more, cfg)
-    best_sums = [0.0] * len(points)
-    arm_sums = [np.zeros(point.m) for point in points]
-    hits = [np.zeros(point.m) for point in points]
-    rng, size = stream(cfg.seed, rep), simulate._block_size(width)
-    for start in range(0, n, size):
-        b = min(size, n - start)
-        eps, *head = sample_potential_outcomes(cfg, rng, *more, out=np.empty((width, b)),
-                                               first=not start)
-        if head:
-            mu, *more_mu = head
-            means = (*more_mu, mu)
-        for k, point in enumerate(points):
-            c = simulate._scales(point)[0]
-            y = simulate._spread(eps[: point.m], means[k][:, None], c,
-                                 out=np.empty((point.m, b)))
-            arm_sums[k] += y.sum(axis=1)
-            best = y.max(axis=0)
-            best_sums[k] += float(best.sum())
-            if point.sigma_eps:
-                block_hits = np.equal(y, best, out=y).sum(axis=1)
-                if block_hits.sum() != b:
-                    block_hits = np.bincount(np.argmax(y, axis=0), minlength=point.m)
-                hits[k] += block_hits
-    values = []
-    for k, point in enumerate(points):
-        mu, shrink = means[k], simulate._scales(point)[1]
-        uniform = int(np.argmax(arm_sums[k]))
-        v_p, v_u = best_sums[k] / n, float(arm_sums[k][uniform]) / n
-        if point.sigma_eps:
-            q, mu_p, mu_u = shrink * shrink, float((hits[k] * mu).sum()) / n, float(mu[uniform])
-            v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
-        values.append(simulate._score(v_p, v_u))
-    *values, widest = values
-    return [widest, *values]
-
-
-def nested_batches() -> list[list[SimConfig]]:
-    """Batches whose configs, but one, differ from the widest in m alone:
-    normal and spike-slab means, rho on both sides of 0, sigma_eps = 0 and
-    > 0, two configs with one m, a second widest, and over three blocks."""
-    width = 40
-    n = 2 * (simulate.BLOCK_CELLS // width) + 11
-    batches = []
-    for dist in (NormalMeans(0.1, 0.5), SpikeSlabMeans(0.7, 0.0, 2.0)):
-        for rho in (-0.02, 0.6):
-            for sigma_eps in (0.0, 0.4):
-                base = dict(sigma=1.3, rho=rho, dist=dist, sigma_eps=sigma_eps, n_individuals=n,
-                            n_replications=2, seed=19)
-                batches.append([SimConfig(m=m, **base) for m in (5, width, 2, 17, 5, width)]
-                               + [SimConfig(m=17, **{**base, "sigma": 0.9})])
-    return batches
-
-
-def check_two_groups_share_rows(monkeypatch, batches: list[list[SimConfig]], n_jobs: int) -> None:
-    """Each batch, of two groups over three blocks, spreads two sets of rows
-    per block; each config gets the bits of scoring it on rows of its own,
-    and the widest those of running it alone."""
-    spread, spreads = simulate._spread, []
-    monkeypatch.setattr(simulate, "_spread", lambda *args, **kw: spreads.append(1)
-                        or spread(*args, **kw))
-    for batch in batches:
-        order = sorted(range(len(batch)), key=lambda index: -batch[index].m)
-        widest, *rest = (batch[index] for index in order)
-        spreads.clear()
-        results, values = kernel_values(batch, n_jobs)
-        blocks = -(-widest.n_individuals // simulate._block_size(widest.m))
-        assert blocks == 3 and len(spreads) == 2 * blocks * widest.n_replications
-        for rep in range(widest.n_replications):
-            want = unshared_replicate(widest, rep, *rest)
-            assert [values[index][rep] for index in order] == want, (widest, rep)
-        assert results[order[0]] == simulate_gain(widest, n_jobs=n_jobs)
-
-
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_configs_nested_in_the_widest_share_its_rows_bit_for_bit(monkeypatch, n_jobs) -> None:
-    # only the config that differs from the widest in more than m spreads
-    # rows of its own beside the widest's
-    batches = nested_batches()
-    for batch in batches:
-        assert sorted(map(len, simulate._groups(batch))) == [1, len(batch) - 1]
-    check_two_groups_share_rows(monkeypatch, batches, n_jobs)
-
-
-def counterfactual_batches() -> list[list[SimConfig]]:
-    """Batches shaped like a counterfactual over m: two studies that differ
-    in sigma, each at 23 and 20 arms (walmart's and penn_geisinger's), with
-    rho on both sides of 0 and sigma_eps = 0 and > 0, over three blocks."""
-    n = 2 * (simulate.BLOCK_CELLS // 23) + 7
-    batches = []
-    for rho in (-0.03, 0.6):
-        for sigma_eps in (0.0, 0.3):
-            base = dict(rho=rho, dist=NormalMeans(0.0, 0.05), sigma_eps=sigma_eps,
-                        n_individuals=n, n_replications=2, seed=23)
-            batches.append([SimConfig(m=m, sigma=sigma, **base)
-                            for sigma, m in ((0.078, 23), (0.078, 20), (0.267, 20), (0.267, 23))])
-    return batches
-
-
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_each_study_of_a_counterfactual_over_m_spreads_its_rows_once(monkeypatch, n_jobs) -> None:
-    # each study is one group of two: the widest's, and one whose rows go
-    # to the scratch though its largest m is the batch's
-    batches = counterfactual_batches()
-    for batch in batches:
-        assert sorted(map(len, simulate._groups(batch))) == [2, 2]
-    check_two_groups_share_rows(monkeypatch, batches, n_jobs)
-
-
-def test_only_the_groups_besides_the_widest_s_take_scratch(monkeypatch) -> None:
-    # a sweep's configs differ from its widest in m alone, so it needs no
-    # scratch; elasticity's five configs are five groups of m = 20, and the
-    # four besides the widest's take one 20 x B scratch
-    arrays, sizes = simulate._arrays, []
-
-    def spy(*args):
-        held = arrays(*args)
-        sizes.append(held[1].size)
-        return held
-
-    monkeypatch.setattr(simulate, "_arrays", spy)
-    cfg = SimConfig(m=2, sigma=10.0, rho=0.9, dist=SpikeSlabMeans(0.9, 0.0, 22.0),
-                    n_individuals=10_000, n_replications=2, seed=3)
-    sweep_arms(cfg, [2, 5, 10, 25, 50, 100])
-    assert sizes == [0, 0]
-    sizes.clear()
-    profile = StudyProfile(name="pg", s=0.007, sigma=0.267, rho=0.8, sigma_eps=0.2, m=20)
-    elasticity_table(profile, settings=SimSettings(n_individuals=10_000, n_replications=2))
-    assert sizes == [20 * simulate._block_size(20)] * 2
 
 
 def test_simulate_gain_keeps_no_state_between_calls() -> None:
     # two threads run batches of widths 40, 23 and 7 at once, several times
     # each, one of them on a pool of its own: every result has the bits of
-    # the same batch run serially
+    # the same batch run serially. The width-7 batch has fixed means and
+    # spans four blocks of draws
     batches = {
         "wide": nested_batches()[5],
         "counterfactual": counterfactual_batches()[1],
-        "narrow": [SimConfig(m=7, sigma=0.8, rho=-0.1, dist=NormalMeans(0.0, 0.3), sigma_eps=0.2,
-                             n_individuals=3 * simulate._block_size(7) + 1, n_replications=3,
-                             seed=5)],
+        "narrow": [SimConfig(m=7, sigma=0.8, rho=-0.1, dist=FixedMeans(np.linspace(0.0, 0.3, 7)),
+                             sigma_eps=0.2, n_individuals=3 * simulate._block_size(7) + 1,
+                             n_replications=3, seed=5)],
     }
     want = {name: simulate_gain(batch) for name, batch in batches.items()}
     calls = [[("wide", 2), ("narrow", 1)] * 3, [("counterfactual", 1), ("narrow", 1)] * 3]
@@ -935,22 +875,27 @@ class CountingGenerator:
 def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
     monkeypatch, sigma_eps, n_by_m_draws
 ) -> None:
-    """No config needs the noise drawn: each replication draws eps, m x n
-    (one block), and no other m x n array, whatever sigma_eps; the results
-    keep the bits of the reference."""
+    """No config needs the noise drawn. Each fixed-means config draws eps,
+    m x n (one block), once per replication and no other m x n array,
+    whatever sigma_eps; a random-means replication draws its m means alone.
+    The results keep the bits of the references."""
     sizes: list = []
     monkeypatch.setattr(simulate, "stream", lambda *key: CountingGenerator(stream(*key), sizes))
     n, m, reps = 50, 3, 4
-    cfgs = [SimConfig(m=m, sigma=1.0 + k, rho=0.2 - 0.3 * k, dist=NormalMeans(0.0, 1.0),
+    cfgs = [SimConfig(m=m, sigma=1.0 + k, rho=0.2 - 0.3 * k, dist=FixedMeans([0.1, -0.2, 0.3]),
                       sigma_eps=e, n_individuals=n, n_replications=reps)
             for k, e in enumerate(sigma_eps)]
     results = simulate_gain(cfgs)
-    assert sizes.count((m, n)) == n_by_m_draws * reps
-    # per replication: the means and eps (one row per arm); every config's
-    # means come from the one draw of them
-    assert sizes == [m, (m, n)] * reps
+    assert sizes == [(m, n)] * (n_by_m_draws * len(cfgs) * reps)
     for cfg, result in zip(cfgs, results):
         assert result.per_replication_gains == reference_gains(cfg), cfg
+    sizes.clear()
+    cfgs = [replace(cfg, dist=NormalMeans(0.0, 1.0)) for cfg in cfgs]
+    results = simulate_gain(cfgs)
+    assert sizes == [m] * reps
+    for cfg, result in zip(cfgs, results):
+        values = [means_values(cfg, rep, m) for rep in range(reps)]
+        assert result.per_replication_gains == tuple(v_p - v_u for v_p, v_u in values), cfg
 
 
 def traced_memory(batch: list[SimConfig], n_jobs: int) -> tuple[int, int]:
@@ -973,8 +918,9 @@ def traced_memory(batch: list[SimConfig], n_jobs: int) -> tuple[int, int]:
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_a_narrower_noisy_config_needs_no_second_scratch_array(n_jobs) -> None:
-    # no config draws the noise, and sigma_eps > 0 on the m = 90 config
-    # costs no n x 90 array for its Yhat beside its Y' scratch
+    # no config draws the noise, and sigma_eps > 0 on the m = 90 config of a
+    # random-means batch costs no n x 90 array: its pick probabilities take
+    # a few arrays of one row per arm
     n = 2_000
 
     def batch(sigma_eps: float) -> list[SimConfig]:
@@ -987,18 +933,17 @@ def test_a_narrower_noisy_config_needs_no_second_scratch_array(n_jobs) -> None:
     noisy_peak, noisy_end = traced_memory(batch(0.5), n_jobs)
     assert noisy_peak - quiet_peak <= n * 90 * 8 / 4
     # every array goes when the call returns; what stays is the
-    # interpreter's own bookkeeping, far less than a block's row of
-    # individuals' best predictions (1,310 cells, 10 kB)
+    # interpreter's own bookkeeping
     assert quiet_end < 8_192 and noisy_end < 8_192
 
 
 def test_a_large_batch_holds_one_block_of_draws_whatever_n() -> None:
-    # n = 200,000 at m up to 100 would be a 160 MB draw matrix; each thread
-    # holds a 100 x 1,310 block of eps and a 50 x 1,310 scratch, 1.6 MB
-    base = dict(sigma=1.0, rho=0.3, dist=NormalMeans(0.0, 0.5), n_individuals=200_000,
+    # n = 200,000 at m = 100 would be a 160 MB draw matrix; the kernel holds
+    # a 100 x 1,310 block of eps and its marks, 1.2 MB, one config at a time
+    base = dict(dist=FixedMeans(np.linspace(0.0, 0.5, 100)), n_individuals=200_000,
                 n_replications=2, seed=3)
-    batch = [SimConfig(m=2, **base), SimConfig(m=50, sigma_eps=0.5, **base),
-             SimConfig(m=100, **base)]
+    batch = [SimConfig(m=100, sigma=1.0, rho=0.3, sigma_eps=0.5, **base),
+             SimConfig(m=100, sigma=2.0, rho=-0.01, **base)]
     peak, end = traced_memory(batch, 1)
     assert peak < 4_000_000
     assert end < 8_192
@@ -1127,6 +1072,124 @@ def test_expected_max_of_normals_known_values() -> None:
     pdf = math.exp(-0.5 * ((a - b) / t) ** 2) / math.sqrt(2.0 * math.pi)
     assert expected_max_of_shifted_normals((a, b), scale) == pytest.approx(
         a * cdf + b * (1.0 - cdf) + t * pdf, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# values given the means
+
+
+def test_norm_cdf_matches_erfc_on_its_smaller_tail_and_never_decreases() -> None:
+    # within 1e-7 of the smaller tail, min(Phi, 1 - Phi), plus the rounding
+    # of 1 - tail to a float near 1
+    x = np.linspace(-40.0, 40.0, 40_001)
+    want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    tail = np.minimum(want, 1.0 - want)
+    assert np.all(np.abs(simulate._norm_cdf(x) - want) <= 1e-7 * tail + 2.0 ** -53)
+    assert simulate._norm_cdf(np.zeros(1))[0] == 0.5
+    assert np.all(np.diff(simulate._norm_cdf(np.linspace(-40.0, 40.0, 2_000_001))) >= 0.0)
+
+
+VALUE_MEANS = [
+    ((0.0, 0.0, 0.0), 1.0),
+    ((1.2, 1.0, 0.9), 1.5),
+    ((0.5, 0.3, 0.0, -0.2), 0.2),
+    ((3.0, 0.4, -1.0, 2.2, 2.9, 0.0, 1.1, 2.95, -0.5, 0.6), 0.7),
+    ((100.0, 70.0, 69.0), 1.0),
+]
+
+
+@pytest.mark.parametrize("mu, t", VALUE_MEANS)
+def test_value_without_prediction_noise_is_the_expected_max(mu, t) -> None:
+    # k = 1: V(mu, t, 1) = E[max_j (mu_j + t e_j)], by the tests' own
+    # quadrature with math.erfc
+    got = simulate._value(np.array(mu), t, 1.0)
+    assert got == pytest.approx(expected_max_of_shifted_normals(mu, t), rel=1e-9)
+
+
+def pick_probabilities(mu: Sequence[float], t: float) -> np.ndarray:
+    """P(J = j) for J = argmax_j (mu_j + t e_j): the integral over x of
+    phi((x - mu_j) / t) / t times prod_{l != j} Phi((x - mu_l) / t), by the
+    trapezoid rule with math.erfc, 12 scales beyond the means."""
+    x = np.linspace(min(mu) - 12.0 * t, max(mu) + 12.0 * t, 20_001)
+    cdf = [np.array([0.5 * math.erfc((mean - v) / (t * math.sqrt(2.0))) for v in x])
+           for mean in mu]
+    probs = []
+    for j, mean in enumerate(mu):
+        f = np.exp(-0.5 * ((x - mean) / t) ** 2) / (t * math.sqrt(2.0 * math.pi))
+        for l, other in enumerate(cdf):
+            if l != j:
+                f = f * other
+        probs.append(float(np.sum((f[1:] + f[:-1]) * np.diff(x)) / 2.0))
+    return np.array(probs)
+
+
+@pytest.mark.parametrize("mu, t", VALUE_MEANS[:4])
+def test_pick_probabilities_sum_to_one_and_match_their_integrals(mu, t) -> None:
+    # the best arm's first, then the others in arm order; with k = 0 the
+    # value is E[mu_J], their mean of mu
+    mu = np.array(mu)
+    probs = simulate._pick_probabilities(*simulate._race(mu, t))
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    best = int(np.argmax(mu))
+    want = pick_probabilities(mu, t)
+    np.testing.assert_allclose(probs, [want[best], *np.delete(want, best)], rtol=0, atol=1e-9)
+    assert simulate._value(mu, t, 0.0) == pytest.approx(float(want @ mu), rel=0, abs=1e-9)
+
+
+def test_gains_without_prediction_noise_are_never_negative() -> None:
+    # one arm 30 c ahead, all arms tied, and random means at m = 2 to 100
+    # with ties (spike-slab) and near-ties (a tiny s): each E[gain | mu] is
+    # >= 0 after rounding, so _summarize's check holds
+    c = 1.3
+    for mu in (np.array([30.0 * c] + [0.0] * 4), np.zeros(7), np.zeros(100)):
+        for n in (1, 2, 10_000):
+            assert simulate._value(mu, c, 1.0) >= simulate._value(mu, c / math.sqrt(n), 1.0)
+    assert simulate._value(np.array([30.0 * c, 0.0]), c, 1.0) == 30.0 * c
+    m_values = [2, 3, 4, 6, 10, 17, 30, 50, 75, 100]
+    for dist in (SpikeSlabMeans(0.9, 0.0, 40.0), NormalMeans(0.0, 1e-9), NormalMeans(0.0, 30.0)):
+        cfgs = [SimConfig(m=m, sigma=c, rho=0.2, dist=dist, n_individuals=10_000,
+                          n_replications=20, seed=3) for m in m_values]
+        for result in simulate_gain(cfgs):
+            assert min(result.per_replication_gains) >= 0.0
+
+
+def test_no_spread_gives_exactly_zero_gain_without_warnings() -> None:
+    # sigma = 0, or rho = 1: every individual's outcomes are the means, so
+    # both policies get the best one, and no division by the zero scale runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma, rho in ((0.0, 0.3), (2.0, 1.0)):
+            for dist in (NormalMeans(0.0, 1.0), SpikeSlabMeans(0.5, 0.0, 1.0)):
+                result = simulate_gain(SimConfig(m=4, sigma=sigma, rho=rho, dist=dist,
+                                                 n_individuals=100, n_replications=5))
+                assert result.per_replication_gains == (0.0,) * 5
+                assert result.gain_mean == 0.0 and result.gain_se == 0.0
+
+
+@pytest.mark.parametrize("m, sigma, rho, sigma_eps, n", [
+    (2, 1.0, 0.0, 0.0, 1_000), (5, 1.5, -0.2, 0.0, 100), (20, 0.267, 0.8, 0.2, 10_000),
+    (100, 10.0, 0.9, 3.0, 7),
+])
+def test_equal_random_means_give_the_exact_gain_with_zero_se(m, sigma, rho, sigma_eps, n) -> None:
+    # NormalMeans(s=0), simulate's and sweep's default, leaves nothing random
+    cfg = SimConfig(m=m, sigma=sigma, rho=rho, dist=NormalMeans(0.4, 0.0), sigma_eps=sigma_eps,
+                    n_individuals=n, n_replications=7, seed=2)
+    result = simulate_gain(cfg)
+    assert result.gain_se == 0.0
+    assert result.gain_mean == pytest.approx(exact_gain(cfg), rel=1e-9)
+
+
+def test_a_value_given_the_means_that_overflows_raises_config_error_from_score(
+    monkeypatch,
+) -> None:
+    # every mean is finite, but v E[max of 100 normals] exceeds float64
+    score, scored = simulate._score, []
+    monkeypatch.setattr(simulate, "_score", lambda *args: scored.append(args) or score(*args))
+    cfg = SimConfig(m=100, sigma=1e308, rho=0.0, dist=NormalMeans(0.0, 1.0), n_individuals=100,
+                    n_replications=2, seed=7)
+    with pytest.raises(ConfigError, match="the outcomes overflow float64"):
+        simulate_gain(cfg)
+    assert not all(math.isfinite(v) for v in scored[-1])
 
 
 # --------------------------------------------------------------------------
