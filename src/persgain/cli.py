@@ -325,9 +325,9 @@ class _CommandParser(argparse.ArgumentParser):
                 "--jobs",
                 type=int,
                 default=os.cpu_count() or 1,
-                help="worker threads; results are identical at any level (BLAS runs "
-                     "one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or "
-                     "MKL_NUM_THREADS says otherwise)",
+                help="worker threads, but one for random means under 256 arms in all; "
+                     "results are identical at any level (BLAS runs one thread unless "
+                     "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS says so)",
             )
         for name, (kind, _, *flag_help) in _table(self.command).items():
             if kind is not None:

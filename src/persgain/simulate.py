@@ -29,17 +29,21 @@ policy has t = c, and the uniform one, which picks on column means, t =
 c / sqrt(n). So a replication of NormalMeans or SpikeSlabMeans draws its
 means alone and scores them by E[v_p | mu] = V(mu, c, k) and E[v_u | mu] =
 V(mu, c / sqrt(n), k), one-dimensional integrals that `_value` takes on one
-fixed grid; per_replication_gains are E[gain | mu]. With s = 0 nothing
-random is left, and the gain is exact, with SE 0.
+fixed grid; per_replication_gains are E[gain | mu]. Values are kept as
+distances from max mu, and means as distances from the distribution's
+mean, so no large mean cancels the gain away. With s = 0 the gain is
+exact, SE 0. Spike-slab means all tie with probability
+q = pi_spike^m, a case scored exactly: a replication draws its means given
+a slab arm and weights its values q to 1 - q with the tied ones
+(stratified sampling), so no run of tied draws reports SE 0.
 
-FixedMeans configs keep the individual-level kernel (`_individuals`), since
-with nothing to draw it would be exact at finite n. A replication draws eps
-for its n individuals in blocks of B = max(1, BLOCK_CELLS // m), each m x b
-and arm-major, and adds up, block by block, each individual's best
-prediction, each arm's sum of predictions and, with sigma_eps > 0, each
-arm's count of individuals whose best arm it is; its values come from those
-sums. It holds one block of draws whatever n is, and nothing once it ends.
-The block size is part of the draw layout.
+FixedMeans configs keep the individual-level kernel (`_individuals`) so
+that their outputs keep their bits, though V would give their exact gain.
+A replication draws eps for its n individuals in blocks of B = max(1,
+BLOCK_CELLS // m), each m x b and arm-major, and adds up, block by block,
+each individual's best prediction, each arm's sum of predictions and, with
+sigma_eps > 0, each arm's count of individuals whose best arm it is; its
+values come from those sums. It holds one block of draws whatever n is.
 
 Replication r of a run with seed k uses stream(k, r), the generator of
 SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
@@ -47,16 +51,11 @@ so any parallelism degree yields bit-identical results, and two runs that
 differ only in (sigma, rho, sigma_eps, dist parameters) consume identical
 draws: sweeps over those knobs are common-random-number coupled.
 
-`simulate_gain` also runs a batch of configs of one draw layout: one seed,
-n_individuals, n_replications and kind of mean distribution, and a batch
-that mixes layouts raises ConfigError before anything is drawn. A random-
+`simulate_gain` also runs a batch of configs of one draw layout. A random-
 means replication draws the variates of W means once, W the batch's largest
-m, and a config with m arms maps them to its own means and keeps the first
-m (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, section
-4.2). So a config with the batch's largest m is bit-identical to running it
-alone, and a narrower one differs from a lone run within Monte Carlo error.
-A fixed-means batch takes one m and scores each config on its own, on the
-same streams.
+m, and a config with m arms maps the first m of them to its own means
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2003, section
+4.2); a fixed-means batch takes one m and scores each config alone.
 """
 
 from __future__ import annotations
@@ -94,7 +93,9 @@ class _Means:
     """A distribution of m average responses in two steps: `variates`
     draws the random numbers behind them from a generator, and `means`
     maps those to the m means. A batch draws the variates once at its
-    widest m, and each config maps them to its own means."""
+    widest m, and each config maps them to its own. A random kind also has
+    `tied(m)`, P(all m means are one), and `offsets(variates, m)`, the
+    first m means less `mean` given not tied."""
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         return self.means(self.variates(m, rng))
@@ -140,6 +141,12 @@ class NormalMeans(_Means):
     def means(self, variates: np.ndarray) -> np.ndarray:
         return self.mean + self.s * variates
 
+    def tied(self, m: int) -> float:
+        return 0.0
+
+    def offsets(self, variates: np.ndarray, m: int) -> np.ndarray:
+        return self.s * variates[:m]
+
 
 @dataclass(frozen=True)
 class SpikeSlabMeans(_Means):
@@ -166,6 +173,21 @@ class SpikeSlabMeans(_Means):
     def means(self, variates: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         uniform, normal = variates
         return np.where(uniform < self.pi_spike, self.mean, self.mean + self.s * normal)
+
+    def tied(self, m: int) -> float:
+        return self.pi_spike ** m if self.s else 1.0
+
+    def offsets(self, variates: tuple[np.ndarray, np.ndarray], m: int) -> np.ndarray:
+        """In arm order: while all so far are the spike, arm j is a slab with
+        probability (1 - pi) / (1 - pi^r), r the arms left, j included; from
+        the first slab on, each arm is one with probability 1 - pi."""
+        if self.tied(m) == 1.0:
+            return np.zeros(m)
+        uniform, left = variates[0][:m], self.pi_spike ** np.arange(m, 0, -1)
+        first = int(np.argmax(uniform >= (self.pi_spike - left) / (1.0 - left)))
+        slab = (uniform >= self.pi_spike) & (np.arange(m) > first)
+        slab[first] = True
+        return np.where(slab, self.s * variates[1][:m], 0.0)
 
 
 AvgResponseDist = Union[FixedMeans, NormalMeans, SpikeSlabMeans]
@@ -268,12 +290,13 @@ def _layout(cfg: SimConfig) -> tuple:
     return (cfg.seed, cfg.n_individuals, cfg.n_replications, type(cfg.dist).__name__)
 
 
-def _score(v_p: float, v_u: float) -> tuple[float, float]:
-    """(v_p, v_u), checked finite."""
+def _score(top: float, off_p: float, off_u: float, centre: float = 0.0) -> tuple:
+    """(top, off_p, off_u), with v_p = centre + top + off_p and v_u checked finite."""
+    v_p, v_u = centre + top + off_p, centre + top + off_u
     if not (math.isfinite(v_p) and math.isfinite(v_u)):
         raise ConfigError(f"non-finite replication values (v_p={v_p}, v_u={v_u}): "
                           "the outcomes overflow float64")
-    return v_p, v_u
+    return top, off_p, off_u
 
 
 # the cells of one block of draws of the individual-level kernel: B =
@@ -290,27 +313,19 @@ def _block_size(width: int) -> int:
 def sample_potential_outcomes(
     cfg: SimConfig, rng: np.random.Generator, *more: SimConfig, out: np.ndarray | None = None,
 ) -> tuple | np.ndarray:
-    """The next draws of a replication of a batch from rng, the
-    replication's stream(cfg.seed, rep). cfg is the batch's widest config,
-    of W = cfg.m arms, and `more` holds the others, which share its draw
-    layout.
-
-    A replication's first call, without `out`, draws the variates of the
-    W means and returns each config's means, (mu, *more_mu): a config in
-    `more` maps the same variates to its own W means and keeps the first m.
-    That is all a random-means replication draws. A fixed-means one then
-    draws, call by call, each block of eps into `out`, a W x b array,
-    arm-major: one row of b standard normals per arm, for the block's b
-    individuals, with the bits that drawing a new array of its shape would
-    give. It returns `out`.
-
-    No config draws prediction noise, whatever its sigma_eps, nor the arms'
-    common term (module docstring).
-    """
+    """The next draws of a replication from rng, its stream(cfg.seed, rep);
+    cfg is the batch's widest config, of W = cfg.m arms, and `more` holds
+    the others. The first call, without `out`, draws the W means' variates
+    and returns (mu,) for fixed means, else the offsets of cfg and of each
+    config in `more` (`_Means`): all a random-means replication draws. A
+    fixed-means one then draws each block of eps into `out`, W x b and
+    arm-major, with the bits of a new array of that shape, and returns it."""
     if out is not None:
         return rng.standard_normal(out=out)
     variates = cfg.dist.variates(cfg.m, rng)
-    return (cfg.dist.means(variates), *(point.dist.means(variates)[: point.m] for point in more))
+    if isinstance(cfg.dist, FixedMeans):
+        return (cfg.dist.means(variates),)
+    return tuple(point.dist.offsets(variates, point.m) for point in (cfg, *more))
 
 
 def _scales(cfg: SimConfig) -> tuple[float, float]:
@@ -361,7 +376,7 @@ def _individuals(cfg: SimConfig, rep: int) -> tuple[float, float]:
         # mu_p sums hits * mu: a BLAS dot raised peak RSS by about 0.1 MB
         q, mu_p, mu_u = shrink * shrink, float((hits * mu).sum()) / n, float(mu[uniform])
         v_p, v_u = mu_p + q * (v_p - mu_p), mu_u + q * (v_u - mu_u)
-    return _score(v_p, v_u)
+    return _score(0.0, v_p, v_u)
 
 
 # Hart's double-precision rational approximation of the normal tail, as given
@@ -397,71 +412,79 @@ def _norm_cdf(x: np.ndarray) -> np.ndarray:
 # Phi(u) < 7e-16, and above it each other arm's 1 - Phi(u + d) is smaller.
 # An arm _REACH or more below the best, in units of t, has Phi(u + d) = 1.0
 # on the whole grid and a pick probability below 1e-30: both integrals leave
-# it out
+# it out. The other arms go _ROWS at a time: a few _ROWS x 129 arrays at any m
 _U = np.linspace(-8.0, 8.0, 129)
 _STEP = 0.125
 _REACH = 17.0
+_ROWS = BLOCK_CELLS // len(_U)
 _CDF_U, _PDF_U = _norm_cdf(_U), np.exp(-0.5 * _U * _U)
 
 
-def _race(mu: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For H_j = mu_j + t e_j, t > 0, and the best arm (the first max of
-    mu): the lags d_j = (max mu - mu_j) / t of the other arms within reach,
-    Phi(u + d_j) on the grid, one row per arm, and their product
-    P(u) = P(every other arm's e_j - d_j < u)."""
+def _race(mu: np.ndarray, t: float, picks: bool = True) -> tuple[np.ndarray, float, float]:
+    """For H_j = mu_j + t e_j, t > 0, the best arm B (the first max of mu)
+    and lags d_j = (max mu - mu_j) / t: P(u) = P(every other arm's e_j - d_j
+    < u) on the grid, one product over the arms in order however grouped in
+    rows, and, if `picks`, P(J = B) and E[d_J], J = argmax H, from pick
+    probabilities int phi(u + d_j) prod_{l != j} Phi(u + d_l) du summing to 1."""
     best = int(np.argmax(mu))
     lags = (mu[best] - mu) / t
     lags = lags[(lags < _REACH) & (np.arange(len(mu)) != best)]
-    cdf = _norm_cdf(_U + lags[:, None])
-    return lags, cdf, cdf.prod(axis=0)
-
-
-def _pick_probabilities(lags: np.ndarray, cdf: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """Each arm's probability of holding the max of H, from `_race`: the
-    best arm's first, then those of the arms of `lags`. Arm j's is the
-    integral of phi(u + d_j) prod_{l != j} Phi(u + d_l) du; they are
-    normalized to sum to 1."""
-    inner = _CDF_U * below
-    weights = np.append((_PDF_U * below).sum(),
-                        (np.exp(-0.5 * (_U + lags[:, None]) ** 2) / cdf * inner).sum(axis=1))
-    return weights / weights.sum()
+    below, sums = np.ones(len(_U)), np.zeros((2, len(_U)))
+    for start in range(0, len(lags), _ROWS):
+        rows = lags[start:start + _ROWS, None]
+        cdf = _norm_cdf(_U + rows)
+        below = np.concatenate((below[None], cdf)).prod(axis=0)
+        if picks:  # phi(u + d_j) / Phi(u + d_j): arm j's density over its factor of P
+            ratio = np.exp(-0.5 * (_U + rows) ** 2) / cdf
+            sums += ratio.sum(axis=0), (ratio * rows).sum(axis=0)
+    weight, (others, lag) = float((_PDF_U * below).sum()), (sums * (_CDF_U * below)).sum(axis=1)
+    return below, weight / (weight + others), float(lag) / (weight + others)
 
 
 def _value(mu: np.ndarray, t: float, k: float) -> float:
-    """V(mu, t, k) = (1-k) E[mu_J] + k E[max_j H_j], the value given the
-    means of a policy that picks the max of H_j = mu_j + t e_j (module
-    docstring). E[max H] = max mu + t times the integral of
-    Phi(u) (1 - P(u)) du: the integrand is >= 0 and grows with t cell by
-    cell, so with k = 1 (sigma_eps = 0) V never falls as t grows, and the
-    gain V(mu, c, 1) - V(mu, c / sqrt(n), 1) is >= 0 after rounding too."""
-    top = float(mu.max())
+    """V(mu, t, k) - max mu, V = (1-k) E[mu_J] + k E[max_j H_j] the value
+    given the means of a policy that picks the max of H_j = mu_j + t e_j
+    (module docstring): E[max H] = max mu + t int Phi(u) (1 - P(u)) du, and
+    E[mu_J] = max mu - t E[d_J] (`_race`). The integrand is >= 0 and grows
+    with t cell by cell, so with k = 1 (sigma_eps = 0) the gain
+    _value(mu, c, 1) - _value(mu, c / sqrt(n), 1) is >= 0 after rounding."""
     if not t:
-        return top
-    lags, cdf, below = _race(mu, t)
-    peak = top + t * (float((_CDF_U * (1.0 - below)).sum()) * _STEP)
+        return 0.0
+    below, _, lag = _race(mu, t, picks=k != 1.0)
+    peak = t * (float((_CDF_U * (1.0 - below)).sum()) * _STEP)
     if k == 1.0:
         return peak
-    probs = _pick_probabilities(lags, cdf, below)
-    return (1.0 - k) * (top - t * float((probs[1:] * lags).sum())) + k * peak
+    return k * peak - (1.0 - k) * (t * lag)
 
 
-def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float]]:
-    """(v_p, v_u) in replication `rep` for cfg, its batch's widest config,
-    then each config in `more`. With random means, one
-    `sample_potential_outcomes` call draws the replication's means, and each
-    config's values are V(mu, c, k) and V(mu, c / sqrt(n), k) at its own
-    means (module docstring). With fixed means each config runs the
-    individual-level kernel alone, on the same stream."""
+def _expected(cfg: SimConfig, mu: np.ndarray) -> tuple[float, float, float]:
+    """(max mu, _value(mu, c, k), _value(mu, c / sqrt(n), k)) at a random-means
+    cfg's untied offsets mu, weighted 1 - q to q with the tied case's, q =
+    cfg.dist.tied(m), where E[max H] = t E[max of m standard normals]. Each
+    term of off_p is >= its term of off_u: with sigma_eps = 0, so is the gain."""
+    c, shrink = _scales(cfg)
+    k, t_u = shrink * shrink, c / math.sqrt(cfg.n_individuals)
+    top, off_p, off_u = float(mu.max()), _value(mu, c, k), _value(mu, t_u, k)
+    if q := cfg.dist.tied(cfg.m):
+        spread = float((_CDF_U * (1.0 - _CDF_U ** (cfg.m - 1))).sum()) * _STEP
+        top, off_p, off_u = ((1.0 - q) * top, q * (k * (c * spread)) + (1.0 - q) * off_p,
+                             q * (k * (t_u * spread)) + (1.0 - q) * off_u)
+    return _score(top, off_p, off_u, cfg.dist.mean)
+
+
+def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float, float]]:
+    """(top, off_p, off_u) in replication `rep` for cfg, the batch's widest,
+    then each config in `more`: v_p = top + off_p (plus a random mean's
+    centre, which `_summarize` adds), and v_u alike. Random means come from
+    `_expected`; fixed means from the individual-level kernel, top = 0."""
     points = (cfg, *more)
     if isinstance(cfg.dist, FixedMeans):
         return [_individuals(point, rep) for point in points]
-    means = sample_potential_outcomes(cfg, stream(cfg.seed, rep), *more)
-    values = []
-    for point, mu in zip(points, means):
-        c, shrink = _scales(point)
-        k = shrink * shrink
-        values.append(_score(_value(mu, c, k), _value(mu, c / math.sqrt(point.n_individuals), k)))
-    return values
+    offsets = sample_potential_outcomes(cfg, stream(cfg.seed, rep), *more)
+    return [_expected(point, mu) for point, mu in zip(points, offsets)]
+
+
+_POOLED_ARMS = 256  # fewer random-means arms in a batch run on one thread
 
 
 def simulate_gain(
@@ -469,20 +492,17 @@ def simulate_gain(
 ) -> SimResult | list[SimResult]:
     """Run cfg.n_replications independent replications and aggregate. Given
     a sequence of configs instead, one SimResult per config, in order, from
-    one batch whose configs share each replication's draws (see the module
+    one batch whose configs share each replication's draws (module
     docstring): a config with the batch's largest m is bit-identical to
-    running it alone. The configs must share one draw layout (`_layout`),
-    and a fixed-means config must have the batch's largest m; a batch that
-    breaks either rule raises ConfigError, naming the first config that
-    does, before anything is drawn.
+    running it alone. A batch of several draw layouts (`_layout`), or a
+    fixed-means config narrower than its batch, raises ConfigError naming
+    the first such config, before anything is drawn.
 
-    n_jobs > 1 runs a fixed-means batch's replications on a thread pool;
-    results are keyed by replication, so the output is identical for any
-    n_jobs. A random-means replication is a few dozen numpy calls on arrays
-    of a few thousand cells, which threads only contend for (on a 2-core
-    box, criterion 7's batches took 2.4 times as long on two threads as on
-    one), so those run in order on the calling thread.
-    """
+    n_jobs > 1 runs the replications on a thread pool, keyed by
+    replication, so the output is identical for any n_jobs; but threads
+    only contend for a random-means batch's small arrays below _POOLED_ARMS
+    arms (2-core box: two threads took 2.5 times as long as one at m = 20,
+    1.7 at the m = 2..100 sweep, 1.1 at m = 200, 0.6 at m = 400 and 1,000)."""
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     single = isinstance(cfg, SimConfig)
@@ -502,21 +522,21 @@ def simulate_gain(
                 f"config {index} has {point.m} fixed means, but its batch draws m = {widest.m} "
                 "arms: a fixed-means batch takes one m")
     reps = range(widest.n_replications)
-    if n_jobs == 1 or len(reps) == 1 or not isinstance(widest.dist, FixedMeans):
+    pooled = isinstance(widest.dist, FixedMeans) or sum(point.m for point in cfgs) >= _POOLED_ARMS
+    if n_jobs == 1 or len(reps) == 1 or not pooled:
         done = [_replicate(widest, rep, *rest) for rep in reps]
     else:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             done = list(pool.map(lambda rep: _replicate(widest, rep, *rest), reps))
-    # done holds one row of pairs per replication; its columns follow order
-    pairs = dict(zip(order, zip(*done)))
-    results = [_summarize(point, pairs[index]) for index, point in enumerate(cfgs)]
+    # done holds one row of values per replication; its columns follow order
+    columns = dict(zip(order, zip(*done)))
+    results = [_summarize(point, columns[index]) for index, point in enumerate(cfgs)]
     return results[0] if single else results
 
 
-def _summarize(cfg: SimConfig, values: Sequence[tuple[float, float]]) -> SimResult:
-    v_p = np.array([v[0] for v in values])
-    v_u = np.array([v[1] for v in values])
-    gains = v_p - v_u
+def _summarize(cfg: SimConfig, values: Sequence[tuple[float, float, float]]) -> SimResult:
+    top, off_p, off_u = (np.array(column) for column in zip(*values))
+    gains = off_p - off_u
     if cfg.sigma_eps == 0.0 and np.any(gains < 0):
         raise InternalError("negative per-replication gain with sigma_eps = 0")
     k = math.frexp(float(np.abs(gains).max()))[1]  # gains / 2^k lie in (-1, 1): squares stay finite
@@ -524,11 +544,12 @@ def _summarize(cfg: SimConfig, values: Sequence[tuple[float, float]]) -> SimResu
     # where the two-pass std can leave the mean's rounding
     se = (math.ldexp(float(np.ldexp(gains, -k).std(ddof=1) / math.sqrt(len(gains))), k)
           if gains.min() < gains.max() else 0.0)
+    centre = 0.0 if isinstance(cfg.dist, FixedMeans) else cfg.dist.mean
     return SimResult(
-        gain_mean=float(v_p.mean() - v_u.mean()),
+        gain_mean=float(off_p.mean() - off_u.mean()),
         gain_se=se,
-        v_personalized_mean=float(v_p.mean()),
-        v_uniform_mean=float(v_u.mean()),
+        v_personalized_mean=centre + float((top + off_p).mean()),
+        v_uniform_mean=centre + float((top + off_u).mean()),
         per_replication_gains=tuple(float(g) for g in gains),
     )
 

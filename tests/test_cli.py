@@ -1089,7 +1089,8 @@ def test_evaluate_overflowing_outcome_exits_2_without_output(tmp_path, capsys):
 def test_simulator_overflowing_outcomes_exit_2_without_output(tmp_path, capsys, field):
     # every input is finite; only the values built from them overflow: v
     # E[max of 100 normals] given equal means, means drawn with s = 1e308,
-    # or the individual-level kernel's sums of outcomes near 1e308
+    # or the individual-level kernel's sums of outcomes near 1e308 (a huge
+    # random-means profile mean overflows nothing: the next test)
     if field == "sigma":
         args = ["simulate", "--m", 100, "--sigma", 1e308, "--rho", 0.2,
                 "--n-individuals", 10, "--n-replications", 2]
@@ -1107,6 +1108,24 @@ def test_simulator_overflowing_outcomes_exit_2_without_output(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "non-finite replication values" in err and "overflow float64" in err
     assert not out.exists()
+
+
+def test_predict_with_a_huge_profile_mean_gives_the_gain_of_a_zero_mean(tmp_path):
+    # the means are drawn as distances from the profile's mean, and the gain
+    # as a difference of distances from the best mean: a mean of 1e308 moves
+    # no gain, where the values themselves, near 1e308, would keep none
+    gains = []
+    for mean in (0.0, 1e308):
+        profile = tmp_path / f"mean_{mean}.json"
+        profile.write_text(json.dumps({"name": "huge", "s": 1.0, "sigma": 1.0, "rho": 0.2,
+                                       "sigma_eps": 0.1, "m": 3, "mean": mean}))
+        out = tmp_path / f"out_{mean}"
+        assert run_cli(["predict", "--profile", profile, "--n-individuals", 10,
+                        "--n-replications", 2, "--out", out]) == 0
+        result = json.loads((out / "prediction.json").read_text())
+        gains.append((result["gain_mean"], result["gain_se"]))
+    assert gains[1] == gains[0]
+    assert 0.0 < gains[0][0] < 10.0 and gains[0][1] > 0.0
 
 
 def test_write_json_rejects_non_finite_floats(tmp_path):

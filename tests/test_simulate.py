@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import tracemalloc
@@ -54,6 +55,30 @@ def test_spike_slab_variance() -> None:
     dist = SpikeSlabMeans(pi_spike=0.9, mean=0.0, s=math.sqrt(50.0))
     draws = dist.sample(1000, rng(1))
     assert np.var(draws) == pytest.approx(5.0, rel=0.2)
+
+
+@pytest.mark.parametrize("pi", [0.0, 0.3, 0.9])
+def test_spike_slab_offsets_are_drawn_given_a_slab_arm(pi) -> None:
+    # each spike/slab pattern of m = 3 arms comes up with its probability
+    # given at least one slab arm; a slab arm's offset is s times its normal
+    m, draws, dist, gen = 3, 20_000, SpikeSlabMeans(pi, 5.0, 2.0), rng(4)
+    counts: dict = {}
+    for _ in range(draws):
+        variates = dist.variates(m, gen)
+        offsets = dist.offsets(variates, m)
+        slab = offsets != 0.0
+        np.testing.assert_array_equal(offsets[slab], 2.0 * variates[1][slab])
+        counts[tuple(slab)] = counts.get(tuple(slab), 0) + 1
+    assert dist.tied(m) == pytest.approx(pi ** m, rel=1e-15)
+    for pattern in itertools.product([False, True], repeat=m):
+        slabs = sum(pattern)
+        want = (1 - pi) ** slabs * pi ** (m - slabs) / (1 - pi ** m) if slabs else 0.0
+        se = math.sqrt(want * (1 - want) / draws)
+        assert abs(counts.get(pattern, 0) / draws - want) <= 4 * se, pattern
+    # pi = 1 or s = 0: every mean is the spike, and nothing is left to draw
+    for tied in (SpikeSlabMeans(1.0, 0.0, 2.0), SpikeSlabMeans(0.4, 0.0, 0.0)):
+        assert tied.tied(m) == 1.0
+        np.testing.assert_array_equal(tied.offsets(tied.variates(m, gen), m), np.zeros(m))
 
 
 def test_dist_config_round_trip() -> None:
@@ -206,10 +231,10 @@ def test_rho_above_one_rejected() -> None:
                 n_individuals=40, seed=9) for m, e in ((2, 0.0), (4, 0.7))]),
 ], ids=["sigma_eps_zero", "mixed"])
 def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> None:
-    # a random-means replication draws from stream(seed, rep) the widest
-    # config's W means and nothing else, whatever sigma_eps: no eps and no
-    # prediction noise; each narrower config's means are the first m of the
-    # W means it maps the same variates to
+    # a random-means replication draws from stream(seed, rep) the variates
+    # of the widest config's W means and nothing else, whatever sigma_eps:
+    # no eps and no prediction noise; each config's offsets come from the
+    # first m of those variates
     rep, width, sizes = 3, widest.m, (17, 17, 6)
     assert sum(sizes) == widest.n_individuals
 
@@ -219,12 +244,16 @@ def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> No
 
     (mu, *more_mu), state = draw([widest, *narrower])
     rng = stream(widest.seed, rep)
-    np.testing.assert_array_equal(mu, widest.dist.sample(width, rng), strict=True)
+    variates = widest.dist.variates(width, rng)
+    np.testing.assert_array_equal(mu, widest.dist.offsets(variates, width), strict=True)
     assert state == rng.bit_generator.state
     assert len(more_mu) == len(narrower)
     for cfg, cfg_mu in zip(narrower, more_mu):
-        expected = cfg.dist.sample(width, stream(widest.seed, rep))[: cfg.m]
+        expected = cfg.dist.offsets(cfg.dist.variates(width, stream(widest.seed, rep)), cfg.m)
         np.testing.assert_array_equal(cfg_mu, expected, strict=True)
+    if isinstance(widest.dist, NormalMeans):
+        np.testing.assert_array_equal(widest.dist.mean + mu, widest.dist.sample(width, stream(
+            widest.seed, rep)), strict=True)
     # a batch with sigma_eps > 0 draws exactly what it draws with sigma_eps = 0
     quiet, quiet_state = draw([replace(cfg, sigma_eps=0.0) for cfg in (widest, *narrower)])
     assert quiet_state == state and len(quiet) == 1 + len(narrower)
@@ -232,10 +261,10 @@ def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> No
         np.testing.assert_array_equal(a, b, strict=True)
     # fixed means draw nothing for the means, then eps block by block, each
     # block arm-major (W x b, each arm's b normals contiguous), and no noise
-    fixed = replace(widest, dist=FixedMeans(mu))
+    fixed = replace(widest, dist=FixedMeans(mu + 1.0))
     rng = stream(widest.seed, rep)
     (fixed_mu,) = sample_potential_outcomes(fixed, rng)
-    np.testing.assert_array_equal(fixed_mu, mu, strict=True)
+    np.testing.assert_array_equal(fixed_mu, mu + 1.0, strict=True)
     blocks = [sample_potential_outcomes(fixed, rng, out=np.empty((width, b))) for b in sizes]
     rng = stream(widest.seed, rep)
     for block, b in zip(blocks, sizes):
@@ -309,6 +338,19 @@ def test_determinism_across_parallelism() -> None:
     b = simulate_gain(cfg, n_jobs=4)
     c = simulate_gain(cfg, n_jobs=4)
     assert a == b == c
+
+
+@pytest.mark.parametrize("widths, pooled", [((3,), False), ((100, 92), False), ((200, 56), True)])
+def test_a_random_means_batch_takes_the_pool_from_256_arms(monkeypatch, widths, pooled) -> None:
+    # below 256 arms in all a replication's arrays are too small for threads
+    # to gain on; either way the results have the bits of one thread
+    pools = []
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor",
+                        lambda **kw: pools.append(kw) or ThreadPoolExecutor(**kw))
+    batch = [SimConfig(m=m, sigma=1.0, rho=0.4, dist=NormalMeans(0.0, 1.0), sigma_eps=0.5,
+                       n_individuals=300, n_replications=4, seed=9) for m in widths]
+    assert simulate_gain(batch, n_jobs=2) == simulate_gain(batch, n_jobs=1)
+    assert pools == ([{"max_workers": 2}] if pooled else [])
 
 
 def test_sim_config_validation() -> None:
@@ -461,8 +503,9 @@ def layout_grid() -> list[list[SimConfig]]:
 
 
 def kernel_values(batch: list[SimConfig], n_jobs: int) -> tuple[list, list]:
-    """simulate_gain's results for a batch, and the (v_p, v_u) of each of its
-    configs in each replication, as `_replicate` returned them."""
+    """simulate_gain's results for a batch, and the (top, off_p, off_u) of
+    each of its configs in each replication, as `_replicate` returned them;
+    with fixed means, top is 0 and the offsets are v_p and v_u."""
     replicate, seen = simulate._replicate, {}
 
     def record(cfg, rep, *more):
@@ -485,7 +528,7 @@ def test_batched_kernel_matches_per_config_reference_bit_for_bit(n_jobs) -> None
         assert len(results) == len(batch)
         for cfg, result, per_rep in zip(batch, results, values):
             assert result.per_replication_gains == reference_gains(cfg), cfg
-            assert per_rep == [reference_replicate(cfg, rep)
+            assert per_rep == [(0.0, *reference_replicate(cfg, rep))
                                for rep in range(cfg.n_replications)], cfg
 
 
@@ -503,7 +546,8 @@ def test_a_batch_over_several_blocks_matches_the_reference_bit_for_bit(n_jobs) -
     results, values = kernel_values(batch, n_jobs)
     for cfg, result, per_rep in zip(batch, results, values):
         assert result.per_replication_gains == reference_gains(cfg), cfg
-        assert per_rep == [reference_replicate(cfg, rep) for rep in range(cfg.n_replications)], cfg
+        assert per_rep == [(0.0, *reference_replicate(cfg, rep))
+                           for rep in range(cfg.n_replications)], cfg
     assert results[1] == simulate_gain(batch[1], n_jobs=n_jobs)
 
 
@@ -518,7 +562,7 @@ def test_small_blocks_match_the_reference_bit_for_bit(cells) -> None:
             results, values = kernel_values(batch, 2)
             for cfg, result, per_rep in zip(batch, results, values):
                 assert result.per_replication_gains == reference_gains(cfg), cfg
-                assert per_rep == [reference_replicate(cfg, rep)
+                assert per_rep == [(0.0, *reference_replicate(cfg, rep))
                                    for rep in range(cfg.n_replications)], cfg
 
 
@@ -545,7 +589,7 @@ def test_kernel_values_match_the_whole_matrix_formula_up_to_rounding() -> None:
         _, values = kernel_values(batch, 1)
         for cfg, per_rep in zip(batch, values):
             for rep, kernel in enumerate(per_rep):
-                for got, want in zip(kernel, full_replicate(cfg, rep)):
+                for got, want in zip(kernel[1:], full_replicate(cfg, rep)):
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cfg, rep)
 
 
@@ -570,7 +614,7 @@ def test_max_reduction_kernel_matches_the_argmax_reference(batch, n_jobs) -> Non
     results, values = kernel_values(batch, n_jobs)
     for cfg, result, per_rep in zip(batch, results, values):
         for rep, kernel in enumerate(per_rep):
-            for got, want in zip(kernel, reference_replicate(cfg, rep)):
+            for got, want in zip(kernel[1:], reference_replicate(cfg, rep)):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cfg, rep)
         if cfg.sigma_eps == 0.0:
             assert min(result.per_replication_gains) >= 0.0
@@ -582,8 +626,8 @@ def test_every_individual_tied_goes_to_the_lowest_arm() -> None:
     cfg = SimConfig(m=3, sigma=1.0, rho=0.0, dist=FixedMeans([1e20, 1e20, 0.0]), sigma_eps=1.0,
                     n_individuals=100, n_replications=3, seed=5)
     result, values = kernel_values([cfg], 1)
-    assert values[0] == [reference_replicate(cfg, rep) for rep in range(3)]
-    assert all(v_p == v_u for v_p, v_u in values[0])
+    assert values[0] == [(0.0, *reference_replicate(cfg, rep)) for rep in range(3)]
+    assert all(v_p == v_u for _, v_p, v_u in values[0])
     assert result[0].per_replication_gains == (0.0, 0.0, 0.0)
 
 
@@ -600,12 +644,12 @@ def test_a_tie_between_arms_with_different_means_goes_to_the_lowest() -> None:
     _, values = kernel_values([cfg], 1)
     telling = 0
     for rep, kernel in enumerate(values[0]):
-        assert kernel == reference_replicate(cfg, rep), rep
+        assert kernel == (0.0, *reference_replicate(cfg, rep)), rep
         mu, blocks = reference_draws(cfg, rep)
         yhat = mu + c * blocks[0][:, 0]
         if yhat[0] == yhat[1]:
             first, second = mu + k * (yhat[0] - mu)  # v_p if arm 0, or arm 1, took the tie
-            assert kernel[0] == first, rep
+            assert kernel[1] == first, rep
             telling += first != second
     assert telling >= 10
 
@@ -624,7 +668,7 @@ def test_overflowing_outcomes_raise_config_error_from_score(monkeypatch, sigma_e
         scored.clear()
         with pytest.raises(ConfigError, match="the outcomes overflow float64"):
             simulate_gain(cfgs)
-        assert not all(math.isfinite(v) for v in scored[-1][:2])
+        assert not all(math.isfinite(v) for v in scored[-1][1:3])
 
 
 def unbiasedness_batches() -> list[list[SimConfig]]:
@@ -668,8 +712,10 @@ def test_conditional_estimator_is_unbiased_with_no_larger_variance() -> None:
         for cfg, result, per_rep in zip(batch, results, values):
             reference = [noisy_replicate(replace(cfg, seed=cfg.seed + 1), rep)
                          for rep in range(cfg.n_replications)]
-            got, want = np.array(per_rep).T, np.array(reference).T
-            got_gains, want_gains = got[0] - got[1], want[0] - want[1]
+            top, off_p, off_u = np.array(per_rep).T
+            centre = 0.0 if isinstance(cfg.dist, FixedMeans) else cfg.dist.mean
+            got, want = (centre + top + off_p, centre + top + off_u), np.array(reference).T
+            got_gains, want_gains = off_p - off_u, want[0] - want[1]
             assert result.gain_mean == pytest.approx(got_gains.mean(), rel=1e-12, abs=1e-15)
             for name, a, b in (("gain", got_gains, want_gains), ("v_p", got[0], want[0]),
                                ("v_u", got[1], want[1])):
@@ -714,15 +760,12 @@ def means_grid() -> list[list[SimConfig]]:
     return [normal, spike_slab, mixed_batch]
 
 
-def means_values(cfg: SimConfig, rep: int, width: int) -> tuple[float, float]:
-    """(v_p, v_u) of a random-means config in replication `rep` of a batch
-    drawn at `width` arms, drawing its means itself: V(mu, c, k) and
-    V(mu, c / sqrt(n), k) at the first m of the W means."""
-    mu = cfg.dist.sample(width, stream(cfg.seed, rep))[: cfg.m]
-    c, shrink = simulate._scales(cfg)
-    k = shrink * shrink
-    return (simulate._value(mu, c, k),
-            simulate._value(mu, c / math.sqrt(cfg.n_individuals), k))
+def means_values(cfg: SimConfig, rep: int, width: int) -> tuple[float, float, float]:
+    """(top, off_p, off_u) of a random-means config in replication `rep` of
+    a batch drawn at `width` arms, drawing its offsets itself from the
+    first m of the W means' variates."""
+    mu = cfg.dist.offsets(cfg.dist.variates(width, stream(cfg.seed, rep)), cfg.m)
+    return simulate._expected(cfg, mu)
 
 
 def nested_batches() -> list[list[SimConfig]]:
@@ -895,7 +938,7 @@ def test_prediction_noise_is_drawn_only_when_some_config_needs_it(
     assert sizes == [m] * reps
     for cfg, result in zip(cfgs, results):
         values = [means_values(cfg, rep, m) for rep in range(reps)]
-        assert result.per_replication_gains == tuple(v_p - v_u for v_p, v_u in values), cfg
+        assert result.per_replication_gains == tuple(v_p - v_u for _, v_p, v_u in values), cfg
 
 
 def traced_memory(batch: list[SimConfig], n_jobs: int) -> tuple[int, int]:
@@ -1049,7 +1092,7 @@ def test_values_match_their_exact_expectations_without_prediction_noise(mu, sigm
     cfg = SimConfig(m=len(mu), sigma=sigma, rho=rho, dist=FixedMeans(mu), n_individuals=n,
                     n_replications=reps, seed=61)
     results, values = kernel_values([cfg], 2)
-    v_p, v_u = np.array(values[0]).T
+    _, v_p, v_u = np.array(values[0]).T
     v = sigma * math.sqrt(1.0 - rho)
     for got, per_rep, scale in ((results[0].v_personalized_mean, v_p, v),
                                 (results[0].v_uniform_mean, v_u, v / math.sqrt(n))):
@@ -1101,9 +1144,11 @@ VALUE_MEANS = [
 @pytest.mark.parametrize("mu, t", VALUE_MEANS)
 def test_value_without_prediction_noise_is_the_expected_max(mu, t) -> None:
     # k = 1: V(mu, t, 1) = E[max_j (mu_j + t e_j)], by the tests' own
-    # quadrature with math.erfc
+    # quadrature with math.erfc; _value gives its distance from max mu
+    want = expected_max_of_shifted_normals(mu, t)
     got = simulate._value(np.array(mu), t, 1.0)
-    assert got == pytest.approx(expected_max_of_shifted_normals(mu, t), rel=1e-9)
+    assert max(mu) + got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(want - max(mu), rel=1e-6)
 
 
 def pick_probabilities(mu: Sequence[float], t: float) -> np.ndarray:
@@ -1125,15 +1170,16 @@ def pick_probabilities(mu: Sequence[float], t: float) -> np.ndarray:
 
 @pytest.mark.parametrize("mu, t", VALUE_MEANS[:4])
 def test_pick_probabilities_sum_to_one_and_match_their_integrals(mu, t) -> None:
-    # the best arm's first, then the others in arm order; with k = 0 the
-    # value is E[mu_J], their mean of mu
+    # _race gives the best arm's pick probability and E[d_J], the lag of the
+    # pick, from probabilities it normalizes to sum to 1. With k = 0 the
+    # value is E[mu_J] = max mu - t E[d_J], their mean of mu
     mu = np.array(mu)
-    probs = simulate._pick_probabilities(*simulate._race(mu, t))
-    assert abs(probs.sum() - 1.0) <= 1e-12
-    best = int(np.argmax(mu))
+    _, best_prob, lag = simulate._race(mu, t)
     want = pick_probabilities(mu, t)
-    np.testing.assert_allclose(probs, [want[best], *np.delete(want, best)], rtol=0, atol=1e-9)
-    assert simulate._value(mu, t, 0.0) == pytest.approx(float(want @ mu), rel=0, abs=1e-9)
+    assert abs(want.sum() - 1.0) <= 1e-9
+    assert best_prob == pytest.approx(want[int(np.argmax(mu))], rel=0, abs=1e-9)
+    assert max(mu) - t * lag == pytest.approx(float(want @ mu), rel=0, abs=1e-9)
+    assert max(mu) + simulate._value(mu, t, 0.0) == pytest.approx(float(want @ mu), rel=0, abs=1e-9)
 
 
 def test_gains_without_prediction_noise_are_never_negative() -> None:
@@ -1144,7 +1190,7 @@ def test_gains_without_prediction_noise_are_never_negative() -> None:
     for mu in (np.array([30.0 * c] + [0.0] * 4), np.zeros(7), np.zeros(100)):
         for n in (1, 2, 10_000):
             assert simulate._value(mu, c, 1.0) >= simulate._value(mu, c / math.sqrt(n), 1.0)
-    assert simulate._value(np.array([30.0 * c, 0.0]), c, 1.0) == 30.0 * c
+    assert simulate._value(np.array([30.0 * c, 0.0]), c, 1.0) == 0.0
     m_values = [2, 3, 4, 6, 10, 17, 30, 50, 75, 100]
     for dist in (SpikeSlabMeans(0.9, 0.0, 40.0), NormalMeans(0.0, 1e-9), NormalMeans(0.0, 30.0)):
         cfgs = [SimConfig(m=m, sigma=c, rho=0.2, dist=dist, n_individuals=10_000,
@@ -1190,6 +1236,63 @@ def test_a_value_given_the_means_that_overflows_raises_config_error_from_score(
     with pytest.raises(ConfigError, match="the outcomes overflow float64"):
         simulate_gain(cfg)
     assert not all(math.isfinite(v) for v in scored[-1])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 1_000])
+def test_the_arms_taken_a_few_rows_at_a_time_give_one_product(monkeypatch, rows) -> None:
+    # P(u) has the same bits however many arms each step takes, so the
+    # monotonicity argument holds at any m; the picks agree up to rounding
+    mu = np.array([3.0, 0.4, -1.0, 2.2, 2.9, 0.0, 1.1, 2.95, -0.5, 0.6, 3.0])
+    whole = simulate._race(mu, 0.7)
+    monkeypatch.setattr(simulate, "_ROWS", rows)
+    below, best_prob, lag = simulate._race(mu, 0.7)
+    np.testing.assert_array_equal(below, whole[0], strict=True)
+    assert (best_prob, lag) == pytest.approx(whole[1:], rel=1e-13)
+
+
+def test_a_random_means_replication_holds_a_few_rows_of_arms_whatever_m() -> None:
+    # m = 12,000 arms with sigma_eps > 0 would take about 110 MB of
+    # (m - 1) x 129 arrays at once; the arms go 1,016 rows at a time
+    cfg = SimConfig(m=12_000, sigma=1.0, rho=0.3, dist=NormalMeans(0.0, 0.5), sigma_eps=0.5,
+                    n_individuals=100, n_replications=2, seed=1)
+    peak, end = traced_memory([cfg], 1)
+    assert peak < 16_000_000
+    assert end < 8_192
+
+
+def test_a_huge_common_mean_leaves_the_gain_as_it_is() -> None:
+    # the gain is taken from each value's distance from max mu, and mu from
+    # its distance from the distribution's mean: shifting every mean by
+    # 1e308 moves v_p and v_u alone, where the values themselves, near
+    # 1e308, would keep nothing of a gain near 1
+    for dist in (NormalMeans(0.0, 1.0), SpikeSlabMeans(0.5, 0.0, 1.0)):
+        cfg = SimConfig(m=5, sigma=1.0, rho=0.2, dist=dist, sigma_eps=0.1, n_individuals=10,
+                        n_replications=3, seed=4)
+        near, far = simulate_gain([cfg, replace(cfg, dist=replace(dist, mean=1e308))])
+        assert far.per_replication_gains == near.per_replication_gains
+        assert (far.gain_mean, far.gain_se) == (near.gain_mean, near.gain_se)
+        assert near.gain_se > 0.0
+        assert far.v_personalized_mean == 1e308 + near.v_personalized_mean
+        assert far.v_uniform_mean == 1e308 + near.v_uniform_mean
+
+
+def test_a_few_spike_slab_replications_report_a_positive_se() -> None:
+    # m = 2 at pi = 0.9: each replication's means are tied (both the spike)
+    # with probability 0.81, and 4 replications often are all tied. They
+    # score the tied case exactly and draw at least one slab arm, so each
+    # replication's gain differs and the SE is > 0; pi = 1 leaves nothing
+    # random, and the gain is the exact gain at equal means
+    dist = SpikeSlabMeans(0.9, 0.0, math.sqrt(500.0))
+    for seed in range(1, 11):
+        cfg = SimConfig(m=2, sigma=10.0, rho=0.9, dist=dist, n_individuals=1_000,
+                        n_replications=4, seed=seed)
+        for row in sweep_arms(cfg, [2, 5]):
+            assert row["gain_mean"] > 0.0 and row["gain_se"] > 0.0, (seed, row)
+    spike = replace(cfg, m=5, dist=SpikeSlabMeans(1.0, 0.2, 3.0))
+    result = simulate_gain(spike)
+    assert result.gain_se == 0.0
+    assert result.gain_mean == pytest.approx(exact_gain(replace(spike, dist=NormalMeans(0.2))),
+                                             rel=1e-9)
 
 
 # --------------------------------------------------------------------------
