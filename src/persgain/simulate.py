@@ -37,13 +37,15 @@ q = pi_spike^m, a case scored exactly: a replication draws its means given
 a slab arm and weights its values q to 1 - q with the tied ones
 (stratified sampling), so no run of tied draws reports SE 0.
 
-FixedMeans configs keep the individual-level kernel (`_individuals`) so
-that their outputs keep their bits, though V would give their exact gain.
-A replication draws eps for its n individuals in blocks of B = max(1,
-BLOCK_CELLS // m), each m x b and arm-major, and adds up, block by block,
-each individual's best prediction, each arm's sum of predictions and, with
-sigma_eps > 0, each arm's count of individuals whose best arm it is; its
-values come from those sums. It holds one block of draws whatever n is.
+FixedMeans configs keep the individual-level kernel (`_individuals`) for
+acceptance criterion 1, which allows one of its twenty fixed-means designs
+to miss the n = infinity closed form by over 3 SE: V's exact finite-n
+gain, with SE 0, would miss it on two. The kernel draws eps for its n
+individuals in blocks of B = max(1, BLOCK_CELLS // m), each m x b and
+arm-major, and adds up, block by block, each individual's best
+prediction, each arm's sum of predictions and, with sigma_eps > 0, each
+arm's count of individuals whose best arm it is; its values come from
+those sums. It holds one block of draws whatever n is.
 
 Replication r of a run with seed k uses stream(k, r), the generator of
 SeedSequence(k, spawn_key=(r,)). Streams never depend on execution order,
@@ -51,11 +53,12 @@ so any parallelism degree yields bit-identical results, and two runs that
 differ only in (sigma, rho, sigma_eps, dist parameters) consume identical
 draws: sweeps over those knobs are common-random-number coupled.
 
-`simulate_gain` also runs a batch of configs of one draw layout. A random-
-means replication draws the variates of W means once, W the batch's largest
-m, and a config with m arms maps the first m of them to its own means
-(Glasserman, Monte Carlo Methods in Financial Engineering, 2003, section
-4.2); a fixed-means batch takes one m and scores each config alone.
+`simulate_gain` also runs a batch of configs of one draw layout, in its
+order. The draw step, `sample_potential_outcomes`, draws a random-means
+replication's variates of W means once, W the batch's largest m, and a
+config with m arms maps the first m of them to its own means (Glasserman,
+Monte Carlo Methods in Financial Engineering, 2003, section 4.2). A
+fixed-means batch takes any m, and each config draws its own eps.
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ class FixedMeans(_Means):
     """Deterministic vector of average responses, one entry per arm."""
 
     mu: tuple[float, ...]
+    mean = 0.0  # not a field: the centre `_summarize` adds, as for random means
 
     def __init__(self, mu: Sequence[float]) -> None:
         object.__setattr__(self, "mu", tuple(float(x) for x in mu))
@@ -218,17 +222,6 @@ def rho_lower_bound(m: int) -> float:
     return -1.0 / (m - 1) + 1e-9
 
 
-def _spread(
-    eps: np.ndarray, mu: np.ndarray, scale: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """mu + scale eps, from m arm rows of eps and mu as a column, into
-    `out` (which may be eps) in two passes: Y' at scale
-    sigma sqrt(1-rho), Yhat' at hypot of that and sigma_eps."""
-    out = np.multiply(eps, scale, out=out)
-    out += mu
-    return out
-
-
 # --------------------------------------------------------------------------
 # the simulation proper
 
@@ -304,28 +297,14 @@ def _score(top: float, off_p: float, off_u: float, centre: float = 0.0) -> tuple
 BLOCK_CELLS = 2 ** 17
 
 
-def _block_size(width: int) -> int:
-    """B, the individuals in each block of draws at width W; a
-    replication's last block may hold fewer."""
-    return max(1, BLOCK_CELLS // width)
-
-
-def sample_potential_outcomes(
-    cfg: SimConfig, rng: np.random.Generator, *more: SimConfig, out: np.ndarray | None = None,
-) -> tuple | np.ndarray:
-    """The next draws of a replication from rng, its stream(cfg.seed, rep);
-    cfg is the batch's widest config, of W = cfg.m arms, and `more` holds
-    the others. The first call, without `out`, draws the W means' variates
-    and returns (mu,) for fixed means, else the offsets of cfg and of each
-    config in `more` (`_Means`): all a random-means replication draws. A
-    fixed-means one then draws each block of eps into `out`, W x b and
-    arm-major, with the bits of a new array of that shape, and returns it."""
-    if out is not None:
-        return rng.standard_normal(out=out)
-    variates = cfg.dist.variates(cfg.m, rng)
-    if isinstance(cfg.dist, FixedMeans):
-        return (cfg.dist.means(variates),)
-    return tuple(point.dist.offsets(variates, point.m) for point in (cfg, *more))
+def sample_potential_outcomes(cfg: SimConfig, rng: np.random.Generator, *more: SimConfig) -> tuple:
+    """All a random-means replication draws, from rng, its stream(cfg.seed,
+    rep): the variates of W means, W the largest m of cfg and the configs in
+    `more`. Returns the offsets of cfg and of each config in `more`, each
+    from the first m of those variates (`_Means`)."""
+    points = (cfg, *more)
+    variates = cfg.dist.variates(max(point.m for point in points), rng)
+    return tuple(point.dist.offsets(variates, point.m) for point in points)
 
 
 def _scales(cfg: SimConfig) -> tuple[float, float]:
@@ -344,17 +323,17 @@ def _individuals(cfg: SimConfig, rep: int) -> tuple[float, float]:
     individuals' predictions Yhat' = mu + c eps, drawn and scored block by
     block (module docstring). The uniform arm U is the arm with the largest
     sum of predictions, and both picks are scored by E[Y' | Yhat']."""
-    n, m = cfg.n_individuals, cfg.m
+    n, m, mu = cfg.n_individuals, cfg.m, np.asarray(cfg.dist.mu)
     rng = stream(cfg.seed, rep)
-    (mu,) = sample_potential_outcomes(cfg, rng)
     c, shrink = _scales(cfg)
-    size = min(n, _block_size(m))
+    size = min(n, max(1, BLOCK_CELLS // m))
     cells, marks = np.empty(m * size), np.empty(m * size if cfg.sigma_eps else 0, dtype=bool)
     best_sum, arm_sums, hits = 0.0, np.zeros(m), np.zeros(m)
     for start in range(0, n, size):
         b = min(size, n - start)
-        eps = sample_potential_outcomes(cfg, rng, out=cells[: m * b].reshape(m, b))
-        y = _spread(eps, mu[:, None], c, out=eps)
+        y = rng.standard_normal(out=cells[: m * b].reshape(m, b))
+        y *= c
+        y += mu[:, None]
         best = y.max(axis=0)
         # best >= y[j] cell by cell, and best and each row of y are summed by
         # one pairwise tree: rounding is monotone, so with sigma_eps = 0 the
@@ -473,10 +452,10 @@ def _expected(cfg: SimConfig, mu: np.ndarray) -> tuple[float, float, float]:
 
 
 def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float, float]]:
-    """(top, off_p, off_u) in replication `rep` for cfg, the batch's widest,
-    then each config in `more`: v_p = top + off_p (plus a random mean's
-    centre, which `_summarize` adds), and v_u alike. Random means come from
-    `_expected`; fixed means from the individual-level kernel, top = 0."""
+    """(top, off_p, off_u) in replication `rep` for cfg, then each config in
+    `more`: v_p = top + off_p (plus the means' centre, which `_summarize`
+    adds), and v_u alike. Random means come from `_expected`; fixed means
+    from the individual-level kernel, top = 0."""
     points = (cfg, *more)
     if isinstance(cfg.dist, FixedMeans):
         return [_individuals(point, rep) for point in points]
@@ -494,9 +473,9 @@ def simulate_gain(
     a sequence of configs instead, one SimResult per config, in order, from
     one batch whose configs share each replication's draws (module
     docstring): a config with the batch's largest m is bit-identical to
-    running it alone. A batch of several draw layouts (`_layout`), or a
-    fixed-means config narrower than its batch, raises ConfigError naming
-    the first such config, before anything is drawn.
+    running it alone, as is every fixed-means config. A batch of several
+    draw layouts (`_layout`) raises ConfigError naming the first config off
+    the first one's layout, before anything is drawn.
 
     n_jobs > 1 runs the replications on a thread pool, keyed by
     replication, so the output is identical for any n_jobs; but threads
@@ -509,28 +488,21 @@ def simulate_gain(
     cfgs = [cfg] if single else list(cfg)
     if not cfgs:
         return []
-    # the widest config first: it fixes the width of the draws
-    order = sorted(range(len(cfgs)), key=lambda index: -cfgs[index].m)
-    widest, *rest = (cfgs[index] for index in order)
+    first, *rest = cfgs
     for index, point in enumerate(cfgs):
-        if _layout(point) != _layout(cfgs[0]):
+        if _layout(point) != _layout(first):
             raise ConfigError(
-                f"config {index} has draw layout {_layout(point)}, config 0 {_layout(cfgs[0])}: "
+                f"config {index} has draw layout {_layout(point)}, config 0 {_layout(first)}: "
                 "a batch takes one (seed, n_individuals, n_replications, kind of means)")
-        if isinstance(point.dist, FixedMeans) and point.m != widest.m:
-            raise ConfigError(
-                f"config {index} has {point.m} fixed means, but its batch draws m = {widest.m} "
-                "arms: a fixed-means batch takes one m")
-    reps = range(widest.n_replications)
-    pooled = isinstance(widest.dist, FixedMeans) or sum(point.m for point in cfgs) >= _POOLED_ARMS
+    reps = range(first.n_replications)
+    pooled = isinstance(first.dist, FixedMeans) or sum(point.m for point in cfgs) >= _POOLED_ARMS
     if n_jobs == 1 or len(reps) == 1 or not pooled:
-        done = [_replicate(widest, rep, *rest) for rep in reps]
+        done = [_replicate(first, rep, *rest) for rep in reps]
     else:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            done = list(pool.map(lambda rep: _replicate(widest, rep, *rest), reps))
-    # done holds one row of values per replication; its columns follow order
-    columns = dict(zip(order, zip(*done)))
-    results = [_summarize(point, columns[index]) for index, point in enumerate(cfgs)]
+            done = list(pool.map(lambda rep: _replicate(first, rep, *rest), reps))
+    # done holds one row of values per replication, one column per config
+    results = [_summarize(point, column) for point, column in zip(cfgs, zip(*done))]
     return results[0] if single else results
 
 
@@ -544,12 +516,11 @@ def _summarize(cfg: SimConfig, values: Sequence[tuple[float, float, float]]) -> 
     # where the two-pass std can leave the mean's rounding
     se = (math.ldexp(float(np.ldexp(gains, -k).std(ddof=1) / math.sqrt(len(gains))), k)
           if gains.min() < gains.max() else 0.0)
-    centre = 0.0 if isinstance(cfg.dist, FixedMeans) else cfg.dist.mean
     return SimResult(
         gain_mean=float(off_p.mean() - off_u.mean()),
         gain_se=se,
-        v_personalized_mean=centre + float((top + off_p).mean()),
-        v_uniform_mean=centre + float((top + off_u).mean()),
+        v_personalized_mean=cfg.dist.mean + float((top + off_p).mean()),
+        v_uniform_mean=cfg.dist.mean + float((top + off_u).mean()),
         per_replication_gains=tuple(float(g) for g in gains),
     )
 

@@ -126,25 +126,20 @@ def common_term(z: np.ndarray, eps: np.ndarray, sigma: float, rho: float) -> np.
 
 def outcomes(mu, sigma: float, rho: float, n: int, seed: int = 0) -> np.ndarray:
     """The m x n outcome matrix Y = Y' + sigma c 1 of (mu, sigma, rho), one
-    row per arm: Y', which the kernel scores (`_spread`), plus the common
-    term (`common_term`), which the kernel leaves out since it adds the
-    same mean-0 amount to both policy values. eps is a fixed-means config's,
-    drawn block by block by the draw step for replication 0 of `seed` and
-    joined; z, each individual's common normal, which the simulator never
-    draws, is a row of n normals from a generator of its own."""
+    row per arm: Y' = mu + sigma sqrt(1-rho) eps, which the kernel scores,
+    plus the common term (`common_term`), which the kernel leaves out since
+    it adds the same mean-0 amount to both policy values. eps is what the
+    kernel draws for a fixed-means config in replication 0 of `seed`, block
+    by block, joined; z, each individual's common normal, which the
+    simulator never draws, is a row of n normals from a generator of its own."""
     mu, m = np.asarray(mu, dtype=float), len(mu)
-    cfg = SimConfig(m=m, sigma=sigma, rho=rho, dist=FixedMeans(mu),
-                    n_individuals=n, n_replications=1, seed=seed)
-    rng, size = stream(seed, 0), simulate._block_size(m)
-    sample_potential_outcomes(cfg, rng)  # the fixed means, which draw nothing
-    blocks = [sample_potential_outcomes(cfg, rng, out=np.empty((m, min(size, n - start))))
-              for start in range(0, n, size)]
+    rng, size = stream(seed, 0), max(1, simulate.BLOCK_CELLS // m)
+    blocks = [rng.standard_normal((m, min(size, n - start))) for start in range(0, n, size)]
     eps = np.concatenate(blocks, axis=1)
     assert eps.shape == (m, n) and len(blocks) == -(-n // size)
     z = np.random.default_rng(seed).standard_normal((1, n))
-    common = common_term(z, eps, sigma, rho)  # taken before eps is overwritten
-    spread = simulate._spread(eps, mu[:, None], sigma * math.sqrt(1.0 - rho), out=eps)
-    return np.add(spread, common, out=eps)
+    spread = mu[:, None] + sigma * math.sqrt(1.0 - rho) * eps
+    return spread + common_term(z, eps, sigma, rho)
 
 
 def test_outcomes_sigma_zero() -> None:
@@ -232,11 +227,10 @@ def test_rho_above_one_rejected() -> None:
 ], ids=["sigma_eps_zero", "mixed"])
 def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> None:
     # a random-means replication draws from stream(seed, rep) the variates
-    # of the widest config's W means and nothing else, whatever sigma_eps:
-    # no eps and no prediction noise; each config's offsets come from the
-    # first m of those variates
-    rep, width, sizes = 3, widest.m, (17, 17, 6)
-    assert sum(sizes) == widest.n_individuals
+    # of the widest config's W means and nothing else, whatever sigma_eps
+    # and wherever the widest stands: no eps and no prediction noise; each
+    # config's offsets come from the first m of those variates
+    rep, width = 3, widest.m
 
     def draw(batch: list[SimConfig]) -> tuple:
         rng = stream(widest.seed, rep)
@@ -259,17 +253,12 @@ def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> No
     assert quiet_state == state and len(quiet) == 1 + len(narrower)
     for a, b in zip((mu, *more_mu), quiet):
         np.testing.assert_array_equal(a, b, strict=True)
-    # fixed means draw nothing for the means, then eps block by block, each
-    # block arm-major (W x b, each arm's b normals contiguous), and no noise
-    fixed = replace(widest, dist=FixedMeans(mu + 1.0))
-    rng = stream(widest.seed, rep)
-    (fixed_mu,) = sample_potential_outcomes(fixed, rng)
-    np.testing.assert_array_equal(fixed_mu, mu + 1.0, strict=True)
-    blocks = [sample_potential_outcomes(fixed, rng, out=np.empty((width, b))) for b in sizes]
-    rng = stream(widest.seed, rep)
-    for block, b in zip(blocks, sizes):
-        np.testing.assert_array_equal(block, rng.standard_normal((width, b)), strict=True)
-        assert block.flags.c_contiguous
+    # the widest config last draws the same variates and gives each config
+    # its own offsets
+    last, last_state = draw([*narrower, widest])
+    assert last_state == state and len(last) == 1 + len(narrower)
+    for a, b in zip((*more_mu, mu), last):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +366,7 @@ def test_sim_config_sizes_are_integers_numpy_can_address() -> None:
 
 
 # --------------------------------------------------------------------------
-# the individual-level kernel: fixed means, one m per batch
+# the individual-level kernel: fixed means, each config scored alone
 
 
 def reference_draws(cfg: SimConfig, rep: int) -> tuple:
@@ -857,7 +846,7 @@ def test_simulate_gain_keeps_no_state_between_calls() -> None:
         "wide": nested_batches()[5],
         "counterfactual": counterfactual_batches()[1],
         "narrow": [SimConfig(m=7, sigma=0.8, rho=-0.1, dist=FixedMeans(np.linspace(0.0, 0.3, 7)),
-                             sigma_eps=0.2, n_individuals=3 * simulate._block_size(7) + 1,
+                             sigma_eps=0.2, n_individuals=3 * (simulate.BLOCK_CELLS // 7) + 1,
                              n_replications=3, seed=5)],
     }
     want = {name: simulate_gain(batch) for name, batch in batches.items()}
@@ -887,14 +876,47 @@ def test_a_batch_of_several_layouts_fails_before_any_draw(monkeypatch) -> None:
             with pytest.raises(ConfigError, match="config 2 has draw layout"):
                 simulate_gain([base, replace(base, m=4), other, replace(other, m=2)],
                               n_jobs=n_jobs)
-    # a fixed vector fits one m only, so a narrower one is refused up front
-    fixed = [SimConfig(m=m, sigma=1.0, rho=0.0, dist=FixedMeans([0.5] * m),
-                       n_individuals=20, n_replications=2) for m in (3, 2)]
-    for n_jobs in (1, 2):
-        with pytest.raises(ConfigError, match="config 1 has 2 fixed means, but its batch "
-                                              "draws m = 3 arms"):
-            simulate_gain(fixed, n_jobs=n_jobs)
     assert keys == []
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_fixed_means_of_several_m_in_one_batch_each_equal_their_lone_run(n_jobs) -> None:
+    # each fixed-means config draws its own eps, so a batch takes any m in
+    # any order, over one block or several, with sigma_eps = 0 and > 0
+    n = 2 * (simulate.BLOCK_CELLS // 40) + 9
+    batch = [SimConfig(m=m, sigma=1.0 + 0.1 * m, rho=rho, dist=FixedMeans(np.linspace(0.0, 0.4, m)),
+                       sigma_eps=sigma_eps, n_individuals=n, n_replications=3, seed=5)
+             for m, rho, sigma_eps in ((3, 0.2, 0.0), (40, -0.02, 0.3), (2, 0.5, 0.7),
+                                       (40, 0.1, 0.0), (7, -0.1, 0.0))]
+    for cfg, result in zip(batch, simulate_gain(batch, n_jobs=n_jobs)):
+        assert result == simulate_gain(cfg), cfg
+        assert result.per_replication_gains == reference_gains(cfg), cfg
+
+
+def order_batches() -> list[list[SimConfig]]:
+    """Random-means batches in an order that is not widest first: normal
+    means at m = 7, 3, 12 and 5, the mixed batch of `means_grid`, and a
+    spike-slab sweep whose 347 arms in all take the thread pool."""
+    normal = dict(sigma=1.0, rho=0.3, dist=NormalMeans(0.2, 0.8), sigma_eps=0.4,
+                  n_individuals=1_000, n_replications=5, seed=31)
+    slab = dict(sigma=10.0, rho=0.9, dist=SpikeSlabMeans(0.9, 0.0, 22.0), sigma_eps=0.5,
+                n_individuals=20_000, n_replications=4, seed=3)
+    return [[SimConfig(m=m, **normal) for m in (7, 3, 12, 5)], means_grid()[2][::-1],
+            [SimConfig(m=m, **slab) for m in (2, 5, 40, 300)]]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_a_random_means_batch_in_any_order_gives_each_config_its_widest_first_bits(n_jobs) -> None:
+    # a batch keeps its order: each config gets the bits it gets when the
+    # batch runs widest first, whatever the order, the widest among them
+    shuffle = np.random.default_rng(4)
+    for batch in order_batches():
+        ranked = sorted(batch, key=lambda cfg: -cfg.m)
+        want = dict(zip(map(id, ranked), simulate_gain(ranked, n_jobs=n_jobs)))
+        orders = [batch, batch[::-1], [batch[k] for k in shuffle.permutation(len(batch))]]
+        for order in orders:
+            for cfg, result in zip(order, simulate_gain(order, n_jobs=n_jobs)):
+                assert result == want[id(cfg)], (order.index(cfg), cfg)
 
 
 class CountingGenerator:
