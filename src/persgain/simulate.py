@@ -28,8 +28,8 @@ V(mu, t, k) = (1-k) E[mu_J] + k E[max_j H_j], J = argmax H; the personalized
 policy has t = c, and the uniform one, which picks on column means, t =
 c / sqrt(n). So a replication of NormalMeans or SpikeSlabMeans draws its
 means alone and scores them by E[v_p | mu] = V(mu, c, k) and E[v_u | mu] =
-V(mu, c / sqrt(n), k), one-dimensional integrals that `_value` takes on one
-fixed grid; per_replication_gains are E[gain | mu]. Values are kept as
+V(mu, c / sqrt(n), k), one-dimensional integrals that `_values` takes on
+one fixed grid; per_replication_gains are E[gain | mu]. Values are kept as
 distances from max mu, and means as distances from the distribution's
 mean, so no large mean cancels the gain away. With s = 0 the gain is
 exact, SE 0. Spike-slab means all tie with probability
@@ -59,6 +59,17 @@ replication's variates of W means once, W the batch's largest m, and a
 config with m arms maps the first m of them to its own means (Glasserman,
 Monte Carlo Methods in Financial Engineering, 2003, section 4.2). A
 fixed-means batch takes any m, and each config draws its own eps.
+
+Random-means replications are drawn one by one and scored a block at a
+time (`_score_block`). A block holds about BLOCK_CELLS cells of means and
+grid rows, so its memory is bounded at any m and any n_replications. Each
+(config, scale) of the block keeps every replication's lags in arm order,
+padded to the widest replication's count with a lag far enough out that
+it moves no bit; Phi and the pick density are then taken once per cell, in
+place, a chunk of about 2^15 cells at a time, and every product and sum
+over the arms runs in arm order, so a replication's values have the same
+bits in any block. From _POOLED_ARMS arms in all, the blocks are the
+thread pool's unit of work.
 """
 
 from __future__ import annotations
@@ -90,22 +101,16 @@ __all__ = [
 
 # --------------------------------------------------------------------------
 # distributions of per-arm average responses
-
-
-class _Means:
-    """A distribution of m average responses in two steps: `variates`
-    draws the random numbers behind them from a generator, and `means`
-    maps those to the m means. A batch draws the variates once at its
-    widest m, and each config maps them to its own. A random kind also has
-    `tied(m)`, P(all m means are one), and `offsets(variates, m)`, the
-    first m means less `mean` given not tied."""
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return self.means(self.variates(m, rng))
+#
+# A random kind draws its m means in two steps: `variates(m, rng)` draws the
+# random numbers behind them, and `offsets(variates, m)` maps the first m of
+# those to the means less `mean`, given that they are not all tied; `tied(m)`
+# is P(all m means are one). A batch draws the variates once, at its widest
+# m, and each config maps them to its own offsets.
 
 
 @dataclass(frozen=True)
-class FixedMeans(_Means):
+class FixedMeans:
     """Deterministic vector of average responses, one entry per arm."""
 
     mu: tuple[float, ...]
@@ -116,18 +121,9 @@ class FixedMeans(_Means):
         if not all(math.isfinite(x) for x in self.mu):
             raise ConfigError("Fixed means must all be finite")
 
-    def variates(self, m: int, rng: np.random.Generator) -> None:
-        if len(self.mu) != m:
-            raise ConfigError(
-                f"Fixed means have length {len(self.mu)} but m = {m} arms were requested"
-            )
-
-    def means(self, variates: None) -> np.ndarray:
-        return np.asarray(self.mu, dtype=float)
-
 
 @dataclass(frozen=True)
-class NormalMeans(_Means):
+class NormalMeans:
     """Average responses drawn i.i.d. N(mean, s^2)."""
 
     mean: float = 0.0
@@ -142,9 +138,6 @@ class NormalMeans(_Means):
     def variates(self, m: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(m)
 
-    def means(self, variates: np.ndarray) -> np.ndarray:
-        return self.mean + self.s * variates
-
     def tied(self, m: int) -> float:
         return 0.0
 
@@ -153,7 +146,7 @@ class NormalMeans(_Means):
 
 
 @dataclass(frozen=True)
-class SpikeSlabMeans(_Means):
+class SpikeSlabMeans:
     """Each arm's average response is `mean` with probability pi_spike,
     else a fresh N(mean, s^2) draw. Resulting variance: (1 - pi_spike) * s^2."""
 
@@ -173,10 +166,6 @@ class SpikeSlabMeans(_Means):
         # both arrays are always drawn so runs differing only in pi_spike
         # share the underlying randomness
         return rng.uniform(size=m), rng.standard_normal(m)
-
-    def means(self, variates: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        uniform, normal = variates
-        return np.where(uniform < self.pi_spike, self.mean, self.mean + self.s * normal)
 
     def tied(self, m: int) -> float:
         return self.pi_spike ** m if self.s else 1.0
@@ -301,8 +290,12 @@ def sample_potential_outcomes(cfg: SimConfig, rng: np.random.Generator, *more: S
     """All a random-means replication draws, from rng, its stream(cfg.seed,
     rep): the variates of W means, W the largest m of cfg and the configs in
     `more`. Returns the offsets of cfg and of each config in `more`, each
-    from the first m of those variates (`_Means`)."""
+    from the first m of those variates. The configs take one kind of random
+    means; fixed means are not drawn, and raise ConfigError."""
     points = (cfg, *more)
+    kinds = sorted({type(point.dist).__name__ for point in points})
+    if len(kinds) > 1 or isinstance(cfg.dist, FixedMeans):
+        raise ConfigError(f"the draw step draws one kind of random means, got {', '.join(kinds)}")
     variates = cfg.dist.variates(max(point.m for point in points), rng)
     return tuple(point.dist.offsets(variates, point.m) for point in points)
 
@@ -367,100 +360,183 @@ _HART_Q = (0.0883883476483184, 1.75566716318264, 16.064177579207, 86.78073220294
            296.564248779674, 637.333633378831, 793.826512519948, 440.413735824752)
 
 
-def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x), taken on the smaller tail: Phi(-|x|) is exp(-x^2/2) P/Q below
-    |x| = 5 sqrt(2) and a continued fraction above, and Phi(x) = 1 - Phi(-x)
-    for x > 0. Its error is below 1e-8 times the smaller tail,
-    min(Phi, 1 - Phi), plus the rounding of 1 - tail; Phi(0) is 1/2
-    exactly, and it does not decrease (tests/test_simulate.py checks both
-    against math.erfc on [-40, 40])."""
-    a = np.abs(x)
-    p = q = 0.0
-    for coef in _HART_P:
-        p = p * a + coef
-    for coef in _HART_Q:
-        q = q * a + coef
-    frac = a + 0.65
+def _phi(x: np.ndarray, pdf: np.ndarray, work: np.ndarray, neg: np.ndarray,
+         small: np.ndarray) -> None:
+    """Phi(x) in place of x, and exp(-x^2/2) into pdf: Phi is taken on the
+    smaller tail, Phi(-|x|) = exp(-x^2/2) P/Q below |x| = 5 sqrt(2) and a
+    continued fraction above, and Phi(x) = 1 - Phi(-x) for x > 0. Its error
+    is below 1e-8 times the smaller tail, min(Phi, 1 - Phi), plus the
+    rounding of 1 - tail; Phi(0) is 1/2 exactly, and it does not decrease
+    (tests/test_simulate.py checks both against math.erfc on [-40, 40]).
+    work, neg and small are scratch of x's shape, neg and small bool."""
+    np.less(x, 0.0, out=neg)
+    a = np.abs(x, out=x)
+    for coefs, out in ((_HART_P, pdf), (_HART_Q, work)):  # Horner's rule
+        np.multiply(a, coefs[0], out=out)
+        for coef in coefs[1:-1]:
+            out += coef
+            out *= a
+        out += coefs[-1]
+    pdf /= work  # P/Q
+    np.add(a, 0.65, out=work)
     for k in (4.0, 3.0, 2.0, 1.0):
-        frac = a + k / frac
-    tail = np.exp(-0.5 * a * a) * np.where(a < 7.07106781186547, p / q, 1.0 / (2.506628274631 * frac))
-    return np.where(x < 0, tail, 1.0 - tail)
+        np.divide(k, work, out=work)
+        work += a
+    work *= 2.506628274631
+    np.divide(1.0, work, out=work)  # the continued fraction
+    np.less(a, 7.07106781186547, out=small)
+    np.copyto(work, pdf, where=small)
+    np.multiply(a, -0.5, out=pdf)
+    pdf *= a
+    np.exp(pdf, out=pdf)
+    work *= pdf  # Phi(-|x|)
+    np.subtract(1.0, work, out=x)
+    np.copyto(x, work, where=neg)
 
 
-# `_value` integrates over u = (x - max mu) / t on this one grid: below it
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) (`_phi`), x left as it is."""
+    cdf = np.array(x, dtype=float)
+    _phi(cdf, np.empty_like(cdf), np.empty_like(cdf), *np.empty((2, *cdf.shape), dtype=bool))
+    return cdf
+
+
+# `_values` integrates over u = (x - max mu) / t on this one grid: below it
 # Phi(u) < 7e-16, and above it each other arm's 1 - Phi(u + d) is smaller.
 # An arm _REACH or more below the best, in units of t, has Phi(u + d) = 1.0
 # on the whole grid and a pick probability below 1e-30: both integrals leave
-# it out. The other arms go _ROWS at a time: a few _ROWS x 129 arrays at any m
+# it out. A lag of _PAD has Phi(u + d) = 1.0 and exp(-(u + d)^2/2) = 0.0 on
+# the whole grid, so it pads a row of lags without moving a bit. The pick
+# sums add the other arms in groups of _ROWS, fixed since it sets their
+# bits, and a chunk holds up to _CHUNK_LAGS lags of one or more rows
 _U = np.linspace(-8.0, 8.0, 129)
 _STEP = 0.125
 _REACH = 17.0
-_ROWS = BLOCK_CELLS // len(_U)
+_PAD = 64.0
+_ROWS = 1_016
+_CHUNK_LAGS = 2 ** 15 // len(_U)
 _CDF_U, _PDF_U = _norm_cdf(_U), np.exp(-0.5 * _U * _U)
 
 
-def _race(mu: np.ndarray, t: float, picks: bool = True) -> tuple[np.ndarray, float, float]:
-    """For H_j = mu_j + t e_j, t > 0, the best arm B (the first max of mu)
-    and lags d_j = (max mu - mu_j) / t: P(u) = P(every other arm's e_j - d_j
-    < u) on the grid, one product over the arms in order however grouped in
-    rows, and, if `picks`, P(J = B) and E[d_J], J = argmax H, from pick
-    probabilities int phi(u + d_j) prod_{l != j} Phi(u + d_l) du summing to 1."""
-    best = int(np.argmax(mu))
-    lags = (mu[best] - mu) / t
-    lags = lags[(lags < _REACH) & (np.arange(len(mu)) != best)]
-    below, sums = np.ones(len(_U)), np.zeros((2, len(_U)))
-    for start in range(0, len(lags), _ROWS):
-        rows = lags[start:start + _ROWS, None]
-        cdf = _norm_cdf(_U + rows)
-        below = np.concatenate((below[None], cdf)).prod(axis=0)
-        if picks:  # phi(u + d_j) / Phi(u + d_j): arm j's density over its factor of P
-            ratio = np.exp(-0.5 * (_U + rows) ** 2) / cdf
-            sums += ratio.sum(axis=0), (ratio * rows).sum(axis=0)
-    weight, (others, lag) = float((_PDF_U * below).sum()), (sums * (_CDF_U * below)).sum(axis=1)
-    return below, weight / (weight + others), float(lag) / (weight + others)
+def _products(lags: np.ndarray, picks: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """For each row of lags d_j >= 0 (padded with _PAD), P(u) = prod_j
+    Phi(u + d_j) on the grid, one product over the row in order however it
+    is chunked, and, if `picks`, the sums over the row of phi(u + d_j) /
+    Phi(u + d_j), arm j's density over its factor of P, and of that times
+    d_j. Phi and the density are taken once per cell, in place, on a
+    contiguous chunk of rows x (1 + lags) cells at a time; each row's first
+    lag is _PAD, whose cells then carry the row's running product and sums,
+    so every reduction runs in order."""
+    rows, width = lags.shape
+    below = np.ones((rows, len(_U)))
+    sums = np.zeros((rows, 2, len(_U))) if picks else None
+    part = np.empty_like(sums) if picks else None
+    step = max(1, min(width, _CHUNK_LAGS))
+    height = max(1, _CHUNK_LAGS // step)  # rows per chunk
+    grid = np.tile(_U, height * (step + 1))
+    cells, masks = np.empty((4, len(grid))), np.empty((2, len(grid)), dtype=bool)
+    for top in range(0, rows, height):
+        block = slice(top, min(rows, top + height))
+        for start in range(0, width, _ROWS):
+            end = min(width, start + _ROWS)
+            if picks:
+                part[block] = 0.0
+            for first in range(start, end, step):
+                chunk = lags[block, first:min(end, first + step)]
+                shape = (len(chunk), chunk.shape[1] + 1, len(_U))
+                cdf, pdf, work, lag, neg, small = (
+                    buf[: math.prod(shape)].reshape(shape) for buf in (*cells, *masks))
+                lag[:, 0], lag[:, 1:] = _PAD, chunk[:, :, None]
+                np.add(grid[: cdf.size].reshape(shape), lag, out=cdf)
+                _phi(cdf, pdf, work, neg, small)
+                if picks:
+                    np.divide(pdf, cdf, out=pdf)
+                    np.multiply(pdf, lag, out=work)
+                    pdf[:, 0], work[:, 0] = part[block, 0], part[block, 1]
+                    np.add.reduce(pdf, axis=1, out=part[block, 0])
+                    np.add.reduce(work, axis=1, out=part[block, 1])
+                cdf[:, 0] = below[block]
+                np.multiply.reduce(cdf, axis=1, out=below[block])
+            if picks:
+                sums[block] += part[block]
+    return below, sums
 
 
-def _value(mu: np.ndarray, t: float, k: float) -> float:
-    """V(mu, t, k) - max mu, V = (1-k) E[mu_J] + k E[max_j H_j] the value
-    given the means of a policy that picks the max of H_j = mu_j + t e_j
-    (module docstring): E[max H] = max mu + t int Phi(u) (1 - P(u)) du, and
-    E[mu_J] = max mu - t E[d_J] (`_race`). The integrand is >= 0 and grows
-    with t cell by cell, so with k = 1 (sigma_eps = 0) the gain
-    _value(mu, c, 1) - _value(mu, c / sqrt(n), 1) is >= 0 after rounding."""
+def _values(offsets: np.ndarray, t: float, k: float) -> np.ndarray:
+    """V(mu, t, k) - max mu for each row mu of offsets, V = (1-k) E[mu_J] +
+    k E[max_j H_j] the value given the means of a policy that picks the max
+    of H_j = mu_j + t e_j (module docstring). With B the best arm (the first
+    max of mu) and lags d_j = (max mu - mu_j) / t of the other arms kept
+    (below _REACH) in arm order, E[max H] = max mu + t int Phi(u) (1 - P(u))
+    du and E[mu_J] = max mu - t E[d_J], from pick probabilities int phi(u +
+    d_j) prod_{l != j} Phi(u + d_l) du summing to 1 (`_products`). The
+    integrand is >= 0 and grows with t cell by cell, so with k = 1
+    (sigma_eps = 0) the gain _values(mu, c, 1) - _values(mu, c / sqrt(n), 1)
+    is >= 0 after rounding."""
     if not t:
-        return 0.0
-    below, _, lag = _race(mu, t, picks=k != 1.0)
-    peak = t * (float((_CDF_U * (1.0 - below)).sum()) * _STEP)
-    if k == 1.0:
-        return peak
-    return k * peak - (1.0 - k) * (t * lag)
+        return np.zeros(len(offsets))
+    rows, best = np.arange(len(offsets)), offsets.argmax(axis=1)
+    lags = (offsets[rows, best][:, None] - offsets) / t
+    kept = lags < _REACH
+    kept[rows, best] = False
+    counts = kept.sum(axis=1)
+    order = np.argsort(~kept, axis=1, kind="stable")[:, : counts.max()]
+    lags = np.take_along_axis(lags, order, axis=1)
+    lags[np.arange(lags.shape[1]) >= counts[:, None]] = _PAD
+    below, sums = _products(lags, picks=k != 1.0)
+    # a value past float64 is inf, without a warning, and `_score` reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = t * ((_CDF_U * (1.0 - below)).sum(axis=1) * _STEP)
+        if k == 1.0:
+            return peak
+        weight = (_PDF_U * below).sum(axis=1)
+        others, lag = (sums * (_CDF_U * below)[:, None]).sum(axis=2).T
+        return k * peak - (1.0 - k) * (t * (lag / (weight + others)))
 
 
-def _expected(cfg: SimConfig, mu: np.ndarray) -> tuple[float, float, float]:
-    """(max mu, _value(mu, c, k), _value(mu, c / sqrt(n), k)) at a random-means
-    cfg's untied offsets mu, weighted 1 - q to q with the tied case's, q =
-    cfg.dist.tied(m), where E[max H] = t E[max of m standard normals]. Each
-    term of off_p is >= its term of off_u: with sigma_eps = 0, so is the gain."""
-    c, shrink = _scales(cfg)
-    k, t_u = shrink * shrink, c / math.sqrt(cfg.n_individuals)
-    top, off_p, off_u = float(mu.max()), _value(mu, c, k), _value(mu, t_u, k)
-    if q := cfg.dist.tied(cfg.m):
-        spread = float((_CDF_U * (1.0 - _CDF_U ** (cfg.m - 1))).sum()) * _STEP
-        top, off_p, off_u = ((1.0 - q) * top, q * (k * (c * spread)) + (1.0 - q) * off_p,
-                             q * (k * (t_u * spread)) + (1.0 - q) * off_u)
-    return _score(top, off_p, off_u, cfg.dist.mean)
+def _score_block(cfgs: Sequence[SimConfig], drawn: Sequence[tuple]) -> list[list[tuple]]:
+    """(top, off_p, off_u) of each config in each replication of a block of
+    random-means replications, `drawn` holding each replication's offsets of
+    every config (`sample_potential_outcomes`): top = max mu, off_p =
+    _values(mu, c, k) and off_u = _values(mu, c / sqrt(n), k), weighted
+    1 - q to q with the tied case's, q = cfg.dist.tied(m), where E[max H] =
+    t E[max of m standard normals]. Each term of off_p is >= its term of
+    off_u: with sigma_eps = 0, so is the gain. A replication's values have
+    the same bits in any block."""
+    columns = []
+    for index, cfg in enumerate(cfgs):
+        offsets = np.array([row[index] for row in drawn])
+        c, shrink = _scales(cfg)
+        k, t_u = shrink * shrink, c / math.sqrt(cfg.n_individuals)
+        top, off_p, off_u = offsets.max(axis=1), _values(offsets, c, k), _values(offsets, t_u, k)
+        if q := cfg.dist.tied(cfg.m):
+            spread = float((_CDF_U * (1.0 - _CDF_U ** (cfg.m - 1))).sum()) * _STEP
+            with np.errstate(over="ignore", invalid="ignore"):
+                top, off_p, off_u = ((1.0 - q) * top, q * (k * (c * spread)) + (1.0 - q) * off_p,
+                                     q * (k * (t_u * spread)) + (1.0 - q) * off_u)
+        columns.append(zip(top.tolist(), off_p.tolist(), off_u.tolist()))
+    return [[_score(*values, cfg.dist.mean) for cfg, values in zip(cfgs, row)]
+            for row in zip(*columns)]
 
 
-def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list[tuple[float, float, float]]:
-    """(top, off_p, off_u) in replication `rep` for cfg, then each config in
-    `more`: v_p = top + off_p (plus the means' centre, which `_summarize`
-    adds), and v_u alike. Random means come from `_expected`; fixed means
-    from the individual-level kernel, top = 0."""
-    points = (cfg, *more)
+def _replicate(cfg: SimConfig, rep: int, *more: SimConfig) -> list:
+    """Replication `rep` of cfg, then of each config in `more`. Fixed means
+    give each config's (top, off_p, off_u) from the individual-level kernel,
+    top = 0; random means give each config's offsets from the draw step,
+    which `_score_block` values."""
     if isinstance(cfg.dist, FixedMeans):
-        return [_individuals(point, rep) for point in points]
-    offsets = sample_potential_outcomes(cfg, stream(cfg.seed, rep), *more)
-    return [_expected(point, mu) for point, mu in zip(points, offsets)]
+        return [_individuals(point, rep) for point in (cfg, *more)]
+    return sample_potential_outcomes(cfg, stream(cfg.seed, rep), *more)
+
+
+def _block_values(cfgs: Sequence[SimConfig], reps: range) -> list:
+    """(top, off_p, off_u) of each config in each replication of `reps`: v_p
+    = top + off_p (plus the means' centre, which `_summarize` adds), and
+    v_u alike. One `_replicate` call per replication, then, for random
+    means, one `_score_block` of them all."""
+    first, *rest = cfgs
+    drawn = [_replicate(first, rep, *rest) for rep in reps]
+    return drawn if isinstance(first.dist, FixedMeans) else _score_block(cfgs, drawn)
 
 
 _POOLED_ARMS = 256  # fewer random-means arms in a batch run on one thread
@@ -477,32 +553,42 @@ def simulate_gain(
     draw layouts (`_layout`) raises ConfigError naming the first config off
     the first one's layout, before anything is drawn.
 
-    n_jobs > 1 runs the replications on a thread pool, keyed by
-    replication, so the output is identical for any n_jobs; but threads
-    only contend for a random-means batch's small arrays below _POOLED_ARMS
-    arms (2-core box: two threads took 2.5 times as long as one at m = 20,
-    1.7 at the m = 2..100 sweep, 1.1 at m = 200, 0.6 at m = 400 and 1,000)."""
+    The replications run in blocks (`_block_values`): a fixed-means block
+    is one replication, and a random-means block holds about BLOCK_CELLS
+    cells of means and grid rows, so its memory is bounded at any m and
+    any n_replications. n_jobs > 1 runs the blocks on a thread pool, at
+    least one block per thread, and the output is identical for any
+    n_jobs; but a random-means batch below _POOLED_ARMS arms gains nothing
+    from threads (2-core box: two threads took 0.97 times the wall time of
+    one at five m = 20 configs, 1.04 at the m = 2..100 sweep, 0.88 at m =
+    200, 0.65 at m = 400 and 0.69 at m = 1,000)."""
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     single = isinstance(cfg, SimConfig)
     cfgs = [cfg] if single else list(cfg)
     if not cfgs:
         return []
-    first, *rest = cfgs
+    first = cfgs[0]
     for index, point in enumerate(cfgs):
         if _layout(point) != _layout(first):
             raise ConfigError(
                 f"config {index} has draw layout {_layout(point)}, config 0 {_layout(first)}: "
                 "a batch takes one (seed, n_individuals, n_replications, kind of means)")
     reps = range(first.n_replications)
-    pooled = isinstance(first.dist, FixedMeans) or sum(point.m for point in cfgs) >= _POOLED_ARMS
-    if n_jobs == 1 or len(reps) == 1 or not pooled:
-        done = [_replicate(first, rep, *rest) for rep in reps]
+    fixed, arms = isinstance(first.dist, FixedMeans), sum(point.m for point in cfgs)
+    pooled = n_jobs > 1 and (fixed or arms >= _POOLED_ARMS)
+    size = 1 if fixed else max(1, BLOCK_CELLS // (arms + len(_U)))
+    if pooled:
+        size = min(size, -(-len(reps) // n_jobs))
+    blocks = [reps[start:start + size] for start in range(0, len(reps), size)]
+    if not pooled or len(blocks) == 1:
+        done = [_block_values(cfgs, block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            done = list(pool.map(lambda rep: _replicate(first, rep, *rest), reps))
-    # done holds one row of values per replication, one column per config
-    results = [_summarize(point, column) for point, column in zip(cfgs, zip(*done))]
+            done = list(pool.map(lambda block: _block_values(cfgs, block), blocks))
+    # one row of values per replication, one column per config
+    rows = [row for block in done for row in block]
+    results = [_summarize(point, column) for point, column in zip(cfgs, zip(*rows))]
     return results[0] if single else results
 
 

@@ -37,24 +37,53 @@ def rng(seed: int = 0) -> np.random.Generator:
 # mu distributions
 
 
+def draw_means(dist, m: int, generator: np.random.Generator) -> np.ndarray:
+    """m arm means of dist as the estimand draws them, from generator, in
+    the order the simulator draws their variates, but without its offsets:
+    fixed means as given, normal means mean + s z, and spike-slab means the
+    spike with probability pi_spike, else mean + s z, drawn unconditionally
+    (the simulator's offsets are drawn given at least one slab arm)."""
+    if isinstance(dist, FixedMeans):
+        return np.asarray(dist.mu, dtype=float)
+    if isinstance(dist, NormalMeans):
+        return dist.mean + dist.s * generator.standard_normal(m)
+    uniform, normal = generator.uniform(size=m), generator.standard_normal(m)
+    return np.where(uniform < dist.pi_spike, dist.mean, dist.mean + dist.s * normal)
+
+
 def test_fixed_means_identity() -> None:
-    np.testing.assert_array_equal(FixedMeans([20, 30]).sample(2, rng()), [20.0, 30.0])
+    np.testing.assert_array_equal(FixedMeans([20, 30]).mu, [20.0, 30.0])
 
 
 def test_fixed_means_wrong_length() -> None:
-    with pytest.raises(ConfigError):
-        FixedMeans([1.0, 2.0]).sample(3, rng())
+    with pytest.raises(ConfigError, match="length 2 but m = 3"):
+        SimConfig(m=3, sigma=1.0, rho=0.0, dist=FixedMeans([1.0, 2.0]))
 
 
 def test_normal_means_degenerate() -> None:
-    np.testing.assert_array_equal(NormalMeans(0.0, 0.0).sample(5, rng()), np.zeros(5))
+    dist = NormalMeans(0.0, 0.0)
+    np.testing.assert_array_equal(dist.mean + dist.offsets(dist.variates(5, rng()), 5),
+                                  np.zeros(5))
 
 
 def test_spike_slab_variance() -> None:
     # pi = 0.9, s^2 = 50 -> mixture variance (1 - pi) s^2 = 5
     dist = SpikeSlabMeans(pi_spike=0.9, mean=0.0, s=math.sqrt(50.0))
-    draws = dist.sample(1000, rng(1))
+    draws = draw_means(dist, 1000, rng(1))
     assert np.var(draws) == pytest.approx(5.0, rel=0.2)
+
+
+def test_the_draw_step_takes_one_kind_of_random_means() -> None:
+    # fixed means are not drawn, and a draw of one kind's variates fits no
+    # other kind's offsets: each raises ConfigError naming the kinds
+    fixed = SimConfig(m=2, sigma=1.0, rho=0.0, dist=FixedMeans([0.0, 1.0]))
+    normal = replace(fixed, dist=NormalMeans(0.0, 1.0))
+    slab = replace(fixed, dist=SpikeSlabMeans(0.5, 0.0, 1.0))
+    for batch, kinds in (([fixed], "FixedMeans"), ([fixed, fixed], "FixedMeans"),
+                         ([normal, slab], "NormalMeans, SpikeSlabMeans"),
+                         ([slab, fixed], "FixedMeans, SpikeSlabMeans")):
+        with pytest.raises(ConfigError, match=f"one kind of random means, got {kinds}$"):
+            sample_potential_outcomes(batch[0], rng(), *batch[1:])
 
 
 @pytest.mark.parametrize("pi", [0.0, 0.3, 0.9])
@@ -246,7 +275,7 @@ def test_the_draw_step_makes_every_draw_of_a_replication(widest, narrower) -> No
         expected = cfg.dist.offsets(cfg.dist.variates(width, stream(widest.seed, rep)), cfg.m)
         np.testing.assert_array_equal(cfg_mu, expected, strict=True)
     if isinstance(widest.dist, NormalMeans):
-        np.testing.assert_array_equal(widest.dist.mean + mu, widest.dist.sample(width, stream(
+        np.testing.assert_array_equal(widest.dist.mean + mu, draw_means(widest.dist, width, stream(
             widest.seed, rep)), strict=True)
     # a batch with sigma_eps > 0 draws exactly what it draws with sigma_eps = 0
     quiet, quiet_state = draw([replace(cfg, sigma_eps=0.0) for cfg in (widest, *narrower)])
@@ -375,7 +404,7 @@ def reference_draws(cfg: SimConfig, rep: int) -> tuple:
     block may be shorter), one row per arm each."""
     rng = stream(cfg.seed, rep)
     n, m = cfg.n_individuals, cfg.m
-    mu = cfg.dist.sample(m, rng)
+    mu = np.asarray(cfg.dist.mu, dtype=float)
     size = max(1, simulate.BLOCK_CELLS // m)
     return mu, [rng.standard_normal((m, min(size, n - start))) for start in range(0, n, size)]
 
@@ -441,7 +470,7 @@ def noisy_replicate(cfg: SimConfig, rep: int) -> tuple[float, float]:
     for the estimand."""
     rng = stream(cfg.seed, rep)
     n, m, rho = cfg.n_individuals, cfg.m, cfg.rho
-    mu = cfg.dist.sample(m, rng)
+    mu = draw_means(cfg.dist, m, rng)
     z = rng.standard_normal((n, 1))
     eps = rng.standard_normal((n, m))
     noise = rng.standard_normal((n, m))
@@ -493,18 +522,20 @@ def layout_grid() -> list[list[SimConfig]]:
 
 def kernel_values(batch: list[SimConfig], n_jobs: int) -> tuple[list, list]:
     """simulate_gain's results for a batch, and the (top, off_p, off_u) of
-    each of its configs in each replication, as `_replicate` returned them;
-    with fixed means, top is 0 and the offsets are v_p and v_u."""
-    replicate, seen = simulate._replicate, {}
+    each of its configs in each replication, as `_block_values` returned
+    them for the replication's block; with fixed means, top is 0 and the
+    offsets are v_p and v_u."""
+    block_values, seen = simulate._block_values, {}
 
-    def record(cfg, rep, *more):
-        values = replicate(cfg, rep, *more)
-        for point, value in zip((cfg, *more), values):
-            seen[id(point), rep] = value
-        return values
+    def record(cfgs, reps):
+        rows = block_values(cfgs, reps)
+        for rep, row in zip(reps, rows, strict=True):
+            for point, value in zip(cfgs, row, strict=True):
+                seen[id(point), rep] = value
+        return rows
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "_replicate", record)
+        patch.setattr(simulate, "_block_values", record)
         results = simulate_gain(batch, n_jobs=n_jobs)
     return results, [[seen[id(cfg), rep] for rep in range(cfg.n_replications)] for cfg in batch]
 
@@ -752,9 +783,10 @@ def means_grid() -> list[list[SimConfig]]:
 def means_values(cfg: SimConfig, rep: int, width: int) -> tuple[float, float, float]:
     """(top, off_p, off_u) of a random-means config in replication `rep` of
     a batch drawn at `width` arms, drawing its offsets itself from the
-    first m of the W means' variates."""
+    first m of the W means' variates and scoring them alone, a block of one
+    replication of one config."""
     mu = cfg.dist.offsets(cfg.dist.variates(width, stream(cfg.seed, rep)), cfg.m)
-    return simulate._expected(cfg, mu)
+    return simulate._score_block([cfg], [(mu,)])[0][0]
 
 
 def nested_batches() -> list[list[SimConfig]]:
@@ -1166,9 +1198,9 @@ VALUE_MEANS = [
 @pytest.mark.parametrize("mu, t", VALUE_MEANS)
 def test_value_without_prediction_noise_is_the_expected_max(mu, t) -> None:
     # k = 1: V(mu, t, 1) = E[max_j (mu_j + t e_j)], by the tests' own
-    # quadrature with math.erfc; _value gives its distance from max mu
+    # quadrature with math.erfc; _values gives its distance from max mu
     want = expected_max_of_shifted_normals(mu, t)
-    got = simulate._value(np.array(mu), t, 1.0)
+    got = simulate._values(np.array([mu]), t, 1.0)[0]
     assert max(mu) + got == pytest.approx(want, rel=1e-9)
     assert got == pytest.approx(want - max(mu), rel=1e-6)
 
@@ -1192,16 +1224,18 @@ def pick_probabilities(mu: Sequence[float], t: float) -> np.ndarray:
 
 @pytest.mark.parametrize("mu, t", VALUE_MEANS[:4])
 def test_pick_probabilities_sum_to_one_and_match_their_integrals(mu, t) -> None:
-    # _race gives the best arm's pick probability and E[d_J], the lag of the
-    # pick, from probabilities it normalizes to sum to 1. With k = 0 the
-    # value is E[mu_J] = max mu - t E[d_J], their mean of mu
+    # _values takes E[d_J], the lag of the pick, from pick probabilities it
+    # normalizes to sum to 1. With k = 0 the value is E[mu_J] = max mu -
+    # t E[d_J], their mean of mu, the same for each row of a block; with
+    # k = 1/2 it is half that plus half E[max H]
     mu = np.array(mu)
-    _, best_prob, lag = simulate._race(mu, t)
     want = pick_probabilities(mu, t)
     assert abs(want.sum() - 1.0) <= 1e-9
-    assert best_prob == pytest.approx(want[int(np.argmax(mu))], rel=0, abs=1e-9)
-    assert max(mu) - t * lag == pytest.approx(float(want @ mu), rel=0, abs=1e-9)
-    assert max(mu) + simulate._value(mu, t, 0.0) == pytest.approx(float(want @ mu), rel=0, abs=1e-9)
+    got = simulate._values(np.array([mu, mu]), t, 0.0)
+    assert got[0] == got[1]
+    assert max(mu) + got[0] == pytest.approx(float(want @ mu), rel=0, abs=1e-9)
+    half = 0.5 * float(want @ mu) + 0.5 * expected_max_of_shifted_normals(mu, t)
+    assert max(mu) + simulate._values(mu[None], t, 0.5)[0] == pytest.approx(half, rel=0, abs=1e-9)
 
 
 def test_gains_without_prediction_noise_are_never_negative() -> None:
@@ -1211,8 +1245,9 @@ def test_gains_without_prediction_noise_are_never_negative() -> None:
     c = 1.3
     for mu in (np.array([30.0 * c] + [0.0] * 4), np.zeros(7), np.zeros(100)):
         for n in (1, 2, 10_000):
-            assert simulate._value(mu, c, 1.0) >= simulate._value(mu, c / math.sqrt(n), 1.0)
-    assert simulate._value(np.array([30.0 * c, 0.0]), c, 1.0) == 0.0
+            assert (simulate._values(mu[None], c, 1.0)[0]
+                    >= simulate._values(mu[None], c / math.sqrt(n), 1.0)[0])
+    assert simulate._values(np.array([[30.0 * c, 0.0]]), c, 1.0)[0] == 0.0
     m_values = [2, 3, 4, 6, 10, 17, 30, 50, 75, 100]
     for dist in (SpikeSlabMeans(0.9, 0.0, 40.0), NormalMeans(0.0, 1e-9), NormalMeans(0.0, 30.0)):
         cfgs = [SimConfig(m=m, sigma=c, rho=0.2, dist=dist, n_individuals=10_000,
@@ -1262,14 +1297,17 @@ def test_a_value_given_the_means_that_overflows_raises_config_error_from_score(
 
 @pytest.mark.parametrize("rows", [1, 3, 1_000])
 def test_the_arms_taken_a_few_rows_at_a_time_give_one_product(monkeypatch, rows) -> None:
-    # P(u) has the same bits however many arms each step takes, so the
-    # monotonicity argument holds at any m; the picks agree up to rounding
-    mu = np.array([3.0, 0.4, -1.0, 2.2, 2.9, 0.0, 1.1, 2.95, -0.5, 0.6, 3.0])
-    whole = simulate._race(mu, 0.7)
-    monkeypatch.setattr(simulate, "_ROWS", rows)
-    below, best_prob, lag = simulate._race(mu, 0.7)
-    np.testing.assert_array_equal(below, whole[0], strict=True)
-    assert (best_prob, lag) == pytest.approx(whole[1:], rel=1e-13)
+    # P(u), and so the value at k = 1, has the same bits however many arms
+    # each group of the pick sums or each chunk takes, so the monotonicity
+    # argument holds at any m; the picks agree up to rounding
+    mu = np.array([[3.0, 0.4, -1.0, 2.2, 2.9, 0.0, 1.1, 2.95, -0.5, 0.6, 3.0]])
+    whole = [simulate._values(mu, 0.7, k)[0] for k in (1.0, 0.5)]
+    for name in ("_ROWS", "_CHUNK_LAGS"):
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, name, rows)
+            top, picked = (simulate._values(mu, 0.7, k)[0] for k in (1.0, 0.5))
+        assert top == whole[0], name
+        assert picked == (whole[1] if name == "_CHUNK_LAGS" else pytest.approx(whole[1], rel=1e-13))
 
 
 def test_a_random_means_replication_holds_a_few_rows_of_arms_whatever_m() -> None:
@@ -1280,6 +1318,46 @@ def test_a_random_means_replication_holds_a_few_rows_of_arms_whatever_m() -> Non
     peak, end = traced_memory([cfg], 1)
     assert peak < 16_000_000
     assert end < 8_192
+
+
+def wide_batches() -> list[list[SimConfig]]:
+    """Random-means batches whose widest config has over _ROWS = 1,016
+    arms, so that its pick sums add several groups: normal and spike-slab
+    means, sigma_eps = 0 and > 0 within a batch, and a narrow config whose
+    replications share a chunk."""
+    batches = []
+    for dist in (NormalMeans(0.0, 0.3), SpikeSlabMeans(0.5, 0.2, 0.4)):
+        base = dict(rho=0.3, dist=dist, n_individuals=100, n_replications=4, seed=2)
+        batches.append([SimConfig(m=1_030, sigma=1.0, sigma_eps=0.5, **base),
+                        SimConfig(m=1_020, sigma=1.0, **base),
+                        SimConfig(m=6, sigma=2.0, sigma_eps=0.2, **base)])
+    return batches
+
+
+def test_a_replications_values_have_the_same_bits_in_any_block_and_chunk(monkeypatch) -> None:
+    # blocks of 1, 3 and the default count of replications, and chunks of 1,
+    # 3 and the default count of lags, on one thread and on two: chunks of
+    # 1 and 3 lags end at each group of _ROWS lags, which 3 does not divide
+    for batch in wide_batches():
+        want = simulate_gain(batch)
+        assert simulate_gain(batch, n_jobs=2) == want
+        arms = sum(cfg.m for cfg in batch) + len(simulate._U)
+        for cells, lags in ((1, None), (3 * arms, None), (None, 1), (None, 3), (1, 3)):
+            with monkeypatch.context() as patch:
+                if cells:
+                    patch.setattr(simulate, "BLOCK_CELLS", cells)
+                if lags:
+                    patch.setattr(simulate, "_CHUNK_LAGS", lags)
+                assert simulate_gain(batch) == want, (cells, lags)
+
+
+def test_a_block_of_random_means_holds_a_bounded_count_of_replications() -> None:
+    # 200 replications of m = 2,000 arms with sigma_eps > 0: one block of
+    # them all would take over 16 MB of means and lags at once
+    cfg = SimConfig(m=2_000, sigma=1.0, rho=0.3, dist=NormalMeans(0.0, 0.5), sigma_eps=0.5,
+                    n_individuals=100, n_replications=200, seed=1)
+    peak, _ = traced_memory([cfg], 1)
+    assert peak < 16_000_000
 
 
 def test_a_huge_common_mean_leaves_the_gain_as_it_is() -> None:
